@@ -31,8 +31,7 @@ def main():
 
     print("== two-sided crossed product and its decomposition ==")
     prod = two_sided_crossed(canonical_right_comodule(hq),
-                             canonical_left_comodule(hq),
-                             threshold=hq.dim ** 3)
+                             canonical_left_comodule(hq))
     print("A >< H* >< B carrier dimension:", prod.dim)
     print("associative:", prod.alg.is_associative() is None)
     rep = verify_crossed_decomposition(hq)

@@ -6,11 +6,10 @@ check is an exact equality of sparse tensors with no tolerance.
 """
 
 from .fields import Field, Fp, PrimeField, QQ, RationalField, parse_field
-from .tensor import Basis, LinearMap, Tensor, product_basis
+from .tensor import Basis, FlatSpace, LinearMap, Tensor, product_basis
 from .linalg import RowSpan, solve_linear
-from .algebra import (FinAlgebra, LazyAlgebra, LegMul, MATERIALIZE_THRESHOLD,
-                      invert_in_tensor_algebra, invert_linear_map,
-                      make_product_algebra, mul_legs)
+from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
+                      invert_linear_map, mul_legs)
 from .report import CheckRecord, VerificationReport, first_difference
 from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
                         QuasiHopfAlgebra, check_dual_bimodule_algebra,
@@ -30,13 +29,14 @@ from .products import (HeisenbergDouble, HomSmash, ProductAlgebra,
                        smash_product, two_sided_crossed,
                        verify_crossed_decomposition,
                        verify_heisenberg_double, verify_hom_smash)
-from .hopfmod import (FlatSpace, RelativeHopfModule, TwoSidedHopfModule,
+from .hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
                       canonical_first_module, canonical_second_module,
                       check_relative_hopf_module,
-                      check_two_sided_hopf_module, module_isomorphism,
-                      regular_smash_action, relative_from_smash_module,
-                      relative_from_two_sided, seeded_cyclic_module,
-                      smash_action_from_two_sided, transport_module,
+                      check_two_sided_hopf_module, cyclic_right_submodule,
+                      module_isomorphism, regular_smash_action,
+                      relative_from_smash_module, relative_from_two_sided,
+                      seeded_cyclic_module, smash_action_from_two_sided,
+                      smash_index, transport_module,
                       two_sided_from_relative, two_sided_from_smash_module,
                       verify_canonical_modules,
                       verify_module_correspondence)
@@ -45,10 +45,9 @@ from .doihopf import (BimoduleCoalgebra, CrossedHopfModule, DoiHopfModule,
                       check_bimodule_coalgebra, check_crossed_hopf_module,
                       check_doi_hopf_module, crossed_comodule_algebra,
                       crossed_from_doi, crossed_smash_direct,
-                      cyclic_right_submodule, doi_from_algebra_module,
-                      doi_from_crossed, dual_module_algebra,
-                      hhop_module_coalgebra, nested_smash_direct,
-                      verify_crossed_module_description)
+                      doi_from_algebra_module, doi_from_crossed,
+                      dual_module_algebra, hhop_module_coalgebra,
+                      nested_smash_direct, verify_crossed_module_description)
 from .classical import (ClassicalHopf, from_structure_constants,
                         verify_classical_agreement)
 from .corpus import (corpus, cyclic_group_algebra, group_algebra,

@@ -14,9 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .fields import Field, QQ
 from .linalg import invert_matrix_map, solve_linear
-from .tensor import Basis, LinearMap, Tensor
-
-MATERIALIZE_THRESHOLD = 64
+from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
 class LegMul:
@@ -150,9 +148,6 @@ class FinAlgebra:
             self._leg = LegMul(self.basis, self.basis, self.basis, self.mult, self.field)
         return self._leg
 
-    def left_action_leg(self, module_basis: Basis, table) -> LegMul:
-        return LegMul(self.basis, module_basis, module_basis, table, self.field)
-
     def opposite(self) -> "FinAlgebra":
         op_basis = Basis(self.basis.labels, self.basis.name + "^op")
         mult = {}
@@ -191,75 +186,6 @@ class FinAlgebra:
         )
 
 
-class LazyAlgebra:
-    """An algebra whose products are computed on demand and memoized.
-
-    Used for product constructions whose dimension exceeds the
-    materialization threshold; exposes the same product interface as
-    FinAlgebra.
-    """
-
-    def __init__(self, basis: Basis, evaluator, unit: Tensor, field: Field = QQ):
-        self.basis = basis
-        self.field = field
-        self.evaluator = evaluator
-        self.unit = unit
-        self._cache: Dict[Tuple[int, int], Tensor] = {}
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def e(self, i: int) -> Tensor:
-        return Tensor.basis_vector(self.basis, i, self.field)
-
-    def unit_tensor(self) -> Tensor:
-        return self.unit
-
-    def mul_indices(self, i: int, j: int) -> Tensor:
-        key = (i, j)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.evaluator(i, j)
-            self._cache[key] = hit
-        return hit
-
-    def mul(self, x: Tensor, y: Tensor) -> Tensor:
-        out = Tensor.zero((self.basis,), self.field)
-        for (i,), cx in x.data.items():
-            for (j,), cy in y.data.items():
-                out = out + self.mul_indices(i, j).scale(cx * cy)
-        return out
-
-    def mulc(self, *xs: Tensor) -> Tensor:
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = self.mul(acc, x)
-        return acc
-
-    def materialize(self) -> FinAlgebra:
-        mult = {}
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                t = self.mul_indices(i, j)
-                if t.data:
-                    mult[(i, j)] = {k: c for (k,), c in t.data.items()}
-        return FinAlgebra(self.basis, mult, self.unit, self.field)
-
-    def as_leg(self) -> LegMul:
-        return self.materialize().as_leg()
-
-
-def make_product_algebra(basis: Basis, evaluator, unit: Tensor, field: Field = QQ,
-                         threshold: int = MATERIALIZE_THRESHOLD):
-    """Materialize a product construction if small, else keep it lazy."""
-    lazy = LazyAlgebra(basis, evaluator, unit, field)
-    if basis.dim <= threshold:
-        return lazy.materialize()
-    return lazy
-
-
 def tensor_unit(algebras: Sequence[FinAlgebra]) -> Tensor:
     out = Tensor.scalar(algebras[0].field.one(), algebras[0].field)
     for a in algebras:
@@ -278,42 +204,25 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
     x * y = 1 and y * x = 1 before returning y.
     """
     legs = tensor_algebra_legs(algebras)
-    spaces = tuple(a.basis for a in algebras)
-    dims = [b.dim for b in spaces]
-    total = 1
-    for d in dims:
-        total *= d
     field = x.field
-
-    def flat(idx):
-        f = 0
-        for i, d in zip(idx, dims):
-            f = f * d + i
-        return f
-
-    def unflat(f):
-        out = []
-        for d in reversed(dims):
-            out.append(f % d)
-            f //= d
-        return tuple(reversed(out))
-
+    flat = FlatSpace(tuple(a.basis for a in algebras), field)
+    spaces, total = flat.factors, flat.dim
     unit = tensor_unit(algebras)
     # rows of the system:  sum_b M[a, b] y_b = unit_a, M[:, b] = x * e_b
     rows = [dict() for _ in range(total)]
     for b in range(total):
-        eb = Tensor(spaces, {unflat(b): field.one()}, field)
+        eb = Tensor(spaces, {flat.split(b): field.one()}, field)
         col = mul_legs(legs, x, eb)
         for idx, c in col.data.items():
-            rows[flat(idx)][b] = c
-    rhs = [unit.data.get(unflat(a), field.zero()) for a in range(total)]
+            rows[flat.join(idx)][b] = c
+    rhs = [unit.data.get(flat.split(a), field.zero()) for a in range(total)]
     try:
         sol = solve_linear(rows, rhs, field)
     except ArithmeticError:
         return None
     if sol is None:
         return None
-    y = Tensor(spaces, {unflat(b): c for b, c in sol.items()}, field)
+    y = Tensor(spaces, {flat.split(b): c for b, c in sol.items()}, field)
     if mul_legs(legs, x, y) != unit or mul_legs(legs, y, x) != unit:
         return None
     return y

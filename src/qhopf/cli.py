@@ -14,7 +14,6 @@ import sys
 from typing import Optional
 
 from . import specfile as sf
-from .algebra import FinAlgebra
 from .classical import verify_classical_agreement
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, RightComoduleAlgebra,
@@ -158,17 +157,12 @@ def cmd_product(args) -> int:
     kind = args.product_kind
     texts = {p: _read(p) for p in args.files}
     objs = [sf.from_doc(sf.parse(texts[p])) for p in args.files]
-    threshold = args.materialize_threshold
-
-    def thr(dim):
-        return dim if threshold is None else threshold
-
     if kind == "smash":
         (ma,) = objs
         if not isinstance(ma, LeftModuleAlgebra):
             raise sf.SpecError("smash needs a module-algebra file")
-        prod = smash_product(ma, threshold=thr(ma.dim * ma.H.dim))
-        out_doc = sf.algebra_to_doc(_materialized(prod), name=prod.name)
+        prod = smash_product(ma)
+        out_doc = sf.algebra_to_doc(prod.alg, name=prod.name)
     elif kind == "quasi-smash":
         (ca,) = objs
         if not isinstance(ca, RightComoduleAlgebra):
@@ -182,32 +176,21 @@ def cmd_product(args) -> int:
                 not isinstance(cb, LeftComoduleAlgebra):
             raise sf.SpecError("generalized-smash needs a module-algebra "
                                "file and a left comodule-algebra file")
-        prod = generalized_smash(ma, cb, threshold=thr(ma.dim * cb.dim))
-        out_doc = sf.algebra_to_doc(_materialized(prod), name=prod.name)
+        prod = generalized_smash(ma, cb)
+        out_doc = sf.algebra_to_doc(prod.alg, name=prod.name)
     elif kind == "two-sided":
         rca, lcb = objs
         if not isinstance(rca, RightComoduleAlgebra) or \
                 not isinstance(lcb, LeftComoduleAlgebra):
             raise sf.SpecError("two-sided needs a right and a left "
                                "comodule-algebra file")
-        prod = two_sided_crossed(rca, lcb,
-                                 threshold=thr(rca.dim * rca.H.dim *
-                                               lcb.dim))
-        out_doc = sf.algebra_to_doc(_materialized(prod), name=prod.name)
+        prod = two_sided_crossed(rca, lcb)
+        out_doc = sf.algebra_to_doc(prod.alg, name=prod.name)
     else:
         raise sf.SpecError("unknown product kind %r" % kind)
     out_doc["provenance"] = sf.provenance("product:" + kind, texts)
     _write(args.out, sf.serialize(out_doc))
     return 0
-
-
-def _materialized(prod) -> FinAlgebra:
-    alg = prod.alg
-    if not isinstance(alg, FinAlgebra):
-        raise sf.SpecError("product was not materialized; lower "
-                           "--materialize-threshold or raise it above the "
-                           "product dimension")
-    return alg
 
 
 def cmd_verify(args) -> int:
@@ -242,9 +225,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    field = parse_field(args.field)
+    entries = corpus(parse_field(args.field))
     os.makedirs(args.out, exist_ok=True)
-    for key, H in corpus(field).items():
+    for key, H in entries.items():
         prov = sf.provenance("corpus:" + key)
         path = os.path.join(args.out, key + ".json")
         _write(path, sf.serialize(sf.quasihopf_to_doc(H, prov)))
@@ -264,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomized instances")
     parser.add_argument("--field", default="Q",
                         help="scalar field: Q or GF(p)")
-    parser.add_argument("--materialize-threshold", type=int, default=None,
-                        help="largest dimension to materialize eagerly")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True,
                      help="JSON report output (default)")

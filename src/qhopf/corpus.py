@@ -83,6 +83,13 @@ def symmetric_group_algebra(field: Field = QQ) -> QuasiHopfAlgebra:
 # genuinely quasi entries over elementary abelian 2-groups
 
 
+def _require_char_not_2(field: Field, entry: str) -> None:
+    """The character idempotents below divide by powers of 2."""
+    if not field.from_int(2):
+        raise ValueError("corpus entry %s needs a field of characteristic "
+                         "other than 2, got %s" % (entry, field.name))
+
+
 def _char_idempotents(H: QuasiHopfAlgebra, rank: int) -> List[Tensor]:
     """Character idempotents of k[(Z/2)^rank]; basis index i is read as
     the bit vector of the group element, character chi as a bit vector,
@@ -108,6 +115,7 @@ def quasi_z2(field: Field = QQ) -> QuasiHopfAlgebra:
     Equivalently Phi = 1 - 2 p(x)p(x)p with p = (e - x)/2. The antipode
     is the identity, beta = 1 and alpha = x; this is the unique choice
     making the antipode axioms hold with this Phi."""
+    _require_char_not_2(field, "z2_quasi")
     H = cyclic_group_algebra(2, field)
     idem = _char_idempotents(H, 1)
     e1, es = idem[0], idem[1]
@@ -139,6 +147,7 @@ def klein_twist(field: Field = QQ) -> Tensor:
 
 
 def twisted_klein(field: Field = QQ) -> QuasiHopfAlgebra:
+    _require_char_not_2(field, "z2z2_twisted")
     H = klein_group_algebra(field)
     HF = twist(H, klein_twist(field))
     HF.name = "kZ2xZ2F"

@@ -19,24 +19,22 @@ verifiers are implemented below.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .algebra import FinAlgebra, LegMul, mul_legs
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, RightModuleCoalgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
-from .hopfmod import (FlatSpace, TwoSidedHopfModule,
-                      check_two_sided_hopf_module,
-                      smash_action_from_two_sided,
+from .hopfmod import (TwoSidedHopfModule, check_two_sided_hopf_module,
+                      cyclic_right_submodule, regular_smash_action,
+                      smash_action_from_two_sided, smash_index,
                       two_sided_from_smash_module)
-from .linalg import RowSpan
 from .products import (ProductAlgebra, QuasiSmash, generalized_smash,
                        quasi_smash, smash_product)
 from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
                         QuasiHopfAlgebra)
 from .report import VerificationReport
-from .tensor import Basis, LinearMap, Tensor
+from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +159,7 @@ def hhop_module_coalgebra(C: BimoduleCoalgebra,
     nH = H.dim
     if HHop.dim != nH * nH:
         raise ValueError("H (x) H^op basis does not match the flat layout")
+    pair = FlatSpace((H.basis, H.basis), field)
     table = {}
     for c in range(C.dim):
         for i in range(nH):
@@ -170,7 +169,7 @@ def hhop_module_coalgebra(C: BimoduleCoalgebra,
             for j in range(nH):
                 vec = C.lact(H.e(j), ci)
                 if vec.data:
-                    table[(c, i * nH + j)] = {
+                    table[(c, pair.join((i, j)))] = {
                         w: s for (w,), s in vec.data.items()}
     action = LegMul(C.basis, HHop.basis, C.basis, table, field)
     return RightModuleCoalgebra(HHop, C.basis, C.comul, C.counit, action,
@@ -310,8 +309,7 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
             g = gsm.join((u, b))
             for t, ct in act_flat(m, g).items():
                 acc[t] = acc.get(t, field.zero()) + c * ct
-        return Tensor((basis,), {(t,): c for t, c in acc.items() if c},
-                      field)
+        return Tensor.from_sparse(basis, acc, field)
 
     r_action = LegMul.from_function(
         basis, cb.basis, basis,
@@ -488,21 +486,19 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
     if HHop.dim != nH * nH:
         raise ValueError("H (x) H^op basis does not match the flat layout")
 
+    pair = FlatSpace((H.basis, H.basis), field)
+
     def pack_pair(t: Tensor) -> Tensor:
         return Tensor((HHop.basis,) + t.spaces[2:],
-                      {(idx[0] * nH + idx[1],) + idx[2:]: c
+                      {(pair.join(idx[:2]),) + idx[2:]: c
                        for idx, c in t.data.items()}, field)
 
     eps = dual.eps_functional()
-
-    def split3(g):
-        u, h = sm.split(g)
-        a, p = qs.prod.split(u)
-        return a, p, h
+    nest = smash_index(qs, sm)
 
     cols = {}
     for g in range(sm.dim):
-        a, p, h = split3(g)
+        a, p, h = nest.split(g)
         src = ba.left.coact(A.e(a)).tensor(ba.phi_mid_inv).tensor(
             H.phi_inv).tensor(H.delta(H.e(h)))
 
@@ -552,9 +548,7 @@ def doi_from_crossed(M: CrossedHopfModule, lcb: LeftComoduleAlgebra,
     act = smash_action_from_two_sided(M.two_sided(), qs, sm, der)
     r_action = LegMul.from_function(
         M.basis, sm.basis, M.basis,
-        lambda m, g: Tensor((M.basis,),
-                            {(t,): c for t, c in act(m, g).items()}, field),
-        field)
+        lambda m, g: Tensor.from_sparse(M.basis, act(m, g), field), field)
 
     def coact_col(m):
         src = der.f.tensor(M.ccoact(M.e(m)))
@@ -620,15 +614,11 @@ def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
         dual = DualView(H)
     field = H.field
     A = ba.algebra
-
-    def split3(g):
-        u, h = sm.split(g)
-        a, p = qs.prod.split(u)
-        return a, p, h
+    nest = smash_index(qs, sm)
 
     def evaluate(g, g2):
-        a, p, h = split3(g)
-        a2, q, h2 = split3(g2)
+        a, p, h = nest.split(g)
+        a2, q, h2 = nest.split(g2)
         src = H.phi_inv.tensor(ba.right.coact(A.e(a2))).tensor(
             ba.right.phi_rho_inv).tensor(H.delta(H.e(h)))
 
@@ -685,14 +675,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     nH, nC = H.dim, C.dim
     hmult = H.algebra.mult
     amult = A.mult
-
-    def split3(g):
-        u, h = sm.split(g)
-        a, p = qs.prod.split(u)
-        return a, p, h
-
-    def join3(a, p, h):
-        return sm.join((qs.prod.join((a, p)), h))
+    nest = smash_index(qs, sm)
 
     # (u -> e^s <- v) on the coalgebra: coefficient at c_w is the s-th
     # coordinate of v . c_w . u
@@ -833,8 +816,8 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     def evaluate(i: int, j: int) -> Dict[int, object]:
         s, g = final.split(i)
         t, g2 = final.split(j)
-        a, p, h = split3(g)
-        a2, q, h2 = split3(g2)
+        a, p, h = nest.split(g)
+        a2, q, h2 = nest.split(g2)
         out: Dict[int, object] = {}
         for key, base in stage_two(h, a, a2).items():
             l1, L1, dl, L2, L3, pl, L4, r3, L5, av = key
@@ -864,7 +847,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                 for fw, fc in fv.items():
                     c2 = c1 * fc
                     for tw, tc in tvec.items():
-                        k = final.join((cw, join3(av, fw, tw)))
+                        k = final.join((cw, nest.join((av, fw, tw))))
                         sacc = out.get(k, zero) + c2 * tc
                         if sacc:
                             out[k] = sacc
@@ -873,61 +856,6 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
         return out
 
     return evaluate
-
-
-# ----------------------------------------------------------------------
-# seeded cyclic right modules over an arbitrary product algebra
-
-
-def cyclic_right_submodule(prod: ProductAlgebra, seed: int
-                           ) -> Tuple[Basis, Callable[[int, int], Dict[int, object]]]:
-    """The cyclic right submodule of the regular module generated by a
-    seeded random vector with small integer entries; returns a basis of
-    the closure and the right action in coordinates."""
-    field = prod.field
-    rng = random.Random(seed)
-    dim = prod.dim
-    vec: Dict[int, object] = {}
-    while not vec:
-        vec = {}
-        for i in range(dim):
-            c = rng.randint(-2, 2)
-            if c:
-                vec[i] = field.from_int(c)
-    span = RowSpan(field)
-    span.add(vec)
-
-    def right_mul(w: Dict[int, object], g: int) -> Dict[int, object]:
-        acc: Dict[int, object] = {}
-        for i, c in w.items():
-            for (t,), ct in prod.alg.mul_indices(i, g).data.items():
-                s = acc.get(t, field.zero()) + c * ct
-                if s:
-                    acc[t] = s
-                elif t in acc:
-                    del acc[t]
-        return acc
-
-    changed = True
-    while changed:
-        changed = False
-        for row in [dict(r) for r in span.rows]:
-            for g in range(dim):
-                prod_vec = right_mul(row, g)
-                if prod_vec and span.add(prod_vec):
-                    changed = True
-
-    rows = [dict(r) for r in span.rows]
-    basis = Basis(tuple("n%d" % i for i in range(span.rank)),
-                  "cyclic(seed=%d)" % seed)
-
-    def act_flat(m: int, g: int) -> Dict[int, object]:
-        coords = span.coordinates(right_mul(rows[m], g))
-        if coords is None:
-            raise ArithmeticError("cyclic module is not closed")
-        return {j: c for j, c in enumerate(coords) if c}
-
-    return basis, act_flat
 
 
 # ----------------------------------------------------------------------
@@ -988,7 +916,7 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
     der = DerivedElements(H)
     dual = DualView(H)
     qs = quasi_smash(ba.right, dual)
-    sm = smash_product(qs, threshold=qs.dim * H.dim)
+    sm = smash_product(qs)
     lcb = crossed_comodule_algebra(ba, HHop, qs, sm, dual, der)
     rep.extend(check_left_comodule_algebra(lcb), prefix="crossed-coact/")
 
@@ -998,22 +926,18 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
                           for j in range(sm.dim)),
         lambda i, j: (sm.alg.mul_indices(i, j), direct_sm(i, j)))
 
-    final = generalized_smash(cstar, lcb, threshold=cstar.dim * sm.dim)
+    final = generalized_smash(cstar, lcb)
     direct = crossed_smash_direct(ba, C, qs, sm, final, mc, dual, der)
 
     def as_vec(d):
-        return Tensor((final.basis,), {(t,): c for t, c in d.items()},
-                      field)
+        return Tensor.from_sparse(final.basis, d, field)
 
     rep.check_quantified(
         "final-direct", ((i, j) for i in range(final.dim)
                          for j in range(final.dim)),
         lambda i, j: (final.alg.mul_indices(i, j), as_vec(direct(i, j))))
 
-    def regular_act(m, g):
-        return {t: c for (t,), c in final.alg.mul_indices(m, g).data.items()}
-
-    instances = [("regular/", final.basis, regular_act)]
+    instances = [("regular/", final.basis, regular_smash_action(final))]
     for seed in seeds:
         basis, act = cyclic_right_submodule(final, seed)
         instances.append(("seed%d/" % seed, basis, act))

@@ -16,57 +16,13 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional, Tuple
 
-from .algebra import FinAlgebra, LegMul, mul_legs
+from .algebra import LegMul, mul_legs
 from .coact import RightComoduleAlgebra, canonical_right_comodule
 from .linalg import RowSpan
 from .products import ProductAlgebra, QuasiSmash, quasi_smash, smash_product
 from .quasihopf import DerivedElements, DualView, QuasiHopfAlgebra
 from .report import VerificationReport
-from .tensor import Basis, LinearMap, Tensor, product_basis
-
-
-class FlatSpace:
-    """A flattened tensor product of factor bases with index helpers."""
-
-    def __init__(self, factors: Tuple[Basis, ...], field):
-        self.factors = tuple(factors)
-        self.dims = tuple(b.dim for b in self.factors)
-        self.basis = product_basis(*self.factors)
-        self.field = field
-
-    def split(self, i: int) -> Tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
-
-    def join(self, idx: Tuple[int, ...]) -> int:
-        f = 0
-        for i, d in zip(idx, self.dims):
-            f = f * d + i
-        return f
-
-    def pack(self, t: Tensor) -> Tensor:
-        """Flatten the first len(factors) legs of t into one leg."""
-        k = len(self.factors)
-        if t.spaces[:k] != self.factors:
-            raise ValueError("leading legs do not match the factors")
-        data = {}
-        for idx, c in t.data.items():
-            key = (self.join(idx[:k]),) + idx[k:]
-            data[key] = data.get(key, self.field.zero()) + c
-        return Tensor((self.basis,) + t.spaces[k:],
-                      {k2: c for k2, c in data.items() if c}, self.field)
-
-    def unpack(self, t: Tensor) -> Tensor:
-        """Split leg 0 back into the factors."""
-        if t.spaces[0] != self.basis:
-            raise ValueError("leg 0 is not the flattened basis")
-        data = {}
-        for idx, c in t.data.items():
-            data[self.split(idx[0]) + idx[1:]] = c
-        return Tensor(self.factors + t.spaces[1:], data, self.field)
+from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
 # ----------------------------------------------------------------------
@@ -561,6 +517,25 @@ def two_sided_from_relative(N: RelativeHopfModule,
 # transport of right modules over (A # H*) # H
 
 
+def smash_index(qs: QuasiSmash, sm: ProductAlgebra) -> FlatSpace:
+    """The basis of sm = (A # H*) # H read as the row-major product of A,
+    H* and H: split(g) is the (a, p, h) of the g-th basis vector
+    (a # e^p) # e_h, and join inverts it."""
+    return FlatSpace(qs.prod.factors + sm.factors[1:], sm.field)
+
+
+def _act_on(basis: Basis, act_flat: Callable[[int, int], Dict[int, object]],
+            m: int, elem: Tensor) -> Tensor:
+    """m . elem for an element of the acting algebra, where act_flat(m, g)
+    is the action of its g-th basis vector."""
+    field = elem.field
+    acc: Dict[int, object] = {}
+    for (g,), c in elem.data.items():
+        for t, ct in act_flat(m, g).items():
+            acc[t] = acc.get(t, field.zero()) + c * ct
+    return Tensor.from_sparse(basis, acc, field)
+
+
 def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
                                basis: Basis,
                                act_flat: Callable[[int, int], Dict[int, object]],
@@ -579,12 +554,7 @@ def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
     field = H.field
 
     def act_elem(m: int, elem: Tensor) -> Tensor:
-        acc: Dict[int, object] = {}
-        for (g,), c in elem.data.items():
-            for t, ct in act_flat(m, g).items():
-                acc[t] = acc.get(t, field.zero()) + c * ct
-        return Tensor((basis,), {(t,): c for t, c in acc.items() if c},
-                      field)
+        return _act_on(basis, act_flat, m, elem)
 
     h_action = LegMul.from_function(
         H.basis, basis, basis,
@@ -622,12 +592,7 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
     eps = dual.eps_functional()
 
     def act_elem(m: int, elem: Tensor) -> Tensor:
-        acc: Dict[int, object] = {}
-        for (g,), c in elem.data.items():
-            for t, ct in act_flat(m, g).items():
-                acc[t] = acc.get(t, field.zero()) + c * ct
-        return Tensor((basis,), {(t,): c for t, c in acc.items() if c},
-                      field)
+        return _act_on(basis, act_flat, m, elem)
 
     left = LegMul.from_function(
         H.basis, basis, basis,
@@ -674,10 +639,10 @@ def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
     field = M.field
     dual = qs.dual
     pt = ca.p_tilde()
+    nest = smash_index(qs, sm)
 
     def act(m: int, g: int) -> Dict[int, object]:
-        q, h = sm.split(g)
-        a, p = qs.prod.split(q)
+        a, p, h = nest.split(g)
         phi = dual.dual_e(p)
         src = der.f.tensor(M.coact(M.e(m))).tensor(
             ca.coact(ca.e(a))).tensor(pt)
@@ -701,7 +666,8 @@ def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
 
 
 def regular_smash_action(sm: ProductAlgebra) -> Callable[[int, int], Dict[int, object]]:
-    """The regular right module: the smash product acting on itself."""
+    """The regular right module: a product algebra such as the smash
+    product acting on itself."""
 
     def act(m: int, g: int) -> Dict[int, object]:
         return {t: c for (t,), c in sm.alg.mul_indices(m, g).data.items()}
@@ -709,16 +675,14 @@ def regular_smash_action(sm: ProductAlgebra) -> Callable[[int, int], Dict[int, o
     return act
 
 
-def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra, seed: int,
-                         der: Optional[DerivedElements] = None
-                         ) -> RelativeHopfModule:
-    """The cyclic right submodule of the regular (A # H*) # H module
-    generated by a seeded random vector with small integer entries,
-    transported to a relative Hopf module."""
-    H = qs.H
-    field = H.field
+def cyclic_right_submodule(prod: ProductAlgebra, seed: int
+                           ) -> Tuple[Basis, Callable[[int, int], Dict[int, object]]]:
+    """The cyclic right submodule of the regular module of prod generated
+    by a seeded random vector with small integer entries; returns a basis
+    of the closure and the right action in its coordinates."""
+    field = prod.field
     rng = random.Random(seed)
-    dim = sm.dim
+    dim = prod.dim
     vec: Dict[int, object] = {}
     while not vec:
         vec = {}
@@ -732,7 +696,7 @@ def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra, seed: int,
     def right_mul(w: Dict[int, object], g: int) -> Dict[int, object]:
         acc: Dict[int, object] = {}
         for i, c in w.items():
-            for (t,), ct in sm.alg.mul_indices(i, g).data.items():
+            for (t,), ct in prod.alg.mul_indices(i, g).data.items():
                 s = acc.get(t, field.zero()) + c * ct
                 if s:
                     acc[t] = s
@@ -745,23 +709,31 @@ def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra, seed: int,
         changed = False
         for row in [dict(r) for r in span.rows]:
             for g in range(dim):
-                prod = right_mul(row, g)
-                if prod and span.add(prod):
+                prod_vec = right_mul(row, g)
+                if prod_vec and span.add(prod_vec):
                     changed = True
 
-    rank = span.rank
     rows = [dict(r) for r in span.rows]
-    basis = Basis(tuple("m%d" % i for i in range(rank)),
+    basis = Basis(tuple("m%d" % i for i in range(span.rank)),
                   "cyclic(seed=%d)" % seed)
 
     def act_flat(m: int, g: int) -> Dict[int, object]:
-        prod = right_mul(rows[m], g)
-        coords = span.coordinates(prod)
+        coords = span.coordinates(right_mul(rows[m], g))
         if coords is None:
             raise ArithmeticError("cyclic module is not closed")
         return {j: c for j, c in enumerate(coords) if c}
 
-    return relative_from_smash_module(qs, sm, basis, act_flat, der)
+    return basis, act_flat
+
+
+def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra, seed: int,
+                         der: Optional[DerivedElements] = None
+                         ) -> RelativeHopfModule:
+    """The cyclic right submodule of the regular (A # H*) # H module
+    generated by a seeded random vector with small integer entries,
+    transported to a relative Hopf module."""
+    return relative_from_smash_module(qs, sm, *cyclic_right_submodule(sm, seed),
+                                      der)
 
 
 def _same_two_sided(rep: VerificationReport, prefix: str,
@@ -807,7 +779,7 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
     der = DerivedElements(H)
     dual = DualView(H)
     qs = quasi_smash(ca, dual)
-    sm = smash_product(qs, threshold=qs.dim * H.dim)
+    sm = smash_product(qs)
 
     V = canonical_first_module(ca)
     U = canonical_second_module(ca, der)
@@ -839,12 +811,9 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
     _same_two_sided(rep, "smash-transport/", direct, via_functor)
     recon = smash_action_from_two_sided(direct, qs, sm, der)
     reg_act = regular_smash_action(sm)
-
-    def as_vec(d):
-        return Tensor((sm.basis,), {(t,): c for t, c in d.items()}, H.field)
-
     rep.check_quantified(
         "smash-reconstruction",
         ((m, g) for m in range(sm.dim) for g in range(sm.dim)),
-        lambda m, g: (as_vec(recon(m, g)), as_vec(reg_act(m, g))))
+        lambda m, g: (Tensor.from_sparse(sm.basis, recon(m, g), H.field),
+                      Tensor.from_sparse(sm.basis, reg_act(m, g), H.field)))
     return rep

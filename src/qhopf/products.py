@@ -13,68 +13,49 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .algebra import (FinAlgebra, LegMul, MATERIALIZE_THRESHOLD,
-                      make_product_algebra)
+from .algebra import FinAlgebra, LegMul
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
 from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
                         QuasiHopfAlgebra)
 from .report import VerificationReport
-from .tensor import Basis, LinearMap, Tensor, product_basis
+from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
-class ProductAlgebra:
+class ProductAlgebra(FlatSpace):
     """An algebra whose basis is the flattened tensor product of factor
     bases.
 
-    The evaluator receives and returns per-factor index tuples; the
-    carrier is materialized when its dimension is at most the threshold
-    and kept lazy (memoized) otherwise.
-    """
+    The evaluator receives two per-factor index tuples and returns their
+    product as a tensor over the factor legs. It is called once per pair
+    of basis vectors: the whole multiplication table is built at
+    construction into the FinAlgebra alg."""
 
     def __init__(self, factors: Tuple[Basis, ...], evaluator, unit: Tensor,
-                 field, name: str = "", threshold: int = MATERIALIZE_THRESHOLD):
-        self.factors = tuple(factors)
-        self.dims = tuple(b.dim for b in self.factors)
-        self.basis = product_basis(*self.factors)
-        self.field = field
+                 field, name: str = ""):
+        super().__init__(factors, field)
         self.name = name or self.basis.name
-
-        def flat_eval(i, j):
-            return self.flatten(evaluator(self.split(i), self.split(j)))
-
-        self.alg = make_product_algebra(self.basis, flat_eval,
-                                        self.flatten(unit), field, threshold)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def split(self, i: int) -> Tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
-
-    def join(self, idx: Tuple[int, ...]) -> int:
-        f = 0
-        for i, d in zip(idx, self.dims):
-            f = f * d + i
-        return f
+        join = self.join
+        keys = [self.split(i) for i in range(self.dim)]
+        mult = {}
+        for i, key1 in enumerate(keys):
+            for j, key2 in enumerate(keys):
+                t = evaluator(key1, key2)
+                if t.spaces != self.factors:
+                    raise ValueError("factor legs do not match")
+                if t.data:
+                    mult[(i, j)] = {join(k): c for k, c in t.data.items()}
+        self.alg = FinAlgebra(self.basis, mult, self.flatten(unit), field)
 
     def flatten(self, t: Tensor) -> Tensor:
+        """pack for a tensor with exactly the factor legs."""
         if t.spaces != self.factors:
             raise ValueError("factor legs do not match")
-        return Tensor((self.basis,),
-                      {(self.join(k),): c for k, c in t.data.items()},
-                      self.field)
+        return self.pack(t)
 
     def unflatten(self, t: Tensor) -> Tensor:
-        return Tensor(self.factors,
-                      {self.split(k): c for (k,), c in t.data.items()},
-                      self.field)
+        return self.unpack(t)
 
     def e(self, *idx: int) -> Tensor:
         return Tensor((self.basis,), {(self.join(idx),): self.field.one()},
@@ -82,10 +63,6 @@ class ProductAlgebra:
 
     def unit_tensor(self) -> Tensor:
         return self.alg.unit_tensor()
-
-    def mul_parts(self, idx1: Tuple[int, ...], idx2: Tuple[int, ...]) -> Tensor:
-        return self.unflatten(self.alg.mul_indices(self.join(idx1),
-                                                   self.join(idx2)))
 
 
 # ----------------------------------------------------------------------
@@ -119,10 +96,10 @@ class QuasiSmash(LeftModuleAlgebra):
 
         unit = ca.unit().tensor(dual.eps_functional())
         factors = (ca.basis, dual.basis)
-        # always materialized: the module algebra interface needs tables
-        dim = ca.dim * H.dim
+        # the module algebra interface reads the table that ProductAlgebra
+        # builds at construction
         self.prod = ProductAlgebra(factors, evaluator, unit, H.field,
-                                   name=ca.name + "#H*", threshold=dim)
+                                   name=ca.name + "#H*")
         table = {}
         for i in range(H.dim):
             for p in range(H.dim):
@@ -151,8 +128,7 @@ def quasi_smash(ca: RightComoduleAlgebra,
 # smash product  A (x) H
 
 
-def smash_product(ma: LeftModuleAlgebra,
-                  threshold: int = MATERIALIZE_THRESHOLD) -> ProductAlgebra:
+def smash_product(ma: LeftModuleAlgebra) -> ProductAlgebra:
     """The smash product A # H of a left module algebra with H:
 
         (a # h)(a' # h') = sum (x1 . a)(x2 h_1 . a') # x3 h_2 h'
@@ -198,7 +174,7 @@ def smash_product(ma: LeftModuleAlgebra,
 
     unit = ma.unit().tensor(H.unit())
     return ProductAlgebra(factors, evaluator, unit, field,
-                          name=ma.name + "#H", threshold=threshold)
+                          name=ma.name + "#H")
 
 
 def _act_mul(left, hx, a2, act, amult, zero):
@@ -225,8 +201,17 @@ def _act_mul(left, hx, a2, act, amult, zero):
 # generalized smash product  A (x) B
 
 
-def generalized_smash(ma: LeftModuleAlgebra, cb: LeftComoduleAlgebra,
-                      threshold: int = MATERIALIZE_THRESHOLD) -> ProductAlgebra:
+def _same_h(H: QuasiBialgebra, other: QuasiBialgebra) -> bool:
+    """other is H or has the structure maps of H, as when both were read
+    from spec files that embed the same algebra."""
+    return other is H or (other.algebra == H.algebra
+                          and other.comul == H.comul
+                          and other.counit == H.counit
+                          and other.phi == H.phi)
+
+
+def generalized_smash(ma: LeftModuleAlgebra,
+                      cb: LeftComoduleAlgebra) -> ProductAlgebra:
     """The generalized smash product of a left module algebra with a left
     comodule algebra:
 
@@ -236,7 +221,7 @@ def generalized_smash(ma: LeftModuleAlgebra, cb: LeftComoduleAlgebra,
     with x = the inverse left reassociator. For B = H with the
     comultiplication as coaction this is the smash product A # H."""
     H = ma.H
-    if cb.H is not H:
+    if not _same_h(H, cb.H):
         raise ValueError("module and comodule algebra must share H")
     field = H.field
     zero = field.zero()
@@ -319,7 +304,7 @@ def generalized_smash(ma: LeftModuleAlgebra, cb: LeftComoduleAlgebra,
 
     unit = ma.unit().tensor(cb.unit())
     return ProductAlgebra(factors, evaluator, unit, field,
-                          name=ma.name + "><" + cb.name, threshold=threshold)
+                          name=ma.name + "><" + cb.name)
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +312,7 @@ def generalized_smash(ma: LeftModuleAlgebra, cb: LeftComoduleAlgebra,
 
 
 def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
-                      dual: Optional[DualView] = None,
-                      threshold: int = MATERIALIZE_THRESHOLD) -> ProductAlgebra:
+                      dual: Optional[DualView] = None) -> ProductAlgebra:
     """The two-sided crossed product A >< H* >< B:
 
         (a >< phi >< b)(a' >< psi >< b')
@@ -341,7 +325,7 @@ def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
     multiplication of H. The double reassociator sum is precomputed per
     pair of split functionals."""
     H = rca.H
-    if lcb.H is not H:
+    if not _same_h(H, lcb.H):
         raise ValueError("the two comodule algebras must share H")
     if dual is None:
         dual = DualView(H)
@@ -432,8 +416,7 @@ def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
 
     unit = A.unit_tensor().tensor(dual.eps_functional()).tensor(B.unit_tensor())
     return ProductAlgebra(factors, evaluator, unit, field,
-                          name=rca.name + "><H*><" + lcb.name,
-                          threshold=threshold)
+                          name=rca.name + "><H*><" + lcb.name)
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +439,7 @@ def _same_table(rep: VerificationReport, tag: str, p1: ProductAlgebra,
                    p1.unit_tensor().data == p2.unit_tensor().data)
 
 
-def verify_crossed_decomposition(H: QuasiBialgebra,
-                                 threshold: int = MATERIALIZE_THRESHOLD
-                                 ) -> VerificationReport:
+def verify_crossed_decomposition(H: QuasiBialgebra) -> VerificationReport:
     """For the canonical comodule algebra structures on A = B = H, check
     entry by entry that
       - the generalized smash product (A # H*) >< B,
@@ -471,10 +452,9 @@ def verify_crossed_decomposition(H: QuasiBialgebra,
     lcb = canonical_left_comodule(H)
     dual = DualView(H)
     qs = quasi_smash(rca, dual)
-    big = max(threshold, H.dim ** 3)
-    gsm = generalized_smash(qs, lcb, threshold=big)
-    sm = smash_product(qs, threshold=big)
-    crossed = two_sided_crossed(rca, lcb, dual, threshold=big)
+    gsm = generalized_smash(qs, lcb)
+    sm = smash_product(qs)
+    crossed = two_sided_crossed(rca, lcb, dual)
     _same_table(rep, "gsm-vs-crossed", gsm, crossed)
     _same_table(rep, "smash-vs-crossed", sm, crossed)
     return rep

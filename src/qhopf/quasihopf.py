@@ -15,7 +15,7 @@ from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
                       invert_linear_map, mul_legs, tensor_unit)
 from .fields import Field, QQ
 from .report import VerificationReport
-from .tensor import Basis, LinearMap, Tensor, product_basis
+from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
 class QuasiBialgebra:
@@ -121,11 +121,11 @@ class QuasiBialgebra:
     def tensor_with(self, other: "QuasiBialgebra") -> "QuasiBialgebra":
         """Componentwise tensor product quasi-bialgebra on H (x) K."""
         b1, b2 = self.basis, other.basis
-        b = product_basis(b1, b2)
-        n2 = b2.dim
+        pair = FlatSpace((b1, b2), self.field)
+        b = pair.basis
 
         def flat(i, j):
-            return i * n2 + j
+            return pair.join((i, j))
 
         mult = {}
         for (i1, j1), v1 in self.algebra.mult.items():
@@ -724,15 +724,6 @@ class DualView:
                     acc = acc + c * v
             if acc:
                 data[(a,)] = acc
-        return Tensor((self.basis,), data, self.H.field)
-
-    def from_functional(self, fn) -> Tensor:
-        """Functional from its values fn(i) on basis vectors."""
-        data = {}
-        for i in range(self.H.dim):
-            v = fn(i)
-            if v:
-                data[(i,)] = v
         return Tensor((self.basis,), data, self.H.field)
 
 

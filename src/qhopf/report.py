@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .fields import Field, QQ
 from .tensor import Tensor
@@ -104,9 +104,6 @@ class VerificationReport:
 
     def check_bool(self, tag: str, passed: bool, detail: Optional[dict] = None) -> CheckRecord:
         return self.add(CheckRecord(tag, passed, None if passed else (detail or {})))
-
-    def record_map(self) -> Dict[str, CheckRecord]:
-        return {r.tag: r for r in self.records}
 
     def extend(self, other: "VerificationReport", prefix: str = "") -> None:
         for r in other.records:

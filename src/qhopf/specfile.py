@@ -489,15 +489,6 @@ def module_data_to_doc(name: str, field: Field, basis: Basis,
     return doc
 
 
-def datum_bundle_to_doc(files: Dict[str, str],
-                        prov: Optional[dict] = None) -> dict:
-    doc = {"format-version": FORMAT_VERSION, "kind": "datum-bundle",
-           "files": dict(sorted(files.items()))}
-    if prov:
-        doc["provenance"] = prov
-    return doc
-
-
 # ----------------------------------------------------------------------
 # dispatch
 

@@ -62,20 +62,49 @@ def product_basis(*bases: Basis) -> Basis:
     return Basis(labels, name)
 
 
-def flatten_index(idx: Sequence[int], dims: Sequence[int]) -> int:
-    """Row-major flattening of a multi-index."""
-    flat = 0
-    for i, d in zip(idx, dims):
-        flat = flat * d + i
-    return flat
+class FlatSpace:
+    """A tensor product of factor bases flattened row-major into one
+    basis (product_basis), with the index maps between the two forms."""
 
+    def __init__(self, factors: Sequence[Basis], field: Field = QQ):
+        self.factors = tuple(factors)
+        self.dims = tuple(b.dim for b in self.factors)
+        self.basis = product_basis(*self.factors)
+        self.field = field
 
-def unflatten_index(flat: int, dims: Sequence[int]) -> tuple:
-    out = []
-    for d in reversed(dims):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    def split(self, i: int) -> tuple:
+        out = []
+        for d in reversed(self.dims):
+            out.append(i % d)
+            i //= d
+        return tuple(reversed(out))
+
+    def join(self, idx: Sequence[int]) -> int:
+        f = 0
+        for i, d in zip(idx, self.dims):
+            f = f * d + i
+        return f
+
+    def pack(self, t: "Tensor") -> "Tensor":
+        """Flatten the first len(factors) legs of t into one leg."""
+        k = len(self.factors)
+        if t.spaces[:k] != self.factors:
+            raise ValueError("leading legs do not match the factors")
+        return Tensor((self.basis,) + t.spaces[k:],
+                      {(self.join(idx[:k]),) + idx[k:]: c
+                       for idx, c in t.data.items()}, self.field)
+
+    def unpack(self, t: "Tensor") -> "Tensor":
+        """Split leg 0 back into the factors."""
+        if t.spaces[0] != self.basis:
+            raise ValueError("leg 0 is not the flattened basis")
+        return Tensor(self.factors + t.spaces[1:],
+                      {self.split(idx[0]) + idx[1:]: c
+                       for idx, c in t.data.items()}, self.field)
 
 
 class Tensor:
@@ -101,6 +130,11 @@ class Tensor:
     @classmethod
     def basis_vector(cls, basis: Basis, i: int, field: Field = QQ) -> "Tensor":
         return cls((basis,), {(i,): field.one()}, field)
+
+    @classmethod
+    def from_sparse(cls, basis: Basis, vec, field: Field = QQ) -> "Tensor":
+        """The one-leg tensor with coordinates vec (index -> scalar)."""
+        return cls((basis,), {(i,): c for i, c in vec.items()}, field)
 
     @classmethod
     def scalar(cls, c, field: Field = QQ) -> "Tensor":
@@ -293,12 +327,6 @@ class LinearMap:
         for i in range(first.domain.dim):
             cols[i] = dict(first.column(i).map_leg(0, self).data)
         return LinearMap(first.domain, self.codomain, cols, self.field)
-
-    def matrix_entries(self):
-        """Iterate (codomain multi-index, domain index, coeff)."""
-        for i, col in self.cols.items():
-            for idx, c in col.items():
-                yield idx, i, c
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhopf import (Basis, FinAlgebra, LazyAlgebra, LegMul, LinearMap,
-                   PrimeField, QQ, Tensor, corpus, invert_in_tensor_algebra,
-                   invert_linear_map, make_product_algebra, mul_legs)
+from qhopf import (Basis, FinAlgebra, LegMul, LinearMap, PrimeField, QQ,
+                   Tensor, corpus, invert_in_tensor_algebra,
+                   invert_linear_map, mul_legs)
 
 F = Fraction
 
@@ -101,25 +101,6 @@ def test_cached_leg_matches_fresh_legmul(field):
                 fresh, mul_legs(fresh, x, y), z), key
         assert A.as_leg() is leg, key
         assert leg.table == fresh[0].table, key
-
-
-def test_lazy_algebra_materialize():
-    A = cyclic_algebra(4)
-
-    def evaluator(i, j):
-        return A.mul_indices(i, j)
-
-    lazy = LazyAlgebra(A.basis, evaluator, A.unit_tensor(), QQ)
-    assert lazy.mul_indices(2, 3) == A.mul_indices(2, 3)
-    mat = lazy.materialize()
-    assert isinstance(mat, FinAlgebra)
-    assert mat.mult == A.mult
-    small = make_product_algebra(A.basis, evaluator, A.unit_tensor(), QQ,
-                                 threshold=10)
-    assert isinstance(small, FinAlgebra)
-    big = make_product_algebra(A.basis, evaluator, A.unit_tensor(), QQ,
-                               threshold=2)
-    assert isinstance(big, LazyAlgebra)
 
 
 def test_invert_in_tensor_algebra():

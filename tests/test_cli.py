@@ -110,16 +110,37 @@ def test_derive_writes_module_data(corpus_dir, tmp_path, capsys):
 def test_product_output_is_checkable(corpus_dir, tmp_path, capsys):
     src = corpus_dir / "z2_quasi.json"
     H = sf.doc_to_quasihopf(sf.parse(src.read_text()))
-    from qhopf import canonical_right_comodule
+    from qhopf import canonical_left_comodule, canonical_right_comodule
     ca_file = tmp_path / "ca.json"
     ca_file.write_text(sf.serialize(sf.to_doc(canonical_right_comodule(H))))
+    lcb_file = tmp_path / "lcb.json"
+    lcb_file.write_text(sf.serialize(sf.to_doc(canonical_left_comodule(H))))
     out = tmp_path / "qs.json"
-    code, _, _ = run(capsys, "product", "quasi-smash", str(ca_file),
-                     "--out", str(out))
-    assert code == 0
-    code, outtext, _ = run(capsys, "check", str(out))
-    assert code == 0
-    assert json.loads(outtext)["passed"] is True
+    # every product kind, each written file checked; the two-input kinds
+    # read H from two files
+    runs = [("quasi-smash", [ca_file], out),
+            ("smash", [out], tmp_path / "sm.json"),
+            ("generalized-smash", [out, lcb_file], tmp_path / "gsm.json"),
+            ("two-sided", [ca_file, lcb_file], tmp_path / "ts.json")]
+    for kind, inputs, written in runs:
+        code, _, err = run(capsys, "product", kind,
+                           *(str(p) for p in inputs), "--out", str(written))
+        assert code == 0, (kind, err)
+        code, outtext, _ = run(capsys, "check", str(written))
+        assert code == 0, kind
+        assert json.loads(outtext)["passed"] is True, kind
+
+
+def test_corpus_over_characteristic_2_exits_2(tmp_path, capsys):
+    out = tmp_path / "gf2"
+    out.mkdir()
+    code, _, err = run(capsys, "--field", "GF(2)", "corpus", "--out",
+                       str(out))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "z2_quasi" in err and "characteristic other than 2" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
 
 
 def test_verify_suites_and_determinism(corpus_dir, capsys):

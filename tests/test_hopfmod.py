@@ -22,7 +22,7 @@ def test_seeded_cyclic_module_deterministic(hq):
     ca = canonical_right_comodule(hq)
     der = DerivedElements(hq)
     qs = quasi_smash(ca, DualView(hq))
-    sm = smash_product(qs, threshold=qs.dim * hq.dim)
+    sm = smash_product(qs)
     n1 = seeded_cyclic_module(qs, sm, 7, der)
     n2 = seeded_cyclic_module(qs, sm, 7, der)
     assert n1.basis.labels == n2.basis.labels

@@ -3,9 +3,9 @@ import pytest
 from qhopf import (FinAlgebra, HeisenbergDouble, LinearMap, Tensor,
                    canonical_left_comodule, canonical_right_comodule,
                    check_left_module_algebra, generalized_smash,
-                   quasi_smash, smash_product, two_sided_crossed,
-                   verify_crossed_decomposition, verify_heisenberg_double,
-                   verify_hom_smash)
+                   quasi_smash, smash_index, smash_product,
+                   two_sided_crossed, verify_crossed_decomposition,
+                   verify_heisenberg_double, verify_hom_smash)
 
 
 def _materialized(prod) -> FinAlgebra:
@@ -33,7 +33,7 @@ def test_quasi_smash_is_module_algebra(all_corpus, key):
 def test_smash_product_is_algebra(all_corpus, key):
     H = all_corpus[key]
     qs = quasi_smash(canonical_right_comodule(H))
-    prod = smash_product(qs, threshold=qs.dim * H.dim)
+    prod = smash_product(qs)
     alg = _materialized(prod)
     assert alg.is_associative() is None
     assert alg.unit_laws_hold() is None
@@ -45,7 +45,7 @@ def test_generalized_smash_is_algebra(all_corpus, key):
     H = all_corpus[key]
     qs = quasi_smash(canonical_right_comodule(H))
     cb = canonical_left_comodule(H)
-    prod = generalized_smash(qs, cb, threshold=qs.dim * cb.dim)
+    prod = generalized_smash(qs, cb)
     alg = _materialized(prod)
     assert alg.is_associative() is None
     assert alg.unit_laws_hold() is None
@@ -56,7 +56,7 @@ def test_two_sided_crossed_is_algebra(all_corpus, key):
     H = all_corpus[key]
     rca = canonical_right_comodule(H)
     lcb = canonical_left_comodule(H)
-    prod = two_sided_crossed(rca, lcb, threshold=H.dim ** 3)
+    prod = two_sided_crossed(rca, lcb)
     alg = _materialized(prod)
     assert alg.is_associative() is None
     assert alg.unit_laws_hold() is None
@@ -66,13 +66,29 @@ def test_two_sided_crossed_is_algebra(all_corpus, key):
 def test_product_algebra_flatten_round_trip(all_corpus):
     H = all_corpus["z2_quasi"]
     prod = two_sided_crossed(canonical_right_comodule(H),
-                             canonical_left_comodule(H),
-                             threshold=H.dim ** 3)
+                             canonical_left_comodule(H))
     for flat in range(prod.dim):
         idx = prod.split(flat)
         assert prod.join(idx) == flat
     t = prod.e(1, 0, 1)
     assert prod.flatten(prod.unflatten(t)) == t
+    # pack/unpack carry a trailing leg through unchanged
+    trailing = prod.e(1, 1, 0).tensor(H.e(1)) + prod.e(0, 1, 1).tensor(
+        H.e(0)).scale(H.field.from_int(3))
+    parts = prod.unpack(trailing)
+    assert parts.spaces == prod.factors + (H.basis,)
+    assert prod.pack(parts) == trailing
+    with pytest.raises(ValueError):
+        prod.flatten(parts)
+    # the (a, p, h) split of (A # H*) # H inverts the nested join
+    qs = quasi_smash(canonical_right_comodule(H))
+    sm = smash_product(qs)
+    idx = smash_index(qs, sm)
+    assert idx.basis.labels == sm.basis.labels
+    for g in range(sm.dim):
+        a, p, h = idx.split(g)
+        assert sm.join((qs.prod.join((a, p)), h)) == g
+        assert idx.join((a, p, h)) == g
 
 
 @pytest.mark.parametrize("key", ("z2", "z2_quasi", "z2z2_twisted"))
