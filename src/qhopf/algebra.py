@@ -17,6 +17,21 @@ from .linalg import invert_matrix_map, solve_linear
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
+def _clean_table(table):
+    """table without zero coefficients and empty rows. A row with
+    neither is kept as it is, and so is table itself when every row is
+    clean, so a table built clean is never copied."""
+    if all(vec and all(vec.values()) for vec in table.values()):
+        return table
+    out = {}
+    for key, vec in table.items():
+        if not all(vec.values()):
+            vec = {k: c for k, c in vec.items() if c}
+        if vec:
+            out[key] = vec
+    return out
+
+
 class LegMul:
     """A bilinear pairing of based spaces by structure constants.
 
@@ -31,11 +46,7 @@ class LegMul:
         self.right = right
         self.out = out
         self.field = field
-        self.table = {}
-        for key, vec in table.items():
-            clean = {k: c for k, c in vec.items() if c}
-            if clean:
-                self.table[key] = clean
+        self.table = _clean_table(table)
 
     @classmethod
     def from_function(cls, left, right, out, fn, field: Field = QQ):
@@ -57,7 +68,10 @@ class LegMul:
 
 def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     """Leg-wise product: leg i of the result is legs[i].pair applied to
-    leg i of x and leg i of y, summed bilinearly."""
+    leg i of x and leg i of y, summed bilinearly.
+
+    A structure constant equal to one is not multiplied in: the
+    constants of group-like bases are all one, and c * 1 == c exactly."""
     if len(x.spaces) != len(legs) or len(y.spaces) != len(legs):
         raise ValueError("leg count mismatch")
     for i, leg in enumerate(legs):
@@ -65,30 +79,48 @@ def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
             raise ValueError("leg %d basis mismatch" % i)
     out = Tensor.zero(tuple(leg.out for leg in legs), x.field)
     data = out.data
-    for xi, cx in x.data.items():
-        for yi, cy in y.data.items():
-            c0 = cx * cy
-            vecs = []
-            dead = False
-            for leg, i, j in zip(legs, xi, yi):
-                v = leg.pair(i, j)
+    ys = list(y.data.items())
+    if len(legs) == 1:
+        get = legs[0].table.get
+        for (i,), cx in x.data.items():
+            for (j,), cy in ys:
+                v = get((i, j))
                 if not v:
-                    dead = True
+                    continue
+                c0 = cx * cy
+                for k, s in v.items():
+                    c = c0 if s == 1 else c0 * s
+                    idx = (k,)
+                    acc = data.get(idx)
+                    acc = c if acc is None else acc + c
+                    if acc:
+                        data[idx] = acc
+                    elif idx in data:
+                        del data[idx]
+        return out
+    gets = [leg.table.get for leg in legs]
+    for xi, cx in x.data.items():
+        for yi, cy in ys:
+            vecs = []
+            for get, i, j in zip(gets, xi, yi):
+                v = get((i, j))
+                if not v:
                     break
-                vecs.append(v)
-            if dead:
-                continue
-            for combo in itertools.product(*(v.items() for v in vecs)):
-                idx = tuple(k for k, _ in combo)
-                c = c0
-                for _, s in combo:
-                    c = c * s
-                acc = data.get(idx)
-                acc = c if acc is None else acc + c
-                if acc:
-                    data[idx] = acc
-                elif idx in data:
-                    del data[idx]
+                vecs.append(v.items())
+            else:
+                c0 = cx * cy
+                for combo in itertools.product(*vecs):
+                    idx = tuple([k for k, _ in combo])
+                    c = c0
+                    for _, s in combo:
+                        if s != 1:
+                            c = c * s
+                    acc = data.get(idx)
+                    acc = c if acc is None else acc + c
+                    if acc:
+                        data[idx] = acc
+                    elif idx in data:
+                        del data[idx]
     return out
 
 
@@ -102,17 +134,14 @@ class FinAlgebra:
     are deliberately nonassociative.
 
     basis, mult and field are fixed after construction: as_leg builds
-    its LegMul once, on first use, and every later product reuses it.
+    its LegMul once, on first use, over mult itself, and every later
+    product reuses it.
     """
 
     def __init__(self, basis: Basis, mult, unit: Tensor, field: Field = QQ):
         self.basis = basis
         self.field = field
-        self.mult = {}
-        for key, vec in mult.items():
-            clean = {k: c for k, c in vec.items() if c}
-            if clean:
-                self.mult[key] = clean
+        self.mult = _clean_table(mult)
         if unit.spaces != (basis,):
             raise ValueError("unit shape mismatch")
         self.unit = unit

@@ -11,7 +11,7 @@ is the anti-self-confirmation check for the whole library.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .report import VerificationReport
 from .tensor import Tensor

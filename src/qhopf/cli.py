@@ -15,9 +15,8 @@ from typing import Optional
 
 from . import specfile as sf
 from .classical import verify_classical_agreement
-from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                    LeftModuleAlgebra, RightComoduleAlgebra,
-                    RightModuleCoalgebra, canonical_right_comodule,
+from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
+                    RightComoduleAlgebra, canonical_right_comodule,
                     check_bicomodule_algebra, check_left_comodule_algebra,
                     check_left_module_algebra, check_right_comodule_algebra,
                     check_right_module_coalgebra, verify_tilde_identities)

@@ -9,11 +9,11 @@ comments referencing formulas. All identity checks are exact.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
                       invert_linear_map, mul_legs, tensor_unit)
-from .fields import Field, QQ
+from .fields import Field
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
 

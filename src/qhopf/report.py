@@ -12,7 +12,7 @@ import json
 import time
 from typing import List, Optional, Sequence
 
-from .fields import Field, QQ
+from .fields import Field
 from .tensor import Tensor
 
 

@@ -10,7 +10,7 @@ comultiplication splits it in two), given by sparse columns.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import Field, QQ
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -81,6 +82,52 @@ def test_legmul_and_mul_legs():
     assert flipped.pair(0, 1) == leg.pair(1, 0)
 
 
+def _mul_legs_by_terms(legs, x, y):
+    """Leg-wise product with every structure constant multiplied in: the
+    reference for mul_legs, which skips constants equal to one."""
+    field = x.field
+    out = Tensor.zero(tuple(leg.out for leg in legs), field)
+    for xi, cx in x.data.items():
+        for yi, cy in y.data.items():
+            vecs = [leg.pair(i, j) for leg, i, j in zip(legs, xi, yi)]
+            for combo in itertools.product(*(v.items() for v in vecs)):
+                c = cx * cy
+                for _, s in combo:
+                    c = c * s
+                idx = tuple(k for k, _ in combo)
+                out = out + Tensor(out.spaces, {idx: c}, field)
+    return out
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+@pytest.mark.parametrize("nlegs", (1, 2, 3))
+def test_mul_legs_matches_term_sum(field, nlegs):
+    rng = random.Random(nlegs)
+    basis = Basis(("b0", "b1", "b2"), "B")
+    # constants drawn mostly from {1, -1}, so that the products mix
+    # skipped and multiplied-in constants, with zeros and cancellations
+    coeffs = (1, 1, 1, -1, 2, 0)
+
+    def rand_leg():
+        table = {(i, j): {k: field.from_int(rng.choice(coeffs))
+                          for k in range(3) if rng.random() < 0.5}
+                 for i in range(3) for j in range(3)}
+        return LegMul(basis, basis, basis, table, field)
+
+    def rand_tensor():
+        idx = list(itertools.product(range(3), repeat=nlegs))
+        return Tensor((basis,) * nlegs,
+                      {i: field.from_int(rng.choice(coeffs + (3,)))
+                       for i in rng.sample(idx, min(len(idx), 5))}, field)
+
+    for _ in range(20):
+        legs = tuple(rand_leg() for _ in range(nlegs))
+        x, y = rand_tensor(), rand_tensor()
+        got = mul_legs(legs, x, y)
+        assert got == _mul_legs_by_terms(legs, x, y)
+        assert all(got.data.values())
+
+
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
 def test_cached_leg_matches_fresh_legmul(field):
     rng = random.Random(0)
@@ -101,6 +148,7 @@ def test_cached_leg_matches_fresh_legmul(field):
                 fresh, mul_legs(fresh, x, y), z), key
         assert A.as_leg() is leg, key
         assert leg.table == fresh[0].table, key
+        assert leg.table is A.mult, key
 
 
 def test_invert_in_tensor_algebra():

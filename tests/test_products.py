@@ -1,11 +1,17 @@
+import copy
+
 import pytest
 
-from qhopf import (FinAlgebra, HeisenbergDouble, LinearMap, Tensor,
+from qhopf import (DualView, FinAlgebra, HeisenbergDouble, LinearMap,
+                   PrimeField, ProductAlgebra, Tensor, VerificationReport,
                    canonical_left_comodule, canonical_right_comodule,
-                   check_left_module_algebra, generalized_smash,
-                   quasi_smash, smash_index, smash_product,
-                   two_sided_crossed, verify_crossed_decomposition,
-                   verify_heisenberg_double, verify_hom_smash)
+                   check_left_module_algebra, corpus, cyclic_group_algebra,
+                   generalized_smash, is_gauge, quasi_smash, smash_index,
+                   smash_product, twist, two_sided_crossed,
+                   verify_crossed_decomposition, verify_heisenberg_double,
+                   verify_hom_smash)
+from qhopf.products import _same_table
+from qhopf.report import scalar_str
 
 
 def _materialized(prod) -> FinAlgebra:
@@ -134,3 +140,301 @@ def test_hom_smash(all_corpus, key):
 def test_crossed_decomposition(all_corpus):
     rep = verify_crossed_decomposition(all_corpus["z2_quasi"])
     assert rep.passed, [r.tag for r in rep.records if not r.passed]
+
+
+# ----------------------------------------------------------------------
+# the staged builders against the term-by-term evaluators they replace
+
+
+def _pairwise(factors, pair_evaluator, unit, field):
+    """A ProductAlgebra built from an evaluator of single pairs."""
+    return ProductAlgebra(factors, lambda key1: lambda key2: pair_evaluator(
+        key1, key2), unit, field)
+
+
+def _quasi_smash_by_terms(ca, dual):
+    H = ca.H
+
+    def evaluator(key1, key2):
+        (a, p), (a2, q) = key1, key2
+        src = ca.coact(ca.e(a2)).tensor(ca.phi_rho_inv)
+        pp, qq = dual.dual_e(p), dual.dual_e(q)
+        return H.assemble(src, lambda a0, a1, x1, x2, x3: ca.algebra.mulc(
+            ca.e(a), ca.e(a0), ca.e(x1)).tensor(dual.convolve(
+                dual.hit_r(pp, H.mul(H.e(a1), H.e(x2))),
+                dual.hit_r(qq, H.e(x3)))))
+
+    return _pairwise((ca.basis, dual.basis), evaluator,
+                     ca.unit().tensor(dual.eps_functional()), H.field)
+
+
+def _smash_by_terms(ma):
+    H = ma.H
+    field = H.field
+    zero = field.zero()
+    hmult = H.algebra.mult
+    amult = ma.algebra.mult
+    act = ma.action.table
+    dcols = H.comul.cols
+    phi_data = list(H.phi_inv.data.items())
+    factors = (ma.basis, H.basis)
+
+    def act_mul(left, hx, a2):
+        avec = {}
+        for la, cla in left.items():
+            for hidx, ch in hx.items():
+                right = act.get((hidx, a2))
+                if not right:
+                    continue
+                clh = cla * ch
+                for ra, cra in right.items():
+                    prod = amult.get((la, ra))
+                    if not prod:
+                        continue
+                    c = clh * cra
+                    for aa, caa in prod.items():
+                        avec[aa] = avec.get(aa, zero) + c * caa
+        return avec
+
+    def evaluator(key1, key2):
+        (a, h), (a2, h2) = key1, key2
+        out = {}
+        for (h1, hh), c0 in dcols.get(h, {}).items():
+            for (x1, x2, x3), c1 in phi_data:
+                left = act.get((x1, a))
+                if not left:
+                    continue
+                hx = hmult.get((x2, h1))
+                if not hx:
+                    continue
+                avec = act_mul(left, hx, a2)
+                if not avec:
+                    continue
+                hvec = {}
+                for t, ct in hmult.get((x3, hh), {}).items():
+                    for u, cu in hmult.get((t, h2), {}).items():
+                        hvec[u] = hvec.get(u, zero) + ct * cu
+                c01 = c0 * c1
+                for aa, caa in avec.items():
+                    cx = c01 * caa
+                    for u, cu in hvec.items():
+                        if not cu:
+                            continue
+                        key = (aa, u)
+                        out[key] = out.get(key, zero) + cx * cu
+        return Tensor(factors, out, field)
+
+    return _pairwise(factors, evaluator, ma.unit().tensor(H.unit()), field)
+
+
+def _generalized_smash_by_terms(ma, cb):
+    H = ma.H
+    field = H.field
+    zero = field.zero()
+    hmult = H.algebra.mult
+    amult = ma.algebra.mult
+    bmult = cb.algebra.mult
+    act = ma.action.table
+    ccols = cb.coaction.cols
+    phi_data = list(cb.phi_lam_inv.data.items())
+    factors = (ma.basis, cb.basis)
+
+    merged_cache, avec_cache, bvec_cache = {}, {}, {}
+
+    def merged_left(a, b):
+        got = merged_cache.get((a, b))
+        if got is not None:
+            return got
+        acc = {}
+        for (bm, b0), c0 in ccols.get(b, {}).items():
+            for (x1, x2, x3), c1 in phi_data:
+                left = act.get((x1, a))
+                if not left:
+                    continue
+                hx = hmult.get((x2, bm))
+                if not hx:
+                    continue
+                c01 = c0 * c1
+                for la, cla in left.items():
+                    for hidx, ch in hx.items():
+                        k = (la, hidx, x3, b0)
+                        acc[k] = acc.get(k, zero) + c01 * cla * ch
+        got = merged_cache[(a, b)] = list(acc.items())
+        return got
+
+    def avec_for(la, hidx, a2):
+        got = avec_cache.get((la, hidx, a2))
+        if got is None:
+            got = {}
+            for ra, cra in act.get((hidx, a2), {}).items():
+                for aa, caa in amult.get((la, ra), {}).items():
+                    got[aa] = got.get(aa, zero) + cra * caa
+            avec_cache[(la, hidx, a2)] = got
+        return got
+
+    def bvec_for(x3, b0, b2):
+        got = bvec_cache.get((x3, b0, b2))
+        if got is None:
+            got = {}
+            for bt, cbt in bmult.get((b0, b2), {}).items():
+                for bb, cbb in bmult.get((x3, bt), {}).items():
+                    got[bb] = got.get(bb, zero) + cbt * cbb
+            bvec_cache[(x3, b0, b2)] = got
+        return got
+
+    def evaluator(key1, key2):
+        (a, b), (a2, b2) = key1, key2
+        out = {}
+        for (la, hidx, x3, b0), c0 in merged_left(a, b):
+            avec = avec_for(la, hidx, a2)
+            bvec = bvec_for(x3, b0, b2)
+            for aa, caa in avec.items():
+                cx = c0 * caa
+                for bb, cbb in bvec.items():
+                    key = (aa, bb)
+                    out[key] = out.get(key, zero) + cx * cbb
+        return Tensor(factors, out, field)
+
+    return _pairwise(factors, evaluator, ma.unit().tensor(cb.unit()), field)
+
+
+def _two_sided_by_terms(rca, lcb, dual):
+    H = rca.H
+    field = H.field
+    nH = H.dim
+    A, B = rca.algebra, lcb.algebra
+    core = {}
+    for j in range(nH):
+        for k in range(nH):
+            src = rca.phi_rho_inv.tensor(lcb.phi_lam_inv)
+            ej, ek = dual.dual_e(j), dual.dual_e(k)
+            core[(j, k)] = H.assemble(src, lambda x1, x2, x3, y1, y2, y3:
+                                      rca.e(x1).tensor(dual.convolve(
+                                          dual.hit_l(H.e(y1), dual.hit_r(ej, H.e(x2))),
+                                          dual.hit_l(H.e(y2), dual.hit_r(ek, H.e(x3))))
+                                      ).tensor(lcb.e(y3)))
+    factors = (A.basis, dual.basis, B.basis)
+    amult, bmult = A.mult, B.mult
+    zero = field.zero()
+    dcols = dual.comul.cols
+    rhit, lhit = {}, {}
+    for j in range(nH):
+        for a in range(A.dim):
+            vec = rca.hit(dual.dual_e(j), rca.e(a)).data
+            if vec:
+                rhit[(j, a)] = {i: c for (i,), c in vec.items()}
+    for b in range(B.dim):
+        for k in range(nH):
+            vec = lcb.hit(lcb.e(b), dual.dual_e(k)).data
+            if vec:
+                lhit[(b, k)] = {i: c for (i,), c in vec.items()}
+
+    def evaluator(key1, key2):
+        (a, j, b), (a2, k, b2) = key1, key2
+        out = {}
+        for (j1, j2), c1 in dcols.get(j, {}).items():
+            hv = rhit.get((j1, a2))
+            if not hv:
+                continue
+            apart = {}
+            for t, ct in hv.items():
+                for r, cr in amult.get((a, t), {}).items():
+                    apart[r] = apart.get(r, zero) + ct * cr
+            for (k1, k2), c2 in dcols.get(k, {}).items():
+                hw = lhit.get((b, k2))
+                if not hw:
+                    continue
+                bsuffix = {}
+                for t, ct in hw.items():
+                    for r, cr in bmult.get((t, b2), {}).items():
+                        bsuffix[r] = bsuffix.get(r, zero) + ct * cr
+                c12 = c1 * c2
+                for (x1, m, y3), c3 in core[(j2, k1)].data.items():
+                    c123 = c12 * c3
+                    for ai, c4 in apart.items():
+                        avec = amult.get((ai, x1), {})
+                        c1234 = c123 * c4
+                        for bi, c5 in bsuffix.items():
+                            base = c1234 * c5
+                            for ar, ca_ in avec.items():
+                                cba = base * ca_
+                                for br, cb_ in bmult.get((y3, bi), {}).items():
+                                    key = (ar, m, br)
+                                    out[key] = out.get(key, zero) + cba * cb_
+        return Tensor(factors, out, field)
+
+    unit = A.unit_tensor().tensor(dual.eps_functional()).tensor(B.unit_tensor())
+    return _pairwise(factors, evaluator, unit, field)
+
+
+def _twisted_z3():
+    H = cyclic_group_algebra(3)
+    f = H.field.from_int
+    x = Tensor((H.basis,), {(0,): f(-1), (1,): f(1)}, H.field)
+    y = Tensor((H.basis,), {(0,): f(-2), (1,): f(1), (2,): f(1)}, H.field)
+    F = H.unit().tensor(H.unit()) + x.tensor(y)
+    assert is_gauge(H, F)
+    return twist(H, F)
+
+
+STAGED_CASES = (
+    [("Q", key) for key in corpus()]
+    + [("GF(7)", "z2_quasi"), ("GF(7)", "z3"), ("Q", "z3_twisted")])
+
+
+@pytest.mark.parametrize("field_name,key", STAGED_CASES)
+def test_staged_products_match_term_sums(all_corpus, field_name, key):
+    if key == "z3_twisted":
+        H = _twisted_z3()
+    elif field_name == "GF(7)":
+        H = corpus(PrimeField(7))[key]
+    else:
+        H = all_corpus[key]
+    rca, lcb = canonical_right_comodule(H), canonical_left_comodule(H)
+    dual = DualView(H)
+    qs = quasi_smash(rca, dual)
+    pairs = (
+        (qs.prod, _quasi_smash_by_terms(rca, dual)),
+        (smash_product(qs), _smash_by_terms(qs)),
+        (generalized_smash(qs, lcb), _generalized_smash_by_terms(qs, lcb)),
+        (two_sided_crossed(rca, lcb, dual), _two_sided_by_terms(rca, lcb, dual)),
+    )
+    for got, want in pairs:
+        assert got.alg.mult == want.alg.mult, got.name
+        assert got.alg.unit == want.alg.unit, got.name
+
+
+def test_crossed_decomposition_reports_first_difference(all_corpus):
+    H = all_corpus["z2_quasi"]
+    rca, lcb = canonical_right_comodule(H), canonical_left_comodule(H)
+    qs = quasi_smash(rca)
+    gsm = generalized_smash(qs, lcb)
+    sm = smash_product(qs)
+    assert gsm.alg.mult == sm.alg.mult
+    # bump one coefficient of a copy of the table, in the second of two
+    # differing pairs, so the report must name the lexicographically
+    # first one
+    mult = {key: dict(vec) for key, vec in gsm.alg.mult.items()}
+    first, second = sorted(mult)[5], sorted(mult)[9]
+    k1, k2 = sorted(mult[first])[0], sorted(mult[second])[-1]
+    one = H.field.one()
+    mult[second][k2] = mult[second][k2] + one
+    mult[first][k1] = mult[first][k1] + one
+    bumped = copy.copy(gsm)
+    bumped.alg = FinAlgebra(gsm.basis, mult, gsm.alg.unit, H.field)
+    rep = VerificationReport("bumped")
+    _same_table(rep, "gsm-vs-crossed", bumped, sm)
+    rec, unit_rec = rep.records
+    assert rec.tag == "gsm-vs-crossed" and not rec.passed
+    assert unit_rec.tag == "gsm-vs-crossed-unit" and unit_rec.passed
+    ce = rec.counterexample
+    assert ce["inputs"] == list(first)
+    assert ce["index"] == [k1]
+    f = H.field
+    assert ce["lhs"] == scalar_str(f, mult[first][k1])
+    assert ce["rhs"] == scalar_str(f, sm.alg.mult[first][k1])
+    assert ce["lhs"] != ce["rhs"]
+    # the untouched products still coincide, with no pair scanned
+    rep2 = VerificationReport("equal")
+    _same_table(rep2, "gsm-vs-crossed", gsm, sm)
+    assert [r.passed for r in rep2.records] == [True, True]
