@@ -80,24 +80,6 @@ def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     out = Tensor.zero(tuple(leg.out for leg in legs), x.field)
     data = out.data
     ys = list(y.data.items())
-    if len(legs) == 1:
-        get = legs[0].table.get
-        for (i,), cx in x.data.items():
-            for (j,), cy in ys:
-                v = get((i, j))
-                if not v:
-                    continue
-                c0 = cx * cy
-                for k, s in v.items():
-                    c = c0 if s == 1 else c0 * s
-                    idx = (k,)
-                    acc = data.get(idx)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        data[idx] = acc
-                    elif idx in data:
-                        del data[idx]
-        return out
     gets = [leg.table.get for leg in legs]
     for xi, cx in x.data.items():
         for yi, cy in ys:

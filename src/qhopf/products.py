@@ -23,6 +23,16 @@ from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
+def _times(mult, vec, k, zero, left=False):
+    """The sparse vector vec times e_k (e_k times vec when left) by the
+    structure constants mult."""
+    out: Dict[int, object] = {}
+    for i, c in vec.items():
+        for r, cr in mult.get((k, i) if left else (i, k), {}).items():
+            out[r] = out.get(r, zero) + c * cr
+    return out
+
+
 class ProductAlgebra(FlatSpace):
     """An algebra whose basis is the flattened tensor product of factor
     bases.
@@ -105,11 +115,8 @@ class QuasiSmash(LeftModuleAlgebra):
         def amul_for(a, a0, x1):
             got = amul_cache.get((a, a0, x1))
             if got is None:
-                got = {}
-                for t, ct in amult.get((a, a0), {}).items():
-                    for aa, caa in amult.get((t, x1), {}).items():
-                        got[aa] = got.get(aa, zero) + ct * caa
-                amul_cache[(a, a0, x1)] = got
+                got = amul_cache[(a, a0, x1)] = _times(
+                    amult, amult.get((a, a0), {}), x1, zero)
             return got
 
         def evaluator(key1):
@@ -261,11 +268,8 @@ def _module_products(ma: LeftModuleAlgebra):
     def avec_for(la, hidx, a2):
         got = cache.get((la, hidx, a2))
         if got is None:
-            got = {}
-            for ra, cra in act.get((hidx, a2), {}).items():
-                for aa, caa in amult.get((la, ra), {}).items():
-                    got[aa] = got.get(aa, zero) + cra * caa
-            cache[(la, hidx, a2)] = got
+            got = cache[(la, hidx, a2)] = _times(
+                amult, act.get((hidx, a2), {}), la, zero, left=True)
         return got
 
     return avec_for
@@ -377,11 +381,8 @@ def generalized_smash(ma: LeftModuleAlgebra,
         x3, b0 = g
         got = bvec_cache.get((x3, b0, b2))
         if got is None:
-            got = {}
-            for bt, cbt in bmult.get((b0, b2), {}).items():
-                for bb, cbb in bmult.get((x3, bt), {}).items():
-                    got[bb] = got.get(bb, zero) + cbt * cbb
-            bvec_cache[(x3, b0, b2)] = got
+            got = bvec_cache[(x3, b0, b2)] = _times(
+                bmult, bmult.get((b0, b2), {}), x3, zero, left=True)
         return got
 
     def evaluator(key1):
@@ -477,28 +478,6 @@ def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
     x1s = sorted({x1 for x1, _, _ in rca.phi_rho_inv.data})
     y3s = sorted({y3 for _, _, y3 in lcb.phi_lam_inv.data})
 
-    def times_x1(vec):
-        """{x1: vec x1} over the first legs x1 of the right reassociator."""
-        out = {}
-        for x1 in x1s:
-            acc: Dict[int, object] = {}
-            for ai, c in vec.items():
-                for ar, cr in amult.get((ai, x1), {}).items():
-                    acc[ar] = acc.get(ar, zero) + c * cr
-            out[x1] = acc
-        return out
-
-    def y3_times(vec):
-        """{y3: y3 vec} over the last legs y3 of the left reassociator."""
-        out = {}
-        for y3 in y3s:
-            acc: Dict[int, object] = {}
-            for bi, c in vec.items():
-                for br, cr in bmult.get((y3, bi), {}).items():
-                    acc[br] = acc.get(br, zero) + c * cr
-            out[y3] = acc
-        return out
-
     # per (b, psi, b'): {k1: {y3: y3 (sum over k2 of (b <| e^k2) b')}},
     # the sum running over the split e^k1 (x) e^k2 of psi; at most
     # dim(B) dim(H) dim(B) entries
@@ -515,8 +494,9 @@ def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
                 for r, cr in bmult.get((t, b2), {}).items():
                     vec = by_k1.setdefault(k1, {})
                     vec[r] = vec.get(r, zero) + c * cr
-        got = right_cache[(b, k, b2)] = [(k1, y3_times(vec))
-                                         for k1, vec in by_k1.items()]
+        got = right_cache[(b, k, b2)] = [
+            (k1, {y3: _times(bmult, vec, y3, zero, left=True) for y3 in y3s})
+            for k1, vec in by_k1.items()]
         return got
 
     def evaluator(key1):
@@ -533,7 +513,8 @@ def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
                     for r, cr in amult.get((a, t), {}).items():
                         vec = by_j2.setdefault(j2, {})
                         vec[r] = vec.get(r, zero) + c * cr
-            return [(j2, times_x1(vec)) for j2, vec in by_j2.items()]
+            return [(j2, {x1: _times(amult, vec, x1, zero) for x1 in x1s})
+                    for j2, vec in by_j2.items()]
 
         def col(key2):
             a2, k, b2 = key2
