@@ -4,9 +4,8 @@ their axioms exactly, and twist by a gauge transformation.
 Run:  python3 demos/01_axioms_and_twisting.py
 """
 
-from qhopf import (DerivedElements, check_quasihopf, corpus, is_gauge,
-                   klein_group_algebra, klein_twist, twist,
-                   verify_core_identities)
+from qhopf import (check_quasihopf, corpus, is_gauge, klein_group_algebra,
+                   klein_twist, twist, verify_core_identities)
 
 
 def show(rep):
@@ -41,7 +40,7 @@ def main():
 
     print("== derived elements ==")
     hq = algebras["z2_quasi"]
-    der = DerivedElements(hq)
+    der = hq.derived
     print("antipode twist element f =", der.f.data)
     print("f is itself a gauge transformation:", is_gauge(hq, der.f))
     closed = hq.phi.permute((2, 1, 0))

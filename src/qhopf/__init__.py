@@ -13,9 +13,8 @@ from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
 from .report import CheckRecord, VerificationReport, first_difference
 from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
                         QuasiHopfAlgebra, check_dual_bimodule_algebra,
-                        check_quasibialgebra, check_quasihopf,
-                        derived_elements, is_gauge, normalize_alpha_beta,
-                        twist, verify_core_identities)
+                        check_quasibialgebra, check_quasihopf, is_gauge,
+                        normalize_alpha_beta, twist, verify_core_identities)
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, RightComoduleAlgebra,
                     RightModuleCoalgebra, canonical_bicomodule,

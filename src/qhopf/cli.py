@@ -27,10 +27,10 @@ from .hopfmod import verify_module_correspondence
 from .products import (generalized_smash, quasi_smash, smash_product,
                        two_sided_crossed, verify_crossed_decomposition,
                        verify_heisenberg_double, verify_hom_smash)
-from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
-                        QuasiHopfAlgebra, check_dual_bimodule_algebra,
-                        check_quasibialgebra, check_quasihopf, is_gauge,
-                        twist, verify_core_identities)
+from .quasihopf import (QuasiBialgebra, QuasiHopfAlgebra,
+                        check_dual_bimodule_algebra, check_quasibialgebra,
+                        check_quasihopf, is_gauge, twist,
+                        verify_core_identities)
 from .report import VerificationReport
 
 SUITES = ("axioms", "identities", "tilde", "dual-algebra", "heisenberg",
@@ -137,7 +137,7 @@ def cmd_twist(args) -> int:
 def cmd_derive(args) -> int:
     text = _read(args.file)
     H = _load_hopf(args.file)
-    der = DerivedElements(H)
+    der = H.derived
     tensors = {
         "gamma": der.gamma, "delta": der.delta,
         "twist-element": der.f, "twist-element-inv": der.f_inv,
@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
     elif suite == "tilde":
         rep = verify_tilde_identities(canonical_right_comodule(H))
     elif suite == "dual-algebra":
-        rep = check_dual_bimodule_algebra(DualView(H))
+        rep = check_dual_bimodule_algebra(H.dual)
     elif suite == "heisenberg":
         rep = verify_heisenberg_double(H)
     elif suite == "crossed-product":

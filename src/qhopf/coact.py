@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
                       mul_legs, tensor_unit)
-from .quasihopf import DerivedElements, QuasiBialgebra, QuasiHopfAlgebra
+from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 from .report import VerificationReport
 from .tensor import Basis, LinearMap, Tensor
 
@@ -491,15 +491,13 @@ def check_right_module_coalgebra(mc: RightModuleCoalgebra) -> VerificationReport
 # canonical element identities of a right comodule algebra
 
 
-def verify_tilde_identities(ca: RightComoduleAlgebra,
-                            der: Optional[DerivedElements] = None) -> VerificationReport:
+def verify_tilde_identities(ca: RightComoduleAlgebra) -> VerificationReport:
     """The identity suite for the canonical elements p~ and q~ of a
     right comodule algebra over a quasi-Hopf algebra."""
     H = ca.H
     if not isinstance(H, QuasiHopfAlgebra):
         raise ValueError("tilde identities need antipode data")
-    if der is None:
-        der = DerivedElements(H)
+    der = H.derived
     rep = VerificationReport("tilde elements %s" % ca.name,
                              {"dim": ca.dim, "field": H.field.name})
     n = ca.dim

@@ -19,7 +19,7 @@ verifiers are implemented below.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .algebra import FinAlgebra, LegMul, mul_legs
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
@@ -27,12 +27,11 @@ from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
 from .hopfmod import (TwoSidedHopfModule, check_two_sided_hopf_module,
                       cyclic_right_submodule, regular_smash_action,
-                      smash_action_from_two_sided, smash_index,
+                      _act_on, smash_action_from_two_sided, smash_index,
                       two_sided_from_smash_module)
 from .products import (ProductAlgebra, QuasiSmash, generalized_smash,
                        quasi_smash, smash_product)
-from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
-                        QuasiHopfAlgebra)
+from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
@@ -303,17 +302,11 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
         if c:
             eps_vec[w] = c
 
-    def act_elem(m: int, elem: Dict[Tuple[int, int], object]) -> Tensor:
-        acc: Dict[int, object] = {}
-        for (u, b), c in elem.items():
-            g = gsm.join((u, b))
-            for t, ct in act_flat(m, g).items():
-                acc[t] = acc.get(t, field.zero()) + c * ct
-        return Tensor.from_sparse(basis, acc, field)
-
     r_action = LegMul.from_function(
         basis, cb.basis, basis,
-        lambda m, b: act_elem(m, {(u, b): c for u, c in eps_vec.items()}),
+        lambda m, b: _act_on(basis, act_flat, m, Tensor.from_sparse(
+            gsm.basis, {gsm.join((u, b)): c for u, c in eps_vec.items()},
+            field)),
         field)
 
     one_b = {b: c for (b,), c in cb.unit().data.items()}
@@ -321,7 +314,9 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
     def coact_col(m):
         acc = Tensor.zero((mc.basis, basis), field)
         for i in range(mc.dim):
-            vec = act_elem(m, {(i, b): c for b, c in one_b.items()})
+            vec = _act_on(basis, act_flat, m, Tensor.from_sparse(
+                gsm.basis, {gsm.join((i, b)): c for b, c in one_b.items()},
+                field))
             acc = acc + mc.e(i).tensor(vec)
         return acc
 
@@ -455,9 +450,7 @@ def check_crossed_hopf_module(M: CrossedHopfModule) -> VerificationReport:
 
 
 def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
-                             qs: QuasiSmash, sm: ProductAlgebra,
-                             dual: Optional[DualView] = None,
-                             der: Optional[DerivedElements] = None
+                             qs: QuasiSmash, sm: ProductAlgebra
                              ) -> LeftComoduleAlgebra:
     """The nested smash product (A (x) H*) # H as a left H (x) H^op
     comodule algebra. The coaction is
@@ -476,10 +469,7 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
     H = ba.H
     if not isinstance(H, QuasiHopfAlgebra):
         raise ValueError("the crossed coaction needs antipode data")
-    if dual is None:
-        dual = DualView(H)
-    if der is None:
-        der = DerivedElements(H)
+    dual = H.dual
     field = H.field
     A = ba.algebra
     nH = H.dim
@@ -516,7 +506,7 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
         cols[g] = dict(H.assemble(src, builder).data)
     coaction = LinearMap(sm.basis, (HHop.basis, sm.basis), cols, field)
 
-    src = ba.left.phi_lam.tensor(der.f_inv).tensor(H.phi_inv)
+    src = ba.left.phi_lam.tensor(H.derived.f_inv).tensor(H.phi_inv)
     phi_w = H.assemble(src, lambda X1, X2, X3, g1, g2, x1, x2, x3:
                        pack_pair(H.e(X1).tensor(
                            H.mul(H.e(g1), H.S(H.e(x3))))).tensor(
@@ -534,24 +524,21 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
 
 def doi_from_crossed(M: CrossedHopfModule, lcb: LeftComoduleAlgebra,
                      mc: RightModuleCoalgebra, qs: QuasiSmash,
-                     sm: ProductAlgebra,
-                     der: Optional[DerivedElements] = None) -> DoiHopfModule:
+                     sm: ProductAlgebra) -> DoiHopfModule:
     """Forward functor: the right action of the nested smash product is
     reconstructed from the two-sided structure, and the coalgebra
     coaction is corrected by the twist element:
 
         rho~(n) = sum f1 . n_[-1] (x) f2 (succ) n_[0]."""
     H, C = M.H, M.C
-    if der is None:
-        der = DerivedElements(H)
     field = M.field
-    act = smash_action_from_two_sided(M.two_sided(), qs, sm, der)
+    act = smash_action_from_two_sided(M.two_sided(), qs, sm)
     r_action = LegMul.from_function(
         M.basis, sm.basis, M.basis,
         lambda m, g: Tensor.from_sparse(M.basis, act(m, g), field), field)
 
     def coact_col(m):
-        src = der.f.tensor(M.ccoact(M.e(m)))
+        src = H.derived.f.tensor(M.ccoact(M.e(m)))
         return H.assemble(src, lambda f1, f2, cm, m0: C.lact(
             H.e(f1), C.e(cm)).tensor(M.lact(H.e(f2), M.e(m0))))
 
@@ -562,28 +549,23 @@ def doi_from_crossed(M: CrossedHopfModule, lcb: LeftComoduleAlgebra,
 
 def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
                      C: BimoduleCoalgebra, qs: QuasiSmash,
-                     sm: ProductAlgebra,
-                     der: Optional[DerivedElements] = None
-                     ) -> CrossedHopfModule:
+                     sm: ProductAlgebra) -> CrossedHopfModule:
     """Backward functor: the two-sided Hopf module structure comes from
     the right action of the nested smash product, and the coalgebra
     coaction is corrected by the inverse twist element:
 
         rho_C(n) = sum g1 . n_[-1] (x) g2 (succ) n_[0]."""
     H = qs.H
-    if der is None:
-        der = DerivedElements(H)
     field = N.field
     table = N.r_action.table
 
     def act_flat(m: int, g: int) -> Dict[int, object]:
         return table.get((m, g), {})
 
-    ts = two_sided_from_smash_module(qs, sm, N.basis, act_flat, ba.right,
-                                     der)
+    ts = two_sided_from_smash_module(qs, sm, N.basis, act_flat, ba.right)
 
     def ccoact_col(m):
-        src = der.f_inv.tensor(N.coact(N.e(m)))
+        src = H.derived.f_inv.tensor(N.coact(N.e(m)))
         return H.assemble(src, lambda g1, g2, cm, m0: C.lact(
             H.e(g1), C.e(cm)).tensor(ts.lact(H.e(g2), ts.e(m0))))
 
@@ -599,9 +581,7 @@ def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
 
 
 def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
-                        ba: BicomoduleAlgebra,
-                        dual: Optional[DualView] = None
-                        ) -> Callable[[int, int], Tensor]:
+                        ba: BicomoduleAlgebra) -> Callable[[int, int], Tensor]:
     """Direct evaluator for the product of (A (x) H*) # H:
 
         ((a # phi) # h)((a' # psi) # h')
@@ -610,8 +590,7 @@ def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
 
     with x = Phi^{-1} and xr = the inverse right reassociator of A."""
     H = qs.H
-    if dual is None:
-        dual = DualView(H)
+    dual = H.dual
     field = H.field
     A = ba.algebra
     nest = smash_index(qs, sm)
@@ -642,9 +621,7 @@ def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
 
 def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                          qs: QuasiSmash, sm: ProductAlgebra,
-                         final: ProductAlgebra, mc: RightModuleCoalgebra,
-                         dual: Optional[DualView] = None,
-                         der: Optional[DerivedElements] = None
+                         final: ProductAlgebra
                          ) -> Callable[[int, int], Dict[int, object]]:
     """Direct evaluator for the product of C* >< ((A (x) H*) # H),
     written out in a single closed formula:
@@ -665,10 +642,6 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     per h, then merged with the three reassociator sums and the two
     coactions per (h, a, a') before the per-pair loop."""
     H = qs.H
-    if dual is None:
-        dual = DualView(H)
-    if der is None:
-        der = DerivedElements(H)
     field = H.field
     zero = field.zero()
     A = ba.algebra
@@ -701,18 +674,16 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                     for s, c2 in hmult.get((v, k1), {}).items():
                         d = dhit2.setdefault((u, s, v), {})
                         d[w] = d.get(w, zero) + c1 * c2
-    cconv = {w: dict(col) for w, col in C.comul.cols.items()}
-    dconv = {w: dict(col) for w, col in H.comul.cols.items()}
 
-    def conv_tab(tab, n):
+    def conv_tab(cols):
         out: Dict[Tuple[int, int], Dict[int, object]] = {}
-        for w, col in tab.items():
+        for w, col in cols.items():
             for (u, v), c in col.items():
                 out.setdefault((u, v), {})[w] = c
         return out
 
-    cconv_t = conv_tab(cconv, nC)
-    dconv_t = conv_tab(dconv, nH)
+    cconv_t = conv_tab(C.comul.cols)
+    dconv_t = conv_tab(H.comul.cols)
 
     def convolve(x: Dict[int, object], y: Dict[int, object], tab):
         acc: Dict[int, object] = {}
@@ -751,7 +722,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     phix = H.phi_inv.map_leg(1, H.comul)
 
     def stage_one(h):
-        src = phiXX.tensor(der.f).tensor(H.phi_inv).tensor(phix).tensor(
+        src = phiXX.tensor(H.derived.f).tensor(H.phi_inv).tensor(phix).tensor(
             H.delta(H.e(h)).map_leg(0, H.comul))
         return H.assemble(src, lambda X11, X12, X1b, X2, X3, f1, f2,
                           y1, y2, y3, x1, x21, x22, x3, h11, h12, h2:
@@ -913,21 +884,19 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
     HHop = H.tensor_with(H.opposite())
     mc = hhop_module_coalgebra(C, HHop)
     cstar = dual_module_algebra(mc)
-    der = DerivedElements(H)
-    dual = DualView(H)
-    qs = quasi_smash(ba.right, dual)
+    qs = quasi_smash(ba.right)
     sm = smash_product(qs)
-    lcb = crossed_comodule_algebra(ba, HHop, qs, sm, dual, der)
+    lcb = crossed_comodule_algebra(ba, HHop, qs, sm)
     rep.extend(check_left_comodule_algebra(lcb), prefix="crossed-coact/")
 
-    direct_sm = nested_smash_direct(qs, sm, ba, dual)
+    direct_sm = nested_smash_direct(qs, sm, ba)
     rep.check_quantified(
         "nested-direct", ((i, j) for i in range(sm.dim)
                           for j in range(sm.dim)),
         lambda i, j: (sm.alg.mul_indices(i, j), direct_sm(i, j)))
 
     final = generalized_smash(cstar, lcb)
-    direct = crossed_smash_direct(ba, C, qs, sm, final, mc, dual, der)
+    direct = crossed_smash_direct(ba, C, qs, sm, final)
 
     def as_vec(d):
         return Tensor.from_sparse(final.basis, d, field)
@@ -946,12 +915,12 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
         N = doi_from_algebra_module(final, lcb, mc, basis, act)
         if label == "regular/":
             rep.extend(check_doi_hopf_module(N), prefix="doi/")
-        M = crossed_from_doi(N, ba, C, qs, sm, der)
+        M = crossed_from_doi(N, ba, C, qs, sm)
         if label == "regular/":
             rep.extend(check_crossed_hopf_module(M), prefix="crossed/")
-        N2 = doi_from_crossed(M, lcb, mc, qs, sm, der)
+        N2 = doi_from_crossed(M, lcb, mc, qs, sm)
         _same_doi(rep, label + "FG/", N2, N)
-        M2 = crossed_from_doi(N2, ba, C, qs, sm, der)
+        M2 = crossed_from_doi(N2, ba, C, qs, sm)
         _same_crossed(rep, label + "GF/", M2, M)
         recon = algebra_action_from_doi(N, final)
         rep.check_quantified(

@@ -14,13 +14,13 @@ cyclic modules.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .algebra import LegMul, mul_legs
 from .coact import RightComoduleAlgebra, canonical_right_comodule
 from .linalg import RowSpan
 from .products import ProductAlgebra, QuasiSmash, quasi_smash, smash_product
-from .quasihopf import DerivedElements, DualView, QuasiHopfAlgebra
+from .quasihopf import QuasiHopfAlgebra
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
@@ -265,9 +265,7 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
                               coaction, name=ca.name + "(x)H")
 
 
-def canonical_second_module(ca: RightComoduleAlgebra,
-                            der: Optional[DerivedElements] = None
-                            ) -> TwoSidedHopfModule:
+def canonical_second_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     """The two-sided Hopf module on H (x) A:
     h (h' (x) a) = h h' (x) a;  (h (x) a) a' = h (x) a a';
     rho(h (x) a) = sum h_1 W1 (x) W2 a_(0) (x) h_2 W3 a_(1) with
@@ -275,8 +273,7 @@ def canonical_second_module(ca: RightComoduleAlgebra,
     H, A = ca.H, ca.algebra
     if not isinstance(H, QuasiHopfAlgebra):
         raise ValueError("this module needs antipode data")
-    if der is None:
-        der = DerivedElements(H)
+    der = H.derived
     field = H.field
     flat = FlatSpace((H.basis, A.basis), field)
     nA, nH = A.dim, H.dim
@@ -324,15 +321,12 @@ def canonical_second_module(ca: RightComoduleAlgebra,
                               coaction, name="H(x)" + ca.name)
 
 
-def module_isomorphism(ca: RightComoduleAlgebra,
-                       der: Optional[DerivedElements] = None
+def module_isomorphism(ca: RightComoduleAlgebra
                        ) -> Tuple[LinearMap, LinearMap]:
     """The mutually inverse maps between the canonical modules:
     theta(a (x) h) = sum h S^{-1}(a_(1) p~2) (x) a_(0) p~1 and
     theta^{-1}(h (x) a) = sum q~1 a_(0) (x) h q~2 a_(1)."""
     H, A = ca.H, ca.algebra
-    if der is None:
-        der = DerivedElements(H)
     field = H.field
     flatV = FlatSpace((A.basis, H.basis), field)
     flatU = FlatSpace((H.basis, A.basis), field)
@@ -383,21 +377,17 @@ def transport_module(M: TwoSidedHopfModule, iso: LinearMap,
                               name=name or M.name + "~")
 
 
-def verify_canonical_modules(ca: RightComoduleAlgebra,
-                             der: Optional[DerivedElements] = None
-                             ) -> VerificationReport:
+def verify_canonical_modules(ca: RightComoduleAlgebra) -> VerificationReport:
     """Both canonical modules satisfy the two-sided Hopf module axioms
     and the structure map between them is an isomorphism of modules."""
     H = ca.H
-    if der is None:
-        der = DerivedElements(H)
     rep = VerificationReport("canonical Hopf modules over %s" % ca.name,
                              {"dim": ca.dim * H.dim, "field": H.field.name})
     V = canonical_first_module(ca)
-    U = canonical_second_module(ca, der)
+    U = canonical_second_module(ca)
     rep.extend(check_two_sided_hopf_module(V), prefix="first/")
     rep.extend(check_two_sided_hopf_module(U), prefix="second/")
-    theta, theta_inv = module_isomorphism(ca, der)
+    theta, theta_inv = module_isomorphism(ca)
     idV = LinearMap.identity(V.basis, H.field)
     idU = LinearMap.identity(U.basis, H.field)
     rep.check_bool("iso-left", theta_inv.compose(theta) == idV)
@@ -422,19 +412,16 @@ def verify_canonical_modules(ca: RightComoduleAlgebra,
 # the two functors of the category isomorphism
 
 
-def relative_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
-                            der: Optional[DerivedElements] = None
-                            ) -> RelativeHopfModule:
+def relative_from_two_sided(M: TwoSidedHopfModule,
+                            qs: QuasiSmash) -> RelativeHopfModule:
     """Forward direction: the H-action becomes h . m = S^2(h) m and the
     right quasi-smash action is
 
         m (a # phi) = sum phi(S^{-1}(S(U1) f2 m_(1) a_(1) p~2))
                           S(U2) f1 (m_(0) a_(0) p~1)."""
     ca, H = M.ca, M.H
-    if der is None:
-        der = DerivedElements(H)
+    der, dual = H.derived, H.dual
     field = M.field
-    dual = qs.dual
     pt = ca.p_tilde()
     # K = sum S(U2) f1 (x) S(U1) f2
     K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
@@ -464,18 +451,14 @@ def relative_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
 
 
 def two_sided_from_relative(N: RelativeHopfModule,
-                            ca: RightComoduleAlgebra,
-                            der: Optional[DerivedElements] = None
-                            ) -> TwoSidedHopfModule:
+                            ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     """Backward direction: h m = S^{-2}(h) . m, m a = m . (a # eps), and
 
         rho(m) = sum_i [S^{-1}(V2 g2) . m] . (q~1 # S^{-1}(V1 g1) ->
                  (e^i o S) <- q~2) (x) e_i."""
     qs, H = N.qs, N.H
-    if der is None:
-        der = DerivedElements(H)
+    der, dual = H.derived, H.dual
     field = N.field
-    dual = qs.dual
     qt = ca.q_tilde()
     eps = dual.eps_functional()
     # VG = sum V1 g1 (x) V2 g2
@@ -538,8 +521,7 @@ def _act_on(basis: Basis, act_flat: Callable[[int, int], Dict[int, object]],
 
 def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
                                basis: Basis,
-                               act_flat: Callable[[int, int], Dict[int, object]],
-                               der: Optional[DerivedElements] = None
+                               act_flat: Callable[[int, int], Dict[int, object]]
                                ) -> RelativeHopfModule:
     """A right module over the smash product (A # H*) # H becomes a
     relative Hopf module through
@@ -549,33 +531,27 @@ def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
     where act_flat(m, g) gives the right action of the g-th smash basis
     vector on the m-th module basis vector, as a sparse vector."""
     H = qs.H
-    if der is None:
-        der = DerivedElements(H)
     field = H.field
-
-    def act_elem(m: int, elem: Tensor) -> Tensor:
-        return _act_on(basis, act_flat, m, elem)
-
     h_action = LegMul.from_function(
         H.basis, basis, basis,
-        lambda i, m: act_elem(m, sm.flatten(qs.unit().tensor(H.S(H.e(i))))),
+        lambda i, m: _act_on(basis, act_flat, m, sm.flatten(
+            qs.unit().tensor(H.S(H.e(i))))),
         field)
 
     u_elems = {}
     for u in range(qs.dim):
-        u_elems[u] = H.assemble(der.U, lambda u1, u2: sm.flatten(
+        u_elems[u] = H.assemble(H.derived.U, lambda u1, u2: sm.flatten(
             qs.act(H.e(u1), qs.e(u)).tensor(H.e(u2))))
     r_action = LegMul.from_function(
         basis, qs.basis, basis,
-        lambda m, u: act_elem(m, u_elems[u]), field)
+        lambda m, u: _act_on(basis, act_flat, m, u_elems[u]), field)
     return RelativeHopfModule(qs, basis, h_action, r_action, name=basis.name)
 
 
 def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
                                 basis: Basis,
                                 act_flat: Callable[[int, int], Dict[int, object]],
-                                ca: RightComoduleAlgebra,
-                                der: Optional[DerivedElements] = None
+                                ca: RightComoduleAlgebra
                                 ) -> TwoSidedHopfModule:
     """Direct transport of a right (A # H*) # H module to a two-sided
     Hopf module:
@@ -584,23 +560,18 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
         rho(m) = sum_i m ((q~1 # S^{-1}(g2) -> (e^i o S) <- q~2)
                           # S^{-1}(g1)) (x) e_i."""
     H = qs.H
-    if der is None:
-        der = DerivedElements(H)
+    der, dual = H.derived, H.dual
     field = H.field
-    dual = qs.dual
     qt = ca.q_tilde()
     eps = dual.eps_functional()
 
-    def act_elem(m: int, elem: Tensor) -> Tensor:
-        return _act_on(basis, act_flat, m, elem)
-
     left = LegMul.from_function(
         H.basis, basis, basis,
-        lambda i, m: act_elem(m, sm.flatten(
+        lambda i, m: _act_on(basis, act_flat, m, sm.flatten(
             qs.element(ca.unit(), eps).tensor(H.Sinv(H.e(i))))), field)
     right = LegMul.from_function(
         basis, ca.basis, basis,
-        lambda m, a: act_elem(m, sm.flatten(
+        lambda m, a: _act_on(basis, act_flat, m, sm.flatten(
             qs.element(ca.e(a), eps).tensor(H.unit()))), field)
 
     coact_elems = {}
@@ -615,7 +586,8 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
     def coact_col(m):
         acc = Tensor.zero((basis, H.basis), field)
         for i in range(H.dim):
-            acc = acc + act_elem(m, coact_elems[i]).tensor(H.e(i))
+            acc = acc + _act_on(basis, act_flat, m,
+                                coact_elems[i]).tensor(H.e(i))
         return acc
 
     coaction = LinearMap.from_function(basis, (basis, H.basis), coact_col,
@@ -625,8 +597,7 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
 
 
 def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
-                                sm: ProductAlgebra,
-                                der: Optional[DerivedElements] = None
+                                sm: ProductAlgebra
                                 ) -> Callable[[int, int], Dict[int, object]]:
     """Reconstruct the right (A # H*) # H action from a two-sided Hopf
     module:
@@ -634,10 +605,8 @@ def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
         m ((a # phi) # h) = sum phi(S^{-1}(f2 m_(1) a_(1) p~2))
                                 S(h) f1 (m_(0) a_(0) p~1)."""
     ca, H = M.ca, M.H
-    if der is None:
-        der = DerivedElements(H)
+    der, dual = H.derived, H.dual
     field = M.field
-    dual = qs.dual
     pt = ca.p_tilde()
     nest = smash_index(qs, sm)
 
@@ -726,14 +695,12 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int
     return basis, act_flat
 
 
-def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra, seed: int,
-                         der: Optional[DerivedElements] = None
-                         ) -> RelativeHopfModule:
+def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra,
+                         seed: int) -> RelativeHopfModule:
     """The cyclic right submodule of the regular (A # H*) # H module
     generated by a seeded random vector with small integer entries,
     transported to a relative Hopf module."""
-    return relative_from_smash_module(qs, sm, *cyclic_right_submodule(sm, seed),
-                                      der)
+    return relative_from_smash_module(qs, sm, *cyclic_right_submodule(sm, seed))
 
 
 def _same_two_sided(rep: VerificationReport, prefix: str,
@@ -776,40 +743,35 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
                              {"dim": H.dim, "field": H.field.name,
                               "seeds": list(seeds)})
     ca = canonical_right_comodule(H)
-    der = DerivedElements(H)
-    dual = DualView(H)
-    qs = quasi_smash(ca, dual)
+    qs = quasi_smash(ca)
     sm = smash_product(qs)
 
     V = canonical_first_module(ca)
-    U = canonical_second_module(ca, der)
-    theta, theta_inv = module_isomorphism(ca, der)
+    U = canonical_second_module(ca)
+    theta, theta_inv = module_isomorphism(ca)
     T = transport_module(V, theta, theta_inv, name="theta-transport")
     for label, M in (("first/", V), ("second/", U), ("transport/", T)):
-        back = two_sided_from_relative(relative_from_two_sided(M, qs, der),
-                                       ca, der)
+        back = two_sided_from_relative(relative_from_two_sided(M, qs), ca)
         _same_two_sided(rep, label, back, M)
 
     regular = relative_from_smash_module(qs, sm, sm.basis,
-                                         regular_smash_action(sm), der)
+                                         regular_smash_action(sm))
     rep.extend(check_relative_hopf_module(regular), prefix="regular/")
     modules = [("regular/", regular)]
     for seed in seeds:
-        modules.append(("seed%d/" % seed,
-                        seeded_cyclic_module(qs, sm, seed, der)))
+        modules.append(("seed%d/" % seed, seeded_cyclic_module(qs, sm, seed)))
     for label, N in modules:
-        back = relative_from_two_sided(two_sided_from_relative(N, ca, der),
-                                       qs, der)
+        back = relative_from_two_sided(two_sided_from_relative(N, ca), qs)
         _same_relative(rep, label, back, N)
 
     # the direct transport of the regular module agrees with the
     # backward functor applied to its relative form, and the right
     # smash action is reconstructed from the two-sided structure
     direct = two_sided_from_smash_module(qs, sm, sm.basis,
-                                         regular_smash_action(sm), ca, der)
-    via_functor = two_sided_from_relative(regular, ca, der)
+                                         regular_smash_action(sm), ca)
+    via_functor = two_sided_from_relative(regular, ca)
     _same_two_sided(rep, "smash-transport/", direct, via_functor)
-    recon = smash_action_from_two_sided(direct, qs, sm, der)
+    recon = smash_action_from_two_sided(direct, qs, sm)
     reg_act = regular_smash_action(sm)
     rep.check_quantified(
         "smash-reconstruction",

@@ -11,14 +11,13 @@ products factor through the two-sided crossed product.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .algebra import FinAlgebra, LegMul
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
-from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
-                        QuasiHopfAlgebra)
+from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
@@ -95,11 +94,10 @@ class QuasiSmash(LeftModuleAlgebra):
     left H-action h . (a # phi) = a # (h -> phi), which makes the
     carrier a left H-module algebra."""
 
-    def __init__(self, ca: RightComoduleAlgebra, dual: Optional[DualView] = None):
+    def __init__(self, ca: RightComoduleAlgebra):
         H = ca.H
         self.ca = ca
-        self.dual = dual if dual is not None else DualView(H)
-        dual = self.dual
+        dual = H.dual
         field = H.field
         zero = field.zero()
         hmult = H.algebra.mult
@@ -196,9 +194,8 @@ class QuasiSmash(LeftModuleAlgebra):
         return self.prod.unflatten(t)
 
 
-def quasi_smash(ca: RightComoduleAlgebra,
-                dual: Optional[DualView] = None) -> QuasiSmash:
-    return QuasiSmash(ca, dual)
+def quasi_smash(ca: RightComoduleAlgebra) -> QuasiSmash:
+    return QuasiSmash(ca)
 
 
 # ----------------------------------------------------------------------
@@ -398,8 +395,8 @@ def generalized_smash(ma: LeftModuleAlgebra,
 # two-sided crossed product  A (x) H* (x) B
 
 
-def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
-                      dual: Optional[DualView] = None) -> ProductAlgebra:
+def two_sided_crossed(rca: RightComoduleAlgebra,
+                      lcb: LeftComoduleAlgebra) -> ProductAlgebra:
     """The two-sided crossed product A >< H* >< B:
 
         (a >< phi >< b)(a' >< psi >< b')
@@ -414,8 +411,7 @@ def two_sided_crossed(rca: RightComoduleAlgebra, lcb: LeftComoduleAlgebra,
     H = rca.H
     if not _same_h(H, lcb.H):
         raise ValueError("the two comodule algebras must share H")
-    if dual is None:
-        dual = DualView(H)
+    dual = H.dual
     field = H.field
     nH = H.dim
     A, B = rca.algebra, lcb.algebra
@@ -584,11 +580,10 @@ def verify_crossed_decomposition(H: QuasiBialgebra) -> VerificationReport:
                              {"dim": H.dim, "field": H.field.name})
     rca = canonical_right_comodule(H)
     lcb = canonical_left_comodule(H)
-    dual = DualView(H)
-    qs = quasi_smash(rca, dual)
+    qs = quasi_smash(rca)
     gsm = generalized_smash(qs, lcb)
     sm = smash_product(qs)
-    crossed = two_sided_crossed(rca, lcb, dual)
+    crossed = two_sided_crossed(rca, lcb)
     _same_table(rep, "gsm-vs-crossed", gsm, crossed)
     _same_table(rep, "smash-vs-crossed", sm, crossed)
     return rep
@@ -598,13 +593,14 @@ def verify_crossed_decomposition(H: QuasiBialgebra) -> VerificationReport:
 # the double of H inside End(H)
 
 
-def _endo_tensor(H: QuasiBialgebra, f: LinearMap) -> Tensor:
-    """A linear endomorphism of H as a two-leg tensor (image, argument)."""
+def _map_tensor(f: LinearMap) -> Tensor:
+    """A linear map into one based space, such as an endomorphism of H or
+    a map H -> A, as a two-leg tensor (image, argument)."""
     data = {}
     for j, col in f.cols.items():
         for (i,), c in col.items():
             data[(i, j)] = c
-    return Tensor((H.basis, H.basis), data, H.field)
+    return Tensor((f.codomain[0], f.domain), data, f.field)
 
 
 class HeisenbergDouble:
@@ -620,24 +616,27 @@ class HeisenbergDouble:
     the unit is h |-> h S^{-1}(beta), and the transported left H-action
     is (h . u)(h') = u(h' h_2) S^{-1}(h_1)."""
 
-    def __init__(self, H: QuasiHopfAlgebra,
-                 dual: Optional[DualView] = None,
-                 der: Optional[DerivedElements] = None):
+    def __init__(self, H: QuasiHopfAlgebra):
         self.H = H
-        self.dual = dual if dual is not None else DualView(H)
-        self.der = der if der is not None else DerivedElements(H)
+        der = H.derived
         n = H.dim
-        # per basis argument k: sum (e_k)_1 pL1 (x) (e_k)_2 pL2
-        self._mu_core = {
-            k: H.assemble(H.delta(H.e(k)).tensor(self.der.p_L),
-                          lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
-                              H.mul(H.e(k2), H.e(l2))))
-            for k in range(n)
-        }
+        # per basis argument k, the core sum (e_k)_1 pL1 (x) (e_k)_2 pL2
+        # grouped by its second leg: k -> a -> sum c e_x over the core
+        # terms c e_x (x) e_a, which is e^a paired with that leg
+        self._mu_slices: Dict[int, Dict[int, Tensor]] = {}
+        for k in range(n):
+            core = H.assemble(H.delta(H.e(k)).tensor(der.p_L),
+                              lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
+                                  H.mul(H.e(k2), H.e(l2))))
+            by_a: Dict[int, dict] = {}
+            for (x, a), c in core.data.items():
+                by_a.setdefault(a, {})[(x,)] = c
+            self._mu_slices[k] = {a: Tensor((H.basis,), vec, H.field)
+                                  for a, vec in by_a.items()}
         # per dual index i: sum qL2 (e_i)_2 (x) S^{-1}(qL1 (e_i)_1)
         # (argument leg, left-multiplier leg)
         self._inv_core = {
-            i: H.assemble(self.der.q_L.tensor(H.delta(H.e(i))),
+            i: H.assemble(der.q_L.tensor(H.delta(H.e(i))),
                           lambda q1, q2, i1, i2: H.mul(H.e(q2), H.e(i2)).tensor(
                               H.Sinv(H.mul(H.e(q1), H.e(i1)))))
             for i in range(n)
@@ -664,23 +663,22 @@ class HeisenbergDouble:
     def mu(self, t: Tensor) -> LinearMap:
         """Transport an element of H (x) H* to an endomorphism of H."""
         H = self.H
-        if t.spaces != (H.basis, self.dual.basis):
+        if t.spaces != (H.basis, H.dual.basis):
             raise ValueError("expected an element of H (x) H*")
-        n = H.dim
         cols = {}
-        for k in range(n):
-            core = self._mu_core[k]
+        for k in range(H.dim):
+            slices = self._mu_slices[k]
             acc = Tensor.zero((H.basis,), H.field)
             for (i, a), c in t.data.items():
-                # pair e^a against the second leg of the core
-                red = self.dual.dual_e(a).tensor(core).pair_legs(0, 2)
-                acc = acc + H.mul(H.e(i), red).scale(c)
+                red = slices.get(a)
+                if red is not None:
+                    acc = acc + H.mul(H.e(i), red).scale(c)
             cols[k] = dict(acc.data)
         return LinearMap(H.basis, (H.basis,), cols, H.field)
 
     def mu_inv(self, u: LinearMap) -> Tensor:
-        H = self.H
-        out = Tensor.zero((H.basis, self.dual.basis), H.field)
+        H, dual = self.H, self.H.dual
+        out = Tensor.zero((H.basis, dual.basis), H.field)
         for i in range(H.dim):
             core = self._inv_core[i]
             vec = Tensor.zero((H.basis,), H.field)
@@ -690,7 +688,7 @@ class HeisenbergDouble:
                     continue
                 for (r,), c2 in img.items():
                     vec = vec + H.mul(H.e(r), H.e(lft)).scale(c * c2)
-            out = out + vec.tensor(self.dual.dual_e(i))
+            out = out + vec.tensor(dual.dual_e(i))
         return out
 
     def compose(self, u: LinearMap, v: LinearMap) -> LinearMap:
@@ -721,20 +719,15 @@ class HeisenbergDouble:
             H.field)
 
 
-def verify_heisenberg_double(H: QuasiHopfAlgebra,
-                             dual: Optional[DualView] = None,
-                             der: Optional[DerivedElements] = None
-                             ) -> VerificationReport:
+def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
     """mu is a bijection H (x) H* -> End(H); it carries the quasi-smash
     product, its unit and its left H-action to the transported
     structures on End(H)."""
     rep = VerificationReport("double of %s in End(H)" % H.name,
                              {"dim": H.dim, "field": H.field.name})
-    if dual is None:
-        dual = DualView(H)
-    hd = HeisenbergDouble(H, dual, der)
-    rca = canonical_right_comodule(H)
-    qs = quasi_smash(rca, dual)
+    dual = H.dual
+    hd = HeisenbergDouble(H)
+    qs = quasi_smash(canonical_right_comodule(H))
     n = H.dim
 
     def basis_elt(i, a):
@@ -753,8 +746,8 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra,
 
     rep.check_quantified(
         "mu-inv-right", ((k, l) for k in range(n) for l in range(n)),
-        lambda k, l: (_endo_tensor(H, hd.mu(hd.mu_inv(endo(k, l)))),
-                      _endo_tensor(H, endo(k, l))))
+        lambda k, l: (_map_tensor(hd.mu(hd.mu_inv(endo(k, l)))),
+                      _map_tensor(endo(k, l))))
 
     def mu_of(t: Tensor) -> LinearMap:
         return hd.mu(qs.parts(t))
@@ -762,8 +755,8 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra,
     def mult_probe(i, a, j, b):
         prod = qs.algebra.mul_indices(qs.prod.join((i, a)),
                                       qs.prod.join((j, b)))
-        return (_endo_tensor(H, mu_of(prod)),
-                _endo_tensor(H, hd.compose(mu_table[(i, a)],
+        return (_map_tensor(mu_of(prod)),
+                _map_tensor(hd.compose(mu_table[(i, a)],
                                            mu_table[(j, b)])))
 
     rep.check_quantified(
@@ -772,13 +765,13 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra,
          for j in range(n) for b in range(n)), mult_probe)
 
     rep.check_equal("mu-unit",
-                    _endo_tensor(H, mu_of(qs.unit())),
-                    _endo_tensor(H, hd.unit()))
+                    _map_tensor(mu_of(qs.unit())),
+                    _map_tensor(hd.unit()))
 
     def equiv_probe(h, i, a):
         acted = qs.act(H.e(h), qs.element(H.e(i), dual.dual_e(a)))
-        return (_endo_tensor(H, mu_of(acted)),
-                _endo_tensor(H, hd.act(H.e(h), mu_table[(i, a)])))
+        return (_map_tensor(mu_of(acted)),
+                _map_tensor(hd.act(H.e(h), mu_table[(i, a)])))
 
     rep.check_quantified(
         "mu-equivariant",
@@ -788,9 +781,9 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra,
     rep.check_quantified(
         "unit-laws", ((i, a) for i in range(n) for a in range(n)),
         lambda i, a: (
-            _endo_tensor(H, hd.compose(hd.unit(), mu_table[(i, a)])) +
-            _endo_tensor(H, hd.compose(mu_table[(i, a)], hd.unit())),
-            _endo_tensor(H, mu_table[(i, a)]).scale(H.field.from_int(2))))
+            _map_tensor(hd.compose(hd.unit(), mu_table[(i, a)])) +
+            _map_tensor(hd.compose(mu_table[(i, a)], hd.unit())),
+            _map_tensor(mu_table[(i, a)]).scale(H.field.from_int(2))))
     return rep
 
 
@@ -806,15 +799,13 @@ class HomSmash:
 
     unit h |-> eps(h) 1_A, and left H-action (h . v)(h') = v(h' h)."""
 
-    def __init__(self, ca: RightComoduleAlgebra,
-                 dual: Optional[DualView] = None):
+    def __init__(self, ca: RightComoduleAlgebra):
         self.ca = ca
         self.H = ca.H
-        self.dual = dual if dual is not None else DualView(ca.H)
 
     def nu(self, t: Tensor) -> LinearMap:
         ca = self.ca
-        if t.spaces != (ca.basis, self.dual.basis):
+        if t.spaces != (ca.basis, self.H.dual.basis):
             raise ValueError("expected an element of A (x) H*")
         cols: Dict[int, Dict[Tuple[int, ...], object]] = {}
         for (a, p), c in t.data.items():
@@ -822,11 +813,11 @@ class HomSmash:
         return LinearMap(self.H.basis, (ca.basis,), cols, ca.field)
 
     def nu_inv(self, w: LinearMap) -> Tensor:
-        ca = self.ca
-        out = Tensor.zero((ca.basis, self.dual.basis), ca.field)
+        ca, dual = self.ca, self.H.dual
+        out = Tensor.zero((ca.basis, dual.basis), ca.field)
         for i in range(self.H.dim):
             img = Tensor((ca.basis,), dict(w.cols.get(i, {})), ca.field)
-            out = out + img.tensor(self.dual.dual_e(i))
+            out = out + img.tensor(dual.dual_e(i))
         return out
 
     def star(self, v: LinearMap, w: LinearMap) -> LinearMap:
@@ -861,26 +852,16 @@ class HomSmash:
             lambda k: H.mul(H.e(k), h).map_leg(0, v), self.ca.field)
 
 
-def _hom_tensor(hs: HomSmash, f: LinearMap) -> Tensor:
-    data = {}
-    for j, col in f.cols.items():
-        for (i,), c in col.items():
-            data[(i, j)] = c
-    return Tensor((hs.ca.basis, hs.H.basis), data, hs.ca.field)
-
-
-def verify_hom_smash(ca: RightComoduleAlgebra,
-                     dual: Optional[DualView] = None) -> VerificationReport:
+def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
     """nu is a bijection A (x) H* -> Hom(H, A) carrying the quasi-smash
     product, its unit and its left H-action to the transported
     structures on Hom(H, A)."""
     H = ca.H
     rep = VerificationReport("quasi-smash of %s inside Hom(H, A)" % ca.name,
                              {"dim": ca.dim, "field": H.field.name})
-    if dual is None:
-        dual = DualView(H)
-    hs = HomSmash(ca, dual)
-    qs = quasi_smash(ca, dual)
+    dual = H.dual
+    hs = HomSmash(ca)
+    qs = quasi_smash(ca)
     nA, nH = ca.dim, H.dim
 
     nu_table = {(a, p): hs.nu(ca.e(a).tensor(dual.dual_e(p)))
@@ -897,8 +878,8 @@ def verify_hom_smash(ca: RightComoduleAlgebra,
 
     rep.check_quantified(
         "nu-inv-right", ((i, k) for i in range(nA) for k in range(nH)),
-        lambda i, k: (_hom_tensor(hs, hs.nu(hs.nu_inv(hom_basis(i, k)))),
-                      _hom_tensor(hs, hom_basis(i, k))))
+        lambda i, k: (_map_tensor(hs.nu(hs.nu_inv(hom_basis(i, k)))),
+                      _map_tensor(hom_basis(i, k))))
 
     def nu_of(t: Tensor) -> LinearMap:
         return hs.nu(qs.parts(t))
@@ -906,21 +887,21 @@ def verify_hom_smash(ca: RightComoduleAlgebra,
     def mult_probe(a, p, b, q):
         prod = qs.algebra.mul_indices(qs.prod.join((a, p)),
                                       qs.prod.join((b, q)))
-        return (_hom_tensor(hs, nu_of(prod)),
-                _hom_tensor(hs, hs.star(nu_table[(a, p)], nu_table[(b, q)])))
+        return (_map_tensor(nu_of(prod)),
+                _map_tensor(hs.star(nu_table[(a, p)], nu_table[(b, q)])))
 
     rep.check_quantified(
         "nu-multiplicative",
         ((a, p, b, q) for a in range(nA) for p in range(nH)
          for b in range(nA) for q in range(nH)), mult_probe)
 
-    rep.check_equal("nu-unit", _hom_tensor(hs, nu_of(qs.unit())),
-                    _hom_tensor(hs, hs.unit()))
+    rep.check_equal("nu-unit", _map_tensor(nu_of(qs.unit())),
+                    _map_tensor(hs.unit()))
 
     rep.check_quantified(
         "nu-equivariant",
         ((h, a, p) for h in range(nH) for a in range(nA) for p in range(nH)),
         lambda h, a, p: (
-            _hom_tensor(hs, nu_of(qs.act(H.e(h), qs.element(ca.e(a), dual.dual_e(p))))),
-            _hom_tensor(hs, hs.act(H.e(h), nu_table[(a, p)]))))
+            _map_tensor(nu_of(qs.act(H.e(h), qs.element(ca.e(a), dual.dual_e(p))))),
+            _map_tensor(hs.act(H.e(h), nu_table[(a, p)]))))
     return rep

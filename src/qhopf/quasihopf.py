@@ -19,7 +19,13 @@ from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
 class QuasiBialgebra:
-    """A quasi-bialgebra: algebra, comultiplication, counit, reassociator."""
+    """A quasi-bialgebra: algebra, comultiplication, counit, reassociator.
+
+    The structure maps are fixed after construction; nothing in the
+    package writes them again. The dual H^* is built from them on first
+    use and kept. An object made by copying another's __dict__ (say, with
+    a changed reassociator) does not reuse the kept dual: the property
+    rebuilds it for any object it was not built from."""
 
     kind = "quasi-bialgebra"
 
@@ -40,6 +46,14 @@ class QuasiBialgebra:
             if mul_legs(legs, phi, phi_inv) != unit3 or mul_legs(legs, phi_inv, phi) != unit3:
                 raise ValueError("supplied reassociator inverse fails the two-sided check")
         self.phi_inv = phi_inv
+        self._dual: Optional[DualView] = None
+
+    @property
+    def dual(self) -> "DualView":
+        """H^* as a DualView, built once per object."""
+        if self._dual is None or self._dual.H is not self:
+            self._dual = DualView(self)
+        return self._dual
 
     # -- basic accessors -----------------------------------------------
 
@@ -178,7 +192,12 @@ class QuasiBialgebra:
 
 
 class QuasiHopfAlgebra(QuasiBialgebra):
-    """A quasi-Hopf algebra: quasi-bialgebra plus antipode data."""
+    """A quasi-Hopf algebra: quasi-bialgebra plus antipode data.
+
+    As in QuasiBialgebra, the structure maps, the antipode, alpha and
+    beta are fixed after construction. The derived elements are built
+    from them on first use and kept, and rebuilt for an object copied
+    from another, like the dual."""
 
     kind = "quasi-hopf"
 
@@ -189,6 +208,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         self.alpha = alpha
         self.beta = beta
         self._antipode_inv: Optional[LinearMap] = None
+        self._derived: Optional[DerivedElements] = None
 
     @property
     def antipode_inv(self) -> LinearMap:
@@ -198,6 +218,14 @@ class QuasiHopfAlgebra(QuasiBialgebra):
                 raise ValueError("antipode is not bijective")
             self._antipode_inv = inv
         return self._antipode_inv
+
+    @property
+    def derived(self) -> "DerivedElements":
+        """The derived elements f, p_R, q_R, p_L, q_L, U, V, built once
+        per object."""
+        if self._derived is None or self._derived.H is not self:
+            self._derived = DerivedElements(self)
+        return self._derived
 
     def S(self, x: Tensor) -> Tensor:
         return x.map_leg(0, self.antipode)
@@ -378,7 +406,8 @@ def twist(H: QuasiBialgebra, F: Tensor) -> QuasiBialgebra:
 class DerivedElements:
     """The canonical elements built from a quasi-Hopf algebra: the
     antipode twist f (with gamma, delta), p_R, q_R, p_L, q_L and the
-    auxiliary elements U and V."""
+    auxiliary elements U and V. H.derived holds the instance that every
+    construction over H shares."""
 
     def __init__(self, H: QuasiHopfAlgebra):
         self.H = H
@@ -430,16 +459,10 @@ class DerivedElements:
             H.mul(H.e(f2), H.e(p2))).tensor(H.Sinv(H.mul(H.e(f1), H.e(p1)))))
 
 
-def derived_elements(H: QuasiHopfAlgebra) -> DerivedElements:
-    return DerivedElements(H)
-
-
-def verify_core_identities(H: QuasiHopfAlgebra,
-                           der: Optional[DerivedElements] = None) -> VerificationReport:
+def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:
     """The full suite of identities relating the antipode twist, the
     canonical p/q elements and the auxiliary U, V elements."""
-    if der is None:
-        der = DerivedElements(H)
+    der = H.derived
     rep = VerificationReport("core identities %s" % H.name,
                              {"dim": H.dim, "field": H.field.name})
     n = H.dim

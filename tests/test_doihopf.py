@@ -32,11 +32,10 @@ def test_crossed_module_description_on_hopf_seed(all_corpus):
 
 
 def test_cyclic_submodule_deterministic(all_corpus):
-    from qhopf import (DerivedElements, DualView, canonical_right_comodule,
-                       quasi_smash, smash_product)
+    from qhopf import canonical_right_comodule, quasi_smash, smash_product
     H = all_corpus["z2_quasi"]
     ca = canonical_right_comodule(H)
-    qs = quasi_smash(ca, DualView(H))
+    qs = quasi_smash(ca)
     sm = smash_product(qs)
     b1, act1 = cyclic_right_submodule(sm, 5)
     b2, act2 = cyclic_right_submodule(sm, 5)

@@ -1,8 +1,7 @@
 import pytest
 
-from qhopf import (DerivedElements, DualView, canonical_right_comodule,
-                   check_relative_hopf_module, quasi_smash,
-                   seeded_cyclic_module, smash_product,
+from qhopf import (canonical_right_comodule, check_relative_hopf_module,
+                   quasi_smash, seeded_cyclic_module, smash_product,
                    verify_canonical_modules, verify_module_correspondence)
 
 
@@ -20,17 +19,16 @@ def test_module_correspondence(all_corpus, key):
 
 def test_seeded_cyclic_module_deterministic(hq):
     ca = canonical_right_comodule(hq)
-    der = DerivedElements(hq)
-    qs = quasi_smash(ca, DualView(hq))
+    qs = quasi_smash(ca)
     sm = smash_product(qs)
-    n1 = seeded_cyclic_module(qs, sm, 7, der)
-    n2 = seeded_cyclic_module(qs, sm, 7, der)
+    n1 = seeded_cyclic_module(qs, sm, 7)
+    n2 = seeded_cyclic_module(qs, sm, 7)
     assert n1.basis.labels == n2.basis.labels
     for m in range(n1.dim):
         for u in range(qs.dim):
             assert n1.ract(n1.e(m), qs.e(u)) == n2.ract(n2.e(m), qs.e(u))
         for i in range(hq.dim):
             assert n1.lact(hq.e(i), n1.e(m)) == n2.lact(hq.e(i), n2.e(m))
-    n3 = seeded_cyclic_module(qs, sm, 8, der)
+    n3 = seeded_cyclic_module(qs, sm, 8)
     assert check_relative_hopf_module(n1).passed
     assert check_relative_hopf_module(n3).passed

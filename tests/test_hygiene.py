@@ -1,5 +1,6 @@
 """Source hygiene of the qhopf package, checked with the standard library
-only: no module imports a name it never uses."""
+only: no module imports a name it never uses, and no function takes a
+parameter it never uses."""
 
 import ast
 import pathlib
@@ -54,3 +55,71 @@ def test_unused_import_is_caught():
               "def f(x: 'Optional[int]') -> Dict:\n"
               "    return {}\n")
     assert unused_imports(source) == [(2, "json")]
+
+
+def _only_raises_not_implemented(fn) -> bool:
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and \
+            isinstance(body[0].value, ast.Constant) and \
+            isinstance(body[0].value.value, str):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unused_parameters(source: str):
+    """(line, function, parameter) for each parameter of a def that its
+    body never references. The receiver of a method (its first parameter,
+    unless it is a staticmethod) is exempt, and so are bodies that only
+    raise NotImplementedError."""
+    tree = ast.parse(source)
+    receivers = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    fn.args.args and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in fn.decorator_list):
+                receivers.add(fn.args.args[0])
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                _only_raises_not_implemented(fn):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + \
+            [p for p in (a.vararg, a.kwarg) if p is not None]
+        used = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found.extend((fn.lineno, fn.name, p.arg) for p in params
+                     if p not in receivers and p.arg not in used)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_parameter_is_caught():
+    source = ("class K:\n"
+              "    def zero(self):\n"
+              "        return 0\n"
+              "    def abstract(self, x):\n"
+              "        \"\"\"Docstring.\"\"\"\n"
+              "        raise NotImplementedError\n"
+              "    @staticmethod\n"
+              "    def s(a, b):\n"
+              "        return b\n"
+              "def f(x, n, *args, **kw):\n"
+              "    def g(y):\n"
+              "        return x\n"
+              "    return g(kw)\n")
+    assert unused_parameters(source) == [(8, "s", "a"), (10, "f", "args"),
+                                         (10, "f", "n"), (11, "g", "y")]

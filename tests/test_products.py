@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from qhopf import (DualView, FinAlgebra, HeisenbergDouble, LinearMap,
+from qhopf import (FinAlgebra, HeisenbergDouble, LinearMap,
                    PrimeField, ProductAlgebra, Tensor, VerificationReport,
                    canonical_left_comodule, canonical_right_comodule,
                    check_left_module_algebra, corpus, cyclic_group_algebra,
@@ -129,6 +129,39 @@ def test_grouped_compose_matches_term_sum(all_corpus, key):
             got = hd.compose(u, v)
             want = _compose_by_terms(hd, u, v)
             assert got.cols == want.cols, (u.cols, v.cols)
+
+
+def _mu_by_terms(H, t):
+    """mu pairing e^a against the second leg of the whole core for every
+    term (i, a): the reference for the sliced HeisenbergDouble.mu."""
+    dual = H.dual
+    cols = {}
+    for k in range(H.dim):
+        core = H.assemble(H.delta(H.e(k)).tensor(H.derived.p_L),
+                          lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
+                              H.mul(H.e(k2), H.e(l2))))
+        acc = Tensor.zero((H.basis,), H.field)
+        for (i, a), c in t.data.items():
+            red = dual.dual_e(a).tensor(core).pair_legs(0, 2)
+            acc = acc + H.mul(H.e(i), red).scale(c)
+        cols[k] = dict(acc.data)
+    return LinearMap(H.basis, (H.basis,), cols, H.field)
+
+
+@pytest.mark.parametrize("key", ("z2_quasi", "z2z2_twisted"))
+def test_sliced_mu_matches_term_sum(all_corpus, key):
+    H = all_corpus[key]
+    hd = HeisenbergDouble(H)
+    spaces = (H.basis, H.dual.basis)
+    n = H.dim
+    elements = [Tensor(spaces, {(i, a): H.field.one()}, H.field)
+                for i in range(n) for a in range(n)]
+    # one element with every term, with distinct coefficients
+    elements.append(Tensor(spaces, {(i, a): H.field.from_int(i * n + a + 1)
+                                    for i in range(n) for a in range(n)},
+                           H.field))
+    for t in elements:
+        assert hd.mu(t).cols == _mu_by_terms(H, t).cols, t.data
 
 
 @pytest.mark.parametrize("key", ("z2", "z2_quasi", "z2z2_twisted"))
@@ -391,13 +424,12 @@ def test_staged_products_match_term_sums(all_corpus, field_name, key):
     else:
         H = all_corpus[key]
     rca, lcb = canonical_right_comodule(H), canonical_left_comodule(H)
-    dual = DualView(H)
-    qs = quasi_smash(rca, dual)
+    qs = quasi_smash(rca)
     pairs = (
-        (qs.prod, _quasi_smash_by_terms(rca, dual)),
+        (qs.prod, _quasi_smash_by_terms(rca, H.dual)),
         (smash_product(qs), _smash_by_terms(qs)),
         (generalized_smash(qs, lcb), _generalized_smash_by_terms(qs, lcb)),
-        (two_sided_crossed(rca, lcb, dual), _two_sided_by_terms(rca, lcb, dual)),
+        (two_sided_crossed(rca, lcb), _two_sided_by_terms(rca, lcb, H.dual)),
     )
     for got, want in pairs:
         assert got.alg.mult == want.alg.mult, got.name

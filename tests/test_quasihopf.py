@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from qhopf import (DerivedElements, DualView, LinearMap, QuasiHopfAlgebra,
-                   QQ, Tensor, check_dual_bimodule_algebra,
-                   check_quasibialgebra, check_quasihopf,
+from qhopf import (DerivedElements, DualView, LinearMap, PrimeField,
+                   QuasiHopfAlgebra, QQ, Tensor, check_dual_bimodule_algebra,
+                   check_quasibialgebra, check_quasihopf, corpus,
                    cyclic_group_algebra, is_gauge, klein_twist,
                    normalize_alpha_beta, quasi_z2, twist, twisted_klein,
                    verify_core_identities)
@@ -219,6 +219,33 @@ def test_derived_twist_element_invertible(hq):
     assert hq.tmul(der.f_inv, der.f) == unit2
     assert der.f.map_leg(0, hq.counit) == hq.unit()
     assert der.f.map_leg(1, hq.counit) == hq.unit()
+
+
+DERIVED_FIELDS = ("f", "f_inv", "gamma", "delta", "p_R", "q_R", "p_L", "q_L",
+                  "U", "V")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_dual_and_derived_cached_per_object(field):
+    for key in ("z2_quasi", "z2z2_twisted"):
+        H = corpus(field)[key]
+        assert H.dual is H.dual
+        assert H.derived is H.derived
+        assert H.dual.H is H and H.derived.H is H
+        fresh = DerivedElements(H)
+        for name in DERIVED_FIELDS:
+            assert getattr(H.derived, name) == getattr(fresh, name), (key, name)
+        assert H.dual.conv.mult == DualView(H).conv.mult
+    # a copy of the object dictionary with another Phi, made after the
+    # derived elements were built, must not reuse them
+    Hm = _mutate_phi(H)
+    assert Hm.derived.H is Hm and Hm.dual.H is Hm
+    assert Hm.derived is not H.derived
+    fresh = DerivedElements(Hm)
+    for name in DERIVED_FIELDS:
+        assert getattr(Hm.derived, name) == getattr(fresh, name), name
+    assert any(getattr(Hm.derived, name) != getattr(H.derived, name)
+               for name in DERIVED_FIELDS)
 
 
 def test_dual_bimodule_algebra(all_corpus):
