@@ -32,8 +32,8 @@ from .hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
                       canonical_first_module, canonical_second_module,
                       check_relative_hopf_module,
                       check_two_sided_hopf_module, cyclic_right_submodule,
-                      module_isomorphism, regular_smash_action,
-                      relative_from_smash_module, relative_from_two_sided,
+                      module_isomorphism, relative_from_smash_module,
+                      relative_from_two_sided,
                       seeded_cyclic_module, smash_action_from_two_sided,
                       smash_index, transport_module,
                       two_sided_from_relative, two_sided_from_smash_module,

@@ -60,11 +60,6 @@ class LegMul:
     def pair(self, i: int, j: int) -> Dict[int, object]:
         return self.table.get((i, j), {})
 
-    def flip(self) -> "LegMul":
-        """The opposite pairing: (i, j) |-> table[(j, i)]."""
-        table = {(j, i): vec for (i, j), vec in self.table.items()}
-        return LegMul(self.right, self.left, self.out, table, self.field)
-
 
 def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     """Leg-wise product: leg i of the result is legs[i].pair applied to

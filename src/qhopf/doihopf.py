@@ -19,15 +19,15 @@ verifiers are implemented below.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from .algebra import FinAlgebra, LegMul, mul_legs
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, RightModuleCoalgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
 from .hopfmod import (TwoSidedHopfModule, check_two_sided_hopf_module,
-                      cyclic_right_submodule, regular_smash_action,
-                      _act_on, smash_action_from_two_sided, smash_index,
+                      cyclic_right_submodule, _act_on,
+                      smash_action_from_two_sided, smash_index,
                       two_sided_from_smash_module)
 from .products import (ProductAlgebra, QuasiSmash, generalized_smash,
                        quasi_smash, smash_product)
@@ -288,13 +288,14 @@ def check_doi_hopf_module(N: DoiHopfModule) -> VerificationReport:
 
 
 def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
-                            mc: RightModuleCoalgebra, basis: Basis,
-                            act_flat: Callable[[int, int], Dict[int, object]],
-                            name: str = "") -> DoiHopfModule:
+                            mc: RightModuleCoalgebra,
+                            action: LegMul) -> DoiHopfModule:
     """Transport a right module over the generalized smash product
-    C* >< B to a Doi-Hopf module: n . b = n (eps >< b) and
+    C* >< B, given by the table of its action on the module basis
+    action.left, to a Doi-Hopf module: n . b = n (eps >< b) and
     rho(n) = sum_i c_i (x) n (c^i >< 1_B)."""
     field = cb.field
+    basis = action.left
     # unit of C* as a sparse vector over the dual basis
     eps_vec = {}
     for w in range(mc.dim):
@@ -304,7 +305,7 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
 
     r_action = LegMul.from_function(
         basis, cb.basis, basis,
-        lambda m, b: _act_on(basis, act_flat, m, Tensor.from_sparse(
+        lambda m, b: _act_on(action, m, Tensor.from_sparse(
             gsm.basis, {gsm.join((u, b)): c for u, c in eps_vec.items()},
             field)),
         field)
@@ -314,7 +315,7 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
     def coact_col(m):
         acc = Tensor.zero((mc.basis, basis), field)
         for i in range(mc.dim):
-            vec = _act_on(basis, act_flat, m, Tensor.from_sparse(
+            vec = _act_on(action, m, Tensor.from_sparse(
                 gsm.basis, {gsm.join((i, b)): c for b, c in one_b.items()},
                 field))
             acc = acc + mc.e(i).tensor(vec)
@@ -322,31 +323,26 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
 
     coaction = LinearMap.from_function(basis, (mc.basis, basis), coact_col,
                                        field)
-    return DoiHopfModule(cb, mc, basis, r_action, coaction,
-                         name=name or basis.name)
+    return DoiHopfModule(cb, mc, basis, r_action, coaction, name=basis.name)
 
 
-def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra
-                            ) -> Callable[[int, int], Dict[int, object]]:
-    """Reconstruct the right C* >< B action from the Doi-Hopf structure:
-    n (c* >< b) = sum c*(n_(-1)) n_(0) b."""
+def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
+    """Reconstruct the table of the right C* >< B action from the
+    Doi-Hopf structure: n (c* >< b) = sum c*(n_(-1)) n_(0) b."""
     field = N.field
-
-    def act(m: int, g: int) -> Dict[int, object]:
-        u, b = gsm.split(g)
-        acc: Dict[int, object] = {}
-        for (cm, m0), c in N.coaction.cols.get(m, {}).items():
-            if cm != u:
-                continue
-            for (t,), ct in N.ract(N.e(m0), N.cb.e(b)).data.items():
-                s = acc.get(t, field.zero()) + c * ct
-                if s:
-                    acc[t] = s
-                elif t in acc:
-                    del acc[t]
-        return acc
-
-    return act
+    table = {}
+    for m in range(N.dim):
+        col = N.coaction.cols.get(m, {})
+        for g in range(gsm.dim):
+            u, b = gsm.split(g)
+            acc: Dict[int, object] = {}
+            for (cm, m0), c in col.items():
+                if cm != u:
+                    continue
+                for t, ct in N.r_action.pair(m0, b).items():
+                    acc[t] = acc.get(t, field.zero()) + c * ct
+            table[(m, g)] = acc
+    return LegMul(N.basis, gsm.basis, N.basis, table, field)
 
 
 # ----------------------------------------------------------------------
@@ -355,27 +351,24 @@ def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra
 
 class CrossedHopfModule:
     """A two-sided two-cosided Hopf module over a bicomodule algebra and
-    a bimodule coalgebra: a two-sided Hopf module together with a left
-    coaction of the coalgebra, compatible up to the reassociators."""
+    a bimodule coalgebra: a two-sided Hopf module ts over the right
+    comodule algebra of ba together with a left coaction of the
+    coalgebra, compatible up to the reassociators."""
 
     def __init__(self, ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
-                 basis: Basis, left_action: LegMul, right_action: LegMul,
-                 h_coaction: LinearMap, c_coaction: LinearMap,
-                 name: str = ""):
+                 ts: TwoSidedHopfModule, c_coaction: LinearMap):
         if ba.H is not C.H:
             raise ValueError("bicomodule algebra and coalgebra must share H")
-        if c_coaction.domain != basis or \
-                c_coaction.codomain != (C.basis, basis):
+        if c_coaction.domain != ts.basis or \
+                c_coaction.codomain != (C.basis, ts.basis):
             raise ValueError("coalgebra coaction must map N to C (x) N")
         self.ba = ba
         self.C = C
         self.H = ba.H
-        self.basis = basis
-        self.left_action = left_action
-        self.right_action = right_action
-        self.h_coaction = h_coaction
+        self.ts = ts
+        self.basis = ts.basis
         self.c_coaction = c_coaction
-        self.name = name or basis.name
+        self.name = ts.name
 
     @property
     def field(self):
@@ -388,58 +381,44 @@ class CrossedHopfModule:
     def e(self, i: int) -> Tensor:
         return Tensor.basis_vector(self.basis, i, self.field)
 
-    def lact(self, h: Tensor, m: Tensor) -> Tensor:
-        return mul_legs((self.left_action,), h, m)
-
-    def ract(self, m: Tensor, a: Tensor) -> Tensor:
-        return mul_legs((self.right_action,), m, a)
-
-    def hcoact(self, m: Tensor, leg: int = 0) -> Tensor:
-        return m.map_leg(leg, self.h_coaction)
-
     def ccoact(self, m: Tensor, leg: int = 0) -> Tensor:
         return m.map_leg(leg, self.c_coaction)
 
-    def two_sided(self) -> TwoSidedHopfModule:
-        return TwoSidedHopfModule(self.ba.right, self.basis,
-                                  self.left_action, self.right_action,
-                                  self.h_coaction, name=self.name)
-
 
 def check_crossed_hopf_module(M: CrossedHopfModule) -> VerificationReport:
-    ba, C, H = M.ba, M.C, M.H
+    ba, C, H, ts = M.ba, M.C, M.H, M.ts
     rep = VerificationReport("crossed Hopf module %s" % M.name,
                              {"dim": M.dim, "field": H.field.name})
-    rep.extend(check_two_sided_hopf_module(M.two_sided()), prefix="ts/")
+    rep.extend(check_two_sided_hopf_module(ts), prefix="ts/")
     n, nH, nA = M.dim, H.dim, ba.dim
     rep.check_quantified(
         "c-counit", ((m,) for m in range(n)),
         lambda m: (M.ccoact(M.e(m)).map_leg(0, C.counit), M.e(m)))
-    lactCC = (C.left_action, C.left_action, M.left_action)
-    ractCC = (C.right_action, C.right_action, M.right_action)
+    lactCC = (C.left_action, C.left_action, ts.left_action)
+    ractCC = (C.right_action, C.right_action, ts.right_action)
     rep.check_quantified(
         "tstc1", ((m,) for m in range(n)),
         lambda m: (mul_legs(lactCC, H.phi,
                             M.ccoact(M.e(m)).map_leg(0, C.comul)),
                    mul_legs(ractCC, M.ccoact(M.ccoact(M.e(m)), leg=1),
                             ba.left.phi_lam)))
-    lactCH = (C.left_action, M.left_action, H.leg())
-    ractCH = (C.right_action, M.right_action, H.leg())
+    lactCH = (C.left_action, ts.left_action, H.leg())
+    ractCH = (C.right_action, ts.right_action, H.leg())
     rep.check_quantified(
         "tstc2", ((m,) for m in range(n)),
         lambda m: (mul_legs(lactCH, H.phi,
-                            M.hcoact(M.e(m)).map_leg(0, M.c_coaction)),
-                   mul_legs(ractCH, M.ccoact(M.e(m)).map_leg(1, M.h_coaction),
+                            ts.coact(M.e(m)).map_leg(0, M.c_coaction)),
+                   mul_legs(ractCH, M.ccoact(M.e(m)).map_leg(1, ts.coaction),
                             ba.phi_mid)))
     rep.check_quantified(
         "tstc3", ((i, m) for i in range(nH) for m in range(n)),
-        lambda i, m: (M.ccoact(M.lact(H.e(i), M.e(m))),
-                      mul_legs((C.left_action, M.left_action),
+        lambda i, m: (M.ccoact(ts.lact(H.e(i), M.e(m))),
+                      mul_legs((C.left_action, ts.left_action),
                                H.delta(H.e(i)), M.ccoact(M.e(m)))))
     rep.check_quantified(
         "tstc3b", ((m, a) for m in range(n) for a in range(nA)),
-        lambda m, a: (M.ccoact(M.ract(M.e(m), ba.algebra.e(a))),
-                      mul_legs((C.right_action, M.right_action),
+        lambda m, a: (M.ccoact(ts.ract(M.e(m), ba.algebra.e(a))),
+                      mul_legs((C.right_action, ts.right_action),
                                M.ccoact(M.e(m)),
                                ba.left.coact(ba.algebra.e(a)))))
     return rep
@@ -531,19 +510,15 @@ def doi_from_crossed(M: CrossedHopfModule, lcb: LeftComoduleAlgebra,
 
         rho~(n) = sum f1 . n_[-1] (x) f2 (succ) n_[0]."""
     H, C = M.H, M.C
-    field = M.field
-    act = smash_action_from_two_sided(M.two_sided(), qs, sm)
-    r_action = LegMul.from_function(
-        M.basis, sm.basis, M.basis,
-        lambda m, g: Tensor.from_sparse(M.basis, act(m, g), field), field)
+    r_action = smash_action_from_two_sided(M.ts, qs, sm)
 
     def coact_col(m):
         src = H.derived.f.tensor(M.ccoact(M.e(m)))
         return H.assemble(src, lambda f1, f2, cm, m0: C.lact(
-            H.e(f1), C.e(cm)).tensor(M.lact(H.e(f2), M.e(m0))))
+            H.e(f1), C.e(cm)).tensor(M.ts.lact(H.e(f2), M.e(m0))))
 
     coaction = LinearMap.from_function(M.basis, (C.basis, M.basis),
-                                       coact_col, field)
+                                       coact_col, M.field)
     return DoiHopfModule(lcb, mc, M.basis, r_action, coaction, name=M.name)
 
 
@@ -556,13 +531,7 @@ def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
 
         rho_C(n) = sum g1 . n_[-1] (x) g2 (succ) n_[0]."""
     H = qs.H
-    field = N.field
-    table = N.r_action.table
-
-    def act_flat(m: int, g: int) -> Dict[int, object]:
-        return table.get((m, g), {})
-
-    ts = two_sided_from_smash_module(qs, sm, N.basis, act_flat, ba.right)
+    ts = two_sided_from_smash_module(qs, sm, N.r_action, ba.right)
 
     def ccoact_col(m):
         src = H.derived.f_inv.tensor(N.coact(N.e(m)))
@@ -570,10 +539,8 @@ def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
             H.e(g1), C.e(cm)).tensor(ts.lact(H.e(g2), ts.e(m0))))
 
     c_coaction = LinearMap.from_function(N.basis, (C.basis, N.basis),
-                                         ccoact_col, field)
-    return CrossedHopfModule(ba, C, N.basis, ts.left_action,
-                             ts.right_action, ts.coaction, c_coaction,
-                             name=N.name)
+                                         ccoact_col, N.field)
+    return CrossedHopfModule(ba, C, ts, c_coaction)
 
 
 # ----------------------------------------------------------------------
@@ -581,8 +548,8 @@ def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
 
 
 def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
-                        ba: BicomoduleAlgebra) -> Callable[[int, int], Tensor]:
-    """Direct evaluator for the product of (A (x) H*) # H:
+                        ba: BicomoduleAlgebra) -> LegMul:
+    """The product table of (A (x) H*) # H by the direct formula:
 
         ((a # phi) # h)((a' # psi) # h')
             = sum a a'_<0> xr1 # (x1 -> phi <- a'_<1> xr2)
@@ -616,15 +583,14 @@ def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
 
         return H.assemble(src, builder)
 
-    return evaluate
+    return LegMul.from_function(sm.basis, sm.basis, sm.basis, evaluate, field)
 
 
 def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                          qs: QuasiSmash, sm: ProductAlgebra,
-                         final: ProductAlgebra
-                         ) -> Callable[[int, int], Dict[int, object]]:
-    """Direct evaluator for the product of C* >< ((A (x) H*) # H),
-    written out in a single closed formula:
+                         final: ProductAlgebra) -> LegMul:
+    """The product table of C* >< ((A (x) H*) # H) by a single closed
+    formula:
 
         [c* >< ((a # phi) # h)][d* >< ((a' # psi) # h')]
         = sum (xl1 -> c* <- S(X3) f1)
@@ -683,7 +649,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
         return out
 
     cconv_t = conv_tab(C.comul.cols)
-    dconv_t = conv_tab(H.comul.cols)
+    dconv_t = H.dual.conv.mult
 
     def convolve(x: Dict[int, object], y: Dict[int, object], tab):
         acc: Dict[int, object] = {}
@@ -697,22 +663,12 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                     acc[w] = acc.get(w, zero) + c * cw
         return acc
 
-    def chain_h(*idxs):
+    def chain(mult, *idxs):
         vec = {idxs[0]: field.one()}
         for i in idxs[1:]:
             nxt: Dict[int, object] = {}
             for k, c in vec.items():
-                for t, ct in hmult.get((k, i), {}).items():
-                    nxt[t] = nxt.get(t, zero) + c * ct
-            vec = nxt
-        return vec
-
-    def chain_a(*idxs):
-        vec = {idxs[0]: field.one()}
-        for i in idxs[1:]:
-            nxt: Dict[int, object] = {}
-            for k, c in vec.items():
-                for t, ct in amult.get((k, i), {}).items():
+                for t, ct in mult.get((k, i), {}).items():
                     nxt[t] = nxt.get(t, zero) + c * ct
             vec = nxt
         return vec
@@ -758,15 +714,15 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
             for (w1, w2, w3), cw in mid_inv:
                 for (am, a0), cla in lam_cols.get(a, {}).items():
                     for (l1, l2, l3), cl in lam_inv:
-                        dleft = chain_h(l2, am, w1)
+                        dleft = chain(hmult, l2, am, w1)
                         if not dleft:
                             continue
                         for (a20, a21), cra in rho_cols.get(a2, {}).items():
                             for (r1, r2, r3), cr in rho_inv:
-                                avec = chain_a(l3, a0, w2, a20, r1)
+                                avec = chain(amult, l3, a0, w2, a20, r1)
                                 if not avec:
                                     continue
-                                pleft = chain_h(w3, a21, r2)
+                                pleft = chain(hmult, w3, a21, r2)
                                 if not pleft:
                                     continue
                                 base = c0 * cw * cla * cl * cra * cr
@@ -826,7 +782,10 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                             del out[k]
         return out
 
-    return evaluate
+    n = final.dim
+    return LegMul(final.basis, final.basis, final.basis,
+                  {(i, j): evaluate(i, j) for i in range(n) for j in range(n)},
+                  field)
 
 
 # ----------------------------------------------------------------------
@@ -835,33 +794,17 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
 
 def _same_doi(rep: VerificationReport, prefix: str, N1: DoiHopfModule,
               N2: DoiHopfModule) -> None:
-    n, nB = N1.dim, N1.cb.dim
-    rep.check_quantified(
-        prefix + "r-action", ((m, b) for m in range(n) for b in range(nB)),
-        lambda m, b: (N1.ract(N1.e(m), N1.cb.e(b)),
-                      N2.ract(N2.e(m), N2.cb.e(b))))
-    rep.check_quantified(
-        prefix + "coaction", ((m,) for m in range(n)),
-        lambda m: (N1.coact(N1.e(m)), N2.coact(N2.e(m))))
+    rep.check_same(prefix + "r-action", N1.r_action, N2.r_action)
+    rep.check_same(prefix + "coaction", N1.coaction, N2.coaction)
 
 
 def _same_crossed(rep: VerificationReport, prefix: str,
                   M1: CrossedHopfModule, M2: CrossedHopfModule) -> None:
-    H, ba = M1.H, M1.ba
-    n, nH, nA = M1.dim, H.dim, ba.dim
-    rep.check_quantified(
-        prefix + "h-action", ((i, m) for i in range(nH) for m in range(n)),
-        lambda i, m: (M1.lact(H.e(i), M1.e(m)), M2.lact(H.e(i), M2.e(m))))
-    rep.check_quantified(
-        prefix + "a-action", ((m, a) for m in range(n) for a in range(nA)),
-        lambda m, a: (M1.ract(M1.e(m), ba.algebra.e(a)),
-                      M2.ract(M2.e(m), ba.algebra.e(a))))
-    rep.check_quantified(
-        prefix + "h-coaction", ((m,) for m in range(n)),
-        lambda m: (M1.hcoact(M1.e(m)), M2.hcoact(M2.e(m))))
-    rep.check_quantified(
-        prefix + "c-coaction", ((m,) for m in range(n)),
-        lambda m: (M1.ccoact(M1.e(m)), M2.ccoact(M2.e(m))))
+    rep.check_same(prefix + "h-action", M1.ts.left_action, M2.ts.left_action)
+    rep.check_same(prefix + "a-action", M1.ts.right_action,
+                   M2.ts.right_action)
+    rep.check_same(prefix + "h-coaction", M1.ts.coaction, M2.ts.coaction)
+    rep.check_same(prefix + "c-coaction", M1.c_coaction, M2.c_coaction)
 
 
 def verify_crossed_module_description(H: QuasiHopfAlgebra,
@@ -877,7 +820,6 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
     rep = VerificationReport("crossed module description over %s" % H.name,
                              {"dim": H.dim, "field": H.field.name,
                               "seeds": list(seeds)})
-    field = H.field
     ba = canonical_bicomodule(H)
     C = canonical_bimodule_coalgebra(H)
     rep.extend(check_bimodule_coalgebra(C), prefix="coalg/")
@@ -889,30 +831,19 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
     lcb = crossed_comodule_algebra(ba, HHop, qs, sm)
     rep.extend(check_left_comodule_algebra(lcb), prefix="crossed-coact/")
 
-    direct_sm = nested_smash_direct(qs, sm, ba)
-    rep.check_quantified(
-        "nested-direct", ((i, j) for i in range(sm.dim)
-                          for j in range(sm.dim)),
-        lambda i, j: (sm.alg.mul_indices(i, j), direct_sm(i, j)))
+    rep.check_same("nested-direct", sm.alg.as_leg(),
+                   nested_smash_direct(qs, sm, ba))
 
     final = generalized_smash(cstar, lcb)
-    direct = crossed_smash_direct(ba, C, qs, sm, final)
+    rep.check_same("final-direct", final.alg.as_leg(),
+                   crossed_smash_direct(ba, C, qs, sm, final))
 
-    def as_vec(d):
-        return Tensor.from_sparse(final.basis, d, field)
-
-    rep.check_quantified(
-        "final-direct", ((i, j) for i in range(final.dim)
-                         for j in range(final.dim)),
-        lambda i, j: (final.alg.mul_indices(i, j), as_vec(direct(i, j))))
-
-    instances = [("regular/", final.basis, regular_smash_action(final))]
+    instances = [("regular/", final.alg.as_leg())]
     for seed in seeds:
-        basis, act = cyclic_right_submodule(final, seed)
-        instances.append(("seed%d/" % seed, basis, act))
+        instances.append(("seed%d/" % seed, cyclic_right_submodule(final, seed)))
 
-    for label, basis, act in instances:
-        N = doi_from_algebra_module(final, lcb, mc, basis, act)
+    for label, act in instances:
+        N = doi_from_algebra_module(final, lcb, mc, act)
         if label == "regular/":
             rep.extend(check_doi_hopf_module(N), prefix="doi/")
         M = crossed_from_doi(N, ba, C, qs, sm)
@@ -922,9 +853,6 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
         _same_doi(rep, label + "FG/", N2, N)
         M2 = crossed_from_doi(N2, ba, C, qs, sm)
         _same_crossed(rep, label + "GF/", M2, M)
-        recon = algebra_action_from_doi(N, final)
-        rep.check_quantified(
-            label + "dual-action",
-            ((m, g) for m in range(basis.dim) for g in range(final.dim)),
-            lambda m, g: (as_vec(recon(m, g)), as_vec(act(m, g))))
+        rep.check_same(label + "dual-action",
+                       algebra_action_from_doi(N, final), act)
     return rep

@@ -14,7 +14,7 @@ cyclic modules.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from .algebra import LegMul, mul_legs
 from .coact import RightComoduleAlgebra, canonical_right_comodule
@@ -507,34 +507,28 @@ def smash_index(qs: QuasiSmash, sm: ProductAlgebra) -> FlatSpace:
     return FlatSpace(qs.prod.factors + sm.factors[1:], sm.field)
 
 
-def _act_on(basis: Basis, act_flat: Callable[[int, int], Dict[int, object]],
-            m: int, elem: Tensor) -> Tensor:
-    """m . elem for an element of the acting algebra, where act_flat(m, g)
-    is the action of its g-th basis vector."""
-    field = elem.field
-    acc: Dict[int, object] = {}
-    for (g,), c in elem.data.items():
-        for t, ct in act_flat(m, g).items():
-            acc[t] = acc.get(t, field.zero()) + c * ct
-    return Tensor.from_sparse(basis, acc, field)
+def _act_on(action: LegMul, m: int, elem: Tensor) -> Tensor:
+    """m . elem: the right action of an element of the acting algebra on
+    the m-th basis vector of the module."""
+    return mul_legs((action,),
+                    Tensor.basis_vector(action.left, m, elem.field), elem)
 
 
 def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
-                               basis: Basis,
-                               act_flat: Callable[[int, int], Dict[int, object]]
-                               ) -> RelativeHopfModule:
+                               action: LegMul) -> RelativeHopfModule:
     """A right module over the smash product (A # H*) # H becomes a
     relative Hopf module through
 
         h . m = m (1 # S(h)),    m . u = sum m (U1 . u # U2)
 
-    where act_flat(m, g) gives the right action of the g-th smash basis
-    vector on the m-th module basis vector, as a sparse vector."""
+    where action is the table of the right action, pairing the module
+    basis action.left with the smash basis."""
     H = qs.H
     field = H.field
+    basis = action.left
     h_action = LegMul.from_function(
         H.basis, basis, basis,
-        lambda i, m: _act_on(basis, act_flat, m, sm.flatten(
+        lambda i, m: _act_on(action, m, sm.flatten(
             qs.unit().tensor(H.S(H.e(i))))),
         field)
 
@@ -544,17 +538,15 @@ def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
             qs.act(H.e(u1), qs.e(u)).tensor(H.e(u2))))
     r_action = LegMul.from_function(
         basis, qs.basis, basis,
-        lambda m, u: _act_on(basis, act_flat, m, u_elems[u]), field)
+        lambda m, u: _act_on(action, m, u_elems[u]), field)
     return RelativeHopfModule(qs, basis, h_action, r_action, name=basis.name)
 
 
 def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
-                                basis: Basis,
-                                act_flat: Callable[[int, int], Dict[int, object]],
-                                ca: RightComoduleAlgebra
+                                action: LegMul, ca: RightComoduleAlgebra
                                 ) -> TwoSidedHopfModule:
-    """Direct transport of a right (A # H*) # H module to a two-sided
-    Hopf module:
+    """Direct transport of a right (A # H*) # H module, given by the
+    table of its action, to a two-sided Hopf module:
 
         h m = m ((1 # eps) # S^{-1}(h)),   m a = m ((a # eps) # 1),
         rho(m) = sum_i m ((q~1 # S^{-1}(g2) -> (e^i o S) <- q~2)
@@ -562,16 +554,17 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
     H = qs.H
     der, dual = H.derived, H.dual
     field = H.field
+    basis = action.left
     qt = ca.q_tilde()
     eps = dual.eps_functional()
 
     left = LegMul.from_function(
         H.basis, basis, basis,
-        lambda i, m: _act_on(basis, act_flat, m, sm.flatten(
+        lambda i, m: _act_on(action, m, sm.flatten(
             qs.element(ca.unit(), eps).tensor(H.Sinv(H.e(i))))), field)
     right = LegMul.from_function(
         basis, ca.basis, basis,
-        lambda m, a: _act_on(basis, act_flat, m, sm.flatten(
+        lambda m, a: _act_on(action, m, sm.flatten(
             qs.element(ca.e(a), eps).tensor(H.unit()))), field)
 
     coact_elems = {}
@@ -586,8 +579,7 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
     def coact_col(m):
         acc = Tensor.zero((basis, H.basis), field)
         for i in range(H.dim):
-            acc = acc + _act_on(basis, act_flat, m,
-                                coact_elems[i]).tensor(H.e(i))
+            acc = acc + _act_on(action, m, coact_elems[i]).tensor(H.e(i))
         return acc
 
     coaction = LinearMap.from_function(basis, (basis, H.basis), coact_col,
@@ -597,10 +589,9 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
 
 
 def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
-                                sm: ProductAlgebra
-                                ) -> Callable[[int, int], Dict[int, object]]:
-    """Reconstruct the right (A # H*) # H action from a two-sided Hopf
-    module:
+                                sm: ProductAlgebra) -> LegMul:
+    """Reconstruct the table of the right (A # H*) # H action from a
+    two-sided Hopf module:
 
         m ((a # phi) # h) = sum phi(S^{-1}(f2 m_(1) a_(1) p~2))
                                 S(h) f1 (m_(0) a_(0) p~1)."""
@@ -610,7 +601,7 @@ def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
     pt = ca.p_tilde()
     nest = smash_index(qs, sm)
 
-    def act(m: int, g: int) -> Dict[int, object]:
+    def act(m: int, g: int) -> Tensor:
         a, p, h = nest.split(g)
         phi = dual.dual_e(p)
         src = der.f.tensor(M.coact(M.e(m))).tensor(
@@ -624,31 +615,20 @@ def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
             return M.ract(M.lact(H.mul(H.S(H.e(h)), H.e(f1)), M.e(m0)),
                           ca.algebra.mul_indices(a0, p1)).scale(scalar)
 
-        out = H.assemble(src, builder)
-        return {t: c for (t,), c in out.data.items()}
+        return H.assemble(src, builder)
 
-    return act
+    return LegMul.from_function(M.basis, sm.basis, M.basis, act, field)
 
 
 # ----------------------------------------------------------------------
 # seeded cyclic modules and round-trip verification
 
 
-def regular_smash_action(sm: ProductAlgebra) -> Callable[[int, int], Dict[int, object]]:
-    """The regular right module: a product algebra such as the smash
-    product acting on itself."""
-
-    def act(m: int, g: int) -> Dict[int, object]:
-        return {t: c for (t,), c in sm.alg.mul_indices(m, g).data.items()}
-
-    return act
-
-
-def cyclic_right_submodule(prod: ProductAlgebra, seed: int
-                           ) -> Tuple[Basis, Callable[[int, int], Dict[int, object]]]:
+def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
     """The cyclic right submodule of the regular module of prod generated
-    by a seeded random vector with small integer entries; returns a basis
-    of the closure and the right action in its coordinates."""
+    by a seeded random vector with small integer entries: the table of
+    the right action in the coordinates of a basis of the closure, which
+    is its left basis."""
     field = prod.field
     rng = random.Random(seed)
     dim = prod.dim
@@ -682,17 +662,16 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int
                 if prod_vec and span.add(prod_vec):
                     changed = True
 
-    rows = [dict(r) for r in span.rows]
     basis = Basis(tuple("m%d" % i for i in range(span.rank)),
                   "cyclic(seed=%d)" % seed)
-
-    def act_flat(m: int, g: int) -> Dict[int, object]:
-        coords = span.coordinates(right_mul(rows[m], g))
-        if coords is None:
-            raise ArithmeticError("cyclic module is not closed")
-        return {j: c for j, c in enumerate(coords) if c}
-
-    return basis, act_flat
+    table = {}
+    for m, row in enumerate(span.rows):
+        for g in range(dim):
+            coords = span.coordinates(right_mul(row, g))
+            if coords is None:
+                raise ArithmeticError("cyclic module is not closed")
+            table[(m, g)] = {j: c for j, c in enumerate(coords) if c}
+    return LegMul(basis, prod.basis, basis, table, field)
 
 
 def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra,
@@ -700,34 +679,20 @@ def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra,
     """The cyclic right submodule of the regular (A # H*) # H module
     generated by a seeded random vector with small integer entries,
     transported to a relative Hopf module."""
-    return relative_from_smash_module(qs, sm, *cyclic_right_submodule(sm, seed))
+    return relative_from_smash_module(qs, sm, cyclic_right_submodule(sm, seed))
 
 
 def _same_two_sided(rep: VerificationReport, prefix: str,
                     M1: TwoSidedHopfModule, M2: TwoSidedHopfModule) -> None:
-    H, ca = M1.H, M1.ca
-    n, nH, nA = M1.dim, H.dim, ca.dim
-    rep.check_quantified(
-        prefix + "h-action", ((i, m) for i in range(nH) for m in range(n)),
-        lambda i, m: (M1.lact(H.e(i), M1.e(m)), M2.lact(H.e(i), M2.e(m))))
-    rep.check_quantified(
-        prefix + "a-action", ((m, a) for m in range(n) for a in range(nA)),
-        lambda m, a: (M1.ract(M1.e(m), ca.e(a)), M2.ract(M2.e(m), ca.e(a))))
-    rep.check_quantified(
-        prefix + "coaction", ((m,) for m in range(n)),
-        lambda m: (M1.coact(M1.e(m)), M2.coact(M2.e(m))))
+    rep.check_same(prefix + "h-action", M1.left_action, M2.left_action)
+    rep.check_same(prefix + "a-action", M1.right_action, M2.right_action)
+    rep.check_same(prefix + "coaction", M1.coaction, M2.coaction)
 
 
 def _same_relative(rep: VerificationReport, prefix: str,
                    N1: RelativeHopfModule, N2: RelativeHopfModule) -> None:
-    H, qs = N1.H, N1.qs
-    n, nH, nQ = N1.dim, H.dim, qs.dim
-    rep.check_quantified(
-        prefix + "h-action", ((i, m) for i in range(nH) for m in range(n)),
-        lambda i, m: (N1.lact(H.e(i), N1.e(m)), N2.lact(H.e(i), N2.e(m))))
-    rep.check_quantified(
-        prefix + "r-action", ((m, u) for m in range(n) for u in range(nQ)),
-        lambda m, u: (N1.ract(N1.e(m), qs.e(u)), N2.ract(N2.e(m), qs.e(u))))
+    rep.check_same(prefix + "h-action", N1.h_action, N2.h_action)
+    rep.check_same(prefix + "r-action", N1.r_action, N2.r_action)
 
 
 def verify_module_correspondence(H: QuasiHopfAlgebra,
@@ -754,8 +719,7 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
         back = two_sided_from_relative(relative_from_two_sided(M, qs), ca)
         _same_two_sided(rep, label, back, M)
 
-    regular = relative_from_smash_module(qs, sm, sm.basis,
-                                         regular_smash_action(sm))
+    regular = relative_from_smash_module(qs, sm, sm.alg.as_leg())
     rep.extend(check_relative_hopf_module(regular), prefix="regular/")
     modules = [("regular/", regular)]
     for seed in seeds:
@@ -767,15 +731,10 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
     # the direct transport of the regular module agrees with the
     # backward functor applied to its relative form, and the right
     # smash action is reconstructed from the two-sided structure
-    direct = two_sided_from_smash_module(qs, sm, sm.basis,
-                                         regular_smash_action(sm), ca)
+    direct = two_sided_from_smash_module(qs, sm, sm.alg.as_leg(), ca)
     via_functor = two_sided_from_relative(regular, ca)
     _same_two_sided(rep, "smash-transport/", direct, via_functor)
-    recon = smash_action_from_two_sided(direct, qs, sm)
-    reg_act = regular_smash_action(sm)
-    rep.check_quantified(
-        "smash-reconstruction",
-        ((m, g) for m in range(sm.dim) for g in range(sm.dim)),
-        lambda m, g: (Tensor.from_sparse(sm.basis, recon(m, g), H.field),
-                      Tensor.from_sparse(sm.basis, reg_act(m, g), H.field)))
+    rep.check_same("smash-reconstruction",
+                   smash_action_from_two_sided(direct, qs, sm),
+                   sm.alg.as_leg())
     return rep

@@ -403,6 +403,11 @@ def twist(H: QuasiBialgebra, F: Tensor) -> QuasiBialgebra:
 # derived elements
 
 
+def sw_sop(H: QuasiHopfAlgebra, x: Tensor) -> Tensor:
+    """(S (x) S)(Delta^op(x)) of a one-leg tensor."""
+    return H.delta(x).permute((1, 0)).map_leg(0, H.antipode).map_leg(1, H.antipode)
+
+
 class DerivedElements:
     """The canonical elements built from a quasi-Hopf algebra: the
     antipode twist f (with gamma, delta), p_R, q_R, p_L, q_L and the
@@ -427,18 +432,14 @@ class DerivedElements:
             H.e(b1), H.beta, H.S(H.e(b4))).tensor(H.mul(
                 H.e(b2), H.beta, H.S(H.e(b3)))))
 
-        def sw_sop(x: Tensor) -> Tensor:
-            # (S (x) S)(Delta^op(x)) of a one-leg tensor
-            return H.delta(x).permute((1, 0)).map_leg(0, H.antipode).map_leg(1, H.antipode)
-
         # f = sum (S(x)S)(Delta^op(x1)) gamma Delta(x2 beta S(x3))
         self.f = H.assemble(H.phi_inv, lambda x1, x2, x3: H.tmulc(
-            sw_sop(H.e(x1)), self.gamma,
+            sw_sop(H, H.e(x1)), self.gamma,
             H.delta(H.mul(H.e(x2), H.beta, H.S(H.e(x3))))))
         # f^{-1} = sum Delta(S(x1) alpha x2) delta (S(x)S)(Delta^op(x3))
         self.f_inv = H.assemble(H.phi_inv, lambda x1, x2, x3: H.tmulc(
             H.delta(H.mul(H.S(H.e(x1)), H.alpha, H.e(x2))),
-            self.delta, sw_sop(H.e(x3))))
+            self.delta, sw_sop(H, H.e(x3))))
 
         # p_R = sum x1 (x) x2 beta S(x3),  q_R = sum X1 (x) S^{-1}(alpha X3) X2
         self.p_R = H.assemble(H.phi_inv, lambda x1, x2, x3: H.e(x1).tensor(
@@ -474,12 +475,9 @@ def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:
 
     rep.check_equal("f-inv", H.tmul(f, f_inv) + H.tmul(f_inv, f), one2 + one2)
 
-    def sw_sop(x: Tensor) -> Tensor:
-        return H.delta(x).permute((1, 0)).map_leg(0, H.antipode).map_leg(1, H.antipode)
-
     # (ca): f Delta(S(h)) f^{-1} = (S (x) S)(Delta^op(h))
     rep.check_quantified("ca", ((i,) for i in range(n)), lambda i: (
-        H.tmulc(f, H.delta(H.S(H.e(i))), f_inv), sw_sop(H.e(i))))
+        H.tmulc(f, H.delta(H.S(H.e(i))), f_inv), sw_sop(H, H.e(i))))
 
     # (gdf): f Delta(alpha) = gamma,  Delta(beta) f^{-1} = delta
     rep.check_equal("gdf-a", H.tmul(f, H.delta(H.alpha)), der.gamma)

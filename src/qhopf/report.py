@@ -8,10 +8,12 @@ coefficients at that index.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from typing import List, Optional, Sequence
 
+from .algebra import LegMul
 from .fields import Field
 from .tensor import Tensor
 
@@ -101,6 +103,39 @@ class VerificationReport:
                 rec = CheckRecord(tag, False, diff, time.perf_counter() - t0)
                 return self.add(rec)
         return self.add(CheckRecord(tag, True, None, time.perf_counter() - t0))
+
+    def check_same(self, tag: str, lhs, rhs) -> CheckRecord:
+        """Check that two structure maps agree on every basis input: two
+        LegMuls on every pair (i, j), or two LinearMaps on every domain
+        index m. Equal tables pass with no input scanned, and maps of
+        different shapes fail; otherwise the inputs are scanned in
+        lexicographic order as by check_quantified, both sides read on
+        the output spaces of lhs."""
+        if isinstance(lhs, LegMul):
+            def shape(f):
+                return (f.left.dim, f.right.dim, f.out.dim)
+
+            def row(f, *key):
+                return {(k,): c for k, c in f.table.get(key, {}).items()}
+
+            spaces, same = (lhs.out,), lhs.table == rhs.table
+            inputs = itertools.product(range(lhs.left.dim), range(lhs.right.dim))
+        else:
+            def shape(f):
+                return (f.domain.dim,) + tuple(b.dim for b in f.codomain)
+
+            def row(f, m):
+                return f.cols.get(m, {})
+
+            spaces, same = lhs.codomain, lhs.cols == rhs.cols
+            inputs = ((m,) for m in range(lhs.domain.dim))
+        if shape(lhs) != shape(rhs):
+            return self.check_bool(tag, False)
+        field = lhs.field
+        return self.check_quantified(
+            tag, () if same else inputs,
+            lambda *key: (Tensor(spaces, row(lhs, *key), field),
+                          Tensor(spaces, row(rhs, *key), field)))
 
     def check_bool(self, tag: str, passed: bool, detail: Optional[dict] = None) -> CheckRecord:
         return self.add(CheckRecord(tag, passed, None if passed else (detail or {})))

@@ -190,9 +190,6 @@ class Tensor:
     def __hash__(self):
         return hash((self.spaces, frozenset(self.data.items())))
 
-    def is_zero(self) -> bool:
-        return not self.data
-
     def coeff(self, idx: Sequence[int]):
         return self.data.get(tuple(idx), self.field.zero())
 

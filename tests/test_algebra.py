@@ -78,8 +78,6 @@ def test_legmul_and_mul_legs():
     # (e0+e1)(x)(e0+e1) times e1(x)e1 componentwise
     expect = A.mul(x, y).tensor(A.mul(x, y))
     assert prod == expect
-    flipped = leg.flip()
-    assert flipped.pair(0, 1) == leg.pair(1, 0)
 
 
 def _mul_legs_by_terms(legs, x, y):

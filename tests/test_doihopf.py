@@ -37,11 +37,8 @@ def test_cyclic_submodule_deterministic(all_corpus):
     ca = canonical_right_comodule(H)
     qs = quasi_smash(ca)
     sm = smash_product(qs)
-    b1, act1 = cyclic_right_submodule(sm, 5)
-    b2, act2 = cyclic_right_submodule(sm, 5)
-    assert b1.labels == b2.labels
-    for m in range(b1.dim):
-        for g in range(sm.dim):
-            assert act1(m, g) == act2(m, g)
-    b3, _ = cyclic_right_submodule(sm, 6)
-    assert b3.dim >= 1
+    act1 = cyclic_right_submodule(sm, 5)
+    act2 = cyclic_right_submodule(sm, 5)
+    assert act1.left.labels == act2.left.labels
+    assert act1.table == act2.table
+    assert cyclic_right_submodule(sm, 6).left.dim >= 1

@@ -1,6 +1,6 @@
 """Source hygiene of the qhopf package, checked with the standard library
-only: no module imports a name it never uses, and no function takes a
-parameter it never uses."""
+only: no module imports a name it never uses, no function takes a
+parameter it never uses, and nothing is defined that no code references."""
 
 import ast
 import pathlib
@@ -123,3 +123,63 @@ def test_unused_parameter_is_caught():
               "    return g(kw)\n")
     assert unused_parameters(source) == [(8, "s", "a"), (10, "f", "args"),
                                          (10, "f", "n"), (11, "g", "y")]
+
+
+ROOT = SRC.parent.parent
+CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + \
+    sorted((ROOT / "bench").glob("*.py"))
+
+
+def exported_names(init_source: str):
+    """Names that the package __init__ imports from its modules."""
+    return {alias.asname or alias.name
+            for node in ast.walk(ast.parse(init_source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unreferenced_definitions(definers, callers, exported):
+    """(file name, line, name) for each def or class in the definer
+    sources whose name no caller source references as a Name or an
+    Attribute, unless it is exported. Dunder methods are exempt: Python
+    calls them by protocol."""
+    used = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = []
+    for fname, source in definers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and \
+                    not (node.name.startswith("__") and
+                         node.name.endswith("__")) and \
+                    node.name not in used and node.name not in exported:
+                found.append((fname, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_no_unreferenced_definitions():
+    definers = [(p.name, p.read_text(encoding="utf-8")) for p in MODULES]
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    exported = exported_names((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert unreferenced_definitions(definers, callers, exported) == []
+
+
+def test_unreferenced_definition_is_caught():
+    definers = [("m.py", "class K:\n"
+                         "    def __eq__(self, o):\n"
+                         "        return True\n"
+                         "    def used(self):\n"
+                         "        return 1\n"
+                         "    def dead(self):\n"
+                         "        return 2\n"
+                         "def api():\n"
+                         "    return K().used()\n"
+                         "def helper():\n"
+                         "    return 0\n")]
+    callers = [definers[0][1], "from m import helper\nhelper\n"]
+    assert unreferenced_definitions(definers, callers, {"api"}) == \
+        [("m.py", 6, "dead")]

@@ -1,0 +1,93 @@
+"""VerificationReport.check_same against a reference scan that applies
+each structure map to basis vectors, one input at a time."""
+
+import random
+
+import pytest
+
+from qhopf import (LegMul, LinearMap, PrimeField, QQ, Tensor,
+                   VerificationReport, canonical_first_module,
+                   canonical_right_comodule, corpus, cyclic_right_submodule,
+                   mul_legs, quasi_smash, smash_product)
+
+
+def _reference_same(rep, tag, lhs, rhs):
+    """The per-input scan that check_same replaces: each side applied to
+    basis vectors by mul_legs or map_leg, compared by check_quantified."""
+    field = lhs.field
+
+    def e(basis, i):
+        return Tensor.basis_vector(basis, i, field)
+
+    if isinstance(lhs, LegMul):
+        rep.check_quantified(
+            tag, ((i, j) for i in range(lhs.left.dim)
+                  for j in range(lhs.right.dim)),
+            lambda i, j: (mul_legs((lhs,), e(lhs.left, i), e(lhs.right, j)),
+                          mul_legs((rhs,), e(rhs.left, i), e(rhs.right, j))))
+    else:
+        rep.check_quantified(
+            tag, ((m,) for m in range(lhs.domain.dim)),
+            lambda m: (e(lhs.domain, m).map_leg(0, lhs),
+                       e(rhs.domain, m).map_leg(0, rhs)))
+
+
+def _mutant(f, rng, count):
+    """f with count coefficients changed at seeded random positions, each
+    by a nonzero amount (an entry may become zero or appear)."""
+    field = f.field
+    if isinstance(f, LegMul):
+        table = {k: dict(v) for k, v in f.table.items()}
+        keys = [(i, j) for i in range(f.left.dim) for j in range(f.right.dim)]
+        outs = list(range(f.out.dim))
+    else:
+        table = {k: dict(v) for k, v in f.cols.items()}
+        keys = list(range(f.domain.dim))
+        outs = sorted(k for col in f.cols.values() for k in col) or \
+            [(0,) * len(f.codomain)]
+    for key in rng.sample(keys, count):
+        row = table.setdefault(key, {})
+        idx = rng.choice(sorted(row) if row and rng.random() < 0.7 else outs)
+        row[idx] = row.get(idx, field.zero()) + field.from_int(
+            rng.choice((-2, -1, 1, 2, 3)))
+    if isinstance(f, LegMul):
+        return LegMul(f.left, f.right, f.out, table, field)
+    return LinearMap(f.domain, f.codomain, table, field)
+
+
+def _structures(field):
+    H = corpus(field)["z2_quasi"]
+    ca = canonical_right_comodule(H)
+    sm = smash_product(quasi_smash(ca))
+    M = canonical_first_module(ca)
+    return (("product", sm.alg.as_leg()),
+            ("action", cyclic_right_submodule(sm, 1)),
+            ("coaction", M.coaction))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_check_same_matches_reference_scan(field):
+    rng = random.Random(20)
+    for name, f in _structures(field):
+        got, want = VerificationReport(name), VerificationReport(name)
+        got.check_same(name + "-equal", f, _mutant(f, rng, 0))
+        _reference_same(want, name + "-equal", f, _mutant(f, rng, 0))
+        for trial in range(12):
+            g = _mutant(f, rng, 1 + trial % 3)
+            lhs, rhs = (f, g) if trial % 2 else (g, f)
+            tag = "%s-%d" % (name, trial)
+            got.check_same(tag, lhs, rhs)
+            _reference_same(want, tag, lhs, rhs)
+        assert got.to_json() == want.to_json(), name
+        assert got.records[0].passed
+        assert sum(not r.passed for r in got.records) >= 10, name
+
+
+def test_check_same_refuses_different_shapes():
+    H = corpus()["z2_quasi"]
+    sm = smash_product(quasi_smash(canonical_right_comodule(H)))
+    rep = VerificationReport("shapes")
+    rep.check_same("legs", sm.alg.as_leg(), H.leg())
+    rep.check_same("maps", H.comul, LinearMap.identity(H.basis, H.field))
+    assert [(r.passed, r.counterexample) for r in rep.records] == \
+        [(False, {}), (False, {})]
