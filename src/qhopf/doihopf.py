@@ -663,14 +663,22 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                     acc[w] = acc.get(w, zero) + c * cw
         return acc
 
+    # the product e_idxs[0] ... e_idxs[-1] in the table mult, formed once
+    # per (table, indices)
+    chains: Dict[tuple, Dict[int, object]] = {}
+
     def chain(mult, *idxs):
-        vec = {idxs[0]: field.one()}
-        for i in idxs[1:]:
-            nxt: Dict[int, object] = {}
-            for k, c in vec.items():
-                for t, ct in mult.get((k, i), {}).items():
-                    nxt[t] = nxt.get(t, zero) + c * ct
-            vec = nxt
+        key = (id(mult),) + idxs
+        vec = chains.get(key)
+        if vec is None:
+            vec = {idxs[0]: field.one()}
+            for i in idxs[1:]:
+                nxt: Dict[int, object] = {}
+                for k, c in vec.items():
+                    for t, ct in mult.get((k, i), {}).items():
+                        nxt[t] = nxt.get(t, zero) + c * ct
+                vec = nxt
+            chains[key] = vec
         return vec
 
     # stage one, per h: contract Phi, f and the two Phi^{-1} copies

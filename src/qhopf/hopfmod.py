@@ -412,17 +412,88 @@ def verify_canonical_modules(ca: RightComoduleAlgebra) -> VerificationReport:
 # the two functors of the category isomorphism
 
 
+def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
+                    right: Basis, join) -> LegMul:
+    """The table of the right action shared by both forward functors:
+
+        m (a # e^p) [h] = sum e^p(S^{-1}(F2 m_(1) a_(1) p~2))
+                              (lead m_(0))(a_(0) p~1),   lead = leads[h][F1],
+
+    stored at (m, join(a, p, h)). The sum is staged: S^{-1}(F2 m_(1)
+    a_(1) p~2) is formed once per (F2, m_(1), a_(1), p~2) and e^p reads
+    its p-th coordinate; (lead m_(0))(a_(0) p~1) is formed once per
+    (h, F1, m_(0), a_(0), p~1); and one pass over the terms fills the
+    entries of every p for a given (m, a, h)."""
+    ca, H = M.ca, M.H
+    field = M.field
+    zero = field.zero()
+    A = ca.algebra
+    F_terms = list(F.data.items())
+    pt_terms = list(ca.p_tilde().data.items())
+    scalars: Dict[tuple, Dict[int, object]] = {}
+    vectors: Dict[tuple, Dict[int, object]] = {}
+
+    def scalar(f2, m1, a1, p2):
+        key = (f2, m1, a1, p2)
+        got = scalars.get(key)
+        if got is None:
+            x = H.Sinv(H.mul(H.e(f2), H.e(m1), H.e(a1), H.e(p2)))
+            got = scalars[key] = {p: c for (p,), c in x.data.items()}
+        return got
+
+    def vector(h, f1, m0, a0, p1):
+        key = (h, f1, m0, a0, p1)
+        got = vectors.get(key)
+        if got is None:
+            v = M.ract(M.lact(leads[h][f1], M.e(m0)), A.mul_indices(a0, p1))
+            got = vectors[key] = {o: c for (o,), c in v.data.items()}
+        return got
+
+    table = {}
+    for m in range(M.dim):
+        m_terms = list(M.coaction.cols.get(m, {}).items())
+        for a in range(A.dim):
+            a_terms = list(ca.coaction.cols.get(a, {}).items())
+            for h in range(len(leads)):
+                rows: Dict[int, Dict[int, object]] = {}
+                for (f1, f2), cf in F_terms:
+                    for (m0, m1), cm in m_terms:
+                        cfm = cf * cm
+                        for (a0, a1), c_a in a_terms:
+                            cfma = cfm * c_a
+                            for (p1, p2), cp in pt_terms:
+                                s = scalar(f2, m1, a1, p2)
+                                if not s:
+                                    continue
+                                v = vector(h, f1, m0, a0, p1)
+                                if not v:
+                                    continue
+                                c = cfma * cp
+                                for p, sp in s.items():
+                                    row = rows.setdefault(p, {})
+                                    csp = c * sp
+                                    for o, vo in v.items():
+                                        row[o] = row.get(o, zero) + csp * vo
+                for p, row in rows.items():
+                    table[(m, join(a, p, h))] = row
+    return LegMul(M.basis, right, M.basis, table, field)
+
+
 def relative_from_two_sided(M: TwoSidedHopfModule,
                             qs: QuasiSmash) -> RelativeHopfModule:
     """Forward direction: the H-action becomes h . m = S^2(h) m and the
     right quasi-smash action is
 
         m (a # phi) = sum phi(S^{-1}(S(U1) f2 m_(1) a_(1) p~2))
-                          S(U2) f1 (m_(0) a_(0) p~1)."""
-    ca, H = M.ca, M.H
-    der, dual = H.derived, H.dual
+                          S(U2) f1 (m_(0) a_(0) p~1),
+
+    built by _forward_action with F = K = S(U2) f1 (x) S(U1) f2 and
+    lead = K1: S^{-1}(K2 m_(1) a_(1) p~2) is formed once per
+    (K2, m_(1), a_(1), p~2) and (K1 m_(0))(a_(0) p~1) once per
+    (K1, m_(0), a_(0), p~1)."""
+    H = M.H
+    der = H.derived
     field = M.field
-    pt = ca.p_tilde()
     # K = sum S(U2) f1 (x) S(U1) f2
     K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
         H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
@@ -430,23 +501,9 @@ def relative_from_two_sided(M: TwoSidedHopfModule,
     h_action = LegMul.from_function(
         H.basis, M.basis, M.basis,
         lambda i, m: M.lact(H.S(H.S(H.e(i))), M.e(m)), field)
-
-    def r_col(m, u):
-        a, p = qs.prod.split(u)
-        phi = dual.dual_e(p)
-        src = K.tensor(M.coact(M.e(m))).tensor(ca.coact(ca.e(a))).tensor(pt)
-
-        def builder(k1, k2, m0, m1, a0, a1, p1, p2):
-            scalar = dual.apply(phi, H.Sinv(H.mul(H.e(k2), H.e(m1),
-                                                  H.e(a1), H.e(p2))))
-            if not scalar:
-                return Tensor.zero((M.basis,), field)
-            return M.ract(M.lact(H.e(k1), M.e(m0)),
-                          ca.algebra.mul_indices(a0, p1)).scale(scalar)
-
-        return H.assemble(src, builder)
-
-    r_action = LegMul.from_function(M.basis, qs.basis, M.basis, r_col, field)
+    r_action = _forward_action(
+        M, K, [{k1: H.e(k1) for k1 in range(H.dim)}], qs.basis,
+        lambda a, p, h: qs.prod.join((a, p)))
     return RelativeHopfModule(qs, M.basis, h_action, r_action, name=M.name)
 
 
@@ -455,7 +512,11 @@ def two_sided_from_relative(N: RelativeHopfModule,
     """Backward direction: h m = S^{-2}(h) . m, m a = m . (a # eps), and
 
         rho(m) = sum_i [S^{-1}(V2 g2) . m] . (q~1 # S^{-1}(V1 g1) ->
-                 (e^i o S) <- q~2) (x) e_i."""
+                 (e^i o S) <- q~2) (x) e_i.
+
+    The quasi-smash element q~1 # (S^{-1}(V1 g1) -> (e^i o S) <- q~2) is
+    formed once per (i, term of VG and q~) for the whole call, and
+    S^{-1}(V2 g2) . m once per (m, V2 g2)."""
     qs, H = N.qs, N.H
     der, dual = H.derived, H.dual
     field = N.field
@@ -471,21 +532,35 @@ def two_sided_from_relative(N: RelativeHopfModule,
         N.basis, ca.basis, N.basis,
         lambda m, a: N.ract(N.e(m), qs.element(ca.e(a), eps)), field)
 
+    vg_terms = list(VG.data.items())
+    qt_terms = list(qt.data.items())
+    sinv = {t: H.Sinv(H.e(t)) for t in range(H.dim)}
+    # q~1 # (S^{-1}(V1 g1) -> (e^i o S) <- q~2), or None when the
+    # functional is zero, once per (i, term)
+    elems = {}
+    for i in range(H.dim):
+        e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
+        for t1 in {t1 for (t1, _), _ in vg_terms}:
+            hit = dual.hit_l(sinv[t1], e_i_s)
+            for (q1, q2), _ in qt_terms:
+                func = dual.hit_r(hit, H.e(q2))
+                elems[(i, t1, q1, q2)] = \
+                    qs.element(ca.e(q1), func) if func.data else None
+
     def coact_col(m):
+        # S^{-1}(V2 g2) . m, once per (m, t2)
+        moved = {t2: N.lact(sinv[t2], N.e(m)) for (_, t2), _ in vg_terms}
         acc = Tensor.zero((N.basis, H.basis), field)
         for i in range(H.dim):
-            e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
             vec = Tensor.zero((N.basis,), field)
-            for (t1, t2), c1 in VG.data.items():
-                m1 = N.lact(H.Sinv(H.e(t2)), N.e(m))
+            for (t1, t2), c1 in vg_terms:
+                m1 = moved[t2]
                 if not m1.data:
                     continue
-                for (q1, q2), c2 in qt.data.items():
-                    func = dual.hit_r(
-                        dual.hit_l(H.Sinv(H.e(t1)), e_i_s), H.e(q2))
-                    if not func.data:
+                for (q1, q2), c2 in qt_terms:
+                    u = elems[(i, t1, q1, q2)]
+                    if u is None:
                         continue
-                    u = qs.element(ca.e(q1), func)
                     vec = vec + N.ract(m1, u).scale(c1 * c2)
             acc = acc + vec.tensor(H.e(i))
         return acc
@@ -594,30 +669,18 @@ def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
     two-sided Hopf module:
 
         m ((a # phi) # h) = sum phi(S^{-1}(f2 m_(1) a_(1) p~2))
-                                S(h) f1 (m_(0) a_(0) p~1)."""
-    ca, H = M.ca, M.H
-    der, dual = H.derived, H.dual
-    field = M.field
-    pt = ca.p_tilde()
+                                S(h) f1 (m_(0) a_(0) p~1),
+
+    built by _forward_action with F = f and lead = S(h) f1 (S(h) formed
+    before f1 multiplies it): S^{-1}(f2 m_(1) a_(1) p~2) is formed once
+    per (f2, m_(1), a_(1), p~2) and (S(h) f1 m_(0))(a_(0) p~1) once per
+    (h, f1, m_(0), a_(0), p~1)."""
+    H = M.H
     nest = smash_index(qs, sm)
-
-    def act(m: int, g: int) -> Tensor:
-        a, p, h = nest.split(g)
-        phi = dual.dual_e(p)
-        src = der.f.tensor(M.coact(M.e(m))).tensor(
-            ca.coact(ca.e(a))).tensor(pt)
-
-        def builder(f1, f2, m0, m1, a0, a1, p1, p2):
-            scalar = dual.apply(phi, H.Sinv(H.mul(H.e(f2), H.e(m1),
-                                                  H.e(a1), H.e(p2))))
-            if not scalar:
-                return Tensor.zero((M.basis,), field)
-            return M.ract(M.lact(H.mul(H.S(H.e(h)), H.e(f1)), M.e(m0)),
-                          ca.algebra.mul_indices(a0, p1)).scale(scalar)
-
-        return H.assemble(src, builder)
-
-    return LegMul.from_function(M.basis, sm.basis, M.basis, act, field)
+    leads = [{f1: H.mul(H.S(H.e(h)), H.e(f1)) for f1 in range(H.dim)}
+             for h in range(H.dim)]
+    return _forward_action(M, H.derived.f, leads, sm.basis,
+                           lambda a, p, h: nest.join((a, p, h)))
 
 
 # ----------------------------------------------------------------------

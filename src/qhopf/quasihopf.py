@@ -106,11 +106,16 @@ class QuasiBialgebra:
 
     def assemble(self, source: Tensor, builder: Callable[..., Tensor]) -> Tensor:
         """Sum builder(*indices) over the terms of source, weighted by
-        the term coefficients. The workhorse for Sweedler-style sums."""
+        the term coefficients. The workhorse for Sweedler-style sums.
+        Each term is added into the first one, which scale made fresh,
+        so no builder's tensor is changed."""
         out = None
         for idx, c in source.data.items():
             t = builder(*idx).scale(c)
-            out = t if out is None else out + t
+            if out is None:
+                out = t
+            else:
+                out.accumulate(t)
         if out is None:
             raise ValueError("assembling from a zero source")
         return out

@@ -152,8 +152,15 @@ class Tensor:
             raise ValueError("field mismatch")
 
     def __add__(self, other: "Tensor") -> "Tensor":
+        out = Tensor.zero(self.spaces, self.field)
+        out.data = dict(self.data)
+        out.accumulate(other)
+        return out
+
+    def accumulate(self, other: "Tensor") -> None:
+        """Add other into self in place."""
         self._check_compatible(other)
-        data = dict(self.data)
+        data = self.data
         for idx, c in other.data.items():
             s = data.get(idx)
             if s is None:
@@ -164,9 +171,6 @@ class Tensor:
                     data[idx] = s
                 else:
                     del data[idx]
-        out = Tensor.zero(self.spaces, self.field)
-        out.data = data
-        return out
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         return self + (-other)

@@ -1,9 +1,14 @@
+import hashlib
+
 import pytest
 
-from qhopf import (canonical_bimodule_coalgebra, check_bimodule_coalgebra,
+from qhopf import (PrimeField, QQ, canonical_bicomodule,
+                   canonical_bimodule_coalgebra, check_bimodule_coalgebra,
                    check_left_module_algebra, check_right_module_coalgebra,
+                   corpus, crossed_comodule_algebra, crossed_smash_direct,
                    cyclic_right_submodule, dual_module_algebra,
-                   hhop_module_coalgebra, verify_crossed_module_description)
+                   generalized_smash, hhop_module_coalgebra, quasi_smash,
+                   smash_product, verify_crossed_module_description)
 
 
 @pytest.mark.parametrize("key", ("z2", "z3", "z2_quasi", "z2z2_twisted"))
@@ -42,3 +47,28 @@ def test_cyclic_submodule_deterministic(all_corpus):
     assert act1.left.labels == act2.left.labels
     assert act1.table == act2.table
     assert cyclic_right_submodule(sm, 6).left.dim >= 1
+
+
+# sha256 of the sorted crossed_smash_direct table on z2_quasi, recorded
+# before its index-tuple products were memoized
+CROSSED_DIRECT_SHA256 = {
+    "Q": "025a118aa677c756d77e2a40bcc877dcad6ce83d86adf4c94814a11a926f9fd1",
+    "GF(7)": "e10a722d6537d9a9044209c9d5e78206c42ab7776d743380d274b77644a7192d",
+}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_crossed_smash_direct_table_unchanged(field):
+    H = corpus(field)["z2_quasi"]
+    ba = canonical_bicomodule(H)
+    C = canonical_bimodule_coalgebra(H)
+    HHop = H.tensor_with(H.opposite())
+    qs = quasi_smash(ba.right)
+    sm = smash_product(qs)
+    final = generalized_smash(
+        dual_module_algebra(hhop_module_coalgebra(C, HHop)),
+        crossed_comodule_algebra(ba, HHop, qs, sm))
+    table = crossed_smash_direct(ba, C, qs, sm, final).table
+    text = repr(sorted((k, sorted(v.items())) for k, v in table.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CROSSED_DIRECT_SHA256[field.name]

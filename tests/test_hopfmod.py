@@ -2,9 +2,14 @@ import random
 
 import pytest
 
-from qhopf import (RowSpan, canonical_right_comodule,
-                   check_relative_hopf_module, cyclic_right_submodule,
-                   quasi_smash, seeded_cyclic_module, smash_product,
+from qhopf import (LegMul, LinearMap, PrimeField, QQ, RelativeHopfModule,
+                   RowSpan, Tensor, TwoSidedHopfModule, canonical_first_module,
+                   canonical_right_comodule, canonical_second_module,
+                   check_relative_hopf_module, corpus, cyclic_right_submodule,
+                   module_isomorphism, quasi_smash, relative_from_smash_module,
+                   relative_from_two_sided, seeded_cyclic_module,
+                   smash_action_from_two_sided, smash_index, smash_product,
+                   transport_module, two_sided_from_relative,
                    verify_canonical_modules, verify_module_correspondence)
 
 
@@ -90,3 +95,165 @@ def test_cyclic_table_matches_per_call_coordinates(all_corpus, key):
         assert action.table == {(m, g): act(m, g)
                                 for m in range(len(labels))
                                 for g in range(sm.dim) if act(m, g)}
+
+
+# ----------------------------------------------------------------------
+# the staged functors against their term-by-term sums
+
+
+def _relative_action_by_terms(M, qs):
+    """The right quasi-smash action of relative_from_two_sided, one
+    builder call per Sweedler term and table entry:
+    m (a # phi) = sum phi(S^{-1}(K2 m_(1) a_(1) p~2)) (K1 m_(0))(a_(0) p~1)."""
+    ca, H = M.ca, M.H
+    der, dual = H.derived, H.dual
+    field = M.field
+    pt = ca.p_tilde()
+    K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
+        H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
+
+    def r_col(m, u):
+        a, p = qs.prod.split(u)
+        phi = dual.dual_e(p)
+        src = K.tensor(M.coact(M.e(m))).tensor(ca.coact(ca.e(a))).tensor(pt)
+
+        def builder(k1, k2, m0, m1, a0, a1, p1, p2):
+            scalar = dual.apply(phi, H.Sinv(H.mul(H.e(k2), H.e(m1),
+                                                  H.e(a1), H.e(p2))))
+            if not scalar:
+                return Tensor.zero((M.basis,), field)
+            return M.ract(M.lact(H.e(k1), M.e(m0)),
+                          ca.algebra.mul_indices(a0, p1)).scale(scalar)
+
+        return H.assemble(src, builder)
+
+    return LegMul.from_function(M.basis, qs.basis, M.basis, r_col, field)
+
+
+def _smash_action_by_terms(M, qs, sm):
+    """smash_action_from_two_sided, one builder call per Sweedler term
+    and table entry:
+    m ((a # phi) # h) = sum phi(S^{-1}(f2 m_(1) a_(1) p~2))
+                            S(h) f1 (m_(0) a_(0) p~1)."""
+    ca, H = M.ca, M.H
+    der, dual = H.derived, H.dual
+    field = M.field
+    pt = ca.p_tilde()
+    nest = smash_index(qs, sm)
+
+    def act(m, g):
+        a, p, h = nest.split(g)
+        phi = dual.dual_e(p)
+        src = der.f.tensor(M.coact(M.e(m))).tensor(
+            ca.coact(ca.e(a))).tensor(pt)
+
+        def builder(f1, f2, m0, m1, a0, a1, p1, p2):
+            scalar = dual.apply(phi, H.Sinv(H.mul(H.e(f2), H.e(m1),
+                                                  H.e(a1), H.e(p2))))
+            if not scalar:
+                return Tensor.zero((M.basis,), field)
+            return M.ract(M.lact(H.mul(H.S(H.e(h)), H.e(f1)), M.e(m0)),
+                          ca.algebra.mul_indices(a0, p1)).scale(scalar)
+
+        return H.assemble(src, builder)
+
+    return LegMul.from_function(M.basis, sm.basis, M.basis, act, field)
+
+
+def _coaction_by_terms(N, ca):
+    """The coaction of two_sided_from_relative, with every factor formed
+    again for each m, i and term:
+    rho(m) = sum_i [S^{-1}(V2 g2) . m] . (q~1 # S^{-1}(V1 g1) ->
+             (e^i o S) <- q~2) (x) e_i."""
+    qs, H = N.qs, N.H
+    der, dual = H.derived, H.dual
+    field = N.field
+    qt = ca.q_tilde()
+    VG = H.tmul(der.V, der.f_inv)
+
+    def coact_col(m):
+        acc = Tensor.zero((N.basis, H.basis), field)
+        for i in range(H.dim):
+            e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
+            vec = Tensor.zero((N.basis,), field)
+            for (t1, t2), c1 in VG.data.items():
+                m1 = N.lact(H.Sinv(H.e(t2)), N.e(m))
+                if not m1.data:
+                    continue
+                for (q1, q2), c2 in qt.data.items():
+                    func = dual.hit_r(
+                        dual.hit_l(H.Sinv(H.e(t1)), e_i_s), H.e(q2))
+                    if not func.data:
+                        continue
+                    u = qs.element(ca.e(q1), func)
+                    vec = vec + N.ract(m1, u).scale(c1 * c2)
+            acc = acc + vec.tensor(H.e(i))
+        return acc
+
+    return LinearMap.from_function(N.basis, (N.basis, H.basis), coact_col,
+                                   field)
+
+
+def _changed(f, rng, count):
+    """f with count coefficients changed at seeded random positions, each
+    by a nonzero amount (an entry may become zero or appear)."""
+    field = f.field
+    if isinstance(f, LegMul):
+        table = {k: dict(v) for k, v in f.table.items()}
+        keys = [(i, j) for i in range(f.left.dim) for j in range(f.right.dim)]
+        outs = list(range(f.out.dim))
+    else:
+        table = {k: dict(v) for k, v in f.cols.items()}
+        keys = list(range(f.domain.dim))
+        outs = sorted(k for col in f.cols.values() for k in col)
+    for key in rng.sample(keys, count):
+        row = table.setdefault(key, {})
+        idx = rng.choice(sorted(row) if row and rng.random() < 0.7 else outs)
+        row[idx] = row.get(idx, field.zero()) + field.from_int(
+            rng.choice((-2, -1, 1, 2, 3)))
+    if isinstance(f, LegMul):
+        return LegMul(f.left, f.right, f.out, table, field)
+    return LinearMap(f.domain, f.codomain, table, field)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+@pytest.mark.parametrize("key", ("z2_quasi", "z3"))
+def test_staged_functors_match_term_sums(key, field):
+    """Both forward functors and the backward coaction agree with their
+    term-by-term sums on every module the modules suite builds, and on
+    seeded mutants that are not modules."""
+    ca = canonical_right_comodule(corpus(field)[key])
+    qs = quasi_smash(ca)
+    sm = smash_product(qs)
+    V = canonical_first_module(ca)
+    theta, theta_inv = module_isomorphism(ca)
+    relatives = [relative_from_smash_module(qs, sm, sm.alg.as_leg())] + \
+        [seeded_cyclic_module(qs, sm, seed) for seed in (0, 1, 2)]
+    two_sided = [V, canonical_second_module(ca),
+                 transport_module(V, theta, theta_inv)] + \
+        [two_sided_from_relative(N, ca) for N in relatives]
+
+    rng = random.Random(11)
+    for trial in range(6):
+        M = two_sided[trial % 2]
+        left, coaction = M.left_action, M.coaction
+        if trial % 3 != 1:
+            left = _changed(left, rng, 1 + trial % 3)
+        if trial % 3 != 2:
+            coaction = _changed(coaction, rng, 1 + (trial + 1) % 3)
+        two_sided.append(TwoSidedHopfModule(ca, M.basis, left,
+                                            M.right_action, coaction))
+        N = relatives[trial % len(relatives)]
+        relatives.append(RelativeHopfModule(
+            qs, N.basis, _changed(N.h_action, rng, 1 + trial % 3),
+            _changed(N.r_action, rng, 1 + (trial + 2) % 3)))
+
+    for M in two_sided:
+        N = relative_from_two_sided(M, qs)
+        assert N.r_action.table == _relative_action_by_terms(M, qs).table
+        assert smash_action_from_two_sided(M, qs, sm).table == \
+            _smash_action_by_terms(M, qs, sm).table
+        relatives.append(N)
+    for N in relatives:
+        assert two_sided_from_relative(N, ca).coaction.cols == \
+            _coaction_by_terms(N, ca).cols

@@ -1,6 +1,7 @@
 """Source hygiene of the qhopf package, checked with the standard library
 only: no module imports a name it never uses, no function takes a
-parameter it never uses, and nothing is defined that no code references."""
+parameter or assigns a local it never uses, and nothing is defined that
+no code references."""
 
 import ast
 import pathlib
@@ -123,6 +124,72 @@ def test_unused_parameter_is_caught():
               "    return g(kw)\n")
     assert unused_parameters(source) == [(8, "s", "a"), (10, "f", "args"),
                                          (10, "f", "n"), (11, "g", "y")]
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body, without descending into the bodies of the
+    functions, lambdas and classes nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str):
+    """(line, function, name) for each name a function assigns that
+    neither it nor the functions nested in it ever read or delete. Names
+    that start with an underscore are exempt, and so are names the
+    function declares global or nonlocal."""
+    tree = ast.parse(source)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_nodes(fn))
+        declared = {name for node in own
+                    if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        stored = {}
+        for node in own:
+            if isinstance(node, ast.Name) and \
+                    isinstance(node.ctx, ast.Store) and \
+                    not node.id.startswith("_") and node.id not in declared:
+                stored.setdefault(node.id, node.lineno)
+        loaded = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and
+                  not isinstance(n.ctx, ast.Store)}
+        found.extend((line, fn.name, name) for name, line in stored.items()
+                     if name not in loaded)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_local_is_caught():
+    source = ("def f(xs):\n"
+              "    dead = len(xs)\n"
+              "    kept = 2\n"
+              "    _skip = 3\n"
+              "    gone = 4\n"
+              "    del gone\n"
+              "    total = 0\n"
+              "    for (a, b), c in xs:\n"
+              "        total = total + a * c\n"
+              "    def g():\n"
+              "        inner = 1\n"
+              "        return kept\n"
+              "    def h():\n"
+              "        nonlocal total\n"
+              "        total = 4\n"
+              "    return g, h, total, [0 for i in xs]\n")
+    assert unused_locals(source) == [(2, "f", "dead"), (8, "f", "b"),
+                                     (11, "g", "inner"), (16, "f", "i")]
 
 
 ROOT = SRC.parent.parent

@@ -266,3 +266,30 @@ def test_antipode_inverse(all_corpus):
     for i in range(H.dim):
         assert H.Sinv(H.S(H.e(i))) == H.e(i)
         assert H.S(H.Sinv(H.e(i))) == H.e(i)
+
+
+def test_assemble_accumulates_without_touching_terms(hq):
+    """assemble adds each term into a fresh accumulator: the tensors the
+    builder returns are unchanged, the sum equals the one made with +,
+    and a zero source or a term of another shape is refused."""
+    terms = {i: hq.mul(hq.e(i), hq.alpha) for i in range(hq.dim)}
+    before = {i: dict(t.data) for i, t in terms.items()}
+    source = hq.phi
+    assert len(source.data) > len({idx[0] for idx in source.data}) > 1
+    got = hq.assemble(source, lambda i, j, k: terms[i])
+    want = Tensor.zero((hq.basis,), hq.field)
+    for (i, j, k), c in source.data.items():
+        want = want + terms[i].scale(c)
+    assert got == want
+    assert {i: t.data for i, t in terms.items()} == before
+    with pytest.raises(ValueError):
+        hq.assemble(Tensor.zero(source.spaces, hq.field),
+                    lambda i, j, k: terms[i])
+    seen = []
+
+    def builder(i, j, k):
+        seen.append(i)
+        return terms[i] if len(seen) == 1 else terms[i].tensor(hq.e(0))
+
+    with pytest.raises(ValueError):
+        hq.assemble(source, builder)
