@@ -11,8 +11,9 @@ from .linalg import RowSpan, solve_linear
 from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
                       invert_linear_map, mul_legs)
 from .report import CheckRecord, VerificationReport, first_difference
-from .quasihopf import (DerivedElements, DualView, QuasiBialgebra,
-                        QuasiHopfAlgebra, check_dual_bimodule_algebra,
+from .quasihopf import (DerivedElements, DualView, NotGaugeError,
+                        QuasiBialgebra, QuasiHopfAlgebra,
+                        check_dual_bimodule_algebra,
                         check_quasibialgebra, check_quasihopf, is_gauge,
                         normalize_alpha_beta, twist, verify_core_identities)
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,

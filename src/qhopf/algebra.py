@@ -36,10 +36,12 @@ class LegMul:
     """A bilinear pairing of based spaces by structure constants.
 
     table[(i, j)] is a sparse vector over the output basis; missing pairs
-    multiply to zero.
+    multiply to zero. The table is fixed after construction: lifted()
+    turns it into integers once, on first use, and every later product
+    reuses that.
     """
 
-    __slots__ = ("left", "right", "out", "table", "field")
+    __slots__ = ("left", "right", "out", "table", "field", "_lifted")
 
     def __init__(self, left: Basis, right: Basis, out: Basis, table, field: Field = QQ):
         self.left = left
@@ -47,6 +49,7 @@ class LegMul:
         self.out = out
         self.field = field
         self.table = _clean_table(table)
+        self._lifted = None
 
     @classmethod
     def from_function(cls, left, right, out, fn, field: Field = QQ):
@@ -60,44 +63,80 @@ class LegMul:
     def pair(self, i: int, j: int) -> Dict[int, object]:
         return self.table.get((i, j), {})
 
+    def lifted(self):
+        """(rows, den): the table lifted (fields.py) over one common
+        denominator den, rows[(i, j)] a tuple of (k, numerator) pairs."""
+        if self._lifted is None:
+            num, den = self.field.lift({(key, k): c
+                                        for key, vec in self.table.items()
+                                        for k, c in vec.items()})
+            rows = {}
+            for (key, k), n in num.items():
+                rows.setdefault(key, []).append((k, n))
+            self._lifted = ({key: tuple(v) for key, v in rows.items()}, den)
+        return self._lifted
+
 
 def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     """Leg-wise product: leg i of the result is legs[i].pair applied to
     leg i of x and leg i of y, summed bilinearly.
 
-    A structure constant equal to one is not multiplied in: the
-    constants of group-like bases are all one, and c * 1 == c exactly."""
+    The sum runs over the lifted (integer) forms of x, y and the tables
+    and is lowered once per output entry. A structure constant equal to
+    one is not multiplied in: the constants of group-like bases are all
+    one."""
+    field = x.field
     if len(x.spaces) != len(legs) or len(y.spaces) != len(legs):
         raise ValueError("leg count mismatch")
     for i, leg in enumerate(legs):
         if x.spaces[i] != leg.left or y.spaces[i] != leg.right:
             raise ValueError("leg %d basis mismatch" % i)
-    out = Tensor.zero(tuple(leg.out for leg in legs), x.field)
-    data = out.data
-    ys = list(y.data.items())
-    gets = [leg.table.get for leg in legs]
-    for xi, cx in x.data.items():
-        for yi, cy in ys:
-            vecs = []
-            for get, i, j in zip(gets, xi, yi):
+        if leg.field is not field and leg.field != field:
+            raise ValueError("leg %d field mismatch" % i)
+    if y.field is not field and y.field != field:
+        raise ValueError("field mismatch")
+    out = Tensor.zero(tuple(leg.out for leg in legs), field)
+    if not x.data or not y.data:
+        return out
+    xs, den = field.lift(x.data)
+    ys, dy = field.lift(y.data)
+    den *= dy
+    gets = []
+    for leg in legs:
+        rows, dt = leg.lifted()
+        gets.append(rows.get)
+        den *= dt
+    ys = list(ys.items())
+    acc = {}
+    if len(legs) == 1:
+        get = gets[0]
+        for (i,), cx in xs.items():
+            for (j,), cy in ys:
                 v = get((i, j))
-                if not v:
-                    break
-                vecs.append(v.items())
-            else:
-                c0 = cx * cy
-                for combo in itertools.product(*vecs):
-                    idx = tuple([k for k, _ in combo])
-                    c = c0
-                    for _, s in combo:
-                        if s != 1:
-                            c = c * s
-                    acc = data.get(idx)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        data[idx] = acc
-                    elif idx in data:
-                        del data[idx]
+                if v is not None:
+                    c0 = cx * cy
+                    for k, s in v:
+                        idx = (k,)
+                        acc[idx] = acc.get(idx, 0) + (c0 if s == 1 else c0 * s)
+    else:
+        for xi, cx in xs.items():
+            for yi, cy in ys:
+                vecs = []
+                for get, i, j in zip(gets, xi, yi):
+                    v = get((i, j))
+                    if v is None:
+                        break
+                    vecs.append(v)
+                else:
+                    c0 = cx * cy
+                    for combo in itertools.product(*vecs):
+                        idx = tuple([k for k, _ in combo])
+                        c = c0
+                        for _, s in combo:
+                            if s != 1:
+                                c *= s
+                        acc[idx] = acc.get(idx, 0) + c
+    out.data = field.lower(acc, den)
     return out
 
 

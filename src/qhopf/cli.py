@@ -27,9 +27,9 @@ from .hopfmod import verify_module_correspondence
 from .products import (generalized_smash, quasi_smash, smash_product,
                        two_sided_crossed, verify_crossed_decomposition,
                        verify_heisenberg_double, verify_hom_smash)
-from .quasihopf import (QuasiBialgebra, QuasiHopfAlgebra,
+from .quasihopf import (NotGaugeError, QuasiBialgebra, QuasiHopfAlgebra,
                         check_dual_bimodule_algebra, check_quasibialgebra,
-                        check_quasihopf, is_gauge, twist,
+                        check_quasihopf, twist,
                         verify_core_identities)
 from .report import VerificationReport
 
@@ -119,12 +119,12 @@ def cmd_twist(args) -> int:
     if not isinstance(H, QuasiBialgebra):
         raise sf.SpecError("%s: expected an algebra spec file" % args.file)
     F = sf.doc_to_twist(sf.parse(t_text), H)
-    if not is_gauge(H, F):
+    try:
+        HF = twist(H, F)
+    except NotGaugeError:
         sys.stderr.write("twist is not a gauge transformation "
                          "(normalization or invertibility fails)\n")
         return 1
-    try:
-        HF = twist(H, F)
     except ValueError as exc:
         sys.stderr.write("twist failed: %s\n" % exc)
         return 1

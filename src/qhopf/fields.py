@@ -4,11 +4,27 @@ Every container in the package carries a Field instance. Rational scalars
 are plain fractions.Fraction values (always in lowest terms), GF(p)
 scalars are Fp instances. Both support +, -, *, /, ==, bool, so tensor
 code is field-agnostic: a scalar is zero exactly when it is falsy.
+
+A kernel that sums many products (mul_legs) works in plain integers
+instead, through two methods of the field:
+
+- lift(data) -> (num, den): num maps each key of data to an int and den
+  is one positive int with data[k] == num[k] / den for every k. Over Q,
+  den is the least common multiple of the denominators (1 for integral
+  or empty data); over GF(p), num[k] is the residue and den is 1.
+- lower(num, den) -> data: the inverse, one scalar of the field's type
+  per key, with the keys whose value is zero left out. Sums and products
+  of lifted numerators may be lowered over the product of their
+  denominators; over GF(p) the numerators may be any ints, since lower
+  reduces them.
+
+No other module builds a Fraction or an Fp.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class Fp:
@@ -84,6 +100,14 @@ class Field:
         """Inverse of from_pair, for serialization."""
         raise NotImplementedError
 
+    def lift(self, data: dict):
+        """(num, den): integer numerators over one common denominator."""
+        raise NotImplementedError
+
+    def lower(self, num: dict, den: int) -> dict:
+        """Scalars num[k] / den, without the zero ones."""
+        raise NotImplementedError
+
     def __eq__(self, other):
         return isinstance(other, Field) and self.name == other.name
 
@@ -112,6 +136,18 @@ class RationalField(Field):
     def to_pair(self, c):
         return (c.numerator, c.denominator)
 
+    def lift(self, data):
+        den = lcm(*[c.denominator for c in data.values()])
+        if den == 1:
+            return {k: c.numerator for k, c in data.items()}, 1
+        return {k: c.numerator * (den // c.denominator)
+                for k, c in data.items()}, den
+
+    def lower(self, num, den):
+        if den == 1:
+            return {k: Fraction(n) for k, n in num.items() if n}
+        return {k: Fraction(n, den) for k, n in num.items() if n}
+
 
 class PrimeField(Field):
     def __init__(self, p: int):
@@ -134,6 +170,19 @@ class PrimeField(Field):
 
     def to_pair(self, c):
         return (c.v, 1)
+
+    def lift(self, data):
+        return {k: c.v for k, c in data.items()}, 1
+
+    def lower(self, num, den):
+        p = self.p
+        inv = pow(den, -1, p)
+        out = {}
+        for k, n in num.items():
+            c = Fp(n * inv, p)
+            if c.v:
+                out[k] = c
+        return out
 
 
 QQ = RationalField()

@@ -190,12 +190,20 @@ def check_relative_hopf_module(N: RelativeHopfModule) -> VerificationReport:
         "rmod-unit", ((m,) for m in range(n)),
         lambda m: (N.ract(N.e(m), qs.unit()), N.e(m)))
 
+    # (X2 . u)(X3 . v) does not depend on m: formed once per call
+    factor = {}
+
+    def phi_factor(X2, X3, u, v):
+        key = (X2, X3, u, v)
+        if key not in factor:
+            factor[key] = qs.algebra.mul(qs.act(H.e(X2), qs.e(u)),
+                                         qs.act(H.e(X3), qs.e(v)))
+        return factor[key]
+
     def quasi_assoc(m, u, v):
         lhs = N.ract(N.ract(N.e(m), qs.e(u)), qs.e(v))
         rhs = H.assemble(H.phi, lambda X1, X2, X3: N.ract(
-            N.lact(H.e(X1), N.e(m)),
-            qs.algebra.mul(qs.act(H.e(X2), qs.e(u)),
-                           qs.act(H.e(X3), qs.e(v)))))
+            N.lact(H.e(X1), N.e(m)), phi_factor(X2, X3, u, v)))
         return lhs, rhs
 
     rep.check_quantified(
@@ -708,7 +716,7 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
     def right_mul(w: Dict[int, object], g: int) -> Dict[int, object]:
         acc: Dict[int, object] = {}
         for i, c in w.items():
-            for (t,), ct in prod.alg.mul_indices(i, g).data.items():
+            for t, ct in prod.alg.mult.get((i, g), {}).items():
                 s = acc.get(t, field.zero()) + c * ct
                 if s:
                     acc[t] = s

@@ -368,24 +368,47 @@ def check_quasihopf(H: QuasiHopfAlgebra) -> VerificationReport:
 # gauge twisting
 
 
-def is_gauge(H: QuasiBialgebra, F: Tensor) -> bool:
+class NotGaugeError(ValueError):
+    """F is not a gauge transformation: it is not counital or not
+    invertible."""
+
+
+def _gauge_inverse(H: QuasiBialgebra, F: Tensor) -> Tensor:
+    """F^{-1}, or NotGaugeError if F is not counital or not invertible."""
     one = H.unit()
     if F.map_leg(0, H.counit) != one or F.map_leg(1, H.counit) != one:
+        raise NotGaugeError("not a gauge transformation: counit normalization fails")
+    F_inv = invert_in_tensor_algebra((H.algebra,) * 2, F)
+    if F_inv is None:
+        raise NotGaugeError("not a gauge transformation: F is not invertible")
+    return F_inv
+
+
+def is_gauge(H: QuasiBialgebra, F: Tensor) -> bool:
+    try:
+        _gauge_inverse(H, F)
+    except NotGaugeError:
         return False
-    return invert_in_tensor_algebra((H.algebra,) * 2, F) is not None
+    return True
 
 
 def twist(H: QuasiBialgebra, F: Tensor) -> QuasiBialgebra:
     """Twist by a gauge transformation F: new comultiplication
     F Delta(.) F^{-1}, twisted reassociator, and (for quasi-Hopf input)
     twisted alpha and beta. Multiplication, unit, counit and the
-    antipode map are unchanged."""
+    antipode map are unchanged.
+
+    The twisted reassociator
+        Phi_F = (1 (x) F) (id (x) Delta)(F) Phi (Delta (x) id)(F^-1) (F^-1 (x) 1)
+    has the inverse
+        (F (x) 1) (Delta (x) id)(F) Phi^-1 (id (x) Delta)(F^-1) (1 (x) F^-1)
+    because Delta is an algebra map. The constructor's two-sided check of
+    the pair is the only verification: if it fails, Delta is not an
+    algebra map and the input is not a quasi-bialgebra.
+
+    Raises NotGaugeError if F is not counital or not invertible."""
     one = H.unit()
-    if F.map_leg(0, H.counit) != one or F.map_leg(1, H.counit) != one:
-        raise ValueError("not a gauge transformation: counit normalization fails")
-    F_inv = invert_in_tensor_algebra((H.algebra,) * 2, F)
-    if F_inv is None:
-        raise ValueError("not a gauge transformation: F is not invertible")
+    F_inv = _gauge_inverse(H, F)
 
     comul_F = LinearMap.from_function(
         H.basis, (H.basis, H.basis),
@@ -393,15 +416,23 @@ def twist(H: QuasiBialgebra, F: Tensor) -> QuasiBialgebra:
         H.field)
     phi_F = H.tmulc(one.tensor(F), F.map_leg(1, H.comul), H.phi,
                     F_inv.map_leg(0, H.comul), F_inv.tensor(one))
-    phi_F_inv = invert_in_tensor_algebra((H.algebra,) * 3, phi_F)
+    phi_F_inv = H.tmulc(F.tensor(one), F.map_leg(0, H.comul), H.phi_inv,
+                        F_inv.map_leg(1, H.comul), one.tensor(F_inv))
     name = H.name + "_F"
-    if not isinstance(H, QuasiHopfAlgebra):
-        return QuasiBialgebra(H.algebra, comul_F, H.counit, phi_F, phi_F_inv, name)
-
-    alpha_F = H.assemble(F_inv, lambda a, b: H.mul(H.S(H.e(a)), H.alpha, H.e(b)))
-    beta_F = H.assemble(F, lambda a, b: H.mul(H.e(a), H.beta, H.S(H.e(b))))
-    return QuasiHopfAlgebra(H.algebra, comul_F, H.counit, phi_F, H.antipode,
-                            alpha_F, beta_F, phi_F_inv, name)
+    hopf = isinstance(H, QuasiHopfAlgebra)
+    if hopf:
+        alpha_F = H.assemble(F_inv, lambda a, b: H.mul(H.S(H.e(a)), H.alpha, H.e(b)))
+        beta_F = H.assemble(F, lambda a, b: H.mul(H.e(a), H.beta, H.S(H.e(b))))
+    try:
+        if not hopf:
+            return QuasiBialgebra(H.algebra, comul_F, H.counit, phi_F,
+                                  phi_F_inv, name)
+        return QuasiHopfAlgebra(H.algebra, comul_F, H.counit, phi_F, H.antipode,
+                                alpha_F, beta_F, phi_F_inv, name)
+    except ValueError as exc:
+        raise ValueError("the twisted reassociator fails its two-sided "
+                         "inverse check: the comultiplication is not an "
+                         "algebra map") from exc
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhopf import (Basis, FinAlgebra, LegMul, LinearMap, PrimeField, QQ,
+from qhopf import (Basis, FinAlgebra, Fp, LegMul, LinearMap, PrimeField, QQ,
                    Tensor, corpus, invert_in_tensor_algebra,
                    invert_linear_map, mul_legs)
 
@@ -124,6 +124,140 @@ def test_mul_legs_matches_term_sum(field, nlegs):
         got = mul_legs(legs, x, y)
         assert got == _mul_legs_by_terms(legs, x, y)
         assert all(got.data.values())
+
+
+def _mul_legs_scalar_loop(legs, x, y):
+    """mul_legs as it was before it accumulated in integers: every
+    product and sum is a Fraction or Fp operation. Kept verbatim as the
+    reference for the integer kernel."""
+    if len(x.spaces) != len(legs) or len(y.spaces) != len(legs):
+        raise ValueError("leg count mismatch")
+    for i, leg in enumerate(legs):
+        if x.spaces[i] != leg.left or y.spaces[i] != leg.right:
+            raise ValueError("leg %d basis mismatch" % i)
+    out = Tensor.zero(tuple(leg.out for leg in legs), x.field)
+    data = out.data
+    ys = list(y.data.items())
+    gets = [leg.table.get for leg in legs]
+    for xi, cx in x.data.items():
+        for yi, cy in ys:
+            vecs = []
+            for get, i, j in zip(gets, xi, yi):
+                v = get((i, j))
+                if not v:
+                    break
+                vecs.append(v.items())
+            else:
+                c0 = cx * cy
+                for combo in itertools.product(*vecs):
+                    idx = tuple([k for k, _ in combo])
+                    c = c0
+                    for _, s in combo:
+                        if s != 1:
+                            c = c * s
+                    acc = data.get(idx)
+                    acc = c if acc is None else acc + c
+                    if acc:
+                        data[idx] = acc
+                    elif idx in data:
+                        del data[idx]
+    return out
+
+
+BIG = 10 ** 9
+
+
+def _scalars(kind, field):
+    """Scalars of one kind: "Q" fractions with numerators and
+    denominators up to 10^9, "Qint" small integers as Fractions, or
+    residues of GF(p)."""
+    if kind == "Q":
+        return st.builds(Fraction, st.integers(-BIG, BIG),
+                         st.integers(1, BIG))
+    if kind == "Qint":
+        return st.integers(-5, 5).map(Fraction)
+    return st.integers(0, field.p - 1).map(field.from_int)
+
+
+@st.composite
+def leg_products(draw):
+    kind = draw(st.sampled_from(("Q", "Qint", "GF3", "GF7")))
+    field = QQ if kind.startswith("Q") else PrimeField(int(kind[2:]))
+    nlegs = draw(st.integers(1, 4))
+    top = 3 if nlegs <= 2 else 2
+    scalars = _scalars(kind, field)
+    # structure constants: one (skipped by the kernel), minus one, zero
+    # (cleaned away by LegMul) and non-unit values of the same kind
+    constants = st.one_of(
+        st.sampled_from((1, -1, 0)).map(field.from_int),
+        scalars,
+        st.builds(Fraction, st.integers(-7, 7), st.integers(2, 9))
+        if kind.startswith("Q") else scalars)
+    legs, xs, ys = [], [], []
+    for n in range(nlegs):
+        dl, dr, do = (draw(st.integers(1, top)) for _ in range(3))
+        left, right, out = (Basis(tuple("%s%d" % (tag, i) for i in range(d)),
+                                  "%s%d" % (tag, n))
+                            for tag, d in (("l", dl), ("r", dr), ("o", do)))
+        table = draw(st.dictionaries(
+            st.tuples(st.integers(0, dl - 1), st.integers(0, dr - 1)),
+            st.dictionaries(st.integers(0, do - 1), constants, max_size=do)))
+        legs.append(LegMul(left, right, out, table, field))
+        xs.append(left)
+        ys.append(right)
+
+    def operand(spaces):
+        keys = st.tuples(*(st.integers(0, b.dim - 1) for b in spaces))
+        return Tensor(spaces, draw(st.dictionaries(keys, scalars,
+                                                   max_size=6)), field)
+
+    return tuple(legs), operand(tuple(xs)), operand(tuple(ys))
+
+
+def _cancelling_case(field):
+    """(e0 + e1) * e0 with e0 e0 = e0 and e1 e0 = -e0 (p - 1 in GF(p)):
+    the two terms cancel, as integers over Q and only modulo p over
+    GF(p)."""
+    basis = Basis(("b0", "b1"), "B")
+    minus = field.from_int(-1) if field == QQ else field.from_int(field.p - 1)
+    leg = LegMul(basis, basis, basis,
+                 {(0, 0): {0: field.one()}, (1, 0): {0: minus, 1: minus}},
+                 field)
+    x = Tensor((basis,), {(0,): field.one(), (1,): field.one()}, field)
+    return (leg,), x, Tensor.basis_vector(basis, 0, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_products())
+@example(_cancelling_case(QQ))
+@example(_cancelling_case(PrimeField(3)))
+def test_mul_legs_matches_scalar_loop(case):
+    legs, x, y = case
+    got = mul_legs(legs, x, y)
+    want = _mul_legs_scalar_loop(legs, x, y)
+    assert got.spaces == want.spaces
+    assert got.data == want.data
+    assert all(got.data.values())
+    kind = Fraction if x.field == QQ else Fp
+    assert all(type(c) is kind for c in got.data.values())
+
+
+def test_mul_legs_refuses_mixed_fields():
+    gf3, gf7 = PrimeField(3), PrimeField(7)
+    basis = Basis(("b0", "b1"), "B")
+
+    def leg(field):
+        return LegMul(basis, basis, basis,
+                      {(0, 1): {1: field.one()}}, field)
+
+    def vec(field):
+        return Tensor.basis_vector(basis, 0, field) + \
+            Tensor.basis_vector(basis, 1, field)
+
+    for legf, xf, yf in ((QQ, QQ, gf7), (gf7, gf7, gf3), (QQ, gf7, gf7),
+                         (gf3, gf3, QQ), (gf7, QQ, QQ)):
+        with pytest.raises(ValueError, match="field mismatch"):
+            mul_legs((leg(legf),), vec(xf), vec(yf))
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qhopf import cli, specfile as sf
+from qhopf import (LinearMap, QuasiHopfAlgebra, cli, cyclic_group_algebra,
+                   specfile as sf)
 
 
 def run(capsys, *argv):
@@ -91,6 +92,36 @@ def test_non_gauge_twist_exits_1(corpus_dir, tmp_path, capsys):
     out = tmp_path / "out.json"
     code, _, err = run(capsys, "twist", str(src), str(tw), "--out", str(out))
     assert code == 1
+    assert err == ("twist is not a gauge transformation "
+                   "(normalization or invertibility fails)\n")
+    assert not out.exists()
+
+
+def test_twist_of_comul_mutant_exits_1(tmp_path, capsys):
+    # k[Z/3] with Delta(e) = 2 e (x) e: Delta is not an algebra map, so
+    # the input is not a quasi-bialgebra and no twisted spec is written
+    H = cyclic_group_algebra(3)
+    cols = {i: dict(col) for i, col in H.comul.cols.items()}
+    cols[0][(0, 0)] = cols[0][(0, 0)] + H.field.one()
+    bad = QuasiHopfAlgebra(H.algebra, LinearMap(H.basis, (H.basis, H.basis),
+                                                cols, H.field),
+                           H.counit, H.phi, H.antipode, H.alpha, H.beta,
+                           name="z3_comul_mutant")
+    src = tmp_path / "mutant.json"
+    src.write_text(sf.serialize(sf.quasihopf_to_doc(bad)))
+    one = H.unit()
+    x = one - H.e(1)
+    tw = tmp_path / "twist.json"
+    tw.write_text(sf.serialize(sf.twist_to_doc(
+        H, one.tensor(one) + x.tensor(x))))
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, "twist", str(src), str(tw),
+                            "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == ("twist failed: the twisted reassociator fails its "
+                   "two-sided inverse check: the comultiplication is not "
+                   "an algebra map\n")
     assert not out.exists()
 
 

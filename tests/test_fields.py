@@ -80,3 +80,20 @@ def test_pair_round_trip(num, den):
     c = QQ.from_pair(num, den)
     n2, d2 = QQ.to_pair(c)
     assert QQ.from_pair(n2, d2) == c
+
+
+def test_lift_and_lower():
+    data = {"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": Fraction(4)}
+    num, den = QQ.lift(data)
+    assert (num, den) == ({"a": 3, "b": -4, "c": 24}, 6)
+    assert QQ.lower(num, den) == data
+    assert all(type(c) is Fraction for c in QQ.lower(num, den).values())
+    assert QQ.lift({}) == ({}, 1)
+    assert QQ.lower({"a": 0, "b": 6}, 3) == {"b": Fraction(2)}
+    F = PrimeField(7)
+    num, den = F.lift({"a": F.from_int(3), "b": F.from_int(6)})
+    assert (num, den) == ({"a": 3, "b": 6}, 1)
+    # numerators need not be reduced, and zero residues are left out
+    assert F.lower({"a": 10, "b": 14, "c": -1}, 1) == \
+        {"a": F.from_int(3), "c": F.from_int(6)}
+    assert F.lower({"a": 1}, 2) == {"a": F.from_pair(1, 2)}

@@ -1,7 +1,7 @@
 """Source hygiene of the qhopf package, checked with the standard library
 only: no module imports a name it never uses, no function takes a
-parameter or assigns a local it never uses, and nothing is defined that
-no code references."""
+parameter or assigns a local it never uses, nothing is defined that no
+code references, and only fields.py knows how scalars are represented."""
 
 import ast
 import pathlib
@@ -250,3 +250,53 @@ def test_unreferenced_definition_is_caught():
     callers = [definers[0][1], "from m import helper\nhelper\n"]
     assert unreferenced_definitions(definers, callers, {"api"}) == \
         [("m.py", 6, "dead")]
+
+
+SCALAR_NAMES = ("Fraction", "Fp")
+
+
+def scalar_representation_uses(source: str, exempt_from=None):
+    """(line, what) for each import of fractions and each use of the
+    names Fraction and Fp, as a name, an attribute or an imported name.
+    An import from the module exempt_from (as written in the source, say
+    ".fields") is allowed to name them: that is the package's export."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module == "fractions":
+                found.append((node.lineno, module))
+            elif module != exempt_from:
+                found += [(node.lineno, alias.name) for alias in node.names
+                          if alias.name in SCALAR_NAMES]
+        elif isinstance(node, ast.Name) and node.id in SCALAR_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in SCALAR_NAMES:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "fields.py"],
+    ids=lambda p: p.name)
+def test_scalar_representation_stays_in_fields(path):
+    exempt = ".fields" if path.name == "__init__.py" else None
+    assert scalar_representation_uses(path.read_text(encoding="utf-8"),
+                                      exempt) == []
+
+
+def test_scalar_representation_use_is_caught():
+    source = ("from fractions import Fraction\n"
+              "import fractions\n"
+              "from .fields import Fp, QQ\n"
+              "from . import fields\n"
+              "x = Fraction(1, 2)\n"
+              "y = fields.Fp(1, 7)\n")
+    assert scalar_representation_uses(source) == [
+        (1, "fractions"), (2, "fractions"), (3, "Fp"), (5, "Fraction"),
+        (6, "Fp")]
+    assert scalar_representation_uses(
+        "from .fields import Field, Fp, QQ\n", ".fields") == []

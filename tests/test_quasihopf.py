@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from qhopf import (DerivedElements, DualView, LinearMap, PrimeField,
-                   QuasiHopfAlgebra, QQ, Tensor, check_dual_bimodule_algebra,
-                   check_quasibialgebra, check_quasihopf, corpus,
-                   cyclic_group_algebra, is_gauge, klein_twist,
+from qhopf import (DerivedElements, DualView, LinearMap, NotGaugeError,
+                   PrimeField, QuasiHopfAlgebra, QQ, Tensor,
+                   check_dual_bimodule_algebra, check_quasibialgebra,
+                   check_quasihopf, corpus, cyclic_group_algebra,
+                   invert_in_tensor_algebra, is_gauge, klein_twist,
                    normalize_alpha_beta, quasi_z2, twist, twisted_klein,
                    verify_core_identities)
 
@@ -168,13 +170,57 @@ def test_non_gauge_rejected(all_corpus):
     # counit-normalized but not invertible: 1(x)1 minus its own support
     zero = Tensor((H.basis, H.basis), {}, H.field)
     assert not is_gauge(H, zero)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotGaugeError):
         twist(H, zero)
     # invertible but wrong counit normalization
     doubled = H.unit().tensor(H.unit()).scale(H.field.from_int(2))
     assert not is_gauge(H, doubled)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotGaugeError):
         twist(H, doubled)
+
+
+def seeded_gauge(H, rng):
+    """A counital gauge twist F = 1(x)1 + x(x)y with small integer
+    coefficients, eps(x) = eps(y) = 0 and x, y supported on the unit and
+    on every other basis element (on one other, seeded, when dim > 4, so
+    that the m^3-unknown solve it is checked against stays short)."""
+    one = H.unit()
+    (u,), = one.data
+    others = [i for i in range(H.dim) if i != u]
+    size = len(others) if H.dim <= 4 else 1
+    while True:
+        vecs = []
+        for _ in range(2):
+            coeffs = {i: rng.randint(-2, 2) for i in rng.sample(others, size)}
+            coeffs[u] = -sum(coeffs.values())
+            vecs.append(Tensor((H.basis,), {(i,): H.field.from_int(c)
+                                            for i, c in coeffs.items()},
+                               H.field))
+        F = one.tensor(one) + vecs[0].tensor(vecs[1])
+        if is_gauge(H, F):
+            return F
+
+
+TWIST_CASES = CORPUS_KEYS + ("k[Z/2]", "k[Z/3]", "k[Z/4]")
+
+
+@pytest.mark.parametrize("key", TWIST_CASES)
+def test_closed_form_phi_inverse_matches_solve(all_corpus, key):
+    H = (cyclic_group_algebra(int(key[4])) if key.startswith("k[Z/")
+         else all_corpus[key])
+    HF = twist(H, seeded_gauge(H, random.Random("closed-form:" + key)))
+    assert HF.phi_inv == invert_in_tensor_algebra((H.algebra,) * 3, HF.phi)
+
+
+def test_twist_refuses_comul_that_is_not_an_algebra_map():
+    # Delta(1) = 2 (1 (x) 1): the closed-form inverse of the twisted
+    # reassociator fails the constructor's two-sided check
+    H = _mutate_comul(cyclic_group_algebra(3))
+    F = seeded_gauge(H, random.Random("comul-mutant"))
+    with pytest.raises(ValueError, match="comultiplication is not an "
+                                         "algebra map") as info:
+        twist(H, F)
+    assert not isinstance(info.value, NotGaugeError)
 
 
 def test_group_like_gauge_keeps_trivial_reassociator():
