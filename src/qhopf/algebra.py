@@ -64,17 +64,59 @@ class LegMul:
         return self.table.get((i, j), {})
 
     def lifted(self):
-        """(rows, den): the table lifted (fields.py) over one common
-        denominator den, rows[(i, j)] a tuple of (k, numerator) pairs."""
+        """(rows, den): the table lifted by _lift_rows, rows[(i, j)] a
+        tuple of (k, numerator) pairs."""
         if self._lifted is None:
-            num, den = self.field.lift({(key, k): c
-                                        for key, vec in self.table.items()
-                                        for k, c in vec.items()})
-            rows = {}
-            for (key, k), n in num.items():
-                rows.setdefault(key, []).append((k, n))
-            self._lifted = ({key: tuple(v) for key, v in rows.items()}, den)
+            self._lifted = _lift_rows(self.field, self.table)
         return self._lifted
+
+
+def _lift_rows(field: Field, table):
+    """(rows, den): a table of sparse rows (key -> {index: scalar})
+    lifted (fields.py) over one common denominator den, rows[key] a tuple
+    of (index, numerator) pairs."""
+    num, den = field.lift({(key, k): c for key, vec in table.items()
+                           for k, c in vec.items()})
+    rows = {}
+    for (key, k), n in num.items():
+        rows.setdefault(key, []).append((k, n))
+    return {key: tuple(v) for key, v in rows.items()}, den
+
+
+def _leg_sum(acc, gets, xs, ys) -> None:
+    """Add the leg-wise products of xs and ys into acc: xs and ys are
+    (multi-index, numerator) pairs, ys a sequence, and leg r of each
+    product is read by gets[r] from its lifted rows. A structure constant
+    equal to one is not multiplied in: the constants of group-like bases
+    are all one."""
+    if len(gets) == 1:
+        get = gets[0]
+        for (i,), cx in xs:
+            for (j,), cy in ys:
+                v = get((i, j))
+                if v is not None:
+                    c0 = cx * cy
+                    for k, s in v:
+                        idx = (k,)
+                        acc[idx] = acc.get(idx, 0) + (c0 if s == 1 else c0 * s)
+        return
+    for xi, cx in xs:
+        for yi, cy in ys:
+            vecs = []
+            for get, i, j in zip(gets, xi, yi):
+                v = get((i, j))
+                if v is None:
+                    break
+                vecs.append(v)
+            else:
+                c0 = cx * cy
+                for combo in itertools.product(*vecs):
+                    idx = tuple([k for k, _ in combo])
+                    c = c0
+                    for _, s in combo:
+                        if s != 1:
+                            c *= s
+                    acc[idx] = acc.get(idx, 0) + c
 
 
 def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
@@ -82,9 +124,7 @@ def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     leg i of x and leg i of y, summed bilinearly.
 
     The sum runs over the lifted (integer) forms of x, y and the tables
-    and is lowered once per output entry. A structure constant equal to
-    one is not multiplied in: the constants of group-like bases are all
-    one."""
+    and is lowered once per output entry (_leg_sum)."""
     field = x.field
     if len(x.spaces) != len(legs) or len(y.spaces) != len(legs):
         raise ValueError("leg count mismatch")
@@ -106,36 +146,8 @@ def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
         rows, dt = leg.lifted()
         gets.append(rows.get)
         den *= dt
-    ys = list(ys.items())
     acc = {}
-    if len(legs) == 1:
-        get = gets[0]
-        for (i,), cx in xs.items():
-            for (j,), cy in ys:
-                v = get((i, j))
-                if v is not None:
-                    c0 = cx * cy
-                    for k, s in v:
-                        idx = (k,)
-                        acc[idx] = acc.get(idx, 0) + (c0 if s == 1 else c0 * s)
-    else:
-        for xi, cx in xs.items():
-            for yi, cy in ys:
-                vecs = []
-                for get, i, j in zip(gets, xi, yi):
-                    v = get((i, j))
-                    if v is None:
-                        break
-                    vecs.append(v)
-                else:
-                    c0 = cx * cy
-                    for combo in itertools.product(*vecs):
-                        idx = tuple([k for k, _ in combo])
-                        c = c0
-                        for _, s in combo:
-                            if s != 1:
-                                c *= s
-                        acc[idx] = acc.get(idx, 0) + c
+    _leg_sum(acc, gets, xs.items(), list(ys.items()))
     out.data = field.lower(acc, den)
     return out
 
@@ -203,23 +215,18 @@ class FinAlgebra:
 
     def is_associative(self) -> Optional[Tuple[int, int, int]]:
         """None if associative, else the first failing index triple."""
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul(self.mul_indices(i, j), self.e(k))
-                    rhs = self.mul(self.e(i), self.mul_indices(j, k))
-                    if lhs != rhs:
-                        return (i, j, k)
-        return None
+        leg = self.as_leg()
+        bad = first_mismatch(*right_action_assoc(leg, leg))
+        return None if bad is None else bad[0]
 
     def unit_laws_hold(self) -> Optional[int]:
         """None if the unit is two-sided, else the first failing index."""
-        for i in range(self.dim):
-            x = self.e(i)
-            if self.mul(self.unit, x) != x or self.mul(x, self.unit) != x:
-                return i
-        return None
+        leg = self.as_leg()
+        bad = [b[0][0] for b in (
+            first_mismatch(*left_action_unit(leg, self.unit)),
+            first_mismatch(*right_action_unit(leg, self.unit)))
+            if b is not None]
+        return min(bad) if bad else None
 
     def __eq__(self, other):
         if not isinstance(other, FinAlgebra):
@@ -231,15 +238,192 @@ class FinAlgebra:
         )
 
 
+# ----------------------------------------------------------------------
+# the two sides of an axiom, as tables on its basis inputs
+
+
+class InputTable:
+    """Vectors on the basis inputs (i_1, ..., i_k), i_r in range(dims[r]),
+    over the output spaces: the form in which check_same compares the two
+    sides of an identity. part(i) holds the vectors with i_1 = i, as one
+    dict of nonzero scalars keyed by the inputs and then the output
+    multi-index; a table is only formed one leading input at a time. A
+    table read from a structure map keeps that map's sparse rows as
+    source, so two equal maps compare equal without a slice formed."""
+
+    __slots__ = ("dims", "spaces", "field", "part", "source")
+
+    def __init__(self, dims, spaces, field: Field, fn, source=None):
+        self.dims, self.spaces = tuple(dims), tuple(spaces)
+        self.field, self.part, self.source = field, fn, source
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.dims + tuple(b.dim for b in self.spaces)
+
+
+def as_table(f) -> InputTable:
+    """A LegMul on its pairs (i, j), a LinearMap on its domain indices,
+    an InputTable as it is."""
+    if isinstance(f, InputTable):
+        return f
+    if isinstance(f, LegMul):
+        table, nr = f.table, f.right.dim
+        return InputTable((f.left.dim, nr), (f.out,), f.field, lambda i: {
+            (i, j, k): c for j in range(nr)
+            for k, c in table.get((i, j), {}).items()}, table)
+    return InputTable((f.domain.dim,), f.codomain, f.field, lambda m: {
+        (m,) + idx: c for idx, c in f.cols.get(m, {}).items()}, f.cols)
+
+
+def first_mismatch(lhs: InputTable, rhs: InputTable):
+    """None if two tables of one shape agree, else (inputs, index, lhs
+    value, rhs value) at the first key, in lexicographic order, where
+    they differ."""
+    if lhs.source is not None and lhs.source == rhs.source:
+        return None
+    k = len(lhs.dims)
+    for i in range(lhs.dims[0]):
+        a, b = lhs.part(i), rhs.part(i)
+        if a != b:
+            key = min(key for key in a.keys() | b.keys()
+                      if a.get(key) != b.get(key))
+            zero = lhs.field.zero()
+            return key[:k], key[k:], a.get(key, zero), b.get(key, zero)
+    return None
+
+
+def _side(dims, spaces, field: Field, den: int, add) -> InputTable:
+    """The table whose slice i is what add(acc, i, *rest) adds into acc
+    for every rest: lifted numerators over den."""
+    def fn(i):
+        acc = {}
+        for rest in itertools.product(*[range(d) for d in dims[1:]]):
+            add(acc, i, *rest)
+        return field.lower(acc, den)
+    return InputTable(dims, spaces, field, fn)
+
+
+def _pair(acc, inputs, get, xs, ys) -> None:
+    """Add into acc, under inputs + (k,), the pairing read by get of xs
+    and ys, (index, numerator) pairs, at output index k."""
+    for i, cx in xs:
+        for j, cy in ys:
+            for k, s in get((i, j), ()):
+                key = inputs + (k,)
+                acc[key] = acc.get(key, 0) + cx * cy * s
+
+
+def _apply(acc, inputs, get, xs, leg: int) -> None:
+    """Add into acc, under inputs, the lifted map read by get applied to
+    leg `leg` of xs, (multi-index, numerator) pairs."""
+    for idx, n in xs:
+        for mid, s in get(idx[leg], ()):
+            key = inputs + idx[:leg] + mid + idx[leg + 1:]
+            acc[key] = acc.get(key, 0) + n * s
+
+
+def left_action_assoc(act: LegMul, mult: LegMul):
+    """(g h).m and g.(h.m) on inputs (g, h, m); mult multiplies the
+    algebra that acts by act."""
+    (A, da), (P, dp) = act.lifted(), mult.lifted()
+    dims = (mult.left.dim, mult.right.dim, act.right.dim)
+    return (_side(dims, (act.out,), act.field, dp * da,
+                  lambda acc, g, h, m: _pair(acc, (g, h, m), A.get,
+                                             P.get((g, h), ()), ((m, 1),))),
+            _side(dims, (act.out,), act.field, da * da,
+                  lambda acc, g, h, m: _pair(acc, (g, h, m), A.get,
+                                             ((g, 1),), A.get((h, m), ()))))
+
+
+def right_action_assoc(act: LegMul, mult: LegMul):
+    """m.(a b) and (m.a).b on inputs (m, a, b); mult multiplies the
+    algebra that acts by act."""
+    (A, da), (P, dp) = act.lifted(), mult.lifted()
+    dims = (act.left.dim, mult.left.dim, mult.right.dim)
+    return (_side(dims, (act.out,), act.field, da * dp,
+                  lambda acc, m, a, b: _pair(acc, (m, a, b), A.get,
+                                             ((m, 1),), P.get((a, b), ()))),
+            _side(dims, (act.out,), act.field, da * da,
+                  lambda acc, m, a, b: _pair(acc, (m, a, b), A.get,
+                                             A.get((m, a), ()), ((b, 1),))))
+
+
+def actions_commute(left: LegMul, right: LegMul):
+    """(h.m).a and h.(m.a) on inputs (h, m, a)."""
+    (L, dl), (R, dr) = left.lifted(), right.lifted()
+    dims = (left.left.dim, left.right.dim, right.right.dim)
+    return (_side(dims, (left.out,), left.field, dl * dr,
+                  lambda acc, h, m, a: _pair(acc, (h, m, a), R.get,
+                                             L.get((h, m), ()), ((a, 1),))),
+            _side(dims, (left.out,), left.field, dl * dr,
+                  lambda acc, h, m, a: _pair(acc, (h, m, a), L.get,
+                                             ((h, 1),), R.get((m, a), ()))))
+
+
+def _lift_vector(t: Tensor):
+    """A one-leg tensor lifted: ((index, numerator), ...) and den."""
+    num, den = t.field.lift(t.data)
+    return tuple((i, n) for (i,), n in num.items()), den
+
+
+def left_action_unit(act: LegMul, unit: Tensor):
+    """1.m and m on inputs (m,), for the unit of the algebra acting."""
+    (A, da), (U, du) = act.lifted(), _lift_vector(unit)
+    return (_side((act.right.dim,), (act.out,), act.field, du * da,
+                  lambda acc, m: _pair(acc, (m,), A.get, U, ((m, 1),))),
+            as_table(LinearMap.identity(act.right, act.field)))
+
+
+def right_action_unit(act: LegMul, unit: Tensor):
+    """m.1 and m on inputs (m,), for the unit of the algebra acting."""
+    (A, da), (U, du) = act.lifted(), _lift_vector(unit)
+    return (_side((act.left.dim,), (act.out,), act.field, da * du,
+                  lambda acc, m: _pair(acc, (m,), A.get, ((m, 1),), U)),
+            as_table(LinearMap.identity(act.left, act.field)))
+
+
+def counit_identity(f: LinearMap, counit: LinearMap, leg: int):
+    """counit applied to leg `leg` of f(m), and m, on inputs (m,)."""
+    (F, df), (E, de) = (_lift_rows(f.field, g.cols) for g in (f, counit))
+    return (_side((f.domain.dim,), f.codomain[:leg] + f.codomain[leg + 1:],
+                  f.field, df * de, lambda acc, m: _apply(
+                      acc, (m,), E.get, F.get(m, ()), leg)),
+            as_table(LinearMap.identity(f.domain, f.field)))
+
+
+def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
+                   anti: bool = False):
+    """f(i j) and f(i) f(j) (f(j) f(i) if anti) on inputs (i, j): mult
+    multiplies the domain of f, legs[r] leg r of its codomain."""
+    (F, df), (P, dp) = _lift_rows(f.field, f.cols), mult.lifted()
+    gets, dl = [], 1
+    for leg in legs:
+        rows, d = leg.lifted()
+        gets.append(rows.get)
+        dl *= d
+
+    def lhs(acc, i, j):
+        xs = [((k,), n) for k, n in P.get((i, j), ())]
+        _apply(acc, (i, j), F.get, xs, 0)
+
+    def rhs(acc, i, j):
+        x, y = F.get(i, ()), F.get(j, ())
+        part = {}
+        _leg_sum(part, gets, *((y, x) if anti else (x, y)))
+        for idx, n in part.items():
+            acc[(i, j) + idx] = n
+
+    dims = (mult.left.dim, mult.right.dim)
+    return (_side(dims, f.codomain, f.field, dp * df, lhs),
+            _side(dims, f.codomain, f.field, df * df * dl, rhs))
+
+
 def tensor_unit(algebras: Sequence[FinAlgebra]) -> Tensor:
     out = Tensor.scalar(algebras[0].field.one(), algebras[0].field)
     for a in algebras:
         out = out.tensor(a.unit_tensor())
     return out
-
-
-def tensor_algebra_legs(algebras: Sequence[FinAlgebra]) -> Tuple[LegMul, ...]:
-    return tuple(a.as_leg() for a in algebras)
 
 
 def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optional[Tensor]:
@@ -248,7 +432,7 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
     Solves the left-multiplication system exactly, then verifies both
     x * y = 1 and y * x = 1 before returning y.
     """
-    legs = tensor_algebra_legs(algebras)
+    legs = tuple(a.as_leg() for a in algebras)
     field = x.field
     flat = FlatSpace(tuple(a.basis for a in algebras), field)
     spaces, total = flat.factors, flat.dim

@@ -106,7 +106,7 @@ def cmd_check(args) -> int:
                        None if bad is None else {"at": list(bad)})
         bad = alg.unit_laws_hold()
         rep.check_bool("unit", bad is None,
-                       None if bad is None else {"at": list(bad)})
+                       None if bad is None else {"at": [bad]})
     else:
         raise sf.SpecError("kind %r is not checkable" % kind)
     return _emit(rep, args)

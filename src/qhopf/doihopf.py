@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .algebra import FinAlgebra, LegMul, mul_legs
+from .algebra import (FinAlgebra, LegMul, actions_commute, counit_identity,
+                      left_action_assoc, left_action_unit, mul_legs,
+                      right_action_assoc, right_action_unit)
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                    LeftModuleAlgebra, RightModuleCoalgebra,
+                    LeftModuleAlgebra, OverH, RightModuleCoalgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
 from .hopfmod import (TwoSidedHopfModule, check_two_sided_hopf_module,
                       cyclic_right_submodule, _act_on,
@@ -40,7 +42,7 @@ from .tensor import Basis, FlatSpace, LinearMap, Tensor
 # bimodule coalgebras
 
 
-class BimoduleCoalgebra:
+class BimoduleCoalgebra(OverH):
     """An H-bimodule coalgebra: a coalgebra in the category of
     (H,H)-bimodules, coassociative up to conjugation by the
     reassociator acting through the two module structures."""
@@ -63,17 +65,6 @@ class BimoduleCoalgebra:
         self.left_action = left_action
         self.right_action = right_action
         self.name = name or basis.name
-
-    @property
-    def field(self):
-        return self.H.field
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def e(self, i: int) -> Tensor:
-        return Tensor.basis_vector(self.basis, i, self.field)
 
     def lact(self, h: Tensor, c: Tensor) -> Tensor:
         return mul_legs((self.left_action,), h, c)
@@ -99,27 +90,12 @@ def check_bimodule_coalgebra(C: BimoduleCoalgebra) -> VerificationReport:
     rep = VerificationReport("bimodule coalgebra %s" % C.name,
                              {"dim": C.dim, "field": H.field.name})
     n, m = C.dim, H.dim
-    rep.check_quantified(
-        "lmod-assoc", ((i, j, c) for i in range(m) for j in range(m)
-                       for c in range(n)),
-        lambda i, j, c: (C.lact(H.algebra.mul_indices(i, j), C.e(c)),
-                         C.lact(H.e(i), C.lact(H.e(j), C.e(c)))))
-    rep.check_quantified(
-        "rmod-assoc", ((c, i, j) for c in range(n) for i in range(m)
-                       for j in range(m)),
-        lambda c, i, j: (C.ract(C.e(c), H.algebra.mul_indices(i, j)),
-                         C.ract(C.ract(C.e(c), H.e(i)), H.e(j))))
-    rep.check_quantified(
-        "lmod-unit", ((c,) for c in range(n)),
-        lambda c: (C.lact(H.unit(), C.e(c)), C.e(c)))
-    rep.check_quantified(
-        "rmod-unit", ((c,) for c in range(n)),
-        lambda c: (C.ract(C.e(c), H.unit()), C.e(c)))
-    rep.check_quantified(
-        "commute", ((i, c, j) for i in range(m) for c in range(n)
-                    for j in range(m)),
-        lambda i, c, j: (C.lact(H.e(i), C.ract(C.e(c), H.e(j))),
-                         C.ract(C.lact(H.e(i), C.e(c)), H.e(j))))
+    rep.check_same("lmod-assoc", *left_action_assoc(C.left_action, H.leg()))
+    rep.check_same("rmod-assoc", *right_action_assoc(C.right_action, H.leg()))
+    rep.check_same("lmod-unit", *left_action_unit(C.left_action, H.unit()))
+    rep.check_same("rmod-unit", *right_action_unit(C.right_action, H.unit()))
+    outer_first, inner_first = actions_commute(C.left_action, C.right_action)
+    rep.check_same("commute", inner_first, outer_first)
     lact3 = (C.left_action,) * 3
     ract3 = (C.right_action,) * 3
     rep.check_quantified(
@@ -216,7 +192,7 @@ def dual_module_algebra(mc: RightModuleCoalgebra,
 # Doi-Hopf modules
 
 
-class DoiHopfModule:
+class DoiHopfModule(OverH):
     """A right-left Doi-Hopf module: a right module over a left comodule
     algebra together with a compatible left coaction of a right module
     coalgebra (both over the same quasi-bialgebra)."""
@@ -239,17 +215,6 @@ class DoiHopfModule:
         self.coaction = coaction
         self.name = name or basis.name
 
-    @property
-    def field(self):
-        return self.H.field
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def e(self, i: int) -> Tensor:
-        return Tensor.basis_vector(self.basis, i, self.field)
-
     def ract(self, n: Tensor, b: Tensor) -> Tensor:
         return mul_legs((self.r_action,), n, b)
 
@@ -262,17 +227,10 @@ def check_doi_hopf_module(N: DoiHopfModule) -> VerificationReport:
     rep = VerificationReport("Doi-Hopf module %s" % N.name,
                              {"dim": N.dim, "field": N.field.name})
     n, nB = N.dim, cb.dim
-    rep.check_quantified(
-        "rmod-assoc", ((m, a, b) for m in range(n) for a in range(nB)
-                       for b in range(nB)),
-        lambda m, a, b: (N.ract(N.e(m), cb.algebra.mul_indices(a, b)),
-                         N.ract(N.ract(N.e(m), cb.e(a)), cb.e(b))))
-    rep.check_quantified(
-        "rmod-unit", ((m,) for m in range(n)),
-        lambda m: (N.ract(N.e(m), cb.unit()), N.e(m)))
-    rep.check_quantified(
-        "dhm2", ((m,) for m in range(n)),
-        lambda m: (N.coact(N.e(m)).map_leg(0, mc.counit), N.e(m)))
+    rep.check_same("rmod-assoc", *right_action_assoc(
+        N.r_action, cb.algebra.as_leg()))
+    rep.check_same("rmod-unit", *right_action_unit(N.r_action, cb.unit()))
+    rep.check_same("dhm2", *counit_identity(N.coaction, mc.counit, 0))
     rep.check_quantified(
         "dhm1", ((m,) for m in range(n)),
         lambda m: (N.coact(N.e(m)).map_leg(0, mc.comul),
@@ -349,7 +307,7 @@ def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
 # crossed (two-sided two-cosided) Hopf modules
 
 
-class CrossedHopfModule:
+class CrossedHopfModule(OverH):
     """A two-sided two-cosided Hopf module over a bicomodule algebra and
     a bimodule coalgebra: a two-sided Hopf module ts over the right
     comodule algebra of ba together with a left coaction of the
@@ -370,17 +328,6 @@ class CrossedHopfModule:
         self.c_coaction = c_coaction
         self.name = ts.name
 
-    @property
-    def field(self):
-        return self.H.field
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def e(self, i: int) -> Tensor:
-        return Tensor.basis_vector(self.basis, i, self.field)
-
     def ccoact(self, m: Tensor, leg: int = 0) -> Tensor:
         return m.map_leg(leg, self.c_coaction)
 
@@ -391,9 +338,7 @@ def check_crossed_hopf_module(M: CrossedHopfModule) -> VerificationReport:
                              {"dim": M.dim, "field": H.field.name})
     rep.extend(check_two_sided_hopf_module(ts), prefix="ts/")
     n, nH, nA = M.dim, H.dim, ba.dim
-    rep.check_quantified(
-        "c-counit", ((m,) for m in range(n)),
-        lambda m: (M.ccoact(M.e(m)).map_leg(0, C.counit), M.e(m)))
+    rep.check_same("c-counit", *counit_identity(M.c_coaction, C.counit, 0))
     lactCC = (C.left_action, C.left_action, ts.left_action)
     ractCC = (C.right_action, C.right_action, ts.right_action)
     rep.check_quantified(

@@ -16,8 +16,10 @@ from __future__ import annotations
 import random
 from typing import Dict, Tuple
 
-from .algebra import LegMul, mul_legs
-from .coact import RightComoduleAlgebra, canonical_right_comodule
+from .algebra import (LegMul, actions_commute, counit_identity,
+                      left_action_assoc, left_action_unit, mul_legs,
+                      right_action_assoc, right_action_unit)
+from .coact import OverH, RightComoduleAlgebra, canonical_right_comodule
 from .linalg import RowSpan
 from .products import ProductAlgebra, QuasiSmash, quasi_smash, smash_product
 from .quasihopf import QuasiHopfAlgebra
@@ -29,7 +31,7 @@ from .tensor import Basis, FlatSpace, LinearMap, Tensor
 # the two module categories
 
 
-class TwoSidedHopfModule:
+class TwoSidedHopfModule(OverH):
     """A two-sided Hopf module over a right comodule algebra: a left
     H-module and right A-module whose H-coaction is left H-colinear,
     right A-colinear and coassociative up to Phi and Phi_rho."""
@@ -54,17 +56,6 @@ class TwoSidedHopfModule:
         self.coaction = coaction
         self.name = name or basis.name
 
-    @property
-    def field(self):
-        return self.H.field
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def e(self, i: int) -> Tensor:
-        return Tensor.basis_vector(self.basis, i, self.field)
-
     def lact(self, h: Tensor, m: Tensor) -> Tensor:
         return mul_legs((self.left_action,), h, m)
 
@@ -75,7 +66,7 @@ class TwoSidedHopfModule:
         return m.map_leg(leg, self.coaction)
 
 
-class RelativeHopfModule:
+class RelativeHopfModule(OverH):
     """A relative Hopf module over the quasi-smash product A (x) H*: a
     left H-module with a right action of A (x) H* that is associative up
     to Phi acting through the left H-action and the module-algebra
@@ -97,17 +88,6 @@ class RelativeHopfModule:
         self.r_action = r_action
         self.name = name or basis.name
 
-    @property
-    def field(self):
-        return self.H.field
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def e(self, i: int) -> Tensor:
-        return Tensor.basis_vector(self.basis, i, self.field)
-
     def lact(self, h: Tensor, m: Tensor) -> Tensor:
         return mul_legs((self.h_action,), h, m)
 
@@ -124,30 +104,14 @@ def check_two_sided_hopf_module(M: TwoSidedHopfModule) -> VerificationReport:
     rep = VerificationReport("two-sided Hopf module %s" % M.name,
                              {"dim": M.dim, "field": H.field.name})
     n, nH, nA = M.dim, H.dim, ca.dim
-    rep.check_quantified(
-        "lmod-assoc", ((i, j, m) for i in range(nH) for j in range(nH)
-                       for m in range(n)),
-        lambda i, j, m: (M.lact(H.algebra.mul_indices(i, j), M.e(m)),
-                         M.lact(H.e(i), M.lact(H.e(j), M.e(m)))))
-    rep.check_quantified(
-        "lmod-unit", ((m,) for m in range(n)),
-        lambda m: (M.lact(H.unit(), M.e(m)), M.e(m)))
-    rep.check_quantified(
-        "rmod-assoc", ((m, a, b) for m in range(n) for a in range(nA)
-                       for b in range(nA)),
-        lambda m, a, b: (M.ract(M.e(m), ca.algebra.mul_indices(a, b)),
-                         M.ract(M.ract(M.e(m), ca.e(a)), ca.e(b))))
-    rep.check_quantified(
-        "rmod-unit", ((m,) for m in range(n)),
-        lambda m: (M.ract(M.e(m), ca.unit()), M.e(m)))
-    rep.check_quantified(
-        "bimodule", ((i, m, a) for i in range(nH) for m in range(n)
-                     for a in range(nA)),
-        lambda i, m, a: (M.ract(M.lact(H.e(i), M.e(m)), ca.e(a)),
-                         M.lact(H.e(i), M.ract(M.e(m), ca.e(a)))))
-    rep.check_quantified(
-        "counit", ((m,) for m in range(n)),
-        lambda m: (M.coact(M.e(m)).map_leg(1, H.counit), M.e(m)))
+    rep.check_same("lmod-assoc", *left_action_assoc(M.left_action, H.leg()))
+    rep.check_same("lmod-unit", *left_action_unit(M.left_action, H.unit()))
+    rep.check_same("rmod-assoc", *right_action_assoc(
+        M.right_action, ca.algebra.as_leg()))
+    rep.check_same("rmod-unit", *right_action_unit(M.right_action, ca.unit()))
+    rep.check_same("bimodule", *actions_commute(M.left_action,
+                                                M.right_action))
+    rep.check_same("counit", *counit_identity(M.coaction, H.counit, 1))
 
     left_legs = (M.left_action, H.leg(), H.leg())
     right_legs = (M.right_action, H.leg(), H.leg())
@@ -178,17 +142,9 @@ def check_relative_hopf_module(N: RelativeHopfModule) -> VerificationReport:
     rep = VerificationReport("relative Hopf module %s" % N.name,
                              {"dim": N.dim, "field": H.field.name})
     n, nH, nQ = N.dim, H.dim, qs.dim
-    rep.check_quantified(
-        "lmod-assoc", ((i, j, m) for i in range(nH) for j in range(nH)
-                       for m in range(n)),
-        lambda i, j, m: (N.lact(H.algebra.mul_indices(i, j), N.e(m)),
-                         N.lact(H.e(i), N.lact(H.e(j), N.e(m)))))
-    rep.check_quantified(
-        "lmod-unit", ((m,) for m in range(n)),
-        lambda m: (N.lact(H.unit(), N.e(m)), N.e(m)))
-    rep.check_quantified(
-        "rmod-unit", ((m,) for m in range(n)),
-        lambda m: (N.ract(N.e(m), qs.unit()), N.e(m)))
+    rep.check_same("lmod-assoc", *left_action_assoc(N.h_action, H.leg()))
+    rep.check_same("lmod-unit", *left_action_unit(N.h_action, H.unit()))
+    rep.check_same("rmod-unit", *right_action_unit(N.r_action, qs.unit()))
 
     # (X2 . u)(X3 . v) does not depend on m: formed once per call
     factor = {}

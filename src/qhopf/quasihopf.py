@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
-                      invert_linear_map, mul_legs, tensor_unit)
+                      invert_linear_map, mul_legs, multiplicative,
+                      tensor_unit)
 from .fields import Field
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
@@ -260,12 +261,6 @@ def normalize_alpha_beta(H: QuasiHopfAlgebra) -> QuasiHopfAlgebra:
 # axiom checkers
 
 
-def _all_pairs(n):
-    for i in range(n):
-        for j in range(n):
-            yield (i, j)
-
-
 def check_quasibialgebra(H: QuasiBialgebra) -> VerificationReport:
     rep = VerificationReport("quasi-bialgebra %s" % H.name,
                              {"dim": H.dim, "field": H.field.name})
@@ -275,16 +270,11 @@ def check_quasibialgebra(H: QuasiBialgebra) -> VerificationReport:
     rep.check_bool("unit", alg.unit_laws_hold() is None)
 
     one = H.unit()
-    rep.check_quantified(
-        "counit-hom", _all_pairs(n),
-        lambda i, j: (Tensor.scalar(H.eps(alg.mul_indices(i, j)), H.field),
-                      Tensor.scalar(H.eps(H.e(i)) * H.eps(H.e(j)), H.field)))
+    rep.check_same("counit-hom", *multiplicative(H.counit, H.leg(), ()))
     rep.check_equal("counit-unit", one.map_leg(0, H.counit),
                     Tensor.scalar(H.field.one(), H.field))
-    rep.check_quantified(
-        "comul-hom", _all_pairs(n),
-        lambda i, j: (H.delta(alg.mul_indices(i, j)),
-                      H.tmul(H.delta(H.e(i)), H.delta(H.e(j)))))
+    rep.check_same("comul-hom", *multiplicative(H.comul, H.leg(),
+                                                (H.leg(), H.leg())))
     rep.check_equal("comul-unit", H.delta(one), one.tensor(one))
 
     unit3 = H.unit_pow(3)
@@ -327,10 +317,8 @@ def check_quasihopf(H: QuasiHopfAlgebra) -> VerificationReport:
     n = H.dim
     one = H.unit()
 
-    rep.check_quantified(
-        "antipode-antihom", _all_pairs(n),
-        lambda i, j: (H.S(H.algebra.mul_indices(i, j)),
-                      H.mul(H.S(H.e(j)), H.S(H.e(i)))))
+    rep.check_same("antipode-antihom", *multiplicative(
+        H.antipode, H.leg(), (H.leg(),), anti=True))
     rep.check_equal("antipode-unit", H.S(one), one)
     try:
         H.antipode_inv

@@ -8,12 +8,11 @@ coefficients at that index.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from .algebra import LegMul
+from .algebra import as_table, first_mismatch
 from .fields import Field
 from .tensor import Tensor
 
@@ -78,16 +77,10 @@ class VerificationReport:
         self.records.append(record)
         return record
 
-    def check_equal(self, tag: str, lhs: Tensor, rhs: Tensor,
-                    inputs: Optional[Sequence[int]] = None) -> CheckRecord:
+    def check_equal(self, tag: str, lhs: Tensor, rhs: Tensor) -> CheckRecord:
         t0 = time.perf_counter()
         diff = first_difference(lhs, rhs)
-        rec = CheckRecord(tag, diff is None)
-        if diff is not None:
-            if inputs is not None:
-                diff = dict(diff)
-                diff["inputs"] = list(inputs)
-            rec.counterexample = diff
+        rec = CheckRecord(tag, diff is None, diff)
         rec.seconds = time.perf_counter() - t0
         return self.add(rec)
 
@@ -105,37 +98,28 @@ class VerificationReport:
         return self.add(CheckRecord(tag, True, None, time.perf_counter() - t0))
 
     def check_same(self, tag: str, lhs, rhs) -> CheckRecord:
-        """Check that two structure maps agree on every basis input: two
-        LegMuls on every pair (i, j), or two LinearMaps on every domain
-        index m. Equal tables pass with no input scanned, and maps of
-        different shapes fail; otherwise the inputs are scanned in
-        lexicographic order as by check_quantified, both sides read on
-        the output spaces of lhs."""
-        if isinstance(lhs, LegMul):
-            def shape(f):
-                return (f.left.dim, f.right.dim, f.out.dim)
-
-            def row(f, *key):
-                return {(k,): c for k, c in f.table.get(key, {}).items()}
-
-            spaces, same = (lhs.out,), lhs.table == rhs.table
-            inputs = itertools.product(range(lhs.left.dim), range(lhs.right.dim))
-        else:
-            def shape(f):
-                return (f.domain.dim,) + tuple(b.dim for b in f.codomain)
-
-            def row(f, m):
-                return f.cols.get(m, {})
-
-            spaces, same = lhs.codomain, lhs.cols == rhs.cols
-            inputs = ((m,) for m in range(lhs.domain.dim))
-        if shape(lhs) != shape(rhs):
+        """Check that two maps agree on every basis input. Each side is
+        an InputTable (algebra.py), the two sides of an axiom as built by
+        its side-builder there, or a structure map read as one: a LegMul
+        on its pairs (i, j), a LinearMap on its domain indices m. Tables
+        of different shapes fail. The sides are compared one leading
+        input at a time, and a difference is reported as
+        check_quantified reports it: the first inputs in lexicographic
+        order and, within them, the first differing index."""
+        t0 = time.perf_counter()
+        lhs, rhs = as_table(lhs), as_table(rhs)
+        if lhs.shape != rhs.shape:
             return self.check_bool(tag, False)
-        field = lhs.field
-        return self.check_quantified(
-            tag, () if same else inputs,
-            lambda *key: (Tensor(spaces, row(lhs, *key), field),
-                          Tensor(spaces, row(rhs, *key), field)))
+        bad = first_mismatch(lhs, rhs)
+        rec = CheckRecord(tag, bad is None)
+        if bad is not None:
+            inputs, index, a, b = bad
+            rec.counterexample = {
+                "index": list(index), "inputs": list(inputs),
+                "lhs": scalar_str(lhs.field, a),
+                "rhs": scalar_str(lhs.field, b)}
+        rec.seconds = time.perf_counter() - t0
+        return self.add(rec)
 
     def check_bool(self, tag: str, passed: bool, detail: Optional[dict] = None) -> CheckRecord:
         return self.add(CheckRecord(tag, passed, None if passed else (detail or {})))

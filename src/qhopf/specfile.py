@@ -52,27 +52,44 @@ def rows_from_tensor(t: Tensor) -> List[List[int]]:
     return rows
 
 
-def tensor_from_rows(spaces: Sequence[Basis], rows, field: Field) -> Tensor:
-    nlegs = len(spaces)
-    data = {}
+def _entries(rows, dims: Sequence[int], field: Field, bad_row: str,
+             out_of_range, duplicate):
+    """(index, scalar) for each entry row of a reader: len(dims) indices
+    followed by a numerator and a denominator, all of them JSON integers
+    (not booleans), the denominator nonzero in field, index r in
+    range(dims[r]) and no index twice; zero scalars are left out.
+    bad_row is the reader's message for a malformed row, and
+    out_of_range(leg, row) and duplicate(index, row) give its other
+    messages."""
+    seen = set()
     for row in rows:
-        if not isinstance(row, list) or len(row) != nlegs + 2 or \
-                not all(isinstance(v, int) for v in row):
-            raise SpecError("bad entry row %r (need %d indices + num/den)"
-                            % (row, nlegs))
-        idx = tuple(row[:nlegs])
-        num, den = row[nlegs], row[nlegs + 1]
+        if not isinstance(row, list) or len(row) != len(dims) + 2 or \
+                not all(type(v) is int for v in row):
+            raise SpecError(bad_row % (row,))
+        idx, num, den = tuple(row[:-2]), row[-2], row[-1]
         if den == 0:
             raise SpecError("zero denominator in row %r" % (row,))
-        for leg, i in enumerate(idx):
-            if not 0 <= i < spaces[leg].dim:
-                raise SpecError("index %d out of range for leg %d in row %r"
-                                % (i, leg, row))
-        if idx in data:
-            raise SpecError("duplicate index %r" % (idx,))
+        if not field.from_int(den):
+            raise SpecError("denominator %d is zero in %s in row %r"
+                            % (den, field.name, row))
+        for leg, (i, d) in enumerate(zip(idx, dims)):
+            if not 0 <= i < d:
+                raise SpecError(out_of_range(leg, row))
+        if idx in seen:
+            raise SpecError(duplicate(idx, row))
+        seen.add(idx)
         c = field.from_pair(num, den)
         if c:
-            data[idx] = c
+            yield idx, c
+
+
+def tensor_from_rows(spaces: Sequence[Basis], rows, field: Field) -> Tensor:
+    data = dict(_entries(
+        rows, [b.dim for b in spaces], field,
+        "bad entry row %%r (need %d indices + num/den)" % len(spaces),
+        lambda leg, row: "index %d out of range for leg %d in row %r"
+        % (row[leg], leg, row),
+        lambda idx, row: "duplicate index %r" % (idx,)))
     return Tensor(tuple(spaces), data, field)
 
 
@@ -89,29 +106,18 @@ def rows_from_linmap(f: LinearMap) -> List[List[int]]:
 
 def linmap_from_rows(domain: Basis, codomain: Tuple[Basis, ...], rows,
                      field: Field) -> LinearMap:
-    nlegs = len(codomain)
+    def out_of_range(leg, row):
+        if leg == 0:
+            return "source index out of range in row %r" % (row,)
+        return "index %d out of range for leg %d in row %r" % (
+            row[leg], leg - 1, row)
+
     cols: Dict[int, Dict[tuple, object]] = {}
-    for row in rows:
-        if not isinstance(row, list) or len(row) != nlegs + 3 or \
-                not all(isinstance(v, int) for v in row):
-            raise SpecError("bad map row %r" % (row,))
-        src = row[0]
-        idx = tuple(row[1:1 + nlegs])
-        num, den = row[nlegs + 1], row[nlegs + 2]
-        if den == 0:
-            raise SpecError("zero denominator in row %r" % (row,))
-        if not 0 <= src < domain.dim:
-            raise SpecError("source index out of range in row %r" % (row,))
-        for leg, i in enumerate(idx):
-            if not 0 <= i < codomain[leg].dim:
-                raise SpecError("index %d out of range for leg %d in row %r"
-                                % (i, leg, row))
-        col = cols.setdefault(src, {})
-        if idx in col:
-            raise SpecError("duplicate index %r" % (row,))
-        c = field.from_pair(num, den)
-        if c:
-            col[idx] = c
+    for idx, c in _entries(
+            rows, [domain.dim] + [b.dim for b in codomain], field,
+            "bad map row %r", out_of_range,
+            lambda idx, row: "duplicate index %r" % (row,)):
+        cols.setdefault(idx[0], {})[idx[1:]] = c
     return LinearMap(domain, tuple(codomain), cols, field)
 
 
@@ -129,22 +135,11 @@ def rows_from_legmul(lm: LegMul) -> List[List[int]]:
 def legmul_from_rows(left: Basis, right: Basis, out: Basis, rows,
                      field: Field) -> LegMul:
     table: Dict[Tuple[int, int], Dict[int, object]] = {}
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 5 or \
-                not all(isinstance(v, int) for v in row):
-            raise SpecError("bad product row %r" % (row,))
-        i, j, k, num, den = row
-        if den == 0:
-            raise SpecError("zero denominator in row %r" % (row,))
-        if not (0 <= i < left.dim and 0 <= j < right.dim
-                and 0 <= k < out.dim):
-            raise SpecError("index out of range in row %r" % (row,))
-        col = table.setdefault((i, j), {})
-        if k in col:
-            raise SpecError("duplicate index %r" % (row,))
-        c = field.from_pair(num, den)
-        if c:
-            col[k] = c
+    for (i, j, k), c in _entries(
+            rows, (left.dim, right.dim, out.dim), field, "bad product row %r",
+            lambda leg, row: "index out of range in row %r" % (row,),
+            lambda idx, row: "duplicate index %r" % (row,)):
+        table.setdefault((i, j), {})[k] = c
     return LegMul(left, right, out, table, field)
 
 
@@ -205,6 +200,13 @@ def _parse_basis(doc: dict, key: str = "basis",
     return Basis(tuple(labels), str(doc.get(name_key, "")))
 
 
+def _algebra(doc: dict, b: Basis, field: Field) -> FinAlgebra:
+    """The algebra of a document: its "mult" and "unit" entries on b."""
+    mult = legmul_from_rows(b, b, b, _data(doc, "mult"), field)
+    unit = tensor_from_rows((b,), _data(doc, "unit"), field)
+    return FinAlgebra(b, mult.table, unit, field)
+
+
 def _data(doc: dict, key: str, required: bool = True):
     data = doc.get("data")
     if not isinstance(data, dict):
@@ -241,15 +243,13 @@ def quasihopf_to_doc(H: QuasiBialgebra,
 
 def doc_to_quasihopf(doc: dict) -> QuasiBialgebra:
     field = parse_field(doc.get("field", ""))
-    basis = _parse_basis(doc)
-    b = basis
-    mult = legmul_from_rows(b, b, b, _data(doc, "mult"), field)
-    unit = tensor_from_rows((b,), _data(doc, "unit"), field)
-    algebra = FinAlgebra(b, mult.table, unit, field)
+    b = _parse_basis(doc)
+    algebra = _algebra(doc, b, field)
     comul = linmap_from_rows(b, (b, b), _data(doc, "comul"), field)
     counit = linmap_from_rows(b, (), _data(doc, "counit"), field)
     phi_rows = _data(doc, "phi", required=doc["kind"] != "bialgebra")
     if phi_rows is None:
+        unit = algebra.unit
         phi = unit.tensor(unit).tensor(unit)
     else:
         phi = tensor_from_rows((b, b, b), phi_rows, field)
@@ -285,9 +285,7 @@ def algebra_to_doc(alg: FinAlgebra, name: str = "",
 def doc_to_algebra(doc: dict) -> FinAlgebra:
     field = parse_field(doc.get("field", ""))
     b = _parse_basis(doc)
-    mult = legmul_from_rows(b, b, b, _data(doc, "mult"), field)
-    unit = tensor_from_rows((b,), _data(doc, "unit"), field)
-    return FinAlgebra(b, mult.table, unit, field)
+    return _algebra(doc, b, field)
 
 
 def module_algebra_to_doc(ma: LeftModuleAlgebra,
@@ -306,9 +304,7 @@ def doc_to_module_algebra(doc: dict) -> LeftModuleAlgebra:
     H = doc_to_quasihopf(_subdoc(doc, "h"))
     field = H.field
     b = _parse_basis(doc)
-    mult = legmul_from_rows(b, b, b, _data(doc, "mult"), field)
-    unit = tensor_from_rows((b,), _data(doc, "unit"), field)
-    algebra = FinAlgebra(b, mult.table, unit, field)
+    algebra = _algebra(doc, b, field)
     action = legmul_from_rows(H.basis, b, b, _data(doc, "action"), field)
     return LeftModuleAlgebra(H, algebra, action,
                              name=str(doc.get("name", "")))
@@ -354,9 +350,7 @@ def doc_to_comodule_algebra(doc: dict):
     H = doc_to_quasihopf(_subdoc(doc, "h"))
     field = H.field
     b = _parse_basis(doc)
-    mult = legmul_from_rows(b, b, b, _data(doc, "mult"), field)
-    unit = tensor_from_rows((b,), _data(doc, "unit"), field)
-    algebra = FinAlgebra(b, mult.table, unit, field)
+    algebra = _algebra(doc, b, field)
     side = doc.get("side")
     inv_rows = _data(doc, "reassociator-inv", required=False)
     try:
@@ -432,9 +426,7 @@ def doc_to_bicomodule_algebra(doc: dict) -> BicomoduleAlgebra:
     H = doc_to_quasihopf(_subdoc(doc, "h"))
     field = H.field
     b = _parse_basis(doc)
-    mult = legmul_from_rows(b, b, b, _data(doc, "mult"), field)
-    unit = tensor_from_rows((b,), _data(doc, "unit"), field)
-    algebra = FinAlgebra(b, mult.table, unit, field)
+    algebra = _algebra(doc, b, field)
     lco = linmap_from_rows(b, (H.basis, b), _data(doc, "left-coaction"),
                            field)
     rco = linmap_from_rows(b, (b, H.basis), _data(doc, "right-coaction"),

@@ -192,3 +192,48 @@ def test_pretty_output(corpus_dir, capsys):
                        str(corpus_dir / "z2_quasi.json"))
     assert code == 0
     assert "verdict: pass" in out
+
+
+def _z2_with_unit_row(tmp_path, field, row):
+    """The corpus file z2 over field with its unit row replaced."""
+    d = tmp_path / "corpus"
+    assert cli.main(["--field", field, "corpus", "--out", str(d)]) == 0
+    text = (d / "z2.json").read_text()
+    doc = json.loads(text)
+    assert doc["data"]["unit"] == [[0, 1, 1]]
+    doc["data"]["unit"] = [row]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+@pytest.mark.parametrize("field, row, message", [
+    ("GF(7)", [0, 1, 7], "denominator 7 is zero in GF(7) in row [0, 1, 7]"),
+    ("GF(7)", [0, True, 1], "bad entry row [0, True, 1]"),
+    ("Q", [0, 1, 0], "zero denominator in row [0, 1, 0]"),
+    ("Q", [0, 1, False], "bad entry row [0, 1, False]"),
+])
+def test_malformed_entry_row_exits_2(tmp_path, capsys, field, row, message):
+    bad = _z2_with_unit_row(tmp_path, field, row)
+    capsys.readouterr()
+    code, out, err = run(capsys, "--field", field, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_check_algebra_with_wrong_unit_exits_1(tmp_path, capsys):
+    # k[Z/3] with g as its unit: both laws fail first at e, index 0
+    H = cyclic_group_algebra(3)
+    doc = sf.algebra_to_doc(H.algebra, name="z3-wrong-unit")
+    doc["data"]["unit"] = [[1, 1, 1]]
+    bad = tmp_path / "alg.json"
+    bad.write_text(sf.serialize(doc))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert err == ""
+    checks = {c["tag"]: c for c in json.loads(out)["checks"]}
+    assert checks["unit"] == {"tag": "unit", "passed": False,
+                              "counterexample": {"at": [0]}}
+    assert checks["associative"]["passed"] is True

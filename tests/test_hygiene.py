@@ -300,3 +300,37 @@ def test_scalar_representation_use_is_caught():
         (6, "Fp")]
     assert scalar_representation_uses(
         "from .fields import Field, Fp, QQ\n", ".fields") == []
+
+
+# check_quantified call sites per module, as counted when the action,
+# counit and multiplicativity axioms moved to the side-builders of
+# algebra.py. A new quantified check either states its two sides as
+# tables (VerificationReport.check_same) or raises its module's number
+# here, where a reviewer sees it.
+QUANTIFIED_CALLS = {"coact.py": 11, "doihopf.py": 10, "hopfmod.py": 8,
+                    "products.py": 9, "quasihopf.py": 13}
+
+
+def quantified_calls(source: str) -> int:
+    """The number of calls of a method or function named
+    check_quantified in source."""
+    return sum(isinstance(node, ast.Call) and
+               getattr(node.func, "attr", getattr(node.func, "id", None))
+               == "check_quantified"
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_quantified_calls_do_not_grow(path):
+    count = quantified_calls(path.read_text(encoding="utf-8"))
+    assert count <= QUANTIFIED_CALLS.get(path.name, 0)
+
+
+def test_quantified_call_is_counted():
+    source = ("def check(rep, n):\n"
+              "    rep.check_quantified('a', range(n), f)\n"
+              "    check_quantified('b', range(n), f)\n"
+              "    rep.check_same('c', x, y)\n"
+              "def check_quantified(tag, inputs, fn):\n"
+              "    return None\n")
+    assert quantified_calls(source) == 2
