@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .algebra import FinAlgebra, LegMul
+from .algebra import FinAlgebra, LegMul, _lift_rows
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
@@ -22,13 +22,14 @@ from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
-def _times(mult, vec, k, zero, left=False):
+def _times(rows, vec, k, left=False):
     """The sparse vector vec times e_k (e_k times vec when left) by the
-    structure constants mult."""
-    out: Dict[int, object] = {}
-    for i, c in vec.items():
-        for r, cr in mult.get((k, i) if left else (i, k), {}).items():
-            out[r] = out.get(r, zero) + c * cr
+    lifted structure constants rows; vec is a sequence of (index,
+    numerator) pairs, and so is each row."""
+    out: Dict[int, int] = {}
+    for i, c in vec:
+        for r, cr in rows.get((k, i) if left else (i, k), ()):
+            out[r] = out.get(r, 0) + c * cr
     return out
 
 
@@ -39,28 +40,32 @@ class ProductAlgebra(FlatSpace):
     The evaluator is called once per row of the multiplication table:
     evaluator(key1) receives the per-factor index tuple of the left basis
     vector and returns a function col, and col(key2) is the product of
-    the two basis vectors as a tensor over the factor legs. Rows are
-    built in basis order and, within a row, col is called for every
-    right basis vector in basis order, so partial sums that depend on
-    key1 alone are formed once in the row closure and freed when the row
-    ends. The whole table is built at construction into the FinAlgebra
-    alg."""
+    the two basis vectors as a dict of int numerators keyed by factor
+    index tuples, all over the one denominator den. Every term of a
+    builder multiplies one entry from each of the same lifted tables, so
+    den is the product of their denominators and holds for the whole
+    table; each entry is lowered once (Field.lower). Rows are built in
+    basis order and, within a row, col is called for every right basis
+    vector in basis order, so partial sums that depend on key1 alone are
+    formed once in the row closure and freed when the row ends. The whole
+    table is built at construction into the FinAlgebra alg."""
 
-    def __init__(self, factors: Tuple[Basis, ...], evaluator, unit: Tensor,
-                 field, name: str = ""):
+    def __init__(self, factors: Tuple[Basis, ...], evaluator, den: int,
+                 unit: Tensor, field, name: str = ""):
         super().__init__(factors, field)
         self.name = name or self.basis.name
-        join = self.join
+        lower = field.lower
         keys = [self.split(i) for i in range(self.dim)]
+        flat = {key: i for i, key in enumerate(keys)}
         mult = {}
         for i, key1 in enumerate(keys):
             col = evaluator(key1)
             for j, key2 in enumerate(keys):
-                t = col(key2)
-                if t.spaces != self.factors:
-                    raise ValueError("factor legs do not match")
-                if t.data:
-                    mult[(i, j)] = {join(k): c for k, c in t.data.items()}
+                num = col(key2)
+                if num:
+                    vec = lower({flat[k]: n for k, n in num.items()}, den)
+                    if vec:
+                        mult[(i, j)] = vec
         self.alg = FinAlgebra(self.basis, mult, self.flatten(unit), field)
 
     def flatten(self, t: Tensor) -> Tensor:
@@ -99,22 +104,22 @@ class QuasiSmash(LeftModuleAlgebra):
         self.ca = ca
         dual = H.dual
         field = H.field
-        zero = field.zero()
-        hmult = H.algebra.mult
-        amult = ca.algebra.mult
-        rcols = ca.coaction.cols
-        phi_data = list(ca.phi_rho_inv.data.items())
-        hit_r = dual.hit_r_leg.table
-        conv = dual.conv.mult
+        hmult, dh = H.algebra.as_leg().lifted()
+        amult, da = ca.algebra.as_leg().lifted()
+        rcols, dr = _lift_rows(field, ca.coaction.cols)
+        phi, dx = field.lift(ca.phi_rho_inv.data)
+        phi_data = list(phi.items())
+        hit_r, dhit = dual.hit_r_leg.lifted()
+        conv, dc = dual.conv.as_leg().lifted()
         factors = (ca.basis, dual.basis)
         # (a a0) x1 per (a, a0, x1): at most dim(A)^3 entries
-        amul_cache: Dict[Tuple[int, int, int], Dict[int, object]] = {}
+        amul_cache: Dict[Tuple[int, int, int], Dict[int, int]] = {}
 
         def amul_for(a, a0, x1):
             got = amul_cache.get((a, a0, x1))
             if got is None:
                 got = amul_cache[(a, a0, x1)] = _times(
-                    amult, amult.get((a, a0), {}), x1, zero)
+                    amult, amult.get((a, a0), ()), x1)
             return got
 
         def evaluator(key1):
@@ -124,21 +129,21 @@ class QuasiSmash(LeftModuleAlgebra):
             by_a2: Dict[int, list] = {}
 
             def hits_for(a2):
-                acc: Dict[Tuple[int, int, int], Dict[int, object]] = {}
-                for (a0, a1), c0 in rcols.get(a2, {}).items():
+                acc: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+                for (a0, a1), c0 in rcols.get(a2, ()):
                     for (x1, x2, x3), c1 in phi_data:
                         hx = hmult.get((a1, x2))
                         if not hx:
                             continue
                         c01 = c0 * c1
-                        for m, cm in hx.items():
+                        for m, cm in hx:
                             pv = hit_r.get((p, m))
                             if not pv:
                                 continue
                             vec = acc.setdefault((a0, x1, x3), {})
                             c = c01 * cm
-                            for s, cs in pv.items():
-                                vec[s] = vec.get(s, zero) + c * cs
+                            for s, cs in pv:
+                                vec[s] = vec.get(s, 0) + c * cs
                 return list(acc.items())
 
             def col(key2):
@@ -146,7 +151,7 @@ class QuasiSmash(LeftModuleAlgebra):
                 groups = by_a2.get(a2)
                 if groups is None:
                     groups = by_a2[a2] = hits_for(a2)
-                out: Dict[Tuple[int, int], object] = {}
+                out: Dict[Tuple[int, int], int] = {}
                 for (a0, x1, x3), fv in groups:
                     avec = amul_for(a, a0, x1)
                     if not avec:
@@ -155,25 +160,25 @@ class QuasiSmash(LeftModuleAlgebra):
                     if not qv:
                         continue
                     # the convolution (sum e^p <- a'_(1) x2)(e^q <- x3)
-                    cvec: Dict[int, object] = {}
+                    cvec: Dict[int, int] = {}
                     for s, cs in fv.items():
-                        for u, cu in qv.items():
+                        for u, cu in qv:
                             csu = cs * cu
-                            for r, cr in conv.get((s, u), {}).items():
-                                cvec[r] = cvec.get(r, zero) + csu * cr
+                            for r, cr in conv.get((s, u), ()):
+                                cvec[r] = cvec.get(r, 0) + csu * cr
                     for aa, caa in avec.items():
                         for r, cr in cvec.items():
                             key = (aa, r)
-                            out[key] = out.get(key, zero) + caa * cr
-                return Tensor(factors, {k: c for k, c in out.items() if c},
-                              field)
+                            out[key] = out.get(key, 0) + caa * cr
+                return out
 
             return col
 
         unit = ca.unit().tensor(dual.eps_functional())
+        den = dr * dx * dh * dhit * dhit * dc * da * da
         # the module algebra interface reads the table that ProductAlgebra
         # builds at construction
-        self.prod = ProductAlgebra(factors, evaluator, unit, H.field,
+        self.prod = ProductAlgebra(factors, evaluator, den, unit, field,
                                    name=ca.name + "#H*")
         table = {}
         for i in range(H.dim):
@@ -210,19 +215,19 @@ def smash_product(ma: LeftModuleAlgebra) -> ProductAlgebra:
     with x = Phi^{-1} and unit 1_A # 1_H."""
     H = ma.H
     field = H.field
-    zero = field.zero()
-    hmult = H.algebra.mult
-    act = ma.action.table
-    dcols = H.comul.cols
-    phi_data = list(H.phi_inv.data.items())
+    hmult, dh = H.algebra.as_leg().lifted()
+    act, dact = ma.action.lifted()
+    dcols, dd = _lift_rows(field, H.comul.cols)
+    phi, dx = field.lift(H.phi_inv.data)
+    phi_data = list(phi.items())
     factors = (ma.basis, H.basis)
-    avec_for = _module_products(ma)
+    avec_for, dav = _module_products(ma)
 
     def row_groups(a, h):
         # the coefficient of (x1 . a)_la (x2 h_1)_hidx (x3 h_2)_t summed
         # over Delta(h) and Phi^{-1}, grouped by the index t of x3 h_2
-        acc: Dict[Tuple[int, int], Dict[int, object]] = {}
-        for (h1, hh), c0 in dcols.get(h, {}).items():
+        acc: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for (h1, hh), c0 in dcols.get(h, ()):
             for (x1, x2, x3), c1 in phi_data:
                 left = act.get((x1, a))
                 if not left:
@@ -234,58 +239,56 @@ def smash_product(ma: LeftModuleAlgebra) -> ProductAlgebra:
                 if not hv:
                     continue
                 c01 = c0 * c1
-                for la, cla in left.items():
-                    for hidx, ch in hx.items():
+                for la, cla in left:
+                    for hidx, ch in hx:
                         vec = acc.setdefault((la, hidx), {})
                         c = c01 * cla * ch
-                        for t, ct in hv.items():
-                            vec[t] = vec.get(t, zero) + c * ct
+                        for t, ct in hv:
+                            vec[t] = vec.get(t, 0) + c * ct
         return acc
 
     def evaluator(key1):
         # the right factor of a group t is (x3 h_2) h' = t h'
         return _smash_columns(row_groups(*key1), avec_for,
-                              lambda t, h2: hmult.get((t, h2)),
-                              factors, field)
+                              lambda t, h2: hmult.get((t, h2)))
 
     unit = ma.unit().tensor(H.unit())
-    return ProductAlgebra(factors, evaluator, unit, field,
-                          name=ma.name + "#H")
+    return ProductAlgebra(factors, evaluator, dd * dx * dact * dh ** 3 * dav,
+                          unit, field, name=ma.name + "#H")
 
 
 def _module_products(ma: LeftModuleAlgebra):
-    """avec_for(la, hidx, a2) = e_la (e_hidx . e_a2) as a sparse vector
-    over the carrier of the module algebra, cached across rows: at most
+    """(avec_for, den): avec_for(la, hidx, a2) = e_la (e_hidx . e_a2) as
+    a dict of int numerators over den, cached across rows: at most
     dim(A) dim(H) dim(A) entries."""
-    zero = ma.field.zero()
-    act = ma.action.table
-    amult = ma.algebra.mult
-    cache: Dict[Tuple[int, int, int], Dict[int, object]] = {}
+    act, dact = ma.action.lifted()
+    amult, da = ma.algebra.as_leg().lifted()
+    cache: Dict[Tuple[int, int, int], Dict[int, int]] = {}
 
     def avec_for(la, hidx, a2):
         got = cache.get((la, hidx, a2))
         if got is None:
             got = cache[(la, hidx, a2)] = _times(
-                amult, act.get((hidx, a2), {}), la, zero, left=True)
+                amult, act.get((hidx, a2), ()), la, left=True)
         return got
 
-    return avec_for
+    return avec_for, dact * da
 
 
-def _smash_columns(groups, avec_for, right_for, factors, field):
+def _smash_columns(groups, avec_for, right_for):
     """The column function of one row of a smash-type product.
 
     groups maps (la, hidx) to {g: c}: the row's coefficient of
     e_la (e_hidx . a') >< right_for(g, b') for each group g of the right
     factor. Per left index a' of the column, the groups are contracted
     with avec_for once, into {g: {aa: c}}; each column then sums those
-    against right_for(g, b'), a sparse vector or None."""
-    zero = field.zero()
+    against right_for(g, b'), a sequence of (index, numerator) pairs or
+    None. All coefficients are int numerators."""
     groups = list(groups.items())
     by_a2: Dict[int, list] = {}
 
     def stage(a2):
-        acc: Dict[object, Dict[int, object]] = {}
+        acc: Dict[object, Dict[int, int]] = {}
         for (la, hidx), gv in groups:
             avec = avec_for(la, hidx, a2)
             if not avec:
@@ -293,7 +296,7 @@ def _smash_columns(groups, avec_for, right_for, factors, field):
             for g, cg in gv.items():
                 vec = acc.setdefault(g, {})
                 for aa, caa in avec.items():
-                    vec[aa] = vec.get(aa, zero) + cg * caa
+                    vec[aa] = vec.get(aa, 0) + cg * caa
         return list(acc.items())
 
     def col(key2):
@@ -301,16 +304,16 @@ def _smash_columns(groups, avec_for, right_for, factors, field):
         staged = by_a2.get(a2)
         if staged is None:
             staged = by_a2[a2] = stage(a2)
-        out: Dict[Tuple[int, int], object] = {}
+        out: Dict[Tuple[int, int], int] = {}
         for g, avec in staged:
             bvec = right_for(g, b2)
             if not bvec:
                 continue
             for aa, caa in avec.items():
-                for bb, cbb in bvec.items():
+                for bb, cbb in bvec:
                     key = (aa, bb)
-                    out[key] = out.get(key, zero) + caa * cbb
-        return Tensor(factors, {k: c for k, c in out.items() if c}, field)
+                    out[key] = out.get(key, 0) + caa * cbb
+        return out
 
     return col
 
@@ -342,23 +345,23 @@ def generalized_smash(ma: LeftModuleAlgebra,
     if not _same_h(H, cb.H):
         raise ValueError("module and comodule algebra must share H")
     field = H.field
-    zero = field.zero()
-    hmult = H.algebra.mult
-    bmult = cb.algebra.mult
-    act = ma.action.table
-    ccols = cb.coaction.cols
-    phi_data = list(cb.phi_lam_inv.data.items())
+    hmult, dh = H.algebra.as_leg().lifted()
+    bmult, db = cb.algebra.as_leg().lifted()
+    act, dact = ma.action.lifted()
+    ccols, dc = _lift_rows(field, cb.coaction.cols)
+    phi, dy = field.lift(cb.phi_lam_inv.data)
+    phi_data = list(phi.items())
     factors = (ma.basis, cb.basis)
 
-    avec_for = _module_products(ma)
+    avec_for, dav = _module_products(ma)
     # x3 (b0 b') per (x3, b0, b'): at most dim(H) dim(B) dim(B) entries
-    bvec_cache: Dict[Tuple[int, int, int], Dict[int, object]] = {}
+    bvec_cache: Dict[Tuple[int, int, int], Tuple[Tuple[int, int], ...]] = {}
 
     def row_groups(a, b):
         # the coefficient of (x1 . a)_la (x2 b_[-1])_hidx summed over the
         # coaction of b and the inverse reassociator, grouped by (x3, b_[0])
-        acc: Dict[Tuple[int, int], Dict[Tuple[int, int], object]] = {}
-        for (bm, b0), c0 in ccols.get(b, {}).items():
+        acc: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
+        for (bm, b0), c0 in ccols.get(b, ()):
             for (x1, x2, x3), c1 in phi_data:
                 left = act.get((x1, a))
                 if not left:
@@ -367,27 +370,27 @@ def generalized_smash(ma: LeftModuleAlgebra,
                 if not hx:
                     continue
                 c01 = c0 * c1
-                for la, cla in left.items():
-                    for hidx, ch in hx.items():
+                for la, cla in left:
+                    for hidx, ch in hx:
                         vec = acc.setdefault((la, hidx), {})
                         g = (x3, b0)
-                        vec[g] = vec.get(g, zero) + c01 * cla * ch
+                        vec[g] = vec.get(g, 0) + c01 * cla * ch
         return acc
 
     def bvec_for(g, b2):
         x3, b0 = g
         got = bvec_cache.get((x3, b0, b2))
         if got is None:
-            got = bvec_cache[(x3, b0, b2)] = _times(
-                bmult, bmult.get((b0, b2), {}), x3, zero, left=True)
+            got = bvec_cache[(x3, b0, b2)] = tuple(_times(
+                bmult, bmult.get((b0, b2), ()), x3, left=True).items())
         return got
 
     def evaluator(key1):
-        return _smash_columns(row_groups(*key1), avec_for, bvec_for,
-                              factors, field)
+        return _smash_columns(row_groups(*key1), avec_for, bvec_for)
 
     unit = ma.unit().tensor(cb.unit())
-    return ProductAlgebra(factors, evaluator, unit, field,
+    return ProductAlgebra(factors, evaluator,
+                          dc * dy * dact * dh * dav * db * db, unit, field,
                           name=ma.name + "><" + cb.name)
 
 
@@ -417,27 +420,30 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
     A, B = rca.algebra, lcb.algebra
     factors = (A.basis, dual.basis, B.basis)
     nA, nB = A.dim, B.dim
-    amult, bmult = A.mult, B.mult
-    zero = field.zero()
-    dcols = dual.comul.cols
+    amult, da = A.as_leg().lifted()
+    bmult, db = B.as_leg().lifted()
+    dcols, dd = _lift_rows(field, dual.comul.cols)
 
-    # hits[(h, g, j)] = h -> e^j <- g
-    hit_l, hit_r = dual.hit_l_leg.table, dual.hit_r_leg.table
-    hits: Dict[Tuple[int, int, int], Dict[int, object]] = {}
+    # hits[(h, g, j)] = h -> e^j <- g, over dl * dr
+    hit_l, dl = dual.hit_l_leg.lifted()
+    hit_r, dr = dual.hit_r_leg.lifted()
+    hits: Dict[Tuple[int, int, int], Dict[int, int]] = {}
     for g in range(nH):
         for j in range(nH):
-            for p, cp in hit_r.get((j, g), {}).items():
+            for p, cp in hit_r.get((j, g), ()):
                 for h in range(nH):
-                    for m, cm in hit_l.get((h, p), {}).items():
+                    for m, cm in hit_l.get((h, p), ()):
                         vec = hits.setdefault((h, g, j), {})
-                        vec[m] = vec.get(m, zero) + cp * cm
+                        vec[m] = vec.get(m, 0) + cp * cm
 
     # core[(j, k)][(x1, y3)][m]: the sum over both inverse reassociators
     # of x1 (x) (y1 -> e^j <- x2_r)(y2 -> e^k <- x3_r) (x) y3
-    conv = dual.conv.mult
-    core: Dict[Tuple[int, int], Dict[Tuple[int, int], Dict[int, object]]] = {}
-    for (x1, x2, x3), cx in rca.phi_rho_inv.data.items():
-        for (y1, y2, y3), cy in lcb.phi_lam_inv.data.items():
+    conv, dc = dual.conv.as_leg().lifted()
+    phi_x, dx = field.lift(rca.phi_rho_inv.data)
+    phi_y, dy = field.lift(lcb.phi_lam_inv.data)
+    core: Dict[Tuple[int, int], Dict[Tuple[int, int], Dict[int, int]]] = {}
+    for (x1, x2, x3), cx in phi_x.items():
+        for (y1, y2, y3), cy in phi_y.items():
             cxy = cx * cy
             for j in range(nH):
                 tj = hits.get((y1, x2, j))
@@ -452,8 +458,9 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
                         cxyp = cxy * cp
                         for q, cq in tk.items():
                             cpq = cxyp * cq
-                            for m, cm in conv.get((p, q), {}).items():
-                                vec[m] = vec.get(m, zero) + cpq * cm
+                            for m, cm in conv.get((p, q), ()):
+                                vec[m] = vec.get(m, 0) + cpq * cm
+    dcore = dx * dy * (dl * dr) ** 2 * dc
 
     # hit tables: rhit[(j, a)] = e^j |> e_a, lhit[(b, k)] = e_b <| e^k
     rhit = {}
@@ -463,6 +470,7 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
             vec = rca.hit(ej, rca.e(a)).data
             if vec:
                 rhit[(j, a)] = {i: c for (i,), c in vec.items()}
+    rhit, drh = _lift_rows(field, rhit)
     lhit = {}
     for b in range(nB):
         eb = lcb.e(b)
@@ -470,46 +478,49 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
             vec = lcb.hit(eb, dual.dual_e(k)).data
             if vec:
                 lhit[(b, k)] = {i: c for (i,), c in vec.items()}
+    lhit, dlh = _lift_rows(field, lhit)
 
-    x1s = sorted({x1 for x1, _, _ in rca.phi_rho_inv.data})
-    y3s = sorted({y3 for _, _, y3 in lcb.phi_lam_inv.data})
+    x1s = sorted({x1 for x1, _, _ in phi_x})
+    y3s = sorted({y3 for _, _, y3 in phi_y})
 
     # per (b, psi, b'): {k1: {y3: y3 (sum over k2 of (b <| e^k2) b')}},
     # the sum running over the split e^k1 (x) e^k2 of psi; at most
-    # dim(B) dim(H) dim(B) entries
+    # dim(B) dim(H) dim(B) entries, over dd * dlh * db * db
     right_cache: Dict[Tuple[int, int, int], list] = {}
 
     def right_for(b, k, b2):
         got = right_cache.get((b, k, b2))
         if got is not None:
             return got
-        by_k1: Dict[int, Dict[int, object]] = {}
-        for (k1, k2), c2 in dcols.get(k, {}).items():
-            for t, ct in lhit.get((b, k2), {}).items():
+        by_k1: Dict[int, Dict[int, int]] = {}
+        for (k1, k2), c2 in dcols.get(k, ()):
+            for t, ct in lhit.get((b, k2), ()):
                 c = c2 * ct
-                for r, cr in bmult.get((t, b2), {}).items():
+                for r, cr in bmult.get((t, b2), ()):
                     vec = by_k1.setdefault(k1, {})
-                    vec[r] = vec.get(r, zero) + c * cr
+                    vec[r] = vec.get(r, 0) + c * cr
         got = right_cache[(b, k, b2)] = [
-            (k1, {y3: _times(bmult, vec, y3, zero, left=True) for y3 in y3s})
+            (k1, {y3: _times(bmult, vec.items(), y3, left=True)
+                  for y3 in y3s})
             for k1, vec in by_k1.items()]
         return got
 
     def evaluator(key1):
         a, j, b = key1
         # per a': {j2: {x1: (sum over j1 of a (e^j1 |> a')) x1}}, the sum
-        # running over the split e^j1 (x) e^j2 of phi
+        # running over the split e^j1 (x) e^j2 of phi, over
+        # dd * drh * da * da
         by_a2: Dict[int, list] = {}
 
         def left_for(a2):
-            by_j2: Dict[int, Dict[int, object]] = {}
-            for (j1, j2), c1 in dcols.get(j, {}).items():
-                for t, ct in rhit.get((j1, a2), {}).items():
+            by_j2: Dict[int, Dict[int, int]] = {}
+            for (j1, j2), c1 in dcols.get(j, ()):
+                for t, ct in rhit.get((j1, a2), ()):
                     c = c1 * ct
-                    for r, cr in amult.get((a, t), {}).items():
+                    for r, cr in amult.get((a, t), ()):
                         vec = by_j2.setdefault(j2, {})
-                        vec[r] = vec.get(r, zero) + c * cr
-            return [(j2, {x1: _times(amult, vec, x1, zero) for x1 in x1s})
+                        vec[r] = vec.get(r, 0) + c * cr
+            return [(j2, {x1: _times(amult, vec.items(), x1) for x1 in x1s})
                     for j2, vec in by_j2.items()]
 
         def col(key2):
@@ -518,7 +529,7 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
             if lefts is None:
                 lefts = by_a2[a2] = left_for(a2)
             rights = right_for(b, k, b2)
-            out: Dict[Tuple[int, int, int], object] = {}
+            out: Dict[Tuple[int, int, int], int] = {}
             for j2, avecs in lefts:
                 for k1, bvecs in rights:
                     for (x1, y3), mvec in core.get((j2, k1), {}).items():
@@ -533,14 +544,14 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
                                 cab = ca_ * cb_
                                 for m, cm in mvec.items():
                                     key = (ar, m, br)
-                                    out[key] = out.get(key, zero) + cab * cm
-            return Tensor(factors, {key: c for key, c in out.items() if c},
-                          field)
+                                    out[key] = out.get(key, 0) + cab * cm
+            return out
 
         return col
 
     unit = A.unit_tensor().tensor(dual.eps_functional()).tensor(B.unit_tensor())
-    return ProductAlgebra(factors, evaluator, unit, field,
+    den = dcore * (dd * drh * da * da) * (dd * dlh * db * db)
+    return ProductAlgebra(factors, evaluator, den, unit, field,
                           name=rca.name + "><H*><" + lcb.name)
 
 

@@ -237,3 +237,22 @@ def test_check_algebra_with_wrong_unit_exits_1(tmp_path, capsys):
     assert checks["unit"] == {"tag": "unit", "passed": False,
                               "counterexample": {"at": [0]}}
     assert checks["associative"]["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [("check",), ("verify", "axioms")])
+def test_comul_with_zero_column_exits_1(corpus_dir, tmp_path, capsys, argv):
+    # k[Z/3] with the comul rows of g removed: Delta(g) = 0 is well
+    # formed, and Delta fails to be multiplicative, first at (g, g)
+    doc = json.loads((corpus_dir / "z3.json").read_text())
+    comul = doc["data"]["comul"]
+    doc["data"]["comul"] = [r for r in comul if r[0] != 1]
+    assert len(doc["data"]["comul"]) == len(comul) - 1
+    bad = tmp_path / "zero-column.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 1
+    assert err == ""
+    checks = {c["tag"]: c for c in json.loads(out)["checks"]}
+    assert checks["comul-hom"]["passed"] is False
+    assert checks["comul-hom"]["counterexample"]["inputs"] == [1, 1]
+    assert checks["q5"]["passed"] is False

@@ -334,3 +334,28 @@ def test_quantified_call_is_counted():
               "def check_quantified(tag, inputs, fn):\n"
               "    return None\n")
     assert quantified_calls(source) == 2
+
+
+def field_zero_calls(source: str):
+    """Line of each call of a method named zero, other than Tensor.zero.
+    The product builders of products.py sum lifted int numerators; a
+    field's zero() there would be a scalar accumulator come back."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and
+                  isinstance(node.func, ast.Attribute) and
+                  node.func.attr == "zero" and
+                  not (isinstance(node.func.value, ast.Name) and
+                       node.func.value.id == "Tensor"))
+
+
+def test_products_sum_no_field_scalars():
+    source = (SRC / "products.py").read_text(encoding="utf-8")
+    assert field_zero_calls(source) == []
+
+
+def test_field_zero_call_is_caught():
+    source = ("def build(field, H, basis):\n"
+              "    zero = field.zero()\n"
+              "    acc = Tensor.zero((basis,), field)\n"
+              "    return zero, acc, H.field.zero()\n")
+    assert field_zero_calls(source) == [2, 4]

@@ -1,13 +1,17 @@
 import copy
+import hashlib
+import pathlib
+from fractions import Fraction
 
 import pytest
 
-from qhopf import (FinAlgebra, HeisenbergDouble, LinearMap,
-                   PrimeField, ProductAlgebra, Tensor, VerificationReport,
+from qhopf import (FinAlgebra, FlatSpace, Fp, HeisenbergDouble, LinearMap,
+                   PrimeField, Tensor, VerificationReport,
                    canonical_left_comodule, canonical_right_comodule,
-                   check_left_module_algebra, corpus, cyclic_group_algebra,
-                   generalized_smash, is_gauge, quasi_smash, smash_index,
-                   smash_product, twist, two_sided_crossed,
+                   check_left_module_algebra, cli, corpus,
+                   cyclic_group_algebra, generalized_smash, is_gauge,
+                   quasi_smash, smash_index, smash_product,
+                   specfile as sf, twist, two_sided_crossed,
                    verify_crossed_decomposition, verify_heisenberg_double,
                    verify_hom_smash)
 from qhopf.products import _same_table
@@ -180,9 +184,20 @@ def test_crossed_decomposition(all_corpus):
 
 
 def _pairwise(factors, pair_evaluator, unit, field):
-    """A ProductAlgebra built from an evaluator of single pairs."""
-    return ProductAlgebra(factors, lambda key1: lambda key2: pair_evaluator(
-        key1, key2), unit, field)
+    """The FinAlgebra of a product, built straight from an evaluator of
+    single pairs that returns each product as a tensor over the factor
+    legs, in field arithmetic."""
+    space = FlatSpace(factors, field)
+    keys = [space.split(i) for i in range(space.dim)]
+    mult = {}
+    for i, key1 in enumerate(keys):
+        for j, key2 in enumerate(keys):
+            t = pair_evaluator(key1, key2)
+            assert t.spaces == space.factors
+            vec = {space.join(k): c for k, c in t.data.items() if c}
+            if vec:
+                mult[(i, j)] = vec
+    return FinAlgebra(space.basis, mult, space.pack(unit), field)
 
 
 def _quasi_smash_by_terms(ca, dual):
@@ -412,7 +427,8 @@ def _twisted_z3():
 
 STAGED_CASES = (
     [("Q", key) for key in corpus()]
-    + [("GF(7)", "z2_quasi"), ("GF(7)", "z3"), ("Q", "z3_twisted")])
+    + [("GF(7)", "z2_quasi"), ("GF(7)", "z3"), ("GF(7)", "s3"),
+       ("Q", "z3_twisted")])
 
 
 @pytest.mark.parametrize("field_name,key", STAGED_CASES)
@@ -431,9 +447,14 @@ def test_staged_products_match_term_sums(all_corpus, field_name, key):
         (generalized_smash(qs, lcb), _generalized_smash_by_terms(qs, lcb)),
         (two_sided_crossed(rca, lcb), _two_sided_by_terms(rca, lcb, H.dual)),
     )
+    # the builders sum lifted integers; every entry they lower is a
+    # scalar of the field's own type, as the references' are
+    scalar = Fraction if field_name == "Q" else Fp
     for got, want in pairs:
-        assert got.alg.mult == want.alg.mult, got.name
-        assert got.alg.unit == want.alg.unit, got.name
+        assert got.alg.mult == want.mult, got.name
+        assert got.alg.unit == want.unit, got.name
+        assert all(type(c) is scalar for vec in got.alg.mult.values()
+                   for c in vec.values()), got.name
 
 
 def test_crossed_decomposition_reports_first_difference(all_corpus):
@@ -470,3 +491,51 @@ def test_crossed_decomposition_reports_first_difference(all_corpus):
     rep2 = VerificationReport("equal")
     _same_table(rep2, "gsm-vs-crossed", gsm, sm)
     assert [r.passed for r in rep2.records] == [True, True]
+
+
+# sha256 of the files `qhopf product` writes, recorded before the product
+# builders moved to lifted integers; the inputs are read by relative path,
+# so the provenance in each file names the same inputs on every run
+PRODUCT_SHA256 = {
+    "z2_quasi": {
+        "quasi-smash": "edb918033886c8a1c3bd8c2b4b5333a8"
+                       "d120e7c204027bdb7166902499a147a5",
+        "smash": "f88fa508b8b7563dbcee527dfeaffa8a"
+                 "238d5b989b9955d36a69aeb3dc004b3d",
+        "generalized-smash": "fde5fb97603cc0a6f2b44aed1cc010d0"
+                             "e0c9d53fe038ea7eb0a7f030735c8597",
+        "two-sided": "1d629703c9572b5c8807be4c389d2510"
+                     "6e156e92415a9f3067cc8b15f1df0c40",
+    },
+    "z3_twisted": {
+        "quasi-smash": "e72b08f4abdb9a014cb9cf11b83fbaf5"
+                       "5f1b8fe044f0bd51f0e0a701c809ddd1",
+        "smash": "09f586740dfbbe8e075e0a05113ffb03"
+                 "eb13204cd00e444cc24e7474c30a36bb",
+        "generalized-smash": "dc25fbcf33779faa055104d4fcfb736d"
+                             "1cf00af7e311fc5bee80644761002fa6",
+        "two-sided": "66c519ee5c1f983116113ad4e047fd76"
+                     "fa9ee4bf2fd3a21d466ee23ef1c8918d",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRODUCT_SHA256))
+def test_product_files_unchanged(all_corpus, key, tmp_path, monkeypatch):
+    H = _twisted_z3() if key == "z3_twisted" else all_corpus[key]
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("ca.json").write_text(
+        sf.serialize(sf.to_doc(canonical_right_comodule(H))))
+    pathlib.Path("lcb.json").write_text(
+        sf.serialize(sf.to_doc(canonical_left_comodule(H))))
+    runs = (("quasi-smash", ["ca.json"], "qs.json"),
+            ("smash", ["qs.json"], "sm.json"),
+            ("generalized-smash", ["qs.json", "lcb.json"], "gsm.json"),
+            ("two-sided", ["ca.json", "lcb.json"], "ts.json"))
+    assert sorted(kind for kind, _, _ in runs) == sorted(cli.PRODUCT_KINDS)
+    digests = {}
+    for kind, inputs, out in runs:
+        assert cli.main(["product", kind, *inputs, "--out", out]) == 0, kind
+        digests[kind] = hashlib.sha256(
+            pathlib.Path(out).read_bytes()).hexdigest()
+    assert digests == PRODUCT_SHA256[key]

@@ -268,7 +268,7 @@ def _field_corpus(field):
 def test_quasihopf_structure_maps(field):
     """counit-hom, comul-hom and antipode-antihom on mutants of the
     counit, the comultiplication and the antipode."""
-    failures = skipped = 0
+    failures = 0
     for key in ("z2_quasi", "z3"):
         H = _field_corpus(field)[key]
         parts = {"comul": H.comul, "counit": H.counit,
@@ -280,15 +280,11 @@ def test_quasihopf_structure_maps(field):
                                       maps["counit"], H.phi,
                                       maps["antipode"], H.alpha, H.beta,
                                       H.phi_inv, name=H.name)
-                try:
-                    rep = check_quasihopf(Hm)
-                except ValueError:
-                    # a comultiplication with a zero column stops q5
-                    # before the report is complete
-                    skipped += 1
-                    continue
+                # a comultiplication with a zero column included: q5
+                # takes the zero tensor for an empty Delta(h)
+                rep = check_quasihopf(Hm)
                 failures += _assert_matches(rep, _ref_quasihopf, Hm)
-    assert failures >= 30 and skipped <= 4
+    assert failures >= 30
 
 
 def _comodules(field, subgroup_comodule):
