@@ -20,7 +20,9 @@ from .tensor import Basis, FlatSpace, LinearMap, Tensor
 def _clean_table(table):
     """table without zero coefficients and empty rows. A row with
     neither is kept as it is, and so is table itself when every row is
-    clean, so a table built clean is never copied."""
+    clean, so a table built clean is never copied. LegMul and FinAlgebra
+    take their tables clean; a builder whose sums can cancel, or that
+    stores every pair, passes its table through here first."""
     if all(vec and all(vec.values()) for vec in table.values()):
         return table
     out = {}
@@ -36,9 +38,10 @@ class LegMul:
     """A bilinear pairing of based spaces by structure constants.
 
     table[(i, j)] is a sparse vector over the output basis; missing pairs
-    multiply to zero. The table is fixed after construction: lifted()
-    turns it into integers once, on first use, and every later product
-    reuses that.
+    multiply to zero. The table holds no zero coefficient and no empty
+    row (_clean_table), so equal pairings have equal tables. It is fixed
+    after construction: lifted() turns it into integers once, on first
+    use, and every later product reuses that.
     """
 
     __slots__ = ("left", "right", "out", "table", "field", "_lifted")
@@ -48,7 +51,7 @@ class LegMul:
         self.right = right
         self.out = out
         self.field = field
-        self.table = _clean_table(table)
+        self.table = table
         self._lifted = None
 
     @classmethod
@@ -58,7 +61,7 @@ class LegMul:
             for j in range(right.dim):
                 t = fn(i, j)
                 table[(i, j)] = {k[0]: c for k, c in t.data.items()}
-        return cls(left, right, out, table, field)
+        return cls(left, right, out, _clean_table(table), field)
 
     def pair(self, i: int, j: int) -> Dict[int, object]:
         return self.table.get((i, j), {})
@@ -155,8 +158,9 @@ def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
 class FinAlgebra:
     """A finite dimensional unital algebra given by structure constants.
 
-    mult[(i, j)] is the sparse product of basis vectors i and j; unit is
-    a one-leg Tensor. Associativity and unit laws are checked by
+    mult[(i, j)] is the sparse product of basis vectors i and j, with no
+    zero coefficient and no empty row (as in LegMul); unit is a one-leg
+    Tensor. Associativity and unit laws are checked by
     is_associative/unit_laws_hold rather than enforced, because some
     carriers built here (for instance the convolution algebra of a dual)
     are deliberately nonassociative.
@@ -169,7 +173,7 @@ class FinAlgebra:
     def __init__(self, basis: Basis, mult, unit: Tensor, field: Field = QQ):
         self.basis = basis
         self.field = field
-        self.mult = _clean_table(mult)
+        self.mult = mult
         if unit.spaces != (basis,):
             raise ValueError("unit shape mismatch")
         self.unit = unit

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .algebra import (FinAlgebra, LegMul, actions_commute, counit_identity,
-                      left_action_assoc, left_action_unit, mul_legs,
-                      right_action_assoc, right_action_unit)
+from .algebra import (FinAlgebra, LegMul, _clean_table, actions_commute,
+                      counit_identity, left_action_assoc, left_action_unit,
+                      mul_legs, right_action_assoc, right_action_unit)
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, OverH, RightModuleCoalgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
@@ -300,7 +300,7 @@ def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
                 for t, ct in N.r_action.pair(m0, b).items():
                     acc[t] = acc.get(t, field.zero()) + c * ct
             table[(m, g)] = acc
-    return LegMul(N.basis, gsm.basis, N.basis, table, field)
+    return LegMul(N.basis, gsm.basis, N.basis, _clean_table(table), field)
 
 
 # ----------------------------------------------------------------------
@@ -736,9 +736,8 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
         return out
 
     n = final.dim
-    return LegMul(final.basis, final.basis, final.basis,
-                  {(i, j): evaluate(i, j) for i in range(n) for j in range(n)},
-                  field)
+    return LegMul(final.basis, final.basis, final.basis, _clean_table(
+        {(i, j): evaluate(i, j) for i in range(n) for j in range(n)}), field)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ A kernel that sums many products works in plain integers instead: the
 leg-wise product mul_legs and the table side-builders of algebra.py, and
 the product-table builders of products.py (QuasiSmash, smash_product,
 generalized_smash and two_sided_crossed, lowered once per entry by
-ProductAlgebra). They go through two methods of the field:
+ProductAlgebra) and its HeisenbergDouble. They go through two methods of
+the field:
 
 - lift(data) -> (num, den): num maps each key of data to an int and den
   is one positive int with data[k] == num[k] / den for every k. Over Q,

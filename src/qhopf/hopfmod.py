@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Tuple
 
-from .algebra import (LegMul, actions_commute, counit_identity,
+from .algebra import (LegMul, _clean_table, actions_commute, counit_identity,
                       left_action_assoc, left_action_unit, mul_legs,
                       right_action_assoc, right_action_unit)
 from .coact import OverH, RightComoduleAlgebra, canonical_right_comodule
@@ -440,7 +440,7 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
                                         row[o] = row.get(o, zero) + csp * vo
                 for p, row in rows.items():
                     table[(m, join(a, p, h))] = row
-    return LegMul(M.basis, right, M.basis, table, field)
+    return LegMul(M.basis, right, M.basis, _clean_table(table), field)
 
 
 def relative_from_two_sided(M: TwoSidedHopfModule,
@@ -698,7 +698,7 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
             if coords is None:
                 raise ArithmeticError("cyclic module is not closed")
             table[(m, g)] = {j: c for j, c in enumerate(coords) if c}
-    return LegMul(basis, prod.basis, basis, table, field)
+    return LegMul(basis, prod.basis, basis, _clean_table(table), field)
 
 
 def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .algebra import FinAlgebra, LegMul, _lift_rows
+from .algebra import FinAlgebra, LegMul, _lift_rows, _lift_vector, _side
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
@@ -603,6 +603,39 @@ def _map_tensor(f: LinearMap) -> Tensor:
     return Tensor((f.codomain[0], f.domain), data, f.field)
 
 
+def _lift_map(f: LinearMap):
+    """(cols, den): a map with one codomain leg lifted (_lift_rows),
+    cols[k] the image of e_k as (index, numerator) pairs."""
+    rows, den = _lift_rows(f.field, f.cols)
+    return {k: tuple((r, n) for (r,), n in row)
+            for k, row in rows.items()}, den
+
+
+def _pairs(vec: Dict) -> tuple:
+    """The nonzero entries of a dict of int numerators, as pairs."""
+    return tuple((k, c) for k, c in vec.items() if c)
+
+
+def _map_vec(cols, vec) -> Dict:
+    """The lifted map cols (as _lift_map gives it) applied to vec, a
+    sequence of (index, numerator) pairs."""
+    out: Dict = {}
+    for i, c in vec:
+        for r, cr in cols.get(i, ()):
+            out[r] = out.get(r, 0) + c * cr
+    return out
+
+
+def _contract(w, table) -> Dict:
+    """The sum of c table[key] over the (key, c) pairs of w; each
+    table[key] is a sequence of (index, numerator) pairs."""
+    out: Dict = {}
+    for key, c in w:
+        for r, cr in table.get(key, ()):
+            out[r] = out.get(r, 0) + c * cr
+    return out
+
+
 class HeisenbergDouble:
     """The quasi-smash product H (x) H* realized inside End(H).
 
@@ -610,125 +643,229 @@ class HeisenbergDouble:
     inverse mu^{-1}(u) = sum_i u(qL2 (e_i)_2) S^{-1}(qL1 (e_i)_1) # e^i;
     the transported product on End(H) is
 
-        (u o v)(h) = sum u(v(h x3 X3_2) S^{-1}(S(x1 X2) alpha x2 X3_1))
-                     S^{-1}(X1),
+        (u o v)(h) = sum u(v(h e1) e2) e3,
+        E = sum e1 (x) e2 (x) e3
+          = sum x3 X3_2 (x) S^{-1}(S(x1 X2) alpha x2 X3_1) (x) S^{-1}(X1)
 
-    the unit is h |-> h S^{-1}(beta), and the transported left H-action
-    is (h . u)(h') = u(h' h_2) S^{-1}(h_1)."""
+    with Phi^{-1} = x1 (x) x2 (x) x3 and Phi = X1 (x) X2 (x) X3; the
+    unit is h |-> h S^{-1}(beta), and the transported left H-action is
+    (h . u)(h') = u(h' h_2) S^{-1}(h_1).
+
+    All of it is built once, at construction, as lifted integer tables
+    (fields.py), each over one denominator. A map into H is held as its
+    lifted columns, k -> ((r, numerator), ...) for the image of e_k.
+    - _mu[(i, a)]: mu(e_i # e^a), over _dmu. Its column k is e_i times
+      slice a of the core (e_k)_1 pL1 (x) (e_k)_2 pL2: the first legs
+      of the core's terms whose second leg is e_a.
+    - _inv[i]: the core qL2 (e_i)_2 (x) S^{-1}(qL1 (e_i)_1) as
+      ((arg, lft), numerator) pairs, over _dinv.
+    - _E: E grouped by (e1, e2), as (e1, ((e2, ((e3, numerator), ...)),
+      ...)), over _dE; each S^{-1}(S(x1 X2) alpha x2 X3_1) is formed
+      once per (x1, X2, x2, X3_1).
+    - _unit: the unit map, over _dunit.
+    A product u o v is staged so that the work that depends on v alone
+    and the work that depends on u alone are each done once; below, dv,
+    du and dd are the denominators of the lifted v, u and Delta(h).
+    - _right_stage(v)[k] = W_k: the sum over E of (v(e_k e1) e2)_y at
+      (y, e3), over dv _dW.
+    - _left_stage(u) = G: G[(y, s)] = u(e_y) e_s, over du _dh.
+    - (u o v)(e_k) = sum W_k[key] G[key] (_contract), over
+      du dv _dW _dh, lowered once per entry.
+    The action stages the same way: _act_stage(Delta(h))[k] = A_k, the
+    sum over Delta(h) of (e_k h_2)_y S^{-1}(h_1)_s at (y, s), over
+    dd _dA, and (h . u)(e_k) = sum A_k[key] G[key]."""
 
     def __init__(self, H: QuasiHopfAlgebra):
         self.H = H
-        der = H.derived
-        n = H.dim
-        # per basis argument k, the core sum (e_k)_1 pL1 (x) (e_k)_2 pL2
-        # grouped by its second leg: k -> a -> sum c e_x over the core
-        # terms c e_x (x) e_a, which is e^a paired with that leg
-        self._mu_slices: Dict[int, Dict[int, Tensor]] = {}
+        field, n, der = H.field, H.dim, H.derived
+        hm, dh = H.algebra.as_leg().lifted()
+        S, ds = _lift_map(H.antipode)
+        sinv, dsi = _lift_map(H.antipode_inv)
+        self._hm, self._sinv = hm, sinv
+        # mu on the basis, from the cores Delta(e_k) p_L over one
+        # denominator, each grouped by its second leg a
+        core, dc = field.lift({
+            (k, x, a): c for k in range(n)
+            for (x, a), c in H.tmul(H.delta(H.e(k)), der.p_L).data.items()})
+        slices: Dict[Tuple[int, int], list] = {}
+        for (k, x, a), c in core.items():
+            slices.setdefault((k, a), []).append((x, c))
+        self._mu: Dict[Tuple[int, int], Dict[int, tuple]] = {
+            (i, a): {} for i in range(n) for a in range(n)}
+        for (k, a), vec in slices.items():
+            for i in range(n):
+                col = _pairs(_times(hm, vec, i, left=True))
+                if col:
+                    self._mu[(i, a)][k] = col
+        self._dmu = dc * dh
+        # the cores of mu^{-1}, (S^{-1}(qL1 (e_i)_1), qL2 (e_i)_2) per i
+        inv, self._dinv = field.lift({
+            (i, lft, arg): c for i in range(n)
+            for (lft, arg), c in H.tmul(der.q_L, H.delta(H.e(i))).map_leg(
+                0, H.antipode_inv).data.items()})
+        self._inv = [[] for _ in range(n)]
+        for (i, lft, arg), c in inv.items():
+            self._inv[i].append(((arg, lft), c))
+        # the composition element E
+        xinv, dx = field.lift(H.phi_inv.data)
+        phid, dX = field.lift(H.phi.map_leg(2, H.comul).data)
+        alpha, dal = _lift_vector(H.alpha)
+        mids: Dict[Tuple[int, int, int, int], tuple] = {}
+
+        def mid(x1, X2, x2, X31):
+            # S^{-1}(S(x1 X2) alpha x2 X3_1), multiplied left to right
+            got = mids.get((x1, X2, x2, X31))
+            if got is None:
+                v = _pairs(_map_vec(S, hm.get((x1, X2), ())))
+                va: Dict[int, int] = {}
+                for j, cj in alpha:
+                    for r, c in _times(hm, v, j).items():
+                        va[r] = va.get(r, 0) + cj * c
+                v = _times(hm, _pairs(_times(hm, _pairs(va), x2)), X31)
+                got = mids[(x1, X2, x2, X31)] = _pairs(
+                    _map_vec(sinv, _pairs(v)))
+            return got
+
+        groups: Dict[int, Dict[int, Dict[int, int]]] = {}
+        for (x1, x2, x3), c1 in xinv.items():
+            for (X1, X2, X31, X32), c2 in phid.items():
+                firsts, thirds = hm.get((x3, X32)), sinv.get(X1)
+                if not firsts or not thirds:
+                    continue
+                seconds = mid(x1, X2, x2, X31)
+                for e1, ce1 in firsts:
+                    by_e2 = groups.setdefault(e1, {})
+                    for e2, ce2 in seconds:
+                        vec = by_e2.setdefault(e2, {})
+                        c = c1 * c2 * ce1 * ce2
+                        for e3, ce3 in thirds:
+                            vec[e3] = vec.get(e3, 0) + c * ce3
+        self._E = tuple((e1, tuple((e2, _pairs(vec))
+                                   for e2, vec in by_e2.items()))
+                        for e1, by_e2 in groups.items())
+        self._dE = dx * dX * dh ** 5 * ds * dal * dsi * dsi
+        # the unit map h |-> h S^{-1}(beta)
+        sb, db = _lift_vector(H.Sinv(H.beta))
+        self._unit = {}
         for k in range(n):
-            core = H.assemble(H.delta(H.e(k)).tensor(der.p_L),
-                              lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
-                                  H.mul(H.e(k2), H.e(l2))))
-            by_a: Dict[int, dict] = {}
-            for (x, a), c in core.data.items():
-                by_a.setdefault(a, {})[(x,)] = c
-            self._mu_slices[k] = {a: Tensor((H.basis,), vec, H.field)
-                                  for a, vec in by_a.items()}
-        # per dual index i: sum qL2 (e_i)_2 (x) S^{-1}(qL1 (e_i)_1)
-        # (argument leg, left-multiplier leg)
-        self._inv_core = {
-            i: H.assemble(der.q_L.tensor(H.delta(H.e(i))),
-                          lambda q1, q2, i1, i2: H.mul(H.e(q2), H.e(i2)).tensor(
-                              H.Sinv(H.mul(H.e(q1), H.e(i1)))))
-            for i in range(n)
-        }
-        # composition element, with phi^{-1} = x1 (x) x2 (x) x3 and
-        # phi = X1 (x) X2 (x) X3:
-        #   E = sum x3 X3_2 (x) S^{-1}(S(x1 X2) alpha x2 X3_1) (x) S^{-1}(X1)
-        self._compose_elt = H.assemble(
-            H.phi_inv.tensor(H.phi.map_leg(2, H.comul)),
-            lambda x1, x2, x3, X1, X2, X31, X32: H.mul(H.e(x3), H.e(X32)).tensor(
-                H.Sinv(H.mul(H.S(H.mul(H.e(x1), H.e(X2))), H.alpha,
-                             H.e(x2), H.e(X31)))).tensor(H.Sinv(H.e(X1))))
-        # E grouped by its first two legs, e1 -> e2 -> sum c e_e3, so that
-        # compose forms v(h e1) once per e1 and u(v(h e1) e2) once per
-        # distinct (e1, e2); by bilinearity the sum is unchanged
-        groups: Dict[int, Dict[int, dict]] = {}
-        for (e1, e2, e3), c in self._compose_elt.data.items():
-            groups.setdefault(e1, {}).setdefault(e2, {})[(e3,)] = c
-        self._compose_groups = tuple(
-            (e1, tuple((e2, Tensor((H.basis,), vec, H.field))
-                       for e2, vec in by_e2.items()))
-            for e1, by_e2 in groups.items())
+            col = _pairs(_times(hm, sb, k, left=True))
+            if col:
+                self._unit[k] = col
+        self._dunit = db * dh
+        self._dh, self._dW, self._dA = dh, dh * dh * self._dE, dh * dsi
+
+    def _right_stage(self, cols) -> list:
+        """W of the map with lifted columns cols: W[k] is the sum over E
+        of (v(e_k e1) e2)_y at (y, e3), as ((y, e3), numerator) pairs."""
+        hm, out = self._hm, []
+        for k in range(self.H.dim):
+            acc: Dict[Tuple[int, int], int] = {}
+            for e1, rights in self._E:
+                z = _pairs(_map_vec(cols, hm.get((k, e1), ())))
+                if not z:
+                    continue
+                for e2, e3s in rights:
+                    for y, cy in _times(hm, z, e2).items():
+                        for e3, ce3 in e3s:
+                            acc[(y, e3)] = acc.get((y, e3), 0) + cy * ce3
+            out.append(_pairs(acc))
+        return out
+
+    def _left_stage(self, cols) -> Dict[Tuple[int, int], tuple]:
+        """G of the map with lifted columns cols: G[(y, s)] = u(e_y) e_s
+        as (index, numerator) pairs."""
+        hm, out = self._hm, {}
+        for y, col in cols.items():
+            for s in range(self.H.dim):
+                vec = _pairs(_times(hm, col, s))
+                if vec:
+                    out[(y, s)] = vec
+        return out
+
+    def _act_stage(self, delta) -> list:
+        """A of h from the lifted pairs delta of Delta(h): A[k] is the
+        sum of (e_k h_2)_y S^{-1}(h_1)_s at (y, s), as pairs."""
+        hm, sinv, out = self._hm, self._sinv, []
+        for k in range(self.H.dim):
+            acc: Dict[Tuple[int, int], int] = {}
+            for (h1, h2), c in delta:
+                ys, ss = hm.get((k, h2)), sinv.get(h1)
+                if not ys or not ss:
+                    continue
+                for y, cy in ys:
+                    for s, cs in ss:
+                        acc[(y, s)] = acc.get((y, s), 0) + c * cy * cs
+            out.append(_pairs(acc))
+        return out
+
+    def _endo(self, cols, den: int) -> LinearMap:
+        """The endomorphism with columns cols, dicts of int numerators
+        over den, each lowered once."""
+        H = self.H
+        lower = H.field.lower
+        return LinearMap(H.basis, (H.basis,), {
+            k: {(r,): c for r, c in lower(col, den).items()}
+            for k, col in cols.items()}, H.field)
 
     def mu(self, t: Tensor) -> LinearMap:
         """Transport an element of H (x) H* to an endomorphism of H."""
         H = self.H
         if t.spaces != (H.basis, H.dual.basis):
             raise ValueError("expected an element of H (x) H*")
-        cols = {}
-        for k in range(H.dim):
-            slices = self._mu_slices[k]
-            acc = Tensor.zero((H.basis,), H.field)
-            for (i, a), c in t.data.items():
-                red = slices.get(a)
-                if red is not None:
-                    acc = acc + H.mul(H.e(i), red).scale(c)
-            cols[k] = dict(acc.data)
-        return LinearMap(H.basis, (H.basis,), cols, H.field)
+        num, dt = H.field.lift(t.data)
+        cols: Dict[int, Dict[int, int]] = {}
+        for ia, c in num.items():
+            for k, col in self._mu[ia].items():
+                acc = cols.setdefault(k, {})
+                for r, cr in col:
+                    acc[r] = acc.get(r, 0) + c * cr
+        return self._endo(cols, dt * self._dmu)
 
     def mu_inv(self, u: LinearMap) -> Tensor:
-        H, dual = self.H, self.H.dual
-        out = Tensor.zero((H.basis, dual.basis), H.field)
-        for i in range(H.dim):
-            core = self._inv_core[i]
-            vec = Tensor.zero((H.basis,), H.field)
-            for (arg, lft), c in core.data.items():
-                img = u.cols.get(arg)
-                if not img:
-                    continue
-                for (r,), c2 in img.items():
-                    vec = vec + H.mul(H.e(r), H.e(lft)).scale(c * c2)
-            out = out + vec.tensor(dual.dual_e(i))
-        return out
+        H, hm = self.H, self._hm
+        U, du = _lift_map(u)
+        acc: Dict[Tuple[int, int], int] = {}
+        for i, core in enumerate(self._inv):
+            for (arg, lft), c in core:
+                for s, cs in U.get(arg, ()):
+                    for r, cr in hm.get((s, lft), ()):
+                        acc[(r, i)] = acc.get((r, i), 0) + c * cs * cr
+        return Tensor((H.basis, H.dual.basis),
+                      H.field.lower(acc, du * self._dinv * self._dh),
+                      H.field)
 
     def compose(self, u: LinearMap, v: LinearMap) -> LinearMap:
-        H = self.H
-        cols = {}
-        for k in range(H.dim):
-            acc = Tensor.zero((H.basis,), H.field)
-            for e1, rights in self._compose_groups:
-                left = H.mul(H.e(k), H.e(e1)).map_leg(0, v)
-                for e2, right in rights:
-                    inner = H.mul(left, H.e(e2)).map_leg(0, u)
-                    acc = acc + H.mul(inner, right)
-            cols[k] = dict(acc.data)
-        return LinearMap(H.basis, (H.basis,), cols, H.field)
+        (U, du), (V, dv) = _lift_map(u), _lift_map(v)
+        G = self._left_stage(U)
+        return self._endo(dict(enumerate(
+            _contract(w, G) for w in self._right_stage(V))),
+            du * dv * self._dW * self._dh)
 
     def unit(self) -> LinearMap:
-        H = self.H
-        return LinearMap.from_function(
-            H.basis, (H.basis,),
-            lambda k: H.mul(H.e(k), H.Sinv(H.beta)), H.field)
+        return self._endo({k: dict(col) for k, col in self._unit.items()},
+                          self._dunit)
 
     def act(self, h: Tensor, u: LinearMap) -> LinearMap:
-        H = self.H
-        return LinearMap.from_function(
-            H.basis, (H.basis,),
-            lambda k: H.assemble(H.delta(h), lambda h1, h2: H.mul(
-                H.mul(H.e(k), H.e(h2)).map_leg(0, u), H.Sinv(H.e(h1)))),
-            H.field)
+        delta, dd = self.H.field.lift(self.H.delta(h).data)
+        U, du = _lift_map(u)
+        G = self._left_stage(U)
+        return self._endo(dict(enumerate(
+            _contract(w, G) for w in self._act_stage(delta.items()))),
+            dd * du * self._dA * self._dh)
 
 
 def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
     """mu is a bijection H (x) H* -> End(H); it carries the quasi-smash
     product, its unit and its left H-action to the transported
-    structures on End(H)."""
+    structures on End(H). The last three checks compare whole tables
+    (check_same), formed from the lifted tables of HeisenbergDouble: the
+    stages W and G of each mu(e_i # e^a) and of the unit, and A of each
+    e_h, are formed once."""
     rep = VerificationReport("double of %s in End(H)" % H.name,
                              {"dim": H.dim, "field": H.field.name})
-    dual = H.dual
+    dual, field, n = H.dual, H.field, H.dim
     hd = HeisenbergDouble(H)
     qs = quasi_smash(canonical_right_comodule(H))
-    n = H.dim
 
     def basis_elt(i, a):
         return H.e(i).tensor(dual.dual_e(a))
@@ -749,41 +886,64 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
         lambda k, l: (_map_tensor(hd.mu(hd.mu_inv(endo(k, l)))),
                       _map_tensor(endo(k, l))))
 
-    def mu_of(t: Tensor) -> LinearMap:
-        return hd.mu(qs.parts(t))
+    # the sides as tables on the inputs, keyed inputs + (image, argument)
+    # as _map_tensor lays out an endomorphism
+    join, split = qs.prod.join, qs.prod.split
+    mus, dmu = hd._mu, hd._dmu
+    W = {ia: hd._right_stage(cols) for ia, cols in mus.items()}
+    G = {ia: hd._left_stage(cols) for ia, cols in mus.items()}
+    spaces = (H.basis, H.basis)
 
-    def mult_probe(i, a, j, b):
-        prod = qs.algebra.mul_indices(qs.prod.join((i, a)),
-                                      qs.prod.join((j, b)))
-        return (_map_tensor(mu_of(prod)),
-                _map_tensor(hd.compose(mu_table[(i, a)],
-                                           mu_table[(j, b)])))
+    def add_mu(acc, inputs, vec):
+        # sum of c mu(e_f) over the (flat index f, c) pairs of vec
+        for f, c in vec:
+            for k, col in mus[split(f)].items():
+                for r, cr in col:
+                    key = inputs + (r, k)
+                    acc[key] = acc.get(key, 0) + c * cr
 
-    rep.check_quantified(
-        "mu-multiplicative",
-        ((i, a, j, b) for i in range(n) for a in range(n)
-         for j in range(n) for b in range(n)), mult_probe)
+    def add_staged(acc, inputs, stages, g):
+        for k, w in enumerate(stages):
+            for r, c in _contract(w, g).items():
+                key = inputs + (r, k)
+                acc[key] = acc.get(key, 0) + c
+
+    prod, dprod = qs.algebra.as_leg().lifted()
+    rep.check_same("mu-multiplicative", _side(
+        (n,) * 4, spaces, field, dprod * dmu,
+        lambda acc, i, a, j, b: add_mu(
+            acc, (i, a, j, b), prod.get((join((i, a)), join((j, b))), ()))),
+        _side((n,) * 4, spaces, field, dmu * dmu * hd._dW * hd._dh,
+              lambda acc, i, a, j, b: add_staged(
+                  acc, (i, a, j, b), W[(j, b)], G[(i, a)])))
 
     rep.check_equal("mu-unit",
-                    _map_tensor(mu_of(qs.unit())),
+                    _map_tensor(hd.mu(qs.parts(qs.unit()))),
                     _map_tensor(hd.unit()))
 
-    def equiv_probe(h, i, a):
-        acted = qs.act(H.e(h), qs.element(H.e(i), dual.dual_e(a)))
-        return (_map_tensor(mu_of(acted)),
-                _map_tensor(hd.act(H.e(h), mu_table[(i, a)])))
+    act, dact = qs.action.lifted()
+    dcols, dd = _lift_rows(field, H.comul.cols)
+    A = [hd._act_stage(dcols.get(h, ())) for h in range(n)]
+    rep.check_same("mu-equivariant", _side(
+        (n,) * 3, spaces, field, dact * dmu,
+        lambda acc, h, i, a: add_mu(acc, (h, i, a),
+                                    act.get((h, join((i, a))), ()))),
+        _side((n,) * 3, spaces, field, dd * hd._dA * dmu * hd._dh,
+              lambda acc, h, i, a: add_staged(acc, (h, i, a), A[h],
+                                              G[(i, a)])))
 
-    rep.check_quantified(
-        "mu-equivariant",
-        ((h, i, a) for h in range(n) for i in range(n) for a in range(n)),
-        equiv_probe)
+    # unit o mu(e_i # e^a) + mu(e_i # e^a) o unit against twice mu
+    W1, G1 = hd._right_stage(hd._unit), hd._left_stage(hd._unit)
 
-    rep.check_quantified(
-        "unit-laws", ((i, a) for i in range(n) for a in range(n)),
-        lambda i, a: (
-            _map_tensor(hd.compose(hd.unit(), mu_table[(i, a)])) +
-            _map_tensor(hd.compose(mu_table[(i, a)], hd.unit())),
-            _map_tensor(mu_table[(i, a)]).scale(H.field.from_int(2))))
+    def both_sides(acc, i, a):
+        add_staged(acc, (i, a), W[(i, a)], G1)
+        add_staged(acc, (i, a), W1, G[(i, a)])
+
+    rep.check_same("unit-laws", _side(
+        (n, n), spaces, field, hd._dunit * dmu * hd._dW * hd._dh,
+        both_sides),
+        _side((n, n), spaces, field, dmu, lambda acc, i, a: add_mu(
+            acc, (i, a), ((join((i, a)), 2),))))
     return rep
 
 

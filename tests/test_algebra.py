@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qhopf import (Basis, FinAlgebra, Fp, LegMul, LinearMap, PrimeField, QQ,
                    Tensor, corpus, invert_in_tensor_algebra,
-                   invert_linear_map, mul_legs)
+                   invert_linear_map, mul_legs, specfile as sf)
+from qhopf.algebra import _clean_table
 
 F = Fraction
 
@@ -31,6 +32,32 @@ def test_finalgebra_basics():
     assert A.mul(A.e(1), A.e(2)) == A.e(0)
     assert A.mulc(A.e(1), A.e(1), A.e(1)) == A.e(0)
     assert A.mul_indices(1, 1) == A.e(2)
+
+
+def test_tables_are_cleaned_where_zeros_can_arrive():
+    """LegMul and FinAlgebra take their tables as given. What can meet a
+    zero coefficient or an empty row cleans it first: _clean_table,
+    LegMul.from_function and the spec reader."""
+    basis = Basis(("u", "x"), "B")
+    dirty = {(0, 0): {0: F(1), 1: F(0)}, (0, 1): {1: F(1)},
+             (1, 0): {1: F(1)}, (1, 1): {}}
+    clean = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
+    assert _clean_table(dirty) == clean
+    assert _clean_table(clean) is clean
+
+    def fn(i, j):
+        # x x = 0 gives an empty row, u u a zero coefficient
+        return Tensor((basis,), dict((((k,), c) for k, c in
+                                      dirty[(i, j)].items())), QQ)
+    assert LegMul.from_function(basis, basis, basis, fn, QQ).table == clean
+
+    rows = [[0, 0, 0, 1, 1], [0, 0, 1, 0, 1], [0, 1, 1, 1, 1],
+            [1, 0, 1, 1, 1], [1, 1, 0, 0, 3]]
+    assert sf.legmul_from_rows(basis, basis, basis, rows, QQ).table == clean
+    # the algebra reader goes through the same rows
+    doc = {"data": {"mult": rows, "unit": [[0, 1, 1]]}}
+    A = sf._algebra(doc, basis, QQ)
+    assert A.mult == clean and A.as_leg().table is A.mult
 
 
 def test_nonassociative_detected():
@@ -187,7 +214,8 @@ def leg_products(draw):
     top = 3 if nlegs <= 2 else 2
     scalars = _scalars(kind, field)
     # structure constants: one (skipped by the kernel), minus one, zero
-    # (cleaned away by LegMul) and non-unit values of the same kind
+    # (which mul_legs sums in as a zero term; the package's builders
+    # never store one) and non-unit values of the same kind
     constants = st.one_of(
         st.sampled_from((1, -1, 0)).map(field.from_int),
         scalars,

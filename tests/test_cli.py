@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from qhopf import (LinearMap, QuasiHopfAlgebra, cli, cyclic_group_algebra,
-                   specfile as sf)
+from qhopf import (FinAlgebra, LegMul, LinearMap, QuasiHopfAlgebra, cli,
+                   cyclic_group_algebra, specfile as sf)
 
 
 def run(capsys, *argv):
@@ -54,6 +54,30 @@ def test_check_detects_mutation(corpus_dir, tmp_path, capsys):
     failing = [c["tag"] for c in rep["checks"] if not c["passed"]]
     assert failing
     assert any(tag.startswith("q") for tag in failing)
+
+
+def test_builders_hand_over_clean_tables(corpus_dir, capsys, monkeypatch):
+    """LegMul and FinAlgebra take their tables as given, so every table
+    that the suites build must hold no zero coefficient and no empty
+    row."""
+    dirty = []
+
+    def watch(cls, attr):
+        init = cls.__init__
+
+        def checked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            table = getattr(self, attr)
+            if not all(vec and all(vec.values()) for vec in table.values()):
+                dirty.append((cls.__name__, suite, entry))
+        monkeypatch.setattr(cls, "__init__", checked)
+
+    watch(LegMul, "table")
+    watch(FinAlgebra, "mult")
+    for entry in ("z2_quasi", "z3"):
+        for suite in cli.SUITES:
+            run(capsys, "verify", suite, str(corpus_dir / (entry + ".json")))
+    assert dirty == []
 
 
 def test_check_malformed_input_exits_2(tmp_path, capsys):
