@@ -48,8 +48,8 @@ from .doihopf import (BimoduleCoalgebra, CrossedHopfModule, DoiHopfModule,
                       doi_from_algebra_module, doi_from_crossed,
                       dual_module_algebra, hhop_module_coalgebra,
                       nested_smash_direct, verify_crossed_module_description)
-from .classical import (ClassicalHopf, from_structure_constants,
-                        verify_classical_agreement)
+from .classical import (ClassicalHopf, NotApplicableError,
+                        from_structure_constants, verify_classical_agreement)
 from .corpus import (corpus, cyclic_group_algebra, group_algebra,
                      hopf_seeds, klein_group_algebra, klein_twist,
                      quasi_z2, symmetric_group_algebra, twisted_klein)

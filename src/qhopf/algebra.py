@@ -327,6 +327,83 @@ def _apply(acc, inputs, get, xs, leg: int) -> None:
             acc[key] = acc.get(key, 0) + n * s
 
 
+def _times(rows, vec, k, left=False):
+    """The sparse vector vec times e_k (e_k times vec when left) by the
+    lifted structure constants rows; vec is a sequence of (index,
+    numerator) pairs, and so is each row."""
+    out: Dict[int, int] = {}
+    for i, c in vec:
+        for r, cr in rows.get((k, i) if left else (i, k), ()):
+            out[r] = out.get(r, 0) + c * cr
+    return out
+
+
+def _chain(rows, vec, idxs) -> tuple:
+    """vec e_idxs[0] e_idxs[1] ... by the lifted structure constants
+    rows, multiplied left to right, as (index, numerator) pairs."""
+    for i in idxs:
+        vec = _pairs(_times(rows, vec, i))
+    return vec
+
+
+def _pairs(vec: Dict) -> tuple:
+    """The nonzero entries of a dict of int numerators, as pairs."""
+    return tuple((k, c) for k, c in vec.items() if c)
+
+
+def _contract(w, table) -> Dict:
+    """The sum of c table[key] over the (key, c) pairs of w; each
+    table[key] is a sequence of (index, numerator) pairs. With table a
+    lifted map (_lift_map), this applies the map to the vector w."""
+    out: Dict = {}
+    for key, c in w:
+        for r, cr in table.get(key, ()):
+            out[r] = out.get(r, 0) + c * cr
+    return out
+
+
+def _mul(table, x, y) -> Dict:
+    """x y by the lifted structure constants table: the sum of cx cy
+    table[(i, j)] over the (i, cx) pairs of x and the (j, cy) pairs of
+    y."""
+    return _contract([((i, j), cx * cy) for i, cx in x for j, cy in y],
+                     table)
+
+
+def _lift_map(f: LinearMap):
+    """(cols, den): a map with one codomain leg lifted (_lift_rows),
+    cols[k] the image of e_k as (index, numerator) pairs."""
+    rows, den = _lift_rows(f.field, f.cols)
+    return {k: tuple((r, n) for (r,), n in row)
+            for k, row in rows.items()}, den
+
+
+def _transpose(table) -> Dict:
+    """A table of sparse rows (key -> {index: value}) regrouped by index:
+    index -> {key: value}. The transpose of a comultiplication is the
+    convolution table of the dual."""
+    out: Dict = {}
+    for key, vec in table.items():
+        for k, c in vec.items():
+            out.setdefault(k, {})[key] = c
+    return out
+
+
+def _two_sided_hits(left: LegMul, right: LegMul):
+    """(hits, den) for a left action `left` and a right action `right`
+    on one space: hits[(u, s, v)] holds the (w, numerator) pairs, over
+    den, of the coefficient of e_s in v . e_w . u. Read over w, it is
+    the functional u -> e^s <- v on that space."""
+    (L, dl), (R, dr) = left.lifted(), right.lifted()
+    hits: Dict[Tuple[int, int, int], list] = {}
+    for (w, u), row in R.items():
+        for v in range(left.left.dim):
+            for s, n in _times(L, row, v, left=True).items():
+                if n:
+                    hits.setdefault((u, s, v), []).append((w, n))
+    return {key: tuple(vec) for key, vec in hits.items()}, dl * dr
+
+
 def left_action_assoc(act: LegMul, mult: LegMul):
     """(g h).m and g.(h.m) on inputs (g, h, m); mult multiplies the
     algebra that acts by act."""

@@ -21,6 +21,11 @@ Mat = Dict[int, Vec]
 Mult = Dict[Tuple[int, int], Vec]
 
 
+class NotApplicableError(ValueError):
+    """The input is valid, but the classical oracle does not cover it:
+    its reassociator is not trivial, or alpha and beta are not 1."""
+
+
 class ClassicalHopf:
     """A finite-dimensional Hopf algebra given purely by structure
     constants: multiplication, unit, comultiplication, counit and the
@@ -130,13 +135,15 @@ class ClassicalHopf:
 
 def from_structure_constants(H) -> ClassicalHopf:
     """Extract the raw structure constants of a quasi-Hopf algebra with
-    trivial reassociator (data plumbing only; no computation)."""
+    trivial reassociator (data plumbing only; no computation). Any other
+    input raises NotApplicableError."""
     field = H.field
     one = field.one()
     if H.phi != H.unit_pow(3):
-        raise ValueError("the classical oracle needs a trivial reassociator")
+        raise NotApplicableError(
+            "the classical oracle needs a trivial reassociator")
     if H.alpha != H.unit() or H.beta != H.unit():
-        raise ValueError("the classical oracle needs alpha = beta = 1")
+        raise NotApplicableError("the classical oracle needs alpha = beta = 1")
     mult = {k: dict(v) for k, v in H.algebra.mult.items()}
     unit = {i: c for (i,), c in H.algebra.unit.data.items()}
     comul = {i: {k: c for k, c in col.items()}

@@ -2,7 +2,8 @@
 product construction, verification suites and corpus generation.
 
 Exit codes: 0 all checks pass, 1 verification failure or non-invertible
-input, 2 malformed input. Reports are JSON on standard output and are
+input, 2 malformed input, 3 a valid input that the requested suite does
+not apply to. Reports are JSON on standard output and are
 deterministic for fixed inputs and seed (timings are excluded).
 """
 
@@ -14,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import specfile as sf
-from .classical import verify_classical_agreement
+from .classical import NotApplicableError, verify_classical_agreement
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_right_comodule,
                     check_bicomodule_algebra, check_left_comodule_algebra,
@@ -291,6 +292,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotApplicableError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 3
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -19,9 +19,11 @@ verifiers are implemented below.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (FinAlgebra, LegMul, _clean_table, actions_commute,
+from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_rows,
+                      _mul, _pairs, _transpose, _two_sided_hits, actions_commute,
                       counit_identity, left_action_assoc, left_action_unit,
                       mul_legs, right_action_assoc, right_action_unit)
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
@@ -160,24 +162,13 @@ def dual_module_algebra(mc: RightModuleCoalgebra,
     field = H.field
     n = mc.dim
     dbasis = mc.basis.dual()
-    dcols = mc.comul.cols
-    mult = {}
-    for u in range(n):
-        for v in range(n):
-            vec = {}
-            for w in range(n):
-                c = dcols.get(w, {}).get((u, v))
-                if c:
-                    vec[w] = c
-            if vec:
-                mult[(u, v)] = vec
     unit_data = {}
     for w in range(n):
         c = mc.counit.cols.get(w, {}).get(())
         if c:
             unit_data[(w,)] = c
     unit = Tensor((dbasis,), unit_data, field)
-    alg = FinAlgebra(dbasis, mult, unit, field)
+    alg = FinAlgebra(dbasis, _transpose(mc.comul.cols), unit, field)
     table = {}
     act = mc.action.table
     for w in range(n):
@@ -286,21 +277,22 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
 
 def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
     """Reconstruct the table of the right C* >< B action from the
-    Doi-Hopf structure: n (c* >< b) = sum c*(n_(-1)) n_(0) b."""
+    Doi-Hopf structure: n (c* >< b) = sum c*(n_(-1)) n_(0) b, summed over
+    the lifted coaction and action and lowered once per entry."""
     field = N.field
+    cols, dc = _lift_rows(field, N.coaction.cols)
+    act, da = N.r_action.lifted()
     table = {}
     for m in range(N.dim):
-        col = N.coaction.cols.get(m, {})
+        col = cols.get(m, ())
         for g in range(gsm.dim):
             u, b = gsm.split(g)
-            acc: Dict[int, object] = {}
-            for (cm, m0), c in col.items():
-                if cm != u:
-                    continue
-                for t, ct in N.r_action.pair(m0, b).items():
-                    acc[t] = acc.get(t, field.zero()) + c * ct
-            table[(m, g)] = acc
-    return LegMul(N.basis, gsm.basis, N.basis, _clean_table(table), field)
+            vec = field.lower(_contract(
+                [((m0, b), c) for (cm, m0), c in col if cm == u], act),
+                dc * da)
+            if vec:
+                table[(m, g)] = vec
+    return LegMul(N.basis, gsm.basis, N.basis, table, field)
 
 
 # ----------------------------------------------------------------------
@@ -550,83 +542,44 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     left reassociators of A, and the arrows on c*, d* are the transposed
     regular actions on the coalgebra. The sums are staged: everything
     coupling only Phi, f and the two Phi^{-1} copies is contracted once
-    per h, then merged with the three reassociator sums and the two
-    coactions per (h, a, a') before the per-pair loop."""
+    per h (stage one), then merged with the three reassociator sums and
+    the two coactions per (h, a, a') (stage two) before the per-pair
+    loop.
+
+    Every sum runs over lifted integer tables (fields.py): the hits
+    u -> e^s <- v on C and on H (_two_sided_hits, from the action tables
+    of C and of H), the convolution tables of C* and H*, the structure
+    constants of H and A, the reassociators and the two coactions, and
+    stage one, lifted for all h together. Every term of an entry takes
+    one factor from each of them, so the whole table has one
+    denominator, the product of theirs, and each entry is lowered
+    once."""
     H = qs.H
     field = H.field
-    zero = field.zero()
     A = ba.algebra
-    nH, nC = H.dim, C.dim
-    hmult = H.algebra.mult
-    amult = A.mult
+    nH = H.dim
     nest = smash_index(qs, sm)
+    hmult, dh = H.leg().lifted()
+    amult, da = A.as_leg().lifted()
+    # the functionals u -> e^s <- v on C and on H, and the convolution
+    # tables of C* and H*
+    chit, dch = _two_sided_hits(C.left_action, C.right_action)
+    dhit, ddh = _two_sided_hits(H.leg(), H.leg())
+    cconv, dcc = _lift_rows(field, _transpose(C.comul.cols))
+    dconv, ddc = H.dual.conv.as_leg().lifted()
 
-    # (u -> e^s <- v) on the coalgebra: coefficient at c_w is the s-th
-    # coordinate of v . c_w . u
-    chit2: Dict[Tuple[int, int, int], Dict[int, object]] = {}
-    for w in range(nC):
-        for u in range(nH):
-            cu = C.ract(C.e(w), H.e(u))
-            if not cu.data:
-                continue
-            for v in range(nH):
-                vec = C.lact(H.e(v), cu)
-                for (s,), c in vec.data.items():
-                    chit2.setdefault((u, s, v), {})[w] = c
-    # same for functionals on H itself
-    dhit2: Dict[Tuple[int, int, int], Dict[int, object]] = {}
-    for w in range(nH):
-        for u in range(nH):
-            ku = hmult.get((w, u))
-            if not ku:
-                continue
-            for v in range(nH):
-                for k1, c1 in ku.items():
-                    for s, c2 in hmult.get((v, k1), {}).items():
-                        d = dhit2.setdefault((u, s, v), {})
-                        d[w] = d.get(w, zero) + c1 * c2
+    # e_i e_idxs[0] e_idxs[1] ... in H and in A, as pairs
+    hchain = cache(lambda i, *idxs: _chain(hmult, ((i, 1),), idxs))
+    achain = cache(lambda i, *idxs: _chain(amult, ((i, 1),), idxs))
 
-    def conv_tab(cols):
-        out: Dict[Tuple[int, int], Dict[int, object]] = {}
-        for w, col in cols.items():
-            for (u, v), c in col.items():
-                out.setdefault((u, v), {})[w] = c
-        return out
+    def products(hits, conv):
+        # (u1 -> e^s <- v1)(u2 -> e^t <- v2) by the convolution table conv
+        return cache(lambda u1, s, v1, u2, t, v2: _pairs(_mul(
+            conv, hits.get((u1, s, v1), ()), hits.get((u2, t, v2), ()))))
 
-    cconv_t = conv_tab(C.comul.cols)
-    dconv_t = H.dual.conv.mult
+    cprod, dprod = products(chit, cconv), products(dhit, dconv)
 
-    def convolve(x: Dict[int, object], y: Dict[int, object], tab):
-        acc: Dict[int, object] = {}
-        for u, cu in x.items():
-            for v, cv in y.items():
-                col = tab.get((u, v))
-                if not col:
-                    continue
-                c = cu * cv
-                for w, cw in col.items():
-                    acc[w] = acc.get(w, zero) + c * cw
-        return acc
-
-    # the product e_idxs[0] ... e_idxs[-1] in the table mult, formed once
-    # per (table, indices)
-    chains: Dict[tuple, Dict[int, object]] = {}
-
-    def chain(mult, *idxs):
-        key = (id(mult),) + idxs
-        vec = chains.get(key)
-        if vec is None:
-            vec = {idxs[0]: field.one()}
-            for i in idxs[1:]:
-                nxt: Dict[int, object] = {}
-                for k, c in vec.items():
-                    for t, ct in mult.get((k, i), {}).items():
-                        nxt[t] = nxt.get(t, zero) + c * ct
-                vec = nxt
-            chains[key] = vec
-        return vec
-
-    # stage one, per h: contract Phi, f and the two Phi^{-1} copies
+    # stage one, for every h: contract Phi, f and the two Phi^{-1} copies
     phiXX = H.phi.map_leg(0, H.comul).map_leg(0, H.comul)
     phix = H.phi_inv.map_leg(1, H.comul)
 
@@ -644,100 +597,84 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                               H.mul(H.e(X1b), H.e(y3), H.e(x22),
                                     H.e(h12))))
 
+    stage1, d1 = _lift_rows(field, {h: stage_one(h).data for h in range(nH)})
+
     # stage two, per (h, a, a2): merge in the reassociator sums and the
     # two coactions, pre-chaining every product that does not involve
-    # the pair-dependent dual indices
-    mid_inv = list(ba.phi_mid_inv.data.items())
-    rho_inv = list(ba.right.phi_rho_inv.data.items())
-    lam_inv = list(ba.left.phi_lam_inv.data.items())
-    lam_cols = ba.left.coaction.cols
-    rho_cols = ba.right.coaction.cols
-    stage_cache: Dict[Tuple[int, int, int], Dict[tuple, object]] = {}
-    sa_cache: Dict[int, list] = {}
+    # the pair-dependent dual indices; grouped by all indices but the
+    # one of A, as (key, ((index of A, numerator), ...)) pairs
+    mid_inv, dw = field.lift(ba.phi_mid_inv.data)
+    rho_inv, dr = field.lift(ba.right.phi_rho_inv.data)
+    lam_inv, dli = field.lift(ba.left.phi_lam_inv.data)
+    lam_cols, dla = _lift_rows(field, ba.left.coaction.cols)
+    rho_cols, dra = _lift_rows(field, ba.right.coaction.cols)
+    d2 = d1 * dw * dr * dli * dla * dra * dh ** 4 * da ** 4
 
+    @cache
     def stage_two(h, a, a2):
-        key = (h, a, a2)
-        got = stage_cache.get(key)
-        if got is not None:
-            return got
-        if h not in sa_cache:
-            sa_cache[h] = list(stage_one(h).data.items())
-        merged: Dict[tuple, object] = {}
-        for (L1, L2, L3, L4, L5), c0 in sa_cache[h]:
-            for (w1, w2, w3), cw in mid_inv:
-                for (am, a0), cla in lam_cols.get(a, {}).items():
-                    for (l1, l2, l3), cl in lam_inv:
-                        dleft = chain(hmult, l2, am, w1)
+        merged: Dict[tuple, Dict[int, int]] = {}
+        for (L1, L2, L3, L4, L5), c0 in stage1.get(h, ()):
+            for (w1, w2, w3), cw in mid_inv.items():
+                for (am, a0), cla in lam_cols.get(a, ()):
+                    for (l1, l2, l3), cl in lam_inv.items():
+                        dleft = hchain(l2, am, w1)
                         if not dleft:
                             continue
-                        for (a20, a21), cra in rho_cols.get(a2, {}).items():
-                            for (r1, r2, r3), cr in rho_inv:
-                                avec = chain(amult, l3, a0, w2, a20, r1)
+                        for (a20, a21), cra in rho_cols.get(a2, ()):
+                            for (r1, r2, r3), cr in rho_inv.items():
+                                avec = achain(l3, a0, w2, a20, r1)
                                 if not avec:
                                     continue
-                                pleft = chain(hmult, w3, a21, r2)
+                                pleft = hchain(w3, a21, r2)
                                 if not pleft:
                                     continue
                                 base = c0 * cw * cla * cl * cra * cr
-                                for dl, cdl in dleft.items():
-                                    for av, cav in avec.items():
-                                        for pl, cpl in pleft.items():
-                                            k = (l1, L1, dl, L2, L3, pl,
-                                                 L4, r3, L5, av)
-                                            c = base * cdl * cav * cpl
-                                            s = merged.get(k, zero) + c
-                                            if s:
-                                                merged[k] = s
-                                            elif k in merged:
-                                                del merged[k]
-        stage_cache[key] = merged
-        return merged
+                                for dl, cdl in dleft:
+                                    for pl, cpl in pleft:
+                                        vec = merged.setdefault(
+                                            (l1, L1, dl, L2, L3, pl, L4,
+                                             r3, L5), {})
+                                        c = base * cdl * cpl
+                                        for av, cav in avec:
+                                            vec[av] = vec.get(av, 0) + c * cav
+        return tuple((key, avs) for key, avs in
+                     ((key, _pairs(vec)) for key, vec in merged.items()) if avs)
 
-    def evaluate(i: int, j: int) -> Dict[int, object]:
+    def evaluate(i: int, j: int) -> Dict[int, int]:
         s, g = final.split(i)
         t, g2 = final.split(j)
         a, p, h = nest.split(g)
         a2, q, h2 = nest.split(g2)
-        out: Dict[int, object] = {}
-        for key, base in stage_two(h, a, a2).items():
-            l1, L1, dl, L2, L3, pl, L4, r3, L5, av = key
-            cvec = chit2.get((l1, s, L1))
-            if not cvec:
-                continue
-            dvec = chit2.get((dl, t, L2))
-            if not dvec:
-                continue
-            pvec = dhit2.get((L3, p, pl))
-            if not pvec:
-                continue
-            qvec = dhit2.get((L4, q, r3))
-            if not qvec:
-                continue
-            cd = convolve(cvec, dvec, cconv_t)
+        out: Dict[int, int] = {}
+        for (l1, L1, dl, L2, L3, pl, L4, r3, L5), avs in stage_two(h, a, a2):
+            cd = cprod(l1, s, L1, dl, t, L2)
             if not cd:
                 continue
-            fv = convolve(pvec, qvec, dconv_t)
+            fv = dprod(L3, p, pl, L4, q, r3)
             if not fv:
                 continue
             tvec = hmult.get((L5, h2))
             if not tvec:
                 continue
-            for cw, cc in cd.items():
-                c1 = base * cc
-                for fw, fc in fv.items():
-                    c2 = c1 * fc
-                    for tw, tc in tvec.items():
-                        k = final.join((cw, nest.join((av, fw, tw))))
-                        sacc = out.get(k, zero) + c2 * tc
-                        if sacc:
-                            out[k] = sacc
-                        elif k in out:
-                            del out[k]
+            for cw, cc in cd:
+                for fw, fc in fv:
+                    c1 = cc * fc
+                    for tw, tc in tvec:
+                        c2 = c1 * tc
+                        for av, base in avs:
+                            k = final.join((cw, nest.join((av, fw, tw))))
+                            out[k] = out.get(k, 0) + base * c2
         return out
 
+    den = d2 * dch * dch * dcc * ddh * ddh * ddc * dh
     n = final.dim
-    return LegMul(final.basis, final.basis, final.basis, _clean_table(
-        {(i, j): evaluate(i, j) for i in range(n) for j in range(n)}), field)
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            vec = field.lower(evaluate(i, j), den)
+            if vec:
+                table[(i, j)] = vec
+    return LegMul(final.basis, final.basis, final.basis, table, field)
 
 
 # ----------------------------------------------------------------------

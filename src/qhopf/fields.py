@@ -6,11 +6,14 @@ scalars are Fp instances. Both support +, -, *, /, ==, bool, so tensor
 code is field-agnostic: a scalar is zero exactly when it is falsy.
 
 A kernel that sums many products works in plain integers instead: the
-leg-wise product mul_legs and the table side-builders of algebra.py, and
-the product-table builders of products.py (QuasiSmash, smash_product,
-generalized_smash and two_sided_crossed, lowered once per entry by
-ProductAlgebra) and its HeisenbergDouble. They go through two methods of
-the field:
+leg-wise product mul_legs and the side-builders of algebra.py; the
+product-table builders (lowered once per entry by ProductAlgebra) and
+HeisenbergDouble of products.py; canonical_first_module and
+_forward_action of hopfmod.py; algebra_action_from_doi and
+crossed_smash_direct of doihopf.py. The helpers they share (_lift_rows,
+_lift_map, _lift_vector, _times, _chain, _contract, _pair, _apply,
+_two_sided_hits, _pairs) live in algebra.py. They go through two methods
+of the field:
 
 - lift(data) -> (num, den): num maps each key of data to an int and den
   is one positive int with data[k] == num[k] / den for every k. Over Q,

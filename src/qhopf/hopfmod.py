@@ -14,9 +14,11 @@ cyclic modules.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (LegMul, _clean_table, actions_commute, counit_identity,
+from .algebra import (LegMul, _chain, _clean_table, _contract, _lift_map,
+                      _lift_rows, _mul, _pairs, actions_commute, counit_identity,
                       left_action_assoc, left_action_unit, mul_legs,
                       right_action_assoc, right_action_unit)
 from .coact import OverH, RightComoduleAlgebra, canonical_right_comodule
@@ -187,7 +189,7 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     field = H.field
     flat = FlatSpace((A.basis, H.basis), field)
     nA, nH = A.dim, H.dim
-    hmult, amult = H.algebra.mult, A.mult
+    hmult = H.algebra.mult
 
     left = {}
     for h in range(nH):
@@ -199,20 +201,24 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
                         flat.join((a, t)): c for t, c in vec.items()}
     left_action = LegMul(H.basis, flat.basis, flat.basis, left, field)
 
+    # summed over the lifted coaction and structure constants, lowered
+    # once per entry
+    rho, dr = _lift_rows(field, ca.coaction.cols)
+    (am, da), (hm, dh) = A.as_leg().lifted(), H.leg().lifted()
     right = {}
     for a in range(nA):
         for k in range(nH):
             m = flat.join((a, k))
             for a2 in range(nA):
-                acc: Dict[int, object] = {}
-                for (a0, a1), c0 in ca.coaction.cols.get(a2, {}).items():
-                    for ra, cra in amult.get((a, a0), {}).items():
-                        for rh, crh in hmult.get((k, a1), {}).items():
+                acc: Dict[int, int] = {}
+                for (a0, a1), c0 in rho.get(a2, ()):
+                    for ra, cra in am.get((a, a0), ()):
+                        for rh, crh in hm.get((k, a1), ()):
                             key = flat.join((ra, rh))
-                            acc[key] = acc.get(key, field.zero()) + c0 * cra * crh
-                acc = {k2: c for k2, c in acc.items() if c}
-                if acc:
-                    right[(m, a2)] = acc
+                            acc[key] = acc.get(key, 0) + c0 * cra * crh
+                vec = field.lower(acc, dr * da * dh)
+                if vec:
+                    right[(m, a2)] = vec
     right_action = LegMul(flat.basis, A.basis, flat.basis, right, field)
 
     cols = {}
@@ -383,49 +389,52 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
         m (a # e^p) [h] = sum e^p(S^{-1}(F2 m_(1) a_(1) p~2))
                               (lead m_(0))(a_(0) p~1),   lead = leads[h][F1],
 
-    stored at (m, join(a, p, h)). The sum is staged: S^{-1}(F2 m_(1)
-    a_(1) p~2) is formed once per (F2, m_(1), a_(1), p~2) and e^p reads
-    its p-th coordinate; (lead m_(0))(a_(0) p~1) is formed once per
-    (h, F1, m_(0), a_(0), p~1); and one pass over the terms fills the
-    entries of every p for a given (m, a, h)."""
+    stored at (m, join(a, p, h)). The sum is staged over lifted tables
+    (fields.py): S^{-1}(F2 m_(1) a_(1) p~2) is formed once per (F2,
+    m_(1), a_(1), p~2) from the structure constants of H and S^{-1}, and
+    e^p reads its p-th coordinate; (lead m_(0))(a_(0) p~1) is formed once
+    per (h, F1, m_(0), a_(0), p~1) from the leads, lifted together, and
+    the action tables of M and A; and one pass over the terms fills the
+    entries of every p for a given (m, a, h). Every term shares one
+    denominator, and each entry is lowered once."""
     ca, H = M.ca, M.H
     field = M.field
-    zero = field.zero()
     A = ca.algebra
-    F_terms = list(F.data.items())
-    pt_terms = list(ca.p_tilde().data.items())
-    scalars: Dict[tuple, Dict[int, object]] = {}
-    vectors: Dict[tuple, Dict[int, object]] = {}
+    hm, dh = H.leg().lifted()
+    sinv, dsi = _lift_map(H.antipode_inv)
+    am, da = A.as_leg().lifted()
+    (lact, dl), (ract, dr) = M.left_action.lifted(), M.right_action.lifted()
+    lead_rows, dlead = _lift_rows(field, {
+        (h, f1): {x: c for (x,), c in t.data.items()}
+        for h, lead in enumerate(leads) for f1, t in lead.items()})
+    F_terms, dF = field.lift(F.data)
+    pt_terms, dp = field.lift(ca.p_tilde().data)
+    m_cols, dm = _lift_rows(field, M.coaction.cols)
+    a_cols, dac = _lift_rows(field, ca.coaction.cols)
 
+    @cache
     def scalar(f2, m1, a1, p2):
-        key = (f2, m1, a1, p2)
-        got = scalars.get(key)
-        if got is None:
-            x = H.Sinv(H.mul(H.e(f2), H.e(m1), H.e(a1), H.e(p2)))
-            got = scalars[key] = {p: c for (p,), c in x.data.items()}
-        return got
+        return _pairs(_contract(_chain(hm, ((f2, 1),), (m1, a1, p2)), sinv))
 
+    @cache
     def vector(h, f1, m0, a0, p1):
-        key = (h, f1, m0, a0, p1)
-        got = vectors.get(key)
-        if got is None:
-            v = M.ract(M.lact(leads[h][f1], M.e(m0)), A.mul_indices(a0, p1))
-            got = vectors[key] = {o: c for (o,), c in v.data.items()}
-        return got
+        moved = _pairs(_mul(lact, lead_rows.get((h, f1), ()), ((m0, 1),)))
+        return _pairs(_mul(ract, moved, am.get((a0, p1), ())))
 
+    den = dF * dm * dac * dp * dh ** 3 * dsi * dlead * dl * da * dr
     table = {}
     for m in range(M.dim):
-        m_terms = list(M.coaction.cols.get(m, {}).items())
+        m_terms = m_cols.get(m, ())
         for a in range(A.dim):
-            a_terms = list(ca.coaction.cols.get(a, {}).items())
+            a_terms = a_cols.get(a, ())
             for h in range(len(leads)):
-                rows: Dict[int, Dict[int, object]] = {}
-                for (f1, f2), cf in F_terms:
+                rows: Dict[int, Dict[int, int]] = {}
+                for (f1, f2), cf in F_terms.items():
                     for (m0, m1), cm in m_terms:
                         cfm = cf * cm
                         for (a0, a1), c_a in a_terms:
                             cfma = cfm * c_a
-                            for (p1, p2), cp in pt_terms:
+                            for (p1, p2), cp in pt_terms.items():
                                 s = scalar(f2, m1, a1, p2)
                                 if not s:
                                     continue
@@ -433,14 +442,16 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
                                 if not v:
                                     continue
                                 c = cfma * cp
-                                for p, sp in s.items():
+                                for p, sp in s:
                                     row = rows.setdefault(p, {})
                                     csp = c * sp
-                                    for o, vo in v.items():
-                                        row[o] = row.get(o, zero) + csp * vo
+                                    for o, vo in v:
+                                        row[o] = row.get(o, 0) + csp * vo
                 for p, row in rows.items():
-                    table[(m, join(a, p, h))] = row
-    return LegMul(M.basis, right, M.basis, _clean_table(table), field)
+                    vec = field.lower(row, den)
+                    if vec:
+                        table[(m, join(a, p, h))] = vec
+    return LegMul(M.basis, right, M.basis, table, field)
 
 
 def relative_from_two_sided(M: TwoSidedHopfModule,

@@ -11,26 +11,18 @@ products factor through the two-sided crossed product.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import FinAlgebra, LegMul, _lift_rows, _lift_vector, _side
+from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_map,
+                      _lift_rows, _lift_vector, _mul, _pairs, _side, _times,
+                      _two_sided_hits)
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
 from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
-
-
-def _times(rows, vec, k, left=False):
-    """The sparse vector vec times e_k (e_k times vec when left) by the
-    lifted structure constants rows; vec is a sequence of (index,
-    numerator) pairs, and so is each row."""
-    out: Dict[int, int] = {}
-    for i, c in vec:
-        for r, cr in rows.get((k, i) if left else (i, k), ()):
-            out[r] = out.get(r, 0) + c * cr
-    return out
 
 
 class ProductAlgebra(FlatSpace):
@@ -424,17 +416,8 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
     bmult, db = B.as_leg().lifted()
     dcols, dd = _lift_rows(field, dual.comul.cols)
 
-    # hits[(h, g, j)] = h -> e^j <- g, over dl * dr
-    hit_l, dl = dual.hit_l_leg.lifted()
-    hit_r, dr = dual.hit_r_leg.lifted()
-    hits: Dict[Tuple[int, int, int], Dict[int, int]] = {}
-    for g in range(nH):
-        for j in range(nH):
-            for p, cp in hit_r.get((j, g), ()):
-                for h in range(nH):
-                    for m, cm in hit_l.get((h, p), ()):
-                        vec = hits.setdefault((h, g, j), {})
-                        vec[m] = vec.get(m, 0) + cp * cm
+    # hits[(h, j, g)] = h -> e^j <- g, over dhit
+    hits, dhit = _two_sided_hits(H.leg(), H.leg())
 
     # core[(j, k)][(x1, y3)][m]: the sum over both inverse reassociators
     # of x1 (x) (y1 -> e^j <- x2_r)(y2 -> e^k <- x3_r) (x) y3
@@ -446,21 +429,21 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
         for (y1, y2, y3), cy in phi_y.items():
             cxy = cx * cy
             for j in range(nH):
-                tj = hits.get((y1, x2, j))
+                tj = hits.get((y1, j, x2))
                 if not tj:
                     continue
                 for k in range(nH):
-                    tk = hits.get((y2, x3, k))
+                    tk = hits.get((y2, k, x3))
                     if not tk:
                         continue
                     vec = core.setdefault((j, k), {}).setdefault((x1, y3), {})
-                    for p, cp in tj.items():
+                    for p, cp in tj:
                         cxyp = cxy * cp
-                        for q, cq in tk.items():
+                        for q, cq in tk:
                             cpq = cxyp * cq
                             for m, cm in conv.get((p, q), ()):
                                 vec[m] = vec.get(m, 0) + cpq * cm
-    dcore = dx * dy * (dl * dr) ** 2 * dc
+    dcore = dx * dy * dhit ** 2 * dc
 
     # hit tables: rhit[(j, a)] = e^j |> e_a, lhit[(b, k)] = e_b <| e^k
     rhit = {}
@@ -603,39 +586,6 @@ def _map_tensor(f: LinearMap) -> Tensor:
     return Tensor((f.codomain[0], f.domain), data, f.field)
 
 
-def _lift_map(f: LinearMap):
-    """(cols, den): a map with one codomain leg lifted (_lift_rows),
-    cols[k] the image of e_k as (index, numerator) pairs."""
-    rows, den = _lift_rows(f.field, f.cols)
-    return {k: tuple((r, n) for (r,), n in row)
-            for k, row in rows.items()}, den
-
-
-def _pairs(vec: Dict) -> tuple:
-    """The nonzero entries of a dict of int numerators, as pairs."""
-    return tuple((k, c) for k, c in vec.items() if c)
-
-
-def _map_vec(cols, vec) -> Dict:
-    """The lifted map cols (as _lift_map gives it) applied to vec, a
-    sequence of (index, numerator) pairs."""
-    out: Dict = {}
-    for i, c in vec:
-        for r, cr in cols.get(i, ()):
-            out[r] = out.get(r, 0) + c * cr
-    return out
-
-
-def _contract(w, table) -> Dict:
-    """The sum of c table[key] over the (key, c) pairs of w; each
-    table[key] is a sequence of (index, numerator) pairs."""
-    out: Dict = {}
-    for key, c in w:
-        for r, cr in table.get(key, ()):
-            out[r] = out.get(r, 0) + c * cr
-    return out
-
-
 class HeisenbergDouble:
     """The quasi-smash product H (x) H* realized inside End(H).
 
@@ -710,21 +660,13 @@ class HeisenbergDouble:
         xinv, dx = field.lift(H.phi_inv.data)
         phid, dX = field.lift(H.phi.map_leg(2, H.comul).data)
         alpha, dal = _lift_vector(H.alpha)
-        mids: Dict[Tuple[int, int, int, int], tuple] = {}
 
+        @cache
         def mid(x1, X2, x2, X31):
             # S^{-1}(S(x1 X2) alpha x2 X3_1), multiplied left to right
-            got = mids.get((x1, X2, x2, X31))
-            if got is None:
-                v = _pairs(_map_vec(S, hm.get((x1, X2), ())))
-                va: Dict[int, int] = {}
-                for j, cj in alpha:
-                    for r, c in _times(hm, v, j).items():
-                        va[r] = va.get(r, 0) + cj * c
-                v = _times(hm, _pairs(_times(hm, _pairs(va), x2)), X31)
-                got = mids[(x1, X2, x2, X31)] = _pairs(
-                    _map_vec(sinv, _pairs(v)))
-            return got
+            v = _pairs(_mul(hm, _contract(hm.get((x1, X2), ()), S).items(),
+                            alpha))
+            return _pairs(_contract(_chain(hm, v, (x2, X31)), sinv))
 
         groups: Dict[int, Dict[int, Dict[int, int]]] = {}
         for (x1, x2, x3), c1 in xinv.items():
@@ -761,7 +703,7 @@ class HeisenbergDouble:
         for k in range(self.H.dim):
             acc: Dict[Tuple[int, int], int] = {}
             for e1, rights in self._E:
-                z = _pairs(_map_vec(cols, hm.get((k, e1), ())))
+                z = _pairs(_contract(hm.get((k, e1), ()), cols))
                 if not z:
                     continue
                 for e2, e3s in rights:

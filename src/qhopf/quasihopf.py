@@ -9,6 +9,7 @@ comments referencing formulas. All identity checks are exact.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Optional
 
 from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
@@ -227,8 +228,8 @@ class QuasiHopfAlgebra(QuasiBialgebra):
 
     @property
     def derived(self) -> "DerivedElements":
-        """The derived elements f, p_R, q_R, p_L, q_L, U, V, built once
-        per object."""
+        """The derived elements f, p_R, q_R, p_L, q_L, U, V, each built
+        on its first read and kept with the object."""
         if self._derived is None or self._derived.H is not self:
             self._derived = DerivedElements(self)
         return self._derived
@@ -436,56 +437,70 @@ def sw_sop(H: QuasiHopfAlgebra, x: Tensor) -> Tensor:
     return H.delta(x).permute((1, 0)).map_leg(0, H.antipode).map_leg(1, H.antipode)
 
 
+def _element(build):
+    """A derived element: build(H, der) on its first read, then kept."""
+    return cached_property(lambda der: build(der.H, der))
+
+
 class DerivedElements:
     """The canonical elements built from a quasi-Hopf algebra: the
     antipode twist f (with gamma, delta), p_R, q_R, p_L, q_L and the
     auxiliary elements U and V. H.derived holds the instance that every
-    construction over H shares."""
+    construction over H shares. Each element is built on its first read,
+    from H and the elements it needs, and kept."""
 
     def __init__(self, H: QuasiHopfAlgebra):
         self.H = H
-        one = H.unit()
 
-        # A = (Phi (x) 1)(Delta (x) id (x) id)(Phi^{-1})
-        A = H.tmul(H.phi.tensor(one), H.phi_inv.map_leg(0, H.comul))
-        # B = (Delta (x) id (x) id)(Phi)(Phi^{-1} (x) 1)
-        B = H.tmul(H.phi.map_leg(0, H.comul), H.phi_inv.tensor(one))
-
-        # gamma = sum S(A2) alpha A3 (x) S(A1) alpha A4
-        self.gamma = H.assemble(A, lambda a1, a2, a3, a4: H.mul(
+    # gamma = sum S(A2) alpha A3 (x) S(A1) alpha A4
+    # with A = (Phi (x) 1)(Delta (x) id (x) id)(Phi^{-1})
+    gamma = _element(lambda H, der: H.assemble(
+        H.tmul(H.phi.tensor(H.unit()), H.phi_inv.map_leg(0, H.comul)),
+        lambda a1, a2, a3, a4: H.mul(
             H.S(H.e(a2)), H.alpha, H.e(a3)).tensor(H.mul(
-                H.S(H.e(a1)), H.alpha, H.e(a4))))
-        # delta = sum B1 beta S(B4) (x) B2 beta S(B3)
-        self.delta = H.assemble(B, lambda b1, b2, b3, b4: H.mul(
+                H.S(H.e(a1)), H.alpha, H.e(a4)))))
+    # delta = sum B1 beta S(B4) (x) B2 beta S(B3)
+    # with B = (Delta (x) id (x) id)(Phi)(Phi^{-1} (x) 1)
+    delta = _element(lambda H, der: H.assemble(
+        H.tmul(H.phi.map_leg(0, H.comul), H.phi_inv.tensor(H.unit())),
+        lambda b1, b2, b3, b4: H.mul(
             H.e(b1), H.beta, H.S(H.e(b4))).tensor(H.mul(
-                H.e(b2), H.beta, H.S(H.e(b3)))))
+                H.e(b2), H.beta, H.S(H.e(b3))))))
 
-        # f = sum (S(x)S)(Delta^op(x1)) gamma Delta(x2 beta S(x3))
-        self.f = H.assemble(H.phi_inv, lambda x1, x2, x3: H.tmulc(
-            sw_sop(H, H.e(x1)), self.gamma,
-            H.delta(H.mul(H.e(x2), H.beta, H.S(H.e(x3))))))
-        # f^{-1} = sum Delta(S(x1) alpha x2) delta (S(x)S)(Delta^op(x3))
-        self.f_inv = H.assemble(H.phi_inv, lambda x1, x2, x3: H.tmulc(
+    # f = sum (S(x)S)(Delta^op(x1)) gamma Delta(x2 beta S(x3))
+    f = _element(lambda H, der: H.assemble(
+        H.phi_inv, lambda x1, x2, x3: H.tmulc(
+            sw_sop(H, H.e(x1)), der.gamma,
+            H.delta(H.mul(H.e(x2), H.beta, H.S(H.e(x3)))))))
+    # f^{-1} = sum Delta(S(x1) alpha x2) delta (S(x)S)(Delta^op(x3))
+    f_inv = _element(lambda H, der: H.assemble(
+        H.phi_inv, lambda x1, x2, x3: H.tmulc(
             H.delta(H.mul(H.S(H.e(x1)), H.alpha, H.e(x2))),
-            self.delta, sw_sop(H, H.e(x3))))
+            der.delta, sw_sop(H, H.e(x3)))))
 
-        # p_R = sum x1 (x) x2 beta S(x3),  q_R = sum X1 (x) S^{-1}(alpha X3) X2
-        self.p_R = H.assemble(H.phi_inv, lambda x1, x2, x3: H.e(x1).tensor(
-            H.mul(H.e(x2), H.beta, H.S(H.e(x3)))))
-        self.q_R = H.assemble(H.phi, lambda X1, X2, X3: H.e(X1).tensor(
-            H.mul(H.Sinv(H.mul(H.alpha, H.e(X3))), H.e(X2))))
-        # p_L = sum X2 S^{-1}(X1 beta) (x) X3, q_L = sum S(x1) alpha x2 (x) x3
-        self.p_L = H.assemble(H.phi, lambda X1, X2, X3: H.mul(
-            H.e(X2), H.Sinv(H.mul(H.e(X1), H.beta))).tensor(H.e(X3)))
-        self.q_L = H.assemble(H.phi_inv, lambda x1, x2, x3: H.mul(
-            H.S(H.e(x1)), H.alpha, H.e(x2)).tensor(H.e(x3)))
+    # p_R = sum x1 (x) x2 beta S(x3),  q_R = sum X1 (x) S^{-1}(alpha X3) X2
+    p_R = _element(lambda H, der: H.assemble(
+        H.phi_inv, lambda x1, x2, x3: H.e(x1).tensor(
+            H.mul(H.e(x2), H.beta, H.S(H.e(x3))))))
+    q_R = _element(lambda H, der: H.assemble(
+        H.phi, lambda X1, X2, X3: H.e(X1).tensor(
+            H.mul(H.Sinv(H.mul(H.alpha, H.e(X3))), H.e(X2)))))
+    # p_L = sum X2 S^{-1}(X1 beta) (x) X3, q_L = sum S(x1) alpha x2 (x) x3
+    p_L = _element(lambda H, der: H.assemble(
+        H.phi, lambda X1, X2, X3: H.mul(
+            H.e(X2), H.Sinv(H.mul(H.e(X1), H.beta))).tensor(H.e(X3))))
+    q_L = _element(lambda H, der: H.assemble(
+        H.phi_inv, lambda x1, x2, x3: H.mul(
+            H.S(H.e(x1)), H.alpha, H.e(x2)).tensor(H.e(x3))))
 
-        # U = sum g1 S(q_R 2) (x) g2 S(q_R 1)
-        self.U = H.assemble(self.f_inv.tensor(self.q_R), lambda g1, g2, q1, q2: H.mul(
-            H.e(g1), H.S(H.e(q2))).tensor(H.mul(H.e(g2), H.S(H.e(q1)))))
-        # V = sum S^{-1}(f2 p_R 2) (x) S^{-1}(f1 p_R 1)
-        self.V = H.assemble(self.f.tensor(self.p_R), lambda f1, f2, p1, p2: H.Sinv(
-            H.mul(H.e(f2), H.e(p2))).tensor(H.Sinv(H.mul(H.e(f1), H.e(p1)))))
+    # U = sum g1 S(q_R 2) (x) g2 S(q_R 1)
+    U = _element(lambda H, der: H.assemble(
+        der.f_inv.tensor(der.q_R), lambda g1, g2, q1, q2: H.mul(
+            H.e(g1), H.S(H.e(q2))).tensor(H.mul(H.e(g2), H.S(H.e(q1))))))
+    # V = sum S^{-1}(f2 p_R 2) (x) S^{-1}(f1 p_R 1)
+    V = _element(lambda H, der: H.assemble(
+        der.f.tensor(der.p_R), lambda f1, f2, p1, p2: H.Sinv(
+            H.mul(H.e(f2), H.e(p2))).tensor(H.Sinv(H.mul(H.e(f1), H.e(p1))))))
 
 
 def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:

@@ -1,0 +1,363 @@
+"""Field-scalar reference builders: canonical_first_module,
+_forward_action (hopfmod.py), algebra_action_from_doi and
+crossed_smash_direct (doihopf.py) as they were before they summed lifted
+integers (fields.py), copied unchanged. They sum Fraction or Fp scalars
+from field.zero() accumulators and drop zeros with _clean_table or by
+deleting entries; tests/test_lifted_builders.py checks the lifted
+builders against them."""
+
+from __future__ import annotations
+
+from typing import Dict, Tuple
+
+from qhopf.algebra import LegMul, _clean_table
+from qhopf.coact import BicomoduleAlgebra, RightComoduleAlgebra
+from qhopf.doihopf import BimoduleCoalgebra, DoiHopfModule
+from qhopf.hopfmod import TwoSidedHopfModule, smash_index
+from qhopf.products import ProductAlgebra, QuasiSmash
+from qhopf.tensor import Basis, FlatSpace, LinearMap, Tensor
+
+
+def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
+    """The two-sided Hopf module on A (x) H:
+    h (a (x) h') = a (x) h h';  (a (x) h) a' = sum a a'_(0) (x) h a'_(1);
+    rho(a (x) h) = sum a X1 (x) h_1 X2 (x) h_2 X3 with X = Phi_rho."""
+    H, A = ca.H, ca.algebra
+    field = H.field
+    flat = FlatSpace((A.basis, H.basis), field)
+    nA, nH = A.dim, H.dim
+    hmult, amult = H.algebra.mult, A.mult
+
+    left = {}
+    for h in range(nH):
+        for a in range(nA):
+            for k in range(nH):
+                vec = hmult.get((h, k))
+                if vec:
+                    left[(h, flat.join((a, k)))] = {
+                        flat.join((a, t)): c for t, c in vec.items()}
+    left_action = LegMul(H.basis, flat.basis, flat.basis, left, field)
+
+    right = {}
+    for a in range(nA):
+        for k in range(nH):
+            m = flat.join((a, k))
+            for a2 in range(nA):
+                acc: Dict[int, object] = {}
+                for (a0, a1), c0 in ca.coaction.cols.get(a2, {}).items():
+                    for ra, cra in amult.get((a, a0), {}).items():
+                        for rh, crh in hmult.get((k, a1), {}).items():
+                            key = flat.join((ra, rh))
+                            acc[key] = acc.get(key, field.zero()) + c0 * cra * crh
+                acc = {k2: c for k2, c in acc.items() if c}
+                if acc:
+                    right[(m, a2)] = acc
+    right_action = LegMul(flat.basis, A.basis, flat.basis, right, field)
+
+    cols = {}
+    for a in range(nA):
+        for k in range(nH):
+            src = ca.phi_rho.tensor(H.delta(H.e(k)))
+            t = H.assemble(src, lambda X1, X2, X3, k1, k2:
+                           A.mul_indices(a, X1).tensor(
+                               H.mul(H.e(k1), H.e(X2))).tensor(
+                                   H.mul(H.e(k2), H.e(X3))))
+            cols[flat.join((a, k))] = dict(flat.pack(t).data)
+    coaction = LinearMap(flat.basis, (flat.basis, H.basis), cols, field)
+    return TwoSidedHopfModule(ca, flat.basis, left_action, right_action,
+                              coaction, name=ca.name + "(x)H")
+
+
+def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
+                    right: Basis, join) -> LegMul:
+    """The table of the right action shared by both forward functors:
+
+        m (a # e^p) [h] = sum e^p(S^{-1}(F2 m_(1) a_(1) p~2))
+                              (lead m_(0))(a_(0) p~1),   lead = leads[h][F1],
+
+    stored at (m, join(a, p, h)). The sum is staged: S^{-1}(F2 m_(1)
+    a_(1) p~2) is formed once per (F2, m_(1), a_(1), p~2) and e^p reads
+    its p-th coordinate; (lead m_(0))(a_(0) p~1) is formed once per
+    (h, F1, m_(0), a_(0), p~1); and one pass over the terms fills the
+    entries of every p for a given (m, a, h)."""
+    ca, H = M.ca, M.H
+    field = M.field
+    zero = field.zero()
+    A = ca.algebra
+    F_terms = list(F.data.items())
+    pt_terms = list(ca.p_tilde().data.items())
+    scalars: Dict[tuple, Dict[int, object]] = {}
+    vectors: Dict[tuple, Dict[int, object]] = {}
+
+    def scalar(f2, m1, a1, p2):
+        key = (f2, m1, a1, p2)
+        got = scalars.get(key)
+        if got is None:
+            x = H.Sinv(H.mul(H.e(f2), H.e(m1), H.e(a1), H.e(p2)))
+            got = scalars[key] = {p: c for (p,), c in x.data.items()}
+        return got
+
+    def vector(h, f1, m0, a0, p1):
+        key = (h, f1, m0, a0, p1)
+        got = vectors.get(key)
+        if got is None:
+            v = M.ract(M.lact(leads[h][f1], M.e(m0)), A.mul_indices(a0, p1))
+            got = vectors[key] = {o: c for (o,), c in v.data.items()}
+        return got
+
+    table = {}
+    for m in range(M.dim):
+        m_terms = list(M.coaction.cols.get(m, {}).items())
+        for a in range(A.dim):
+            a_terms = list(ca.coaction.cols.get(a, {}).items())
+            for h in range(len(leads)):
+                rows: Dict[int, Dict[int, object]] = {}
+                for (f1, f2), cf in F_terms:
+                    for (m0, m1), cm in m_terms:
+                        cfm = cf * cm
+                        for (a0, a1), c_a in a_terms:
+                            cfma = cfm * c_a
+                            for (p1, p2), cp in pt_terms:
+                                s = scalar(f2, m1, a1, p2)
+                                if not s:
+                                    continue
+                                v = vector(h, f1, m0, a0, p1)
+                                if not v:
+                                    continue
+                                c = cfma * cp
+                                for p, sp in s.items():
+                                    row = rows.setdefault(p, {})
+                                    csp = c * sp
+                                    for o, vo in v.items():
+                                        row[o] = row.get(o, zero) + csp * vo
+                for p, row in rows.items():
+                    table[(m, join(a, p, h))] = row
+    return LegMul(M.basis, right, M.basis, _clean_table(table), field)
+
+
+def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
+    """Reconstruct the table of the right C* >< B action from the
+    Doi-Hopf structure: n (c* >< b) = sum c*(n_(-1)) n_(0) b."""
+    field = N.field
+    table = {}
+    for m in range(N.dim):
+        col = N.coaction.cols.get(m, {})
+        for g in range(gsm.dim):
+            u, b = gsm.split(g)
+            acc: Dict[int, object] = {}
+            for (cm, m0), c in col.items():
+                if cm != u:
+                    continue
+                for t, ct in N.r_action.pair(m0, b).items():
+                    acc[t] = acc.get(t, field.zero()) + c * ct
+            table[(m, g)] = acc
+    return LegMul(N.basis, gsm.basis, N.basis, _clean_table(table), field)
+
+
+def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
+                         qs: QuasiSmash, sm: ProductAlgebra,
+                         final: ProductAlgebra) -> LegMul:
+    """The product table of C* >< ((A (x) H*) # H) by a single closed
+    formula:
+
+        [c* >< ((a # phi) # h)][d* >< ((a' # psi) # h')]
+        = sum (xl1 -> c* <- S(X3) f1)
+              (xl2 a_[-1] w1 -> d* <- S(X2 x3 h_2) f2)
+          >< { [ xl3 a_[0] w2 a'_<0> xr1
+                 # (X1_(1,1) y1 x1 -> phi <- w3 a'_<1> xr2)
+                   (X1_(1,2) y2 x2_1 h_(1,1) -> psi <- xr3) ]
+               # X1_2 y3 x2_2 h_(1,2) h' }
+
+    where X = Phi, x, y = copies of Phi^{-1}, f = the twist element,
+    w = the inverse middle reassociator, xr / xl = the inverse right /
+    left reassociators of A, and the arrows on c*, d* are the transposed
+    regular actions on the coalgebra. The sums are staged: everything
+    coupling only Phi, f and the two Phi^{-1} copies is contracted once
+    per h, then merged with the three reassociator sums and the two
+    coactions per (h, a, a') before the per-pair loop."""
+    H = qs.H
+    field = H.field
+    zero = field.zero()
+    A = ba.algebra
+    nH, nC = H.dim, C.dim
+    hmult = H.algebra.mult
+    amult = A.mult
+    nest = smash_index(qs, sm)
+
+    # (u -> e^s <- v) on the coalgebra: coefficient at c_w is the s-th
+    # coordinate of v . c_w . u
+    chit2: Dict[Tuple[int, int, int], Dict[int, object]] = {}
+    for w in range(nC):
+        for u in range(nH):
+            cu = C.ract(C.e(w), H.e(u))
+            if not cu.data:
+                continue
+            for v in range(nH):
+                vec = C.lact(H.e(v), cu)
+                for (s,), c in vec.data.items():
+                    chit2.setdefault((u, s, v), {})[w] = c
+    # same for functionals on H itself
+    dhit2: Dict[Tuple[int, int, int], Dict[int, object]] = {}
+    for w in range(nH):
+        for u in range(nH):
+            ku = hmult.get((w, u))
+            if not ku:
+                continue
+            for v in range(nH):
+                for k1, c1 in ku.items():
+                    for s, c2 in hmult.get((v, k1), {}).items():
+                        d = dhit2.setdefault((u, s, v), {})
+                        d[w] = d.get(w, zero) + c1 * c2
+
+    def conv_tab(cols):
+        out: Dict[Tuple[int, int], Dict[int, object]] = {}
+        for w, col in cols.items():
+            for (u, v), c in col.items():
+                out.setdefault((u, v), {})[w] = c
+        return out
+
+    cconv_t = conv_tab(C.comul.cols)
+    dconv_t = H.dual.conv.mult
+
+    def convolve(x: Dict[int, object], y: Dict[int, object], tab):
+        acc: Dict[int, object] = {}
+        for u, cu in x.items():
+            for v, cv in y.items():
+                col = tab.get((u, v))
+                if not col:
+                    continue
+                c = cu * cv
+                for w, cw in col.items():
+                    acc[w] = acc.get(w, zero) + c * cw
+        return acc
+
+    # the product e_idxs[0] ... e_idxs[-1] in the table mult, formed once
+    # per (table, indices)
+    chains: Dict[tuple, Dict[int, object]] = {}
+
+    def chain(mult, *idxs):
+        key = (id(mult),) + idxs
+        vec = chains.get(key)
+        if vec is None:
+            vec = {idxs[0]: field.one()}
+            for i in idxs[1:]:
+                nxt: Dict[int, object] = {}
+                for k, c in vec.items():
+                    for t, ct in mult.get((k, i), {}).items():
+                        nxt[t] = nxt.get(t, zero) + c * ct
+                vec = nxt
+            chains[key] = vec
+        return vec
+
+    # stage one, per h: contract Phi, f and the two Phi^{-1} copies
+    phiXX = H.phi.map_leg(0, H.comul).map_leg(0, H.comul)
+    phix = H.phi_inv.map_leg(1, H.comul)
+
+    def stage_one(h):
+        src = phiXX.tensor(H.derived.f).tensor(H.phi_inv).tensor(phix).tensor(
+            H.delta(H.e(h)).map_leg(0, H.comul))
+        return H.assemble(src, lambda X11, X12, X1b, X2, X3, f1, f2,
+                          y1, y2, y3, x1, x21, x22, x3, h11, h12, h2:
+                          H.mul(H.S(H.e(X3)), H.e(f1)).tensor(
+                              H.mul(H.S(H.mul(H.e(X2), H.e(x3), H.e(h2))),
+                                    H.e(f2))).tensor(
+                              H.mul(H.e(X11), H.e(y1), H.e(x1))).tensor(
+                              H.mul(H.e(X12), H.e(y2), H.e(x21),
+                                    H.e(h11))).tensor(
+                              H.mul(H.e(X1b), H.e(y3), H.e(x22),
+                                    H.e(h12))))
+
+    # stage two, per (h, a, a2): merge in the reassociator sums and the
+    # two coactions, pre-chaining every product that does not involve
+    # the pair-dependent dual indices
+    mid_inv = list(ba.phi_mid_inv.data.items())
+    rho_inv = list(ba.right.phi_rho_inv.data.items())
+    lam_inv = list(ba.left.phi_lam_inv.data.items())
+    lam_cols = ba.left.coaction.cols
+    rho_cols = ba.right.coaction.cols
+    stage_cache: Dict[Tuple[int, int, int], Dict[tuple, object]] = {}
+    sa_cache: Dict[int, list] = {}
+
+    def stage_two(h, a, a2):
+        key = (h, a, a2)
+        got = stage_cache.get(key)
+        if got is not None:
+            return got
+        if h not in sa_cache:
+            sa_cache[h] = list(stage_one(h).data.items())
+        merged: Dict[tuple, object] = {}
+        for (L1, L2, L3, L4, L5), c0 in sa_cache[h]:
+            for (w1, w2, w3), cw in mid_inv:
+                for (am, a0), cla in lam_cols.get(a, {}).items():
+                    for (l1, l2, l3), cl in lam_inv:
+                        dleft = chain(hmult, l2, am, w1)
+                        if not dleft:
+                            continue
+                        for (a20, a21), cra in rho_cols.get(a2, {}).items():
+                            for (r1, r2, r3), cr in rho_inv:
+                                avec = chain(amult, l3, a0, w2, a20, r1)
+                                if not avec:
+                                    continue
+                                pleft = chain(hmult, w3, a21, r2)
+                                if not pleft:
+                                    continue
+                                base = c0 * cw * cla * cl * cra * cr
+                                for dl, cdl in dleft.items():
+                                    for av, cav in avec.items():
+                                        for pl, cpl in pleft.items():
+                                            k = (l1, L1, dl, L2, L3, pl,
+                                                 L4, r3, L5, av)
+                                            c = base * cdl * cav * cpl
+                                            s = merged.get(k, zero) + c
+                                            if s:
+                                                merged[k] = s
+                                            elif k in merged:
+                                                del merged[k]
+        stage_cache[key] = merged
+        return merged
+
+    def evaluate(i: int, j: int) -> Dict[int, object]:
+        s, g = final.split(i)
+        t, g2 = final.split(j)
+        a, p, h = nest.split(g)
+        a2, q, h2 = nest.split(g2)
+        out: Dict[int, object] = {}
+        for key, base in stage_two(h, a, a2).items():
+            l1, L1, dl, L2, L3, pl, L4, r3, L5, av = key
+            cvec = chit2.get((l1, s, L1))
+            if not cvec:
+                continue
+            dvec = chit2.get((dl, t, L2))
+            if not dvec:
+                continue
+            pvec = dhit2.get((L3, p, pl))
+            if not pvec:
+                continue
+            qvec = dhit2.get((L4, q, r3))
+            if not qvec:
+                continue
+            cd = convolve(cvec, dvec, cconv_t)
+            if not cd:
+                continue
+            fv = convolve(pvec, qvec, dconv_t)
+            if not fv:
+                continue
+            tvec = hmult.get((L5, h2))
+            if not tvec:
+                continue
+            for cw, cc in cd.items():
+                c1 = base * cc
+                for fw, fc in fv.items():
+                    c2 = c1 * fc
+                    for tw, tc in tvec.items():
+                        k = final.join((cw, nest.join((av, fw, tw))))
+                        sacc = out.get(k, zero) + c2 * tc
+                        if sacc:
+                            out[k] = sacc
+                        elif k in out:
+                            del out[k]
+        return out
+
+    n = final.dim
+    return LegMul(final.basis, final.basis, final.basis, _clean_table(
+        {(i, j): evaluate(i, j) for i in range(n) for j in range(n)}), field)

@@ -247,6 +247,25 @@ def test_malformed_entry_row_exits_2(tmp_path, capsys, field, row, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ("z2_quasi", "z2z2_twisted"))
+def test_classical_on_valid_quasi_input_exits_3(corpus_dir, capsys, key):
+    # both specs are valid; the classical oracle does not apply to them
+    code, out, err = run(capsys, "verify", "classical",
+                         str(corpus_dir / (key + ".json")))
+    assert code == 3
+    assert out == ""
+    assert err == "error: the classical oracle needs a trivial reassociator\n"
+
+
+def test_classical_on_malformed_input_exits_2(tmp_path, capsys):
+    bad = _z2_with_unit_row(tmp_path, "Q", [0, 1, 0])
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", "classical", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+
+
 def test_check_algebra_with_wrong_unit_exits_1(tmp_path, capsys):
     # k[Z/3] with g as its unit: both laws fail first at e, index 0
     H = cyclic_group_algebra(3)

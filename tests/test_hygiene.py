@@ -355,6 +355,60 @@ def test_products_sum_no_field_scalars():
     assert field_zero_calls(source) == []
 
 
+# The table builders of hopfmod.py and doihopf.py that sum lifted int
+# numerators and lower each entry once. Other functions of these modules
+# keep legitimate field scalars (BimoduleCoalgebra.eps, and
+# cyclic_right_submodule, whose RowSpan works in them), so the builders
+# are picked by name.
+LIFTED_BUILDERS = {
+    "hopfmod.py": ("canonical_first_module", "_forward_action"),
+    "doihopf.py": ("algebra_action_from_doi", "crossed_smash_direct"),
+}
+
+
+def builder_sources(source: str, names):
+    """The source of each top-level function of source named in names,
+    by name."""
+    return {node.name: ast.get_source_segment(source, node)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def scalar_sum_uses(source: str):
+    """(line, what) for each field zero() call (field_zero_calls) and
+    each call of _clean_table in source: a lifted builder's output is
+    lowered by Field.lower, which leaves zeros out, so neither has a
+    place there."""
+    cleans = [(node.lineno, "_clean_table")
+              for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and
+              getattr(node.func, "id", None) == "_clean_table"]
+    return sorted([(line, "zero") for line in field_zero_calls(source)] +
+                  cleans)
+
+
+@pytest.mark.parametrize("module", sorted(LIFTED_BUILDERS))
+def test_lifted_builders_sum_no_field_scalars(module):
+    names = LIFTED_BUILDERS[module]
+    found = builder_sources((SRC / module).read_text(encoding="utf-8"), names)
+    assert sorted(found) == sorted(names)
+    assert {name: scalar_sum_uses(text) for name, text in found.items()} == \
+        {name: [] for name in names}
+
+
+def test_scalar_sum_in_builder_is_caught():
+    source = ("def _forward_action(M, F):\n"
+              "    field = M.field\n"
+              "    zero = field.zero()\n"
+              "    return _clean_table({0: {0: zero}})\n"
+              "def cyclic_right_submodule(prod):\n"
+              "    return prod.field.zero()\n")
+    found = builder_sources(source, LIFTED_BUILDERS["hopfmod.py"])
+    assert sorted(found) == ["_forward_action"]
+    assert scalar_sum_uses(found["_forward_action"]) == [
+        (3, "zero"), (4, "_clean_table")]
+
+
 def test_field_zero_call_is_caught():
     source = ("def build(field, H, basis):\n"
               "    zero = field.zero()\n"

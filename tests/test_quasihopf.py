@@ -9,7 +9,7 @@ from qhopf import (DerivedElements, DualView, LinearMap, NotGaugeError,
                    check_quasihopf, corpus, cyclic_group_algebra,
                    invert_in_tensor_algebra, is_gauge, klein_twist,
                    normalize_alpha_beta, quasi_z2, twist, twisted_klein,
-                   verify_core_identities)
+                   verify_core_identities, verify_heisenberg_double)
 
 F = Fraction
 
@@ -292,6 +292,20 @@ def test_dual_and_derived_cached_per_object(field):
         assert getattr(Hm.derived, name) == getattr(fresh, name), name
     assert any(getattr(Hm.derived, name) != getattr(H.derived, name)
                for name in DERIVED_FIELDS)
+
+
+@pytest.mark.parametrize("key", ("z2_quasi", "z2z2_twisted"))
+def test_derived_elements_built_on_first_read(key):
+    """The Heisenberg double reads p_L and q_L only, so verifying it on
+    a fresh H builds neither the twist f nor U."""
+    H = corpus(QQ)[key]
+    assert verify_heisenberg_double(H).passed
+    built = {name for name in DERIVED_FIELDS if name in vars(H.derived)}
+    assert built == {"p_L", "q_L"}
+    # U is built from f^{-1} and q_R, and f^{-1} from delta
+    assert H.derived.U == DerivedElements(H).U
+    built = {name for name in DERIVED_FIELDS if name in vars(H.derived)}
+    assert built == {"p_L", "q_L", "delta", "f_inv", "q_R", "U"}
 
 
 def test_dual_bimodule_algebra(all_corpus):
