@@ -63,9 +63,6 @@ class LegMul:
                 table[(i, j)] = {k[0]: c for k, c in t.data.items()}
         return cls(left, right, out, _clean_table(table), field)
 
-    def pair(self, i: int, j: int) -> Dict[int, object]:
-        return self.table.get((i, j), {})
-
     def lifted(self):
         """(rows, den): the table lifted by _lift_rows, rows[(i, j)] a
         tuple of (k, numerator) pairs."""
@@ -123,8 +120,8 @@ def _leg_sum(acc, gets, xs, ys) -> None:
 
 
 def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
-    """Leg-wise product: leg i of the result is legs[i].pair applied to
-    leg i of x and leg i of y, summed bilinearly.
+    """Leg-wise product: leg i of the result is the pairing legs[i]
+    applied to leg i of x and leg i of y, summed bilinearly.
 
     The sum runs over the lifted (integer) forms of x, y and the tables
     and is lowered once per output entry (_leg_sum)."""
@@ -368,6 +365,50 @@ def _mul(table, x, y) -> Dict:
     y."""
     return _contract([((i, j), cx * cy) for i, cx in x for j, cy in y],
                      table)
+
+
+def _lowered(field: Field, acc, den: int) -> Dict:
+    """A table of rows of int numerators over den (key -> {index:
+    numerator}) lowered row by row, the rows that lower to zero left
+    out."""
+    table = {}
+    for key, vec in acc.items():
+        vec = field.lower(vec, den)
+        if vec:
+            table[key] = vec
+    return table
+
+
+def _restrict(action: LegMul, xs: Sequence[Tensor], left: bool = False) -> Dict:
+    """The table of e_m x_j for the right action `action` on every basis
+    vector e_m of its module, keyed (m, j); for a left action (left),
+    the table of x_j e_m keyed (j, m), as the action's own table is. So
+    the module is restricted along the elements xs of the acting
+    algebra. Leg 0 of each x_j is in the acting algebra; further legs
+    are carried after the module leg, and then the vector at (m, j) is
+    keyed by (k,) + their indices rather than by the module index k.
+    The sum runs over the lifted action table and the x_j, lifted
+    together, and each entry is lowered once."""
+    field = action.field
+    if any(x.spaces[0] != (action.left if left else action.right)
+           for x in xs):
+        raise ValueError("leg 0 of each element must be the acting algebra")
+    rows, da = action.lifted()
+    num, dx = field.lift({(j,) + idx: c for j, x in enumerate(xs)
+                          for idx, c in x.data.items()})
+    by_h: Dict[int, list] = {}
+    for (j, h, *rest), n in num.items():
+        by_h.setdefault(h, []).append((j, tuple(rest), n))
+    one_leg = all(len(x.spaces) == 1 for x in xs)
+    acc: Dict[Tuple[int, int], Dict] = {}
+    for (i, i2), row in rows.items():
+        m, h = (i2, i) if left else (i, i2)
+        for j, rest, n in by_h.get(h, ()):
+            vec = acc.setdefault((j, m) if left else (m, j), {})
+            for k, s in row:
+                idx = k if one_leg else (k,) + rest
+                vec[idx] = vec.get(idx, 0) + n * s
+    return _lowered(field, acc, da * dx)
 
 
 def _lift_map(f: LinearMap):

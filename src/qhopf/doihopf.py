@@ -14,7 +14,9 @@ of crossed Hopf modules is isomorphic to the category of Doi-Hopf
 modules over it - hence, dualizing the coalgebra, to a category of
 right modules over a single generalized smash product algebra. Both
 functors, the direct multiplication formulas and exact round-trip
-verifiers are implemented below.
+verifiers are implemented below. The Doi-Hopf structure of a module
+over the generalized smash product restricts its action table along
+fixed elements such as eps >< b (_restrict in algebra.py).
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from functools import cache
 from typing import Dict, Tuple
 
 from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_rows,
-                      _mul, _pairs, _transpose, _two_sided_hits, actions_commute,
-                      counit_identity, left_action_assoc, left_action_unit,
-                      mul_legs, right_action_assoc, right_action_unit)
+                      _lowered, _mul, _pairs, _restrict, _transpose,
+                      _two_sided_hits, actions_commute, counit_identity,
+                      left_action_assoc, left_action_unit, mul_legs,
+                      right_action_assoc, right_action_unit)
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, OverH, RightModuleCoalgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
 from .hopfmod import (TwoSidedHopfModule, check_two_sided_hopf_module,
-                      cyclic_right_submodule, _act_on,
+                      cyclic_right_submodule,
                       smash_action_from_two_sided, smash_index,
                       two_sided_from_smash_module)
 from .products import (ProductAlgebra, QuasiSmash, generalized_smash,
@@ -130,25 +133,21 @@ def check_bimodule_coalgebra(C: BimoduleCoalgebra) -> VerificationReport:
 def hhop_module_coalgebra(C: BimoduleCoalgebra,
                           HHop: QuasiBialgebra) -> RightModuleCoalgebra:
     """The bimodule coalgebra as a right H (x) H^op-module coalgebra:
-    c . (h (x) h') = h' . c . h."""
+    c . (h (x) h') = h' . c . h, the two-sided hits of C
+    (_two_sided_hits) regrouped by (c, h (x) h')."""
     H = C.H
     field = H.field
     nH = H.dim
     if HHop.dim != nH * nH:
         raise ValueError("H (x) H^op basis does not match the flat layout")
     pair = FlatSpace((H.basis, H.basis), field)
-    table = {}
-    for c in range(C.dim):
-        for i in range(nH):
-            ci = C.ract(C.e(c), H.e(i))
-            if not ci.data:
-                continue
-            for j in range(nH):
-                vec = C.lact(H.e(j), ci)
-                if vec.data:
-                    table[(c, pair.join((i, j)))] = {
-                        w: s for (w,), s in vec.data.items()}
-    action = LegMul(C.basis, HHop.basis, C.basis, table, field)
+    hits, den = _two_sided_hits(C.left_action, C.right_action)
+    table: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for (u, s, v), vec in hits.items():
+        for c, n in vec:
+            table.setdefault((c, pair.join((u, v))), {})[s] = n
+    action = LegMul(C.basis, HHop.basis, C.basis,
+                    _lowered(field, table, den), field)
     return RightModuleCoalgebra(HHop, C.basis, C.comul, C.counit, action,
                                 name=C.name)
 
@@ -160,21 +159,14 @@ def dual_module_algebra(mc: RightModuleCoalgebra,
     action (h -> c*)(c) = c*(c . h)."""
     H = mc.H
     field = H.field
-    n = mc.dim
     dbasis = mc.basis.dual()
-    unit_data = {}
-    for w in range(n):
-        c = mc.counit.cols.get(w, {}).get(())
-        if c:
-            unit_data[(w,)] = c
-    unit = Tensor((dbasis,), unit_data, field)
+    unit = Tensor((dbasis,), {(w,): col[()] for w, col in
+                              mc.counit.cols.items()}, field)
     alg = FinAlgebra(dbasis, _transpose(mc.comul.cols), unit, field)
     table = {}
-    act = mc.action.table
-    for w in range(n):
-        for hidx in range(H.dim):
-            for u, c in act.get((w, hidx), {}).items():
-                table.setdefault((hidx, u), {})[w] = c
+    for (w, hidx), vec in mc.action.table.items():
+        for u, c in vec.items():
+            table.setdefault((hidx, u), {})[w] = c
     action = LegMul(H.basis, dbasis, dbasis, table, field)
     return LeftModuleAlgebra(H, alg, action, name=name or mc.name + "*")
 
@@ -242,36 +234,23 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
     """Transport a right module over the generalized smash product
     C* >< B, given by the table of its action on the module basis
     action.left, to a Doi-Hopf module: n . b = n (eps >< b) and
-    rho(n) = sum_i c_i (x) n (c^i >< 1_B)."""
+    rho(n) = sum_i c_i (x) n (c^i >< 1_B), the action restricted along
+    eps >< b and along the one element sum_i (c^i >< 1_B) (x) c_i
+    (_restrict), whose leg c_i is moved in front."""
     field = cb.field
     basis = action.left
-    # unit of C* as a sparse vector over the dual basis
-    eps_vec = {}
-    for w in range(mc.dim):
-        c = mc.counit.cols.get(w, {}).get(())
-        if c:
-            eps_vec[w] = c
+    # eps, the unit of C*, is the counit read over the dual basis
+    r_action = LegMul(basis, cb.basis, basis, _restrict(action, [
+        Tensor.from_sparse(gsm.basis, {gsm.join((u, b)): col[()]
+                                       for u, col in mc.counit.cols.items()},
+                           field) for b in range(cb.dim)]), field)
 
-    r_action = LegMul.from_function(
-        basis, cb.basis, basis,
-        lambda m, b: _act_on(action, m, Tensor.from_sparse(
-            gsm.basis, {gsm.join((u, b)): c for u, c in eps_vec.items()},
-            field)),
-        field)
-
-    one_b = {b: c for (b,), c in cb.unit().data.items()}
-
-    def coact_col(m):
-        acc = Tensor.zero((mc.basis, basis), field)
-        for i in range(mc.dim):
-            vec = _act_on(action, m, Tensor.from_sparse(
-                gsm.basis, {gsm.join((i, b)): c for b, c in one_b.items()},
-                field))
-            acc = acc + mc.e(i).tensor(vec)
-        return acc
-
-    coaction = LinearMap.from_function(basis, (mc.basis, basis), coact_col,
-                                       field)
+    units = Tensor((gsm.basis, mc.basis), {
+        (gsm.join((i, b)), i): c for i in range(mc.dim)
+        for (b,), c in cb.unit().data.items()}, field)
+    coaction = LinearMap(basis, (mc.basis, basis), {
+        m: {(i, k): c for (k, i), c in vec.items()}
+        for (m, _), vec in _restrict(action, [units]).items()}, field)
     return DoiHopfModule(cb, mc, basis, r_action, coaction, name=basis.name)
 
 
@@ -287,12 +266,10 @@ def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
         col = cols.get(m, ())
         for g in range(gsm.dim):
             u, b = gsm.split(g)
-            vec = field.lower(_contract(
-                [((m0, b), c) for (cm, m0), c in col if cm == u], act),
-                dc * da)
-            if vec:
-                table[(m, g)] = vec
-    return LegMul(N.basis, gsm.basis, N.basis, table, field)
+            table[(m, g)] = _contract(
+                [((m0, b), c) for (cm, m0), c in col if cm == u], act)
+    return LegMul(N.basis, gsm.basis, N.basis, _lowered(field, table, dc * da),
+                  field)
 
 
 # ----------------------------------------------------------------------
@@ -448,14 +425,10 @@ def doi_from_crossed(M: CrossedHopfModule, lcb: LeftComoduleAlgebra,
         rho~(n) = sum f1 . n_[-1] (x) f2 (succ) n_[0]."""
     H, C = M.H, M.C
     r_action = smash_action_from_two_sided(M.ts, qs, sm)
-
-    def coact_col(m):
-        src = H.derived.f.tensor(M.ccoact(M.e(m)))
-        return H.assemble(src, lambda f1, f2, cm, m0: C.lact(
-            H.e(f1), C.e(cm)).tensor(M.ts.lact(H.e(f2), M.e(m0))))
-
-    coaction = LinearMap.from_function(M.basis, (C.basis, M.basis),
-                                       coact_col, M.field)
+    coaction = LinearMap.from_function(
+        M.basis, (C.basis, M.basis), lambda m: mul_legs(
+            (C.left_action, M.ts.left_action), H.derived.f,
+            M.ccoact(M.e(m))), M.field)
     return DoiHopfModule(lcb, mc, M.basis, r_action, coaction, name=M.name)
 
 
@@ -469,14 +442,10 @@ def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
         rho_C(n) = sum g1 . n_[-1] (x) g2 (succ) n_[0]."""
     H = qs.H
     ts = two_sided_from_smash_module(qs, sm, N.r_action, ba.right)
-
-    def ccoact_col(m):
-        src = H.derived.f_inv.tensor(N.coact(N.e(m)))
-        return H.assemble(src, lambda g1, g2, cm, m0: C.lact(
-            H.e(g1), C.e(cm)).tensor(ts.lact(H.e(g2), ts.e(m0))))
-
-    c_coaction = LinearMap.from_function(N.basis, (C.basis, N.basis),
-                                         ccoact_col, N.field)
+    c_coaction = LinearMap.from_function(
+        N.basis, (C.basis, N.basis), lambda m: mul_legs(
+            (C.left_action, ts.left_action), H.derived.f_inv,
+            N.coact(N.e(m))), N.field)
     return CrossedHopfModule(ba, C, ts, c_coaction)
 
 
@@ -668,13 +637,9 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
 
     den = d2 * dch * dch * dcc * ddh * ddh * ddc * dh
     n = final.dim
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            vec = field.lower(evaluate(i, j), den)
-            if vec:
-                table[(i, j)] = vec
-    return LegMul(final.basis, final.basis, final.basis, table, field)
+    table = {(i, j): evaluate(i, j) for i in range(n) for j in range(n)}
+    return LegMul(final.basis, final.basis, final.basis,
+                  _lowered(field, table, den), field)
 
 
 # ----------------------------------------------------------------------

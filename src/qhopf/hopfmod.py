@@ -9,6 +9,11 @@ isomorphic; both directions of the isomorphism and the transport of
 right modules over the smash product (A (x) H*) # H are implemented
 here, together with exact round-trip verifiers and a seeded generator of
 cyclic modules.
+
+The functors keep the underlying space: each structure map they build,
+but the forward right quasi-smash action, restricts a given action
+table as a whole along fixed elements of the acting algebra (_restrict
+in algebra.py), as in h . m = m (1 # S(h)).
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from functools import cache
 from typing import Dict, Tuple
 
 from .algebra import (LegMul, _chain, _clean_table, _contract, _lift_map,
-                      _lift_rows, _mul, _pairs, actions_commute, counit_identity,
-                      left_action_assoc, left_action_unit, mul_legs,
-                      right_action_assoc, right_action_unit)
+                      _lift_rows, _lowered, _mul, _pairs, _restrict,
+                      actions_commute, counit_identity, left_action_assoc,
+                      left_action_unit, mul_legs, right_action_assoc,
+                      right_action_unit)
 from .coact import OverH, RightComoduleAlgebra, canonical_right_comodule
 from .linalg import RowSpan
 from .products import ProductAlgebra, QuasiSmash, quasi_smash, smash_product
@@ -205,21 +211,19 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     # once per entry
     rho, dr = _lift_rows(field, ca.coaction.cols)
     (am, da), (hm, dh) = A.as_leg().lifted(), H.leg().lifted()
-    right = {}
+    right: Dict[Tuple[int, int], Dict[int, int]] = {}
     for a in range(nA):
         for k in range(nH):
             m = flat.join((a, k))
             for a2 in range(nA):
-                acc: Dict[int, int] = {}
+                acc = right.setdefault((m, a2), {})
                 for (a0, a1), c0 in rho.get(a2, ()):
                     for ra, cra in am.get((a, a0), ()):
                         for rh, crh in hm.get((k, a1), ()):
                             key = flat.join((ra, rh))
                             acc[key] = acc.get(key, 0) + c0 * cra * crh
-                vec = field.lower(acc, dr * da * dh)
-                if vec:
-                    right[(m, a2)] = vec
-    right_action = LegMul(flat.basis, A.basis, flat.basis, right, field)
+    right_action = LegMul(flat.basis, A.basis, flat.basis,
+                          _lowered(field, right, dr * da * dh), field)
 
     cols = {}
     for a in range(nA):
@@ -456,8 +460,8 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
 
 def relative_from_two_sided(M: TwoSidedHopfModule,
                             qs: QuasiSmash) -> RelativeHopfModule:
-    """Forward direction: the H-action becomes h . m = S^2(h) m and the
-    right quasi-smash action is
+    """Forward direction: the H-action becomes h . m = S^2(h) m, the left
+    action restricted along S^2, and the right quasi-smash action is
 
         m (a # phi) = sum phi(S^{-1}(S(U1) f2 m_(1) a_(1) p~2))
                           S(U2) f1 (m_(0) a_(0) p~1),
@@ -473,9 +477,9 @@ def relative_from_two_sided(M: TwoSidedHopfModule,
     K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
         H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
 
-    h_action = LegMul.from_function(
-        H.basis, M.basis, M.basis,
-        lambda i, m: M.lact(H.S(H.S(H.e(i))), M.e(m)), field)
+    h_action = LegMul(H.basis, M.basis, M.basis, _restrict(
+        M.left_action, [H.S(H.S(H.e(i))) for i in range(H.dim)], left=True),
+        field)
     r_action = _forward_action(
         M, K, [{k1: H.e(k1) for k1 in range(H.dim)}], qs.basis,
         lambda a, p, h: qs.prod.join((a, p)))
@@ -489,59 +493,45 @@ def two_sided_from_relative(N: RelativeHopfModule,
         rho(m) = sum_i [S^{-1}(V2 g2) . m] . (q~1 # S^{-1}(V1 g1) ->
                  (e^i o S) <- q~2) (x) e_i.
 
-    The quasi-smash element q~1 # (S^{-1}(V1 g1) -> (e^i o S) <- q~2) is
-    formed once per (i, term of VG and q~) for the whole call, and
-    S^{-1}(V2 g2) . m once per (m, V2 g2)."""
+    All three restrict the actions of N (_restrict): the left one along
+    S^{-2} and S^{-1}(e_t), the right one along a # eps and along
+
+        E_t = sum_i (q~1 # S^{-1}(V1 g1) -> (e^i o S) <- q~2) (x) e_i,
+
+    the terms with V2 g2 = e_t, so that rho(m) = sum_t [S^{-1}(e_t) . m]
+    . E_t."""
     qs, H = N.qs, N.H
     der, dual = H.derived, H.dual
     field = N.field
+    nH = H.dim
     qt = ca.q_tilde()
     eps = dual.eps_functional()
+    sinv = [H.Sinv(H.e(t)) for t in range(nH)]
+
+    left = LegMul(H.basis, N.basis, N.basis, _restrict(
+        N.h_action, [H.Sinv(x) for x in sinv], left=True), field)
+    right = LegMul(N.basis, ca.basis, N.basis, _restrict(
+        N.r_action, [qs.element(ca.e(a), eps) for a in range(ca.dim)]),
+        field)
+
     # VG = sum V1 g1 (x) V2 g2
     VG = H.tmul(der.V, der.f_inv)
-
-    left = LegMul.from_function(
-        H.basis, N.basis, N.basis,
-        lambda i, m: N.lact(H.Sinv(H.Sinv(H.e(i))), N.e(m)), field)
-    right = LegMul.from_function(
-        N.basis, ca.basis, N.basis,
-        lambda m, a: N.ract(N.e(m), qs.element(ca.e(a), eps)), field)
-
-    vg_terms = list(VG.data.items())
-    qt_terms = list(qt.data.items())
-    sinv = {t: H.Sinv(H.e(t)) for t in range(H.dim)}
-    # q~1 # (S^{-1}(V1 g1) -> (e^i o S) <- q~2), or None when the
-    # functional is zero, once per (i, term)
-    elems = {}
-    for i in range(H.dim):
+    E = [Tensor.zero((qs.basis, H.basis), field) for _ in range(nH)]
+    for i in range(nH):
         e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
-        for t1 in {t1 for (t1, _), _ in vg_terms}:
+        for (t1, t2), c1 in VG.data.items():
             hit = dual.hit_l(sinv[t1], e_i_s)
-            for (q1, q2), _ in qt_terms:
-                func = dual.hit_r(hit, H.e(q2))
-                elems[(i, t1, q1, q2)] = \
-                    qs.element(ca.e(q1), func) if func.data else None
-
-    def coact_col(m):
-        # S^{-1}(V2 g2) . m, once per (m, t2)
-        moved = {t2: N.lact(sinv[t2], N.e(m)) for (_, t2), _ in vg_terms}
-        acc = Tensor.zero((N.basis, H.basis), field)
-        for i in range(H.dim):
-            vec = Tensor.zero((N.basis,), field)
-            for (t1, t2), c1 in vg_terms:
-                m1 = moved[t2]
-                if not m1.data:
-                    continue
-                for (q1, q2), c2 in qt_terms:
-                    u = elems[(i, t1, q1, q2)]
-                    if u is None:
-                        continue
-                    vec = vec + N.ract(m1, u).scale(c1 * c2)
-            acc = acc + vec.tensor(H.e(i))
-        return acc
-
-    coaction = LinearMap.from_function(N.basis, (N.basis, H.basis),
-                                       coact_col, field)
+            for (q1, q2), c2 in qt.data.items():
+                E[t2] = E[t2] + qs.element(ca.e(q1), dual.hit_r(
+                    hit, H.e(q2))).tensor(H.e(i)).scale(c1 * c2)
+    # rho(m) = sum_t [S^{-1}(e_t) . m] . E_t, over the lifted tables
+    (moved, dm), (acted, de) = (_lift_rows(field, t) for t in (
+        _restrict(N.h_action, sinv, left=True), _restrict(N.r_action, E)))
+    coaction = LinearMap(N.basis, (N.basis, H.basis), {
+        m: field.lower(_contract([((k, t), c) for t in range(nH)
+                                  for k, c in moved.get((t, m), ())],
+                                 acted), dm * de)
+        for m in range(N.dim)}, field)
     return TwoSidedHopfModule(ca, N.basis, left, right, coaction,
                               name=N.name)
 
@@ -557,13 +547,6 @@ def smash_index(qs: QuasiSmash, sm: ProductAlgebra) -> FlatSpace:
     return FlatSpace(qs.prod.factors + sm.factors[1:], sm.field)
 
 
-def _act_on(action: LegMul, m: int, elem: Tensor) -> Tensor:
-    """m . elem: the right action of an element of the acting algebra on
-    the m-th basis vector of the module."""
-    return mul_legs((action,),
-                    Tensor.basis_vector(action.left, m, elem.field), elem)
-
-
 def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
                                action: LegMul) -> RelativeHopfModule:
     """A right module over the smash product (A # H*) # H becomes a
@@ -572,23 +555,19 @@ def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
         h . m = m (1 # S(h)),    m . u = sum m (U1 . u # U2)
 
     where action is the table of the right action, pairing the module
-    basis action.left with the smash basis."""
+    basis action.left with the smash basis. Both are that action
+    restricted along the named elements (_restrict)."""
     H = qs.H
     field = H.field
     basis = action.left
-    h_action = LegMul.from_function(
-        H.basis, basis, basis,
-        lambda i, m: _act_on(action, m, sm.flatten(
-            qs.unit().tensor(H.S(H.e(i))))),
-        field)
-
-    u_elems = {}
-    for u in range(qs.dim):
-        u_elems[u] = H.assemble(H.derived.U, lambda u1, u2: sm.flatten(
-            qs.act(H.e(u1), qs.e(u)).tensor(H.e(u2))))
-    r_action = LegMul.from_function(
-        basis, qs.basis, basis,
-        lambda m, u: _act_on(action, m, u_elems[u]), field)
+    by_h = _restrict(action, [sm.flatten(qs.unit().tensor(H.S(H.e(i))))
+                              for i in range(H.dim)])
+    h_action = LegMul(H.basis, basis, basis,
+                      {(i, m): vec for (m, i), vec in by_h.items()}, field)
+    u_elems = [H.assemble(H.derived.U, lambda u1, u2: sm.flatten(
+        qs.act(H.e(u1), qs.e(u)).tensor(H.e(u2)))) for u in range(qs.dim)]
+    r_action = LegMul(basis, qs.basis, basis, _restrict(action, u_elems),
+                      field)
     return RelativeHopfModule(qs, basis, h_action, r_action, name=basis.name)
 
 
@@ -600,7 +579,12 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
 
         h m = m ((1 # eps) # S^{-1}(h)),   m a = m ((a # eps) # 1),
         rho(m) = sum_i m ((q~1 # S^{-1}(g2) -> (e^i o S) <- q~2)
-                          # S^{-1}(g1)) (x) e_i."""
+                          # S^{-1}(g1)) (x) e_i.
+
+    Each is that action restricted along the named elements
+    (_restrict); the coaction along the one element X = sum_i
+    ((q~1 # S^{-1}(g2) -> (e^i o S) <- q~2) # S^{-1}(g1)) (x) e_i, whose
+    leg e_i is carried."""
     H = qs.H
     der, dual = H.derived, H.dual
     field = H.field
@@ -608,32 +592,24 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
     qt = ca.q_tilde()
     eps = dual.eps_functional()
 
-    left = LegMul.from_function(
-        H.basis, basis, basis,
-        lambda i, m: _act_on(action, m, sm.flatten(
-            qs.element(ca.unit(), eps).tensor(H.Sinv(H.e(i))))), field)
-    right = LegMul.from_function(
-        basis, ca.basis, basis,
-        lambda m, a: _act_on(action, m, sm.flatten(
-            qs.element(ca.e(a), eps).tensor(H.unit()))), field)
+    by_h = _restrict(action, [sm.flatten(qs.element(ca.unit(), eps).tensor(
+        H.Sinv(H.e(i)))) for i in range(H.dim)])
+    left = LegMul(H.basis, basis, basis,
+                  {(i, m): vec for (m, i), vec in by_h.items()}, field)
+    right = LegMul(basis, ca.basis, basis, _restrict(action, [
+        sm.flatten(qs.element(ca.e(a), eps).tensor(H.unit()))
+        for a in range(ca.dim)]), field)
 
-    coact_elems = {}
+    X = Tensor.zero((sm.basis, H.basis), field)
     for i in range(H.dim):
         e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
-        src = der.f_inv.tensor(qt)
-        coact_elems[i] = H.assemble(src, lambda g1, g2, q1, q2: sm.flatten(
-            qs.element(ca.e(q1), dual.hit_r(
-                dual.hit_l(H.Sinv(H.e(g2)), e_i_s), H.e(q2))).tensor(
-                    H.Sinv(H.e(g1)))))
-
-    def coact_col(m):
-        acc = Tensor.zero((basis, H.basis), field)
-        for i in range(H.dim):
-            acc = acc + _act_on(action, m, coact_elems[i]).tensor(H.e(i))
-        return acc
-
-    coaction = LinearMap.from_function(basis, (basis, H.basis), coact_col,
-                                       field)
+        X = X + H.assemble(der.f_inv.tensor(qt), lambda g1, g2, q1, q2:
+                           sm.flatten(qs.element(ca.e(q1), dual.hit_r(
+                               dual.hit_l(H.Sinv(H.e(g2)), e_i_s),
+                               H.e(q2))).tensor(H.Sinv(H.e(g1))))).tensor(
+                                   H.e(i))
+    coaction = LinearMap(basis, (basis, H.basis), {
+        m: vec for (m, _), vec in _restrict(action, [X]).items()}, field)
     return TwoSidedHopfModule(ca, basis, left, right, coaction,
                               name=basis.name)
 

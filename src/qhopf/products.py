@@ -173,13 +173,11 @@ class QuasiSmash(LeftModuleAlgebra):
         self.prod = ProductAlgebra(factors, evaluator, den, unit, field,
                                    name=ca.name + "#H*")
         table = {}
-        for i in range(H.dim):
-            for p in range(H.dim):
-                hit = dual.hit_l(H.e(i), dual.dual_e(p))
-                for (pp,), c in hit.data.items():
-                    for a in range(ca.dim):
-                        f = self.prod.join((a, p))
-                        table.setdefault((i, f), {})[self.prod.join((a, pp))] = c
+        for (i, p), hit in dual.hit_l_leg.table.items():
+            for pp, c in hit.items():
+                for a in range(ca.dim):
+                    f = self.prod.join((a, p))
+                    table.setdefault((i, f), {})[self.prod.join((a, pp))] = c
         action = LegMul(H.basis, self.prod.basis, self.prod.basis, table,
                         H.field)
         super().__init__(H, self.prod.alg, action, name=self.prod.name)

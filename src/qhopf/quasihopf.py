@@ -12,9 +12,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Optional
 
-from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
-                      invert_linear_map, mul_legs, multiplicative,
-                      tensor_unit)
+from .algebra import (FinAlgebra, LegMul, _transpose,
+                      invert_in_tensor_algebra, invert_linear_map, mul_legs,
+                      multiplicative, tensor_unit)
 from .fields import Field
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
@@ -720,25 +720,18 @@ class DualView:
         self.H = H
         field = H.field
         self.basis = H.basis.dual()
-        n = H.dim
 
-        # convolution: (e^a e^b)(e_k) = sum e^a(k_1) e^b(k_2)
-        mult = {}
-        for k in range(n):
-            for (a, b), c in H.comul.cols.get(k, {}).items():
-                mult.setdefault((a, b), {})[k] = c
+        # convolution: (e^a e^b)(e_k) = sum e^a(k_1) e^b(k_2), the
+        # transpose of the comultiplication of H
         unit = Tensor((self.basis,), {
-            (i,): H.eps(H.e(i)) for i in range(n)
+            (i,): H.eps(H.e(i)) for i in range(H.dim)
         }, field)
-        self.conv = FinAlgebra(self.basis, mult, unit, field)
+        self.conv = FinAlgebra(self.basis, _transpose(H.comul.cols), unit,
+                               field)
 
         # comultiplication of H^*: transpose of the multiplication of H
-        comul_cols = {}
-        for (i, j), vec in H.algebra.mult.items():
-            for k, c in vec.items():
-                comul_cols.setdefault(k, {})[(i, j)] = c
         self.comul = LinearMap(self.basis, (self.basis, self.basis),
-                               comul_cols, field)
+                               _transpose(H.algebra.mult), field)
 
         # hit actions: <h -> phi, h'> = phi(h'h), <phi <- h, h'> = phi(hh')
         hit_l = {}
@@ -766,15 +759,6 @@ class DualView:
     def hit_r(self, phi: Tensor, h: Tensor) -> Tensor:
         """phi <- h."""
         return mul_legs((self.hit_r_leg,), phi, h)
-
-    def apply(self, phi: Tensor, x: Tensor):
-        """Evaluate a functional on a one-leg element, as a scalar."""
-        acc = self.H.field.zero()
-        for (a,), c in phi.data.items():
-            v = x.data.get((a,))
-            if v:
-                acc = acc + c * v
-        return acc
 
     def precompose(self, phi: Tensor, fmap: LinearMap) -> Tensor:
         """phi after fmap (for instance phi o S)."""

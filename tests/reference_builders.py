@@ -1,20 +1,39 @@
-"""Field-scalar reference builders: canonical_first_module,
-_forward_action (hopfmod.py), algebra_action_from_doi and
-crossed_smash_direct (doihopf.py) as they were before they summed lifted
-integers (fields.py), copied unchanged. They sum Fraction or Fp scalars
-from field.zero() accumulators and drop zeros with _clean_table or by
-deleting entries; tests/test_lifted_builders.py checks the lifted
-builders against them."""
+"""Reference builders, copied unchanged from before the change they
+check.
+
+Field-scalar builders: canonical_first_module, _forward_action
+(hopfmod.py), algebra_action_from_doi and crossed_smash_direct
+(doihopf.py) as they were before they summed lifted integers
+(fields.py). They sum Fraction or Fp scalars from field.zero()
+accumulators and drop zeros with _clean_table or by deleting entries.
+
+Per-pair builders: the module functors of hopfmod.py and doihopf.py as
+they were before they restricted whole action tables (_restrict of
+algebra.py), with one mul_legs product per table entry (_act_on) or one
+assemble builder per coaction column, and H*'s derived tables
+(hhop_module_coalgebra, dual_module_algebra, the convolution and
+comultiplication of DualView and the H-action of QuasiSmash) as they
+were before they became regroupings of existing tables.
+
+tests/test_lifted_builders.py checks the builders of the package
+against them.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from qhopf.algebra import LegMul, _clean_table
-from qhopf.coact import BicomoduleAlgebra, RightComoduleAlgebra
-from qhopf.doihopf import BimoduleCoalgebra, DoiHopfModule
-from qhopf.hopfmod import TwoSidedHopfModule, smash_index
+from qhopf.algebra import (FinAlgebra, LegMul, _clean_table, _transpose,
+                          mul_legs)
+from qhopf.coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
+                         LeftModuleAlgebra, RightComoduleAlgebra,
+                         RightModuleCoalgebra)
+from qhopf.doihopf import (BimoduleCoalgebra, CrossedHopfModule,
+                           DoiHopfModule)
+from qhopf.hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
+                           smash_action_from_two_sided, smash_index)
 from qhopf.products import ProductAlgebra, QuasiSmash
+from qhopf.quasihopf import DualView, QuasiBialgebra
 from qhopf.tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
@@ -148,7 +167,7 @@ def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
             for (cm, m0), c in col.items():
                 if cm != u:
                     continue
-                for t, ct in N.r_action.pair(m0, b).items():
+                for t, ct in N.r_action.table.get((m0, b), {}).items():
                     acc[t] = acc.get(t, field.zero()) + c * ct
             table[(m, g)] = acc
     return LegMul(N.basis, gsm.basis, N.basis, _clean_table(table), field)
@@ -361,3 +380,351 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     n = final.dim
     return LegMul(final.basis, final.basis, final.basis, _clean_table(
         {(i, j): evaluate(i, j) for i in range(n) for j in range(n)}), field)
+
+
+# ----------------------------------------------------------------------
+# per-pair builders
+
+
+def _act_on(action: LegMul, m: int, elem: Tensor) -> Tensor:
+    """m . elem: the right action of an element of the acting algebra on
+    the m-th basis vector of the module."""
+    return mul_legs((action,),
+                    Tensor.basis_vector(action.left, m, elem.field), elem)
+
+
+def relative_from_two_sided(M: TwoSidedHopfModule,
+                            qs: QuasiSmash) -> RelativeHopfModule:
+    """Forward direction: the H-action becomes h . m = S^2(h) m and the
+    right quasi-smash action is
+
+        m (a # phi) = sum phi(S^{-1}(S(U1) f2 m_(1) a_(1) p~2))
+                          S(U2) f1 (m_(0) a_(0) p~1),
+
+    built by _forward_action with F = K = S(U2) f1 (x) S(U1) f2 and
+    lead = K1: S^{-1}(K2 m_(1) a_(1) p~2) is formed once per
+    (K2, m_(1), a_(1), p~2) and (K1 m_(0))(a_(0) p~1) once per
+    (K1, m_(0), a_(0), p~1)."""
+    H = M.H
+    der = H.derived
+    field = M.field
+    # K = sum S(U2) f1 (x) S(U1) f2
+    K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
+        H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
+
+    h_action = LegMul.from_function(
+        H.basis, M.basis, M.basis,
+        lambda i, m: M.lact(H.S(H.S(H.e(i))), M.e(m)), field)
+    r_action = _forward_action(
+        M, K, [{k1: H.e(k1) for k1 in range(H.dim)}], qs.basis,
+        lambda a, p, h: qs.prod.join((a, p)))
+    return RelativeHopfModule(qs, M.basis, h_action, r_action, name=M.name)
+
+
+def two_sided_from_relative(N: RelativeHopfModule,
+                            ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
+    """Backward direction: h m = S^{-2}(h) . m, m a = m . (a # eps), and
+
+        rho(m) = sum_i [S^{-1}(V2 g2) . m] . (q~1 # S^{-1}(V1 g1) ->
+                 (e^i o S) <- q~2) (x) e_i.
+
+    The quasi-smash element q~1 # (S^{-1}(V1 g1) -> (e^i o S) <- q~2) is
+    formed once per (i, term of VG and q~) for the whole call, and
+    S^{-1}(V2 g2) . m once per (m, V2 g2)."""
+    qs, H = N.qs, N.H
+    der, dual = H.derived, H.dual
+    field = N.field
+    qt = ca.q_tilde()
+    eps = dual.eps_functional()
+    # VG = sum V1 g1 (x) V2 g2
+    VG = H.tmul(der.V, der.f_inv)
+
+    left = LegMul.from_function(
+        H.basis, N.basis, N.basis,
+        lambda i, m: N.lact(H.Sinv(H.Sinv(H.e(i))), N.e(m)), field)
+    right = LegMul.from_function(
+        N.basis, ca.basis, N.basis,
+        lambda m, a: N.ract(N.e(m), qs.element(ca.e(a), eps)), field)
+
+    vg_terms = list(VG.data.items())
+    qt_terms = list(qt.data.items())
+    sinv = {t: H.Sinv(H.e(t)) for t in range(H.dim)}
+    # q~1 # (S^{-1}(V1 g1) -> (e^i o S) <- q~2), or None when the
+    # functional is zero, once per (i, term)
+    elems = {}
+    for i in range(H.dim):
+        e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
+        for t1 in {t1 for (t1, _), _ in vg_terms}:
+            hit = dual.hit_l(sinv[t1], e_i_s)
+            for (q1, q2), _ in qt_terms:
+                func = dual.hit_r(hit, H.e(q2))
+                elems[(i, t1, q1, q2)] = \
+                    qs.element(ca.e(q1), func) if func.data else None
+
+    def coact_col(m):
+        # S^{-1}(V2 g2) . m, once per (m, t2)
+        moved = {t2: N.lact(sinv[t2], N.e(m)) for (_, t2), _ in vg_terms}
+        acc = Tensor.zero((N.basis, H.basis), field)
+        for i in range(H.dim):
+            vec = Tensor.zero((N.basis,), field)
+            for (t1, t2), c1 in vg_terms:
+                m1 = moved[t2]
+                if not m1.data:
+                    continue
+                for (q1, q2), c2 in qt_terms:
+                    u = elems[(i, t1, q1, q2)]
+                    if u is None:
+                        continue
+                    vec = vec + N.ract(m1, u).scale(c1 * c2)
+            acc = acc + vec.tensor(H.e(i))
+        return acc
+
+    coaction = LinearMap.from_function(N.basis, (N.basis, H.basis),
+                                       coact_col, field)
+    return TwoSidedHopfModule(ca, N.basis, left, right, coaction,
+                              name=N.name)
+
+
+def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
+                               action: LegMul) -> RelativeHopfModule:
+    """A right module over the smash product (A # H*) # H becomes a
+    relative Hopf module through
+
+        h . m = m (1 # S(h)),    m . u = sum m (U1 . u # U2)
+
+    where action is the table of the right action, pairing the module
+    basis action.left with the smash basis."""
+    H = qs.H
+    field = H.field
+    basis = action.left
+    h_action = LegMul.from_function(
+        H.basis, basis, basis,
+        lambda i, m: _act_on(action, m, sm.flatten(
+            qs.unit().tensor(H.S(H.e(i))))),
+        field)
+
+    u_elems = {}
+    for u in range(qs.dim):
+        u_elems[u] = H.assemble(H.derived.U, lambda u1, u2: sm.flatten(
+            qs.act(H.e(u1), qs.e(u)).tensor(H.e(u2))))
+    r_action = LegMul.from_function(
+        basis, qs.basis, basis,
+        lambda m, u: _act_on(action, m, u_elems[u]), field)
+    return RelativeHopfModule(qs, basis, h_action, r_action, name=basis.name)
+
+
+def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
+                                action: LegMul, ca: RightComoduleAlgebra
+                                ) -> TwoSidedHopfModule:
+    """Direct transport of a right (A # H*) # H module, given by the
+    table of its action, to a two-sided Hopf module:
+
+        h m = m ((1 # eps) # S^{-1}(h)),   m a = m ((a # eps) # 1),
+        rho(m) = sum_i m ((q~1 # S^{-1}(g2) -> (e^i o S) <- q~2)
+                          # S^{-1}(g1)) (x) e_i."""
+    H = qs.H
+    der, dual = H.derived, H.dual
+    field = H.field
+    basis = action.left
+    qt = ca.q_tilde()
+    eps = dual.eps_functional()
+
+    left = LegMul.from_function(
+        H.basis, basis, basis,
+        lambda i, m: _act_on(action, m, sm.flatten(
+            qs.element(ca.unit(), eps).tensor(H.Sinv(H.e(i))))), field)
+    right = LegMul.from_function(
+        basis, ca.basis, basis,
+        lambda m, a: _act_on(action, m, sm.flatten(
+            qs.element(ca.e(a), eps).tensor(H.unit()))), field)
+
+    coact_elems = {}
+    for i in range(H.dim):
+        e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
+        src = der.f_inv.tensor(qt)
+        coact_elems[i] = H.assemble(src, lambda g1, g2, q1, q2: sm.flatten(
+            qs.element(ca.e(q1), dual.hit_r(
+                dual.hit_l(H.Sinv(H.e(g2)), e_i_s), H.e(q2))).tensor(
+                    H.Sinv(H.e(g1)))))
+
+    def coact_col(m):
+        acc = Tensor.zero((basis, H.basis), field)
+        for i in range(H.dim):
+            acc = acc + _act_on(action, m, coact_elems[i]).tensor(H.e(i))
+        return acc
+
+    coaction = LinearMap.from_function(basis, (basis, H.basis), coact_col,
+                                       field)
+    return TwoSidedHopfModule(ca, basis, left, right, coaction,
+                              name=basis.name)
+
+
+def hhop_module_coalgebra(C: BimoduleCoalgebra,
+                          HHop: QuasiBialgebra) -> RightModuleCoalgebra:
+    """The bimodule coalgebra as a right H (x) H^op-module coalgebra:
+    c . (h (x) h') = h' . c . h."""
+    H = C.H
+    field = H.field
+    nH = H.dim
+    if HHop.dim != nH * nH:
+        raise ValueError("H (x) H^op basis does not match the flat layout")
+    pair = FlatSpace((H.basis, H.basis), field)
+    table = {}
+    for c in range(C.dim):
+        for i in range(nH):
+            ci = C.ract(C.e(c), H.e(i))
+            if not ci.data:
+                continue
+            for j in range(nH):
+                vec = C.lact(H.e(j), ci)
+                if vec.data:
+                    table[(c, pair.join((i, j)))] = {
+                        w: s for (w,), s in vec.data.items()}
+    action = LegMul(C.basis, HHop.basis, C.basis, table, field)
+    return RightModuleCoalgebra(HHop, C.basis, C.comul, C.counit, action,
+                                name=C.name)
+
+
+def dual_module_algebra(mc: RightModuleCoalgebra,
+                        name: str = "") -> LeftModuleAlgebra:
+    """The linear dual of a right module coalgebra as a left module
+    algebra: convolution product, counit as unit, and the transposed
+    action (h -> c*)(c) = c*(c . h)."""
+    H = mc.H
+    field = H.field
+    n = mc.dim
+    dbasis = mc.basis.dual()
+    unit_data = {}
+    for w in range(n):
+        c = mc.counit.cols.get(w, {}).get(())
+        if c:
+            unit_data[(w,)] = c
+    unit = Tensor((dbasis,), unit_data, field)
+    alg = FinAlgebra(dbasis, _transpose(mc.comul.cols), unit, field)
+    table = {}
+    act = mc.action.table
+    for w in range(n):
+        for hidx in range(H.dim):
+            for u, c in act.get((w, hidx), {}).items():
+                table.setdefault((hidx, u), {})[w] = c
+    action = LegMul(H.basis, dbasis, dbasis, table, field)
+    return LeftModuleAlgebra(H, alg, action, name=name or mc.name + "*")
+
+
+def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
+                            mc: RightModuleCoalgebra,
+                            action: LegMul) -> DoiHopfModule:
+    """Transport a right module over the generalized smash product
+    C* >< B, given by the table of its action on the module basis
+    action.left, to a Doi-Hopf module: n . b = n (eps >< b) and
+    rho(n) = sum_i c_i (x) n (c^i >< 1_B)."""
+    field = cb.field
+    basis = action.left
+    # unit of C* as a sparse vector over the dual basis
+    eps_vec = {}
+    for w in range(mc.dim):
+        c = mc.counit.cols.get(w, {}).get(())
+        if c:
+            eps_vec[w] = c
+
+    r_action = LegMul.from_function(
+        basis, cb.basis, basis,
+        lambda m, b: _act_on(action, m, Tensor.from_sparse(
+            gsm.basis, {gsm.join((u, b)): c for u, c in eps_vec.items()},
+            field)),
+        field)
+
+    one_b = {b: c for (b,), c in cb.unit().data.items()}
+
+    def coact_col(m):
+        acc = Tensor.zero((mc.basis, basis), field)
+        for i in range(mc.dim):
+            vec = _act_on(action, m, Tensor.from_sparse(
+                gsm.basis, {gsm.join((i, b)): c for b, c in one_b.items()},
+                field))
+            acc = acc + mc.e(i).tensor(vec)
+        return acc
+
+    coaction = LinearMap.from_function(basis, (mc.basis, basis), coact_col,
+                                       field)
+    return DoiHopfModule(cb, mc, basis, r_action, coaction, name=basis.name)
+
+
+def doi_from_crossed(M: CrossedHopfModule, lcb: LeftComoduleAlgebra,
+                     mc: RightModuleCoalgebra, qs: QuasiSmash,
+                     sm: ProductAlgebra) -> DoiHopfModule:
+    """Forward functor: the right action of the nested smash product is
+    reconstructed from the two-sided structure, and the coalgebra
+    coaction is corrected by the twist element:
+
+        rho~(n) = sum f1 . n_[-1] (x) f2 (succ) n_[0]."""
+    H, C = M.H, M.C
+    r_action = smash_action_from_two_sided(M.ts, qs, sm)
+
+    def coact_col(m):
+        src = H.derived.f.tensor(M.ccoact(M.e(m)))
+        return H.assemble(src, lambda f1, f2, cm, m0: C.lact(
+            H.e(f1), C.e(cm)).tensor(M.ts.lact(H.e(f2), M.e(m0))))
+
+    coaction = LinearMap.from_function(M.basis, (C.basis, M.basis),
+                                       coact_col, M.field)
+    return DoiHopfModule(lcb, mc, M.basis, r_action, coaction, name=M.name)
+
+
+def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
+                     C: BimoduleCoalgebra, qs: QuasiSmash,
+                     sm: ProductAlgebra) -> CrossedHopfModule:
+    """Backward functor: the two-sided Hopf module structure comes from
+    the right action of the nested smash product, and the coalgebra
+    coaction is corrected by the inverse twist element:
+
+        rho_C(n) = sum g1 . n_[-1] (x) g2 (succ) n_[0]."""
+    H = qs.H
+    ts = two_sided_from_smash_module(qs, sm, N.r_action, ba.right)
+
+    def ccoact_col(m):
+        src = H.derived.f_inv.tensor(N.coact(N.e(m)))
+        return H.assemble(src, lambda g1, g2, cm, m0: C.lact(
+            H.e(g1), C.e(cm)).tensor(ts.lact(H.e(g2), ts.e(m0))))
+
+    c_coaction = LinearMap.from_function(N.basis, (C.basis, N.basis),
+                                         ccoact_col, N.field)
+    return CrossedHopfModule(ba, C, ts, c_coaction)
+
+
+def dual_tables(dual: DualView) -> Tuple[Dict, LinearMap]:
+    """The convolution table and the comultiplication of DualView, built
+    as its constructor built them."""
+    H = dual.H
+    n = H.dim
+    field = H.field
+
+    # convolution: (e^a e^b)(e_k) = sum e^a(k_1) e^b(k_2)
+    mult = {}
+    for k in range(n):
+        for (a, b), c in H.comul.cols.get(k, {}).items():
+            mult.setdefault((a, b), {})[k] = c
+
+    # comultiplication of H^*: transpose of the multiplication of H
+    comul_cols = {}
+    for (i, j), vec in H.algebra.mult.items():
+        for k, c in vec.items():
+            comul_cols.setdefault(k, {})[(i, j)] = c
+    return mult, LinearMap(dual.basis, (dual.basis, dual.basis),
+                           comul_cols, field)
+
+
+def quasi_smash_action(qs: QuasiSmash) -> Dict:
+    """The table of the left H-action of QuasiSmash, built as its
+    constructor built it, with one hit_l product per (i, p)."""
+    H, ca = qs.H, qs.ca
+    dual = H.dual
+    table = {}
+    for i in range(H.dim):
+        for p in range(H.dim):
+            hit = dual.hit_l(H.e(i), dual.dual_e(p))
+            for (pp,), c in hit.data.items():
+                for a in range(ca.dim):
+                    f = qs.prod.join((a, p))
+                    table.setdefault((i, f), {})[qs.prod.join((a, pp))] = c
+    return table

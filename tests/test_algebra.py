@@ -98,7 +98,7 @@ def test_opposite():
 def test_legmul_and_mul_legs():
     A = cyclic_algebra(2)
     leg = A.as_leg()
-    assert leg.pair(1, 1) == {0: F(1)}
+    assert leg.table.get((1, 1), {}) == {0: F(1)}
     x = A.e(0) + A.e(1)
     y = A.e(1)
     prod = mul_legs((leg, leg), x.tensor(x), y.tensor(y))
@@ -114,7 +114,8 @@ def _mul_legs_by_terms(legs, x, y):
     out = Tensor.zero(tuple(leg.out for leg in legs), field)
     for xi, cx in x.data.items():
         for yi, cy in y.data.items():
-            vecs = [leg.pair(i, j) for leg, i, j in zip(legs, xi, yi)]
+            vecs = [leg.table.get((i, j), {})
+                    for leg, i, j in zip(legs, xi, yi)]
             for combo in itertools.product(*(v.items() for v in vecs)):
                 c = cx * cy
                 for _, s in combo:

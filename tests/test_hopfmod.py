@@ -107,7 +107,7 @@ def _relative_action_by_terms(M, qs):
     builder call per Sweedler term and table entry:
     m (a # phi) = sum phi(S^{-1}(K2 m_(1) a_(1) p~2)) (K1 m_(0))(a_(0) p~1)."""
     ca, H = M.ca, M.H
-    der, dual = H.derived, H.dual
+    der = H.derived
     field = M.field
     pt = ca.p_tilde()
     K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
@@ -115,12 +115,11 @@ def _relative_action_by_terms(M, qs):
 
     def r_col(m, u):
         a, p = qs.prod.split(u)
-        phi = dual.dual_e(p)
         src = K.tensor(M.coact(M.e(m))).tensor(ca.coact(ca.e(a))).tensor(pt)
 
         def builder(k1, k2, m0, m1, a0, a1, p1, p2):
-            scalar = dual.apply(phi, H.Sinv(H.mul(H.e(k2), H.e(m1),
-                                                  H.e(a1), H.e(p2))))
+            scalar = H.Sinv(H.mul(H.e(k2), H.e(m1), H.e(a1),
+                                  H.e(p2))).data.get((p,))
             if not scalar:
                 return Tensor.zero((M.basis,), field)
             return M.ract(M.lact(H.e(k1), M.e(m0)),
@@ -137,20 +136,19 @@ def _smash_action_by_terms(M, qs, sm):
     m ((a # phi) # h) = sum phi(S^{-1}(f2 m_(1) a_(1) p~2))
                             S(h) f1 (m_(0) a_(0) p~1)."""
     ca, H = M.ca, M.H
-    der, dual = H.derived, H.dual
+    der = H.derived
     field = M.field
     pt = ca.p_tilde()
     nest = smash_index(qs, sm)
 
     def act(m, g):
         a, p, h = nest.split(g)
-        phi = dual.dual_e(p)
         src = der.f.tensor(M.coact(M.e(m))).tensor(
             ca.coact(ca.e(a))).tensor(pt)
 
         def builder(f1, f2, m0, m1, a0, a1, p1, p2):
-            scalar = dual.apply(phi, H.Sinv(H.mul(H.e(f2), H.e(m1),
-                                                  H.e(a1), H.e(p2))))
+            scalar = H.Sinv(H.mul(H.e(f2), H.e(m1), H.e(a1),
+                                  H.e(p2))).data.get((p,))
             if not scalar:
                 return Tensor.zero((M.basis,), field)
             return M.ract(M.lact(H.mul(H.S(H.e(h)), H.e(f1)), M.e(m0)),

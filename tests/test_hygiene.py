@@ -313,18 +313,18 @@ QUANTIFIED_CALLS = {"coact.py": 11, "doihopf.py": 10, "hopfmod.py": 8,
                     "products.py": 6, "quasihopf.py": 13}
 
 
-def quantified_calls(source: str) -> int:
-    """The number of calls of a method or function named
-    check_quantified in source."""
+def named_calls(source: str, name: str) -> int:
+    """The number of calls of a method or function called name in
+    source; a def of that name is not a call."""
     return sum(isinstance(node, ast.Call) and
                getattr(node.func, "attr", getattr(node.func, "id", None))
-               == "check_quantified"
+               == name
                for node in ast.walk(ast.parse(source)))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_quantified_calls_do_not_grow(path):
-    count = quantified_calls(path.read_text(encoding="utf-8"))
+    count = named_calls(path.read_text(encoding="utf-8"), "check_quantified")
     assert count <= QUANTIFIED_CALLS.get(path.name, 0)
 
 
@@ -335,7 +335,36 @@ def test_quantified_call_is_counted():
               "    rep.check_same('c', x, y)\n"
               "def check_quantified(tag, inputs, fn):\n"
               "    return None\n")
-    assert quantified_calls(source) == 2
+    assert named_calls(source, "check_quantified") == 2
+
+
+# from_function call sites (LegMul.from_function and
+# LinearMap.from_function) per module, as counted when the module
+# functors of hopfmod.py and doihopf.py came to restrict whole action
+# tables (algebra._restrict) instead of calling a builder once per table
+# entry; hopfmod.py had 12 and doihopf.py 5 before. A new one either
+# builds its table from lifted tables or raises its module's number
+# here, in plain sight.
+FROM_FUNCTION_CALLS = {"doihopf.py": 3, "hopfmod.py": 3, "products.py": 3,
+                       "quasihopf.py": 1}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_from_function_calls_do_not_grow(path):
+    count = named_calls(path.read_text(encoding="utf-8"), "from_function")
+    assert count <= FROM_FUNCTION_CALLS.get(path.name, 0)
+
+
+def test_from_function_call_is_counted():
+    source = ("class LegMul:\n"
+              "    @classmethod\n"
+              "    def from_function(cls, left, right, out, fn):\n"
+              "        return cls()\n"
+              "def build(H, M):\n"
+              "    left = LegMul.from_function(H, M, M, f)\n"
+              "    col = LinearMap.from_function(M, (M, H), g)\n"
+              "    return left, col, from_function\n")
+    assert named_calls(source, "from_function") == 2
 
 
 def field_zero_calls(source: str):
