@@ -10,6 +10,7 @@ M (x) H (x) H where the first leg is acted on rather than multiplied.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .fields import Field, QQ
@@ -363,8 +364,13 @@ def _mul(table, x, y) -> Dict:
     """x y by the lifted structure constants table: the sum of cx cy
     table[(i, j)] over the (i, cx) pairs of x and the (j, cy) pairs of
     y."""
-    return _contract([((i, j), cx * cy) for i, cx in x for j, cy in y],
-                     table)
+    out: Dict = {}
+    for i, cx in x:
+        for j, cy in y:
+            c = cx * cy
+            for r, cr in table.get((i, j), ()):
+                out[r] = out.get(r, 0) + c * cr
+    return out
 
 
 def _lowered(field: Field, acc, den: int) -> Dict:
@@ -483,6 +489,49 @@ def actions_commute(left: LegMul, right: LegMul):
                                              ((h, 1),), R.get((m, a), ()))))
 
 
+def quasi_associative(act: LegMul, mult: LegMul, lact: LegMul,
+                      qact: LegMul, phi: Tensor):
+    """(m.a).b and sum (X1.m)((X2.a)(X3.b)) on inputs (m, a, b), with
+    Phi = sum X1 (x) X2 (x) X3: the right action act of the algebra that
+    mult multiplies is associative up to Phi, which acts on the module by
+    lact and on the algebra by qact. Each (X2.a)(X3.b) is formed once."""
+    (A, da), (P, dp), (L, dl), (Q, dq) = (
+        f.lifted() for f in (act, mult, lact, qact))
+    X, dx = phi.field.lift(phi.data)
+
+    @cache
+    def factor(x2, x3, a, b):
+        return _pairs(_mul(P, Q.get((x2, a), ()), Q.get((x3, b), ())))
+
+    def rhs(acc, m, a, b):
+        for (x1, x2, x3), c in X.items():
+            moved = [(k, c * s) for k, s in L.get((x1, m), ())]
+            _pair(acc, (m, a, b), A.get, moved, factor(x2, x3, a, b))
+
+    dims = (act.left.dim, mult.left.dim, mult.right.dim)
+    return (right_action_assoc(act, mult)[1],
+            _side(dims, (act.out,), act.field, dx * dl * dq * dq * dp * da,
+                  rhs))
+
+
+def equivariant_action(lact: LegMul, act: LegMul, qact: LegMul,
+                       comul: LinearMap):
+    """h.(m.a) and sum (h1.m)(h2.a) on inputs (h, m, a), with comul
+    splitting h: the right action act is H-linear, H acting on the
+    module by lact and on the algebra that acts by qact."""
+    (L, dl), (R, dr), (Q, dq) = lact.lifted(), act.lifted(), qact.lifted()
+    D, dd = _lift_rows(comul.field, comul.cols)
+
+    def rhs(acc, h, m, a):
+        for (h1, h2), c in D.get(h, ()):
+            moved = [(k, c * s) for k, s in L.get((h1, m), ())]
+            _pair(acc, (h, m, a), R.get, moved, Q.get((h2, a), ()))
+
+    dims = (lact.left.dim, lact.right.dim, act.right.dim)
+    return (actions_commute(lact, act)[1],
+            _side(dims, (act.out,), act.field, dd * dl * dq * dr, rhs))
+
+
 def _lift_vector(t: Tensor):
     """A one-leg tensor lifted: ((index, numerator), ...) and den."""
     num, den = t.field.lift(t.data)
@@ -515,10 +564,20 @@ def counit_identity(f: LinearMap, counit: LinearMap, leg: int):
 
 
 def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
-                   anti: bool = False):
-    """f(i j) and f(i) f(j) (f(j) f(i) if anti) on inputs (i, j): mult
-    multiplies the domain of f, legs[r] leg r of its codomain."""
+                   anti: bool = False, left: Optional[LinearMap] = None,
+                   right: Optional[LinearMap] = None):
+    """f(x y) and left(x) right(y) (right(y) left(x) if anti) on inputs
+    (i, j), x = e_i and y = e_j: mult is the product or action x y on
+    the domain of f, legs[r] multiplies leg r of the codomain, and left
+    and right default to f (an identity is LinearMap.identity). So f is
+    an algebra map (counit-hom, comul-hom, coact-hom), an anti-algebra
+    map (antipode-antihom), a coaction or comultiplication that is a
+    module map (left-colinear, right-colinear, rmc2, bmc2-left,
+    bmc2-right, dhm3, tstc3, tstc3b), a counit that is one (rmc3, legs =
+    ()), or an H- or A-linear isomorphism (iso-h-linear, iso-a-linear)."""
     (F, df), (P, dp) = _lift_rows(f.field, f.cols), mult.lifted()
+    (Lf, dlf), (Rf, drf) = (_lift_rows(f.field, (g or f).cols)
+                            for g in (left, right))
     gets, dl = [], 1
     for leg in legs:
         rows, d = leg.lifted()
@@ -530,7 +589,7 @@ def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
         _apply(acc, (i, j), F.get, xs, 0)
 
     def rhs(acc, i, j):
-        x, y = F.get(i, ()), F.get(j, ())
+        x, y = Lf.get(i, ()), Rf.get(j, ())
         part = {}
         _leg_sum(part, gets, *((y, x) if anti else (x, y)))
         for idx, n in part.items():
@@ -538,7 +597,7 @@ def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
 
     dims = (mult.left.dim, mult.right.dim)
     return (_side(dims, f.codomain, f.field, dp * df, lhs),
-            _side(dims, f.codomain, f.field, df * df * dl, rhs))
+            _side(dims, f.codomain, f.field, dlf * drf * dl, rhs))
 
 
 def tensor_unit(algebras: Sequence[FinAlgebra]) -> Tensor:

@@ -14,8 +14,9 @@ two_sided_from_relative, relative_from_smash_module and
 two_sided_from_smash_module of hopfmod.py; doi_from_algebra_module,
 algebra_action_from_doi, hhop_module_coalgebra and crossed_smash_direct
 of doihopf.py. The helpers they share (_lift_rows, _lift_map,
-_lift_vector, _times, _chain, _contract, _mul, _restrict, _lowered,
-_pair, _apply, _transpose, _two_sided_hits, _pairs) live in algebra.py.
+_lift_vector, _times, _chain, _contract, _mul, _leg_sum, _side, _pair,
+_apply, _restrict, _lowered, _transpose, _two_sided_hits, _pairs) live
+in algebra.py.
 They go through two methods of the field:
 
 - lift(data) -> (num, den): num maps each key of data to an int and den

@@ -104,23 +104,19 @@ class QuasiSmash(LeftModuleAlgebra):
         hit_r, dhit = dual.hit_r_leg.lifted()
         conv, dc = dual.conv.as_leg().lifted()
         factors = (ca.basis, dual.basis)
-        # (a a0) x1 per (a, a0, x1): at most dim(A)^3 entries
-        amul_cache: Dict[Tuple[int, int, int], Dict[int, int]] = {}
 
+        @cache
         def amul_for(a, a0, x1):
-            got = amul_cache.get((a, a0, x1))
-            if got is None:
-                got = amul_cache[(a, a0, x1)] = _times(
-                    amult, amult.get((a, a0), ()), x1)
-            return got
+            # (a a0) x1: at most dim(A)^3 entries
+            return _times(amult, amult.get((a, a0), ()), x1)
 
         def evaluator(key1):
             a, p = key1
-            # per a': sum of e^p <- a'_(1) x2 over the coaction of a' and
-            # the inverse reassociator, grouped by (a'_(0), x1, x3)
-            by_a2: Dict[int, list] = {}
 
+            @cache
             def hits_for(a2):
+                # the sum of e^p <- a'_(1) x2 over the coaction of a' and
+                # the inverse reassociator, grouped by (a'_(0), x1, x3)
                 acc: Dict[Tuple[int, int, int], Dict[int, int]] = {}
                 for (a0, a1), c0 in rcols.get(a2, ()):
                     for (x1, x2, x3), c1 in phi_data:
@@ -140,11 +136,8 @@ class QuasiSmash(LeftModuleAlgebra):
 
             def col(key2):
                 a2, q = key2
-                groups = by_a2.get(a2)
-                if groups is None:
-                    groups = by_a2[a2] = hits_for(a2)
                 out: Dict[Tuple[int, int], int] = {}
-                for (a0, x1, x3), fv in groups:
+                for (a0, x1, x3), fv in hits_for(a2):
                     avec = amul_for(a, a0, x1)
                     if not avec:
                         continue
@@ -152,12 +145,7 @@ class QuasiSmash(LeftModuleAlgebra):
                     if not qv:
                         continue
                     # the convolution (sum e^p <- a'_(1) x2)(e^q <- x3)
-                    cvec: Dict[int, int] = {}
-                    for s, cs in fv.items():
-                        for u, cu in qv:
-                            csu = cs * cu
-                            for r, cr in conv.get((s, u), ()):
-                                cvec[r] = cvec.get(r, 0) + csu * cr
+                    cvec = _mul(conv, fv.items(), qv)
                     for aa, caa in avec.items():
                         for r, cr in cvec.items():
                             key = (aa, r)
@@ -253,14 +241,10 @@ def _module_products(ma: LeftModuleAlgebra):
     dim(A) dim(H) dim(A) entries."""
     act, dact = ma.action.lifted()
     amult, da = ma.algebra.as_leg().lifted()
-    cache: Dict[Tuple[int, int, int], Dict[int, int]] = {}
 
+    @cache
     def avec_for(la, hidx, a2):
-        got = cache.get((la, hidx, a2))
-        if got is None:
-            got = cache[(la, hidx, a2)] = _times(
-                amult, act.get((hidx, a2), ()), la, left=True)
-        return got
+        return _times(amult, act.get((hidx, a2), ()), la, left=True)
 
     return avec_for, dact * da
 
@@ -275,8 +259,8 @@ def _smash_columns(groups, avec_for, right_for):
     against right_for(g, b'), a sequence of (index, numerator) pairs or
     None. All coefficients are int numerators."""
     groups = list(groups.items())
-    by_a2: Dict[int, list] = {}
 
+    @cache
     def stage(a2):
         acc: Dict[object, Dict[int, int]] = {}
         for (la, hidx), gv in groups:
@@ -291,11 +275,8 @@ def _smash_columns(groups, avec_for, right_for):
 
     def col(key2):
         a2, b2 = key2
-        staged = by_a2.get(a2)
-        if staged is None:
-            staged = by_a2[a2] = stage(a2)
         out: Dict[Tuple[int, int], int] = {}
-        for g, avec in staged:
+        for g, avec in stage(a2):
             bvec = right_for(g, b2)
             if not bvec:
                 continue
@@ -344,8 +325,6 @@ def generalized_smash(ma: LeftModuleAlgebra,
     factors = (ma.basis, cb.basis)
 
     avec_for, dav = _module_products(ma)
-    # x3 (b0 b') per (x3, b0, b'): at most dim(H) dim(B) dim(B) entries
-    bvec_cache: Dict[Tuple[int, int, int], Tuple[Tuple[int, int], ...]] = {}
 
     def row_groups(a, b):
         # the coefficient of (x1 . a)_la (x2 b_[-1])_hidx summed over the
@@ -367,13 +346,12 @@ def generalized_smash(ma: LeftModuleAlgebra,
                         vec[g] = vec.get(g, 0) + c01 * cla * ch
         return acc
 
+    @cache
     def bvec_for(g, b2):
+        # x3 (b0 b'): at most dim(H) dim(B) dim(B) entries
         x3, b0 = g
-        got = bvec_cache.get((x3, b0, b2))
-        if got is None:
-            got = bvec_cache[(x3, b0, b2)] = tuple(_times(
-                bmult, bmult.get((b0, b2), ()), x3, left=True).items())
-        return got
+        return tuple(_times(bmult, bmult.get((b0, b2), ()), x3,
+                            left=True).items())
 
     def evaluator(key1):
         return _smash_columns(row_groups(*key1), avec_for, bvec_for)
@@ -409,7 +387,6 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
     nH = H.dim
     A, B = rca.algebra, lcb.algebra
     factors = (A.basis, dual.basis, B.basis)
-    nA, nB = A.dim, B.dim
     amult, da = A.as_leg().lifted()
     bmult, db = B.as_leg().lifted()
     dcols, dd = _lift_rows(field, dual.comul.cols)
@@ -422,44 +399,37 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
     conv, dc = dual.conv.as_leg().lifted()
     phi_x, dx = field.lift(rca.phi_rho_inv.data)
     phi_y, dy = field.lift(lcb.phi_lam_inv.data)
+
+    @cache
+    def hit_pair(left, right):
+        # once per pair of hits: a pair repeats for every x1 and y3
+        return _mul(conv, hits.get(left, ()), hits.get(right, ()))
+
     core: Dict[Tuple[int, int], Dict[Tuple[int, int], Dict[int, int]]] = {}
     for (x1, x2, x3), cx in phi_x.items():
         for (y1, y2, y3), cy in phi_y.items():
             cxy = cx * cy
             for j in range(nH):
-                tj = hits.get((y1, j, x2))
-                if not tj:
-                    continue
                 for k in range(nH):
-                    tk = hits.get((y2, k, x3))
-                    if not tk:
-                        continue
-                    vec = core.setdefault((j, k), {}).setdefault((x1, y3), {})
-                    for p, cp in tj:
-                        cxyp = cxy * cp
-                        for q, cq in tk:
-                            cpq = cxyp * cq
-                            for m, cm in conv.get((p, q), ()):
-                                vec[m] = vec.get(m, 0) + cpq * cm
+                    terms = hit_pair((y1, j, x2), (y2, k, x3))
+                    if terms:
+                        vec = core.setdefault((j, k), {}).setdefault(
+                            (x1, y3), {})
+                        for m, cm in terms.items():
+                            vec[m] = vec.get(m, 0) + cxy * cm
     dcore = dx * dy * dhit ** 2 * dc
 
-    # hit tables: rhit[(j, a)] = e^j |> e_a, lhit[(b, k)] = e_b <| e^k
-    rhit = {}
-    for j in range(nH):
-        ej = dual.dual_e(j)
-        for a in range(nA):
-            vec = rca.hit(ej, rca.e(a)).data
-            if vec:
-                rhit[(j, a)] = {i: c for (i,), c in vec.items()}
-    rhit, drh = _lift_rows(field, rhit)
-    lhit = {}
-    for b in range(nB):
-        eb = lcb.e(b)
-        for k in range(nH):
-            vec = lcb.hit(eb, dual.dual_e(k)).data
-            if vec:
-                lhit[(b, k)] = {i: c for (i,), c in vec.items()}
-    lhit, dlh = _lift_rows(field, lhit)
+    # hit tables, regroupings of the coactions: rhit[(j, a)] = e^j |> e_a
+    # is the slice of rho(e_a) with H-leg j, lhit[(b, k)] = e_b <| e^k the
+    # slice of lam(e_b) with H-leg k
+    rhit, lhit = {}, {}
+    for a, col in rca.coaction.cols.items():
+        for (a0, j), c in col.items():
+            rhit.setdefault((j, a), {})[a0] = c
+    for b, col in lcb.coaction.cols.items():
+        for (k, b0), c in col.items():
+            lhit.setdefault((b, k), {})[b0] = c
+    (rhit, drh), (lhit, dlh) = (_lift_rows(field, t) for t in (rhit, lhit))
 
     x1s = sorted({x1 for x1, _, _ in phi_x})
     y3s = sorted({y3 for _, _, y3 in phi_y})
@@ -467,12 +437,8 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
     # per (b, psi, b'): {k1: {y3: y3 (sum over k2 of (b <| e^k2) b')}},
     # the sum running over the split e^k1 (x) e^k2 of psi; at most
     # dim(B) dim(H) dim(B) entries, over dd * dlh * db * db
-    right_cache: Dict[Tuple[int, int, int], list] = {}
-
+    @cache
     def right_for(b, k, b2):
-        got = right_cache.get((b, k, b2))
-        if got is not None:
-            return got
         by_k1: Dict[int, Dict[int, int]] = {}
         for (k1, k2), c2 in dcols.get(k, ()):
             for t, ct in lhit.get((b, k2), ()):
@@ -480,19 +446,16 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
                 for r, cr in bmult.get((t, b2), ()):
                     vec = by_k1.setdefault(k1, {})
                     vec[r] = vec.get(r, 0) + c * cr
-        got = right_cache[(b, k, b2)] = [
-            (k1, {y3: _times(bmult, vec.items(), y3, left=True)
-                  for y3 in y3s})
-            for k1, vec in by_k1.items()]
-        return got
+        return [(k1, {y3: _times(bmult, vec.items(), y3, left=True)
+                      for y3 in y3s})
+                for k1, vec in by_k1.items()]
 
     def evaluator(key1):
         a, j, b = key1
         # per a': {j2: {x1: (sum over j1 of a (e^j1 |> a')) x1}}, the sum
         # running over the split e^j1 (x) e^j2 of phi, over
         # dd * drh * da * da
-        by_a2: Dict[int, list] = {}
-
+        @cache
         def left_for(a2):
             by_j2: Dict[int, Dict[int, int]] = {}
             for (j1, j2), c1 in dcols.get(j, ()):
@@ -506,12 +469,9 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
 
         def col(key2):
             a2, k, b2 = key2
-            lefts = by_a2.get(a2)
-            if lefts is None:
-                lefts = by_a2[a2] = left_for(a2)
             rights = right_for(b, k, b2)
             out: Dict[Tuple[int, int, int], int] = {}
-            for j2, avecs in lefts:
+            for j2, avecs in left_for(a2):
                 for k1, bvecs in rights:
                     for (x1, y3), mvec in core.get((j2, k1), {}).items():
                         avec = avecs.get(x1)

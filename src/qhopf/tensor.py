@@ -248,31 +248,6 @@ class Tensor:
                     del data[new]
         return out
 
-    def pair_legs(self, dual_leg: int, vec_leg: int) -> "Tensor":
-        """Contract a dual-basis leg against a primal leg (delta pairing).
-
-        Both legs are removed; each term survives iff the two indices
-        agree. The dual leg must be the dual() of the primal leg's basis
-        (or vice versa)."""
-        a, b = self.spaces[dual_leg], self.spaces[vec_leg]
-        if a != b.dual() and b != a.dual():
-            raise ValueError("legs %d and %d are not dual to each other" % (dual_leg, vec_leg))
-        lo, hi = sorted((dual_leg, vec_leg))
-        spaces = self.spaces[:lo] + self.spaces[lo + 1 : hi] + self.spaces[hi + 1 :]
-        out = Tensor.zero(spaces, self.field)
-        data = out.data
-        for idx, c in self.data.items():
-            if idx[dual_leg] != idx[vec_leg]:
-                continue
-            new = idx[:lo] + idx[lo + 1 : hi] + idx[hi + 1 :]
-            s = data.get(new)
-            s = c if s is None else s + c
-            if s:
-                data[new] = s
-            elif new in data:
-                del data[new]
-        return out
-
     def __repr__(self):
         if not self.data:
             return "Tensor(0)"

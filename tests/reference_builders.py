@@ -15,6 +15,13 @@ assemble builder per coaction column, and H*'s derived tables
 comultiplication of DualView and the H-action of QuasiSmash) as they
 were before they became regroupings of existing tables.
 
+Tensor detours: DualView.precompose, Tensor.pair_legs and the hits of
+RightComoduleAlgebra and LeftComoduleAlgebra (here precompose,
+pair_legs, right_hit and left_hit), as they were before e^i o S became
+a row of the transposed antipode and the hit tables of
+two_sided_crossed became slices of the coactions. The references below
+and in the tests that form these tables keep them.
+
 tests/test_lifted_builders.py checks the builders of the package
 against them.
 """
@@ -453,7 +460,7 @@ def two_sided_from_relative(N: RelativeHopfModule,
     # functional is zero, once per (i, term)
     elems = {}
     for i in range(H.dim):
-        e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
+        e_i_s = precompose(dual, dual.dual_e(i), H.antipode)
         for t1 in {t1 for (t1, _), _ in vg_terms}:
             hit = dual.hit_l(sinv[t1], e_i_s)
             for (q1, q2), _ in qt_terms:
@@ -540,7 +547,7 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
 
     coact_elems = {}
     for i in range(H.dim):
-        e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
+        e_i_s = precompose(dual, dual.dual_e(i), H.antipode)
         src = der.f_inv.tensor(qt)
         coact_elems[i] = H.assemble(src, lambda g1, g2, q1, q2: sm.flatten(
             qs.element(ca.e(q1), dual.hit_r(
@@ -728,3 +735,56 @@ def quasi_smash_action(qs: QuasiSmash) -> Dict:
                     f = qs.prod.join((a, p))
                     table.setdefault((i, f), {})[qs.prod.join((a, pp))] = c
     return table
+
+
+def precompose(dual: DualView, phi: Tensor, fmap: LinearMap) -> Tensor:
+    """phi after fmap (for instance phi o S)."""
+    data = {}
+    for a in range(dual.H.dim):
+        col = fmap.cols.get(a, {})
+        acc = dual.H.field.zero()
+        for (b,), c in col.items():
+            v = phi.data.get((b,))
+            if v:
+                acc = acc + c * v
+        if acc:
+            data[(a,)] = acc
+    return Tensor((dual.basis,), data, dual.H.field)
+
+
+def pair_legs(t: Tensor, dual_leg: int, vec_leg: int) -> Tensor:
+    """Contract a dual-basis leg against a primal leg (delta pairing).
+
+    Both legs are removed; each term survives iff the two indices
+    agree. The dual leg must be the dual() of the primal leg's basis
+    (or vice versa)."""
+    a, b = t.spaces[dual_leg], t.spaces[vec_leg]
+    if a != b.dual() and b != a.dual():
+        raise ValueError("legs %d and %d are not dual to each other" % (dual_leg, vec_leg))
+    lo, hi = sorted((dual_leg, vec_leg))
+    spaces = t.spaces[:lo] + t.spaces[lo + 1 : hi] + t.spaces[hi + 1 :]
+    out = Tensor.zero(spaces, t.field)
+    data = out.data
+    for idx, c in t.data.items():
+        if idx[dual_leg] != idx[vec_leg]:
+            continue
+        new = idx[:lo] + idx[lo + 1 : hi] + idx[hi + 1 :]
+        s = data.get(new)
+        s = c if s is None else s + c
+        if s:
+            data[new] = s
+        elif new in data:
+            del data[new]
+    return out
+
+
+def right_hit(ca: RightComoduleAlgebra, phi: Tensor, a: Tensor) -> Tensor:
+    """The induced left action of a functional: phi |> a, pairing phi
+    against the H-leg of rho(a)."""
+    return pair_legs(phi.tensor(ca.coact(a)), 0, 2)
+
+
+def left_hit(ca: LeftComoduleAlgebra, b: Tensor, phi: Tensor) -> Tensor:
+    """The induced right action of a functional: b <| phi, pairing phi
+    against the H-leg of lam(b)."""
+    return pair_legs(phi.tensor(ca.coact(b)), 0, 1)

@@ -7,6 +7,8 @@ from qhopf import (LinearMap, RightComoduleAlgebra, Tensor,
                    check_right_comodule_algebra,
                    check_right_module_coalgebra, verify_tilde_identities)
 
+from reference_builders import right_hit
+
 CORPUS_KEYS = ("z2", "z3", "z2z2", "s3", "z2_quasi", "z2z2_twisted")
 
 
@@ -65,8 +67,14 @@ def test_corrupted_reassociator_rejected(hq):
 
 
 def test_hit_is_counit_normalized(hq):
+    """eps |> a = a, by the reference right_hit and by the slices of
+    rho(a) by H-leg that two_sided_crossed reads as e^j |> a."""
     ca = canonical_right_comodule(hq)
     eps = Tensor((hq.basis.dual(),),
                  {(i,): hq.eps(hq.e(i)) for i in range(hq.dim)}, hq.field)
     for i in range(hq.dim):
-        assert ca.hit(eps, ca.e(i)) == ca.e(i)
+        assert right_hit(ca, eps, ca.e(i)) == ca.e(i)
+        sliced = Tensor.zero((ca.basis,), hq.field)
+        for (a0, j), c in ca.coaction.cols[i].items():
+            sliced = sliced + ca.e(a0).scale(c * hq.eps(hq.e(j)))
+        assert sliced == ca.e(i)

@@ -13,6 +13,8 @@ from qhopf import (LegMul, LinearMap, PrimeField, QQ, RelativeHopfModule,
                    verify_canonical_modules, verify_module_correspondence)
 from qhopf.algebra import _clean_table
 
+from reference_builders import precompose
+
 
 @pytest.mark.parametrize("key", ("z2", "z3", "z2_quasi"))
 def test_canonical_modules(all_corpus, key):
@@ -173,7 +175,7 @@ def _coaction_by_terms(N, ca):
     def coact_col(m):
         acc = Tensor.zero((N.basis, H.basis), field)
         for i in range(H.dim):
-            e_i_s = dual.precompose(dual.dual_e(i), H.antipode)
+            e_i_s = precompose(dual, dual.dual_e(i), H.antipode)
             vec = Tensor.zero((N.basis,), field)
             for (t1, t2), c1 in VG.data.items():
                 m1 = N.lact(H.Sinv(H.e(t2)), N.e(m))

@@ -204,18 +204,29 @@ def exported_names(init_source: str):
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def _references(node, used, enclosing=frozenset()):
+    """Add to used each name that node references as a Name or an
+    Attribute, except inside a function of that name: a method that only
+    forwards to its namesake, or a function that only calls itself, is
+    not a caller."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing | {node.name}
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+    if name is not None and name not in enclosing:
+        used.add(name)
+    for child in ast.iter_child_nodes(node):
+        _references(child, used, enclosing)
+
+
 def unreferenced_definitions(definers, callers, exported):
     """(file name, line, name) for each def or class in the definer
     sources whose name no caller source references as a Name or an
-    Attribute, unless it is exported. Dunder methods are exempt: Python
-    calls them by protocol."""
+    Attribute (_references), unless it is exported. Dunder methods are
+    exempt: Python calls them by protocol."""
     used = set()
     for source in callers:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        _references(ast.parse(source), used)
     found = []
     for fname, source in definers:
         for node in ast.walk(ast.parse(source)):
@@ -246,10 +257,19 @@ def test_unreferenced_definition_is_caught():
                          "def api():\n"
                          "    return K().used()\n"
                          "def helper():\n"
-                         "    return 0\n")]
-    callers = [definers[0][1], "from m import helper\nhelper\n"]
+                         "    return 0\n"
+                         "class Base:\n"
+                         "    def relay(self):\n"
+                         "        return 3\n"
+                         "class Both(Base):\n"
+                         "    def relay(self):\n"
+                         "        return self.left.relay()\n"
+                         "def loop(n):\n"
+                         "    return loop(n - 1) if n else api()\n")]
+    callers = [definers[0][1], "from m import helper\nhelper\nBoth\n"]
     assert unreferenced_definitions(definers, callers, {"api"}) == \
-        [("m.py", 6, "dead")]
+        [("m.py", 6, "dead"), ("m.py", 13, "relay"), ("m.py", 16, "relay"),
+         ("m.py", 18, "loop")]
 
 
 SCALAR_NAMES = ("Fraction", "Fp")
@@ -305,11 +325,14 @@ def test_scalar_representation_use_is_caught():
 # check_quantified call sites per module, as counted when the action,
 # counit and multiplicativity axioms moved to the side-builders of
 # algebra.py; products.py's count fell from 9 to 6 when the Heisenberg
-# double's product, unit and action checks became tables. A new
-# quantified check either states its two sides as
-# tables (VerificationReport.check_same) or raises its module's number
-# here, where a reviewer sees it.
-QUANTIFIED_CALLS = {"coact.py": 11, "doihopf.py": 10, "hopfmod.py": 8,
+# double's product, unit and action checks became tables, and coact.py
+# (11), doihopf.py (10) and hopfmod.py (8) fell to 7, 5 and 2 when the
+# colinearity, module-map, quasi-associativity and H-linearity laws of
+# the module categories became tables too (multiplicative,
+# quasi_associative, equivariant_action). A new quantified check either
+# states its two sides as tables (VerificationReport.check_same) or
+# raises its module's number here, in plain sight.
+QUANTIFIED_CALLS = {"coact.py": 7, "doihopf.py": 5, "hopfmod.py": 2,
                     "products.py": 6, "quasihopf.py": 13}
 
 

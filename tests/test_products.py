@@ -6,9 +6,11 @@ from typing import Dict
 
 import pytest
 
-from qhopf import (FinAlgebra, FlatSpace, Fp, HeisenbergDouble, LinearMap,
-                   PrimeField, QuasiHopfAlgebra, Tensor, VerificationReport,
-                   canonical_left_comodule, canonical_right_comodule,
+from qhopf import (Basis, FinAlgebra, FlatSpace, Fp, HeisenbergDouble,
+                   LeftComoduleAlgebra, LinearMap, PrimeField, QQ,
+                   QuasiHopfAlgebra, RightComoduleAlgebra, Tensor,
+                   VerificationReport, canonical_left_comodule,
+                   canonical_right_comodule,
                    check_left_module_algebra, cli, corpus,
                    cyclic_group_algebra, generalized_smash, is_gauge,
                    quasi_smash, smash_index, smash_product,
@@ -17,6 +19,8 @@ from qhopf import (FinAlgebra, FlatSpace, Fp, HeisenbergDouble, LinearMap,
                    verify_hom_smash)
 from qhopf.products import _same_table
 from qhopf.report import scalar_str
+
+from reference_builders import left_hit, pair_legs, right_hit
 
 
 def _materialized(prod) -> FinAlgebra:
@@ -159,7 +163,7 @@ def _mu_by_terms(H, t):
                               H.mul(H.e(k2), H.e(l2))))
         acc = Tensor.zero((H.basis,), H.field)
         for (i, a), c in t.data.items():
-            red = dual.dual_e(a).tensor(core).pair_legs(0, 2)
+            red = pair_legs(dual.dual_e(a).tensor(core), 0, 2)
             acc = acc + H.mul(H.e(i), red).scale(c)
         cols[k] = dict(acc.data)
     return LinearMap(H.basis, (H.basis,), cols, H.field)
@@ -641,12 +645,12 @@ def _two_sided_by_terms(rca, lcb, dual):
     rhit, lhit = {}, {}
     for j in range(nH):
         for a in range(A.dim):
-            vec = rca.hit(dual.dual_e(j), rca.e(a)).data
+            vec = right_hit(rca, dual.dual_e(j), rca.e(a)).data
             if vec:
                 rhit[(j, a)] = {i: c for (i,), c in vec.items()}
     for b in range(B.dim):
         for k in range(nH):
-            vec = lcb.hit(lcb.e(b), dual.dual_e(k)).data
+            vec = left_hit(lcb, lcb.e(b), dual.dual_e(k)).data
             if vec:
                 lhit[(b, k)] = {i: c for (i,), c in vec.items()}
 
@@ -728,6 +732,32 @@ def test_staged_products_match_term_sums(all_corpus, field_name, key):
         assert got.alg.unit == want.unit, got.name
         assert all(type(c) is scalar for vec in got.alg.mult.values()
                    for c in vec.values()), got.name
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_two_sided_crossed_over_subalgebras_matches_term_sum(field):
+    """A >< H* >< B for A = B = k<b> in k[Z/2 x Z/2], b = e_2 of H: the
+    coactions e_i -> e_i (x) e_2i and e_i -> e_2i (x) e_i put a
+    different index on the H-leg than on the A-leg, so hit tables read
+    from the wrong leg of a coaction do not pass by accident (with H
+    itself, rho = Delta = g (x) g is symmetric)."""
+    H = corpus(field)["z2z2"]
+    one = field.one()
+    b = Basis(("e", "b"), "k<b>")
+    unit = Tensor((b,), {(0,): one}, field)
+    alg = FinAlgebra(b, {(i, j): {i ^ j: one} for i in (0, 1)
+                         for j in (0, 1)}, unit, field)
+    phi = unit.tensor(H.unit()).tensor(H.unit())
+    rca = RightComoduleAlgebra(H, alg, LinearMap(
+        b, (b, H.basis), {i: {(i, 2 * i): one} for i in (0, 1)}, field),
+        phi, name="k<b>")
+    lcb = LeftComoduleAlgebra(H, alg, LinearMap(
+        b, (H.basis, b), {i: {(2 * i, i): one} for i in (0, 1)}, field),
+        phi.permute((1, 2, 0)), name="k<b>")
+    got = two_sided_crossed(rca, lcb)
+    want = _two_sided_by_terms(rca, lcb, H.dual)
+    assert got.alg.mult == want.mult
+    assert got.alg.unit == want.unit
 
 
 def test_crossed_decomposition_reports_first_difference(all_corpus):

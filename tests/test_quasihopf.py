@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from qhopf import (DerivedElements, DualView, LinearMap, NotGaugeError,
-                   PrimeField, QuasiHopfAlgebra, QQ, Tensor,
+from qhopf import (DerivedElements, DualView, FinAlgebra, LinearMap,
+                   NotGaugeError, PrimeField, QuasiHopfAlgebra, QQ, Tensor,
                    check_dual_bimodule_algebra, check_quasibialgebra,
                    check_quasihopf, corpus, cyclic_group_algebra,
                    invert_in_tensor_algebra, is_gauge, klein_twist,
                    normalize_alpha_beta, quasi_z2, twist, twisted_klein,
                    verify_core_identities, verify_heisenberg_double)
+from qhopf.report import CheckRecord, first_difference, scalar_str
+
+from test_report import _mutant
 
 F = Fraction
 
@@ -353,3 +356,161 @@ def test_assemble_accumulates_without_touching_terms(hq):
 
     with pytest.raises(ValueError):
         hq.assemble(source, builder)
+
+
+# ----------------------------------------------------------------------
+# records that join two identities: q5, q6 and mbia2
+
+
+FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
+                                 ids=("Q", "GF7"))
+
+
+def _record(rep, tag):
+    return {r.tag: r for r in rep.records}[tag]
+
+
+@FIELDS
+def test_q5_fails_when_only_its_scalars_cancel(field):
+    """On k[Z/2] with S(g) = -g, sum S(g1) alpha g2 = -1 while
+    eps(g) alpha = 1, and sum g1 beta S(g2) = -1 while eps(g) beta = 1.
+    The tensor product of the two sides is 1 (x) 1 either way; compared
+    one identity at a time, q5 fails at the first."""
+    H = corpus(field)["z2"]
+    one = field.one()
+    minus = LinearMap(H.basis, (H.basis,),
+                      {0: {(0,): one}, 1: {(1,): -one}}, field)
+    Hm = QuasiHopfAlgebra(H.algebra, H.comul, H.counit, H.phi, minus,
+                          H.alpha, H.beta, H.phi_inv, name="z2-minus-S")
+    rec = _record(check_quasihopf(Hm), "q5")
+    assert rec.as_dict() == _ref_q5(Hm).as_dict()
+    assert rec.counterexample == {"index": [0, 0], "inputs": [1],
+                                  "lhs": scalar_str(field, -one),
+                                  "rhs": "1"}
+
+
+@FIELDS
+def test_q6_fails_when_only_its_scalars_cancel(field):
+    """On k[Z/2] with Phi = 2 (1 (x) 1 (x) 1) and Phi^{-1} = 1/2 (1 (x)
+    1 (x) 1), sum X1 beta S(X2) alpha X3 = 2 and sum S(x1) alpha x2 beta
+    S(x3) = 1/2: their tensor product is 1 (x) 1, and q6 must still
+    fail."""
+    H = corpus(field)["z2"]
+    one = H.unit()
+    spaces = (H.basis,) * 3
+    two, half = field.from_int(2), field.one() / field.from_int(2)
+    phi = Tensor(spaces, {(0, 0, 0): two}, field)
+    phi_inv = Tensor(spaces, {(0, 0, 0): half}, field)
+    Hm = QuasiHopfAlgebra(H.algebra, H.comul, H.counit, phi, H.antipode,
+                          one, one, phi_inv, name="z2-scaled-phi")
+    rec = _record(check_quasihopf(Hm), "q6")
+    assert not rec.passed
+    assert rec.counterexample == {"index": [0, 0], "lhs": "2", "rhs": "1"}
+
+
+def _per_identity(tag, inputs_iter, pair_fn):
+    """The record of a check whose pair_fn returns the sides of two
+    identities, ((lhs1, rhs1), (lhs2, rhs2)), scanned one identity at a
+    time: it fails at the first inputs where either identity fails.
+    Where lhs1 (x) lhs2 and rhs1 (x) rhs2 differ, it reports their first
+    difference, as the scan that compared only them did; where they
+    agree, the first differing index of the first identity that fails,
+    led by 0 or 1."""
+    for inputs in inputs_iter:
+        (l1, r1), (l2, r2) = sides = pair_fn(*inputs)
+        diff = first_difference(l1.tensor(l2), r1.tensor(r2))
+        for which, (lhs, rhs) in enumerate(sides):
+            if diff is None:
+                diff = first_difference(lhs, rhs)
+                if diff is not None:
+                    diff["index"] = [which] + diff["index"]
+        if diff is not None:
+            diff["inputs"] = list(inputs)
+            return CheckRecord(tag, False, diff)
+    return CheckRecord(tag, True)
+
+
+def _ref_q5(H):
+    def sides(i):
+        h = H.e(i)
+        d = H.delta(h)
+        eh = H.eps(h)
+        rhs_a, rhs_b = H.alpha.scale(eh), H.beta.scale(eh)
+        if not d.data:
+            zero = Tensor.zero((H.basis,), H.field)
+            return (zero, rhs_a), (zero, rhs_b)
+        return ((H.assemble(d, lambda a, b: H.mul(H.S(H.e(a)), H.alpha,
+                                                  H.e(b))), rhs_a),
+                (H.assemble(d, lambda a, b: H.mul(H.e(a), H.beta,
+                                                  H.S(H.e(b)))), rhs_b))
+
+    return _per_identity("q5", ((i,) for i in range(H.dim)), sides)
+
+
+def _ref_mbia2(dual):
+    H = dual.H
+    n = H.dim
+
+    def sides(i, a, b):
+        h, phi, psi = H.e(i), dual.dual_e(a), dual.dual_e(b)
+        d = H.delta(h)
+        rhs1 = H.assemble(d, lambda h1, h2: dual.convolve(
+            dual.hit_l(H.e(h1), phi), dual.hit_l(H.e(h2), psi)))
+        rhs2 = H.assemble(d, lambda h1, h2: dual.convolve(
+            dual.hit_r(phi, H.e(h1)), dual.hit_r(psi, H.e(h2))))
+        return ((dual.hit_l(h, dual.convolve(phi, psi)), rhs1),
+                (dual.hit_r(dual.convolve(phi, psi), h), rhs2))
+
+    return _per_identity("mbia2", ((i, a, b) for i in range(n)
+                                   for a in range(n) for b in range(n)),
+                         sides)
+
+
+def _mult_mutant(H, rng):
+    """H with one coefficient of a product e_i e_j changed, i, j > 0:
+    for a group algebra with trivial Phi the unit and the supplied
+    inverse of Phi still check."""
+    field = H.field
+    mult = {k: dict(v) for k, v in H.algebra.mult.items()}
+    row = mult.setdefault((rng.randrange(1, H.dim), rng.randrange(1, H.dim)),
+                          {})
+    k = rng.randrange(H.dim)
+    row[k] = row.get(k, field.zero()) + field.from_int(
+        rng.choice((-2, -1, 1, 2, 3)))
+    mult = {key: {k: c for k, c in v.items() if c}
+            for key, v in mult.items()}
+    return QuasiHopfAlgebra(
+        FinAlgebra(H.basis, {key: v for key, v in mult.items() if v},
+                   H.algebra.unit, field),
+        H.comul, H.counit, H.phi, H.antipode, H.alpha, H.beta, H.phi_inv,
+        name=H.name)
+
+
+@FIELDS
+def test_q5_and_mbia2_match_per_identity_scans(field):
+    """q5 and mbia2 on seeded mutants of the comultiplication (of z2, z3
+    and z2_quasi) and of the multiplication (of z2 and z3), against
+    scans that check each of their two identities on its own after the
+    tensor product of both."""
+    rng = random.Random(21)
+    mutants = []
+    for key in ("z2", "z3", "z2_quasi"):
+        H = corpus(field)[key]
+        for trial in range(6):
+            comul = _mutant(H.comul, rng, min(1 + trial % 3, H.dim))
+            mutants.append(QuasiHopfAlgebra(
+                H.algebra, comul, H.counit, H.phi, H.antipode, H.alpha,
+                H.beta, H.phi_inv, name=H.name))
+        if key != "z2_quasi":
+            mutants += [_mult_mutant(H, rng) for _ in range(6)]
+    failures = {"q5": 0, "mbia2": 0}
+    for Hm in mutants:
+        records = [(_record(check_quasihopf(Hm), "q5"), _ref_q5(Hm))]
+        # mbia2 assembles over Delta(h), which needs no zero column
+        if all(Hm.comul.cols.get(i) for i in range(Hm.dim)):
+            records.append((_record(check_dual_bimodule_algebra(
+                DualView(Hm)), "mbia2"), _ref_mbia2(DualView(Hm))))
+        for got, want in records:
+            assert got.as_dict() == want.as_dict()
+            failures[got.tag] += not got.passed
+    assert min(failures.values()) >= 10

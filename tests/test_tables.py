@@ -10,9 +10,10 @@ import random
 import pytest
 
 from qhopf import (CrossedHopfModule, DoiHopfModule, FinAlgebra, LegMul,
-                   LeftComoduleAlgebra, LeftModuleAlgebra, PrimeField, QQ,
-                   QuasiHopfAlgebra, RelativeHopfModule, RightComoduleAlgebra,
-                   RightModuleCoalgebra, Tensor, TwoSidedHopfModule,
+                   LeftComoduleAlgebra, LeftModuleAlgebra, LinearMap,
+                   PrimeField, QQ, QuasiHopfAlgebra, RelativeHopfModule,
+                   RightComoduleAlgebra, RightModuleCoalgebra, Tensor,
+                   TwoSidedHopfModule,
                    BimoduleCoalgebra, canonical_bicomodule,
                    canonical_bimodule_coalgebra, canonical_first_module,
                    canonical_left_comodule, canonical_module_coalgebra,
@@ -26,8 +27,9 @@ from qhopf import (CrossedHopfModule, DoiHopfModule, FinAlgebra, LegMul,
                    crossed_comodule_algebra, crossed_from_doi,
                    cyclic_right_submodule, doi_from_algebra_module,
                    dual_module_algebra, generalized_smash,
-                   hhop_module_coalgebra, quasi_smash, seeded_cyclic_module,
-                   smash_product, verify_canonical_modules)
+                   hhop_module_coalgebra, module_isomorphism, mul_legs,
+                   quasi_smash, seeded_cyclic_module, smash_product,
+                   verify_canonical_modules)
 from qhopf.report import VerificationReport
 
 from test_report import _mutant
@@ -99,6 +101,21 @@ def _ref_left_module_algebra(ma, rep):
     rep.check_quantified(
         "module-unit", ((a,) for a in range(n)),
         lambda a: (ma.act(H.unit(), ma.e(a)), ma.e(a)))
+    rep.check_quantified(
+        "ma1", ((a, b, c) for a in range(n) for b in range(n)
+                for c in range(n)),
+        lambda a, b, c: (
+            ma.mul(ma.mul(ma.e(a), ma.e(b)), ma.e(c)),
+            H.assemble(H.phi, lambda X1, X2, X3: ma.mul(
+                ma.act(H.e(X1), ma.e(a)),
+                ma.mul(ma.act(H.e(X2), ma.e(b)), ma.act(H.e(X3), ma.e(c)))))))
+    rep.check_quantified(
+        "ma2", ((i, a, b) for i in range(m) for a in range(n)
+                for b in range(n)),
+        lambda i, a, b: (
+            ma.act(H.e(i), ma.mul(ma.e(a), ma.e(b))),
+            H.assemble(H.delta(H.e(i)), lambda h1, h2: ma.mul(
+                ma.act(H.e(h1), ma.e(a)), ma.act(H.e(h2), ma.e(b))))))
 
 
 def _ref_right_module_coalgebra(mc, rep):
@@ -113,6 +130,15 @@ def _ref_right_module_coalgebra(mc, rep):
     rep.check_quantified(
         "module-unit", ((c,) for c in range(n)),
         lambda c: (mc.act(mc.e(c), H.unit()), mc.e(c)))
+    rep.check_quantified(
+        "rmc2", ((c, i) for c in range(n) for i in range(m)),
+        lambda c, i: (mc.delta(mc.act(mc.e(c), H.e(i))),
+                      mc.act_many(mc.delta(mc.e(c)), H.delta(H.e(i)))))
+    rep.check_quantified(
+        "rmc3", ((c, i) for c in range(n) for i in range(m)),
+        lambda c, i: (
+            Tensor.scalar(mc.eps(mc.act(mc.e(c), H.e(i))), H.field),
+            Tensor.scalar(mc.eps(mc.e(c)) * H.eps(H.e(i)), H.field)))
 
 
 def _ref_two_sided(M, rep):
@@ -142,11 +168,21 @@ def _ref_two_sided(M, rep):
     rep.check_quantified(
         "counit", ((m,) for m in range(n)),
         lambda m: (M.coact(M.e(m)).map_leg(1, H.counit), M.e(m)))
+    rep.check_quantified(
+        "left-colinear", ((i, m) for i in range(nH) for m in range(n)),
+        lambda i, m: (M.coact(M.lact(H.e(i), M.e(m))),
+                      mul_legs((M.left_action, H.leg()),
+                               H.delta(H.e(i)), M.coact(M.e(m)))))
+    rep.check_quantified(
+        "right-colinear", ((m, a) for m in range(n) for a in range(nA)),
+        lambda m, a: (M.coact(M.ract(M.e(m), ca.e(a))),
+                      mul_legs((M.right_action, H.leg()),
+                               M.coact(M.e(m)), ca.coact(ca.e(a)))))
 
 
 def _ref_relative(N, rep):
     qs, H = N.qs, N.H
-    n, nH = N.dim, H.dim
+    n, nH, nQ = N.dim, H.dim, qs.dim
     rep.check_quantified(
         "lmod-assoc", ((i, j, m) for i in range(nH) for j in range(nH)
                        for m in range(n)),
@@ -158,6 +194,33 @@ def _ref_relative(N, rep):
     rep.check_quantified(
         "rmod-unit", ((m,) for m in range(n)),
         lambda m: (N.ract(N.e(m), qs.unit()), N.e(m)))
+
+    # (X2 . u)(X3 . v) does not depend on m: formed once per call
+    factor = {}
+
+    def phi_factor(X2, X3, u, v):
+        key = (X2, X3, u, v)
+        if key not in factor:
+            factor[key] = qs.algebra.mul(qs.act(H.e(X2), qs.e(u)),
+                                         qs.act(H.e(X3), qs.e(v)))
+        return factor[key]
+
+    def quasi_assoc(m, u, v):
+        lhs = N.ract(N.ract(N.e(m), qs.e(u)), qs.e(v))
+        rhs = H.assemble(H.phi, lambda X1, X2, X3: N.ract(
+            N.lact(H.e(X1), N.e(m)), phi_factor(X2, X3, u, v)))
+        return lhs, rhs
+
+    rep.check_quantified(
+        "quasi-assoc", ((m, u, v) for m in range(n) for u in range(nQ)
+                        for v in range(nQ)), quasi_assoc)
+    rep.check_quantified(
+        "compat", ((i, m, u) for i in range(nH) for m in range(n)
+                   for u in range(nQ)),
+        lambda i, m, u: (
+            N.lact(H.e(i), N.ract(N.e(m), qs.e(u))),
+            H.assemble(H.delta(H.e(i)), lambda h1, h2: N.ract(
+                N.lact(H.e(h1), N.e(m)), qs.act(H.e(h2), qs.e(u))))))
 
 
 def _ref_bimodule_coalgebra(C, rep):
@@ -184,6 +247,16 @@ def _ref_bimodule_coalgebra(C, rep):
                     for j in range(m)),
         lambda i, c, j: (C.lact(H.e(i), C.ract(C.e(c), H.e(j))),
                          C.ract(C.lact(H.e(i), C.e(c)), H.e(j))))
+    rep.check_quantified(
+        "bmc2-left", ((i, c) for i in range(m) for c in range(n)),
+        lambda i, c: (C.delta(C.lact(H.e(i), C.e(c))),
+                      mul_legs((C.left_action,) * 2, H.delta(H.e(i)),
+                               C.delta(C.e(c)))))
+    rep.check_quantified(
+        "bmc2-right", ((c, i) for c in range(n) for i in range(m)),
+        lambda c, i: (C.delta(C.ract(C.e(c), H.e(i))),
+                      mul_legs((C.right_action,) * 2, C.delta(C.e(c)),
+                               H.delta(H.e(i)))))
 
 
 def _ref_doi_hopf(N, rep):
@@ -200,14 +273,44 @@ def _ref_doi_hopf(N, rep):
     rep.check_quantified(
         "dhm2", ((m,) for m in range(n)),
         lambda m: (N.coact(N.e(m)).map_leg(0, mc.counit), N.e(m)))
+    rep.check_quantified(
+        "dhm3", ((m, b) for m in range(n) for b in range(nB)),
+        lambda m, b: (N.coact(N.ract(N.e(m), cb.e(b))),
+                      mul_legs((mc.action, N.r_action),
+                               N.coact(N.e(m)), cb.coact(cb.e(b)))))
 
 
 def _ref_crossed(M, rep):
-    C = M.C
-    n = M.dim
+    ba, C, H, ts = M.ba, M.C, M.H, M.ts
+    n, nH, nA = M.dim, H.dim, ba.dim
     rep.check_quantified(
         "c-counit", ((m,) for m in range(n)),
         lambda m: (M.ccoact(M.e(m)).map_leg(0, C.counit), M.e(m)))
+    rep.check_quantified(
+        "tstc3", ((i, m) for i in range(nH) for m in range(n)),
+        lambda i, m: (M.ccoact(ts.lact(H.e(i), M.e(m))),
+                      mul_legs((C.left_action, ts.left_action),
+                               H.delta(H.e(i)), M.ccoact(M.e(m)))))
+    rep.check_quantified(
+        "tstc3b", ((m, a) for m in range(n) for a in range(nA)),
+        lambda m, a: (M.ccoact(ts.ract(M.e(m), ba.algebra.e(a))),
+                      mul_legs((C.right_action, ts.right_action),
+                               M.ccoact(M.e(m)),
+                               ba.left.coact(ba.algebra.e(a)))))
+
+
+def _ref_canonical_iso(parts, rep):
+    V, U, theta, ca = parts
+    H = ca.H
+    n, nH, nA = V.dim, H.dim, ca.dim
+    rep.check_quantified(
+        "iso-h-linear", ((i, m) for i in range(nH) for m in range(n)),
+        lambda i, m: (V.lact(H.e(i), V.e(m)).map_leg(0, theta),
+                      U.lact(H.e(i), theta.column(m))))
+    rep.check_quantified(
+        "iso-a-linear", ((m, a) for m in range(n) for a in range(nA)),
+        lambda m, a: (V.ract(V.e(m), ca.e(a)).map_leg(0, theta),
+                      U.ract(theta.column(m), ca.e(a))))
 
 
 def _old_is_associative(A):
@@ -328,13 +431,33 @@ def test_comodule_algebras(field, subgroup_comodule):
 
 @FIELDS
 def test_module_algebras_and_coalgebras(field):
-    """module-assoc and module-unit on mutants of the actions of a
-    module algebra (the quasi-smash product) and of module coalgebras."""
+    """module-assoc, module-unit, ma1 and ma2 on mutants of the actions
+    of two module algebras (the quasi-smash product over H, and H* over
+    H (x) H^op, whose reassociator is not trivial either) and on
+    mutants of the comultiplication of H, which make it not
+    cocommutative; and module-assoc, module-unit, rmc2 and rmc3 on
+    mutants of the actions of module coalgebras."""
     failures = 0
     H = _field_corpus(field)["z2_quasi"]
     qs = quasi_smash(canonical_right_comodule(H))
-    for act in _mutants(qs.action, 6):
-        ma = LeftModuleAlgebra(H, qs.algebra, act, name=qs.name)
+    dual = dual_module_algebra(hhop_module_coalgebra(
+        canonical_bimodule_coalgebra(H), H.tensor_with(H.opposite())))
+    for base, seed in ((qs, 6), (dual, 2)):
+        for act in _mutants(base.action, seed):
+            ma = LeftModuleAlgebra(base.H, base.algebra, act, name=base.name)
+            failures += _assert_matches(check_left_module_algebra(ma),
+                                        _ref_left_module_algebra, ma)
+    # and e (x) g - g (x) e added to Delta(g): counital still, so ma2
+    # holds on the unit and first fails where h1 and h2 meet a and b
+    one = field.one()
+    skew = {k: dict(v) for k, v in H.comul.cols.items()}
+    skew[1][(0, 1)] = skew[1].get((0, 1), field.zero()) + one
+    skew[1][(1, 0)] = skew[1].get((1, 0), field.zero()) - one
+    for comul in [*_mutants(H.comul, 11, trials=4),
+                  LinearMap(H.basis, H.comul.codomain, skew, field)]:
+        Hm = QuasiHopfAlgebra(H.algebra, comul, H.counit, H.phi, H.antipode,
+                              H.alpha, H.beta, H.phi_inv, name=H.name)
+        ma = LeftModuleAlgebra(Hm, qs.algebra, qs.action, name=qs.name)
         failures += _assert_matches(check_left_module_algebra(ma),
                                     _ref_left_module_algebra, ma)
     for key in ("z3", "z2"):
@@ -344,14 +467,14 @@ def test_module_algebras_and_coalgebras(field):
                                       act, name=mc.name)
             failures += _assert_matches(check_right_module_coalgebra(mm),
                                         _ref_right_module_coalgebra, mm)
-    assert failures >= 12
+    assert failures >= 28
 
 
 @FIELDS
 def test_two_sided_and_relative_modules(field, subgroup_comodule):
-    """The six converted checks of a two-sided Hopf module on mutants of
-    both actions and the coaction (over z2_quasi, and over k<a> in
-    z2z2, where the comodule algebra is not H), and the three of a
+    """The eight converted checks of a two-sided Hopf module on mutants
+    of both actions and the coaction (over z2_quasi, and over k<a> in
+    z2z2, where the comodule algebra is not H), and the five of a
     relative Hopf module on mutants of both actions."""
     failures = 0
     H = _field_corpus(field)["z2_quasi"]
@@ -381,9 +504,29 @@ def test_two_sided_and_relative_modules(field, subgroup_comodule):
 
 
 @FIELDS
+def test_canonical_module_isomorphism(field, subgroup_comodule, monkeypatch):
+    """iso-h-linear and iso-a-linear on mutants of theta, the map
+    between the canonical modules A (x) H and H (x) A, over z2_quasi and
+    over k<a> in z2z2."""
+    import qhopf.hopfmod as hopfmod
+    failures = 0
+    H = _field_corpus(field)["z2_quasi"]
+    for ca in (canonical_right_comodule(H), subgroup_comodule(field)):
+        V, U = canonical_first_module(ca), canonical_second_module(ca)
+        theta, theta_inv = module_isomorphism(ca)
+        for g in _mutants(theta, 10):
+            monkeypatch.setattr(hopfmod, "module_isomorphism",
+                                lambda _, g=g: (g, theta_inv))
+            failures += _assert_matches(verify_canonical_modules(ca),
+                                        _ref_canonical_iso, (V, U, g, ca))
+    assert failures >= 16
+
+
+@FIELDS
 def test_bimodule_coalgebra(field):
-    """lmod-assoc, rmod-assoc, lmod-unit, rmod-unit and commute on
-    mutants of both actions of a bimodule coalgebra."""
+    """lmod-assoc, rmod-assoc, lmod-unit, rmod-unit, commute, bmc2-left
+    and bmc2-right on mutants of both actions of a bimodule
+    coalgebra."""
     failures = 0
     C = canonical_bimodule_coalgebra(_field_corpus(field)["z2_quasi"])
     for name in ("l", "r"):
@@ -400,9 +543,9 @@ def test_bimodule_coalgebra(field):
 
 @FIELDS
 def test_doi_hopf_and_crossed_modules(field):
-    """rmod-assoc, rmod-unit and dhm2 of a Doi-Hopf module on mutants of
-    its action and coaction, and c-counit of a crossed Hopf module on
-    mutants of its coalgebra coaction."""
+    """rmod-assoc, rmod-unit, dhm2 and dhm3 of a Doi-Hopf module on
+    mutants of its action and coaction, and c-counit, tstc3 and tstc3b
+    of a crossed Hopf module on mutants of its coalgebra coaction."""
     H = _field_corpus(field)["z2"]
     ba = canonical_bicomodule(H)
     C = canonical_bimodule_coalgebra(H)
