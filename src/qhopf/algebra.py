@@ -84,48 +84,69 @@ def _lift_rows(field: Field, table):
     return {key: tuple(v) for key, v in rows.items()}, den
 
 
-def _leg_sum(acc, gets, xs, ys) -> None:
-    """Add the leg-wise products of xs and ys into acc: xs and ys are
-    (multi-index, numerator) pairs, ys a sequence, and leg r of each
-    product is read by gets[r] from its lifted rows. A structure constant
-    equal to one is not multiplied in: the constants of group-like bases
-    are all one."""
-    if len(gets) == 1:
-        get = gets[0]
-        for (i,), cx in xs:
-            for (j,), cy in ys:
+def _nest(terms: Dict, levels: int) -> Dict:
+    """terms (multi-index -> numerator) nested by the first `levels`
+    legs: nest[i_0]...[i_{levels-1}] is a dict keyed by the rest of the
+    multi-index."""
+    root: Dict = {}
+    for idx, c in terms.items():
+        node = root
+        for i in idx[:levels]:
+            node = node.setdefault(i, {})
+        node[idx[levels:]] = c
+    return root
+
+
+def _leg_sum(acc, gets, xs: Dict, ys: Dict) -> None:
+    """Add the leg-wise products of xs and ys into acc: xs and ys map
+    multi-indices to numerators, and leg r of each product is read by
+    gets[r] from its lifted rows.
+
+    The product is staged leg by leg, as a contraction path of one leg
+    at a time. Both operands are nested by their legs but the last
+    (_nest). Leg r's structure constants are read once per pair of an
+    x-prefix and a y-prefix of r + 1 indices, and each such pair carries
+    its output prefix and the product of the constants read so far on to
+    leg r + 1. The last leg runs one tight loop per pair of prefixes; a
+    structure constant equal to one is not multiplied in there, since
+    the constants of group-like bases are all one. With no legs, the
+    product of the two scalars is added under the key ()."""
+    if not gets:
+        acc[()] = acc.get((), 0) + sum(xs.values()) * sum(ys.values())
+        return
+    levels = len(gets) - 1
+    if levels:
+        xs, ys = _nest(xs, levels), _nest(ys, levels)
+    frames = [((), 1, xs, ys)]
+    for get in gets[:levels]:
+        staged = []
+        for prefix, c, xn, yn in frames:
+            for i, xsub in xn.items():
+                for j, ysub in yn.items():
+                    for k, s in get((i, j), ()):
+                        staged.append((prefix + (k,), c * s, xsub, ysub))
+        frames = staged
+    get = gets[levels]
+    for prefix, c, xn, yn in frames:
+        for (i,), cx in xn.items():
+            cx *= c
+            for (j,), cy in yn.items():
                 v = get((i, j))
                 if v is not None:
                     c0 = cx * cy
                     for k, s in v:
-                        idx = (k,)
+                        idx = prefix + (k,)
                         acc[idx] = acc.get(idx, 0) + (c0 if s == 1 else c0 * s)
-        return
-    for xi, cx in xs:
-        for yi, cy in ys:
-            vecs = []
-            for get, i, j in zip(gets, xi, yi):
-                v = get((i, j))
-                if v is None:
-                    break
-                vecs.append(v)
-            else:
-                c0 = cx * cy
-                for combo in itertools.product(*vecs):
-                    idx = tuple([k for k, _ in combo])
-                    c = c0
-                    for _, s in combo:
-                        if s != 1:
-                            c *= s
-                    acc[idx] = acc.get(idx, 0) + c
 
 
 def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     """Leg-wise product: leg i of the result is the pairing legs[i]
     applied to leg i of x and leg i of y, summed bilinearly.
 
-    The sum runs over the lifted (integer) forms of x, y and the tables
-    and is lowered once per output entry (_leg_sum)."""
+    The sum runs over the lifted (integer) forms of x, y and the tables,
+    staged one leg at a time (_leg_sum): leg r's structure constants are
+    read once per pair of index prefixes of x and y, not once per pair
+    of terms. It is lowered once per output entry."""
     field = x.field
     if len(x.spaces) != len(legs) or len(y.spaces) != len(legs):
         raise ValueError("leg count mismatch")
@@ -148,7 +169,7 @@ def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
         gets.append(rows.get)
         den *= dt
     acc = {}
-    _leg_sum(acc, gets, xs.items(), list(ys.items()))
+    _leg_sum(acc, gets, xs, ys)
     out.data = field.lower(acc, den)
     return out
 
@@ -425,6 +446,53 @@ def _lift_map(f: LinearMap):
             for k, row in rows.items()}, den
 
 
+def _sweedler_chain(mult: LegMul, source: Tensor, maps: Sequence[LinearMap],
+                    zs: Sequence[Tensor]) -> Tensor:
+    """The sum of c f_0(e_{i_0}) z_0 f_1(e_{i_1}) z_1 ... f_k(e_{i_k})
+    over the terms c e_{i_0} (x) ... (x) e_{i_k} of source, multiplied
+    left to right by mult: f_r is maps[r], a map with one codomain leg
+    (the antipode, or LinearMap.identity), and z_r is the one-leg tensor
+    zs[r], one fewer than maps. The partial product up to z_r is formed
+    once per prefix (i_0, ..., i_r) of the terms, over the lifted table
+    (_mul), maps (_lift_map) and zs (_lift_vector), and the sum is
+    lowered once. An empty source gives zero."""
+    field = source.field
+    if len(source.spaces) != len(maps) or len(zs) != len(maps) - 1:
+        raise ValueError("a chain needs one map per leg and one element "
+                         "between each two")
+    rows, dt = mult.lifted()
+    num, den = field.lift(source.data)
+    den *= dt ** (2 * len(zs))
+    fs, lz = [], []
+    for f in maps:
+        cols, d = _lift_map(f)
+        fs.append(cols)
+        den *= d
+    for z in zs:
+        vec, d = _lift_vector(z)
+        lz.append(vec)
+        den *= d
+    frames = [(None, _nest(num, len(maps)))]
+    for r, cols in enumerate(fs):
+        staged = []
+        for vec, node in frames:
+            for i, sub in node.items():
+                part = cols.get(i, ())
+                if vec is not None:
+                    part = _pairs(_mul(rows, vec, part))
+                if r < len(lz):
+                    part = _pairs(_mul(rows, part, lz[r]))
+                if part:
+                    staged.append((part, sub))
+        frames = staged
+    acc: Dict = {}
+    for vec, sub in frames:
+        c = sub[()]
+        for k, n in vec:
+            acc[(k,)] = acc.get((k,), 0) + c * n
+    return Tensor((mult.out,), field.lower(acc, den), field)
+
+
 def _transpose(table) -> Dict:
     """A table of sparse rows (key -> {index: value}) regrouped by index:
     index -> {key: value}. The transpose of a comultiplication is the
@@ -578,6 +646,7 @@ def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
     (F, df), (P, dp) = _lift_rows(f.field, f.cols), mult.lifted()
     (Lf, dlf), (Rf, drf) = (_lift_rows(f.field, (g or f).cols)
                             for g in (left, right))
+    Lf, Rf = ({i: dict(row) for i, row in rows.items()} for rows in (Lf, Rf))
     gets, dl = [], 1
     for leg in legs:
         rows, d = leg.lifted()
@@ -589,7 +658,7 @@ def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
         _apply(acc, (i, j), F.get, xs, 0)
 
     def rhs(acc, i, j):
-        x, y = Lf.get(i, ()), Rf.get(j, ())
+        x, y = Lf.get(i, {}), Rf.get(j, {})
         part = {}
         _leg_sum(part, gets, *((y, x) if anti else (x, y)))
         for idx, n in part.items():

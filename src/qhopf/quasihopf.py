@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Optional
 
-from .algebra import (FinAlgebra, LegMul, _transpose,
+from .algebra import (FinAlgebra, LegMul, _sweedler_chain, _transpose,
                       invert_in_tensor_algebra, invert_linear_map, mul_legs,
                       multiplicative, tensor_unit)
 from .fields import Field
@@ -342,25 +342,22 @@ def check_quasihopf(H: QuasiHopfAlgebra) -> VerificationReport:
     except ValueError:
         rep.check_bool("antipode-bijective", False)
 
+    S, ident = H.antipode, LinearMap.identity(H.basis, H.field)
+
     def q5(i):
         h = H.e(i)
         d = H.delta(h)
         eh = H.eps(h)
-        rhs = (H.alpha.scale(eh), H.beta.scale(eh))
-        if not d.data:
-            # a comultiplication with a zero column: both sums are empty
-            zero = Tensor.zero((H.basis,), H.field)
-            return _both(zero, zero, *rhs)
-        lhs_a = H.assemble(d, lambda a, b: H.mul(H.S(H.e(a)), H.alpha, H.e(b)))
-        lhs_b = H.assemble(d, lambda a, b: H.mul(H.e(a), H.beta, H.S(H.e(b))))
-        return _both(lhs_a, lhs_b, *rhs)
+        return _both(_sweedler_chain(H.leg(), d, (S, ident), (H.alpha,)),
+                     _sweedler_chain(H.leg(), d, (ident, S), (H.beta,)),
+                     H.alpha.scale(eh), H.beta.scale(eh))
 
     rep.check_quantified("q5", ((i,) for i in range(n)), q5)
 
-    q6_a = H.assemble(H.phi, lambda a, b, c: H.mul(
-        H.e(a), H.beta, H.S(H.e(b)), H.alpha, H.e(c)))
-    q6_b = H.assemble(H.phi_inv, lambda a, b, c: H.mul(
-        H.S(H.e(a)), H.alpha, H.e(b), H.beta, H.S(H.e(c))))
+    q6_a = _sweedler_chain(H.leg(), H.phi, (ident, S, ident),
+                           (H.beta, H.alpha))
+    q6_b = _sweedler_chain(H.leg(), H.phi_inv, (S, ident, S),
+                           (H.alpha, H.beta))
     rep.check_equal("q6", *_both(q6_a, q6_b, one, one))
 
     rep.check_quantified(
@@ -430,8 +427,10 @@ def twist(H: QuasiBialgebra, F: Tensor) -> QuasiBialgebra:
     name = H.name + "_F"
     hopf = isinstance(H, QuasiHopfAlgebra)
     if hopf:
-        alpha_F = H.assemble(F_inv, lambda a, b: H.mul(H.S(H.e(a)), H.alpha, H.e(b)))
-        beta_F = H.assemble(F, lambda a, b: H.mul(H.e(a), H.beta, H.S(H.e(b))))
+        ident = LinearMap.identity(H.basis, H.field)
+        alpha_F = _sweedler_chain(H.leg(), F_inv, (H.antipode, ident),
+                                  (H.alpha,))
+        beta_F = _sweedler_chain(H.leg(), F, (ident, H.antipode), (H.beta,))
     try:
         if not hopf:
             return QuasiBialgebra(H.algebra, comul_F, H.counit, phi_F,
@@ -807,9 +806,13 @@ def check_dual_bimodule_algebra(dual: DualView) -> VerificationReport:
         h, phi, psi = H.e(i), dual.dual_e(a), dual.dual_e(b)
         d = H.delta(h)
         lhs1 = dual.hit_l(h, dual.convolve(phi, psi))
+        lhs2 = dual.hit_r(dual.convolve(phi, psi), h)
+        if not d.data:
+            # Delta(h) = 0: both Sweedler sums are empty, so zero
+            zero = Tensor.zero((dual.basis,), H.field)
+            return _both(lhs1, lhs2, zero, zero)
         rhs1 = H.assemble(d, lambda h1, h2: dual.convolve(
             dual.hit_l(H.e(h1), phi), dual.hit_l(H.e(h2), psi)))
-        lhs2 = dual.hit_r(dual.convolve(phi, psi), h)
         rhs2 = H.assemble(d, lambda h1, h2: dual.convolve(
             dual.hit_r(phi, H.e(h1)), dual.hit_r(psi, H.e(h2))))
         return _both(lhs1, lhs2, rhs1, rhs2)

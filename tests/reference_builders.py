@@ -24,10 +24,18 @@ and in the tests that form these tables keep them.
 
 tests/test_lifted_builders.py checks the builders of the package
 against them.
+
+Per-pair kernels: _leg_sum as it was before it was staged leg by leg,
+one itertools.product combination and one index tuple per pair of
+terms, and the H.assemble chains of q5, q6 and twist's alpha_F and
+beta_F (antipode_chains) as they were before _sweedler_chain formed
+them on lifted tables. tests/test_staged_kernels.py checks the package's
+kernels against them.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Tuple
 
 from qhopf.algebra import (FinAlgebra, LegMul, _clean_table, _transpose,
@@ -40,7 +48,7 @@ from qhopf.doihopf import (BimoduleCoalgebra, CrossedHopfModule,
 from qhopf.hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
                            smash_action_from_two_sided, smash_index)
 from qhopf.products import ProductAlgebra, QuasiSmash
-from qhopf.quasihopf import DualView, QuasiBialgebra
+from qhopf.quasihopf import DualView, QuasiBialgebra, QuasiHopfAlgebra
 from qhopf.tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
@@ -788,3 +796,60 @@ def left_hit(ca: LeftComoduleAlgebra, b: Tensor, phi: Tensor) -> Tensor:
     """The induced right action of a functional: b <| phi, pairing phi
     against the H-leg of lam(b)."""
     return pair_legs(phi.tensor(ca.coact(b)), 0, 1)
+
+
+# ----------------------------------------------------------------------
+# per-pair kernels
+
+
+def _leg_sum(acc, gets, xs, ys) -> None:
+    """Add the leg-wise products of xs and ys into acc: xs and ys are
+    (multi-index, numerator) pairs, ys a sequence, and leg r of each
+    product is read by gets[r] from its lifted rows. A structure constant
+    equal to one is not multiplied in: the constants of group-like bases
+    are all one."""
+    if len(gets) == 1:
+        get = gets[0]
+        for (i,), cx in xs:
+            for (j,), cy in ys:
+                v = get((i, j))
+                if v is not None:
+                    c0 = cx * cy
+                    for k, s in v:
+                        idx = (k,)
+                        acc[idx] = acc.get(idx, 0) + (c0 if s == 1 else c0 * s)
+        return
+    for xi, cx in xs:
+        for yi, cy in ys:
+            vecs = []
+            for get, i, j in zip(gets, xi, yi):
+                v = get((i, j))
+                if v is None:
+                    break
+                vecs.append(v)
+            else:
+                c0 = cx * cy
+                for combo in itertools.product(*vecs):
+                    idx = tuple([k for k, _ in combo])
+                    c = c0
+                    for _, s in combo:
+                        if s != 1:
+                            c *= s
+                    acc[idx] = acc.get(idx, 0) + c
+
+
+def antipode_chains(H: QuasiHopfAlgebra, source: Tensor, which: str) -> Tensor:
+    """One of the sums that _sweedler_chain forms, over the terms of
+    source, by H.assemble of one-term H.mul chains: "S-alpha" is
+    sum S(a) alpha b (q5, alpha_F), "beta-S" sum a beta S(b) (q5,
+    beta_F), "q6-phi" sum a beta S(b) alpha c and "q6-phi-inv"
+    sum S(a) alpha b beta S(c)."""
+    builders = {
+        "S-alpha": lambda a, b: H.mul(H.S(H.e(a)), H.alpha, H.e(b)),
+        "beta-S": lambda a, b: H.mul(H.e(a), H.beta, H.S(H.e(b))),
+        "q6-phi": lambda a, b, c: H.mul(
+            H.e(a), H.beta, H.S(H.e(b)), H.alpha, H.e(c)),
+        "q6-phi-inv": lambda a, b, c: H.mul(
+            H.S(H.e(a)), H.alpha, H.e(b), H.beta, H.S(H.e(c))),
+    }
+    return H.assemble(source, builders[which])

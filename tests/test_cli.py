@@ -1,9 +1,12 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
-from qhopf import (FinAlgebra, LegMul, LinearMap, QuasiHopfAlgebra, cli,
-                   cyclic_group_algebra, specfile as sf)
+from qhopf import (FinAlgebra, LegMul, LinearMap, PrimeField, QQ,
+                   QuasiHopfAlgebra, Tensor, cli, cyclic_group_algebra,
+                   specfile as sf)
 
 
 def run(capsys, *argv):
@@ -299,3 +302,82 @@ def test_comul_with_zero_column_exits_1(corpus_dir, tmp_path, capsys, argv):
     assert checks["comul-hom"]["passed"] is False
     assert checks["comul-hom"]["counterexample"]["inputs"] == [1, 1]
     assert checks["q5"]["passed"] is False
+
+
+def test_dual_algebra_with_zero_comul_column_exits_1(corpus_dir, tmp_path,
+                                                     capsys):
+    # k[Z/3] with the comul rows of g removed, as above: the convolution
+    # on H* stays associative (mbia1), but Delta(g) = 0 makes both
+    # Sweedler sums of mbia2 at h = g empty, so zero, while
+    # g -> (e^1 e^1) = e^{g^2} is not
+    doc = json.loads((corpus_dir / "z3.json").read_text())
+    doc["data"]["comul"] = [r for r in doc["data"]["comul"] if r[0] != 1]
+    bad = tmp_path / "zero-column.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "dual-algebra", str(bad))
+    assert code == 1
+    assert err == ""
+    checks = {c["tag"]: c for c in json.loads(out)["checks"]}
+    assert checks["mbia1"]["passed"] is True
+    assert checks["mbia2"]["passed"] is False
+    assert checks["mbia2"]["counterexample"]["inputs"] == [1, 0, 0]
+
+
+# Fixed counital gauge twists F = 1 (x) 1 + x (x) y of k[Z/m], as the
+# coefficients of x and y on the group basis; F is invertible over Q and
+# over GF(7).
+FIXED_TWISTS = {3: ((-1, 1, 0), (-2, 1, 1)),
+                4: ((1, -2, 0, 1), (-1, 1, 1, -1))}
+
+# sha256 of the spec file `qhopf twist` writes and of the report `qhopf
+# check` prints on it, recorded before mul_legs was staged leg by leg and
+# before q5, q6 and the twisted alpha and beta became lifted antipode
+# chains; the inputs are read by relative path, so the provenance in each
+# written file names the same inputs on every run
+TWIST_SHA256 = {
+    "Q": {
+        3: ("9b9f2abe2770cb9d72235dabf9990735"
+            "0993f470cc591ea1df4aebcfc3ed0717",
+            "7408823dcc0a6b7d1f994c6a0d7d83bb"
+            "9ffc6c54560856f3d2539cd68b00d1f9"),
+        4: ("048349677f4e2389f073e32c59ad07a8"
+            "98aa7416cd2e7a0cdc7ed0ae35f86d84",
+            "569b6702324d26d5abd16cf52f8811c7"
+            "c056692d88b7ae99d8f0e3eb573fa224"),
+    },
+    "GF7": {
+        3: ("fdee27abbdf9f7b34464c90745f70bdd"
+            "90ab0c9c3f2b1edae19e308cb9d91550",
+            "4aa8ebcbf4aaff290120447227592ae9"
+            "6eb8a463f60deedffd10acb8390b7fc1"),
+        4: ("2c1988d264eaa33bb0c2de16cc568fe4"
+            "d82b7d1c3cb4ef2411df6865f17ae046",
+            "aa31e2fe186aec7361c9c85fe4e07c39"
+            "2b639675f23b4376d8229fec77497d22"),
+    },
+}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_twist_files_unchanged(field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for m, coeffs in sorted(FIXED_TWISTS.items()):
+        H = cyclic_group_algebra(m, field)
+        x, y = (Tensor((H.basis,), {(i,): field.from_int(c)
+                                    for i, c in enumerate(v)}, field)
+                for v in coeffs)
+        F = H.unit().tensor(H.unit()) + x.tensor(y)
+        pathlib.Path("m%d.json" % m).write_text(
+            sf.serialize(sf.quasihopf_to_doc(H)))
+        pathlib.Path("m%d-F.json" % m).write_text(
+            sf.serialize(sf.twist_to_doc(H, F)))
+        out = "m%d-HF.json" % m
+        code, _, err = run(capsys, "twist", "m%d.json" % m, "m%d-F.json" % m,
+                           "--out", out)
+        assert (code, err) == (0, "")
+        code, report, err = run(capsys, "check", out)
+        assert (code, err) == (0, "")
+        digests[m] = tuple(hashlib.sha256(data).hexdigest() for data in (
+            pathlib.Path(out).read_bytes(), report.encode("utf-8")))
+    assert digests == TWIST_SHA256["Q" if field == QQ else "GF7"]

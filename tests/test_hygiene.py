@@ -390,6 +390,32 @@ def test_from_function_call_is_counted():
     assert named_calls(source, "from_function") == 2
 
 
+# assemble call sites (QuasiBialgebra.assemble, a sum of one builder
+# result per term of a source tensor) per module, as counted when q5, q6
+# and twist's alpha_F and beta_F became lifted antipode chains
+# (algebra._sweedler_chain); quasihopf.py had 49 before. A new Sweedler
+# sum either contracts lifted tables or raises its module's number here,
+# in plain sight.
+ASSEMBLE_CALLS = {"coact.py": 12, "doihopf.py": 4, "hopfmod.py": 8,
+                  "products.py": 2, "quasihopf.py": 43}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_assemble_calls_do_not_grow(path):
+    count = named_calls(path.read_text(encoding="utf-8"), "assemble")
+    assert count <= ASSEMBLE_CALLS.get(path.name, 0)
+
+
+def test_assemble_call_is_counted():
+    source = ("class QuasiBialgebra:\n"
+              "    def assemble(self, source, builder):\n"
+              "        return builder(0)\n"
+              "def q5(H, d):\n"
+              "    a = H.assemble(d, lambda a, b: H.mul(H.e(a), H.e(b)))\n"
+              "    return a, assemble(d, f), H.assemble\n")
+    assert named_calls(source, "assemble") == 2
+
+
 def field_zero_calls(source: str):
     """Line of each call of a method named zero, other than Tensor.zero.
     The product builders of products.py sum lifted int numerators; a

@@ -172,13 +172,19 @@ RELATIVE = ("h_action", "r_action")
 
 
 @FIELDS
-@pytest.mark.parametrize("key", ("z2_quasi", "z3", "klein"))
-def test_hopf_module_functors_match_reference(key, field, subgroup_comodule):
+@pytest.mark.parametrize("key", ("z2_quasi", "z3", "klein", "nongroup"))
+def test_hopf_module_functors_match_reference(key, field, subgroup_comodule,
+                                              nongroup):
     """The four functors of hopfmod.py that restrict an action, on a
     canonical module, a regular and a seeded cyclic smash module, and
-    modules with one action coefficient raised (not modules)."""
-    ca = subgroup_comodule(field) if key == "klein" else \
-        canonical_right_comodule(corpus(field)[key])
+    modules with one action coefficient raised (not modules). On k[Z/3]
+    in a non-group basis (nongroup) the antipode matrix is not
+    symmetric, so reading e^i o S as a column of it shows."""
+    if key == "klein":
+        ca = subgroup_comodule(field)
+    else:
+        ca = canonical_right_comodule(
+            nongroup(field) if key == "nongroup" else corpus(field)[key])
     qs = quasi_smash(ca)
     sm = smash_product(qs)
     V = canonical_first_module(ca)

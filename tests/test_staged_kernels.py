@@ -1,0 +1,192 @@
+"""The staged leg-by-leg _leg_sum (under mul_legs and multiplicative) and
+the lifted antipode chains of _sweedler_chain against the per-pair
+kernels they replace (reference_builders.py), over Q with non-integral
+coefficients and over GF(7): on random sparse and dense tensors of 0 to
+4 legs that mix algebra legs of several dimensions with actions, on the
+corpus, on gauge twists and on k[Z/3] in a non-group basis, whose
+structure constants are not all one and whose antipode matrix is not
+symmetric."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_builders as ref
+from qhopf import (Basis, LegMul, LinearMap, PrimeField, QQ, Tensor,
+                   canonical_right_comodule, corpus, invert_in_tensor_algebra,
+                   is_gauge, mul_legs, twist)
+from qhopf import algebra
+from qhopf.algebra import _sweedler_chain, multiplicative
+
+FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
+                                 ids=("Q", "GF7"))
+
+
+def _per_pair(acc, gets, xs, ys):
+    """The reference _leg_sum in the calling form of the staged one."""
+    ref._leg_sum(acc, gets, xs.items(), list(ys.items()))
+
+
+def _scalar(field, rng):
+    """A nonzero scalar: a fraction with a denominator up to 6 over Q,
+    a residue over GF(p)."""
+    while True:
+        c = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if field == QQ
+             else field.from_int(rng.randrange(field.p)))
+        if c:
+            return c
+
+
+def _random_leg(field, rng, dims, tag):
+    """A pairing of bases of dims (left, right, out) with a random
+    table: several entries per row, scalars other than one."""
+    left, right, out = (
+        Basis(tuple("%s%s%d" % (tag, side, i) for i in range(d)), tag + side)
+        for side, d in zip("lro", dims))
+    table = {}
+    for i in range(dims[0]):
+        for j in range(dims[1]):
+            row = {k: _scalar(field, rng) for k in range(dims[2])
+                   if rng.random() < 0.6}
+            if row:
+                table[(i, j)] = row
+    return LegMul(left, right, out, table, field)
+
+
+def _leg_pool(field, nongroup):
+    """Legs to mix: small ones (dense operands stay small on them) and
+    large ones, the algebras of z2, z3, s3 and k[Z/3] in a non-group
+    basis, the action of s3 on its dual and random pairings."""
+    rng = random.Random(5)
+    H = corpus(field)
+    small = [H["z2"].leg(), H["z3"].leg(), nongroup(field).leg(),
+             _random_leg(field, rng, (2, 3, 2), "p"),
+             _random_leg(field, rng, (3, 2, 3), "q")]
+    large = [H["s3"].leg(), H["s3"].dual.hit_l_leg]
+    return small, large
+
+
+def _random_tensor(field, rng, spaces, dense):
+    idx = list(itertools.product(*(range(b.dim) for b in spaces)))
+    keys = idx if dense else rng.sample(idx, min(len(idx),
+                                                 rng.randint(1, 6)))
+    return Tensor(spaces, {k: _scalar(field, rng) for k in keys}, field)
+
+
+@FIELDS
+@pytest.mark.parametrize("dense", (False, True), ids=("sparse", "dense"))
+@pytest.mark.parametrize("nlegs", (0, 1, 2, 3, 4))
+def test_staged_mul_legs_matches_per_pair(field, nlegs, dense, nongroup,
+                                          monkeypatch):
+    small, large = _leg_pool(field, nongroup)
+    rng = random.Random(100 * nlegs + dense)
+    cases = []
+    for _ in range(12):
+        pool = small if dense else small + large
+        legs = tuple(rng.choice(pool) for _ in range(nlegs))
+        cases.append((legs, _random_tensor(
+            field, rng, tuple(leg.left for leg in legs), dense),
+            _random_tensor(field, rng, tuple(leg.right for leg in legs),
+                           dense)))
+    staged = [mul_legs(*case) for case in cases]
+    monkeypatch.setattr(algebra, "_leg_sum", _per_pair)
+    for case, got in zip(cases, staged):
+        want = mul_legs(*case)
+        assert got.spaces == want.spaces
+        assert got.data == want.data
+
+
+def _sides(pair):
+    """Every slice of both tables of a side-builder."""
+    return [[table.part(i) for i in range(table.dims[0])] for table in pair]
+
+
+@FIELDS
+def test_multiplicative_matches_per_pair(field, nongroup, subgroup_comodule,
+                                         monkeypatch):
+    """counit-hom (no legs), comul-hom, antipode-antihom (anti) and a
+    coaction that is an algebra map, whose legs are a two-dimensional
+    comodule algebra beside H."""
+    cases = []
+    for H in list(corpus(field).values()) + [nongroup(field)]:
+        ca = canonical_right_comodule(H)
+        cases += [(H.counit, H.leg(), ()),
+                  (H.comul, H.leg(), (H.leg(), H.leg())),
+                  (H.antipode, H.leg(), (H.leg(),), True),
+                  (ca.coaction, ca.algebra.as_leg(),
+                   (ca.algebra.as_leg(), H.leg()))]
+    ka = subgroup_comodule(field)
+    cases.append((ka.coaction, ka.algebra.as_leg(),
+                  (ka.algebra.as_leg(), ka.H.leg())))
+    staged = [_sides(multiplicative(*case)) for case in cases]
+    monkeypatch.setattr(algebra, "_leg_sum", _per_pair)
+    for case, got in zip(cases, staged):
+        assert got == _sides(multiplicative(*case))
+
+
+def _gauge_twist(H, rng):
+    """A counital gauge twist F = 1 (x) 1 + x (x) y with eps(x) =
+    eps(y) = 0 and random (over Q non-integral) coefficients."""
+    field = H.field
+    eps = [H.eps(H.e(i)) for i in range(H.dim)]
+    k = next(i for i in range(H.dim) if eps[i])
+    one = H.unit()
+    while True:
+        vecs = []
+        for _ in range(2):
+            c = {i: _scalar(field, rng) for i in range(H.dim) if i != k}
+            c[k] = -sum((c[i] * eps[i] for i in c), field.zero()) / eps[k]
+            vecs.append(Tensor((H.basis,), {(i,): v for i, v in c.items()
+                                            if v}, field))
+        F = one.tensor(one) + vecs[0].tensor(vecs[1])
+        if is_gauge(H, F):
+            return F
+
+
+def _chain_subjects(field, nongroup):
+    """The corpus, k[Z/3] in a non-group basis and two gauge twists of
+    each of z3, s3 and the non-group k[Z/3]."""
+    rng = random.Random(11)
+    H = corpus(field)
+    subjects = list(H.values()) + [nongroup(field)]
+    for base in (H["z3"], H["s3"], nongroup(field)):
+        subjects += [twist(base, _gauge_twist(base, rng)) for _ in range(2)]
+    return subjects
+
+
+@FIELDS
+def test_sweedler_chain_matches_assemble(field, nongroup):
+    """q5's two sums on every Delta(e_i), q6's two sums and the alpha_F,
+    beta_F of twists, against the H.assemble chains they replace."""
+    rng = random.Random(13)
+    for H in _chain_subjects(field, nongroup):
+        S, ident = H.antipode, LinearMap.identity(H.basis, field)
+        sums = []
+        for i in range(H.dim):
+            d = H.delta(H.e(i))
+            sums += [((S, ident), (H.alpha,), d, "S-alpha"),
+                     ((ident, S), (H.beta,), d, "beta-S")]
+        sums += [((ident, S, ident), (H.beta, H.alpha), H.phi, "q6-phi"),
+                 ((S, ident, S), (H.alpha, H.beta), H.phi_inv,
+                  "q6-phi-inv")]
+        for maps, zs, source, which in sums:
+            assert _sweedler_chain(H.leg(), source, maps, zs) == \
+                ref.antipode_chains(H, source, which), (H.name, which)
+        F = _gauge_twist(H, rng)
+        HF = twist(H, F)
+        F_inv = invert_in_tensor_algebra((H.algebra,) * 2, F)
+        assert HF.alpha == ref.antipode_chains(H, F_inv, "S-alpha")
+        assert HF.beta == ref.antipode_chains(H, F, "beta-S")
+
+
+@FIELDS
+def test_sweedler_chain_of_empty_source_is_zero(field):
+    H = corpus(field)["s3"]
+    ident = LinearMap.identity(H.basis, field)
+    zero = Tensor.zero((H.basis,) * 2, field)
+    got = _sweedler_chain(H.leg(), zero, (H.antipode, ident), (H.alpha,))
+    assert got == Tensor.zero((H.basis,), field)
+    with pytest.raises(ValueError):
+        _sweedler_chain(H.leg(), zero, (H.antipode, ident), ())
