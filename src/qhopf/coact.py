@@ -18,7 +18,7 @@ from .algebra import (FinAlgebra, LegMul, counit_identity,
                       left_action_assoc, left_action_unit, mul_legs,
                       multiplicative, quasi_associative, right_action_assoc,
                       right_action_unit, tensor_unit)
-from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
+from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra, p_right, q_right
 from .report import VerificationReport
 from .tensor import Basis, LinearMap, Tensor
 
@@ -116,16 +116,14 @@ class RightComoduleAlgebra(_ComoduleAlgebraBase):
         return x.map_leg(leg, self.coaction)
 
     def p_tilde(self) -> Tensor:
-        """sum x1 (x) x2 beta S(x3) in A (x) H, from Phi_rho^{-1}."""
-        H = self.H
-        return self.assemble(self.phi_rho_inv, lambda x1, x2, x3: self.e(x1).tensor(
-            H.mul(H.e(x2), H.beta, H.S(H.e(x3)))))
+        """sum x1 (x) x2 beta S(x3) in A (x) H, from Phi_rho^{-1}: p_R's
+        formula (p_right)."""
+        return p_right(self.H, self.phi_rho_inv)
 
     def q_tilde(self) -> Tensor:
-        """sum X1 (x) S^{-1}(alpha X3) X2 in A (x) H, from Phi_rho."""
-        H = self.H
-        return self.assemble(self.phi_rho, lambda X1, X2, X3: self.e(X1).tensor(
-            H.mul(H.Sinv(H.mul(H.alpha, H.e(X3))), H.e(X2))))
+        """sum X1 (x) S^{-1}(alpha X3) X2 in A (x) H, from Phi_rho: q_R's
+        formula (q_right)."""
+        return q_right(self.H, self.phi_rho)
 
 
 class LeftComoduleAlgebra(_ComoduleAlgebraBase):

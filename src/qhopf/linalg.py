@@ -54,11 +54,13 @@ class RowSpan:
 
     def coordinates(self, vec: Vec) -> Optional[List[object]]:
         """Coefficients of vec against the span rows, or None if vec is
-        not in the span."""
+        not in the span. A pivot that vec lacks gets the one zero made
+        per call."""
         residual = dict(vec)
         coords = []
+        zero = self.field.zero()
         for piv, row in zip(self.pivots, self.rows):
-            c = residual.get(piv, self.field.zero())
+            c = residual.get(piv, zero)
             coords.append(c)
             if c:
                 vec_sub_scaled(residual, row, c)

@@ -12,9 +12,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Optional
 
-from .algebra import (FinAlgebra, LegMul, _sweedler_chain, _transpose,
-                      invert_in_tensor_algebra, invert_linear_map, mul_legs,
-                      multiplicative, tensor_unit)
+from .algebra import (FinAlgebra, LegMul, _lowered, _sweedler_chain,
+                      _transpose, _two_sided_hits, invert_in_tensor_algebra,
+                      invert_linear_map, mul_legs, multiplicative,
+                      quasi_associative, tensor_unit)
 from .fields import Field
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
@@ -452,6 +453,25 @@ def sw_sop(H: QuasiHopfAlgebra, x: Tensor) -> Tensor:
     return H.delta(x).permute((1, 0)).map_leg(0, H.antipode).map_leg(1, H.antipode)
 
 
+def p_right(H: QuasiHopfAlgebra, x_inv: Tensor) -> Tensor:
+    """sum x1 (x) x2 beta S(x3) in A (x) H, from x_inv = sum x1 (x) x2
+    (x) x3 in A (x) H (x) H: p_R from Phi^{-1} (A = H), and p~ of a right
+    comodule algebra from Phi_rho^{-1}."""
+    A = x_inv.spaces[0]
+    return H.assemble(x_inv, lambda x1, x2, x3: Tensor.basis_vector(
+        A, x1, H.field).tensor(H.mul(H.e(x2), H.beta, H.S(H.e(x3)))))
+
+
+def q_right(H: QuasiHopfAlgebra, X: Tensor) -> Tensor:
+    """sum X1 (x) S^{-1}(alpha X3) X2 in A (x) H, from X = sum X1 (x) X2
+    (x) X3 in A (x) H (x) H: q_R from Phi (A = H), and q~ of a right
+    comodule algebra from Phi_rho."""
+    A = X.spaces[0]
+    return H.assemble(X, lambda X1, X2, X3: Tensor.basis_vector(
+        A, X1, H.field).tensor(H.mul(H.Sinv(H.mul(H.alpha, H.e(X3))),
+                                     H.e(X2))))
+
+
 def _element(build):
     """A derived element: build(H, der) on its first read, then kept."""
     return cached_property(lambda der: build(der.H, der))
@@ -494,12 +514,8 @@ class DerivedElements:
             der.delta, sw_sop(H, H.e(x3)))))
 
     # p_R = sum x1 (x) x2 beta S(x3),  q_R = sum X1 (x) S^{-1}(alpha X3) X2
-    p_R = _element(lambda H, der: H.assemble(
-        H.phi_inv, lambda x1, x2, x3: H.e(x1).tensor(
-            H.mul(H.e(x2), H.beta, H.S(H.e(x3))))))
-    q_R = _element(lambda H, der: H.assemble(
-        H.phi, lambda X1, X2, X3: H.e(X1).tensor(
-            H.mul(H.Sinv(H.mul(H.alpha, H.e(X3))), H.e(X2)))))
+    p_R = _element(lambda H, der: p_right(H, H.phi_inv))
+    q_R = _element(lambda H, der: q_right(H, H.phi))
     # p_L = sum X2 S^{-1}(X1 beta) (x) X3, q_L = sum S(x1) alpha x2 (x) x3
     p_L = _element(lambda H, der: H.assemble(
         H.phi, lambda X1, X2, X3: H.mul(
@@ -778,29 +794,34 @@ class DualView:
 
 def check_dual_bimodule_algebra(dual: DualView) -> VerificationReport:
     """The quasi-associativity (mbia1) and the bimodule compatibility
-    (mbia2) of the convolution algebra on H^*."""
+    (mbia2) of the convolution algebra on H^*.
+
+    H^* is an H-bimodule algebra, so a left module algebra over
+    H (x) H^op, acting by (u (x) v) . phi = u -> phi <- v; mbia1 is the
+    quasi-associativity of that module algebra (quasi_associative, as ma1
+    of a left module algebra states it), with the reassociator
+    sum (X1 (x) x1) (x) (X2 (x) x2) (x) (X3 (x) x3) of H (x) H^op. The
+    action is the two-sided hits of H on itself (_two_sided_hits)
+    regrouped by the flat pair (u, v), as hhop_module_coalgebra regroups
+    those of a bimodule coalgebra; H (x) H^op itself is not built."""
     H = dual.H
+    field = H.field
     rep = VerificationReport("dual bimodule algebra %s" % H.name,
-                             {"dim": H.dim, "field": H.field.name})
+                             {"dim": H.dim, "field": field.name})
     n = H.dim
 
-    def mbia1(a, b, c):
-        phi, psi, xi = dual.dual_e(a), dual.dual_e(b), dual.dual_e(c)
-        lhs = dual.convolve(dual.convolve(phi, psi), xi)
-        rhs = None
-        for (X1, X2, X3), c1 in H.phi.data.items():
-            for (x1, x2, x3), c2 in H.phi_inv.data.items():
-                t1 = dual.hit_r(dual.hit_l(H.e(X1), phi), H.e(x1))
-                t2 = dual.hit_r(dual.hit_l(H.e(X2), psi), H.e(x2))
-                t3 = dual.hit_r(dual.hit_l(H.e(X3), xi), H.e(x3))
-                term = dual.convolve(t1, dual.convolve(t2, t3)).scale(c1 * c2)
-                rhs = term if rhs is None else rhs + term
-        return lhs, rhs
-
-    rep.check_quantified(
-        "mbia1",
-        ((a, b, c) for a in range(n) for b in range(n) for c in range(n)),
-        mbia1)
+    pair = FlatSpace((H.basis, H.basis), field)
+    hits, den = _two_sided_hits(H.leg(), H.leg())
+    table = {(pair.join((u, v)), s): dict(vec)
+             for (u, s, v), vec in hits.items()}
+    act = LegMul(pair.basis, dual.basis, dual.basis,
+                 _lowered(field, table, den), field)
+    phi2 = Tensor((pair.basis,) * 3, {
+        tuple(pair.join(uv) for uv in zip(X, x)): c1 * c2
+        for X, c1 in H.phi.data.items() for x, c2 in H.phi_inv.data.items()},
+        field)
+    conv = dual.conv.as_leg()
+    rep.check_same("mbia1", *quasi_associative(conv, conv, act, act, phi2))
 
     def mbia2(i, a, b):
         h, phi, psi = H.e(i), dual.dual_e(a), dual.dual_e(b)

@@ -31,6 +31,12 @@ terms, and the H.assemble chains of q5, q6 and twist's alpha_F and
 beta_F (antipode_chains) as they were before _sweedler_chain formed
 them on lifted tables. tests/test_staged_kernels.py checks the package's
 kernels against them.
+
+Per-pair identity scan: mbia1 of check_dual_bimodule_algebra (here
+dual_mbia1) as it was before it became the quasi-associativity of H^*
+over H (x) H^op (quasi_associative), one convolution chain per pair of
+a term of Phi and a term of Phi^{-1}. tests/test_quasihopf.py checks
+the package's mbia1 against it.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from qhopf.hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
                            smash_action_from_two_sided, smash_index)
 from qhopf.products import ProductAlgebra, QuasiSmash
 from qhopf.quasihopf import DualView, QuasiBialgebra, QuasiHopfAlgebra
+from qhopf.report import VerificationReport
 from qhopf.tensor import Basis, FlatSpace, LinearMap, Tensor
 
 
@@ -853,3 +860,32 @@ def antipode_chains(H: QuasiHopfAlgebra, source: Tensor, which: str) -> Tensor:
             H.S(H.e(a)), H.alpha, H.e(b), H.beta, H.S(H.e(c))),
     }
     return H.assemble(source, builders[which])
+
+
+def dual_mbia1(dual: DualView) -> VerificationReport:
+    """mbia1 of check_dual_bimodule_algebra as it was before it became
+    quasi_associative over H (x) H^op: per input, one convolution chain
+    of hits for every pair of a term of Phi and a term of Phi^{-1}."""
+    H = dual.H
+    rep = VerificationReport("dual bimodule algebra %s" % H.name,
+                             {"dim": H.dim, "field": H.field.name})
+    n = H.dim
+
+    def mbia1(a, b, c):
+        phi, psi, xi = dual.dual_e(a), dual.dual_e(b), dual.dual_e(c)
+        lhs = dual.convolve(dual.convolve(phi, psi), xi)
+        rhs = None
+        for (X1, X2, X3), c1 in H.phi.data.items():
+            for (x1, x2, x3), c2 in H.phi_inv.data.items():
+                t1 = dual.hit_r(dual.hit_l(H.e(X1), phi), H.e(x1))
+                t2 = dual.hit_r(dual.hit_l(H.e(X2), psi), H.e(x2))
+                t3 = dual.hit_r(dual.hit_l(H.e(X3), xi), H.e(x3))
+                term = dual.convolve(t1, dual.convolve(t2, t3)).scale(c1 * c2)
+                rhs = term if rhs is None else rhs + term
+        return lhs, rhs
+
+    rep.check_quantified(
+        "mbia1",
+        ((a, b, c) for a in range(n) for b in range(n) for c in range(n)),
+        mbia1)
+    return rep

@@ -6,7 +6,7 @@ import pytest
 
 from qhopf import (FinAlgebra, LegMul, LinearMap, PrimeField, QQ,
                    QuasiHopfAlgebra, Tensor, cli, cyclic_group_algebra,
-                   specfile as sf)
+                   specfile as sf, twist)
 
 
 def run(capsys, *argv):
@@ -381,3 +381,20 @@ def test_twist_files_unchanged(field, tmp_path, monkeypatch, capsys):
         digests[m] = tuple(hashlib.sha256(data).hexdigest() for data in (
             pathlib.Path(out).read_bytes(), report.encode("utf-8")))
     assert digests == TWIST_SHA256["Q" if field == QQ else "GF7"]
+
+
+def test_dual_algebra_on_dense_twist_exits_0(tmp_path, capsys):
+    # the fixed twist of k[Z/4]: F and F^{-1} have every basis pair in
+    # their support, so Phi_F and Phi_F^{-1} are dense, and mbia1 runs
+    # over the reassociator of H (x) H^op with a term per pair of theirs
+    H = cyclic_group_algebra(4, QQ)
+    x, y = (Tensor((H.basis,), {(i,): QQ.from_int(c)
+                                for i, c in enumerate(v)}, QQ)
+            for v in FIXED_TWISTS[4])
+    HF = twist(H, H.unit().tensor(H.unit()) + x.tensor(y))
+    src = tmp_path / "m4-HF.json"
+    src.write_text(sf.serialize(sf.quasihopf_to_doc(HF)))
+    code, out, err = run(capsys, "verify", "dual-algebra", str(src))
+    assert (code, err) == (0, "")
+    checks = {c["tag"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks == {"mbia1": True, "mbia2": True}

@@ -1,11 +1,12 @@
 import pytest
 
-from qhopf import (LinearMap, RightComoduleAlgebra, Tensor,
+from qhopf import (LinearMap, PrimeField, QQ, RightComoduleAlgebra, Tensor,
                    canonical_bicomodule, canonical_left_comodule,
                    canonical_module_coalgebra, canonical_right_comodule,
                    check_bicomodule_algebra, check_left_comodule_algebra,
                    check_right_comodule_algebra,
-                   check_right_module_coalgebra, verify_tilde_identities)
+                   check_right_module_coalgebra, corpus,
+                   verify_tilde_identities)
 
 from reference_builders import right_hit
 
@@ -78,3 +79,19 @@ def test_hit_is_counit_normalized(hq):
         for (a0, j), c in ca.coaction.cols[i].items():
             sliced = sliced + ca.e(a0).scale(c * hq.eps(hq.e(j)))
         assert sliced == ca.e(i)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_tilde_elements_take_p_R_and_q_R_formulas(field, subgroup_comodule):
+    """p~ and q~ are formed as p_R and q_R are, from the reassociator of
+    the comodule algebra: for rho = Delta they are p_R and q_R, and for
+    k<a> in k[Z2 x Z2] (Phi_rho = 1, alpha = beta = 1) they are
+    1_A (x) beta and 1_A (x) S^{-1}(alpha), on the legs (k<a>, H)."""
+    for H in corpus(field).values():
+        ca = canonical_right_comodule(H)
+        assert (ca.p_tilde(), ca.q_tilde()) == (H.derived.p_R,
+                                               H.derived.q_R)
+    ca = subgroup_comodule(field)
+    H = ca.H
+    assert ca.p_tilde() == ca.unit().tensor(H.beta)
+    assert ca.q_tilde() == ca.unit().tensor(H.Sinv(H.alpha))

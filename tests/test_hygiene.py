@@ -329,11 +329,14 @@ def test_scalar_representation_use_is_caught():
 # (11), doihopf.py (10) and hopfmod.py (8) fell to 7, 5 and 2 when the
 # colinearity, module-map, quasi-associativity and H-linearity laws of
 # the module categories became tables too (multiplicative,
-# quasi_associative, equivariant_action). A new quantified check either
+# quasi_associative, equivariant_action). quasihopf.py's count fell from
+# 13 to 12 when mbia1 became the quasi-associativity of H^* as a module
+# algebra over H (x) H^op (quasi_associative) instead of a scan over
+# pairs of terms of Phi and Phi^{-1}. A new quantified check either
 # states its two sides as tables (VerificationReport.check_same) or
 # raises its module's number here, in plain sight.
 QUANTIFIED_CALLS = {"coact.py": 7, "doihopf.py": 5, "hopfmod.py": 2,
-                    "products.py": 6, "quasihopf.py": 13}
+                    "products.py": 6, "quasihopf.py": 12}
 
 
 def named_calls(source: str, name: str) -> int:
@@ -393,10 +396,12 @@ def test_from_function_call_is_counted():
 # assemble call sites (QuasiBialgebra.assemble, a sum of one builder
 # result per term of a source tensor) per module, as counted when q5, q6
 # and twist's alpha_F and beta_F became lifted antipode chains
-# (algebra._sweedler_chain); quasihopf.py had 49 before. A new Sweedler
-# sum either contracts lifted tables or raises its module's number here,
-# in plain sight.
-ASSEMBLE_CALLS = {"coact.py": 12, "doihopf.py": 4, "hopfmod.py": 8,
+# (algebra._sweedler_chain); quasihopf.py had 49 before. coact.py's
+# count fell from 12 to 10 when p~ and q~ came to take the formulas of
+# p_R and q_R (quasihopf.p_right, quasihopf.q_right) instead of stating
+# them a second time. A new Sweedler sum either contracts lifted tables
+# or raises its module's number here, in plain sight.
+ASSEMBLE_CALLS = {"coact.py": 10, "doihopf.py": 4, "hopfmod.py": 8,
                   "products.py": 2, "quasihopf.py": 43}
 
 

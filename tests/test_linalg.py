@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qhopf import QQ, RowSpan, solve_linear
+from qhopf import PrimeField, QQ, RowSpan, solve_linear
 from qhopf.linalg import invert_matrix_map
 
 F = Fraction
@@ -36,6 +37,20 @@ def test_rowspan_coordinates_reconstruct():
         for k, v in row.items():
             rebuilt[k] = rebuilt.get(k, F(0)) + c * v
     assert {k: v for k, v in rebuilt.items() if v} == target
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_rowspan_coordinates_missing_pivots_are_field_zeros(field):
+    span = RowSpan(field)
+    for r in ((1, 0, 2, 0), (0, 1, 0, 0), (0, 0, 1, 3)):
+        span.add({i: field.from_int(v) for i, v in enumerate(r) if v})
+    # 2 e_0 - 12 e_3 is twice the reduced first row e_0 - 6 e_3 and has
+    # no entry at pivots 1 and 2
+    coords = span.coordinates({0: field.from_int(2), 3: field.from_int(-12)})
+    assert coords is not None
+    assert coords == [field.from_int(2), field.zero(), field.zero()]
+    assert [type(c) for c in coords] == [type(field.zero())] * 3
+    assert span.coordinates({3: field.one()}) is None
 
 
 def test_rowspan_reduce_is_zero_iff_spanned():

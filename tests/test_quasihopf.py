@@ -12,6 +12,7 @@ from qhopf import (DerivedElements, DualView, FinAlgebra, LinearMap,
                    verify_core_identities, verify_heisenberg_double)
 from qhopf.report import CheckRecord, first_difference, scalar_str
 
+from reference_builders import dual_mbia1
 from test_report import _mutant
 
 F = Fraction
@@ -518,3 +519,44 @@ def test_q5_and_mbia2_match_per_identity_scans(field):
             failures[got.tag] += not got.passed
     assert min(failures.values()) >= 10
     assert zero_columns
+
+
+def _phi_mutant(H, rng):
+    """H with one seeded coefficient of Phi changed and Phi^{-1} kept,
+    copied past the constructor's two-sided check."""
+    Hm = object.__new__(QuasiHopfAlgebra)
+    Hm.__dict__ = dict(H.__dict__)
+    idx = tuple(rng.randrange(H.dim) for _ in range(3))
+    Hm.phi = H.phi + Tensor(H.phi.spaces, {idx: H.field.from_int(
+        rng.choice((-2, -1, 1, 2, 3)))}, H.field)
+    return Hm
+
+
+@FIELDS
+def test_mbia1_matches_per_pair_scan(field):
+    """mbia1 as the quasi-associativity of H^* over H (x) H^op against
+    the per-pair scan it replaced (reference_builders.dual_mbia1),
+    records compared whole, counterexamples included: on the corpus, and
+    on seeded mutants of the comultiplication, the multiplication (not
+    of z2_quasi, whose supplied Phi^{-1} would then fail its check) and
+    Phi with Phi^{-1} kept."""
+    rng = random.Random(16)
+    entries = corpus(field)
+    mutants = []
+    for key in ("z2", "z3", "z2z2", "s3", "z2_quasi"):
+        H = entries[key]
+        for trial in range(3):
+            comul = _mutant(H.comul, rng, min(1 + trial, H.dim))
+            mutants.append(QuasiHopfAlgebra(
+                H.algebra, comul, H.counit, H.phi, H.antipode, H.alpha,
+                H.beta, H.phi_inv, name=H.name))
+            mutants.append(_phi_mutant(H, rng))
+            if key != "z2_quasi":
+                mutants.append(_mult_mutant(H, rng))
+    passed = []
+    for Hm in list(entries.values()) + mutants:
+        got = _record(check_dual_bimodule_algebra(DualView(Hm)), "mbia1")
+        assert got.as_dict() == dual_mbia1(DualView(Hm)).records[0].as_dict()
+        passed.append(got.passed)
+    assert all(passed[:len(entries)])
+    assert passed[len(entries):].count(False) >= 10
