@@ -139,6 +139,33 @@ def _leg_sum(acc, gets, xs: Dict, ys: Dict) -> None:
                         acc[idx] = acc.get(idx, 0) + (c0 if s == 1 else c0 * s)
 
 
+def _check_pairing(legs: Sequence[LegMul], left, right, field: Field,
+                   other: Field) -> None:
+    """ValueError unless each legs[i] pairs left[i] with right[i] over
+    field, and other is field."""
+    if len(left) != len(legs) or len(right) != len(legs):
+        raise ValueError("leg count mismatch")
+    for i, leg in enumerate(legs):
+        if left[i] != leg.left or right[i] != leg.right:
+            raise ValueError("leg %d basis mismatch" % i)
+        if leg.field is not field and leg.field != field:
+            raise ValueError("leg %d field mismatch" % i)
+    if other is not field and other != field:
+        raise ValueError("field mismatch")
+
+
+def _lift_operand(field: Field, legs: Sequence[LegMul], t: Tensor):
+    """The lifted numerators of t, the row lookups of the lifted tables
+    of legs (for _leg_sum), and the product of their denominators."""
+    num, den = field.lift(t.data)
+    gets = []
+    for leg in legs:
+        rows, d = leg.lifted()
+        gets.append(rows.get)
+        den *= d
+    return num, gets, den
+
+
 def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     """Leg-wise product: leg i of the result is the pairing legs[i]
     applied to leg i of x and leg i of y, summed bilinearly.
@@ -148,30 +175,49 @@ def mul_legs(legs: Sequence[LegMul], x: Tensor, y: Tensor) -> Tensor:
     read once per pair of index prefixes of x and y, not once per pair
     of terms. It is lowered once per output entry."""
     field = x.field
-    if len(x.spaces) != len(legs) or len(y.spaces) != len(legs):
-        raise ValueError("leg count mismatch")
-    for i, leg in enumerate(legs):
-        if x.spaces[i] != leg.left or y.spaces[i] != leg.right:
-            raise ValueError("leg %d basis mismatch" % i)
-        if leg.field is not field and leg.field != field:
-            raise ValueError("leg %d field mismatch" % i)
-    if y.field is not field and y.field != field:
-        raise ValueError("field mismatch")
+    _check_pairing(legs, x.spaces, y.spaces, field, y.field)
     out = Tensor.zero(tuple(leg.out for leg in legs), field)
     if not x.data or not y.data:
         return out
-    xs, den = field.lift(x.data)
+    xs, gets, den = _lift_operand(field, legs, x)
     ys, dy = field.lift(y.data)
-    den *= dy
-    gets = []
-    for leg in legs:
-        rows, dt = leg.lifted()
-        gets.append(rows.get)
-        den *= dt
     acc = {}
     _leg_sum(acc, gets, xs, ys)
-    out.data = field.lower(acc, den)
+    out.data = field.lower(acc, den * dy)
     return out
+
+
+def sandwich(f: LinearMap, x: Optional[Tensor] = None,
+             xlegs: Sequence[LegMul] = (), y: Optional[Tensor] = None,
+             ylegs: Sequence[LegMul] = ()) -> LinearMap:
+    """The map e_m -> x f(e_m) y, multiplied leg by leg: x on the left
+    through the pairings xlegs, y on the right through ylegs, a side
+    with no tensor left out. Coassociativity up to a reassociator,
+    Phi_rho (rho (x) id) rho = ((id (x) Delta) rho) Phi_rho, equates two
+    such maps; a twisted coaction f rho_C is one. Staged leg by leg
+    (_leg_sum) over the lifted columns, x, y and pairings, each column
+    lowered once. ValueError if the pairings do not match the legs."""
+    field, spaces = f.field, f.codomain
+    cols, den = _lift_rows(field, f.cols)
+    stages = []
+    for t, legs, left in ((x, xlegs, True), (y, ylegs, False)):
+        if t is None:
+            continue
+        _check_pairing(legs, *((t.spaces, spaces) if left
+                               else (spaces, t.spaces)), field, t.field)
+        num, gets, d = _lift_operand(field, legs, t)
+        den *= d
+        stages.append((left, gets, num))
+        spaces = tuple(leg.out for leg in legs)
+    out = {}
+    for m, col in cols.items():
+        acc = dict(col)
+        for left, gets, num in stages:
+            prod: Dict = {}
+            _leg_sum(prod, gets, *((num, acc) if left else (acc, num)))
+            acc = {idx: n for idx, n in prod.items() if n}
+        out[m] = field.lower(acc, den)
+    return LinearMap(f.domain, spaces, out, field)
 
 
 class FinAlgebra:

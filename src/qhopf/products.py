@@ -833,7 +833,7 @@ class HomSmash:
                 ct = ca.coact(t)
                 if not ct.data:
                     return Tensor.zero((ca.basis,), ca.field)
-                return ca.assemble(ct, lambda w0, w1: ca.algebra.mulc(
+                return H.assemble(ct, lambda w0, w1: ca.algebra.mulc(
                     H.mul(H.e(w1), H.e(x2), H.e(k1)).map_leg(0, v),
                     ca.e(w0), ca.e(x1)))
 

@@ -295,14 +295,18 @@ class LinearMap:
     def column(self, i: int) -> Tensor:
         return Tensor(self.codomain, dict(self.cols.get(i, {})), self.field)
 
-    def compose(self, first: "LinearMap") -> "LinearMap":
-        """self after first; first must have a single codomain leg."""
-        if first.codomain != (self.domain,):
-            raise ValueError("composition shape mismatch")
-        cols = {}
-        for i in range(first.domain.dim):
-            cols[i] = dict(first.column(i).map_leg(0, self).data)
-        return LinearMap(first.domain, self.codomain, cols, self.field)
+    def compose(self, first: "LinearMap", leg: int = 0) -> "LinearMap":
+        """self applied to codomain leg `leg` of every column of first,
+        its codomain legs in place of that leg: self after first when
+        first has one codomain leg, (rho (x) id) rho is rho.compose(rho)
+        and (id (x) Delta) rho is Delta.compose(rho, 1)."""
+        if first.codomain[leg] != self.domain:
+            raise ValueError("map domain %r does not match codomain leg %d"
+                             % (self.domain, leg))
+        cols = {m: first.column(m).map_leg(leg, self).data
+                for m in first.cols}
+        return LinearMap(first.domain, first.codomain[:leg] + self.codomain +
+                         first.codomain[leg + 1:], cols, self.field)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):

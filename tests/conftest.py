@@ -46,22 +46,10 @@ def subgroup_comodule():
     return klein_subgroup_comodule
 
 
-def nongroup_z3(field):
-    """k[Z/3] on the basis (1, g, 1 + g^2), not a group basis: rows of
-    its structure constants have several entries and values other than
-    one (g g = -1 + (1 + g^2), and (1 + g^2)^2 = -1 + g + 2 (1 + g^2)),
-    and its antipode matrix is not symmetric (S(g) = -1 + (1 + g^2),
-    S(1 + g^2) = 1 + g). So a kernel that transposes a table, swaps
-    the factors of a product or drops a structure constant other than
-    one gives wrong numbers on it where a group algebra hides the
-    slip."""
-    H = cyclic_group_algebra(3, field)
-    one = field.one()
-    b = Basis(("1", "g", "1+g2"), "kZ3nb")
-    # the new basis in the old one, and the old basis in the new one
-    to_old = {0: {0: one}, 1: {1: one}, 2: {0: one, 2: one}}
-    to_new = LinearMap(H.basis, (b,), {0: {(0,): one}, 1: {(1,): one},
-                                      2: {(0,): -one, (2,): one}}, field)
+def rebase(H, b, to_old, to_new, name):
+    """H on the basis b: to_old[i] gives b's vector i in H's basis as
+    {index: scalar}, and the LinearMap to_new takes H's basis to b."""
+    field = H.field
 
     def new(t):
         for leg in range(len(t.spaces)):
@@ -85,7 +73,26 @@ def nongroup_z3(field):
                          field)
     return QuasiHopfAlgebra(alg, comul, counit, new(H.phi), antipode,
                             new(H.alpha), new(H.beta), new(H.phi_inv),
-                            name="z3_nongroup")
+                            name=name)
+
+
+def nongroup_z3(field):
+    """k[Z/3] on the basis (1, g, 1 + g^2), not a group basis: rows of
+    its structure constants have several entries and values other than
+    one (g g = -1 + (1 + g^2), and (1 + g^2)^2 = -1 + g + 2 (1 + g^2)),
+    and its antipode matrix is not symmetric (S(g) = -1 + (1 + g^2),
+    S(1 + g^2) = 1 + g). So a kernel that transposes a table, swaps
+    the factors of a product or drops a structure constant other than
+    one gives wrong numbers on it where a group algebra hides the
+    slip."""
+    H = cyclic_group_algebra(3, field)
+    one = field.one()
+    b = Basis(("1", "g", "1+g2"), "kZ3nb")
+    # the new basis in the old one, and the old basis in the new one
+    to_old = {0: {0: one}, 1: {1: one}, 2: {0: one, 2: one}}
+    to_new = LinearMap(H.basis, (b,), {0: {(0,): one}, 1: {(1,): one},
+                                      2: {(0,): -one, (2,): one}}, field)
+    return rebase(H, b, to_old, to_new, "z3_nongroup")
 
 
 @pytest.fixture(scope="session")

@@ -684,7 +684,7 @@ def doi_from_crossed(M: CrossedHopfModule, lcb: LeftComoduleAlgebra,
     r_action = smash_action_from_two_sided(M.ts, qs, sm)
 
     def coact_col(m):
-        src = H.derived.f.tensor(M.ccoact(M.e(m)))
+        src = H.derived.f.tensor(M.e(m).map_leg(0, M.c_coaction))
         return H.assemble(src, lambda f1, f2, cm, m0: C.lact(
             H.e(f1), C.e(cm)).tensor(M.ts.lact(H.e(f2), M.e(m0))))
 
@@ -705,7 +705,7 @@ def crossed_from_doi(N: DoiHopfModule, ba: BicomoduleAlgebra,
     ts = two_sided_from_smash_module(qs, sm, N.r_action, ba.right)
 
     def ccoact_col(m):
-        src = H.derived.f_inv.tensor(N.coact(N.e(m)))
+        src = H.derived.f_inv.tensor(N.e(m).map_leg(0, N.coaction))
         return H.assemble(src, lambda g1, g2, cm, m0: C.lact(
             H.e(g1), C.e(cm)).tensor(ts.lact(H.e(g2), ts.e(m0))))
 

@@ -329,6 +329,17 @@ def test_dual_algebra_with_zero_comul_column_exits_1(corpus_dir, tmp_path,
 FIXED_TWISTS = {3: ((-1, 1, 0), (-2, 1, 1)),
                 4: ((1, -2, 0, 1), (-1, 1, 1, -1))}
 
+
+def fixed_twist(m, field):
+    """k[Z/m] and its gauge transformation F = 1 (x) 1 + x (x) y, with
+    x and y the coefficient vectors FIXED_TWISTS[m]."""
+    H = cyclic_group_algebra(m, field)
+    x, y = (Tensor((H.basis,), {(i,): field.from_int(c)
+                                for i, c in enumerate(v)}, field)
+            for v in FIXED_TWISTS[m])
+    return H, H.unit().tensor(H.unit()) + x.tensor(y)
+
+
 # sha256 of the spec file `qhopf twist` writes and of the report `qhopf
 # check` prints on it, recorded before mul_legs was staged leg by leg and
 # before q5, q6 and the twisted alpha and beta became lifted antipode
@@ -362,12 +373,8 @@ TWIST_SHA256 = {
 def test_twist_files_unchanged(field, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     digests = {}
-    for m, coeffs in sorted(FIXED_TWISTS.items()):
-        H = cyclic_group_algebra(m, field)
-        x, y = (Tensor((H.basis,), {(i,): field.from_int(c)
-                                    for i, c in enumerate(v)}, field)
-                for v in coeffs)
-        F = H.unit().tensor(H.unit()) + x.tensor(y)
+    for m in sorted(FIXED_TWISTS):
+        H, F = fixed_twist(m, field)
         pathlib.Path("m%d.json" % m).write_text(
             sf.serialize(sf.quasihopf_to_doc(H)))
         pathlib.Path("m%d-F.json" % m).write_text(
@@ -387,14 +394,24 @@ def test_dual_algebra_on_dense_twist_exits_0(tmp_path, capsys):
     # the fixed twist of k[Z/4]: F and F^{-1} have every basis pair in
     # their support, so Phi_F and Phi_F^{-1} are dense, and mbia1 runs
     # over the reassociator of H (x) H^op with a term per pair of theirs
-    H = cyclic_group_algebra(4, QQ)
-    x, y = (Tensor((H.basis,), {(i,): QQ.from_int(c)
-                                for i, c in enumerate(v)}, QQ)
-            for v in FIXED_TWISTS[4])
-    HF = twist(H, H.unit().tensor(H.unit()) + x.tensor(y))
+    HF = twist(*fixed_twist(4, QQ))
     src = tmp_path / "m4-HF.json"
     src.write_text(sf.serialize(sf.quasihopf_to_doc(HF)))
     code, out, err = run(capsys, "verify", "dual-algebra", str(src))
     assert (code, err) == (0, "")
     checks = {c["tag"]: c["passed"] for c in json.loads(out)["checks"]}
     assert checks == {"mbia1": True, "mbia2": True}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+@pytest.mark.parametrize("m", sorted(FIXED_TWISTS))
+def test_identities_on_fixed_twists_exit_0(m, field, tmp_path, capsys):
+    # S(alpha) != alpha on these twists, unlike on the corpus, so fpre-c
+    # tells sum f2 S^{-1}(f1 beta) = alpha from the wrong S(alpha)
+    HF = twist(*fixed_twist(m, field))
+    assert HF.S(HF.alpha) != HF.alpha
+    src = tmp_path / "HF.json"
+    src.write_text(sf.serialize(sf.quasihopf_to_doc(HF)))
+    code, out, err = run(capsys, "verify", "identities", str(src))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True

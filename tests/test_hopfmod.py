@@ -117,7 +117,8 @@ def _relative_action_by_terms(M, qs):
 
     def r_col(m, u):
         a, p = qs.prod.split(u)
-        src = K.tensor(M.coact(M.e(m))).tensor(ca.coact(ca.e(a))).tensor(pt)
+        src = K.tensor(M.e(m).map_leg(0, M.coaction)).tensor(
+            ca.coact(ca.e(a))).tensor(pt)
 
         def builder(k1, k2, m0, m1, a0, a1, p1, p2):
             scalar = H.Sinv(H.mul(H.e(k2), H.e(m1), H.e(a1),
@@ -145,7 +146,7 @@ def _smash_action_by_terms(M, qs, sm):
 
     def act(m, g):
         a, p, h = nest.split(g)
-        src = der.f.tensor(M.coact(M.e(m))).tensor(
+        src = der.f.tensor(M.e(m).map_leg(0, M.coaction)).tensor(
             ca.coact(ca.e(a))).tensor(pt)
 
         def builder(f1, f2, m0, m1, a0, a1, p1, p2):

@@ -332,11 +332,17 @@ def test_scalar_representation_use_is_caught():
 # quasi_associative, equivariant_action). quasihopf.py's count fell from
 # 13 to 12 when mbia1 became the quasi-associativity of H^* as a module
 # algebra over H (x) H^op (quasi_associative) instead of a scan over
-# pairs of terms of Phi and Phi^{-1}. A new quantified check either
-# states its two sides as tables (VerificationReport.check_same) or
-# raises its module's number here, in plain sight.
-QUANTIFIED_CALLS = {"coact.py": 7, "doihopf.py": 5, "hopfmod.py": 2,
-                    "products.py": 6, "quasihopf.py": 12}
+# pairs of terms of Phi and Phi^{-1}. coact.py (7), doihopf.py (5),
+# hopfmod.py (2) and quasihopf.py (12) fell to 3, 1, 0 and 9 when the
+# coassociativity laws up to a reassociator (q1, rca1, lca1, bca1, rmc1,
+# coassoc, bmc1, dhm1, tstc1, tstc2), ca, eps-antipode and iso-colinear
+# came to compare two maps, each a composite of structure maps
+# (LinearMap.compose) multiplied leg by leg on either side
+# (algebra.sandwich). A new quantified check either states its two
+# sides as tables (VerificationReport.check_same) or raises its
+# module's number here, in plain sight.
+QUANTIFIED_CALLS = {"coact.py": 3, "doihopf.py": 1, "hopfmod.py": 0,
+                    "products.py": 6, "quasihopf.py": 9}
 
 
 def named_calls(source: str, name: str) -> int:
@@ -368,11 +374,15 @@ def test_quantified_call_is_counted():
 # LinearMap.from_function) per module, as counted when the module
 # functors of hopfmod.py and doihopf.py came to restrict whole action
 # tables (algebra._restrict) instead of calling a builder once per table
-# entry; hopfmod.py had 12 and doihopf.py 5 before. A new one either
-# builds its table from lifted tables or raises its module's number
-# here, in plain sight.
-FROM_FUNCTION_CALLS = {"doihopf.py": 3, "hopfmod.py": 3, "products.py": 3,
-                       "quasihopf.py": 1}
+# entry; hopfmod.py had 12 and doihopf.py 5 before. doihopf.py (3),
+# hopfmod.py (3) and quasihopf.py (1) fell to 1, 2 and 0 when the
+# coalgebra coactions of doi_from_crossed and crossed_from_doi and
+# twist's comultiplication became a structure map multiplied leg by leg
+# (algebra.sandwich) and transport_module's coaction a composite
+# (LinearMap.compose). A new one either builds its table from lifted
+# tables or raises its module's number here, in plain sight.
+FROM_FUNCTION_CALLS = {"doihopf.py": 1, "hopfmod.py": 2, "products.py": 3,
+                       "quasihopf.py": 0}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -399,9 +409,11 @@ def test_from_function_call_is_counted():
 # (algebra._sweedler_chain); quasihopf.py had 49 before. coact.py's
 # count fell from 12 to 10 when p~ and q~ came to take the formulas of
 # p_R and q_R (quasihopf.p_right, quasihopf.q_right) instead of stating
-# them a second time. A new Sweedler sum either contracts lifted tables
-# or raises its module's number here, in plain sight.
-ASSEMBLE_CALLS = {"coact.py": 10, "doihopf.py": 4, "hopfmod.py": 8,
+# them a second time, and to 9 when the comodule algebras' assemble,
+# which only forwarded to H.assemble, was deleted. A new Sweedler sum
+# either contracts lifted tables or raises its module's number here, in
+# plain sight.
+ASSEMBLE_CALLS = {"coact.py": 9, "doihopf.py": 4, "hopfmod.py": 8,
                   "products.py": 2, "quasihopf.py": 43}
 
 

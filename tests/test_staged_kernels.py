@@ -16,7 +16,7 @@ import pytest
 import reference_builders as ref
 from qhopf import (Basis, LegMul, LinearMap, PrimeField, QQ, Tensor,
                    canonical_right_comodule, corpus, invert_in_tensor_algebra,
-                   is_gauge, mul_legs, twist)
+                   is_gauge, mul_legs, sandwich, twist)
 from qhopf import algebra
 from qhopf.algebra import _sweedler_chain, multiplicative
 
@@ -39,20 +39,25 @@ def _scalar(field, rng):
             return c
 
 
-def _random_leg(field, rng, dims, tag):
-    """A pairing of bases of dims (left, right, out) with a random
+def _pairing(field, rng, left, right, out):
+    """A pairing of the bases left and right into out with a random
     table: several entries per row, scalars other than one."""
-    left, right, out = (
-        Basis(tuple("%s%s%d" % (tag, side, i) for i in range(d)), tag + side)
-        for side, d in zip("lro", dims))
     table = {}
-    for i in range(dims[0]):
-        for j in range(dims[1]):
-            row = {k: _scalar(field, rng) for k in range(dims[2])
+    for i in range(left.dim):
+        for j in range(right.dim):
+            row = {k: _scalar(field, rng) for k in range(out.dim)
                    if rng.random() < 0.6}
             if row:
                 table[(i, j)] = row
     return LegMul(left, right, out, table, field)
+
+
+def _random_leg(field, rng, dims, tag):
+    """A random pairing (_pairing) of new bases of dims (left, right,
+    out)."""
+    return _pairing(field, rng, *(
+        Basis(tuple("%s%s%d" % (tag, side, i) for i in range(d)), tag + side)
+        for side, d in zip("lro", dims)))
 
 
 def _leg_pool(field, nongroup):
@@ -96,6 +101,66 @@ def test_staged_mul_legs_matches_per_pair(field, nlegs, dense, nongroup,
         want = mul_legs(*case)
         assert got.spaces == want.spaces
         assert got.data == want.data
+
+
+@FIELDS
+@pytest.mark.parametrize("nlegs", (0, 1, 2, 3))
+def test_sandwich_matches_mul_legs_per_column(field, nlegs, nongroup):
+    """sandwich(f, x, xlegs, y, ylegs) against x f(e_m) y formed by
+    mul_legs column by column, with both sides, with one of them left
+    out, and on maps with empty columns; the legs are algebras of
+    several dimensions (k[Z/3] in a non-group basis among them) and
+    random pairings between them."""
+    rng = random.Random(20 + nlegs)
+    H = nongroup(field)
+    bases = [H.basis, corpus(field)["z2"].basis,
+             Basis(("u0", "u1", "u2", "u3"), "U4")]
+    domain = Basis(("d0", "d1", "d2", "d3"), "D")
+    for trial in range(6):
+        if trial == 0:
+            mid = left = out = (H.basis,) * nlegs
+        else:
+            mid, left, out = (tuple(rng.choice(bases) for _ in range(nlegs))
+                              for _ in range(3))
+        right, end = (tuple(rng.choice(bases) for _ in range(nlegs))
+                      for _ in range(2))
+        xlegs = tuple(H.leg() if a == b == c == H.basis
+                      else _pairing(field, rng, a, b, c)
+                      for a, b, c in zip(left, mid, out))
+        ylegs, ymid = (tuple(_pairing(field, rng, a, b, c)
+                             for a, b, c in zip(lhs, right, end))
+                       for lhs in (out, mid))
+        f = LinearMap(domain, mid, {
+            m: _random_tensor(field, rng, mid, trial % 2).data
+            for m in range(domain.dim) if m % 3 or trial % 3}, field)
+        x = _random_tensor(field, rng, left, trial % 2)
+        y = _random_tensor(field, rng, right, 1 - trial % 2)
+        for xs, ys in (((x, xlegs), (y, ylegs)), ((x, xlegs), None),
+                       (None, (y, ymid))):
+            got = sandwich(f, *(xs or (None, ())), *(ys or (None, ())))
+            for m in range(domain.dim):
+                want = f.column(m)
+                if xs:
+                    want = mul_legs(xs[1], xs[0], want)
+                if ys:
+                    want = mul_legs(ys[1], want, ys[0])
+                assert got.codomain == want.spaces
+                assert got.column(m).data == want.data
+
+
+@FIELDS
+def test_sandwich_rejects_mismatched_pairings(field, nongroup):
+    H = nongroup(field)
+    z2 = corpus(field)["z2"]
+    leg, one2 = H.leg(), H.unit().tensor(H.unit())
+    for kwargs in ({"x": one2, "xlegs": (leg,)},
+                   {"x": one2, "xlegs": (leg, z2.leg())},
+                   {"x": z2.unit().tensor(z2.unit()), "xlegs": (leg, leg)},
+                   {"y": one2, "ylegs": ()},
+                   {"x": one2, "xlegs": (leg, leg), "y": one2,
+                    "ylegs": (leg, H.dual.hit_r_leg)}):
+        with pytest.raises(ValueError):
+            sandwich(H.comul, **kwargs)
 
 
 def _sides(pair):

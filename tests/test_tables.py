@@ -1,16 +1,20 @@
-"""The axiom side-builders of algebra.py against the per-input scans they
-replaced. The _ref_* functions below hold those scans: the old
-check_quantified calls, kept verbatim. On seeded mutants over Q and
-GF(7), every converted check must give the same records as its scan:
-the same tags, verdicts and counterexample bytes."""
+"""The axiom side-builders of algebra.py, and the laws whose sides are
+sandwiches (algebra.sandwich) or composites (LinearMap.compose) of
+structure maps, against the per-input scans they replaced. The _ref_*
+functions below hold those scans: the old check_quantified calls, kept
+verbatim but for calls of deleted one-line helpers, written out. On
+seeded mutants over Q and GF(7), every converted check must give the
+same records as its scan: the same tags, verdicts and counterexample
+bytes."""
 
 import functools
 import random
 
 import pytest
 
-from qhopf import (CrossedHopfModule, DoiHopfModule, FinAlgebra, LegMul,
-                   LeftComoduleAlgebra, LeftModuleAlgebra, LinearMap,
+from qhopf import (Basis, BicomoduleAlgebra, CrossedHopfModule,
+                   DoiHopfModule,
+                   FinAlgebra, LegMul, LeftComoduleAlgebra, LeftModuleAlgebra, LinearMap,
                    PrimeField, QQ, QuasiHopfAlgebra, RelativeHopfModule,
                    RightComoduleAlgebra, RightModuleCoalgebra, Tensor,
                    TwoSidedHopfModule,
@@ -18,7 +22,8 @@ from qhopf import (CrossedHopfModule, DoiHopfModule, FinAlgebra, LegMul,
                    canonical_bimodule_coalgebra, canonical_first_module,
                    canonical_left_comodule, canonical_module_coalgebra,
                    canonical_right_comodule, canonical_second_module,
-                   check_bimodule_coalgebra, check_crossed_hopf_module,
+                   check_bicomodule_algebra, check_bimodule_coalgebra,
+                   check_crossed_hopf_module,
                    check_doi_hopf_module, check_left_comodule_algebra,
                    check_left_module_algebra, check_quasihopf,
                    check_relative_hopf_module, check_right_comodule_algebra,
@@ -29,9 +34,12 @@ from qhopf import (CrossedHopfModule, DoiHopfModule, FinAlgebra, LegMul,
                    dual_module_algebra, generalized_smash,
                    hhop_module_coalgebra, module_isomorphism, mul_legs,
                    quasi_smash, seeded_cyclic_module, smash_product,
-                   verify_canonical_modules)
+                   twist, verify_canonical_modules, verify_core_identities)
+from qhopf.quasihopf import sw_sop
 from qhopf.report import VerificationReport
 
+from conftest import rebase
+from test_cli import fixed_twist
 from test_report import _mutant
 
 FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
@@ -59,10 +67,30 @@ def _ref_quasihopf(H, rep):
         "comul-hom", _all_pairs(n),
         lambda i, j: (H.delta(alg.mul_indices(i, j)),
                       H.tmul(H.delta(H.e(i)), H.delta(H.e(j)))))
+
+    def q1(i):
+        h = H.e(i)
+        lhs = H.delta(h).map_leg(1, H.comul)
+        rhs = H.tmulc(H.phi, H.delta(h).map_leg(0, H.comul), H.phi_inv)
+        return lhs, rhs
+
+    rep.check_quantified("q1", ((i,) for i in range(n)), q1)
     rep.check_quantified(
         "antipode-antihom", _all_pairs(n),
         lambda i, j: (H.S(H.algebra.mul_indices(i, j)),
                       H.mul(H.S(H.e(j)), H.S(H.e(i)))))
+    rep.check_quantified(
+        "eps-antipode", ((i,) for i in range(n)),
+        lambda i: (Tensor.scalar(H.eps(H.S(H.e(i))), H.field),
+                   Tensor.scalar(H.eps(H.e(i)), H.field)))
+
+
+def _ref_core(H, rep):
+    der = H.derived
+    n = H.dim
+    f, f_inv = der.f, der.f_inv
+    rep.check_quantified("ca", ((i,) for i in range(n)), lambda i: (
+        H.tmulc(f, H.delta(H.S(H.e(i))), f_inv), sw_sop(H, H.e(i))))
 
 
 def _ref_right_comodule(ca, rep):
@@ -72,6 +100,10 @@ def _ref_right_comodule(ca, rep):
         "coact-hom", ((i, j) for i in range(n) for j in range(n)),
         lambda i, j: (ca.coact(ca.algebra.mul_indices(i, j)),
                       ca.mmul(ca.coact(ca.e(i)), ca.coact(ca.e(j)))))
+    rep.check_quantified(
+        "rca1", ((i,) for i in range(n)),
+        lambda i: (ca.mmul(ca.phi_rho, ca.coact(ca.coact(ca.e(i)))),
+                   ca.mmul(ca.coact(ca.e(i)).map_leg(1, H.comul), ca.phi_rho)))
     rep.check_quantified(
         "rca3", ((i,) for i in range(n)),
         lambda i: (ca.coact(ca.e(i)).map_leg(1, H.counit), ca.e(i)))
@@ -85,8 +117,22 @@ def _ref_left_comodule(ca, rep):
         lambda i, j: (ca.coact(ca.algebra.mul_indices(i, j)),
                       ca.mmul(ca.coact(ca.e(i)), ca.coact(ca.e(j)))))
     rep.check_quantified(
+        "lca1", ((i,) for i in range(n)),
+        lambda i: (ca.mmul(ca.coact(ca.coact(ca.e(i)), leg=1), ca.phi_lam),
+                   ca.mmul(ca.phi_lam, ca.coact(ca.e(i)).map_leg(0, H.comul))))
+    rep.check_quantified(
         "lca3", ((i,) for i in range(n)),
         lambda i: (ca.coact(ca.e(i)).map_leg(0, H.counit), ca.e(i)))
+
+
+def _ref_bicomodule(ba, rep):
+    left, right = ba.left, ba.right
+    n = ba.dim
+    rep.check_quantified(
+        "bca1", ((i,) for i in range(n)),
+        lambda i: (ba.mmul(ba.phi_mid, left.coact(right.coact(ba.algebra.e(i)))),
+                   ba.mmul(right.coact(left.coact(ba.algebra.e(i)), leg=1),
+                           ba.phi_mid)))
 
 
 def _ref_left_module_algebra(ma, rep):
@@ -131,9 +177,16 @@ def _ref_right_module_coalgebra(mc, rep):
         "module-unit", ((c,) for c in range(n)),
         lambda c: (mc.act(mc.e(c), H.unit()), mc.e(c)))
     rep.check_quantified(
+        "rmc1", ((c,) for c in range(mc.dim)),
+        lambda c: (mul_legs((mc.action,) * 3,
+                            mc.e(c).map_leg(0, mc.comul).map_leg(0, mc.comul),
+                            H.phi_inv),
+                   mc.e(c).map_leg(0, mc.comul).map_leg(1, mc.comul)))
+    rep.check_quantified(
         "rmc2", ((c, i) for c in range(n) for i in range(m)),
-        lambda c, i: (mc.delta(mc.act(mc.e(c), H.e(i))),
-                      mc.act_many(mc.delta(mc.e(c)), H.delta(H.e(i)))))
+        lambda c, i: (mc.act(mc.e(c), H.e(i)).map_leg(0, mc.comul),
+                      mul_legs((mc.action,) * 2, mc.e(c).map_leg(0, mc.comul),
+                               H.delta(H.e(i)))))
     rep.check_quantified(
         "rmc3", ((c, i) for c in range(n) for i in range(m)),
         lambda c, i: (
@@ -167,17 +220,31 @@ def _ref_two_sided(M, rep):
                          M.lact(H.e(i), M.ract(M.e(m), ca.e(a)))))
     rep.check_quantified(
         "counit", ((m,) for m in range(n)),
-        lambda m: (M.coact(M.e(m)).map_leg(1, H.counit), M.e(m)))
+        lambda m: (M.e(m).map_leg(0, M.coaction).map_leg(1, H.counit), M.e(m)))
+    left_legs = (M.left_action, H.leg(), H.leg())
+    right_legs = (M.right_action, H.leg(), H.leg())
+
+    def coassoc(m):
+        rho2 = M.e(m).map_leg(0, M.coaction).map_leg(0, M.coaction)
+        lhs = mul_legs(left_legs, H.phi, rho2)
+        rhs = mul_legs(right_legs, M.e(m).map_leg(0, M.coaction)
+                       .map_leg(1, H.comul),
+                       ca.phi_rho)
+        return lhs, rhs
+
+    rep.check_quantified("coassoc", ((m,) for m in range(M.dim)), coassoc)
     rep.check_quantified(
         "left-colinear", ((i, m) for i in range(nH) for m in range(n)),
-        lambda i, m: (M.coact(M.lact(H.e(i), M.e(m))),
+        lambda i, m: (M.lact(H.e(i), M.e(m)).map_leg(0, M.coaction),
                       mul_legs((M.left_action, H.leg()),
-                               H.delta(H.e(i)), M.coact(M.e(m)))))
+                               H.delta(H.e(i)),
+                               M.e(m).map_leg(0, M.coaction))))
     rep.check_quantified(
         "right-colinear", ((m, a) for m in range(n) for a in range(nA)),
-        lambda m, a: (M.coact(M.ract(M.e(m), ca.e(a))),
+        lambda m, a: (M.ract(M.e(m), ca.e(a)).map_leg(0, M.coaction),
                       mul_legs((M.right_action, H.leg()),
-                               M.coact(M.e(m)), ca.coact(ca.e(a)))))
+                               M.e(m).map_leg(0, M.coaction),
+                               ca.coact(ca.e(a)))))
 
 
 def _ref_relative(N, rep):
@@ -247,15 +314,26 @@ def _ref_bimodule_coalgebra(C, rep):
                     for j in range(m)),
         lambda i, c, j: (C.lact(H.e(i), C.ract(C.e(c), H.e(j))),
                          C.ract(C.lact(H.e(i), C.e(c)), H.e(j))))
+    lact3 = (C.left_action,) * 3
+    ract3 = (C.right_action,) * 3
+    rep.check_quantified(
+        "bmc1", ((c,) for c in range(n)),
+        lambda c: (mul_legs(ract3,
+                            mul_legs(lact3, H.phi,
+                                     C.e(c).map_leg(0, C.comul)
+                                     .map_leg(0, C.comul)),
+                            H.phi_inv),
+                   C.e(c).map_leg(0, C.comul).map_leg(1, C.comul)))
     rep.check_quantified(
         "bmc2-left", ((i, c) for i in range(m) for c in range(n)),
-        lambda i, c: (C.delta(C.lact(H.e(i), C.e(c))),
+        lambda i, c: (C.lact(H.e(i), C.e(c)).map_leg(0, C.comul),
                       mul_legs((C.left_action,) * 2, H.delta(H.e(i)),
-                               C.delta(C.e(c)))))
+                               C.e(c).map_leg(0, C.comul))))
     rep.check_quantified(
         "bmc2-right", ((c, i) for c in range(n) for i in range(m)),
-        lambda c, i: (C.delta(C.ract(C.e(c), H.e(i))),
-                      mul_legs((C.right_action,) * 2, C.delta(C.e(c)),
+        lambda c, i: (C.ract(C.e(c), H.e(i)).map_leg(0, C.comul),
+                      mul_legs((C.right_action,) * 2,
+                               C.e(c).map_leg(0, C.comul),
                                H.delta(H.e(i)))))
 
 
@@ -272,12 +350,21 @@ def _ref_doi_hopf(N, rep):
         lambda m: (N.ract(N.e(m), cb.unit()), N.e(m)))
     rep.check_quantified(
         "dhm2", ((m,) for m in range(n)),
-        lambda m: (N.coact(N.e(m)).map_leg(0, mc.counit), N.e(m)))
+        lambda m: (N.e(m).map_leg(0, N.coaction).map_leg(0, mc.counit),
+                   N.e(m)))
+    rep.check_quantified(
+        "dhm1", ((m,) for m in range(N.dim)),
+        lambda m: (N.e(m).map_leg(0, N.coaction).map_leg(0, mc.comul),
+                   mul_legs((mc.action, mc.action, N.r_action),
+                            N.e(m).map_leg(0, N.coaction)
+                            .map_leg(1, N.coaction),
+                            cb.phi_lam)))
     rep.check_quantified(
         "dhm3", ((m, b) for m in range(n) for b in range(nB)),
-        lambda m, b: (N.coact(N.ract(N.e(m), cb.e(b))),
+        lambda m, b: (N.ract(N.e(m), cb.e(b)).map_leg(0, N.coaction),
                       mul_legs((mc.action, N.r_action),
-                               N.coact(N.e(m)), cb.coact(cb.e(b)))))
+                               N.e(m).map_leg(0, N.coaction),
+                               cb.coact(cb.e(b)))))
 
 
 def _ref_crossed(M, rep):
@@ -285,18 +372,39 @@ def _ref_crossed(M, rep):
     n, nH, nA = M.dim, H.dim, ba.dim
     rep.check_quantified(
         "c-counit", ((m,) for m in range(n)),
-        lambda m: (M.ccoact(M.e(m)).map_leg(0, C.counit), M.e(m)))
+        lambda m: (M.e(m).map_leg(0, M.c_coaction).map_leg(0, C.counit),
+                   M.e(m)))
+    lactCC = (C.left_action, C.left_action, ts.left_action)
+    ractCC = (C.right_action, C.right_action, ts.right_action)
+    rep.check_quantified(
+        "tstc1", ((m,) for m in range(n)),
+        lambda m: (
+            mul_legs(lactCC, H.phi, M.e(m).map_leg(0, M.c_coaction)
+                     .map_leg(0, C.comul)),
+            mul_legs(ractCC, M.e(m).map_leg(0, M.c_coaction)
+                     .map_leg(1, M.c_coaction), ba.left.phi_lam)))
+    lactCH = (C.left_action, ts.left_action, H.leg())
+    ractCH = (C.right_action, ts.right_action, H.leg())
+    rep.check_quantified(
+        "tstc2", ((m,) for m in range(n)),
+        lambda m: (
+            mul_legs(lactCH, H.phi,
+                     M.e(m).map_leg(0, ts.coaction).map_leg(0, M.c_coaction)),
+            mul_legs(ractCH, M.e(m).map_leg(0, M.c_coaction)
+                     .map_leg(1, ts.coaction), ba.phi_mid)))
     rep.check_quantified(
         "tstc3", ((i, m) for i in range(nH) for m in range(n)),
-        lambda i, m: (M.ccoact(ts.lact(H.e(i), M.e(m))),
+        lambda i, m: (ts.lact(H.e(i), M.e(m)).map_leg(0, M.c_coaction),
                       mul_legs((C.left_action, ts.left_action),
-                               H.delta(H.e(i)), M.ccoact(M.e(m)))))
+                               H.delta(H.e(i)),
+                               M.e(m).map_leg(0, M.c_coaction))))
     rep.check_quantified(
         "tstc3b", ((m, a) for m in range(n) for a in range(nA)),
-        lambda m, a: (M.ccoact(ts.ract(M.e(m), ba.algebra.e(a))),
-                      mul_legs((C.right_action, ts.right_action),
-                               M.ccoact(M.e(m)),
-                               ba.left.coact(ba.algebra.e(a)))))
+        lambda m, a: (
+            ts.ract(M.e(m), ba.algebra.e(a)).map_leg(0, M.c_coaction),
+            mul_legs((C.right_action, ts.right_action),
+                     M.e(m).map_leg(0, M.c_coaction),
+                     ba.left.coact(ba.algebra.e(a)))))
 
 
 def _ref_canonical_iso(parts, rep):
@@ -311,6 +419,10 @@ def _ref_canonical_iso(parts, rep):
         "iso-a-linear", ((m, a) for m in range(n) for a in range(nA)),
         lambda m, a: (V.ract(V.e(m), ca.e(a)).map_leg(0, theta),
                       U.ract(theta.column(m), ca.e(a))))
+    rep.check_quantified(
+        "iso-colinear", ((m,) for m in range(V.dim)),
+        lambda m: (V.e(m).map_leg(0, V.coaction).map_leg(0, theta),
+                   theta.column(m).map_leg(0, U.coaction)))
 
 
 def _old_is_associative(A):
@@ -367,13 +479,65 @@ def _field_corpus(field):
     return corpus(field)
 
 
+def _core_matches(H):
+    """_assert_matches on ca of the core identities. A Delta with an
+    empty column can leave a derived element or a Sweedler sum of the
+    suite a zero source, on which H.assemble raises before the suite is
+    done; ca is not compared there."""
+    if len(H.comul.cols) < H.dim:
+        return 0
+    return _assert_matches(verify_core_identities(H), _ref_core, H)
+
+
+def _function_algebra(G):
+    """k^G, the dual of the group algebra G, on the basis of 1 and the
+    delta functions d_g, g != e: the d_g multiply pointwise, Delta(d_g)
+    = sum over ab = g of d_a (x) d_b and S(d_g) = d_{g^-1}. Its Delta is
+    not cocommutative when G is not abelian. (On the basis of all d_g
+    the unit is a sum of six terms, and the core identities ran over a
+    minute.)"""
+    field, n, one = G.field, G.dim, G.field.one()
+    d = Basis(tuple("d_" + lab for lab in G.basis.labels), "k^" + G.name)
+    prod = {ac: next(iter(row)) for ac, row in G.algebra.mult.items()}
+    e = next(iter(G.unit().data))[0]
+    unit = Tensor((d,), {(i,): one for i in range(n)}, field)
+    cols = {}
+    for ac, g in prod.items():
+        cols.setdefault(g, {})[ac] = one
+    phi = unit.tensor(unit).tensor(unit)
+    K = QuasiHopfAlgebra(
+        FinAlgebra(d, {(i, i): {i: one} for i in range(n)}, unit, field),
+        LinearMap(d, (d, d), cols, field),
+        LinearMap(d, (), {e: {(): one}}, field), phi,
+        LinearMap(d, (d,), {g: {(c,): one} for (g, c), k in prod.items()
+                            if k == e}, field),
+        unit, unit, phi)
+    # d_e = 1 - sum of the other d_g
+    b = Basis(tuple("1" if i == e else lab
+                    for i, lab in enumerate(d.labels)), d.name + "u")
+    to_old = {i: {j: one for j in range(n)} if i == e else {i: one}
+              for i in range(n)}
+    to_new = LinearMap(d, (b,), {i: {(j,): one if j == e else -one
+                                     for j in range(n)}
+                                 if i == e else {(i,): one}
+                                 for i in range(n)}, field)
+    return rebase(K, b, to_old, to_new, d.name)
+
+
 @FIELDS
 def test_quasihopf_structure_maps(field):
-    """counit-hom, comul-hom and antipode-antihom on mutants of the
-    counit, the comultiplication and the antipode."""
+    """counit-hom, comul-hom, q1, antipode-antihom and eps-antipode on
+    mutants of the counit, the comultiplication and the antipode, and
+    ca of the core identities on those of the comultiplication. The
+    corpus Delta and its seeded mutants are all cocommutative (a mutant
+    only changes entries g (x) g), so they cannot tell Delta^op from
+    Delta in ca; k^S3 and the mutants of its Delta can."""
     failures = 0
-    for key in ("z2_quasi", "z3"):
-        H = _field_corpus(field)[key]
+    ks3 = _function_algebra(_field_corpus(field)["s3"])
+    assert any(col.get((b, a)) != c for col in ks3.comul.cols.values()
+               for (a, b), c in col.items())
+    for H in (_field_corpus(field)["z2_quasi"], _field_corpus(field)["z3"],
+              ks3):
         parts = {"comul": H.comul, "counit": H.counit,
                  "antipode": H.antipode}
         for name, f in parts.items():
@@ -387,7 +551,9 @@ def test_quasihopf_structure_maps(field):
                 # takes the zero tensor for an empty Delta(h)
                 rep = check_quasihopf(Hm)
                 failures += _assert_matches(rep, _ref_quasihopf, Hm)
-    assert failures >= 30
+                if name == "comul":
+                    failures += _core_matches(Hm)
+    assert failures >= 90
 
 
 def _comodules(field, subgroup_comodule):
@@ -397,9 +563,10 @@ def _comodules(field, subgroup_comodule):
 
 @FIELDS
 def test_comodule_algebras(field, subgroup_comodule):
-    """coact-hom, rca3 and lca3 on mutants of the coactions, and
-    coact-hom on mutants of the multiplication of a comodule algebra
-    that is not H."""
+    """coact-hom, rca1, rca3, lca1 and lca3 on mutants of the
+    coactions, bca1 on mutants of both coactions of a bicomodule
+    algebra, and coact-hom, rca1 and rca3 on mutants of the
+    multiplication of a comodule algebra that is not H."""
     failures = 0
     for ca in _comodules(field, subgroup_comodule):
         for rho in _mutants(ca.coaction, 3):
@@ -413,6 +580,19 @@ def test_comodule_algebras(field, subgroup_comodule):
                                  lca.phi_lam_inv, name=lca.name)
         failures += _assert_matches(check_left_comodule_algebra(cm),
                                     _ref_left_comodule, cm)
+    H = lca.H
+    ba = canonical_bicomodule(H)
+    parts = {"l": ba.left.coaction, "r": ba.right.coaction}
+    for name, f in parts.items():
+        for g in _mutants(f, ord(name)):
+            maps = dict(parts, **{name: g})
+            bm = BicomoduleAlgebra(
+                LeftComoduleAlgebra(H, H.algebra, maps["l"], H.phi,
+                                    H.phi_inv),
+                RightComoduleAlgebra(H, H.algebra, maps["r"], H.phi,
+                                     H.phi_inv), H.phi, H.phi_inv)
+            failures += _assert_matches(check_bicomodule_algebra(bm),
+                                        _ref_bicomodule, bm)
     ca = subgroup_comodule(field)
     A = ca.algebra
     # mutants of the products a.e, e.a and a.a, keeping e.e = e so that
@@ -426,7 +606,7 @@ def test_comodule_algebras(field, subgroup_comodule):
             ca.phi_rho, ca.phi_rho_inv, name=ca.name)
         failures += _assert_matches(check_right_comodule_algebra(cm),
                                     _ref_right_comodule, cm)
-    assert failures >= 10
+    assert failures >= 55
 
 
 @FIELDS
@@ -435,8 +615,9 @@ def test_module_algebras_and_coalgebras(field):
     of two module algebras (the quasi-smash product over H, and H* over
     H (x) H^op, whose reassociator is not trivial either) and on
     mutants of the comultiplication of H, which make it not
-    cocommutative; and module-assoc, module-unit, rmc2 and rmc3 on
-    mutants of the actions of module coalgebras."""
+    cocommutative; and module-assoc, module-unit, rmc1, rmc2 and rmc3
+    on mutants of the actions and comultiplications of module
+    coalgebras."""
     failures = 0
     H = _field_corpus(field)["z2_quasi"]
     qs = quasi_smash(canonical_right_comodule(H))
@@ -467,12 +648,17 @@ def test_module_algebras_and_coalgebras(field):
                                       act, name=mc.name)
             failures += _assert_matches(check_right_module_coalgebra(mm),
                                         _ref_right_module_coalgebra, mm)
-    assert failures >= 28
+        for comul in _mutants(mc.comul, 8):
+            mm = RightModuleCoalgebra(mc.H, mc.basis, comul, mc.counit,
+                                      mc.action, name=mc.name)
+            failures += _assert_matches(check_right_module_coalgebra(mm),
+                                        _ref_right_module_coalgebra, mm)
+    assert failures >= 100
 
 
 @FIELDS
 def test_two_sided_and_relative_modules(field, subgroup_comodule):
-    """The eight converted checks of a two-sided Hopf module on mutants
+    """The nine converted checks of a two-sided Hopf module on mutants
     of both actions and the coaction (over z2_quasi, and over k<a> in
     z2z2, where the comodule algebra is not H), and the five of a
     relative Hopf module on mutants of both actions."""
@@ -500,12 +686,12 @@ def test_two_sided_and_relative_modules(field, subgroup_comodule):
                 g if name == "r" else N.r_action, name=N.name)
             failures += _assert_matches(check_relative_hopf_module(Nm),
                                         _ref_relative, Nm)
-    assert failures >= 40
+    assert failures >= 160
 
 
 @FIELDS
 def test_canonical_module_isomorphism(field, subgroup_comodule, monkeypatch):
-    """iso-h-linear and iso-a-linear on mutants of theta, the map
+    """iso-h-linear, iso-a-linear and iso-colinear on mutants of theta, the map
     between the canonical modules A (x) H and H (x) A, over z2_quasi and
     over k<a> in z2z2."""
     import qhopf.hopfmod as hopfmod
@@ -519,34 +705,31 @@ def test_canonical_module_isomorphism(field, subgroup_comodule, monkeypatch):
                                 lambda _, g=g: (g, theta_inv))
             failures += _assert_matches(verify_canonical_modules(ca),
                                         _ref_canonical_iso, (V, U, g, ca))
-    assert failures >= 16
+    assert failures >= 30
 
 
 @FIELDS
 def test_bimodule_coalgebra(field):
-    """lmod-assoc, rmod-assoc, lmod-unit, rmod-unit, commute, bmc2-left
-    and bmc2-right on mutants of both actions of a bimodule
-    coalgebra."""
+    """lmod-assoc, rmod-assoc, lmod-unit, rmod-unit, commute, bmc1,
+    bmc2-left and bmc2-right on mutants of both actions and of the
+    comultiplication of a bimodule coalgebra."""
     failures = 0
     C = canonical_bimodule_coalgebra(_field_corpus(field)["z2_quasi"])
-    for name in ("l", "r"):
-        f = C.left_action if name == "l" else C.right_action
+    parts = {"l": C.left_action, "r": C.right_action, "c": C.comul}
+    for name, f in parts.items():
         for g in _mutants(f, ord(name)):
-            Cm = BimoduleCoalgebra(
-                C.H, C.basis, C.comul, C.counit,
-                g if name == "l" else C.left_action,
-                g if name == "r" else C.right_action, name=C.name)
+            maps = dict(parts, **{name: g})
+            Cm = BimoduleCoalgebra(C.H, C.basis, maps["c"], C.counit,
+                                   maps["l"], maps["r"], name=C.name)
             failures += _assert_matches(check_bimodule_coalgebra(Cm),
                                         _ref_bimodule_coalgebra, Cm)
-    assert failures >= 12
+    assert failures >= 65
 
 
-@FIELDS
-def test_doi_hopf_and_crossed_modules(field):
-    """rmod-assoc, rmod-unit, dhm2 and dhm3 of a Doi-Hopf module on
-    mutants of its action and coaction, and c-counit, tstc3 and tstc3b
-    of a crossed Hopf module on mutants of its coalgebra coaction."""
-    H = _field_corpus(field)["z2"]
+def _doi_and_crossed(H):
+    """The Doi-Hopf module of the cyclic module at seed 1 over the final
+    smash product of the canonical datum over H, and the crossed Hopf
+    module it gives."""
     ba = canonical_bicomodule(H)
     C = canonical_bimodule_coalgebra(H)
     HHop = H.tensor_with(H.opposite())
@@ -557,22 +740,95 @@ def test_doi_hopf_and_crossed_modules(field):
     final = generalized_smash(dual_module_algebra(mc), lcb)
     N = doi_from_algebra_module(final, lcb, mc,
                                 cyclic_right_submodule(final, 1))
+    return N, crossed_from_doi(N, ba, C, qs, sm)
+
+
+@FIELDS
+def test_doi_hopf_and_crossed_modules(field):
+    """rmod-assoc, rmod-unit, dhm2, dhm1 and dhm3 of a Doi-Hopf module
+    on mutants of its action and coaction, and c-counit, tstc1, tstc2,
+    tstc3 and tstc3b of a crossed Hopf module on mutants of its
+    coalgebra coaction and of its two-sided coaction."""
+    N, M = _doi_and_crossed(_field_corpus(field)["z2"])
     failures = 0
     for name in ("r", "c"):
         f = N.r_action if name == "r" else N.coaction
         for g in _mutants(f, ord(name), trials=4):
-            Nm = DoiHopfModule(lcb, mc, N.basis,
+            Nm = DoiHopfModule(N.cb, N.mc, N.basis,
                                g if name == "r" else N.r_action,
                                g if name == "c" else N.coaction,
                                name=N.name)
             failures += _assert_matches(check_doi_hopf_module(Nm),
                                         _ref_doi_hopf, Nm)
-    M = crossed_from_doi(N, ba, C, qs, sm)
+    ba, C, ts = M.ba, M.C, M.ts
     for g in _mutants(M.c_coaction, 8, trials=4):
-        Mm = CrossedHopfModule(ba, C, M.ts, g)
+        Mm = CrossedHopfModule(ba, C, ts, g)
         failures += _assert_matches(check_crossed_hopf_module(Mm),
                                     _ref_crossed, Mm)
-    assert failures >= 8
+    for g in _mutants(ts.coaction, 9, trials=4):
+        Mm = CrossedHopfModule(ba, C, TwoSidedHopfModule(
+            ts.ca, ts.basis, ts.left_action, ts.right_action, g,
+            name=ts.name), M.c_coaction)
+        failures += _assert_matches(check_crossed_hopf_module(Mm),
+                                    _ref_crossed, Mm)
+    assert failures >= 30
+
+
+@FIELDS
+def test_sandwich_laws_on_nongroup_and_twist(field, nongroup):
+    """The thirteen laws whose sides are sandwiches or composites of
+    structure maps (q1, ca, eps-antipode, rca1, lca1, bca1, rmc1,
+    coassoc, iso-colinear, bmc1, dhm1, tstc1 and tstc2) on k[Z/3] in a
+    non-group basis, whose structure constants are not all one, and on
+    a gauge twist of k[Z/3], whose reassociator is dense: on each
+    structure as it is and on mutants of the comultiplication and of
+    the coactions. dhm1, tstc1 and tstc2 run on the non-group basis
+    only: the crossed comodule algebra of the twist takes minutes to
+    build."""
+    failures = 0
+    for H in (nongroup(field), twist(*fixed_twist(3, field))):
+        for comul in _mutants(H.comul, 12, trials=3):
+            Hm = QuasiHopfAlgebra(H.algebra, comul, H.counit, H.phi,
+                                  H.antipode, H.alpha, H.beta, H.phi_inv,
+                                  name=H.name)
+            failures += _assert_matches(check_quasihopf(Hm), _ref_quasihopf,
+                                        Hm)
+            failures += _core_matches(Hm)
+        ba = canonical_bicomodule(H)
+        for g in _mutants(ba.left.coaction, 13, trials=3):
+            left = LeftComoduleAlgebra(H, H.algebra, g, H.phi, H.phi_inv)
+            bm = BicomoduleAlgebra(left, ba.right, H.phi, H.phi_inv)
+            failures += _assert_matches(check_bicomodule_algebra(bm),
+                                        _ref_bicomodule, bm)
+            failures += _assert_matches(check_left_comodule_algebra(left),
+                                        _ref_left_comodule, left)
+        ca = ba.right
+        for g in _mutants(ca.coaction, 14, trials=3):
+            cm = RightComoduleAlgebra(H, H.algebra, g, H.phi, H.phi_inv)
+            failures += _assert_matches(check_right_comodule_algebra(cm),
+                                        _ref_right_comodule, cm)
+        mc = canonical_module_coalgebra(H)
+        failures += _assert_matches(check_right_module_coalgebra(mc),
+                                    _ref_right_module_coalgebra, mc)
+        C = canonical_bimodule_coalgebra(H)
+        failures += _assert_matches(check_bimodule_coalgebra(C),
+                                    _ref_bimodule_coalgebra, C)
+        V, U = canonical_first_module(ca), canonical_second_module(ca)
+        for g in _mutants(V.coaction, 15, trials=3):
+            Vm = TwoSidedHopfModule(ca, V.basis, V.left_action,
+                                    V.right_action, g, name=V.name)
+            failures += _assert_matches(check_two_sided_hopf_module(Vm),
+                                        _ref_two_sided, Vm)
+        failures += _assert_matches(verify_canonical_modules(ca),
+                                    _ref_canonical_iso,
+                                    (V, U, module_isomorphism(ca)[0], ca))
+    N, M = _doi_and_crossed(nongroup(field))
+    failures += _assert_matches(check_doi_hopf_module(N), _ref_doi_hopf, N)
+    for g in _mutants(M.c_coaction, 16, trials=3):
+        Mm = CrossedHopfModule(M.ba, M.C, M.ts, g)
+        failures += _assert_matches(check_crossed_hopf_module(Mm),
+                                    _ref_crossed, Mm)
+    assert failures >= 85
 
 
 @FIELDS

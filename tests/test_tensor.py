@@ -82,6 +82,24 @@ def test_linear_map_basics():
     assert gf(Tensor.basis_vector(B2, 0, QQ)).coeff((1,)) == Fraction(2)
 
 
+def test_compose_maps_one_codomain_leg_of_every_column():
+    f = LinearMap(B3, (B2, B3), {0: {(1, 2): Fraction(2)},
+                                 2: {(0, 0): Fraction(-1),
+                                     (1, 1): Fraction(1, 3)}}, QQ)
+    g = LinearMap(B2, (B3, B2), {0: {(1, 1): Fraction(5)},
+                                 1: {(0, 0): Fraction(1),
+                                     (2, 1): Fraction(-2)}}, QQ)
+    h = LinearMap(B3, (), {1: {(): Fraction(4)}, 2: {(): Fraction(3)}}, QQ)
+    for leg, k in ((0, g), (1, h)):
+        fk = k.compose(f, leg)
+        assert fk.codomain == f.codomain[:leg] + k.codomain + \
+            f.codomain[leg + 1:]
+        for m in range(B3.dim):
+            assert fk.column(m) == f.column(m).map_leg(leg, k)
+    with pytest.raises(ValueError):
+        g.compose(f, 1)
+
+
 def test_map_leg_on_middle_leg():
     f = LinearMap(B2, (B2, B2),
                   {i: {(i, i): Fraction(1)} for i in range(2)}, QQ)
