@@ -220,6 +220,109 @@ def sandwich(f: LinearMap, x: Optional[Tensor] = None,
     return LinearMap(f.domain, spaces, out, field)
 
 
+def _sweedler_plan(field: Field, spaces, legs: Sequence):
+    """(vals, plans, roots, out, den): legs compiled for sweedler. Values
+    are tuples of (index, numerator) pairs in the slots of vals: slot r <
+    len(spaces) for source leg r, then the lifted tensors. A step (slot,
+    a, b, c) fills its slot with the lifted map b applied to slot a (c
+    None) or slots a and c multiplied by the lifted table b; plans[r]
+    holds the steps whose last source leg read is r (plans[-1]: none).
+    Output leg r is slot roots[r] on out[r]; den is the product of all
+    the denominators but the source's."""
+    k, den = len(spaces), 1
+    vals, plans = [None] * k, [[] for _ in range(k + 1)]
+
+    def add(depth, space, d, *step):
+        nonlocal den
+        den *= d
+        vals.append(None)
+        plans[depth].append((len(vals) - 1,) + step)
+        return len(vals) - 1, depth, space
+
+    def compile_term(t):  # (slot, last source leg read, space) of t
+        nonlocal den
+        if isinstance(t, int) and 0 <= t < k:
+            return t, t, spaces[t]
+        if isinstance(t, Tensor) and len(t.spaces) == 1 and t.field == field:
+            vec, d = _lift_vector(t)
+            den *= d
+            vals.append(vec)
+            return len(vals) - 1, -1, t.spaces[0]
+        op, *args = t if isinstance(t, tuple) and t else (None,)
+        if isinstance(op, LinearMap) and len(args) == 1:
+            slot, depth, space = compile_term(args[0])
+            if (space, 1, field) == (op.domain, len(op.codomain), op.field):
+                cols, d = _lift_map(op)
+                return add(depth, op.codomain[0], d, slot, cols, None)
+        elif isinstance(op, LegMul) and len(args) > 1:
+            rows, d = op.lifted()
+            slot, depth, space = compile_term(args[0])
+            for arg in args[1:]:
+                right, rdepth, rspace = compile_term(arg)
+                if (space, rspace, field) != (op.left, op.right, op.field):
+                    break
+                slot, depth, space = add(max(depth, rdepth), op.out, d, slot,
+                                         rows, right)
+            else:
+                return slot, depth, space
+        raise ValueError("%r is not a Sweedler term on its spaces" % (t,))
+
+    terms = [compile_term(t) for t in legs]
+    return vals, plans, [t[0] for t in terms], tuple(t[2] for t in terms), den
+
+
+def sweedler(source: Tensor, legs: Sequence) -> Tensor:
+    """The Sweedler sum of c t_0 (x) t_1 (x) ... over the terms
+    c e_{i_0} (x) e_{i_1} (x) ... of source, a term t_r per entry of legs:
+    an int r is e_{i_r} (source leg r, carried); a one-leg Tensor is
+    itself; (f, t) is the LinearMap f, with one codomain leg, applied to
+    the term t; (m, t_1, t_2, ...) is the product of the terms, left to
+    right, by the LegMul m. So p_R = sum x1 (x) x2 beta S(x3) is
+    sweedler(phi_inv, (0, (m, 1, beta, (S, 2)))); a factor with several
+    legs, such as Delta(h), enters as legs of source. The sum runs over
+    lifted tables (_sweedler_plan) and the source nested by legs
+    (_nest): each partial product of the first p factors is formed once
+    per tuple of the source indices it reads, a zero skips the terms
+    below it, and each output entry is lowered once. An empty source
+    gives zero; a term that does not fit its space, ValueError."""
+    field, acc = source.field, {}
+    vals, plans, roots, spaces, den = _sweedler_plan(field, source.spaces,
+                                                     legs)
+    last = len(plans) - 2
+
+    def walk(r, node):
+        for i, sub in node.items():
+            if r >= 0:
+                vals[r] = ((i, 1),)
+            for slot, a, b, c in plans[r]:
+                v = _pairs(_contract(vals[a], b) if c is None
+                           else _mul(b, vals[a], vals[c]))
+                if not v:
+                    break
+                vals[slot] = v
+            else:
+                if r < last:
+                    walk(r + 1, sub)
+                    continue
+                terms = [((), sub[()])]
+                for slot in roots:
+                    terms = [(idx + (k,), n * s) for idx, n in terms
+                             for k, s in vals[slot]]
+                for idx, n in terms:
+                    acc[idx] = acc.get(idx, 0) + n
+
+    num, d = field.lift(source.data)
+    if num:
+        walk(-1, {None: _nest(num, last + 1)})
+    return Tensor(spaces, field.lower(acc, den * d), field)
+
+
+def _per_input(source: Tensor, *legs) -> LinearMap:
+    """The map e_i -> the slice at i of sweedler(source, (0,) + legs):
+    source leg 0 is the input, carried."""
+    return LinearMap.from_graph(sweedler(source, (0,) + legs))
+
+
 class FinAlgebra:
     """A finite dimensional unital algebra given by structure constants.
 
@@ -490,53 +593,6 @@ def _lift_map(f: LinearMap):
     rows, den = _lift_rows(f.field, f.cols)
     return {k: tuple((r, n) for (r,), n in row)
             for k, row in rows.items()}, den
-
-
-def _sweedler_chain(mult: LegMul, source: Tensor, maps: Sequence[LinearMap],
-                    zs: Sequence[Tensor]) -> Tensor:
-    """The sum of c f_0(e_{i_0}) z_0 f_1(e_{i_1}) z_1 ... f_k(e_{i_k})
-    over the terms c e_{i_0} (x) ... (x) e_{i_k} of source, multiplied
-    left to right by mult: f_r is maps[r], a map with one codomain leg
-    (the antipode, or LinearMap.identity), and z_r is the one-leg tensor
-    zs[r], one fewer than maps. The partial product up to z_r is formed
-    once per prefix (i_0, ..., i_r) of the terms, over the lifted table
-    (_mul), maps (_lift_map) and zs (_lift_vector), and the sum is
-    lowered once. An empty source gives zero."""
-    field = source.field
-    if len(source.spaces) != len(maps) or len(zs) != len(maps) - 1:
-        raise ValueError("a chain needs one map per leg and one element "
-                         "between each two")
-    rows, dt = mult.lifted()
-    num, den = field.lift(source.data)
-    den *= dt ** (2 * len(zs))
-    fs, lz = [], []
-    for f in maps:
-        cols, d = _lift_map(f)
-        fs.append(cols)
-        den *= d
-    for z in zs:
-        vec, d = _lift_vector(z)
-        lz.append(vec)
-        den *= d
-    frames = [(None, _nest(num, len(maps)))]
-    for r, cols in enumerate(fs):
-        staged = []
-        for vec, node in frames:
-            for i, sub in node.items():
-                part = cols.get(i, ())
-                if vec is not None:
-                    part = _pairs(_mul(rows, vec, part))
-                if r < len(lz):
-                    part = _pairs(_mul(rows, part, lz[r]))
-                if part:
-                    staged.append((part, sub))
-        frames = staged
-    acc: Dict = {}
-    for vec, sub in frames:
-        c = sub[()]
-        for k, n in vec:
-            acc[(k,)] = acc.get((k,), 0) + c * n
-    return Tensor((mult.out,), field.lower(acc, den), field)
 
 
 def _transpose(table) -> Dict:

@@ -6,18 +6,19 @@ rho: A -> A (x) H that is coassociative up to an invertible reassociator
 Phi_rho in A (x) H (x) H; a left comodule algebra mirrors this with
 lambda: B -> H (x) B and Phi_lam in H (x) H (x) B. A bicomodule algebra
 carries both plus a middle reassociator Phi_mid in H (x) A (x) H. Mixed
-tensors (some legs in A, some in H) are multiplied leg by leg.
+tensors (some legs in A, some in H) are multiplied leg by leg, and each
+Sweedler sum of the tilde identities is one algebra.sweedler.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import (FinAlgebra, LegMul, counit_identity,
+from .algebra import (FinAlgebra, LegMul, _per_input, counit_identity,
                       equivariant_action, invert_in_tensor_algebra,
                       left_action_assoc, left_action_unit, mul_legs,
                       multiplicative, quasi_associative, right_action_assoc,
-                      right_action_unit, sandwich, tensor_unit)
+                      right_action_unit, sandwich, sweedler, tensor_unit)
 from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra, p_right, q_right
 from .report import VerificationReport
 from .tensor import Basis, LinearMap, Tensor
@@ -91,6 +92,9 @@ class _ComoduleAlgebraBase(AlgebraOverH):
             acc = mul_legs(legs, acc, x)
         return acc
 
+    def coact(self, x: Tensor, leg: int = 0) -> Tensor:
+        return x.map_leg(leg, self.coaction)
+
 
 class RightComoduleAlgebra(_ComoduleAlgebraBase):
     """A right H-comodule algebra (A, rho, Phi_rho)."""
@@ -108,9 +112,6 @@ class RightComoduleAlgebra(_ComoduleAlgebraBase):
         self.phi_rho_inv = _check_inverse(
             (algebra, H.algebra, H.algebra), phi_rho, phi_rho_inv,
             "right reassociator")
-
-    def coact(self, x: Tensor, leg: int = 0) -> Tensor:
-        return x.map_leg(leg, self.coaction)
 
     def p_tilde(self) -> Tensor:
         """sum x1 (x) x2 beta S(x3) in A (x) H, from Phi_rho^{-1}: p_R's
@@ -139,9 +140,6 @@ class LeftComoduleAlgebra(_ComoduleAlgebraBase):
         self.phi_lam_inv = _check_inverse(
             (H.algebra, H.algebra, algebra), phi_lam, phi_lam_inv,
             "left reassociator")
-
-    def coact(self, x: Tensor, leg: int = 0) -> Tensor:
-        return x.map_leg(leg, self.coaction)
 
 
 class BicomoduleAlgebra(AlgebraOverH):
@@ -394,67 +392,54 @@ def verify_tilde_identities(ca: RightComoduleAlgebra) -> VerificationReport:
     der = H.derived
     rep = VerificationReport("tilde elements %s" % ca.name,
                              {"dim": ca.dim, "field": H.field.name})
-    n = ca.dim
-    one = H.unit()
-    one_a = ca.unit()
-    pt = ca.p_tilde()
-    qt = ca.q_tilde()
+    one, one_a = H.unit(), ca.unit()
     unit_ah = one_a.tensor(one)
+    pt, qt = ca.p_tilde(), ca.q_tilde()
+    m, mA, rho = H.leg(), ca.algebra.as_leg(), ca.coaction
+    S, Si = H.antipode, H.antipode_inv
 
-    rep.check_quantified(
-        "tpqr1", ((a,) for a in range(n)),
-        lambda a: (H.assemble(ca.coact(ca.e(a)), lambda a0, a1: ca.mmul(
-            ca.coact(ca.e(a0)), pt, one_a.tensor(H.S(H.e(a1))))),
-            ca.mmul(pt, ca.e(a).tensor(one))))
-    rep.check_quantified(
-        "tpqr1a", ((a,) for a in range(n)),
-        lambda a: (H.assemble(ca.coact(ca.e(a)), lambda a0, a1: ca.mmul(
-            one_a.tensor(H.Sinv(H.e(a1))), qt, ca.coact(ca.e(a0)))),
-            ca.mmul(ca.e(a).tensor(one), qt)))
-    rep.check_equal(
-        "tpqr2",
-        H.assemble(qt, lambda q1, q2: ca.mmul(
-            ca.coact(ca.e(q1)), pt, one_a.tensor(H.S(H.e(q2))))),
-        unit_ah)
-    rep.check_equal(
-        "tpqr2a",
-        H.assemble(pt, lambda p1, p2: ca.mmul(
-            one_a.tensor(H.Sinv(H.e(p2))), qt, ca.coact(ca.e(p1)))),
-        unit_ah)
+    # tpqr1 and tpqr1a compare two maps on A, each a Sweedler sum whose
+    # source leg 0 is a: the graph of rho, split by rho, or the identity's
+    split = rho.graph().map_leg(1, rho)
+    ident = LinearMap.identity(ca.basis, H.field).graph()
+
+    rep.check_same("tpqr1", _per_input(split.tensor(pt), (mA, 1, 4, one_a),
+                                       (m, 2, 5, (S, 3))),
+                   _per_input(ident.tensor(pt), (mA, 2, 1), (m, 3, one)))
+    rep.check_same("tpqr1a", _per_input(split.tensor(qt), (mA, one_a, 4, 1),
+                                        (m, (Si, 3), 5, 2)),
+                   _per_input(ident.tensor(qt), (mA, 1, 2), (m, one, 3)))
+    rep.check_equal("tpqr2", sweedler(qt.map_leg(0, rho).tensor(pt), (
+        (mA, 0, 3, one_a), (m, 1, 4, (S, 2)))), unit_ah)
+    rep.check_equal("tpqr2a", sweedler(pt.map_leg(0, rho).tensor(qt), (
+        (mA, one_a, 3, 0), (m, (Si, 2), 4, 1))), unit_ah)
 
     # Phi_rho (rho (x) id)(p~)(p~ (x) 1)
-    #   = sum (id (x) Delta)(rho(x1) p~)(1_A (x) g1 S(x3) (x) g2 S(x2))
-    lhs = ca.mmul(ca.phi_rho, pt.map_leg(0, ca.coaction), pt.tensor(one))
-    rhs = H.assemble(
-        ca.phi_rho_inv.tensor(der.f_inv),
-        lambda x1, x2, x3, g1, g2: ca.mmul(
-            ca.mmul(ca.coact(ca.e(x1)), pt).map_leg(1, H.comul),
-            one_a.tensor(H.mul(H.e(g1), H.S(H.e(x3)))).tensor(
-                H.mul(H.e(g2), H.S(H.e(x2))))))
+    #   = sum (id (x) Delta)(rho(x1) p~)(1_A (x) g1 S(x3) (x) g2 S(x2)),
+    # a sum over W = sum rho(x1) p~ (x) x2 (x) x3 and f^{-1}
+    lhs = ca.mmul(ca.phi_rho, pt.map_leg(0, rho), pt.tensor(one))
+    W = sweedler(ca.phi_rho_inv.map_leg(0, rho).tensor(pt), (
+        (mA, 0, 4), (m, 1, 5), 2, 3))
+    rhs = sweedler(W.map_leg(1, H.comul).tensor(der.f_inv), (
+        (mA, 0, one_a), (m, 1, (m, 5, (S, 4))), (m, 2, (m, 6, (S, 3)))))
     rep.check_equal("tpr2", lhs, rhs)
 
     # (q~ (x) 1)(rho (x) id)(q~) Phi_rho^{-1}
     #   = sum (1_A (x) S^{-1}(f2 X3) (x) S^{-1}(f1 X2))
-    #         (id (x) Delta)(q~ rho(X1))
-    lhs = ca.mmul(qt.tensor(one), qt.map_leg(0, ca.coaction), ca.phi_rho_inv)
-    rhs = H.assemble(
-        ca.phi_rho.tensor(der.f),
-        lambda X1, X2, X3, f1, f2: ca.mmul(
-            one_a.tensor(H.Sinv(H.mul(H.e(f2), H.e(X3)))).tensor(
-                H.Sinv(H.mul(H.e(f1), H.e(X2)))),
-            ca.mmul(qt, ca.coact(ca.e(X1))).map_leg(1, H.comul)))
+    #         (id (x) Delta)(q~ rho(X1)),
+    # a sum over W = sum q~ rho(X1) (x) X2 (x) X3 and f
+    lhs = ca.mmul(qt.tensor(one), qt.map_leg(0, rho), ca.phi_rho_inv)
+    W = sweedler(ca.phi_rho.map_leg(0, rho).tensor(qt), (
+        (mA, 4, 0), (m, 5, 1), 2, 3))
+    rhs = sweedler(W.map_leg(1, H.comul).tensor(der.f), (
+        (mA, one_a, 0), (m, (Si, (m, 6, 4)), 1), (m, (Si, (m, 5, 3)), 2)))
     rep.check_equal("tqr2", lhs, rhs)
 
     # sum X1_<1> p~2 S(X2) (x) X1_<0> p~1 (x) X3
     #   = sum x2 S(x3_1 pL1) (x) x1 (x) x3_2 pL2
-    lhs = H.assemble(ca.phi_rho, lambda X1, X2, X3: H.assemble(
-        ca.coact(ca.e(X1)).tensor(pt),
-        lambda a0, a1, p1, p2: H.mul(H.e(a1), H.e(p2), H.S(H.e(X2))).tensor(
-            ca.algebra.mul(ca.e(a0), ca.e(p1))).tensor(H.e(X3))))
-    rhs = H.assemble(
-        ca.phi_rho_inv.map_leg(2, H.comul).tensor(der.p_L),
-        lambda x1, x2, x31, x32, l1, l2: H.mul(
-            H.e(x2), H.S(H.mul(H.e(x31), H.e(l1)))).tensor(
-                ca.e(x1)).tensor(H.mul(H.e(x32), H.e(l2))))
+    lhs = sweedler(ca.phi_rho.map_leg(0, rho).tensor(pt), (
+        (m, 1, 5, (S, 2)), (mA, 0, 4), 3))
+    rhs = sweedler(ca.phi_rho_inv.map_leg(2, H.comul).tensor(der.p_L), (
+        (m, 1, (S, (m, 2, 4))), 0, (m, 3, 5)))
     rep.check_equal("tprr", lhs, rhs)
     return rep

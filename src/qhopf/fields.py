@@ -6,19 +6,19 @@ scalars are Fp instances. Both support +, -, *, /, ==, bool, so tensor
 code is field-agnostic: a scalar is zero exactly when it is falsy.
 
 A kernel that sums many products works in plain integers instead: the
-leg-wise product mul_legs, the antipode chains _sweedler_chain (q5, q6
-and a twist's alpha and beta) and the side-builders of algebra.py; the
-product-table builders (lowered once per entry by ProductAlgebra) and
-HeisenbergDouble of products.py; canonical_first_module,
-_forward_action and the four module functors relative_from_two_sided,
-two_sided_from_relative, relative_from_smash_module and
-two_sided_from_smash_module of hopfmod.py; doi_from_algebra_module,
-algebra_action_from_doi, hhop_module_coalgebra and crossed_smash_direct
-of doihopf.py. The helpers they share (_lift_rows, _lift_map,
-_lift_vector, _times, _chain, _contract, _mul, _nest, _leg_sum,
-_sweedler_chain, _side, _pair, _apply, _restrict, _lowered, _transpose,
-_two_sided_hits, _pairs) live in algebra.py.
-They go through two methods of the field:
+leg-wise product mul_legs, the Sweedler sums of sweedler (the derived
+elements and every Sweedler sum of quasihopf.py and coact.py) and the
+side-builders of algebra.py; the product-table builders (lowered once
+per entry by ProductAlgebra) and HeisenbergDouble of products.py;
+canonical_first_module, _forward_action and the four module functors
+relative_from_two_sided, two_sided_from_relative,
+relative_from_smash_module and two_sided_from_smash_module of
+hopfmod.py; doi_from_algebra_module, algebra_action_from_doi,
+hhop_module_coalgebra and crossed_smash_direct of doihopf.py. The
+helpers they share (_lift_rows, _lift_map, _lift_vector, _times, _chain,
+_contract, _mul, _nest, _leg_sum, _sweedler_plan, _side, _pair, _apply,
+_restrict, _lowered, _transpose, _two_sided_hits, _pairs) live in
+algebra.py. They go through two methods of the field:
 
 - lift(data) -> (num, den): num maps each key of data to an int and den
   is one positive int with data[k] == num[k] / den for every k. Over Q,

@@ -4,7 +4,9 @@ Conventions. The comultiplication is only coassociative up to the
 reassociator Phi: (id (x) Delta)(Delta(h)) = Phi (Delta (x) id)(Delta(h))
 Phi^{-1}. Tensor components of Phi are written with capital letters
 (X1, X2, X3) and those of Phi^{-1} with small letters (x1, x2, x3) in
-comments referencing formulas. All identity checks are exact.
+comments referencing formulas. All identity checks are exact. Each
+derived element, and each Sweedler sum of an identity, is one
+algebra.sweedler over the terms of Phi, Phi^{-1}, Delta(h) or others.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Optional
 
-from .algebra import (FinAlgebra, LegMul, _lowered, _sweedler_chain,
-                      _transpose, _two_sided_hits, invert_in_tensor_algebra,
+from .algebra import (FinAlgebra, LegMul, _lowered, _per_input, _transpose,
+                      _two_sided_hits, invert_in_tensor_algebra,
                       invert_linear_map, mul_legs, multiplicative,
-                      quasi_associative, sandwich, tensor_unit)
+                      quasi_associative, sandwich, sweedler, tensor_unit)
 from .fields import Field
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
@@ -109,9 +111,10 @@ class QuasiBialgebra:
 
     def assemble(self, source: Tensor, builder: Callable[..., Tensor]) -> Tensor:
         """Sum builder(*indices) over the terms of source, weighted by
-        the term coefficients. The workhorse for Sweedler-style sums.
-        Each term is added into the first one, which scale made fresh,
-        so no builder's tensor is changed."""
+        the term coefficients, one term at a time: the Sweedler sums of
+        hopfmod.py, doihopf.py and products.py (the others are one
+        algebra.sweedler each). Each term is added into the first one,
+        which scale made fresh, so no builder's tensor is changed."""
         out = None
         for idx, c in source.data.items():
             t = builder(*idx).scale(c)
@@ -339,22 +342,16 @@ def check_quasihopf(H: QuasiHopfAlgebra) -> VerificationReport:
     except ValueError:
         rep.check_bool("antipode-bijective", False)
 
-    S, ident = H.antipode, LinearMap.identity(H.basis, H.field)
+    m, S = H.leg(), H.antipode
+    # q5's two sums on every Delta(e_i), leg 0 the input i
+    q5_a, q5_b = (_per_input(H.comul.graph(), t) for t in (
+        (m, (S, 1), H.alpha, 2), (m, 1, H.beta, (S, 2))))
+    rep.check_quantified("q5", ((i,) for i in range(n)), lambda i: _both(
+        q5_a.column(i), q5_b.column(i), H.alpha.scale(H.eps(H.e(i))),
+        H.beta.scale(H.eps(H.e(i)))))
 
-    def q5(i):
-        h = H.e(i)
-        d = H.delta(h)
-        eh = H.eps(h)
-        return _both(_sweedler_chain(H.leg(), d, (S, ident), (H.alpha,)),
-                     _sweedler_chain(H.leg(), d, (ident, S), (H.beta,)),
-                     H.alpha.scale(eh), H.beta.scale(eh))
-
-    rep.check_quantified("q5", ((i,) for i in range(n)), q5)
-
-    q6_a = _sweedler_chain(H.leg(), H.phi, (ident, S, ident),
-                           (H.beta, H.alpha))
-    q6_b = _sweedler_chain(H.leg(), H.phi_inv, (S, ident, S),
-                           (H.alpha, H.beta))
+    q6_a = sweedler(H.phi, ((m, 0, H.beta, (S, 1), H.alpha, 2),))
+    q6_b = sweedler(H.phi_inv, ((m, (S, 0), H.alpha, 1, H.beta, (S, 2)),))
     rep.check_equal("q6", *_both(q6_a, q6_b, one, one))
 
     rep.check_same("eps-antipode", H.counit.compose(H.antipode), H.counit)
@@ -418,10 +415,9 @@ def twist(H: QuasiBialgebra, F: Tensor) -> QuasiBialgebra:
     name = H.name + "_F"
     hopf = isinstance(H, QuasiHopfAlgebra)
     if hopf:
-        ident = LinearMap.identity(H.basis, H.field)
-        alpha_F = _sweedler_chain(H.leg(), F_inv, (H.antipode, ident),
-                                  (H.alpha,))
-        beta_F = _sweedler_chain(H.leg(), F, (ident, H.antipode), (H.beta,))
+        m, S = H.leg(), H.antipode
+        alpha_F = sweedler(F_inv, ((m, (S, 0), H.alpha, 1),))
+        beta_F = sweedler(F, ((m, 0, H.beta, (S, 1)),))
     try:
         if not hopf:
             return QuasiBialgebra(H.algebra, comul_F, H.counit, phi_F,
@@ -438,33 +434,26 @@ def twist(H: QuasiBialgebra, F: Tensor) -> QuasiBialgebra:
 # derived elements
 
 
-def sw_sop(H: QuasiHopfAlgebra, x: Tensor) -> Tensor:
-    """(S (x) S)(Delta^op(x)) of a one-leg tensor."""
-    return H.delta(x).permute((1, 0)).map_leg(0, H.antipode).map_leg(1, H.antipode)
-
-
 def p_right(H: QuasiHopfAlgebra, x_inv: Tensor) -> Tensor:
     """sum x1 (x) x2 beta S(x3) in A (x) H, from x_inv = sum x1 (x) x2
     (x) x3 in A (x) H (x) H: p_R from Phi^{-1} (A = H), and p~ of a right
     comodule algebra from Phi_rho^{-1}."""
-    A = x_inv.spaces[0]
-    return H.assemble(x_inv, lambda x1, x2, x3: Tensor.basis_vector(
-        A, x1, H.field).tensor(H.mul(H.e(x2), H.beta, H.S(H.e(x3)))))
+    return sweedler(x_inv, (0, (H.leg(), 1, H.beta, (H.antipode, 2))))
 
 
 def q_right(H: QuasiHopfAlgebra, X: Tensor) -> Tensor:
     """sum X1 (x) S^{-1}(alpha X3) X2 in A (x) H, from X = sum X1 (x) X2
     (x) X3 in A (x) H (x) H: q_R from Phi (A = H), and q~ of a right
     comodule algebra from Phi_rho."""
-    A = X.spaces[0]
-    return H.assemble(X, lambda X1, X2, X3: Tensor.basis_vector(
-        A, X1, H.field).tensor(H.mul(H.Sinv(H.mul(H.alpha, H.e(X3))),
-                                     H.e(X2))))
+    m = H.leg()
+    return sweedler(X, (0, (m, (H.antipode_inv, (m, H.alpha, 2)), 1)))
 
 
 def _element(build):
-    """A derived element: build(H, der) on its first read, then kept."""
-    return cached_property(lambda der: build(der.H, der))
+    """A derived element: build(H, der, H.leg(), H.antipode) on its
+    first read, then kept."""
+    return cached_property(lambda der: build(der.H, der, der.H.leg(),
+                                             der.H.antipode))
 
 
 class DerivedElements:
@@ -472,56 +461,49 @@ class DerivedElements:
     antipode twist f (with gamma, delta), p_R, q_R, p_L, q_L and the
     auxiliary elements U and V. H.derived holds the instance that every
     construction over H shares. Each element is built on its first read,
-    from H and the elements it needs, and kept."""
+    from H and the elements it needs, and kept, as one Sweedler sum."""
 
     def __init__(self, H: QuasiHopfAlgebra):
         self.H = H
 
     # gamma = sum S(A2) alpha A3 (x) S(A1) alpha A4
     # with A = (Phi (x) 1)(Delta (x) id (x) id)(Phi^{-1})
-    gamma = _element(lambda H, der: H.assemble(
+    gamma = _element(lambda H, der, m, S: sweedler(
         H.tmul(H.phi.tensor(H.unit()), H.phi_inv.map_leg(0, H.comul)),
-        lambda a1, a2, a3, a4: H.mul(
-            H.S(H.e(a2)), H.alpha, H.e(a3)).tensor(H.mul(
-                H.S(H.e(a1)), H.alpha, H.e(a4)))))
+        ((m, (S, 1), H.alpha, 2), (m, (S, 0), H.alpha, 3))))
     # delta = sum B1 beta S(B4) (x) B2 beta S(B3)
     # with B = (Delta (x) id (x) id)(Phi)(Phi^{-1} (x) 1)
-    delta = _element(lambda H, der: H.assemble(
+    delta = _element(lambda H, der, m, S: sweedler(
         H.tmul(H.phi.map_leg(0, H.comul), H.phi_inv.tensor(H.unit())),
-        lambda b1, b2, b3, b4: H.mul(
-            H.e(b1), H.beta, H.S(H.e(b4))).tensor(H.mul(
-                H.e(b2), H.beta, H.S(H.e(b3))))))
+        ((m, 0, H.beta, (S, 3)), (m, 1, H.beta, (S, 2)))))
 
-    # f = sum (S(x)S)(Delta^op(x1)) gamma Delta(x2 beta S(x3))
-    f = _element(lambda H, der: H.assemble(
-        H.phi_inv, lambda x1, x2, x3: H.tmulc(
-            sw_sop(H, H.e(x1)), der.gamma,
-            H.delta(H.mul(H.e(x2), H.beta, H.S(H.e(x3)))))))
-    # f^{-1} = sum Delta(S(x1) alpha x2) delta (S(x)S)(Delta^op(x3))
-    f_inv = _element(lambda H, der: H.assemble(
-        H.phi_inv, lambda x1, x2, x3: H.tmulc(
-            H.delta(H.mul(H.S(H.e(x1)), H.alpha, H.e(x2))),
-            der.delta, sw_sop(H, H.e(x3)))))
+    # f = sum (S(x)S)(Delta^op(x1)) gamma Delta(x2 beta S(x3)), a sum
+    # over p_R = sum x1 (x) x2 beta S(x3) with both legs split by Delta
+    f = _element(lambda H, der, m, S: sweedler(
+        der.p_R.map_leg(0, H.comul).map_leg(2, H.comul).tensor(der.gamma),
+        ((m, (S, 1), 4, 2), (m, (S, 0), 5, 3))))
+    # f^{-1} = sum Delta(S(x1) alpha x2) delta (S(x)S)(Delta^op(x3)), a
+    # sum over q_L = sum S(x1) alpha x2 (x) x3 with both legs split
+    f_inv = _element(lambda H, der, m, S: sweedler(
+        der.q_L.map_leg(0, H.comul).map_leg(2, H.comul).tensor(der.delta),
+        ((m, 0, 4, (S, 3)), (m, 1, 5, (S, 2)))))
 
     # p_R = sum x1 (x) x2 beta S(x3),  q_R = sum X1 (x) S^{-1}(alpha X3) X2
-    p_R = _element(lambda H, der: p_right(H, H.phi_inv))
-    q_R = _element(lambda H, der: q_right(H, H.phi))
+    p_R = _element(lambda H, der, m, S: p_right(H, H.phi_inv))
+    q_R = _element(lambda H, der, m, S: q_right(H, H.phi))
     # p_L = sum X2 S^{-1}(X1 beta) (x) X3, q_L = sum S(x1) alpha x2 (x) x3
-    p_L = _element(lambda H, der: H.assemble(
-        H.phi, lambda X1, X2, X3: H.mul(
-            H.e(X2), H.Sinv(H.mul(H.e(X1), H.beta))).tensor(H.e(X3))))
-    q_L = _element(lambda H, der: H.assemble(
-        H.phi_inv, lambda x1, x2, x3: H.mul(
-            H.S(H.e(x1)), H.alpha, H.e(x2)).tensor(H.e(x3))))
+    p_L = _element(lambda H, der, m, S: sweedler(
+        H.phi, ((m, 1, (H.antipode_inv, (m, 0, H.beta))), 2)))
+    q_L = _element(lambda H, der, m, S: sweedler(
+        H.phi_inv, ((m, (S, 0), H.alpha, 1), 2)))
 
     # U = sum g1 S(q_R 2) (x) g2 S(q_R 1)
-    U = _element(lambda H, der: H.assemble(
-        der.f_inv.tensor(der.q_R), lambda g1, g2, q1, q2: H.mul(
-            H.e(g1), H.S(H.e(q2))).tensor(H.mul(H.e(g2), H.S(H.e(q1))))))
+    U = _element(lambda H, der, m, S: sweedler(
+        der.f_inv.tensor(der.q_R), ((m, 0, (S, 3)), (m, 1, (S, 2)))))
     # V = sum S^{-1}(f2 p_R 2) (x) S^{-1}(f1 p_R 1)
-    V = _element(lambda H, der: H.assemble(
-        der.f.tensor(der.p_R), lambda f1, f2, p1, p2: H.Sinv(
-            H.mul(H.e(f2), H.e(p2))).tensor(H.Sinv(H.mul(H.e(f1), H.e(p1))))))
+    V = _element(lambda H, der, m, S: sweedler(
+        der.f.tensor(der.p_R), ((H.antipode_inv, (m, 1, 3)),
+                                (H.antipode_inv, (m, 0, 2)))))
 
 
 def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:
@@ -530,9 +512,7 @@ def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:
     der = H.derived
     rep = VerificationReport("core identities %s" % H.name,
                              {"dim": H.dim, "field": H.field.name})
-    n = H.dim
-    one = H.unit()
-    one2 = H.unit_pow(2)
+    one, one2 = H.unit(), H.unit_pow(2)
     f, f_inv = der.f, der.f_inv
     p_R, q_R, p_L, q_L = der.p_R, der.q_R, der.p_L, der.q_L
     U, V = der.U, der.V
@@ -559,159 +539,150 @@ def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:
         pf_rhs = pf_rhs.map_leg(leg, H.antipode)
     rep.check_equal("pf", phi_f, pf_rhs)
 
+    # A law quantified over h compares two maps, each one Sweedler sum
+    # whose source leg 0 is h: the graph of Delta (its legs mapped as
+    # the law has them) for a sum over Delta(h), else the identity's.
+    m, S, Si = H.leg(), H.antipode, H.antipode_inv
+    comul = H.comul.graph()
+    ident = LinearMap.identity(H.basis, H.field).graph()
+
     # (qr1): Delta(h1) p_R [1 (x) S(h2)] = p_R [h (x) 1]
     #        [1 (x) S^{-1}(h2)] q_R Delta(h1) = (h (x) 1) q_R
-    rep.check_quantified("qr1-a", ((i,) for i in range(n)), lambda i: (
-        H.assemble(H.delta(H.e(i)), lambda a, b: H.tmulc(
-            H.delta(H.e(a)), p_R, one.tensor(H.S(H.e(b))))),
-        H.tmul(p_R, H.e(i).tensor(one))))
-    rep.check_quantified("qr1-b", ((i,) for i in range(n)), lambda i: (
-        H.assemble(H.delta(H.e(i)), lambda a, b: H.tmulc(
-            one.tensor(H.Sinv(H.e(b))), q_R, H.delta(H.e(a)))),
-        H.tmul(H.e(i).tensor(one), q_R)))
+    split1 = comul.map_leg(1, H.comul)
+    rep.check_same("qr1-a", _per_input(split1.tensor(p_R), (m, 1, 4, one),
+                                       (m, 2, 5, (S, 3))),
+                   _per_input(ident.tensor(p_R), (m, 2, 1), (m, 3, one)))
+    rep.check_same("qr1-b", _per_input(split1.tensor(q_R), (m, one, 4, 1),
+                                       (m, (Si, 3), 5, 2)),
+                   _per_input(ident.tensor(q_R), (m, 1, 2), (m, one, 3)))
 
     # (ql1): Delta(h2) p_L [S^{-1}(h1) (x) 1] = p_L (1 (x) h)
     #        [S(h1) (x) 1] q_L Delta(h2) = (1 (x) h) q_L
-    rep.check_quantified("ql1-a", ((i,) for i in range(n)), lambda i: (
-        H.assemble(H.delta(H.e(i)), lambda a, b: H.tmulc(
-            H.delta(H.e(b)), p_L, H.Sinv(H.e(a)).tensor(one))),
-        H.tmul(p_L, one.tensor(H.e(i)))))
-    rep.check_quantified("ql1-b", ((i,) for i in range(n)), lambda i: (
-        H.assemble(H.delta(H.e(i)), lambda a, b: H.tmulc(
-            H.S(H.e(a)).tensor(one), q_L, H.delta(H.e(b)))),
-        H.tmul(one.tensor(H.e(i)), q_L)))
+    split2 = comul.map_leg(2, H.comul)
+    rep.check_same("ql1-a", _per_input(split2.tensor(p_L), (m, 2, 4, (Si, 1)),
+                                       (m, 3, 5, one)),
+                   _per_input(ident.tensor(p_L), (m, 2, one), (m, 3, 1)))
+    rep.check_same("ql1-b", _per_input(split2.tensor(q_L), (m, (S, 1), 4, 2),
+                                       (m, one, 5, 3)),
+                   _per_input(ident.tensor(q_L), (m, one, 2), (m, 1, 3)))
 
     # (pqr): Delta(q_R1) p_R [1 (x) S(q_R2)] = 1 (x) 1
     #        [1 (x) S^{-1}(p_R2)] q_R Delta(p_R1) = 1 (x) 1
-    rep.check_equal("pqr-a", H.assemble(q_R, lambda a, b: H.tmulc(
-        H.delta(H.e(a)), p_R, one.tensor(H.S(H.e(b))))), one2)
-    rep.check_equal("pqr-b", H.assemble(p_R, lambda a, b: H.tmulc(
-        one.tensor(H.Sinv(H.e(b))), q_R, H.delta(H.e(a)))), one2)
+    rep.check_equal("pqr-a", sweedler(q_R.map_leg(0, H.comul).tensor(p_R), (
+        (m, 0, 3, one), (m, 1, 4, (S, 2)))), one2)
+    rep.check_equal("pqr-b", sweedler(p_R.map_leg(0, H.comul).tensor(q_R), (
+        (m, one, 3, 0), (m, (Si, 2), 4, 1))), one2)
 
     # (pql): [S(p_L1) (x) 1] q_L Delta(p_L2) = 1 (x) 1
     #        Delta(q_L2) p_L [S^{-1}(q_L1) (x) 1] = 1 (x) 1
-    rep.check_equal("pql-a", H.assemble(p_L, lambda a, b: H.tmulc(
-        H.S(H.e(a)).tensor(one), q_L, H.delta(H.e(b)))), one2)
-    rep.check_equal("pql-b", H.assemble(q_L, lambda a, b: H.tmulc(
-        H.delta(H.e(b)), p_L, H.Sinv(H.e(a)).tensor(one))), one2)
+    rep.check_equal("pql-a", sweedler(p_L.map_leg(1, H.comul).tensor(q_L), (
+        (m, (S, 0), 3, 1), (m, one, 4, 2))), one2)
+    rep.check_equal("pql-b", sweedler(q_L.map_leg(1, H.comul).tensor(p_L), (
+        (m, 1, 3, (Si, 0)), (m, 2, 4, one))), one2)
 
     # (qr2): (q_R (x) 1)(Delta (x) id)(q_R) Phi^{-1}
     #   = [1 (x) S^{-1}(X3) (x) S^{-1}(X2)][1 (x) S^{-1}(f2) (x) S^{-1}(f1)]
-    #     (id (x) Delta)(q_R Delta(X1))
+    #     (id (x) Delta)(q_R Delta(X1)),
+    # a sum over W = sum q_R Delta(X1) (x) X2 (x) X3 and f
     lhs = H.tmulc(q_R.tensor(one), q_R.map_leg(0, H.comul), H.phi_inv)
-    rhs = H.assemble(H.phi.tensor(f), lambda X1, X2, X3, f1, f2: H.tmulc(
-        one.tensor(H.Sinv(H.e(X3))).tensor(H.Sinv(H.e(X2))),
-        one.tensor(H.Sinv(H.e(f2))).tensor(H.Sinv(H.e(f1))),
-        H.tmul(q_R, H.delta(H.e(X1))).map_leg(1, H.comul)))
+    W = sweedler(H.phi.map_leg(0, H.comul).tensor(q_R), (
+        (m, 4, 0), (m, 5, 1), 2, 3))
+    rhs = sweedler(W.map_leg(1, H.comul).tensor(f), (
+        (m, one, one, 0), (m, (Si, 4), (Si, 6), 1), (m, (Si, 3), (Si, 5), 2)))
     rep.check_equal("qr2", lhs, rhs)
 
     # (pr1): Phi (Delta (x) id)(p_R)(p_R (x) 1)
-    #   = (id (x) Delta)(Delta(x1) p_R)(1 (x) f^{-1})(1 (x) S(x3) (x) S(x2))
+    #   = (id (x) Delta)(Delta(x1) p_R)(1 (x) f^{-1})(1 (x) S(x3) (x) S(x2)),
+    # a sum over W = sum Delta(x1) p_R (x) x2 (x) x3 and f^{-1}
     lhs = H.tmulc(H.phi, p_R.map_leg(0, H.comul), p_R.tensor(one))
-    rhs = H.assemble(H.phi_inv, lambda x1, x2, x3: H.tmulc(
-        H.tmul(H.delta(H.e(x1)), p_R).map_leg(1, H.comul),
-        one.tensor(f_inv),
-        one.tensor(H.S(H.e(x3))).tensor(H.S(H.e(x2)))))
+    W = sweedler(H.phi_inv.map_leg(0, H.comul).tensor(p_R), (
+        (m, 0, 4), (m, 1, 5), 2, 3))
+    rhs = sweedler(W.map_leg(1, H.comul).tensor(f_inv), (
+        (m, 0, one, one), (m, 1, 5, (S, 4)), (m, 2, 6, (S, 3))))
     rep.check_equal("pr1", lhs, rhs)
 
     # (lq): sum S(x1) q_L1 x2_1 (x) q_L2 x2_2 (x) x3
     #     = sum q_L1 X1 (x) (q_L2)_1 X2 (x) (q_L2)_2 X3
-    lhs = H.assemble(H.phi_inv.map_leg(1, H.comul),
-                     lambda x1, x21, x22, x3: H.assemble(q_L, lambda a, b: H.mul(
-                         H.S(H.e(x1)), H.e(a), H.e(x21)).tensor(
-                         H.mul(H.e(b), H.e(x22))).tensor(H.e(x3))))
+    lhs = sweedler(H.phi_inv.map_leg(1, H.comul).tensor(q_L), (
+        (m, (S, 0), 4, 1), (m, 5, 2), 3))
     rhs = H.tmul(q_L.map_leg(1, H.comul), H.phi)
     rep.check_equal("lq", lhs, rhs)
 
     # (u1): U[1 (x) S(h)] = Delta(S(h1)) U (h2 (x) 1)
-    rep.check_quantified("u1", ((i,) for i in range(n)), lambda i: (
-        H.tmul(U, one.tensor(H.S(H.e(i)))),
-        H.assemble(H.delta(H.e(i)), lambda a, b: H.tmulc(
-            H.delta(H.S(H.e(a))), U, H.e(b).tensor(one)))))
+    rep.check_same("u1", _per_input(ident.tensor(U), (m, 2, one),
+                                    (m, 3, (S, 1))),
+                   _per_input(comul.map_leg(1, S).map_leg(1, H.comul).tensor(U),
+                              (m, 1, 4, 3), (m, 2, 5, one)))
 
     # (u2): Phi^{-1} (id (x) Delta)(U)(1 (x) U)
-    #     = (Delta (x) id)(Delta(S(X1)) U)(X2 (x) X3 (x) 1)
+    #     = (Delta (x) id)(Delta(S(X1)) U)(X2 (x) X3 (x) 1),
+    # a sum over W = sum Delta(S(X1)) U (x) X2 (x) X3
     lhs = H.tmulc(H.phi_inv, U.map_leg(1, H.comul), one.tensor(U))
-    rhs = H.assemble(H.phi, lambda X1, X2, X3: H.tmul(
-        H.tmul(H.delta(H.S(H.e(X1))), U).map_leg(0, H.comul),
-        H.e(X2).tensor(H.e(X3)).tensor(one)))
+    W = sweedler(H.phi.map_leg(0, S).map_leg(0, H.comul).tensor(U), (
+        (m, 0, 4), (m, 1, 5), 2, 3))
+    rhs = sweedler(W.map_leg(0, H.comul), ((m, 0, 3), (m, 1, 4), (m, 2, one)))
     rep.check_equal("u2", lhs, rhs)
 
     # (v1): [1 (x) S^{-1}(h)] V = (h2 (x) 1) V Delta(S^{-1}(h1))
-    rep.check_quantified("v1", ((i,) for i in range(n)), lambda i: (
-        H.tmul(one.tensor(H.Sinv(H.e(i))), V),
-        H.assemble(H.delta(H.e(i)), lambda a, b: H.tmulc(
-            H.e(b).tensor(one), V, H.delta(H.Sinv(H.e(a)))))))
+    rep.check_same("v1", _per_input(ident.tensor(V), (m, one, 2),
+                                    (m, (Si, 1), 3)),
+                   _per_input(comul.map_leg(1, Si).map_leg(1, H.comul).tensor(V),
+                              (m, 3, 4, 1), (m, one, 5, 2)))
 
     # (v2): (Delta (x) id)(V) Phi^{-1}
-    #     = (X2 (x) X3 (x) 1)(1 (x) V)(id (x) Delta)(V Delta(S^{-1}(X1)))
+    #     = (X2 (x) X3 (x) 1)(1 (x) V)(id (x) Delta)(V Delta(S^{-1}(X1))),
+    # a sum over W = sum V Delta(S^{-1}(X1)) (x) X2 (x) X3 and V
     lhs = H.tmul(V.map_leg(0, H.comul), H.phi_inv)
-    rhs = H.assemble(H.phi, lambda X1, X2, X3: H.tmulc(
-        H.e(X2).tensor(H.e(X3)).tensor(one),
-        one.tensor(V),
-        H.tmul(V, H.delta(H.Sinv(H.e(X1)))).map_leg(1, H.comul)))
+    W = sweedler(V.tensor(H.phi.map_leg(0, Si).map_leg(0, H.comul)), (
+        (m, 0, 2), (m, 1, 3), 4, 5))
+    rhs = sweedler(W.map_leg(1, H.comul).tensor(V), (
+        (m, 3, one, 0), (m, 4, 5, 1), (m, one, 6, 2)))
     rep.check_equal("v2", lhs, rhs)
 
     # auxiliary scalar-type identities used in the round-trip proofs
-    rep.check_equal("fpre-a", H.assemble(f_inv, lambda g1, g2: H.mul(
-        H.e(g1), H.S(H.mul(H.e(g2), H.alpha)))), H.beta)
-    rep.check_equal("fpre-b", H.assemble(f, lambda f1, f2: H.mul(
-        H.Sinv(H.e(f2)), H.beta, H.e(f1))), H.Sinv(H.alpha))
+    rep.check_equal("fpre-a", sweedler(f_inv, (
+        (m, 0, (S, (m, 1, H.alpha))),)), H.beta)
+    rep.check_equal("fpre-b", sweedler(f, ((m, (Si, 1), H.beta, 0),)),
+                    H.Sinv(H.alpha))
     # (fpre-c): Drinfeld's f1 beta S(f2) = S(alpha) under S^{-1}, an
     # anti-algebra map: S^{-1}(S(f2)) S^{-1}(f1 beta) = f2 S^{-1}(f1 beta)
     # on the left, S^{-1}(S(alpha)) = alpha on the right
-    rep.check_equal("fpre-c", H.assemble(f, lambda f1, f2: H.mul(
-        H.e(f2), H.Sinv(H.mul(H.e(f1), H.beta)))), H.alpha)
-    rep.check_equal("fpre-d", H.assemble(f_inv, lambda g1, g2: H.mul(
-        H.S(H.e(g1)), H.alpha, H.e(g2))), H.S(H.beta))
+    rep.check_equal("fpre-c", sweedler(f, (
+        (m, 1, (Si, (m, 0, H.beta))),)), H.alpha)
+    rep.check_equal("fpre-d", sweedler(f_inv, ((m, (S, 0), H.alpha, 1),)),
+                    H.S(H.beta))
 
     # (f3): sum g2_2 U2 (x) g1 S(g2_1 U1) = sum p_L2 (x) S(p_L1)
-    lhs = H.assemble(f_inv.map_leg(1, H.comul).tensor(U),
-                     lambda g1, g21, g22, u1, u2: H.mul(
-                         H.e(g22), H.e(u2)).tensor(H.mul(
-                             H.e(g1), H.S(H.mul(H.e(g21), H.e(u1))))))
-    rhs = H.assemble(p_L, lambda a, b: H.e(b).tensor(H.S(H.e(a))))
-    rep.check_equal("f3", lhs, rhs)
+    g_split = f_inv.map_leg(1, H.comul).tensor(U)
+    lhs = sweedler(g_split, ((m, 2, 4), (m, 0, (S, (m, 1, 3)))))
+    rep.check_equal("f3", lhs, sweedler(p_L, (1, (S, 0))))
 
     # (f4): sum S(p_L2) f1 F1_1 (x) S^{-1}(F2) S(p_L1) f2 F1_2 = q_R
-    lhs = H.assemble(p_L.tensor(f).tensor(f.map_leg(0, H.comul)),
-                     lambda p1, p2, f1, f2, F11, F12, F2: H.mul(
-                         H.S(H.e(p2)), H.e(f1), H.e(F11)).tensor(H.mul(
-                             H.Sinv(H.e(F2)), H.S(H.e(p1)), H.e(f2), H.e(F12))))
+    lhs = sweedler(p_L.tensor(f).tensor(f.map_leg(0, H.comul)), (
+        (m, (S, 1), 2, 4), (m, (Si, 6), (S, 0), 3, 5)))
     rep.check_equal("f4", lhs, q_R)
 
     # (f5): sum S(g2_2 U2) f1 F1_1 (p_R1)_1 (x)
     #           S^{-1}(F2 p_R2) g1 S(g2_1 U1) f2 F1_2 (p_R1)_2 = 1 (x) 1
-    # Assembled from precombined pieces (same sum by linearity):
+    # Summed over precombined pieces (same sum by linearity):
     # A = sum S(g2_2 U2) (x) g1 S(g2_1 U1), and
     # Z = (Delta (x) S^{-1})(f p_R) so Z = sum (F1 p_R1)_1 (x) (F1 p_R1)_2
     # (x) S^{-1}(F2 p_R2), using that Delta is an algebra map.
-    A5 = H.assemble(f_inv.map_leg(1, H.comul).tensor(U),
-                    lambda g1, g21, g22, u1, u2: H.S(H.mul(
-                        H.e(g22), H.e(u2))).tensor(H.mul(
-                            H.e(g1), H.S(H.mul(H.e(g21), H.e(u1))))))
-    Z5 = H.tmul(f, p_R).map_leg(0, H.comul).map_leg(2, H.antipode_inv)
-    lhs = H.assemble(A5.tensor(f).tensor(Z5),
-                     lambda a1, a2, f1, f2, z1, z2, z3: H.mul(
-                         H.e(a1), H.e(f1), H.e(z1)).tensor(H.mul(
-                             H.e(z3), H.e(a2), H.e(f2), H.e(z2))))
+    A5 = sweedler(g_split, ((S, (m, 2, 4)), (m, 0, (S, (m, 1, 3)))))
+    Z5 = H.tmul(f, p_R).map_leg(0, H.comul).map_leg(2, Si)
+    lhs = sweedler(A5.tensor(f).tensor(Z5), (
+        (m, 0, 2, 4), (m, 6, 1, 3, 5)))
     rep.check_equal("f5", lhs, one2)
 
     # (f6): sum F1 f1_1 p_R1 (x) f2 S^{-1}(F2 f1_2 p_R2) = sum S(q_L2) (x) q_L1
-    lhs = H.assemble(f.tensor(f.map_leg(0, H.comul)).tensor(p_R),
-                     lambda F1, F2, f11, f12, f2, p1, p2: H.mul(
-                         H.e(F1), H.e(f11), H.e(p1)).tensor(H.mul(
-                             H.e(f2), H.Sinv(H.mul(H.e(F2), H.e(f12), H.e(p2))))))
-    rhs = H.assemble(q_L, lambda a, b: H.S(H.e(b)).tensor(H.e(a)))
-    rep.check_equal("f6", lhs, rhs)
+    lhs = sweedler(f.tensor(f.map_leg(0, H.comul)).tensor(p_R), (
+        (m, 0, 2, 5), (m, 4, (Si, (m, 1, 3, 6)))))
+    rep.check_equal("f6", lhs, sweedler(q_L, ((S, 1), 0)))
 
     # (f7): sum S(G1) q_L1 G2_1 g1 (x) q_L2 G2_2 g2 = sum S(p_R2) (x) S(p_R1)
-    lhs = H.assemble(f_inv.map_leg(1, H.comul).tensor(q_L).tensor(f_inv),
-                     lambda G1, G21, G22, a, b, g1, g2: H.mul(
-                         H.S(H.e(G1)), H.e(a), H.e(G21), H.e(g1)).tensor(H.mul(
-                             H.e(b), H.e(G22), H.e(g2))))
-    rhs = H.assemble(p_R, lambda a, b: H.S(H.e(b)).tensor(H.S(H.e(a))))
-    rep.check_equal("f7", lhs, rhs)
+    lhs = sweedler(f_inv.map_leg(1, H.comul).tensor(q_L).tensor(f_inv), (
+        (m, (S, 0), 3, 1, 5), (m, 4, 2, 6)))
+    rep.check_equal("f7", lhs, sweedler(p_R, ((S, 1), (S, 0))))
 
     # (f8): sum S^{-1}(F1 f1_1 p_R1) U2_2 g2 (x)
     #           S(U1) f2 S^{-1}(F2 f1_2 p_R2) U2_1 g1 = 1 (x) 1
@@ -719,15 +690,10 @@ def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:
     # (x) f2 built leg-wise in H^3, and
     # Q = sum U2_2 g2 (x) S(U1) (x) U2_1 g1.
     P8 = H.tmulc(f.tensor(one), f.map_leg(0, H.comul), p_R.tensor(one))
-    P8 = P8.map_leg(0, H.antipode_inv).map_leg(1, H.antipode_inv)
-    Q8 = H.assemble(U.map_leg(1, H.comul).tensor(f_inv),
-                    lambda u1, u21, u22, g1, g2: H.mul(
-                        H.e(u22), H.e(g2)).tensor(H.S(H.e(u1))).tensor(H.mul(
-                            H.e(u21), H.e(g1))))
-    lhs = H.assemble(P8.tensor(Q8),
-                     lambda w1, w2, w3, q1, q2, q3: H.mul(
-                         H.e(w1), H.e(q1)).tensor(H.mul(
-                             H.e(q2), H.e(w3), H.e(w2), H.e(q3))))
+    P8 = P8.map_leg(0, Si).map_leg(1, Si)
+    Q8 = sweedler(U.map_leg(1, H.comul).tensor(f_inv), (
+        (m, 2, 4), (S, 0), (m, 1, 3)))
+    lhs = sweedler(P8.tensor(Q8), ((m, 0, 3), (m, 4, 2, 1, 5)))
     rep.check_equal("f8", lhs, one2)
 
     return rep
@@ -820,20 +786,24 @@ def check_dual_bimodule_algebra(dual: DualView) -> VerificationReport:
     conv = dual.conv.as_leg()
     rep.check_same("mbia1", *quasi_associative(conv, conv, act, act, phi2))
 
+    # mbia2's right sides on every input (i, a, b) at once, over the sum
+    # of e_i (x) h1 (x) e^a (x) h2 (x) e^b with h1 (x) h2 = Delta(e_i)
+    ones = Tensor((dual.basis,), {(a,): field.one() for a in range(n)}, field)
+    source = H.comul.graph().tensor(ones).tensor(ones).permute(
+        (0, 1, 3, 2, 4))
+    hl, hr, rhs = dual.hit_l_leg, dual.hit_r_leg, {}
+    for side, terms in enumerate((((hl, 1, 2), (hl, 3, 4)),
+                                  ((hr, 2, 1), (hr, 4, 3)))):
+        for (i, a, b, k), c in sweedler(source, (0, 2, 4, (conv,) + terms)
+                                        ).data.items():
+            rhs.setdefault((side, i, a, b), {})[(k,)] = c
+
     def mbia2(i, a, b):
         h, phi, psi = H.e(i), dual.dual_e(a), dual.dual_e(b)
-        d = H.delta(h)
-        lhs1 = dual.hit_l(h, dual.convolve(phi, psi))
-        lhs2 = dual.hit_r(dual.convolve(phi, psi), h)
-        if not d.data:
-            # Delta(h) = 0: both Sweedler sums are empty, so zero
-            zero = Tensor.zero((dual.basis,), H.field)
-            return _both(lhs1, lhs2, zero, zero)
-        rhs1 = H.assemble(d, lambda h1, h2: dual.convolve(
-            dual.hit_l(H.e(h1), phi), dual.hit_l(H.e(h2), psi)))
-        rhs2 = H.assemble(d, lambda h1, h2: dual.convolve(
-            dual.hit_r(phi, H.e(h1)), dual.hit_r(psi, H.e(h2))))
-        return _both(lhs1, lhs2, rhs1, rhs2)
+        rhs1, rhs2 = (Tensor((dual.basis,), rhs.get((side, i, a, b)), field)
+                      for side in (0, 1))
+        return _both(dual.hit_l(h, dual.convolve(phi, psi)),
+                     dual.hit_r(dual.convolve(phi, psi), h), rhs1, rhs2)
 
     rep.check_quantified(
         "mbia2",

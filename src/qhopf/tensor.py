@@ -292,6 +292,20 @@ class LinearMap:
     def __call__(self, t: Tensor, leg: int = 0) -> Tensor:
         return t.map_leg(leg, self)
 
+    @classmethod
+    def from_graph(cls, t: Tensor) -> "LinearMap":
+        """The map e_m -> the slice of t at m on leg 0 (graph inverted)."""
+        cols = {}
+        for idx, c in t.data.items():
+            cols.setdefault(idx[0], {})[idx[1:]] = c
+        return cls(t.spaces[0], t.spaces[1:], cols, t.field)
+
+    def graph(self) -> Tensor:
+        """The sum of e_m (x) f(e_m) over the domain: leg 0 the input."""
+        return Tensor((self.domain,) + self.codomain, {
+            (m,) + idx: c for m, col in self.cols.items()
+            for idx, c in col.items()}, self.field)
+
     def column(self, i: int) -> Tensor:
         return Tensor(self.codomain, dict(self.cols.get(i, {})), self.field)
 

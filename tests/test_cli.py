@@ -323,6 +323,51 @@ def test_dual_algebra_with_zero_comul_column_exits_1(corpus_dir, tmp_path,
     assert checks["mbia2"]["counterexample"]["inputs"] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("field", ("Q", "GF(7)"), ids=("Q", "GF7"))
+@pytest.mark.parametrize("suite, failing", [
+    ("identities", ("f-inv", "qr1-a", "pqr-a", "f8")),
+    ("tilde", ("tpqr1", "tpqr1a", "tpqr2", "tpqr2a"))])
+def test_empty_comul_column_of_unit_exits_1(field, suite, failing, tmp_path,
+                                            capsys):
+    # k[Z/3] with the comul rows of 1 removed: Delta(1) = 0 is well
+    # formed, and gamma, delta and the sums over Delta(1), such as qr1-a's
+    # and tpqr1's at the input 1, are sums of no terms, so zero; the
+    # suites report the failed identities rather than refuse the input
+    d = tmp_path / "corpus"
+    assert cli.main(["--field", field, "corpus", "--out", str(d)]) == 0
+    capsys.readouterr()
+    doc = json.loads((d / "z3.json").read_text())
+    doc["data"]["comul"] = [r for r in doc["data"]["comul"] if r[0] != 0]
+    bad = tmp_path / "empty-unit-column.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", suite, str(bad))
+    assert (code, err) == (1, "")
+    checks = {c["tag"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert not any(checks[tag] for tag in failing)
+
+
+@pytest.mark.parametrize("field", ("Q", "GF(7)"), ids=("Q", "GF7"))
+@pytest.mark.parametrize("suite, failing", [
+    ("axioms", ("q6", "eps-alpha-beta")),
+    ("identities", ("pqr-a", "pqr-b", "fpre-b")),
+    ("tilde", ("tpqr2", "tpqr2a"))])
+def test_zero_beta_exits_1(field, suite, failing, tmp_path, capsys):
+    # k[Z/3] with beta = 0: a well-formed spec, not a quasi-Hopf algebra;
+    # p_R, q_L and the sums with beta as a factor are zero, and the
+    # suites report the failed identities rather than raise
+    d = tmp_path / "corpus"
+    assert cli.main(["--field", field, "corpus", "--out", str(d)]) == 0
+    capsys.readouterr()
+    doc = json.loads((d / "z3.json").read_text())
+    doc["data"]["beta"] = []
+    bad = tmp_path / "zero-beta.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", suite, str(bad))
+    assert (code, err) == (1, "")
+    checks = {c["tag"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert not any(checks[tag] for tag in failing)
+
+
 # Fixed counital gauge twists F = 1 (x) 1 + x (x) y of k[Z/m], as the
 # coefficients of x and y on the group basis; F is invertible over Q and
 # over GF(7).

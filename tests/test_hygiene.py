@@ -338,11 +338,14 @@ def test_scalar_representation_use_is_caught():
 # coassoc, bmc1, dhm1, tstc1, tstc2), ca, eps-antipode and iso-colinear
 # came to compare two maps, each a composite of structure maps
 # (LinearMap.compose) multiplied leg by leg on either side
-# (algebra.sandwich). A new quantified check either states its two
-# sides as tables (VerificationReport.check_same) or raises its
-# module's number here, in plain sight.
-QUANTIFIED_CALLS = {"coact.py": 3, "doihopf.py": 1, "hopfmod.py": 0,
-                    "products.py": 6, "quasihopf.py": 9}
+# (algebra.sandwich). quasihopf.py (9) and coact.py (3) fell to 3 (q2,
+# q5, mbia2) and 1 (ma3) when qr1-a, qr1-b, ql1-a, ql1-b, u1, v1, tpqr1
+# and tpqr1a came to compare two maps, each one Sweedler sum whose
+# source leg 0 is the input (algebra.sweedler). A new quantified check
+# either states its two sides as tables (VerificationReport.check_same)
+# or raises its module's number here, in plain sight.
+QUANTIFIED_CALLS = {"coact.py": 1, "doihopf.py": 1, "hopfmod.py": 0,
+                    "products.py": 6, "quasihopf.py": 3}
 
 
 def named_calls(source: str, name: str) -> int:
@@ -410,11 +413,14 @@ def test_from_function_call_is_counted():
 # count fell from 12 to 10 when p~ and q~ came to take the formulas of
 # p_R and q_R (quasihopf.p_right, quasihopf.q_right) instead of stating
 # them a second time, and to 9 when the comodule algebras' assemble,
-# which only forwarded to H.assemble, was deleted. A new Sweedler sum
-# either contracts lifted tables or raises its module's number here, in
-# plain sight.
-ASSEMBLE_CALLS = {"coact.py": 9, "doihopf.py": 4, "hopfmod.py": 8,
-                  "products.py": 2, "quasihopf.py": 43}
+# which only forwarded to H.assemble, was deleted. quasihopf.py (43) and
+# coact.py (9) fell to 0 when every derived element, p~, q~ and every
+# Sweedler sum of the core and tilde identities and of mbia2 became one
+# sum over lifted tables (algebra.sweedler). A new Sweedler sum either
+# contracts lifted tables or raises its module's number here, in plain
+# sight.
+ASSEMBLE_CALLS = {"coact.py": 0, "doihopf.py": 4, "hopfmod.py": 8,
+                  "products.py": 2, "quasihopf.py": 0}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -450,12 +456,14 @@ def test_products_sum_no_field_scalars():
     assert field_zero_calls(source) == []
 
 
-# The table builders of hopfmod.py and doihopf.py that sum lifted int
-# numerators and lower each entry once. Other functions of these modules
-# keep legitimate field scalars (BimoduleCoalgebra.eps, and
+# The table builders of hopfmod.py and doihopf.py, and the Sweedler sum
+# kernel of algebra.py with its planner, that sum lifted int numerators
+# and lower each entry once. Other functions of these modules keep
+# legitimate field scalars (BimoduleCoalgebra.eps, and
 # cyclic_right_submodule, whose RowSpan works in them), so the builders
 # are picked by name.
 LIFTED_BUILDERS = {
+    "algebra.py": ("_sweedler_plan", "sweedler"),
     "hopfmod.py": ("canonical_first_module", "_forward_action"),
     "doihopf.py": ("algebra_action_from_doi", "crossed_smash_direct"),
 }

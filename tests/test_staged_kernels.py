@@ -1,11 +1,11 @@
 """The staged leg-by-leg _leg_sum (under mul_legs and multiplicative) and
-the lifted antipode chains of _sweedler_chain against the per-pair
-kernels they replace (reference_builders.py), over Q with non-integral
-coefficients and over GF(7): on random sparse and dense tensors of 0 to
-4 legs that mix algebra legs of several dimensions with actions, on the
-corpus, on gauge twists and on k[Z/3] in a non-group basis, whose
-structure constants are not all one and whose antipode matrix is not
-symmetric."""
+the Sweedler sums of algebra.sweedler against the per-pair kernels and
+per-term sums they replace (reference_builders.py), over Q with
+non-integral coefficients and over GF(7): on random sparse and dense
+tensors of 0 to 4 legs that mix algebra legs of several dimensions with
+actions, on random terms, on the corpus, on gauge twists and on k[Z/3]
+in a non-group basis, whose structure constants are not all one and
+whose antipode matrix is not symmetric."""
 
 import itertools
 import random
@@ -16,9 +16,9 @@ import pytest
 import reference_builders as ref
 from qhopf import (Basis, LegMul, LinearMap, PrimeField, QQ, Tensor,
                    canonical_right_comodule, corpus, invert_in_tensor_algebra,
-                   is_gauge, mul_legs, sandwich, twist)
+                   is_gauge, mul_legs, sandwich, sweedler, twist)
 from qhopf import algebra
-from qhopf.algebra import _sweedler_chain, multiplicative
+from qhopf.algebra import multiplicative
 
 FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
                                  ids=("Q", "GF7"))
@@ -224,20 +224,21 @@ def _chain_subjects(field, nongroup):
 @FIELDS
 def test_sweedler_chain_matches_assemble(field, nongroup):
     """q5's two sums on every Delta(e_i), q6's two sums and the alpha_F,
-    beta_F of twists, against the H.assemble chains they replace."""
+    beta_F of twists, as chains of one product term of sweedler, against
+    the H.assemble chains they replace."""
     rng = random.Random(13)
     for H in _chain_subjects(field, nongroup):
-        S, ident = H.antipode, LinearMap.identity(H.basis, field)
+        m, S = H.leg(), H.antipode
         sums = []
         for i in range(H.dim):
             d = H.delta(H.e(i))
-            sums += [((S, ident), (H.alpha,), d, "S-alpha"),
-                     ((ident, S), (H.beta,), d, "beta-S")]
-        sums += [((ident, S, ident), (H.beta, H.alpha), H.phi, "q6-phi"),
-                 ((S, ident, S), (H.alpha, H.beta), H.phi_inv,
+            sums += [((m, (S, 0), H.alpha, 1), d, "S-alpha"),
+                     ((m, 0, H.beta, (S, 1)), d, "beta-S")]
+        sums += [((m, 0, H.beta, (S, 1), H.alpha, 2), H.phi, "q6-phi"),
+                 ((m, (S, 0), H.alpha, 1, H.beta, (S, 2)), H.phi_inv,
                   "q6-phi-inv")]
-        for maps, zs, source, which in sums:
-            assert _sweedler_chain(H.leg(), source, maps, zs) == \
+        for term, source, which in sums:
+            assert sweedler(source, (term,)) == \
                 ref.antipode_chains(H, source, which), (H.name, which)
         F = _gauge_twist(H, rng)
         HF = twist(H, F)
@@ -248,10 +249,115 @@ def test_sweedler_chain_matches_assemble(field, nongroup):
 
 @FIELDS
 def test_sweedler_chain_of_empty_source_is_zero(field):
+    """An empty source sums to zero on the terms' spaces, and so does a
+    zero tensor among the terms; a term that does not fit its space is
+    refused, source empty or not."""
     H = corpus(field)["s3"]
-    ident = LinearMap.identity(H.basis, field)
+    m, S = H.leg(), H.antipode
     zero = Tensor.zero((H.basis,) * 2, field)
-    got = _sweedler_chain(H.leg(), zero, (H.antipode, ident), (H.alpha,))
-    assert got == Tensor.zero((H.basis,), field)
-    with pytest.raises(ValueError):
-        _sweedler_chain(H.leg(), zero, (H.antipode, ident), ())
+    assert sweedler(zero, ((m, (S, 0), H.alpha, 1),)) == \
+        Tensor.zero((H.basis,), field)
+    assert sweedler(zero, (1, (H.dual.hit_l_leg, 0, H.dual.dual_e(0)))) \
+        == Tensor.zero((H.basis, H.dual.basis), field)
+    bad = (2, -1, (S, 0, 1), (m, 0), (H.comul, 0), (m, 0, H.phi),
+           (H.dual.hit_r_leg, 0, 1), (S, H.dual.dual_e(0)), "x",
+           (m, 0, corpus(QQ if field != QQ else PrimeField(7))["s3"].alpha))
+    for source in (zero, H.delta(H.e(1))):
+        for term in bad:
+            with pytest.raises(ValueError):
+                sweedler(source, (term,))
+    # a zero one-leg tensor as a factor, a map's input or a leg of its
+    # own makes a zero sum, over a nonzero source too
+    z = Tensor.zero((H.basis,), field)
+    for legs in (((m, 0, z),), ((m, z, 1),), ((m, 0, z, (S, 1)),),
+                 ((S, z),), ((S, (m, z, 0)),), (0, z), (z, (m, 0, 1))):
+        assert sweedler(H.delta(H.e(1)), legs) == \
+            Tensor.zero((H.basis,) * len(legs), field)
+
+
+def _random_map(field, rng, domain, codomain):
+    """A map of domain into one codomain leg with random columns, some of
+    them empty."""
+    return LinearMap(domain, (codomain,), {
+        i: {(k,): _scalar(field, rng) for k in range(codomain.dim)
+            if rng.random() < 0.6}
+        for i in range(domain.dim) if rng.random() < 0.85}, field)
+
+
+def _random_term(field, rng, source, space, bases, depth):
+    """A random Sweedler term whose value lies in space: a carried leg
+    of source on that space, a tensor (zero at times), a map applied to
+    a term, or a product of two or three terms by a random pairing."""
+    carried = [r for r, b in enumerate(source.spaces) if b == space]
+    pick = rng.random() if depth else 0
+    if pick < 0.3:
+        if carried and rng.random() < 0.8:
+            return rng.choice(carried)
+        kind = rng.random()
+        if kind < 0.2:
+            return Tensor.zero((space,), field)
+        return _random_tensor(field, rng, (space,), kind < 0.6)
+    if pick < 0.5:
+        mid = rng.choice(bases)
+        return (_random_map(field, rng, mid, space),
+                _random_term(field, rng, source, mid, bases, depth - 1))
+    if pick < 0.8:
+        left, right = rng.choice(bases), rng.choice(bases)
+        return (_pairing(field, rng, left, right, space),
+                _random_term(field, rng, source, left, bases, depth - 1),
+                _random_term(field, rng, source, right, bases, depth - 1))
+    right = rng.choice(bases)
+    return (_pairing(field, rng, space, right, space),) + tuple(
+        _random_term(field, rng, source, b, bases, depth - 1)
+        for b in (space, right, right))
+
+
+def _term_value(term, idx, source):
+    """The one-leg tensor of a Sweedler term at the source term idx,
+    by basis vectors, map_leg and mul_legs."""
+    if isinstance(term, int):
+        return Tensor.basis_vector(source.spaces[term], idx[term],
+                                   source.field)
+    if isinstance(term, Tensor):
+        return term
+    op, *args = term
+    if isinstance(op, LinearMap):
+        return _term_value(args[0], idx, source).map_leg(0, op)
+    value = _term_value(args[0], idx, source)
+    for arg in args[1:]:
+        value = mul_legs((op,), value, _term_value(arg, idx, source))
+    return value
+
+
+@FIELDS
+def test_sweedler_matches_per_term_sum(field):
+    """sweedler on random terms (carried legs, tensors, zero ones among
+    them, maps and nested products of two or three factors by random
+    pairings) over random
+    sources of one to four legs, sparse, dense and empty, against the
+    sum over the source's terms of the terms' values tensored."""
+    rng = random.Random(31)
+    bases = [Basis(tuple("%s%d" % (tag, i) for i in range(d)), tag)
+             for tag, d in (("A", 2), ("B", 3), ("C", 2))]
+    nonzero = 0
+    for trial in range(40):
+        spaces = tuple(rng.choice(bases) for _ in range(rng.randint(1, 4)))
+        source = _random_tensor(field, rng, spaces, trial % 3 == 1)
+        if trial % 10 == 9:
+            source = Tensor.zero(spaces, field)
+        legs = tuple(_random_term(field, rng, source, rng.choice(bases),
+                                  bases, rng.randint(0, 3))
+                     for _ in range(rng.randint(1, 3)))
+        got = sweedler(source, legs)
+        want = None
+        for idx, c in source.data.items():
+            term = Tensor.scalar(c, field)
+            for t in legs:
+                term = term.tensor(_term_value(t, idx, source))
+            want = term if want is None else want + term
+        if want is None:
+            assert not got.data
+        else:
+            assert (got.spaces, got.data) == (want.spaces, want.data)
+        nonzero += bool(got.data)
+    assert nonzero >= 20
