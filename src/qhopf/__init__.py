@@ -8,8 +8,9 @@ check is an exact equality of sparse tensors with no tolerance.
 from .fields import Field, Fp, PrimeField, QQ, RationalField, parse_field
 from .tensor import Basis, FlatSpace, LinearMap, Tensor, product_basis
 from .linalg import RowSpan, solve_linear
-from .algebra import (FinAlgebra, LegMul, invert_in_tensor_algebra,
-                      invert_linear_map, mul_legs, sandwich, sweedler)
+from .algebra import (FinAlgebra, LegMul, flat_pairing,
+                      invert_in_tensor_algebra, invert_linear_map, mul_legs,
+                      sandwich, sweedler)
 from .report import CheckRecord, VerificationReport, first_difference
 from .quasihopf import (DerivedElements, DualView, NotGaugeError,
                         QuasiBialgebra, QuasiHopfAlgebra,

@@ -72,6 +72,24 @@ class LegMul:
         return self._lifted
 
 
+@cache
+def flat_pairing(left: Basis, right: Basis, out: Basis,
+                 field: Field = QQ) -> LegMul:
+    """The row-major pairing e_i (x) e_j -> e_{i dim(right) + j} of out,
+    the flattened basis of left (x) right: a FlatSpace's own basis, or
+    that of H (x) H^op paired from two legs of H. As a sweedler term
+    (pairing, t1, t2) it writes two terms into one flat leg. Built on
+    first use and kept; ValueError unless dim(out) = dim(left)
+    dim(right)."""
+    n = right.dim
+    if out.dim != left.dim * n:
+        raise ValueError("the flat basis is not the size of its factors")
+    one = field.one()
+    return LegMul(left, right, out, {(i, j): {i * n + j: one}
+                                     for i in range(left.dim)
+                                     for j in range(n)}, field)
+
+
 def _lift_rows(field: Field, table):
     """(rows, den): a table of sparse rows (key -> {index: scalar})
     lifted (fields.py) over one common denominator den, rows[key] a tuple
@@ -279,7 +297,12 @@ def sweedler(source: Tensor, legs: Sequence) -> Tensor:
     the term t; (m, t_1, t_2, ...) is the product of the terms, left to
     right, by the LegMul m. So p_R = sum x1 (x) x2 beta S(x3) is
     sweedler(phi_inv, (0, (m, 1, beta, (S, 2)))); a factor with several
-    legs, such as Delta(h), enters as legs of source. The sum runs over
+    legs, such as Delta(h), enters as legs of source. With m a
+    flat_pairing, (m, t_1, t_2) is t_1 (x) t_2 in one flattened leg: the
+    coaction a (x) h -> sum a X1 (x) h_1 X2 (x) h_2 X3 of A (x) H is
+    from_graph of sweedler(id_A.graph() (x) Delta.graph() (x) Phi_rho,
+    ((P, 0, 2), (P, (mA, 1, 5), (mH, 3, 6)), (mH, 4, 7))), P pairing A
+    with H, leg 0 the input a (x) h. The sum runs over
     lifted tables (_sweedler_plan) and the source nested by legs
     (_nest): each partial product of the first p factors is formed once
     per tuple of the source indices it reads, a zero skips the terms

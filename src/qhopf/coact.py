@@ -385,13 +385,19 @@ def check_right_module_coalgebra(mc: RightModuleCoalgebra) -> VerificationReport
 
 def verify_tilde_identities(ca: RightComoduleAlgebra) -> VerificationReport:
     """The identity suite for the canonical elements p~ and q~ of a
-    right comodule algebra over a quasi-Hopf algebra."""
+    right comodule algebra over a quasi-Hopf algebra. It needs S^{-1},
+    as verify_core_identities does, and ends the same way without it."""
     H = ca.H
     if not isinstance(H, QuasiHopfAlgebra):
         raise ValueError("tilde identities need antipode data")
     der = H.derived
     rep = VerificationReport("tilde elements %s" % ca.name,
                              {"dim": ca.dim, "field": H.field.name})
+    try:
+        H.antipode_inv
+    except ValueError:
+        rep.check_bool("antipode-bijective", False)
+        return rep
     one, one_a = H.unit(), ca.unit()
     unit_ah = one_a.tensor(one)
     pt, qt = ca.p_tilde(), ca.q_tilde()

@@ -16,11 +16,14 @@ right modules over a single generalized smash product algebra. Both
 functors, the direct multiplication formulas and exact round-trip
 verifiers are implemented below. The Doi-Hopf structure of a module
 over the generalized smash product restricts its action table along
-fixed elements such as eps >< b (_restrict in algebra.py). Every axiom
-check but bmc3 compares two whole tables (check_same); bmc1, dhm1,
-tstc1 and tstc2 state each side of a coassociativity up to the
-reassociators as one map (sandwich in algebra.py), and the two functors
-twist the coalgebra coaction by f or f^{-1} the same way.
+fixed elements such as eps >< b (_restrict in algebra.py). The crossed
+coaction, its reassociator and the nested smash product's table are
+each one Sweedler sum (sweedler in algebra.py) over graphs of structure
+maps, the legs of H (x) H^op and (A (x) H*) # H written by flat_pairing.
+Every axiom check but bmc3 compares two whole tables (check_same);
+bmc1, dhm1, tstc1 and tstc2 state each side of a coassociativity up to
+the reassociators as one map (sandwich in algebra.py), and the two
+functors twist the coalgebra coaction by f or f^{-1} the same way.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from typing import Dict, Tuple
 from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_rows,
                       _lowered, _mul, _pairs, _restrict, _transpose,
                       _two_sided_hits, actions_commute, counit_identity,
-                      left_action_assoc, left_action_unit, mul_legs,
-                      multiplicative, right_action_assoc, right_action_unit,
-                      sandwich)
+                      flat_pairing, left_action_assoc, left_action_unit,
+                      mul_legs, multiplicative, right_action_assoc,
+                      right_action_unit, sandwich, sweedler)
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, OverH, RightModuleCoalgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
@@ -337,44 +340,26 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
     if HHop.dim != nH * nH:
         raise ValueError("H (x) H^op basis does not match the flat layout")
 
-    pair = FlatSpace((H.basis, H.basis), field)
+    m, mA, S = H.leg(), A.as_leg(), H.antipode
+    hl, hr = dual.hit_l_leg, dual.hit_r_leg
+    hh = flat_pairing(H.basis, H.basis, HHop.basis, field)
+    outer = flat_pairing(qs.basis, H.basis, sm.basis, field)
+    inner = flat_pairing(A.basis, dual.basis, qs.basis, field)
 
-    def pack_pair(t: Tensor) -> Tensor:
-        return Tensor((HHop.basis,) + t.spaces[2:],
-                      {(pair.join(idx[:2]),) + idx[2:]: c
-                       for idx, c in t.data.items()}, field)
-
-    eps = dual.eps_functional()
-    nest = smash_index(qs, sm)
-
-    cols = {}
-    for g in range(sm.dim):
-        a, p, h = nest.split(g)
-        src = ba.left.coact(A.e(a)).tensor(ba.phi_mid_inv).tensor(
-            H.phi_inv).tensor(H.delta(H.e(h)))
-
-        def builder(am, a0, w1, w2, w3, y1, y2, y3, h1, h2):
-            hhleg = H.mul(H.e(am), H.e(w1)).tensor(
-                H.S(H.mul(H.e(y3), H.e(h2))))
-            func = dual.hit_r(dual.hit_l(H.e(y1), dual.dual_e(p)), H.e(w3))
-            if not func.data:
-                return Tensor.zero((HHop.basis, sm.basis), field)
-            body = sm.flatten(qs.element(A.mul(A.e(a0), A.e(w2)),
-                                         func).tensor(
-                                             H.mul(H.e(y2), H.e(h1))))
-            return pack_pair(hhleg).tensor(body)
-
-        cols[g] = dict(H.assemble(src, builder).data)
-    coaction = LinearMap(sm.basis, (HHop.basis, sm.basis), cols, field)
+    # one sum over the graph of lambda, the graph of the identity of H*,
+    # the graph of Delta, w and y: legs 0, 3 and 4 nest into the input
+    # (a # e^p) # h
+    ident = LinearMap.identity(dual.basis, field).graph()
+    src = ba.left.coaction.graph().tensor(ident).tensor(
+        H.comul.graph()).tensor(ba.phi_mid_inv).tensor(H.phi_inv)
+    coaction = LinearMap.from_graph(sweedler(src, (
+        (outer, (inner, 0, 3), 5),
+        (hh, (m, 1, 8), (S, (m, 13, 7))),
+        (outer, (inner, (mA, 2, 9), (hr, (hl, 11, 4), 10)), (m, 12, 6)))))
 
     src = ba.left.phi_lam.tensor(H.derived.f_inv).tensor(H.phi_inv)
-    phi_w = H.assemble(src, lambda X1, X2, X3, g1, g2, x1, x2, x3:
-                       pack_pair(H.e(X1).tensor(
-                           H.mul(H.e(g1), H.S(H.e(x3))))).tensor(
-                       pack_pair(H.e(X2).tensor(
-                           H.mul(H.e(g2), H.S(H.e(x2)))))).tensor(
-                       sm.flatten(qs.element(A.e(X3), eps).tensor(
-                           H.e(x1)))))
+    phi_w = sweedler(src, ((hh, 0, (m, 3, (S, 7))), (hh, 1, (m, 4, (S, 6))),
+                           (outer, (inner, 2, dual.eps_functional()), 5)))
     return LeftComoduleAlgebra(HHop, sm.alg, coaction, phi_w,
                                name=sm.alg.basis.name)
 
@@ -428,30 +413,28 @@ def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
     dual = H.dual
     field = H.field
     A = ba.algebra
-    nest = smash_index(qs, sm)
+    m, mA, conv = H.leg(), A.as_leg(), dual.conv.as_leg()
+    hl, hr = dual.hit_l_leg, dual.hit_r_leg
+    outer = flat_pairing(qs.basis, H.basis, sm.basis, field)
+    inner = flat_pairing(A.basis, dual.basis, qs.basis, field)
 
-    def evaluate(g, g2):
-        a, p, h = nest.split(g)
-        a2, q, h2 = nest.split(g2)
-        src = H.phi_inv.tensor(ba.right.coact(A.e(a2))).tensor(
-            ba.right.phi_rho_inv).tensor(H.delta(H.e(h)))
-
-        def builder(x1, x2, x3, a20, a21, r1, r2, r3, h1, h2b):
-            pfun = dual.hit_r(dual.hit_l(H.e(x1), dual.dual_e(p)),
-                              H.mul(H.e(a21), H.e(r2)))
-            qfun = dual.hit_r(
-                dual.hit_l(H.mul(H.e(x2), H.e(h1)), dual.dual_e(q)),
-                H.e(r3))
-            fun = dual.convolve(pfun, qfun)
-            if not fun.data:
-                return Tensor.zero((sm.basis,), field)
-            return sm.flatten(qs.element(
-                A.mulc(A.e(a), A.e(a20), A.e(r1)), fun).tensor(
-                    H.mul(H.e(x3), H.e(h2b), H.e(h2))))
-
-        return H.assemble(src, builder)
-
-    return LegMul.from_function(sm.basis, sm.basis, sm.basis, evaluate, field)
+    # one sum over the graphs of the identities of A, H* and H, of Delta
+    # and of rho, and x and xr: legs 0, 2 and 4 nest into the left
+    # input, legs 7, 10 and 12 into the right one
+    ident_a, ident_d, ident_h = (LinearMap.identity(b, field).graph()
+                                 for b in (A.basis, dual.basis, H.basis))
+    src = ident_a.tensor(ident_d).tensor(H.comul.graph()).tensor(
+        ba.right.coaction.graph()).tensor(ident_d).tensor(ident_h).tensor(
+        H.phi_inv).tensor(ba.right.phi_rho_inv)
+    graph = sweedler(src, (
+        (outer, (inner, 0, 2), 4), (outer, (inner, 7, 10), 12),
+        (outer, (inner, (mA, 1, 8, 17),
+                 (conv, (hr, (hl, 14, 3), (m, 9, 18)),
+                  (hr, (hl, (m, 15, 5), 11), 19))), (m, 16, 6, 13))))
+    table: Dict[Tuple[int, int], Dict[int, object]] = {}
+    for (g, g2, k), c in graph.data.items():
+        table.setdefault((g, g2), {})[k] = c
+    return LegMul(sm.basis, sm.basis, sm.basis, table, field)
 
 
 def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
@@ -488,7 +471,6 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     H = qs.H
     field = H.field
     A = ba.algebra
-    nH = H.dim
     nest = smash_index(qs, sm)
     hmult, dh = H.leg().lifted()
     amult, da = A.as_leg().lifted()
@@ -510,25 +492,17 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
 
     cprod, dprod = products(chit, cconv), products(dhit, dconv)
 
-    # stage one, for every h: contract Phi, f and the two Phi^{-1} copies
+    # stage one, for every h at once: contract Phi, f and the two
+    # Phi^{-1} copies with the graph of (Delta (x) id) Delta, leg 0 h
     phiXX = H.phi.map_leg(0, H.comul).map_leg(0, H.comul)
     phix = H.phi_inv.map_leg(1, H.comul)
 
-    def stage_one(h):
-        src = phiXX.tensor(H.derived.f).tensor(H.phi_inv).tensor(phix).tensor(
-            H.delta(H.e(h)).map_leg(0, H.comul))
-        return H.assemble(src, lambda X11, X12, X1b, X2, X3, f1, f2,
-                          y1, y2, y3, x1, x21, x22, x3, h11, h12, h2:
-                          H.mul(H.S(H.e(X3)), H.e(f1)).tensor(
-                              H.mul(H.S(H.mul(H.e(X2), H.e(x3), H.e(h2))),
-                                    H.e(f2))).tensor(
-                              H.mul(H.e(X11), H.e(y1), H.e(x1))).tensor(
-                              H.mul(H.e(X12), H.e(y2), H.e(x21),
-                                    H.e(h11))).tensor(
-                              H.mul(H.e(X1b), H.e(y3), H.e(x22),
-                                    H.e(h12))))
-
-    stage1, d1 = _lift_rows(field, {h: stage_one(h).data for h in range(nH)})
+    m, S = H.leg(), H.antipode
+    src = phiXX.tensor(H.derived.f).tensor(H.phi_inv).tensor(phix).tensor(
+        H.comul.graph().map_leg(1, H.comul))
+    stage1, d1 = _lift_rows(field, LinearMap.from_graph(sweedler(src, (
+        14, (m, (S, 4), 5), (m, (S, (m, 3, 13, 17)), 6), (m, 0, 7, 10),
+        (m, 1, 8, 11, 15), (m, 2, 9, 12, 16)))).cols)
 
     # stage two, per (h, a, a2): merge in the reassociator sums and the
     # two coactions, pre-chaining every product that does not involve

@@ -13,7 +13,11 @@ cyclic modules.
 The functors keep the underlying space: each structure map they build,
 but the forward right quasi-smash action, restricts a given action
 table as a whole along fixed elements of the acting algebra (_restrict
-in algebra.py), as in h . m = m (1 # S(h)). The axiom checks compare
+in algebra.py), as in h . m = m (1 # S(h)). The coactions of the
+canonical modules, theta and theta^{-1}, and the elements the functors
+restrict along are each one Sweedler sum (sweedler in algebra.py) over
+graphs of structure maps, two terms written into one leg of a
+flattened basis by flat_pairing. The axiom checks compare
 two whole tables (check_same); coassoc states each side of the
 coassociativity up to Phi and Phi_rho as one map (sandwich in
 algebra.py).
@@ -27,17 +31,17 @@ from typing import Dict, Tuple
 
 from .algebra import (LegMul, _chain, _clean_table, _contract, _lift_map,
                       _lift_rows, _lowered, _mul, _pairs, _restrict,
-                      _transpose, actions_commute, counit_identity,
-                      equivariant_action, left_action_assoc,
-                      left_action_unit, mul_legs, multiplicative,
-                      quasi_associative, right_action_assoc,
-                      right_action_unit, sandwich)
+                      actions_commute, counit_identity, equivariant_action,
+                      flat_pairing, left_action_assoc, left_action_unit,
+                      mul_legs, multiplicative, quasi_associative,
+                      right_action_assoc, right_action_unit, sandwich,
+                      sweedler)
 from .coact import OverH, RightComoduleAlgebra, canonical_right_comodule
 from .linalg import RowSpan
 from .products import ProductAlgebra, QuasiSmash, quasi_smash, smash_product
 from .quasihopf import QuasiHopfAlgebra
 from .report import VerificationReport
-from .tensor import Basis, FlatSpace, LinearMap, Tensor
+from .tensor import Basis, FlatSpace, LinearMap, Tensor, product_basis
 
 
 # ----------------------------------------------------------------------
@@ -191,16 +195,14 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     right_action = LegMul(flat.basis, A.basis, flat.basis,
                           _lowered(field, right, dr * da * dh), field)
 
-    cols = {}
-    for a in range(nA):
-        for k in range(nH):
-            src = ca.phi_rho.tensor(H.delta(H.e(k)))
-            t = H.assemble(src, lambda X1, X2, X3, k1, k2:
-                           A.mul_indices(a, X1).tensor(
-                               H.mul(H.e(k1), H.e(X2))).tensor(
-                                   H.mul(H.e(k2), H.e(X3))))
-            cols[flat.join((a, k))] = dict(flat.pack(t).data)
-    coaction = LinearMap(flat.basis, (flat.basis, H.basis), cols, field)
+    # one sum over the graphs of the identity of A and of Delta, and
+    # Phi_rho: legs 0 and 2 pair into the input (a, k)
+    pair, hleg = flat_pairing(A.basis, H.basis, flat.basis, field), H.leg()
+    src = LinearMap.identity(A.basis, field).graph().tensor(
+        H.comul.graph()).tensor(ca.phi_rho)
+    coaction = LinearMap.from_graph(sweedler(src, (
+        (pair, 0, 2), (pair, (A.as_leg(), 1, 5), (hleg, 3, 6)),
+        (hleg, 4, 7))))
     return TwoSidedHopfModule(ca, flat.basis, left_action, right_action,
                               coaction, name=ca.name + "(x)H")
 
@@ -240,23 +242,18 @@ def canonical_second_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
                                       for t, c in vec.items()}
     right_action = LegMul(flat.basis, A.basis, flat.basis, right, field)
 
-    src = der.q_L.tensor(ca.phi_rho.map_leg(2, H.comul)).tensor(der.f_inv)
-    W = H.assemble(src, lambda q1, q2, X1, X2, X31, X32, g1, g2:
-                   H.Sinv(H.mul(H.e(q2), H.e(X32), H.e(g2))).tensor(
-                       ca.e(X1)).tensor(
-                           H.mul(H.Sinv(H.mul(H.e(q1), H.e(X31), H.e(g1))),
-                                 H.e(X2))))
+    hleg, Si = H.leg(), H.antipode_inv
+    W = sweedler(der.q_L.tensor(ca.phi_rho.map_leg(2, H.comul)).tensor(
+        der.f_inv), ((Si, (hleg, 1, 5, 7)), 2,
+                     (hleg, (Si, (hleg, 0, 4, 6)), 3)))
 
-    cols = {}
-    for k in range(nH):
-        for a in range(nA):
-            src2 = H.delta(H.e(k)).tensor(ca.coact(ca.e(a))).tensor(W)
-            t = H.assemble(src2, lambda k1, k2, a0, a1, w1, w2, w3:
-                           H.mul(H.e(k1), H.e(w1)).tensor(
-                               A.mul(A.e(w2), A.e(a0))).tensor(
-                                   H.mul(H.e(k2), H.e(w3), H.e(a1))))
-            cols[flat.join((k, a))] = dict(flat.pack(t).data)
-    coaction = LinearMap(flat.basis, (flat.basis, H.basis), cols, field)
+    # one sum over the graphs of Delta and of rho, and W: legs 0 and 3
+    # pair into the input (k, a)
+    pair = flat_pairing(H.basis, A.basis, flat.basis, field)
+    src = H.comul.graph().tensor(ca.coaction.graph()).tensor(W)
+    coaction = LinearMap.from_graph(sweedler(src, (
+        (pair, 0, 3), (pair, (hleg, 1, 6), (A.as_leg(), 7, 4)),
+        (hleg, 2, 8, 5))))
     return TwoSidedHopfModule(ca, flat.basis, left_action, right_action,
                               coaction, name="H(x)" + ca.name)
 
@@ -268,29 +265,21 @@ def module_isomorphism(ca: RightComoduleAlgebra
     theta^{-1}(h (x) a) = sum q~1 a_(0) (x) h q~2 a_(1)."""
     H, A = ca.H, ca.algebra
     field = H.field
-    flatV = FlatSpace((A.basis, H.basis), field)
-    flatU = FlatSpace((H.basis, A.basis), field)
     pt, qt = ca.p_tilde(), ca.q_tilde()
-
-    cols = {}
-    for a in range(A.dim):
-        for h in range(H.dim):
-            src = ca.coact(ca.e(a)).tensor(pt)
-            t = H.assemble(src, lambda a0, a1, p1, p2:
-                           H.mul(H.e(h), H.Sinv(H.mul(H.e(a1), H.e(p2)))).tensor(
-                               A.mul_indices(a0, p1)))
-            cols[flatV.join((a, h))] = dict(flatU.pack(t).data)
-    theta = LinearMap(flatV.basis, (flatU.basis,), cols, field)
-
-    cols = {}
-    for h in range(H.dim):
-        for a in range(A.dim):
-            src = qt.tensor(ca.coact(ca.e(a)))
-            t = H.assemble(src, lambda q1, q2, a0, a1:
-                           A.mul_indices(q1, a0).tensor(
-                               H.mul(H.e(h), H.e(q2), H.e(a1))))
-            cols[flatU.join((h, a))] = dict(flatV.pack(t).data)
-    theta_inv = LinearMap(flatU.basis, (flatV.basis,), cols, field)
+    m, mA, Si = H.leg(), A.as_leg(), H.antipode_inv
+    V = flat_pairing(A.basis, H.basis, product_basis(A.basis, H.basis),
+                     field)
+    U = flat_pairing(H.basis, A.basis, product_basis(H.basis, A.basis),
+                     field)
+    # each one sum over the graphs of rho and of the identity of H, the
+    # leg a of one and the leg h of the other paired into the input
+    rho, ident = ca.coaction.graph(), LinearMap.identity(H.basis,
+                                                         field).graph()
+    theta = LinearMap.from_graph(sweedler(rho.tensor(ident).tensor(pt), (
+        (V, 0, 3), (U, (m, 4, (Si, (m, 2, 6))), (mA, 1, 5)))))
+    theta_inv = LinearMap.from_graph(sweedler(
+        ident.tensor(rho).tensor(qt), (
+            (U, 0, 2), (V, (mA, 5, 3), (m, 1, 6, 4)))))
     return theta, theta_inv
 
 
@@ -433,8 +422,8 @@ def relative_from_two_sided(M: TwoSidedHopfModule,
     der = H.derived
     field = M.field
     # K = sum S(U2) f1 (x) S(U1) f2
-    K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
-        H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
+    m, S = H.leg(), H.antipode
+    K = sweedler(der.U.tensor(der.f), ((m, (S, 1), 2), (m, (S, 0), 3)))
 
     h_action = LegMul(H.basis, M.basis, M.basis, _restrict(
         M.left_action, [H.S(H.S(H.e(i))) for i in range(H.dim)], left=True),
@@ -473,21 +462,18 @@ def two_sided_from_relative(N: RelativeHopfModule,
         N.r_action, [qs.element(ca.e(a), eps) for a in range(ca.dim)]),
         field)
 
-    # VG = sum V1 g1 (x) V2 g2
-    VG = H.tmul(der.V, der.f_inv)
-    E = [Tensor.zero((qs.basis, H.basis), field) for _ in range(nH)]
-    # e^i o S is row i of the transposed antipode
-    s_rows = _transpose(H.antipode.cols)
-    for i in range(nH):
-        e_i_s = Tensor.from_sparse(dual.basis, s_rows.get((i,), {}), field)
-        for (t1, t2), c1 in VG.data.items():
-            hit = dual.hit_l(sinv[t1], e_i_s)
-            for (q1, q2), c2 in qt.data.items():
-                E[t2] = E[t2] + qs.element(ca.e(q1), dual.hit_r(
-                    hit, H.e(q2))).tensor(H.e(i)).scale(c1 * c2)
+    # E_t is the slice at t = V2 g2 of one sum over the graph of S read
+    # in H* (sum_i (e^i o S) (x) e_i), V g = sum V1 g1 (x) V2 g2 and q~
+    es = Tensor((dual.basis, H.basis), H.antipode.graph().data, field)
+    E = LinearMap.from_graph(sweedler(
+        es.tensor(H.tmul(der.V, der.f_inv)).tensor(qt), (
+            3, (flat_pairing(ca.basis, dual.basis, qs.basis, field), 4,
+                (dual.hit_r_leg, (dual.hit_l_leg, (H.antipode_inv, 2), 0),
+                 5)), 1)))
     # rho(m) = sum_t [S^{-1}(e_t) . m] . E_t, over the lifted tables
     (moved, dm), (acted, de) = (_lift_rows(field, t) for t in (
-        _restrict(N.h_action, sinv, left=True), _restrict(N.r_action, E)))
+        _restrict(N.h_action, sinv, left=True),
+        _restrict(N.r_action, [E.column(t) for t in range(nH)])))
     coaction = LinearMap(N.basis, (N.basis, H.basis), {
         m: field.lower(_contract([((k, t), c) for t in range(nH)
                                   for k, c in moved.get((t, m), ())],
@@ -525,10 +511,14 @@ def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
                               for i in range(H.dim)])
     h_action = LegMul(H.basis, basis, basis,
                       {(i, m): vec for (m, i), vec in by_h.items()}, field)
-    u_elems = [H.assemble(H.derived.U, lambda u1, u2: sm.flatten(
-        qs.act(H.e(u1), qs.e(u)).tensor(H.e(u2)))) for u in range(qs.dim)]
-    r_action = LegMul(basis, qs.basis, basis, _restrict(action, u_elems),
-                      field)
+    # u -> sum U1 . u # U2, one sum over the graph of the identity of
+    # A # H* and U
+    u_map = LinearMap.from_graph(sweedler(
+        LinearMap.identity(qs.basis, field).graph().tensor(H.derived.U),
+        (0, (flat_pairing(qs.basis, H.basis, sm.basis, field),
+             (qs.action, 2, 1), 3))))
+    r_action = LegMul(basis, qs.basis, basis, _restrict(
+        action, [u_map.column(u) for u in range(qs.dim)]), field)
     return RelativeHopfModule(qs, basis, h_action, r_action, name=basis.name)
 
 
@@ -561,15 +551,14 @@ def two_sided_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
         sm.flatten(qs.element(ca.e(a), eps).tensor(H.unit()))
         for a in range(ca.dim)]), field)
 
-    X = Tensor.zero((sm.basis, H.basis), field)
-    s_rows = _transpose(H.antipode.cols)
-    for i in range(H.dim):
-        e_i_s = Tensor.from_sparse(dual.basis, s_rows.get((i,), {}), field)
-        X = X + H.assemble(der.f_inv.tensor(qt), lambda g1, g2, q1, q2:
-                           sm.flatten(qs.element(ca.e(q1), dual.hit_r(
-                               dual.hit_l(H.Sinv(H.e(g2)), e_i_s),
-                               H.e(q2))).tensor(H.Sinv(H.e(g1))))).tensor(
-                                   H.e(i))
+    # sum_i (e^i o S) (x) e_i is the graph of S with its input read in
+    # H*; X is one sum over it, f^{-1} and q~
+    es = Tensor((dual.basis, H.basis), H.antipode.graph().data, field)
+    Si = H.antipode_inv
+    X = sweedler(es.tensor(der.f_inv).tensor(qt), (
+        (flat_pairing(qs.basis, H.basis, sm.basis, field),
+         (flat_pairing(ca.basis, dual.basis, qs.basis, field), 4,
+          (dual.hit_r_leg, (dual.hit_l_leg, (Si, 3), 0), 5)), (Si, 2)), 1))
     coaction = LinearMap(basis, (basis, H.basis), {
         m: vec for (m, _), vec in _restrict(action, [X]).items()}, field)
     return TwoSidedHopfModule(ca, basis, left, right, coaction,

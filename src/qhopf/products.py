@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 
 from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_map,
                       _lift_rows, _lift_vector, _mul, _pairs, _side, _times,
-                      _two_sided_hits)
+                      _two_sided_hits, sweedler)
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
@@ -823,23 +823,16 @@ class HomSmash:
         return out
 
     def star(self, v: LinearMap, w: LinearMap) -> LinearMap:
+        """v * w, summed over the graph of Delta and Phi_rho^{-1}: first
+        to e_k (x) k_1 (x) x1 (x) x2 (x) w(x3 k_2), then, with rho
+        applied to the last leg, to sum e_k (x) v(w1 x2 k_1) w0 x1."""
         H, ca = self.H, self.ca
-
-        def col(k):
-            src = ca.phi_rho_inv.tensor(H.delta(H.e(k)))
-
-            def builder(x1, x2, x3, k1, k2):
-                t = H.mul(H.e(x3), H.e(k2)).map_leg(0, w)
-                ct = ca.coact(t)
-                if not ct.data:
-                    return Tensor.zero((ca.basis,), ca.field)
-                return H.assemble(ct, lambda w0, w1: ca.algebra.mulc(
-                    H.mul(H.e(w1), H.e(x2), H.e(k1)).map_leg(0, v),
-                    ca.e(w0), ca.e(x1)))
-
-            return H.assemble(src, builder)
-
-        return LinearMap.from_function(H.basis, (ca.basis,), col, ca.field)
+        m = H.leg()
+        inner = sweedler(H.comul.graph().tensor(ca.phi_rho_inv),
+                         (0, 1, 3, 4, (w, (m, 5, 2))))
+        return LinearMap.from_graph(sweedler(
+            inner.map_leg(4, ca.coaction),
+            (0, (ca.algebra.as_leg(), (v, (m, 5, 3, 1)), 4, 2))))
 
     def unit(self) -> LinearMap:
         H, ca = self.H, self.ca

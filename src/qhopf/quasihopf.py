@@ -12,15 +12,15 @@ algebra.sweedler over the terms of Phi, Phi^{-1}, Delta(h) or others.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Dict, Optional, Tuple
 
 from .algebra import (FinAlgebra, LegMul, _lowered, _per_input, _transpose,
-                      _two_sided_hits, invert_in_tensor_algebra,
+                      _two_sided_hits, flat_pairing, invert_in_tensor_algebra,
                       invert_linear_map, mul_legs, multiplicative,
                       quasi_associative, sandwich, sweedler, tensor_unit)
 from .fields import Field
 from .report import VerificationReport
-from .tensor import Basis, FlatSpace, LinearMap, Tensor
+from .tensor import Basis, FlatSpace, LinearMap, Tensor, product_basis
 
 
 class QuasiBialgebra:
@@ -109,23 +109,6 @@ class QuasiBialgebra:
         t = x.map_leg(0, self.counit)
         return t.data.get((), self.field.zero())
 
-    def assemble(self, source: Tensor, builder: Callable[..., Tensor]) -> Tensor:
-        """Sum builder(*indices) over the terms of source, weighted by
-        the term coefficients, one term at a time: the Sweedler sums of
-        hopfmod.py, doihopf.py and products.py (the others are one
-        algebra.sweedler each). Each term is added into the first one,
-        which scale made fresh, so no builder's tensor is changed."""
-        out = None
-        for idx, c in source.data.items():
-            t = builder(*idx).scale(c)
-            if out is None:
-                out = t
-            else:
-                out.accumulate(t)
-        if out is None:
-            raise ValueError("assembling from a zero source")
-        return out
-
     # -- derived structures --------------------------------------------
 
     def opposite(self) -> "QuasiBialgebra":
@@ -144,61 +127,27 @@ class QuasiBialgebra:
                               name=self.name + "^op")
 
     def tensor_with(self, other: "QuasiBialgebra") -> "QuasiBialgebra":
-        """Componentwise tensor product quasi-bialgebra on H (x) K."""
-        b1, b2 = self.basis, other.basis
-        pair = FlatSpace((b1, b2), self.field)
-        b = pair.basis
-
-        def flat(i, j):
-            return pair.join((i, j))
-
-        mult = {}
-        for (i1, j1), v1 in self.algebra.mult.items():
-            for (i2, j2), v2 in other.algebra.mult.items():
-                key = (flat(i1, i2), flat(j1, j2))
-                vec = {}
-                for k1, c1 in v1.items():
-                    for k2, c2 in v2.items():
-                        vec[flat(k1, k2)] = c1 * c2
-                mult[key] = vec
-        unit = Tensor((b,), {
-            (flat(i1, i2),): c1 * c2
-            for (i1,), c1 in self.algebra.unit.data.items()
-            for (i2,), c2 in other.algebra.unit.data.items()
-        }, self.field)
-        alg = FinAlgebra(b, mult, unit, self.field)
-
-        comul_cols = {}
-        for i1 in range(b1.dim):
-            col1 = self.comul.cols.get(i1, {})
-            for i2 in range(b2.dim):
-                col2 = other.comul.cols.get(i2, {})
-                col = {}
-                for (a1, c1k), s1 in col1.items():
-                    for (a2, c2k), s2 in col2.items():
-                        col[(flat(a1, a2), flat(c1k, c2k))] = s1 * s2
-                comul_cols[flat(i1, i2)] = col
-        comul = LinearMap(b, (b, b), comul_cols, self.field)
-
-        counit_cols = {}
-        for i1 in range(b1.dim):
-            s1 = self.counit.cols.get(i1, {}).get((), self.field.zero())
-            for i2 in range(b2.dim):
-                s2 = other.counit.cols.get(i2, {}).get((), self.field.zero())
-                counit_cols[flat(i1, i2)] = {(): s1 * s2}
-        counit = LinearMap(b, (), counit_cols, self.field)
-
-        def pair_up(t1: Tensor, t2: Tensor) -> Tensor:
-            out = Tensor.zero((b, b, b), self.field)
-            for idx1, c1 in t1.data.items():
-                for idx2, c2 in t2.data.items():
-                    key = tuple(flat(a, x) for a, x in zip(idx1, idx2))
-                    out.data[key] = out.data.get(key, self.field.zero()) + c1 * c2
-            return Tensor((b, b, b), out.data, self.field)
-
-        phi = pair_up(self.phi, other.phi)
-        phi_inv = pair_up(self.phi_inv, other.phi_inv)
-        return QuasiBialgebra(alg, comul, counit, phi, phi_inv,
+        """Componentwise tensor product quasi-bialgebra on H (x) K: each
+        structure tensor of H (x) K is that of H tensored with that of
+        K, leg r of one paired with leg r of the other (flat_pairing).
+        The multiplication enters as the tensor of its structure
+        constants, Delta and eps as their graphs."""
+        b = product_basis(self.basis, other.basis)
+        pair = flat_pairing(self.basis, other.basis, b, self.field)
+        parts = [(Tensor((Q.basis,) * 3, {
+            (i, j, k): c for (i, j), vec in Q.algebra.mult.items()
+            for k, c in vec.items()}, Q.field), Q.unit(), Q.comul.graph(),
+            Q.counit.graph(), Q.phi, Q.phi_inv) for Q in (self, other)]
+        mult, unit, comul, counit, phi, phi_inv = (
+            sweedler(x.tensor(y), [(pair, r, r + len(x.spaces))
+                                   for r in range(len(x.spaces))])
+            for x, y in zip(*parts))
+        table: Dict[Tuple[int, int], Dict[int, object]] = {}
+        for (i, j, k), c in mult.data.items():
+            table.setdefault((i, j), {})[k] = c
+        return QuasiBialgebra(FinAlgebra(b, table, unit, self.field),
+                              LinearMap.from_graph(comul),
+                              LinearMap.from_graph(counit), phi, phi_inv,
                               name="%s(x)%s" % (self.name, other.name))
 
 
@@ -508,10 +457,17 @@ class DerivedElements:
 
 def verify_core_identities(H: QuasiHopfAlgebra) -> VerificationReport:
     """The full suite of identities relating the antipode twist, the
-    canonical p/q elements and the auxiliary U, V elements."""
+    canonical p/q elements and the auxiliary U, V elements. They need
+    S^{-1}: if S is not bijective, the report holds the failed
+    antipode-bijective record of check_quasihopf and nothing else."""
     der = H.derived
     rep = VerificationReport("core identities %s" % H.name,
                              {"dim": H.dim, "field": H.field.name})
+    try:
+        H.antipode_inv
+    except ValueError:
+        rep.check_bool("antipode-bijective", False)
+        return rep
     one, one2 = H.unit(), H.unit_pow(2)
     f, f_inv = der.f, der.f_inv
     p_R, q_R, p_L, q_L = der.p_R, der.q_R, der.p_L, der.q_L

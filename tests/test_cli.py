@@ -368,6 +368,32 @@ def test_zero_beta_exits_1(field, suite, failing, tmp_path, capsys):
     assert not any(checks[tag] for tag in failing)
 
 
+@pytest.mark.parametrize("field", ("Q", "GF(7)"), ids=("Q", "GF7"))
+@pytest.mark.parametrize("suite", ("identities", "tilde"))
+def test_antipode_not_bijective_exits_1(field, suite, tmp_path, capsys):
+    # k[Z/3] with S(g) = S(g^2) = g: a well-formed spec whose antipode is
+    # not bijective. The suites need S^{-1}; they report the failed
+    # antipode-bijective record that verify axioms writes, and exit 1
+    # rather than refuse the input as malformed
+    d = tmp_path / "corpus"
+    assert cli.main(["--field", field, "corpus", "--out", str(d)]) == 0
+    capsys.readouterr()
+    doc = json.loads((d / "z3.json").read_text())
+    rows = doc["data"]["antipode"]
+    assert rows[1] == [1, 2, 1, 1]
+    rows[1] = [1, 1, 1, 1]
+    bad = tmp_path / "singular-antipode.json"
+    bad.write_text(json.dumps(doc))
+    record = {"tag": "antipode-bijective", "passed": False,
+              "counterexample": {}}
+    code, out, err = run(capsys, "verify", "axioms", str(bad))
+    assert (code, err) == (1, "")
+    assert record in json.loads(out)["checks"]
+    code, out, err = run(capsys, "verify", suite, str(bad))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["checks"] == [record]
+
+
 # Fixed counital gauge twists F = 1 (x) 1 + x (x) y of k[Z/m], as the
 # coefficients of x and y on the group basis; F is invertible over Q and
 # over GF(7).

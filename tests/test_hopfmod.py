@@ -13,7 +13,7 @@ from qhopf import (LegMul, LinearMap, PrimeField, QQ, RelativeHopfModule,
                    verify_canonical_modules, verify_module_correspondence)
 from qhopf.algebra import _clean_table
 
-from reference_builders import precompose
+from reference_builders import assemble, precompose
 
 
 @pytest.mark.parametrize("key", ("z2", "z3", "z2_quasi"))
@@ -112,7 +112,7 @@ def _relative_action_by_terms(M, qs):
     der = H.derived
     field = M.field
     pt = ca.p_tilde()
-    K = H.assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
+    K = assemble(der.U.tensor(der.f), lambda u1, u2, f1, f2: H.mul(
         H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
 
     def r_col(m, u):
@@ -128,7 +128,7 @@ def _relative_action_by_terms(M, qs):
             return M.ract(M.lact(H.e(k1), M.e(m0)),
                           ca.algebra.mul_indices(a0, p1)).scale(scalar)
 
-        return H.assemble(src, builder)
+        return assemble(src, builder)
 
     return LegMul.from_function(M.basis, qs.basis, M.basis, r_col, field)
 
@@ -157,7 +157,7 @@ def _smash_action_by_terms(M, qs, sm):
             return M.ract(M.lact(H.mul(H.S(H.e(h)), H.e(f1)), M.e(m0)),
                           ca.algebra.mul_indices(a0, p1)).scale(scalar)
 
-        return H.assemble(src, builder)
+        return assemble(src, builder)
 
     return LegMul.from_function(M.basis, sm.basis, M.basis, act, field)
 

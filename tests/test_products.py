@@ -20,7 +20,7 @@ from qhopf import (Basis, FinAlgebra, FlatSpace, Fp, HeisenbergDouble,
 from qhopf.products import _same_table
 from qhopf.report import scalar_str
 
-from reference_builders import left_hit, pair_legs, right_hit
+from reference_builders import assemble, left_hit, pair_legs, right_hit
 
 
 def _materialized(prod) -> FinAlgebra:
@@ -116,7 +116,7 @@ def _composition_element(H):
     """E = sum x3 X3_2 (x) S^{-1}(S(x1 X2) alpha x2 X3_1) (x) S^{-1}(X1),
     with Phi^{-1} = x1 (x) x2 (x) x3 and Phi = X1 (x) X2 (x) X3, summed
     one term at a time."""
-    return H.assemble(
+    return assemble(
         H.phi_inv.tensor(H.phi.map_leg(2, H.comul)),
         lambda x1, x2, x3, X1, X2, X31, X32: H.mul(H.e(x3), H.e(X32)).tensor(
             H.Sinv(H.mul(H.S(H.mul(H.e(x1), H.e(X2))), H.alpha,
@@ -158,9 +158,9 @@ def _mu_by_terms(H, t):
     dual = H.dual
     cols = {}
     for k in range(H.dim):
-        core = H.assemble(H.delta(H.e(k)).tensor(H.derived.p_L),
-                          lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
-                              H.mul(H.e(k2), H.e(l2))))
+        core = assemble(H.delta(H.e(k)).tensor(H.derived.p_L),
+                        lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
+                            H.mul(H.e(k2), H.e(l2))))
         acc = Tensor.zero((H.basis,), H.field)
         for (i, a), c in t.data.items():
             red = pair_legs(dual.dual_e(a).tensor(core), 0, 2)
@@ -224,9 +224,9 @@ class _ReferenceDouble:
         # terms c e_x (x) e_a, which is e^a paired with that leg
         self._mu_slices: Dict[int, Dict[int, Tensor]] = {}
         for k in range(n):
-            core = H.assemble(H.delta(H.e(k)).tensor(der.p_L),
-                              lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
-                                  H.mul(H.e(k2), H.e(l2))))
+            core = assemble(H.delta(H.e(k)).tensor(der.p_L),
+                            lambda k1, k2, l1, l2: H.mul(H.e(k1), H.e(l1)).tensor(
+                                H.mul(H.e(k2), H.e(l2))))
             by_a: Dict[int, dict] = {}
             for (x, a), c in core.data.items():
                 by_a.setdefault(a, {})[(x,)] = c
@@ -235,15 +235,15 @@ class _ReferenceDouble:
         # per dual index i: sum qL2 (e_i)_2 (x) S^{-1}(qL1 (e_i)_1)
         # (argument leg, left-multiplier leg)
         self._inv_core = {
-            i: H.assemble(der.q_L.tensor(H.delta(H.e(i))),
-                          lambda q1, q2, i1, i2: H.mul(H.e(q2), H.e(i2)).tensor(
-                              H.Sinv(H.mul(H.e(q1), H.e(i1)))))
+            i: assemble(der.q_L.tensor(H.delta(H.e(i))),
+                        lambda q1, q2, i1, i2: H.mul(H.e(q2), H.e(i2)).tensor(
+                            H.Sinv(H.mul(H.e(q1), H.e(i1)))))
             for i in range(n)
         }
         # composition element, with phi^{-1} = x1 (x) x2 (x) x3 and
         # phi = X1 (x) X2 (x) X3:
         #   E = sum x3 X3_2 (x) S^{-1}(S(x1 X2) alpha x2 X3_1) (x) S^{-1}(X1)
-        self._compose_elt = H.assemble(
+        self._compose_elt = assemble(
             H.phi_inv.tensor(H.phi.map_leg(2, H.comul)),
             lambda x1, x2, x3, X1, X2, X31, X32: H.mul(H.e(x3), H.e(X32)).tensor(
                 H.Sinv(H.mul(H.S(H.mul(H.e(x1), H.e(X2))), H.alpha,
@@ -313,7 +313,7 @@ class _ReferenceDouble:
         H = self.H
         return LinearMap.from_function(
             H.basis, (H.basis,),
-            lambda k: H.assemble(H.delta(h), lambda h1, h2: H.mul(
+            lambda k: assemble(H.delta(h), lambda h1, h2: H.mul(
                 H.mul(H.e(k), H.e(h2)).map_leg(0, u), H.Sinv(H.e(h1)))),
             H.field)
 
@@ -484,7 +484,7 @@ def _quasi_smash_by_terms(ca, dual):
         (a, p), (a2, q) = key1, key2
         src = ca.coact(ca.e(a2)).tensor(ca.phi_rho_inv)
         pp, qq = dual.dual_e(p), dual.dual_e(q)
-        return H.assemble(src, lambda a0, a1, x1, x2, x3: ca.algebra.mulc(
+        return assemble(src, lambda a0, a1, x1, x2, x3: ca.algebra.mulc(
             ca.e(a), ca.e(a0), ca.e(x1)).tensor(dual.convolve(
                 dual.hit_r(pp, H.mul(H.e(a1), H.e(x2))),
                 dual.hit_r(qq, H.e(x3)))))
@@ -633,11 +633,11 @@ def _two_sided_by_terms(rca, lcb, dual):
         for k in range(nH):
             src = rca.phi_rho_inv.tensor(lcb.phi_lam_inv)
             ej, ek = dual.dual_e(j), dual.dual_e(k)
-            core[(j, k)] = H.assemble(src, lambda x1, x2, x3, y1, y2, y3:
-                                      rca.e(x1).tensor(dual.convolve(
-                                          dual.hit_l(H.e(y1), dual.hit_r(ej, H.e(x2))),
-                                          dual.hit_l(H.e(y2), dual.hit_r(ek, H.e(x3))))
-                                      ).tensor(lcb.e(y3)))
+            core[(j, k)] = assemble(src, lambda x1, x2, x3, y1, y2, y3:
+                                    rca.e(x1).tensor(dual.convolve(
+                                        dual.hit_l(H.e(y1), dual.hit_r(ej, H.e(x2))),
+                                        dual.hit_l(H.e(y2), dual.hit_r(ek, H.e(x3))))
+                                    ).tensor(lcb.e(y3)))
     factors = (A.basis, dual.basis, B.basis)
     amult, bmult = A.mult, B.mult
     zero = field.zero()

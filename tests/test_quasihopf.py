@@ -12,7 +12,7 @@ from qhopf import (DerivedElements, DualView, FinAlgebra, LinearMap,
                    verify_core_identities, verify_heisenberg_double)
 from qhopf.report import CheckRecord, first_difference, scalar_str
 
-from reference_builders import dual_mbia1
+from reference_builders import assemble, dual_mbia1
 from test_report import _mutant
 
 F = Fraction
@@ -333,22 +333,23 @@ def test_antipode_inverse(all_corpus):
 
 
 def test_assemble_accumulates_without_touching_terms(hq):
-    """assemble adds each term into a fresh accumulator: the tensors the
-    builder returns are unchanged, the sum equals the one made with +,
-    and a zero source or a term of another shape is refused."""
+    """The references' assemble adds each term into a fresh
+    accumulator: the tensors the builder returns are unchanged, the sum
+    equals the one made with +, and a zero source or a term of another
+    shape is refused."""
     terms = {i: hq.mul(hq.e(i), hq.alpha) for i in range(hq.dim)}
     before = {i: dict(t.data) for i, t in terms.items()}
     source = hq.phi
     assert len(source.data) > len({idx[0] for idx in source.data}) > 1
-    got = hq.assemble(source, lambda i, j, k: terms[i])
+    got = assemble(source, lambda i, j, k: terms[i])
     want = Tensor.zero((hq.basis,), hq.field)
     for (i, j, k), c in source.data.items():
         want = want + terms[i].scale(c)
     assert got == want
     assert {i: t.data for i, t in terms.items()} == before
     with pytest.raises(ValueError):
-        hq.assemble(Tensor.zero(source.spaces, hq.field),
-                    lambda i, j, k: terms[i])
+        assemble(Tensor.zero(source.spaces, hq.field),
+                 lambda i, j, k: terms[i])
     seen = []
 
     def builder(i, j, k):
@@ -356,7 +357,7 @@ def test_assemble_accumulates_without_touching_terms(hq):
         return terms[i] if len(seen) == 1 else terms[i].tensor(hq.e(0))
 
     with pytest.raises(ValueError):
-        hq.assemble(source, builder)
+        assemble(source, builder)
 
 
 # ----------------------------------------------------------------------
@@ -440,10 +441,10 @@ def _ref_q5(H):
         if not d.data:
             zero = Tensor.zero((H.basis,), H.field)
             return (zero, rhs_a), (zero, rhs_b)
-        return ((H.assemble(d, lambda a, b: H.mul(H.S(H.e(a)), H.alpha,
-                                                  H.e(b))), rhs_a),
-                (H.assemble(d, lambda a, b: H.mul(H.e(a), H.beta,
-                                                  H.S(H.e(b)))), rhs_b))
+        return ((assemble(d, lambda a, b: H.mul(H.S(H.e(a)), H.alpha,
+                                                H.e(b))), rhs_a),
+                (assemble(d, lambda a, b: H.mul(H.e(a), H.beta,
+                                                H.S(H.e(b)))), rhs_b))
 
     return _per_identity("q5", ((i,) for i in range(H.dim)), sides)
 
@@ -458,9 +459,9 @@ def _ref_mbia2(dual):
         # an empty Sweedler sum is zero
         rhs1 = rhs2 = Tensor.zero((dual.basis,), H.field)
         if d.data:
-            rhs1 = H.assemble(d, lambda h1, h2: dual.convolve(
+            rhs1 = assemble(d, lambda h1, h2: dual.convolve(
                 dual.hit_l(H.e(h1), phi), dual.hit_l(H.e(h2), psi)))
-            rhs2 = H.assemble(d, lambda h1, h2: dual.convolve(
+            rhs2 = assemble(d, lambda h1, h2: dual.convolve(
                 dual.hit_r(phi, H.e(h1)), dual.hit_r(psi, H.e(h2))))
         return ((dual.hit_l(h, dual.convolve(phi, psi)), rhs1),
                 (dual.hit_r(dual.convolve(phi, psi), h), rhs2))

@@ -14,11 +14,12 @@ from fractions import Fraction
 import pytest
 
 import reference_builders as ref
-from qhopf import (Basis, LegMul, LinearMap, PrimeField, QQ, Tensor,
-                   canonical_right_comodule, corpus, invert_in_tensor_algebra,
-                   is_gauge, mul_legs, sandwich, sweedler, twist)
+from qhopf import (Basis, FlatSpace, LegMul, LinearMap, PrimeField, QQ,
+                   Tensor, canonical_right_comodule, corpus,
+                   invert_in_tensor_algebra, is_gauge, mul_legs, sandwich,
+                   sweedler, twist)
 from qhopf import algebra
-from qhopf.algebra import multiplicative
+from qhopf.algebra import flat_pairing, multiplicative
 
 FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
                                  ids=("Q", "GF7"))
@@ -329,6 +330,18 @@ def _term_value(term, idx, source):
     return value
 
 
+def _per_term_sum(source, legs):
+    """The sum over the source's terms of the terms' values tensored
+    (_term_value), or None for an empty source."""
+    want = None
+    for idx, c in source.data.items():
+        term = Tensor.scalar(c, source.field)
+        for t in legs:
+            term = term.tensor(_term_value(t, idx, source))
+        want = term if want is None else want + term
+    return want
+
+
 @FIELDS
 def test_sweedler_matches_per_term_sum(field):
     """sweedler on random terms (carried legs, tensors, zero ones among
@@ -349,15 +362,55 @@ def test_sweedler_matches_per_term_sum(field):
                                   bases, rng.randint(0, 3))
                      for _ in range(rng.randint(1, 3)))
         got = sweedler(source, legs)
-        want = None
-        for idx, c in source.data.items():
-            term = Tensor.scalar(c, field)
-            for t in legs:
-                term = term.tensor(_term_value(t, idx, source))
-            want = term if want is None else want + term
+        want = _per_term_sum(source, legs)
         if want is None:
             assert not got.data
         else:
             assert (got.spaces, got.data) == (want.spaces, want.data)
         nonzero += bool(got.data)
     assert nonzero >= 20
+
+
+@FIELDS
+def test_pairing_terms_match_packed_sum(field):
+    """sweedler with pairing terms (flat_pairing) against FlatSpace.pack
+    of the per-term sum with the paired terms as legs of their own: one
+    level, A (x) B into one leg, and two, (A (x) B) (x) C as
+    sm.flatten(qs.element(a, phi) (x) h) nests them, on random terms
+    over random sources, empty ones among them. The factors of
+    different dimensions (2 and 3) make the row-major order matter. A
+    pairing whose factors do not fit its terms is refused."""
+    rng = random.Random(37)
+    bases = [Basis(tuple("%s%d" % (tag, i) for i in range(d)), tag)
+             for tag, d in (("A", 2), ("B", 3), ("C", 2))]
+    A, B, C = bases
+    inner = FlatSpace((A, B), field)
+    outer = FlatSpace((inner.basis, C), field)
+    p_in = flat_pairing(A, B, inner.basis, field)
+    p_out = flat_pairing(inner.basis, C, outer.basis, field)
+    nonzero = 0
+    for trial in range(30):
+        spaces = tuple(rng.choice(bases) for _ in range(rng.randint(1, 3)))
+        source = _random_tensor(field, rng, spaces, trial % 3 == 1)
+        if trial % 10 == 9:
+            source = Tensor.zero(spaces, field)
+        t1, t2, t3 = (_random_term(field, rng, source, b, bases,
+                                   rng.randint(0, 2)) for b in bases)
+        want = _per_term_sum(source, (t1, t2, t3))
+        for got, pack in (
+                (sweedler(source, ((p_in, t1, t2), t3)), inner.pack),
+                (sweedler(source, ((p_out, (p_in, t1, t2), t3),)),
+                 lambda t: outer.pack(inner.pack(t)))):
+            if want is None:
+                assert not got.data
+            else:
+                packed = pack(want)
+                assert (got.spaces, got.data) == (packed.spaces, packed.data)
+            nonzero += bool(got.data)
+        for bad in ((p_in, t2, t1), (p_in, t1), (p_out, t1, t3),
+                    (p_out, (p_in, t1, t2), t1)):
+            with pytest.raises(ValueError):
+                sweedler(source, (bad,))
+    assert nonzero >= 20
+    with pytest.raises(ValueError):
+        flat_pairing(A, B, outer.basis, field)

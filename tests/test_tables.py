@@ -38,7 +38,7 @@ from qhopf import (Basis, BicomoduleAlgebra, CrossedHopfModule,
 from qhopf.report import VerificationReport
 
 from conftest import rebase
-from reference_builders import sw_sop
+from reference_builders import assemble, sw_sop
 from test_cli import fixed_twist
 from test_report import _mutant
 
@@ -152,7 +152,7 @@ def _ref_left_module_algebra(ma, rep):
                 for c in range(n)),
         lambda a, b, c: (
             ma.mul(ma.mul(ma.e(a), ma.e(b)), ma.e(c)),
-            H.assemble(H.phi, lambda X1, X2, X3: ma.mul(
+            assemble(H.phi, lambda X1, X2, X3: ma.mul(
                 ma.act(H.e(X1), ma.e(a)),
                 ma.mul(ma.act(H.e(X2), ma.e(b)), ma.act(H.e(X3), ma.e(c)))))))
     rep.check_quantified(
@@ -160,7 +160,7 @@ def _ref_left_module_algebra(ma, rep):
                 for b in range(n)),
         lambda i, a, b: (
             ma.act(H.e(i), ma.mul(ma.e(a), ma.e(b))),
-            H.assemble(H.delta(H.e(i)), lambda h1, h2: ma.mul(
+            assemble(H.delta(H.e(i)), lambda h1, h2: ma.mul(
                 ma.act(H.e(h1), ma.e(a)), ma.act(H.e(h2), ma.e(b))))))
 
 
@@ -274,7 +274,7 @@ def _ref_relative(N, rep):
 
     def quasi_assoc(m, u, v):
         lhs = N.ract(N.ract(N.e(m), qs.e(u)), qs.e(v))
-        rhs = H.assemble(H.phi, lambda X1, X2, X3: N.ract(
+        rhs = assemble(H.phi, lambda X1, X2, X3: N.ract(
             N.lact(H.e(X1), N.e(m)), phi_factor(X2, X3, u, v)))
         return lhs, rhs
 
@@ -286,7 +286,7 @@ def _ref_relative(N, rep):
                    for u in range(nQ)),
         lambda i, m, u: (
             N.lact(H.e(i), N.ract(N.e(m), qs.e(u))),
-            H.assemble(H.delta(H.e(i)), lambda h1, h2: N.ract(
+            assemble(H.delta(H.e(i)), lambda h1, h2: N.ract(
                 N.lact(H.e(h1), N.e(m)), qs.act(H.e(h2), qs.e(u))))))
 
 
