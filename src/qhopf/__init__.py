@@ -11,7 +11,7 @@ from .linalg import RowSpan, solve_linear
 from .algebra import (FinAlgebra, LegMul, flat_pairing,
                       invert_in_tensor_algebra, invert_linear_map, mul_legs,
                       sandwich, sweedler)
-from .report import CheckRecord, VerificationReport, first_difference
+from .report import CheckRecord, VerificationReport
 from .quasihopf import (DerivedElements, DualView, NotGaugeError,
                         QuasiBialgebra, QuasiHopfAlgebra,
                         check_dual_bimodule_algebra,

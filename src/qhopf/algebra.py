@@ -56,13 +56,13 @@ class LegMul:
         self._lifted = None
 
     @classmethod
-    def from_function(cls, left, right, out, fn, field: Field = QQ):
-        table = {}
-        for i in range(left.dim):
-            for j in range(right.dim):
-                t = fn(i, j)
-                table[(i, j)] = {k[0]: c for k, c in t.data.items()}
-        return cls(left, right, out, _clean_table(table), field)
+    def from_graph(cls, t: Tensor) -> "LegMul":
+        """The pairing e_i (x) e_j -> the slice of the three-leg tensor t
+        at (i, j): legs 0 and 1 are the inputs, leg 2 the output."""
+        table: Dict[Tuple[int, int], Dict[int, object]] = {}
+        for (i, j, k), c in t.data.items():
+            table.setdefault((i, j), {})[k] = c
+        return cls(*t.spaces, table, t.field)
 
     def lifted(self):
         """(rows, den): the table lifted by _lift_rows, rows[(i, j)] a
@@ -380,10 +380,6 @@ class FinAlgebra:
     def unit_tensor(self) -> Tensor:
         return self.unit
 
-    def mul_indices(self, i: int, j: int) -> Tensor:
-        vec = self.mult.get((i, j), {})
-        return Tensor((self.basis,), {(k,): c for k, c in vec.items()}, self.field)
-
     def mul(self, x: Tensor, y: Tensor) -> Tensor:
         return mul_legs((self.as_leg(),), x, y)
 
@@ -457,11 +453,19 @@ class InputTable:
         return self.dims + tuple(b.dim for b in self.spaces)
 
 
-def as_table(f) -> InputTable:
+def as_table(f, inputs: int = 0) -> InputTable:
     """A LegMul on its pairs (i, j), a LinearMap on its domain indices,
-    an InputTable as it is."""
+    a Tensor on its first `inputs` legs (by default none: the tensor is
+    the one vector of the table), an InputTable as it is."""
     if isinstance(f, InputTable):
         return f
+    if isinstance(f, Tensor):
+        parts: Dict = {}
+        for key, c in f.data.items():
+            parts.setdefault(key[0] if inputs else None, {})[key] = c
+        return InputTable([b.dim for b in f.spaces[:inputs]],
+                          f.spaces[inputs:], f.field,
+                          lambda i: parts.get(i, {}), f.data)
     if isinstance(f, LegMul):
         table, nr = f.table, f.right.dim
         return InputTable((f.left.dim, nr), (f.out,), f.field, lambda i: {
@@ -474,11 +478,11 @@ def as_table(f) -> InputTable:
 def first_mismatch(lhs: InputTable, rhs: InputTable):
     """None if two tables of one shape agree, else (inputs, index, lhs
     value, rhs value) at the first key, in lexicographic order, where
-    they differ."""
+    they differ. A table with no inputs is its one part, part(None)."""
     if lhs.source is not None and lhs.source == rhs.source:
         return None
     k = len(lhs.dims)
-    for i in range(lhs.dims[0]):
+    for i in range(lhs.dims[0]) if k else (None,):
         a, b = lhs.part(i), rhs.part(i)
         if a != b:
             key = min(key for key in a.keys() | b.keys()

@@ -7,9 +7,11 @@ code is field-agnostic: a scalar is zero exactly when it is falsy.
 
 A kernel that sums many products works in plain integers instead: the
 leg-wise product mul_legs, the Sweedler sums of sweedler (the derived
-elements and every Sweedler sum of quasihopf.py and coact.py) and the
-side-builders of algebra.py; the product-table builders (lowered once
-per entry by ProductAlgebra) and HeisenbergDouble of products.py;
+elements, every Sweedler sum of quasihopf.py and coact.py, the tables
+of q2, q5, mbia2, ma3 and bmc3, transport_module's actions and
+HomSmash.star_table) and the side-builders of algebra.py; the
+product-table builders (lowered once per entry by ProductAlgebra) and
+HeisenbergDouble of products.py;
 canonical_first_module, _forward_action and the four module functors
 relative_from_two_sided, two_sided_from_relative,
 relative_from_smash_module and two_sided_from_smash_module of

@@ -285,20 +285,18 @@ def module_isomorphism(ca: RightComoduleAlgebra
 
 def transport_module(M: TwoSidedHopfModule, iso: LinearMap,
                      iso_inv: LinearMap, name: str = "") -> TwoSidedHopfModule:
-    """Push the structure of M forward along a linear bijection."""
+    """Push the structure of M forward along a linear bijection. Each
+    action is one sum over the graphs of iso^{-1} and of an identity:
+    h . m = iso(h . iso^{-1}(m)) and m . a = iso(iso^{-1}(m) . a)."""
     ca, H = M.ca, M.H
     basis = iso.codomain[0]
-    field = M.field
-
-    def through(t: Tensor) -> Tensor:
-        return t.map_leg(0, iso)
-
-    left = LegMul.from_function(
-        H.basis, basis, basis,
-        lambda i, m: through(M.lact(H.e(i), iso_inv.column(m))), field)
-    right = LegMul.from_function(
-        basis, ca.basis, basis,
-        lambda m, a: through(M.ract(iso_inv.column(m), ca.e(a))), field)
+    back = iso_inv.graph()
+    left = LegMul.from_graph(sweedler(
+        LinearMap.identity(H.basis, M.field).graph().tensor(back),
+        (0, 2, (iso, (M.left_action, 1, 3)))))
+    right = LegMul.from_graph(sweedler(
+        back.tensor(LinearMap.identity(ca.basis, M.field).graph()),
+        (0, 2, (iso, (M.right_action, 1, 3)))))
     coaction = iso.compose(M.coaction.compose(iso_inv))
     return TwoSidedHopfModule(ca, basis, left, right, coaction,
                               name=name or M.name + "~")

@@ -13,15 +13,17 @@ two-sided crossed product.
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
 from typing import Dict, Tuple
 
 from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_map,
                       _lift_rows, _lift_vector, _mul, _pairs, _side, _times,
-                      _two_sided_hits, sweedler)
+                      _two_sided_hits, as_table, sweedler)
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
+from .fields import Field
 from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 from .report import VerificationReport
 from .tensor import Basis, FlatSpace, LinearMap, Tensor
@@ -477,13 +479,28 @@ def verify_crossed_decomposition(H: QuasiBialgebra) -> VerificationReport:
 
 
 def _map_tensor(f: LinearMap) -> Tensor:
-    """A linear map into one based space, such as an endomorphism of H or
-    a map H -> A, as a two-leg tensor (image, argument)."""
-    data = {}
-    for j, col in f.cols.items():
-        for (i,), c in col.items():
-            data[(i, j)] = c
-    return Tensor((f.codomain[0], f.domain), data, f.field)
+    """A linear map, such as an endomorphism of H or a map H -> A, as a
+    tensor on its codomain legs and then its domain (image, argument):
+    its graph with the argument moved last."""
+    return Tensor(f.codomain + (f.domain,), {
+        idx + (j,): c for j, col in f.cols.items()
+        for idx, c in col.items()}, f.field)
+
+
+def _family(t: Tensor) -> LinearMap:
+    """The family of maps that _map_tensor lays out as t: t's last leg,
+    the argument, is the domain."""
+    last = len(t.spaces) - 1
+    return LinearMap.from_graph(t.permute((last,) + tuple(range(last))))
+
+
+def _identity(field: Field, *bases: Basis) -> Tensor:
+    """e_x (x) e_x summed over the basis vectors e_x of the tensor
+    product of bases: the identity of that space as a table on its
+    inputs (as_table with len(bases) inputs)."""
+    one = field.one()
+    return Tensor(bases * 2, {idx * 2: one for idx in itertools.product(
+        *(range(b.dim) for b in bases))}, field)
 
 
 class HeisenbergDouble:
@@ -650,38 +667,38 @@ class HeisenbergDouble:
             for k, col in cols.items()}, H.field)
 
     def mu(self, t: Tensor) -> LinearMap:
-        """Transport an element of H (x) H* to an endomorphism of H."""
+        """Transport an element of H (x) H* to an endomorphism of H, and
+        a family of them, on P (x) H (x) H*, to the family H -> P (x) H."""
         H = self.H
-        if t.spaces != (H.basis, H.dual.basis):
+        if t.spaces[-2:] != (H.basis, H.dual.basis):
             raise ValueError("expected an element of H (x) H*")
         num, dt = H.field.lift(t.data)
-        cols: Dict[int, Dict[int, int]] = {}
-        for ia, c in num.items():
-            for k, col in self._mu[ia].items():
+        cols: Dict[int, Dict[tuple, int]] = {}
+        for idx, c in num.items():
+            for k, col in self._mu[idx[-2:]].items():
                 acc = cols.setdefault(k, {})
                 for r, cr in col:
-                    acc[r] = acc.get(r, 0) + c * cr
-        return self._endo(cols, dt * self._dmu)
+                    key = idx[:-2] + (r,)
+                    acc[key] = acc.get(key, 0) + c * cr
+        return LinearMap(H.basis, t.spaces[:-2] + (H.basis,), {
+            k: H.field.lower(col, dt * self._dmu)
+            for k, col in cols.items()}, H.field)
 
     def mu_inv(self, u: LinearMap) -> Tensor:
+        """mu^{-1} of an endomorphism of H, and of a family of them,
+        H -> P (x) H, the family on P (x) H (x) H*."""
         H, hm = self.H, self._hm
-        U, du = _lift_map(u)
-        acc: Dict[Tuple[int, int], int] = {}
+        U, du = _lift_rows(H.field, u.cols)
+        acc: Dict[tuple, int] = {}
         for i, core in enumerate(self._inv):
             for (arg, lft), c in core:
-                for s, cs in U.get(arg, ()):
-                    for r, cr in hm.get((s, lft), ()):
-                        acc[(r, i)] = acc.get((r, i), 0) + c * cs * cr
-        return Tensor((H.basis, H.dual.basis),
+                for idx, cs in U.get(arg, ()):
+                    for r, cr in hm.get((idx[-1], lft), ()):
+                        key = idx[:-1] + (r, i)
+                        acc[key] = acc.get(key, 0) + c * cs * cr
+        return Tensor(u.codomain[:-1] + (H.basis, H.dual.basis),
                       H.field.lower(acc, du * self._dinv * self._dh),
                       H.field)
-
-    def compose(self, u: LinearMap, v: LinearMap) -> LinearMap:
-        (U, du), (V, dv) = _lift_map(u), _lift_map(v)
-        G = self._left_stage(U)
-        return self._endo(dict(enumerate(
-            _contract(w, G) for w in self._right_stage(V))),
-            du * dv * self._dW * self._dh)
 
     def unit(self) -> LinearMap:
         return self._endo({k: dict(col) for k, col in self._unit.items()},
@@ -709,24 +726,15 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
     hd = HeisenbergDouble(H)
     qs = quasi_smash(canonical_right_comodule(H))
 
-    def basis_elt(i, a):
-        return H.e(i).tensor(dual.dual_e(a))
-
-    mu_table = {(i, a): hd.mu(basis_elt(i, a))
-                for i in range(n) for a in range(n)}
-
-    rep.check_quantified(
-        "mu-inv-left", ((i, a) for i in range(n) for a in range(n)),
-        lambda i, a: (hd.mu_inv(mu_table[(i, a)]), basis_elt(i, a)))
-
-    def endo(k, l):
-        return LinearMap(H.basis, (H.basis,), {l: {(k,): H.field.one()}},
-                         H.field)
-
-    rep.check_quantified(
-        "mu-inv-right", ((k, l) for k in range(n) for l in range(n)),
-        lambda k, l: (_map_tensor(hd.mu(hd.mu_inv(endo(k, l)))),
-                      _map_tensor(endo(k, l))))
+    # mu^{-1} o mu on every e_i # e^a, inputs (i, a), against the
+    # identity of H (x) H*, and mu o mu^{-1} on every e_l -> e_k, inputs
+    # (k, l), against that of End(H), each applied to the family
+    elements = _identity(field, H.basis, dual.basis)
+    endos = _identity(field, H.basis, H.basis)
+    rep.check_same("mu-inv-left", as_table(hd.mu_inv(hd.mu(elements)), 2),
+                   as_table(elements, 2))
+    rep.check_same("mu-inv-right", as_table(_map_tensor(hd.mu(hd.mu_inv(
+        _family(endos)))), 2), as_table(endos, 2))
 
     # the sides as tables on the inputs, keyed inputs + (image, argument)
     # as _map_tensor lays out an endomorphism
@@ -759,9 +767,8 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
               lambda acc, i, a, j, b: add_staged(
                   acc, (i, a, j, b), W[(j, b)], G[(i, a)])))
 
-    rep.check_equal("mu-unit",
-                    _map_tensor(hd.mu(qs.parts(qs.unit()))),
-                    _map_tensor(hd.unit()))
+    rep.check_same("mu-unit", _map_tensor(hd.mu(qs.parts(qs.unit()))),
+                   _map_tensor(hd.unit()))
 
     act, dact = qs.action.lifted()
     dcols, dd = _lift_rows(field, H.comul.cols)
@@ -799,7 +806,12 @@ class HomSmash:
 
         (v * w)(h) = sum v(w(x3 h_2)_(1) x2 h_1) w(x3 h_2)_(0) x1,
 
-    unit h |-> eps(h) 1_A, and left H-action (h . v)(h') = v(h' h)."""
+    unit h |-> eps(h) 1_A, and left H-action (h . v)(h') = v(h' h).
+
+    A family of maps H -> A, one for each basis input, is one LinearMap
+    H -> P (x) A, its inputs on the legs P; so is a family of elements
+    of A (x) H*, as a tensor on P (x) A (x) H*. nu, nu_inv and act take
+    families, a single map or element being one with no input legs."""
 
     def __init__(self, ca: RightComoduleAlgebra):
         self.ca = ca
@@ -807,96 +819,95 @@ class HomSmash:
 
     def nu(self, t: Tensor) -> LinearMap:
         ca = self.ca
-        if t.spaces != (ca.basis, self.H.dual.basis):
+        if t.spaces[-2:] != (ca.basis, self.H.dual.basis):
             raise ValueError("expected an element of A (x) H*")
         cols: Dict[int, Dict[Tuple[int, ...], object]] = {}
-        for (a, p), c in t.data.items():
-            cols.setdefault(p, {})[(a,)] = c
-        return LinearMap(self.H.basis, (ca.basis,), cols, ca.field)
+        for idx, c in t.data.items():
+            cols.setdefault(idx[-1], {})[idx[:-1]] = c
+        return LinearMap(self.H.basis, t.spaces[:-1], cols, ca.field)
 
     def nu_inv(self, w: LinearMap) -> Tensor:
-        ca, dual = self.ca, self.H.dual
-        out = Tensor.zero((ca.basis, dual.basis), ca.field)
-        for i in range(self.H.dim):
-            img = Tensor((ca.basis,), dict(w.cols.get(i, {})), ca.field)
-            out = out + img.tensor(dual.dual_e(i))
-        return out
+        """sum_i w(e_i) (x) e^i."""
+        return Tensor(w.codomain + (self.H.dual.basis,), {
+            idx + (i,): c for i, col in w.cols.items()
+            for idx, c in col.items()}, w.field)
 
-    def star(self, v: LinearMap, w: LinearMap) -> LinearMap:
-        """v * w, summed over the graph of Delta and Phi_rho^{-1}: first
-        to e_k (x) k_1 (x) x1 (x) x2 (x) w(x3 k_2), then, with rho
-        applied to the last leg, to sum e_k (x) v(w1 x2 k_1) w0 x1."""
+    def star_table(self) -> Tensor:
+        """v * w for every pair of basis maps v = nu(e_a # e^p) and
+        w = nu(e_b # e^q), as one tensor on A (x) H (x) A (x) H (x) A (x) H:
+        at (a, p, b, q, i, k), the coefficient of e_i in (v * w)(e_k).
+        As w sends g to e^q(g) e_b, and v likewise, the argument of each
+        is written to the leg of its input: one sum over the graphs of
+        Delta and rho, Phi_rho^{-1} and every e_a, of
+        e_a (x) w1 x2 k_1 (x) e_b (x) x3 k_2 (x) e_a w0 x1 (x) e_k with
+        w0 (x) w1 = rho(e_b)."""
         H, ca = self.H, self.ca
+        ones = Tensor((ca.basis,), {(a,): ca.field.one()
+                                    for a in range(ca.dim)}, ca.field)
+        # legs: 0 k, 1 k_1, 2 k_2, 3 x1, 4 x2, 5 x3, 6 b, 7 w0, 8 w1, 9 a
+        source = H.comul.graph().tensor(ca.phi_rho_inv).tensor(
+            ca.coaction.graph()).tensor(ones)
         m = H.leg()
-        inner = sweedler(H.comul.graph().tensor(ca.phi_rho_inv),
-                         (0, 1, 3, 4, (w, (m, 5, 2))))
-        return LinearMap.from_graph(sweedler(
-            inner.map_leg(4, ca.coaction),
-            (0, (ca.algebra.as_leg(), (v, (m, 5, 3, 1)), 4, 2))))
+        return sweedler(source, (9, (m, 8, 4, 1), 6, (m, 5, 2),
+                                 (ca.algebra.as_leg(), 9, 7, 3), 0))
 
     def unit(self) -> LinearMap:
-        H, ca = self.H, self.ca
-        return LinearMap.from_function(
-            H.basis, (ca.basis,),
-            lambda k: ca.unit().scale(H.eps(H.e(k))), ca.field)
+        """The graph of eps tensored with 1_A."""
+        return LinearMap.from_graph(
+            self.H.counit.graph().tensor(self.ca.unit()))
 
     def act(self, h: Tensor, v: LinearMap) -> LinearMap:
+        """h . v: v composed with right multiplication by h. For a
+        family h on Q (x) H, and v on H -> P (x) A, the family
+        H -> Q (x) P (x) A."""
         H = self.H
-        return LinearMap.from_function(
-            H.basis, (self.ca.basis,),
-            lambda k: H.mul(H.e(k), h).map_leg(0, v), self.ca.field)
+        q = len(h.spaces) - 1
+        right = LinearMap.from_graph(sweedler(
+            LinearMap.identity(H.basis, H.field).graph().tensor(h),
+            (0,) + tuple(range(2, 2 + q)) + ((H.leg(), 1, 2 + q),)))
+        return v.compose(right, q)
 
 
 def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
     """nu is a bijection A (x) H* -> Hom(H, A) carrying the quasi-smash
     product, its unit and its left H-action to the transported
-    structures on Hom(H, A)."""
+    structures on Hom(H, A). Each check compares two tables on every
+    basis input at once, Hom(H, A) laid out by _map_tensor: nu and the
+    transported structures are applied to the families of all basis
+    elements, of all pairs of them and of the action on them."""
     H = ca.H
+    field = H.field
     rep = VerificationReport("quasi-smash of %s inside Hom(H, A)" % ca.name,
-                             {"dim": ca.dim, "field": H.field.name})
+                             {"dim": ca.dim, "field": field.name})
     dual = H.dual
     hs = HomSmash(ca)
     qs = quasi_smash(ca)
-    nA, nH = ca.dim, H.dim
+    factors, split = qs.prod.factors, qs.prod.split
 
-    nu_table = {(a, p): hs.nu(ca.e(a).tensor(dual.dual_e(p)))
-                for a in range(nA) for p in range(nH)}
+    # every e_a # e^p, inputs (a, p), and every map e_k -> e_i, inputs
+    # (i, k), each as its family
+    elements = _identity(field, ca.basis, dual.basis)
+    maps = _identity(field, ca.basis, H.basis)
+    rep.check_same("nu-inv-left", as_table(hs.nu_inv(hs.nu(elements)), 2),
+                   as_table(elements, 2))
+    rep.check_same("nu-inv-right", as_table(_map_tensor(hs.nu(hs.nu_inv(
+        _family(maps)))), 2), as_table(maps, 2))
 
-    rep.check_quantified(
-        "nu-inv-left", ((a, p) for a in range(nA) for p in range(nH)),
-        lambda a, p: (hs.nu_inv(nu_table[(a, p)]),
-                      ca.e(a).tensor(dual.dual_e(p))))
+    prods = Tensor(factors * 3, {
+        split(f) + split(g) + split(k): c
+        for (f, g), vec in qs.algebra.mult.items() for k, c in vec.items()},
+        field)
+    rep.check_same("nu-multiplicative", as_table(_map_tensor(hs.nu(prods)), 4),
+                   as_table(hs.star_table(), 4))
 
-    def hom_basis(i, k):
-        return LinearMap(H.basis, (ca.basis,), {k: {(i,): H.field.one()}},
-                         H.field)
+    rep.check_same("nu-unit", _map_tensor(hs.nu(qs.parts(qs.unit()))),
+                   _map_tensor(hs.unit()))
 
-    rep.check_quantified(
-        "nu-inv-right", ((i, k) for i in range(nA) for k in range(nH)),
-        lambda i, k: (_map_tensor(hs.nu(hs.nu_inv(hom_basis(i, k)))),
-                      _map_tensor(hom_basis(i, k))))
-
-    def nu_of(t: Tensor) -> LinearMap:
-        return hs.nu(qs.parts(t))
-
-    def mult_probe(a, p, b, q):
-        prod = qs.algebra.mul_indices(qs.prod.join((a, p)),
-                                      qs.prod.join((b, q)))
-        return (_map_tensor(nu_of(prod)),
-                _map_tensor(hs.star(nu_table[(a, p)], nu_table[(b, q)])))
-
-    rep.check_quantified(
-        "nu-multiplicative",
-        ((a, p, b, q) for a in range(nA) for p in range(nH)
-         for b in range(nA) for q in range(nH)), mult_probe)
-
-    rep.check_equal("nu-unit", _map_tensor(nu_of(qs.unit())),
-                    _map_tensor(hs.unit()))
-
-    rep.check_quantified(
-        "nu-equivariant",
-        ((h, a, p) for h in range(nH) for a in range(nA) for p in range(nH)),
-        lambda h, a, p: (
-            _map_tensor(nu_of(qs.act(H.e(h), qs.element(ca.e(a), dual.dual_e(p))))),
-            _map_tensor(hs.act(H.e(h), nu_table[(a, p)]))))
+    acted = Tensor((H.basis,) + factors * 2, {
+        (h,) + split(f) + split(k): c
+        for (h, f), vec in qs.action.table.items() for k, c in vec.items()},
+        field)
+    rep.check_same("nu-equivariant", as_table(_map_tensor(hs.nu(acted)), 3),
+                   as_table(_map_tensor(hs.act(LinearMap.identity(
+                       H.basis, field).graph(), hs.nu(elements))), 3))
     return rep

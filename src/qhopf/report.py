@@ -1,9 +1,14 @@
 """Verification reports: per-identity pass/fail records with exact
 counterexamples, serialized to canonical deterministic JSON.
 
-A counterexample records the quantified basis inputs, the first
-differing multi-index in lexicographic order, and the exact left/right
-coefficients at that index.
+Every identity is compared as two tables on its basis inputs
+(VerificationReport.check_same). A counterexample records the first
+differing inputs and, within them, the first differing multi-index of
+the output, both in lexicographic order, and the exact left/right
+coefficients there: {"inputs": [...], "index": [...], "lhs": "...",
+"rhs": "..."}. An identity with no inputs, between two tensors, has no
+"inputs" key. Sides of different shapes fail with the counterexample
+{}.
 """
 
 from __future__ import annotations
@@ -14,29 +19,11 @@ from typing import List, Optional
 
 from .algebra import as_table, first_mismatch
 from .fields import Field
-from .tensor import Tensor
 
 
 def scalar_str(field: Field, c) -> str:
     num, den = field.to_pair(c)
     return "%d/%d" % (num, den) if den != 1 else "%d" % num
-
-
-def first_difference(lhs: Tensor, rhs: Tensor) -> Optional[dict]:
-    """First multi-index (lex order) where two tensors differ."""
-    if lhs == rhs:
-        return None
-    keys = sorted(set(lhs.data) | set(rhs.data))
-    for idx in keys:
-        a = lhs.coeff(idx)
-        b = rhs.coeff(idx)
-        if a != b:
-            return {
-                "index": list(idx),
-                "lhs": scalar_str(lhs.field, a),
-                "rhs": scalar_str(rhs.field, b),
-            }
-    return None
 
 
 class CheckRecord:
@@ -77,35 +64,13 @@ class VerificationReport:
         self.records.append(record)
         return record
 
-    def check_equal(self, tag: str, lhs: Tensor, rhs: Tensor) -> CheckRecord:
-        t0 = time.perf_counter()
-        diff = first_difference(lhs, rhs)
-        rec = CheckRecord(tag, diff is None, diff)
-        rec.seconds = time.perf_counter() - t0
-        return self.add(rec)
-
-    def check_quantified(self, tag: str, inputs_iter, pair_fn) -> CheckRecord:
-        """Check pair_fn(inputs) -> (lhs, rhs) over all quantified inputs,
-        recording the first counterexample in iteration order."""
-        t0 = time.perf_counter()
-        for inputs in inputs_iter:
-            lhs, rhs = pair_fn(*inputs)
-            diff = first_difference(lhs, rhs)
-            if diff is not None:
-                diff["inputs"] = list(inputs)
-                rec = CheckRecord(tag, False, diff, time.perf_counter() - t0)
-                return self.add(rec)
-        return self.add(CheckRecord(tag, True, None, time.perf_counter() - t0))
-
     def check_same(self, tag: str, lhs, rhs) -> CheckRecord:
-        """Check that two maps agree on every basis input. Each side is
+        """Check that two sides agree on every basis input. Each side is
         an InputTable (algebra.py), the two sides of an axiom as built by
-        its side-builder there, or a structure map read as one: a LegMul
-        on its pairs (i, j), a LinearMap on its domain indices m. Tables
-        of different shapes fail. The sides are compared one leading
-        input at a time, and a difference is reported as
-        check_quantified reports it: the first inputs in lexicographic
-        order and, within them, the first differing index."""
+        its side-builder there, or anything as_table reads as one: a
+        LegMul on its pairs (i, j), a LinearMap on its domain indices m,
+        a Tensor as a table with no inputs. Tables of different shapes
+        fail. The sides are compared one leading input at a time."""
         t0 = time.perf_counter()
         lhs, rhs = as_table(lhs), as_table(rhs)
         if lhs.shape != rhs.shape:
@@ -115,9 +80,10 @@ class VerificationReport:
         if bad is not None:
             inputs, index, a, b = bad
             rec.counterexample = {
-                "index": list(index), "inputs": list(inputs),
-                "lhs": scalar_str(lhs.field, a),
+                "index": list(index), "lhs": scalar_str(lhs.field, a),
                 "rhs": scalar_str(lhs.field, b)}
+            if lhs.dims:
+                rec.counterexample["inputs"] = list(inputs)
         rec.seconds = time.perf_counter() - t0
         return self.add(rec)
 

@@ -276,15 +276,6 @@ class LinearMap:
                 self.cols[i] = clean
 
     @classmethod
-    def from_function(cls, domain: Basis, codomain: Sequence[Basis], fn, field: Field = QQ):
-        """Build from a function sending a domain index to a Tensor."""
-        cols = {}
-        for i in range(domain.dim):
-            t = fn(i)
-            cols[i] = dict(t.data)
-        return cls(domain, codomain, cols, field)
-
-    @classmethod
     def identity(cls, basis: Basis, field: Field = QQ):
         one = field.one()
         return cls(basis, (basis,), {i: {(i,): one} for i in range(basis.dim)}, field)

@@ -31,13 +31,14 @@ def test_finalgebra_basics():
     assert A.unit_laws_hold() is None
     assert A.mul(A.e(1), A.e(2)) == A.e(0)
     assert A.mulc(A.e(1), A.e(1), A.e(1)) == A.e(0)
-    assert A.mul_indices(1, 1) == A.e(2)
+    assert A.mul(A.e(1), A.e(1)) == A.e(2)
 
 
 def test_tables_are_cleaned_where_zeros_can_arrive():
     """LegMul and FinAlgebra take their tables as given. What can meet a
-    zero coefficient or an empty row cleans it first: _clean_table,
-    LegMul.from_function and the spec reader."""
+    zero coefficient or an empty row cleans it first: _clean_table and
+    the spec reader. LegMul.from_graph reads a tensor, which holds no
+    zero coefficient, so its table is clean as well."""
     basis = Basis(("u", "x"), "B")
     dirty = {(0, 0): {0: F(1), 1: F(0)}, (0, 1): {1: F(1)},
              (1, 0): {1: F(1)}, (1, 1): {}}
@@ -45,11 +46,10 @@ def test_tables_are_cleaned_where_zeros_can_arrive():
     assert _clean_table(dirty) == clean
     assert _clean_table(clean) is clean
 
-    def fn(i, j):
-        # x x = 0 gives an empty row, u u a zero coefficient
-        return Tensor((basis,), dict((((k,), c) for k, c in
-                                      dirty[(i, j)].items())), QQ)
-    assert LegMul.from_function(basis, basis, basis, fn, QQ).table == clean
+    # x x = 0 gives an empty row, u u a zero coefficient
+    graph = Tensor((basis,) * 3, {(i, j, k): c for (i, j), vec in
+                                  dirty.items() for k, c in vec.items()}, QQ)
+    assert LegMul.from_graph(graph).table == clean
 
     rows = [[0, 0, 0, 1, 1], [0, 0, 1, 0, 1], [0, 1, 1, 1, 1],
             [1, 0, 1, 1, 1], [1, 1, 0, 0, 3]]

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pathlib
+import random
 from fractions import Fraction
 from typing import Dict
 
@@ -9,18 +10,26 @@ import pytest
 from qhopf import (Basis, FinAlgebra, FlatSpace, Fp, HeisenbergDouble,
                    LeftComoduleAlgebra, LinearMap, PrimeField, QQ,
                    QuasiHopfAlgebra, RightComoduleAlgebra, Tensor,
-                   VerificationReport, canonical_left_comodule,
-                   canonical_right_comodule,
+                   VerificationReport, canonical_first_module,
+                   canonical_left_comodule, canonical_right_comodule,
                    check_left_module_algebra, cli, corpus,
                    cyclic_group_algebra, generalized_smash, is_gauge,
+                   module_isomorphism,
                    quasi_smash, smash_index, smash_product,
                    specfile as sf, twist, two_sided_crossed,
-                   verify_crossed_decomposition, verify_heisenberg_double,
-                   verify_hom_smash)
+                   transport_module, verify_crossed_decomposition,
+                   verify_heisenberg_double, verify_hom_smash)
+from qhopf import products
+from qhopf.algebra import _contract, _lift_map
 from qhopf.products import _same_table
 from qhopf.report import scalar_str
 
-from reference_builders import assemble, left_hit, pair_legs, right_hit
+import reference_builders as ref
+from reference_builders import (assemble, check_equal, check_quantified,
+                                left_hit, map_from_function, pair_legs,
+                                right_hit)
+from test_flat_sums import _skewed
+from test_report import _mutant as _table_mutant
 
 
 def _materialized(prod) -> FinAlgebra:
@@ -126,7 +135,7 @@ def _composition_element(H):
 def _compose_by_terms(H, E, u, v):
     """The product on End(H), (u o v)(h) = sum u(v(h e1) e2) e3, summed
     one term of the composition element E at a time: the reference for
-    HeisenbergDouble.compose."""
+    the staged product of HeisenbergDouble (_staged_compose)."""
     cols = {}
     for k in range(H.dim):
         acc = Tensor.zero((H.basis,), H.field)
@@ -135,6 +144,18 @@ def _compose_by_terms(H, E, u, v):
             acc = acc + H.mul(inner.map_leg(0, u), H.e(e3)).scale(c)
         cols[k] = dict(acc.data)
     return LinearMap(H.basis, (H.basis,), cols, H.field)
+
+
+def _staged_compose(hd, u, v):
+    """u o v through the stages of HeisenbergDouble: sum W_k[key] G[key]
+    (_contract) with W = _right_stage(v) and G = _left_stage(u), each
+    entry lowered once. verify_heisenberg_double forms the same sums on
+    the basis maps mu(e_i # e^a)."""
+    (U, du), (V, dv) = _lift_map(u), _lift_map(v)
+    G = hd._left_stage(U)
+    return hd._endo(dict(enumerate(
+        _contract(w, G) for w in hd._right_stage(V))),
+        du * dv * hd._dW * hd._dh)
 
 
 @pytest.mark.parametrize("key", ("z2_quasi", "z2z2_twisted"))
@@ -147,7 +168,7 @@ def test_grouped_compose_matches_term_sum(all_corpus, key):
                        H.field) for k in range(n) for l in range(n)]
     for u in endos:
         for v in endos:
-            got = hd.compose(u, v)
+            got = _staged_compose(hd, u, v)
             want = _compose_by_terms(H, E, u, v)
             assert got.cols == want.cols, (u.cols, v.cols)
 
@@ -163,7 +184,7 @@ def _mu_by_terms(H, t):
                             H.mul(H.e(k2), H.e(l2))))
         acc = Tensor.zero((H.basis,), H.field)
         for (i, a), c in t.data.items():
-            red = pair_legs(dual.dual_e(a).tensor(core), 0, 2)
+            red = pair_legs(dual.e(a).tensor(core), 0, 2)
             acc = acc + H.mul(H.e(i), red).scale(c)
         cols[k] = dict(acc.data)
     return LinearMap(H.basis, (H.basis,), cols, H.field)
@@ -287,7 +308,7 @@ class _ReferenceDouble:
                     continue
                 for (r,), c2 in img.items():
                     vec = vec + H.mul(H.e(r), H.e(lft)).scale(c * c2)
-            out = out + vec.tensor(dual.dual_e(i))
+            out = out + vec.tensor(dual.e(i))
         return out
 
     def compose(self, u: LinearMap, v: LinearMap) -> LinearMap:
@@ -305,13 +326,13 @@ class _ReferenceDouble:
 
     def unit(self) -> LinearMap:
         H = self.H
-        return LinearMap.from_function(
+        return map_from_function(
             H.basis, (H.basis,),
             lambda k: H.mul(H.e(k), H.Sinv(H.beta)), H.field)
 
     def act(self, h: Tensor, u: LinearMap) -> LinearMap:
         H = self.H
-        return LinearMap.from_function(
+        return map_from_function(
             H.basis, (H.basis,),
             lambda k: assemble(H.delta(h), lambda h1, h2: H.mul(
                 H.mul(H.e(k), H.e(h2)).map_leg(0, u), H.Sinv(H.e(h1)))),
@@ -330,21 +351,21 @@ def _reference_verify(H: QuasiHopfAlgebra) -> VerificationReport:
     n = H.dim
 
     def basis_elt(i, a):
-        return H.e(i).tensor(dual.dual_e(a))
+        return H.e(i).tensor(dual.e(a))
 
     mu_table = {(i, a): hd.mu(basis_elt(i, a))
                 for i in range(n) for a in range(n)}
 
-    rep.check_quantified(
-        "mu-inv-left", ((i, a) for i in range(n) for a in range(n)),
+    check_quantified(
+        rep, "mu-inv-left", ((i, a) for i in range(n) for a in range(n)),
         lambda i, a: (hd.mu_inv(mu_table[(i, a)]), basis_elt(i, a)))
 
     def endo(k, l):
         return LinearMap(H.basis, (H.basis,), {l: {(k,): H.field.one()}},
                          H.field)
 
-    rep.check_quantified(
-        "mu-inv-right", ((k, l) for k in range(n) for l in range(n)),
+    check_quantified(
+        rep, "mu-inv-right", ((k, l) for k in range(n) for l in range(n)),
         lambda k, l: (_map_tensor(hd.mu(hd.mu_inv(endo(k, l)))),
                       _map_tensor(endo(k, l))))
 
@@ -352,33 +373,33 @@ def _reference_verify(H: QuasiHopfAlgebra) -> VerificationReport:
         return hd.mu(qs.parts(t))
 
     def mult_probe(i, a, j, b):
-        prod = qs.algebra.mul_indices(qs.prod.join((i, a)),
-                                      qs.prod.join((j, b)))
+        prod = qs.algebra.mul(qs.algebra.e(qs.prod.join((i, a))),
+                              qs.algebra.e(qs.prod.join((j, b))))
         return (_map_tensor(mu_of(prod)),
                 _map_tensor(hd.compose(mu_table[(i, a)],
                                            mu_table[(j, b)])))
 
-    rep.check_quantified(
-        "mu-multiplicative",
+    check_quantified(
+        rep, "mu-multiplicative",
         ((i, a, j, b) for i in range(n) for a in range(n)
          for j in range(n) for b in range(n)), mult_probe)
 
-    rep.check_equal("mu-unit",
-                    _map_tensor(mu_of(qs.unit())),
-                    _map_tensor(hd.unit()))
+    check_equal(rep, "mu-unit",
+                     _map_tensor(mu_of(qs.unit())),
+                     _map_tensor(hd.unit()))
 
     def equiv_probe(h, i, a):
-        acted = qs.act(H.e(h), qs.element(H.e(i), dual.dual_e(a)))
+        acted = qs.act(H.e(h), qs.element(H.e(i), dual.e(a)))
         return (_map_tensor(mu_of(acted)),
                 _map_tensor(hd.act(H.e(h), mu_table[(i, a)])))
 
-    rep.check_quantified(
-        "mu-equivariant",
+    check_quantified(
+        rep, "mu-equivariant",
         ((h, i, a) for h in range(n) for i in range(n) for a in range(n)),
         equiv_probe)
 
-    rep.check_quantified(
-        "unit-laws", ((i, a) for i in range(n) for a in range(n)),
+    check_quantified(
+        rep, "unit-laws", ((i, a) for i in range(n) for a in range(n)),
         lambda i, a: (
             _map_tensor(hd.compose(hd.unit(), mu_table[(i, a)])) +
             _map_tensor(hd.compose(mu_table[(i, a)], hd.unit())),
@@ -451,6 +472,69 @@ def test_hom_smash(all_corpus, key):
     assert rep.passed, [r.tag for r in rep.records if not r.passed]
 
 
+def _smash_mutant(qs, rng):
+    """qs with seeded changes to its product table, its unit and its
+    H-action: a quasi-smash product that nu no longer carries to the
+    structures on Hom(H, A), so that both verifiers below fail."""
+    field = qs.H.field
+    out = copy.copy(qs)
+    unit = qs.algebra.unit + Tensor(qs.algebra.unit.spaces, {
+        (rng.randrange(qs.dim),): field.one()}, field)
+    out.algebra = FinAlgebra(qs.basis, _table_mutant(
+        qs.algebra.as_leg(), rng, 2).table, unit, field)
+    out.action = _table_mutant(qs.action, rng, 2)
+    return out
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_hom_smash_matches_per_input_reference(field, subgroup_comodule,
+                                               monkeypatch):
+    """verify_hom_smash, whose checks compare tables on every basis input
+    at once, against a verbatim copy of the per-input version it
+    replaced (reference_builders.verify_hom_smash), records compared as
+    JSON: on z2, z2_quasi, z3 and k<a>, on seeded mutants of Delta and S
+    (through the canonical comodule algebra) and of rho, and with seeded
+    mutants of the quasi-smash product in both, which fail every check
+    but nu-inv-left and nu-inv-right. On the same comodule algebras,
+    transport_module's actions against the per-entry builders they
+    replaced (reference_builders.transport_module)."""
+    rng = random.Random(5)
+    entries = corpus(field)
+    cas = []
+    for key in ("z2", "z2_quasi", "z3"):
+        H = entries[key]
+        cas.append(canonical_right_comodule(H))
+        cas += [canonical_right_comodule(_mutant(H, which,
+                                                 rng.randrange(H.dim)))
+                for which in ("comul", "antipode")]
+    ka = subgroup_comodule(field)
+    cas.append(ka)
+    for base in (ka, cas[6]):
+        cas += [RightComoduleAlgebra(base.H, base.algebra,
+                                     _skewed(base.coaction, rng, count),
+                                     base.phi_rho, base.phi_rho_inv,
+                                     name=base.name) for count in (1, 2)]
+    for ca in cas:
+        assert verify_hom_smash(ca).to_json() == \
+            ref.verify_hom_smash(ca).to_json(), ca.name
+        V = canonical_first_module(ca)
+        theta, theta_inv = module_isomorphism(ca)
+        got = transport_module(V, theta, theta_inv)
+        want = ref.transport_module(V, theta, theta_inv)
+        assert (got.left_action.table, got.right_action.table) == \
+            (want.left_action.table, want.right_action.table), ca.name
+    failed = set()
+    for ca in cas:
+        bad = _smash_mutant(quasi_smash(ca), rng)
+        for module in (products, ref):
+            monkeypatch.setattr(module, "quasi_smash", lambda _: bad)
+        got = verify_hom_smash(ca)
+        assert got.to_json() == ref.verify_hom_smash(ca).to_json(), ca.name
+        failed |= {r.tag for r in got.records if not r.passed}
+        monkeypatch.undo()
+    assert failed == {"nu-multiplicative", "nu-unit", "nu-equivariant"}
+
+
 def test_crossed_decomposition(all_corpus):
     rep = verify_crossed_decomposition(all_corpus["z2_quasi"])
     assert rep.passed, [r.tag for r in rep.records if not r.passed]
@@ -483,9 +567,9 @@ def _quasi_smash_by_terms(ca, dual):
     def evaluator(key1, key2):
         (a, p), (a2, q) = key1, key2
         src = ca.coact(ca.e(a2)).tensor(ca.phi_rho_inv)
-        pp, qq = dual.dual_e(p), dual.dual_e(q)
+        pp, qq = dual.e(p), dual.e(q)
         return assemble(src, lambda a0, a1, x1, x2, x3: ca.algebra.mulc(
-            ca.e(a), ca.e(a0), ca.e(x1)).tensor(dual.convolve(
+            ca.e(a), ca.e(a0), ca.e(x1)).tensor(dual.conv.mulc(
                 dual.hit_r(pp, H.mul(H.e(a1), H.e(x2))),
                 dual.hit_r(qq, H.e(x3)))))
 
@@ -632,9 +716,9 @@ def _two_sided_by_terms(rca, lcb, dual):
     for j in range(nH):
         for k in range(nH):
             src = rca.phi_rho_inv.tensor(lcb.phi_lam_inv)
-            ej, ek = dual.dual_e(j), dual.dual_e(k)
+            ej, ek = dual.e(j), dual.e(k)
             core[(j, k)] = assemble(src, lambda x1, x2, x3, y1, y2, y3:
-                                    rca.e(x1).tensor(dual.convolve(
+                                    rca.e(x1).tensor(dual.conv.mulc(
                                         dual.hit_l(H.e(y1), dual.hit_r(ej, H.e(x2))),
                                         dual.hit_l(H.e(y2), dual.hit_r(ek, H.e(x3))))
                                     ).tensor(lcb.e(y3)))
@@ -645,12 +729,12 @@ def _two_sided_by_terms(rca, lcb, dual):
     rhit, lhit = {}, {}
     for j in range(nH):
         for a in range(A.dim):
-            vec = right_hit(rca, dual.dual_e(j), rca.e(a)).data
+            vec = right_hit(rca, dual.e(j), rca.e(a)).data
             if vec:
                 rhit[(j, a)] = {i: c for (i,), c in vec.items()}
     for b in range(B.dim):
         for k in range(nH):
-            vec = left_hit(lcb, lcb.e(b), dual.dual_e(k)).data
+            vec = left_hit(lcb, lcb.e(b), dual.e(k)).data
             if vec:
                 lhit[(b, k)] = {i: c for (i,), c in vec.items()}
 

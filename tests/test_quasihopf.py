@@ -10,9 +10,9 @@ from qhopf import (DerivedElements, DualView, FinAlgebra, LinearMap,
                    invert_in_tensor_algebra, is_gauge, klein_twist,
                    normalize_alpha_beta, quasi_z2, twist, twisted_klein,
                    verify_core_identities, verify_heisenberg_double)
-from qhopf.report import CheckRecord, first_difference, scalar_str
+from qhopf.report import CheckRecord, scalar_str
 
-from reference_builders import assemble, dual_mbia1
+from reference_builders import assemble, dual_mbia1, first_difference
 from test_report import _mutant
 
 F = Fraction
@@ -454,17 +454,17 @@ def _ref_mbia2(dual):
     n = H.dim
 
     def sides(i, a, b):
-        h, phi, psi = H.e(i), dual.dual_e(a), dual.dual_e(b)
+        h, phi, psi = H.e(i), dual.e(a), dual.e(b)
         d = H.delta(h)
         # an empty Sweedler sum is zero
         rhs1 = rhs2 = Tensor.zero((dual.basis,), H.field)
         if d.data:
-            rhs1 = assemble(d, lambda h1, h2: dual.convolve(
+            rhs1 = assemble(d, lambda h1, h2: dual.conv.mulc(
                 dual.hit_l(H.e(h1), phi), dual.hit_l(H.e(h2), psi)))
-            rhs2 = assemble(d, lambda h1, h2: dual.convolve(
+            rhs2 = assemble(d, lambda h1, h2: dual.conv.mulc(
                 dual.hit_r(phi, H.e(h1)), dual.hit_r(psi, H.e(h2))))
-        return ((dual.hit_l(h, dual.convolve(phi, psi)), rhs1),
-                (dual.hit_r(dual.convolve(phi, psi), h), rhs2))
+        return ((dual.hit_l(h, dual.conv.mulc(phi, psi)), rhs1),
+                (dual.hit_r(dual.conv.mulc(phi, psi), h), rhs2))
 
     return _per_identity("mbia2", ((i, a, b) for i in range(n)
                                    for a in range(n) for b in range(n)),

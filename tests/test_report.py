@@ -1,15 +1,19 @@
 """VerificationReport.check_same against a reference scan that applies
-each structure map to basis vectors, one input at a time."""
+each structure map to basis vectors, one input at a time, and on
+tensors against the comparison it replaced (first_difference)."""
 
+import itertools
 import random
 
 import pytest
 
-from qhopf import (LegMul, LinearMap, PrimeField, QQ, Tensor,
+from qhopf import (Basis, LegMul, LinearMap, PrimeField, QQ, Tensor,
                    VerificationReport, canonical_first_module,
                    canonical_right_comodule, corpus, cyclic_right_submodule,
                    mul_legs, quasi_smash, smash_product)
 from qhopf.algebra import _clean_table
+
+from reference_builders import check_equal, check_quantified
 
 
 def _reference_same(rep, tag, lhs, rhs):
@@ -21,14 +25,14 @@ def _reference_same(rep, tag, lhs, rhs):
         return Tensor.basis_vector(basis, i, field)
 
     if isinstance(lhs, LegMul):
-        rep.check_quantified(
-            tag, ((i, j) for i in range(lhs.left.dim)
-                  for j in range(lhs.right.dim)),
+        check_quantified(
+            rep, tag, ((i, j) for i in range(lhs.left.dim)
+                       for j in range(lhs.right.dim)),
             lambda i, j: (mul_legs((lhs,), e(lhs.left, i), e(lhs.right, j)),
                           mul_legs((rhs,), e(rhs.left, i), e(rhs.right, j))))
     else:
-        rep.check_quantified(
-            tag, ((m,) for m in range(lhs.domain.dim)),
+        check_quantified(
+            rep, tag, ((m,) for m in range(lhs.domain.dim)),
             lambda m: (e(lhs.domain, m).map_leg(0, lhs),
                        e(rhs.domain, m).map_leg(0, rhs)))
 
@@ -93,3 +97,47 @@ def test_check_same_refuses_different_shapes():
     rep.check_same("maps", H.comul, LinearMap.identity(H.basis, H.field))
     assert [(r.passed, r.counterexample) for r in rep.records] == \
         [(False, {}), (False, {})]
+
+
+def _random_tensor(spaces, field, rng):
+    """A tensor on spaces with seeded coefficients in -2..2 at about half
+    of its multi-indices, zero ones left out."""
+    data = {}
+    for idx in itertools.product(*(range(b.dim) for b in spaces)):
+        if rng.random() < 0.5:
+            data[idx] = field.from_int(rng.randint(-2, 2))
+    return Tensor(spaces, data, field)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_check_same_on_tensors_matches_first_difference(field):
+    """check_same on two tensors, a table with no inputs, against the
+    comparison it replaced (check_equal over first_difference): the same
+    records, counterexample bytes included, with no "inputs" key."""
+    rng = random.Random(21)
+    B2, B3 = Basis(("a", "b"), "B2"), Basis(("u", "v", "w"), "B3")
+    got, want = VerificationReport("tensors"), VerificationReport("tensors")
+    for trial, spaces in enumerate(((), (B3,), (B2, B3), (B3, B2, B2)) * 6):
+        lhs = _random_tensor(spaces, field, rng)
+        rhs = lhs if trial % 4 == 0 else _random_tensor(spaces, field, rng)
+        got.check_same("t%d" % trial, lhs, rhs)
+        check_equal(want, "t%d" % trial, lhs, rhs)
+    assert got.to_json() == want.to_json()
+    assert sum(not r.passed for r in got.records) >= 12
+    assert all("inputs" not in (r.counterexample or {}) for r in got.records)
+
+
+def test_tensors_on_legs_of_different_dimensions_differ():
+    """Two tensors with equal data on legs of different dimensions fail,
+    on their shapes, with the counterexample {}. The comparison that
+    check_same replaced passed them: it compared their data alone."""
+    B2, B3 = Basis(("a", "b"), "B2"), Basis(("a", "b", "c"), "B3")
+    data = {(0, 1): QQ.one(), (1, 0): QQ.from_int(2)}
+    lhs, rhs = Tensor((B2, B2), data, QQ), Tensor((B2, B3), data, QQ)
+    rep = VerificationReport("legs")
+    rep.check_same("legs", lhs, rhs)
+    assert [(r.passed, r.counterexample) for r in rep.records] == \
+        [(False, {})]
+    old = VerificationReport("legs")
+    check_equal(old, "legs", lhs, rhs)
+    assert old.records[0].passed

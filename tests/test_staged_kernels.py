@@ -258,10 +258,10 @@ def test_sweedler_chain_of_empty_source_is_zero(field):
     zero = Tensor.zero((H.basis,) * 2, field)
     assert sweedler(zero, ((m, (S, 0), H.alpha, 1),)) == \
         Tensor.zero((H.basis,), field)
-    assert sweedler(zero, (1, (H.dual.hit_l_leg, 0, H.dual.dual_e(0)))) \
+    assert sweedler(zero, (1, (H.dual.hit_l_leg, 0, H.dual.e(0)))) \
         == Tensor.zero((H.basis, H.dual.basis), field)
     bad = (2, -1, (S, 0, 1), (m, 0), (H.comul, 0), (m, 0, H.phi),
-           (H.dual.hit_r_leg, 0, 1), (S, H.dual.dual_e(0)), "x",
+           (H.dual.hit_r_leg, 0, 1), (S, H.dual.e(0)), "x",
            (m, 0, corpus(QQ if field != QQ else PrimeField(7))["s3"].alpha))
     for source in (zero, H.delta(H.e(1))):
         for term in bad:
