@@ -13,7 +13,7 @@ from .algebra import (FinAlgebra, LegMul, flat_pairing,
                       sandwich, sweedler)
 from .report import CheckRecord, VerificationReport
 from .quasihopf import (DerivedElements, DualView, NotGaugeError,
-                        QuasiBialgebra, QuasiHopfAlgebra,
+                        NotInvertibleError, QuasiBialgebra, QuasiHopfAlgebra,
                         check_dual_bimodule_algebra,
                         check_quasibialgebra, check_quasihopf, is_gauge,
                         normalize_alpha_beta, twist, verify_core_identities)

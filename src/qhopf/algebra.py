@@ -346,6 +346,15 @@ def _per_input(source: Tensor, *legs) -> LinearMap:
     return LinearMap.from_graph(sweedler(source, (0,) + legs))
 
 
+def _grid(field: Field, *bases: Basis) -> Tensor:
+    """The sum of e_x over the basis vectors e_x of the tensor product of
+    bases: as a sweedler source, one term per tuple of basis inputs,
+    each read through its legs as often as a formula needs it."""
+    one = field.one()
+    return Tensor(bases, {idx: one for idx in itertools.product(
+        *(range(b.dim) for b in bases))}, field)
+
+
 class FinAlgebra:
     """A finite dimensional unital algebra given by structure constants.
 
@@ -570,6 +579,25 @@ def _mul(table, x, y) -> Dict:
     return out
 
 
+def _hit_products(action: LegMul, conv: LegMul, basis: Basis):
+    """(product, den) for H (x) H^op acting on a dual space by action
+    (DualView.hits, or C*'s action) and the convolution conv of that
+    space, basis H's: product(u1, s, v1, u2, t, v2), memoized, is
+    (u1 -> e^s <- v1)(u2 -> e^t <- v2) as (index, numerator) pairs over
+    den. The rows of action are read at the flat index of u (x) v that
+    flat_pairing writes."""
+    (hits, dh), (mult, dc) = action.lifted(), conv.lifted()
+    flat = {key: k for key, row in flat_pairing(
+        basis, basis, action.left, action.field).table.items() for k in row}
+
+    @cache
+    def product(u1, s, v1, u2, t, v2):
+        return _pairs(_mul(mult, hits.get((flat[u1, v1], s), ()),
+                           hits.get((flat[u2, v2], t), ())))
+
+    return product, dh * dh * dc
+
+
 def _lowered(field: Field, acc, den: int) -> Dict:
     """A table of rows of int numerators over den (key -> {index:
     numerator}) lowered row by row, the rows that lower to zero left
@@ -633,57 +661,38 @@ def _transpose(table) -> Dict:
     return out
 
 
-def _two_sided_hits(left: LegMul, right: LegMul):
-    """(hits, den) for a left action `left` and a right action `right`
-    on one space: hits[(u, s, v)] holds the (w, numerator) pairs, over
-    den, of the coefficient of e_s in v . e_w . u. Read over w, it is
-    the functional u -> e^s <- v on that space."""
-    (L, dl), (R, dr) = left.lifted(), right.lifted()
-    hits: Dict[Tuple[int, int, int], list] = {}
-    for (w, u), row in R.items():
-        for v in range(left.left.dim):
-            for s, n in _times(L, row, v, left=True).items():
-                if n:
-                    hits.setdefault((u, s, v), []).append((w, n))
-    return {key: tuple(vec) for key, vec in hits.items()}, dl * dr
+def _assoc_sides(outer1: LegMul, inner1: LegMul, outer2: LegMul,
+                 inner2: LegMul):
+    """(x.y).z, by inner1 and then outer1, and x.(y.z), by inner2 and
+    then outer2, on inputs (x, y, z): each side over the product of its
+    two pairings' denominators."""
+    (O1, do1), (I1, di1), (O2, do2), (I2, di2) = (
+        f.lifted() for f in (outer1, inner1, outer2, inner2))
+    dims = (inner1.left.dim, inner1.right.dim, outer1.right.dim)
+    spaces, field = (outer1.out,), outer1.field
+    return (_side(dims, spaces, field, di1 * do1,
+                  lambda acc, x, y, z: _pair(acc, (x, y, z), O1.get,
+                                             I1.get((x, y), ()), ((z, 1),))),
+            _side(dims, spaces, field, do2 * di2,
+                  lambda acc, x, y, z: _pair(acc, (x, y, z), O2.get,
+                                             ((x, 1),), I2.get((y, z), ()))))
 
 
 def left_action_assoc(act: LegMul, mult: LegMul):
     """(g h).m and g.(h.m) on inputs (g, h, m); mult multiplies the
     algebra that acts by act."""
-    (A, da), (P, dp) = act.lifted(), mult.lifted()
-    dims = (mult.left.dim, mult.right.dim, act.right.dim)
-    return (_side(dims, (act.out,), act.field, dp * da,
-                  lambda acc, g, h, m: _pair(acc, (g, h, m), A.get,
-                                             P.get((g, h), ()), ((m, 1),))),
-            _side(dims, (act.out,), act.field, da * da,
-                  lambda acc, g, h, m: _pair(acc, (g, h, m), A.get,
-                                             ((g, 1),), A.get((h, m), ()))))
+    return _assoc_sides(act, mult, act, act)
 
 
 def right_action_assoc(act: LegMul, mult: LegMul):
     """m.(a b) and (m.a).b on inputs (m, a, b); mult multiplies the
     algebra that acts by act."""
-    (A, da), (P, dp) = act.lifted(), mult.lifted()
-    dims = (act.left.dim, mult.left.dim, mult.right.dim)
-    return (_side(dims, (act.out,), act.field, da * dp,
-                  lambda acc, m, a, b: _pair(acc, (m, a, b), A.get,
-                                             ((m, 1),), P.get((a, b), ()))),
-            _side(dims, (act.out,), act.field, da * da,
-                  lambda acc, m, a, b: _pair(acc, (m, a, b), A.get,
-                                             A.get((m, a), ()), ((b, 1),))))
+    return _assoc_sides(act, act, act, mult)[::-1]
 
 
 def actions_commute(left: LegMul, right: LegMul):
     """(h.m).a and h.(m.a) on inputs (h, m, a)."""
-    (L, dl), (R, dr) = left.lifted(), right.lifted()
-    dims = (left.left.dim, left.right.dim, right.right.dim)
-    return (_side(dims, (left.out,), left.field, dl * dr,
-                  lambda acc, h, m, a: _pair(acc, (h, m, a), R.get,
-                                             L.get((h, m), ()), ((a, 1),))),
-            _side(dims, (left.out,), left.field, dl * dr,
-                  lambda acc, h, m, a: _pair(acc, (h, m, a), L.get,
-                                             ((h, 1),), R.get((m, a), ()))))
+    return _assoc_sides(right, left, left, right)
 
 
 def quasi_associative(act: LegMul, mult: LegMul, lact: LegMul,

@@ -28,9 +28,9 @@ from .hopfmod import verify_module_correspondence
 from .products import (generalized_smash, quasi_smash, smash_product,
                        two_sided_crossed, verify_crossed_decomposition,
                        verify_heisenberg_double, verify_hom_smash)
-from .quasihopf import (NotGaugeError, QuasiBialgebra, QuasiHopfAlgebra,
-                        check_dual_bimodule_algebra, check_quasibialgebra,
-                        check_quasihopf, twist,
+from .quasihopf import (NotGaugeError, NotInvertibleError, QuasiBialgebra,
+                        QuasiHopfAlgebra, check_dual_bimodule_algebra,
+                        check_quasibialgebra, check_quasihopf, twist,
                         verify_core_identities)
 from .report import VerificationReport
 
@@ -292,12 +292,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotApplicableError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 3
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return 2
+        return (3 if isinstance(exc, NotApplicableError) else
+                1 if isinstance(exc, NotInvertibleError) else 2)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from .algebra import (FinAlgebra, LegMul, _per_input, counit_identity,
                       left_action_assoc, left_action_unit, mul_legs,
                       multiplicative, quasi_associative, right_action_assoc,
                       right_action_unit, sandwich, sweedler, tensor_unit)
-from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra, p_right, q_right
+from .quasihopf import (NotInvertibleError, QuasiBialgebra, QuasiHopfAlgebra,
+                        p_right, q_right)
 from .report import VerificationReport
 from .tensor import Basis, LinearMap, Tensor
 
@@ -29,7 +30,7 @@ def _check_inverse(algebras, x: Tensor, x_inv: Optional[Tensor],
     if x_inv is None:
         x_inv = invert_in_tensor_algebra(algebras, x)
         if x_inv is None:
-            raise ValueError("%s is not invertible" % what)
+            raise NotInvertibleError("%s is not invertible" % what)
         return x_inv
     legs = tuple(a.as_leg() for a in algebras)
     unit = tensor_unit(algebras)

@@ -16,10 +16,12 @@ right modules over a single generalized smash product algebra. Both
 functors, the direct multiplication formulas and exact round-trip
 verifiers are implemented below. The Doi-Hopf structure of a module
 over the generalized smash product restricts its action table along
-fixed elements such as eps >< b (_restrict in algebra.py). The crossed
-coaction, its reassociator and the nested smash product's table are
-each one Sweedler sum (sweedler in algebra.py) over graphs of structure
-maps, the legs of H (x) H^op and (A (x) H*) # H written by flat_pairing.
+fixed elements such as eps >< b (_restrict in algebra.py). The action
+of H (x) H^op on a bimodule coalgebra, the C* >< B action read back
+from a Doi-Hopf module, the crossed coaction, its reassociator and the
+nested smash product's table are each one Sweedler sum (sweedler in
+algebra.py) over graphs of structure maps, the legs of H (x) H^op,
+C* >< B and (A (x) H*) # H written by flat_pairing.
 Every axiom check compares two whole tables (check_same); bmc1,
 dhm1, tstc1 and tstc2 state each side of a coassociativity up to
 the reassociators as one map (sandwich in algebra.py), and the two
@@ -31,10 +33,9 @@ from __future__ import annotations
 from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_rows,
-                      _lowered, _mul, _pairs, _restrict, _transpose,
-                      _two_sided_hits, actions_commute, as_table,
-                      counit_identity,
+from .algebra import (FinAlgebra, LegMul, _chain, _grid, _hit_products,
+                      _lift_rows, _lowered, _pairs, _restrict, _transpose,
+                      actions_commute, as_table, counit_identity,
                       flat_pairing, left_action_assoc, left_action_unit,
                       mul_legs, multiplicative, right_action_assoc,
                       right_action_unit, sandwich, sweedler)
@@ -49,7 +50,7 @@ from .products import (ProductAlgebra, QuasiSmash, generalized_smash,
                        quasi_smash, smash_product)
 from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 from .report import VerificationReport
-from .tensor import Basis, FlatSpace, LinearMap, Tensor
+from .tensor import Basis, LinearMap, Tensor
 
 
 # ----------------------------------------------------------------------
@@ -115,11 +116,10 @@ def check_bimodule_coalgebra(C: BimoduleCoalgebra) -> VerificationReport:
     rep.check_same("bmc2-right", *multiplicative(
         C.comul, C.right_action, (C.right_action,) * 2, right=H.comul))
     # eps(h . c) + eps(c . h) and 2 eps(h) eps(c) on every input (h, c),
-    # read from the graphs of the identities and of the counits
-    pairs = LinearMap.identity(H.basis, H.field).graph().tensor(
-        LinearMap.identity(C.basis, H.field).graph())
-    left, right = (sweedler(pairs, (0, 2, term)).map_leg(2, C.counit)
-                   for term in ((C.left_action, 1, 3), (C.right_action, 3, 1)))
+    # read from the sum of all of them and the graphs of the counits
+    pairs = _grid(H.field, H.basis, C.basis)
+    left, right = (sweedler(pairs, (0, 1, term)).map_leg(2, C.counit)
+                   for term in ((C.left_action, 0, 1), (C.right_action, 1, 0)))
     rep.check_same("bmc3", as_table(left + right, 2), as_table(
         H.counit.graph().tensor(C.counit.graph()).scale(
             H.field.from_int(2)), 2))
@@ -129,21 +129,14 @@ def check_bimodule_coalgebra(C: BimoduleCoalgebra) -> VerificationReport:
 def hhop_module_coalgebra(C: BimoduleCoalgebra,
                           HHop: QuasiBialgebra) -> RightModuleCoalgebra:
     """The bimodule coalgebra as a right H (x) H^op-module coalgebra:
-    c . (h (x) h') = h' . c . h, the two-sided hits of C
-    (_two_sided_hits) regrouped by (c, h (x) h')."""
+    c . (h (x) h') = h' . (c . h), one sum over every input (c, h, h'),
+    h and h' written into one leg of H (x) H^op by flat_pairing."""
     H = C.H
     field = H.field
-    nH = H.dim
-    if HHop.dim != nH * nH:
-        raise ValueError("H (x) H^op basis does not match the flat layout")
-    pair = FlatSpace((H.basis, H.basis), field)
-    hits, den = _two_sided_hits(C.left_action, C.right_action)
-    table: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for (u, s, v), vec in hits.items():
-        for c, n in vec:
-            table.setdefault((c, pair.join((u, v))), {})[s] = n
-    action = LegMul(C.basis, HHop.basis, C.basis,
-                    _lowered(field, table, den), field)
+    hh = flat_pairing(H.basis, H.basis, HHop.basis, field)
+    action = LegMul.from_graph(sweedler(
+        _grid(field, C.basis, H.basis, H.basis),
+        (0, (hh, 1, 2), (C.left_action, 2, (C.right_action, 0, 1)))))
     return RightModuleCoalgebra(HHop, C.basis, C.comul, C.counit, action,
                                 name=C.name)
 
@@ -243,20 +236,14 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
 
 def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
     """Reconstruct the table of the right C* >< B action from the
-    Doi-Hopf structure: n (c* >< b) = sum c*(n_(-1)) n_(0) b, summed over
-    the lifted coaction and action and lowered once per entry."""
+    Doi-Hopf structure: n (c* >< b) = sum c*(n_(-1)) n_(0) b, one sum
+    over the graph of the coaction and every b, the index of n_(-1),
+    read as c*, and b written into one leg by flat_pairing."""
     field = N.field
-    cols, dc = _lift_rows(field, N.coaction.cols)
-    act, da = N.r_action.lifted()
-    table = {}
-    for m in range(N.dim):
-        col = cols.get(m, ())
-        for g in range(gsm.dim):
-            u, b = gsm.split(g)
-            table[(m, g)] = _contract(
-                [((m0, b), c) for (cm, m0), c in col if cm == u], act)
-    return LegMul(N.basis, gsm.basis, N.basis, _lowered(field, table, dc * da),
-                  field)
+    pair = flat_pairing(N.mc.basis, N.cb.basis, gsm.basis, field)
+    return LegMul.from_graph(sweedler(
+        N.coaction.graph().tensor(_grid(field, N.cb.basis)),
+        (0, (pair, 1, 3), (N.r_action, 2, 3))))
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +325,6 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
     dual = H.dual
     field = H.field
     A = ba.algebra
-    nH = H.dim
-    if HHop.dim != nH * nH:
-        raise ValueError("H (x) H^op basis does not match the flat layout")
 
     m, mA, S = H.leg(), A.as_leg(), H.antipode
     hl, hr = dual.hit_l_leg, dual.hit_r_leg
@@ -436,7 +420,7 @@ def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
     return LegMul.from_graph(graph)
 
 
-def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
+def crossed_smash_direct(ba: BicomoduleAlgebra, cstar: LeftModuleAlgebra,
                          qs: QuasiSmash, sm: ProductAlgebra,
                          final: ProductAlgebra) -> LegMul:
     """The product table of C* >< ((A (x) H*) # H) by a single closed
@@ -452,19 +436,20 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
 
     where X = Phi, x, y = copies of Phi^{-1}, f = the twist element,
     w = the inverse middle reassociator, xr / xl = the inverse right /
-    left reassociators of A, and the arrows on c*, d* are the transposed
-    regular actions on the coalgebra. The sums are staged: everything
+    left reassociators of A, and the arrows on c*, d* are the action of
+    H (x) H^op on C* = cstar, the transposed actions on the coalgebra C
+    (dual_module_algebra). The sums are staged: everything
     coupling only Phi, f and the two Phi^{-1} copies is contracted once
     per h (stage one), then merged with the three reassociator sums and
     the two coactions per (h, a, a') (stage two) before the per-pair
     loop.
 
     Every sum runs over lifted integer tables (fields.py): the hits
-    u -> e^s <- v on C and on H (_two_sided_hits, from the action tables
-    of C and of H), the convolution tables of C* and H*, the structure
-    constants of H and A, the reassociators and the two coactions, and
-    stage one, lifted for all h together. Every term of an entry takes
-    one factor from each of them, so the whole table has one
+    u -> e^s <- v on C and on H (the actions of H (x) H^op on C* and on
+    H*, read by _hit_products), the convolution tables of C* and H*, the
+    structure constants of H and A, the reassociators and the two
+    coactions, and stage one, lifted for all h together. Every term of an
+    entry takes one factor from each of them, so the whole table has one
     denominator, the product of theirs, and each entry is lowered
     once."""
     H = qs.H
@@ -473,23 +458,14 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     nest = smash_index(qs, sm)
     hmult, dh = H.leg().lifted()
     amult, da = A.as_leg().lifted()
-    # the functionals u -> e^s <- v on C and on H, and the convolution
-    # tables of C* and H*
-    chit, dch = _two_sided_hits(C.left_action, C.right_action)
-    dhit, ddh = _two_sided_hits(H.leg(), H.leg())
-    cconv, dcc = _lift_rows(field, _transpose(C.comul.cols))
-    dconv, ddc = H.dual.conv.as_leg().lifted()
+    # products of two hits u -> e^s <- v on C (C*'s action) and on H
+    # (H*'s), by the convolution tables of C* and H*
+    cprod, dcp = _hit_products(cstar.action, cstar.algebra.as_leg(), H.basis)
+    dprod, ddp = _hit_products(H.dual.hits, H.dual.conv.as_leg(), H.basis)
 
     # e_i e_idxs[0] e_idxs[1] ... in H and in A, as pairs
     hchain = cache(lambda i, *idxs: _chain(hmult, ((i, 1),), idxs))
     achain = cache(lambda i, *idxs: _chain(amult, ((i, 1),), idxs))
-
-    def products(hits, conv):
-        # (u1 -> e^s <- v1)(u2 -> e^t <- v2) by the convolution table conv
-        return cache(lambda u1, s, v1, u2, t, v2: _pairs(_mul(
-            conv, hits.get((u1, s, v1), ()), hits.get((u2, t, v2), ()))))
-
-    cprod, dprod = products(chit, cconv), products(dhit, dconv)
 
     # stage one, for every h at once: contract Phi, f and the two
     # Phi^{-1} copies with the graph of (Delta (x) id) Delta, leg 0 h
@@ -570,7 +546,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                             out[k] = out.get(k, 0) + base * c2
         return out
 
-    den = d2 * dch * dch * dcc * ddh * ddh * ddc * dh
+    den = d2 * dcp * ddp * dh
     n = final.dim
     table = {(i, j): evaluate(i, j) for i in range(n) for j in range(n)}
     return LegMul(final.basis, final.basis, final.basis,
@@ -625,7 +601,7 @@ def verify_crossed_module_description(H: QuasiHopfAlgebra,
 
     final = generalized_smash(cstar, lcb)
     rep.check_same("final-direct", final.alg.as_leg(),
-                   crossed_smash_direct(ba, C, qs, sm, final))
+                   crossed_smash_direct(ba, cstar, qs, sm, final))
 
     instances = [("regular/", final.alg.as_leg())]
     for seed in seeds:

@@ -19,7 +19,7 @@ hopfmod.py; doi_from_algebra_module, algebra_action_from_doi,
 hhop_module_coalgebra and crossed_smash_direct of doihopf.py. The
 helpers they share (_lift_rows, _lift_map, _lift_vector, _times, _chain,
 _contract, _mul, _nest, _leg_sum, _sweedler_plan, _side, _pair, _apply,
-_restrict, _lowered, _transpose, _two_sided_hits, _pairs) live in
+_restrict, _lowered, _transpose, _hit_products, _pairs) live in
 algebra.py. They go through two methods of the field:
 
 - lift(data) -> (num, den): num maps each key of data to an int and den

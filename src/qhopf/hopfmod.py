@@ -13,11 +13,11 @@ cyclic modules.
 The functors keep the underlying space: each structure map they build,
 but the forward right quasi-smash action, restricts a given action
 table as a whole along fixed elements of the acting algebra (_restrict
-in algebra.py), as in h . m = m (1 # S(h)). The coactions of the
-canonical modules, theta and theta^{-1}, and the elements the functors
-restrict along are each one Sweedler sum (sweedler in algebra.py) over
-graphs of structure maps, two terms written into one leg of a
-flattened basis by flat_pairing. The axiom checks compare
+in algebra.py), as in h . m = m (1 # S(h)). The actions and coactions
+of the canonical modules, theta and theta^{-1}, and the elements the
+functors restrict along are each one Sweedler sum (sweedler in
+algebra.py) over graphs of structure maps, two terms written into one
+leg of a flattened basis by flat_pairing. The axiom checks compare
 two whole tables (check_same); coassoc states each side of the
 coassociativity up to Phi and Phi_rho as one map (sandwich in
 algebra.py).
@@ -29,8 +29,8 @@ import random
 from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (LegMul, _chain, _clean_table, _contract, _lift_map,
-                      _lift_rows, _lowered, _mul, _pairs, _restrict,
+from .algebra import (LegMul, _chain, _clean_table, _contract, _grid,
+                      _lift_map, _lift_rows, _mul, _pairs, _restrict,
                       actions_commute, counit_identity, equivariant_action,
                       flat_pairing, left_action_assoc, left_action_unit,
                       mul_legs, multiplicative, quasi_associative,
@@ -163,47 +163,22 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     rho(a (x) h) = sum a X1 (x) h_1 X2 (x) h_2 X3 with X = Phi_rho."""
     H, A = ca.H, ca.algebra
     field = H.field
-    flat = FlatSpace((A.basis, H.basis), field)
-    nA, nH = A.dim, H.dim
-    hmult = H.algebra.mult
+    flat = product_basis(A.basis, H.basis)
+    pair, hleg = flat_pairing(A.basis, H.basis, flat, field), H.leg()
+    left_action = LegMul.from_graph(sweedler(
+        _grid(field, H.basis, H.basis, A.basis),
+        (0, (pair, 2, 1), (pair, 2, (hleg, 0, 1)))))
+    right_action = LegMul.from_graph(sweedler(
+        _grid(field, A.basis, H.basis).tensor(ca.coaction.graph()),
+        ((pair, 0, 1), 2, (pair, (A.as_leg(), 0, 3), (hleg, 1, 4)))))
 
-    left = {}
-    for h in range(nH):
-        for a in range(nA):
-            for k in range(nH):
-                vec = hmult.get((h, k))
-                if vec:
-                    left[(h, flat.join((a, k)))] = {
-                        flat.join((a, t)): c for t, c in vec.items()}
-    left_action = LegMul(H.basis, flat.basis, flat.basis, left, field)
-
-    # summed over the lifted coaction and structure constants, lowered
-    # once per entry
-    rho, dr = _lift_rows(field, ca.coaction.cols)
-    (am, da), (hm, dh) = A.as_leg().lifted(), H.leg().lifted()
-    right: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a in range(nA):
-        for k in range(nH):
-            m = flat.join((a, k))
-            for a2 in range(nA):
-                acc = right.setdefault((m, a2), {})
-                for (a0, a1), c0 in rho.get(a2, ()):
-                    for ra, cra in am.get((a, a0), ()):
-                        for rh, crh in hm.get((k, a1), ()):
-                            key = flat.join((ra, rh))
-                            acc[key] = acc.get(key, 0) + c0 * cra * crh
-    right_action = LegMul(flat.basis, A.basis, flat.basis,
-                          _lowered(field, right, dr * da * dh), field)
-
-    # one sum over the graphs of the identity of A and of Delta, and
-    # Phi_rho: legs 0 and 2 pair into the input (a, k)
-    pair, hleg = flat_pairing(A.basis, H.basis, flat.basis, field), H.leg()
-    src = LinearMap.identity(A.basis, field).graph().tensor(
-        H.comul.graph()).tensor(ca.phi_rho)
+    # one sum over every a, the graph of Delta and Phi_rho: legs 0 and
+    # 1 pair into the input (a, k)
+    src = _grid(field, A.basis).tensor(H.comul.graph()).tensor(ca.phi_rho)
     coaction = LinearMap.from_graph(sweedler(src, (
-        (pair, 0, 2), (pair, (A.as_leg(), 1, 5), (hleg, 3, 6)),
-        (hleg, 4, 7))))
-    return TwoSidedHopfModule(ca, flat.basis, left_action, right_action,
+        (pair, 0, 1), (pair, (A.as_leg(), 0, 4), (hleg, 2, 5)),
+        (hleg, 3, 6))))
+    return TwoSidedHopfModule(ca, flat, left_action, right_action,
                               coaction, name=ca.name + "(x)H")
 
 
@@ -217,44 +192,27 @@ def canonical_second_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
         raise ValueError("this module needs antipode data")
     der = H.derived
     field = H.field
-    flat = FlatSpace((H.basis, A.basis), field)
-    nA, nH = A.dim, H.dim
-    hmult, amult = H.algebra.mult, A.mult
+    flat = product_basis(H.basis, A.basis)
+    pair = flat_pairing(H.basis, A.basis, flat, field)
+    hleg, mA = H.leg(), A.as_leg()
+    left_action = LegMul.from_graph(sweedler(
+        _grid(field, H.basis, H.basis, A.basis),
+        (0, (pair, 1, 2), (pair, (hleg, 0, 1), 2))))
+    right_action = LegMul.from_graph(sweedler(
+        _grid(field, A.basis, A.basis, H.basis),
+        ((pair, 2, 0), 1, (pair, 2, (mA, 0, 1)))))
 
-    left = {}
-    for h in range(nH):
-        for k in range(nH):
-            vec = hmult.get((h, k))
-            if vec:
-                for a in range(nA):
-                    left[(h, flat.join((k, a)))] = {
-                        flat.join((t, a)): c for t, c in vec.items()}
-    left_action = LegMul(H.basis, flat.basis, flat.basis, left, field)
-
-    right = {}
-    for k in range(nH):
-        for a in range(nA):
-            m = flat.join((k, a))
-            for a2 in range(nA):
-                vec = amult.get((a, a2))
-                if vec:
-                    right[(m, a2)] = {flat.join((k, t)): c
-                                      for t, c in vec.items()}
-    right_action = LegMul(flat.basis, A.basis, flat.basis, right, field)
-
-    hleg, Si = H.leg(), H.antipode_inv
+    Si = H.antipode_inv
     W = sweedler(der.q_L.tensor(ca.phi_rho.map_leg(2, H.comul)).tensor(
         der.f_inv), ((Si, (hleg, 1, 5, 7)), 2,
                      (hleg, (Si, (hleg, 0, 4, 6)), 3)))
 
     # one sum over the graphs of Delta and of rho, and W: legs 0 and 3
     # pair into the input (k, a)
-    pair = flat_pairing(H.basis, A.basis, flat.basis, field)
     src = H.comul.graph().tensor(ca.coaction.graph()).tensor(W)
     coaction = LinearMap.from_graph(sweedler(src, (
-        (pair, 0, 3), (pair, (hleg, 1, 6), (A.as_leg(), 7, 4)),
-        (hleg, 2, 8, 5))))
-    return TwoSidedHopfModule(ca, flat.basis, left_action, right_action,
+        (pair, 0, 3), (pair, (hleg, 1, 6), (mA, 7, 4)), (hleg, 2, 8, 5))))
+    return TwoSidedHopfModule(ca, flat, left_action, right_action,
                               coaction, name="H(x)" + ca.name)
 
 

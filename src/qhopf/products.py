@@ -13,13 +13,12 @@ two-sided crossed product.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (FinAlgebra, LegMul, _chain, _contract, _lift_map,
-                      _lift_rows, _lift_vector, _mul, _pairs, _side, _times,
-                      _two_sided_hits, as_table, sweedler)
+from .algebra import (FinAlgebra, LegMul, _chain, _contract, _grid,
+                      _hit_products, _lift_map, _lift_rows, _lift_vector, _mul,
+                      _pairs, _side, _times, as_table, flat_pairing, sweedler)
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
@@ -93,7 +92,9 @@ class QuasiSmash(LeftModuleAlgebra):
 
     with x = the inverse right reassociator, unit 1_A # eps, and the
     left H-action h . (a # phi) = a # (h -> phi), which makes the
-    carrier a left H-module algebra."""
+    carrier a left H-module algebra. The action is one sweedler sum
+    over every input (h, a, phi), a and h -> phi written into one leg by
+    flat_pairing."""
 
     def __init__(self, ca: RightComoduleAlgebra):
         H = ca.H
@@ -164,14 +165,10 @@ class QuasiSmash(LeftModuleAlgebra):
         # builds at construction
         self.prod = ProductAlgebra(factors, evaluator, den, unit, field,
                                    name=ca.name + "#H*")
-        table = {}
-        for (i, p), hit in dual.hit_l_leg.table.items():
-            for pp, c in hit.items():
-                for a in range(ca.dim):
-                    f = self.prod.join((a, p))
-                    table.setdefault((i, f), {})[self.prod.join((a, pp))] = c
-        action = LegMul(H.basis, self.prod.basis, self.prod.basis, table,
-                        H.field)
+        pair = flat_pairing(ca.basis, dual.basis, self.prod.basis, field)
+        action = LegMul.from_graph(sweedler(
+            _grid(field, H.basis, dual.basis, ca.basis),
+            (0, (pair, 2, 1), (pair, 2, (dual.hit_l_leg, 0, 1)))))
         super().__init__(H, self.prod.alg, action, name=self.prod.name)
 
     def element(self, a: Tensor, phi: Tensor) -> Tensor:
@@ -334,33 +331,27 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
     bmult, db = B.as_leg().lifted()
     dcols, dd = _lift_rows(field, dual.comul.cols)
 
-    # hits[(h, j, g)] = h -> e^j <- g, over dhit
-    hits, dhit = _two_sided_hits(H.leg(), H.leg())
+    # hit_pair(h, j, g, h', k, g') = (h -> e^j <- g)(h' -> e^k <- g'),
+    # over dpair (DualView.hits)
+    hit_pair, dpair = _hit_products(dual.hits, dual.conv.as_leg(), H.basis)
 
     # core[(j, k)][(x1, y3)][m]: the sum over both inverse reassociators
     # of x1 (x) (y1 -> e^j <- x2_r)(y2 -> e^k <- x3_r) (x) y3
-    conv, dc = dual.conv.as_leg().lifted()
     phi_x, dx = field.lift(rca.phi_rho_inv.data)
     phi_y, dy = field.lift(lcb.phi_lam_inv.data)
-
-    @cache
-    def hit_pair(left, right):
-        # once per pair of hits: a pair repeats for every x1 and y3
-        return _mul(conv, hits.get(left, ()), hits.get(right, ()))
-
     core: Dict[Tuple[int, int], Dict[Tuple[int, int], Dict[int, int]]] = {}
     for (x1, x2, x3), cx in phi_x.items():
         for (y1, y2, y3), cy in phi_y.items():
             cxy = cx * cy
             for j in range(nH):
                 for k in range(nH):
-                    terms = hit_pair((y1, j, x2), (y2, k, x3))
+                    terms = hit_pair(y1, j, x2, y2, k, x3)
                     if terms:
                         vec = core.setdefault((j, k), {}).setdefault(
                             (x1, y3), {})
-                        for m, cm in terms.items():
+                        for m, cm in terms:
                             vec[m] = vec.get(m, 0) + cxy * cm
-    dcore = dx * dy * dhit ** 2 * dc
+    dcore = dx * dy * dpair
 
     # hit tables, regroupings of the coactions: rhit[(j, a)] = e^j |> e_a
     # is the slice of rho(e_a) with H-leg j, lhit[(b, k)] = e_b <| e^k the
@@ -498,9 +489,8 @@ def _identity(field: Field, *bases: Basis) -> Tensor:
     """e_x (x) e_x summed over the basis vectors e_x of the tensor
     product of bases: the identity of that space as a table on its
     inputs (as_table with len(bases) inputs)."""
-    one = field.one()
-    return Tensor(bases * 2, {idx * 2: one for idx in itertools.product(
-        *(range(b.dim) for b in bases))}, field)
+    return Tensor(bases * 2, {idx * 2: c for idx, c in
+                              _grid(field, *bases).data.items()}, field)
 
 
 class HeisenbergDouble:

@@ -14,14 +14,19 @@ from __future__ import annotations
 from functools import cache, cached_property
 from typing import Dict, Optional, Tuple
 
-from .algebra import (FinAlgebra, InputTable, LegMul, _lowered, _per_input,
-                      _transpose, as_table,
-                      _two_sided_hits, flat_pairing, invert_in_tensor_algebra,
-                      invert_linear_map, mul_legs, multiplicative,
-                      quasi_associative, sandwich, sweedler, tensor_unit)
+from .algebra import (FinAlgebra, InputTable, LegMul, _grid, _per_input,
+                      _transpose, as_table, flat_pairing,
+                      invert_in_tensor_algebra, invert_linear_map, mul_legs,
+                      multiplicative, quasi_associative, sandwich, sweedler,
+                      tensor_unit)
 from .fields import Field
 from .report import VerificationReport
-from .tensor import Basis, FlatSpace, LinearMap, Tensor, product_basis
+from .tensor import Basis, LinearMap, Tensor, product_basis
+
+
+class NotInvertibleError(ValueError):
+    """A reassociator given without its inverse has none: well-formed
+    input that is not a quasi-bialgebra or comodule algebra."""
 
 
 class QuasiBialgebra:
@@ -45,7 +50,7 @@ class QuasiBialgebra:
         if phi_inv is None:
             phi_inv = invert_in_tensor_algebra((algebra,) * 3, phi)
             if phi_inv is None:
-                raise ValueError("reassociator is not invertible")
+                raise NotInvertibleError("reassociator is not invertible")
         else:
             legs = (algebra.as_leg(),) * 3
             unit3 = tensor_unit((algebra,) * 3)
@@ -139,9 +144,7 @@ class QuasiBialgebra:
             for k, c in vec.items()}, Q.field), Q.unit(), Q.comul.graph(),
             Q.counit.graph(), Q.phi, Q.phi_inv) for Q in (self, other)]
         mult, unit, comul, counit, phi, phi_inv = (
-            sweedler(x.tensor(y), [(pair, r, r + len(x.spaces))
-                                   for r in range(len(x.spaces))])
-            for x, y in zip(*parts))
+            _paired_legs(pair, x, y) for x, y in zip(*parts))
         table: Dict[Tuple[int, int], Dict[int, object]] = {}
         for (i, j, k), c in mult.data.items():
             table.setdefault((i, j), {})[k] = c
@@ -149,6 +152,13 @@ class QuasiBialgebra:
                               LinearMap.from_graph(comul),
                               LinearMap.from_graph(counit), phi, phi_inv,
                               name="%s(x)%s" % (self.name, other.name))
+
+
+def _paired_legs(pair: LegMul, x: Tensor, y: Tensor) -> Tensor:
+    """sum (x_1 (x) y_1) (x) (x_2 (x) y_2) (x) ...: leg r of x and leg r
+    of y written into one flat leg by pair (flat_pairing)."""
+    k = len(x.spaces)
+    return sweedler(x.tensor(y), [(pair, r, r + k) for r in range(k)])
 
 
 class QuasiHopfAlgebra(QuasiBialgebra):
@@ -681,7 +691,8 @@ class DualView:
     """H^* as a coassociative coalgebra and (H, H)-bimodule algebra.
 
     The convolution product is associative only when Phi is trivial;
-    that is exactly what the mbia identities express.
+    that is exactly what the mbia identities express. The two-sided
+    hits, H^* as a left H (x) H^op-module, are built on first use.
     """
 
     def __init__(self, H: QuasiBialgebra):
@@ -711,6 +722,19 @@ class DualView:
         self.hit_l_leg = LegMul(H.basis, self.basis, self.basis, hit_l, field)
         self.hit_r_leg = LegMul(self.basis, H.basis, self.basis, hit_r, field)
 
+    @cached_property
+    def hits(self) -> LegMul:
+        """(u (x) v) . phi = u -> (phi <- v) on the flat basis of H (x) H,
+        <u -> phi <- v, h> = phi(v (h u)): one sum over every input
+        (v, phi, u), u and v written into one leg by flat_pairing. The
+        one table of H's two-sided hits."""
+        H, field = self.H, self.H.field
+        hh = flat_pairing(H.basis, H.basis,
+                          product_basis(H.basis, H.basis), field)
+        return LegMul.from_graph(sweedler(
+            _grid(field, H.basis, self.basis, H.basis),
+            ((hh, 2, 0), 1, (self.hit_l_leg, 2, (self.hit_r_leg, 1, 0)))))
+
     def e(self, a: int) -> Tensor:
         return Tensor.basis_vector(self.basis, a, self.H.field)
 
@@ -731,40 +755,28 @@ def check_dual_bimodule_algebra(dual: DualView) -> VerificationReport:
     (mbia2) of the convolution algebra on H^*.
 
     H^* is an H-bimodule algebra, so a left module algebra over
-    H (x) H^op, acting by (u (x) v) . phi = u -> phi <- v; mbia1 is the
-    quasi-associativity of that module algebra (quasi_associative, as ma1
-    of a left module algebra states it), with the reassociator
-    sum (X1 (x) x1) (x) (X2 (x) x2) (x) (X3 (x) x3) of H (x) H^op. The
-    action is the two-sided hits of H on itself (_two_sided_hits)
-    regrouped by the flat pair (u, v), as hhop_module_coalgebra regroups
-    those of a bimodule coalgebra; H (x) H^op itself is not built."""
+    H (x) H^op, acting by (u (x) v) . phi = u -> phi <- v (DualView.hits);
+    mbia1 is the quasi-associativity of that module algebra
+    (quasi_associative, as ma1 of a left module algebra states it), with
+    the reassociator sum (X1 (x) x1) (x) (X2 (x) x2) (x) (X3 (x) x3) of
+    H (x) H^op, Phi and Phi^{-1} paired leg by leg as tensor_with pairs
+    them. H (x) H^op itself is not built."""
     H = dual.H
     field = H.field
     rep = VerificationReport("dual bimodule algebra %s" % H.name,
                              {"dim": H.dim, "field": field.name})
-    n = H.dim
-
-    pair = FlatSpace((H.basis, H.basis), field)
-    hits, den = _two_sided_hits(H.leg(), H.leg())
-    table = {(pair.join((u, v)), s): dict(vec)
-             for (u, s, v), vec in hits.items()}
-    act = LegMul(pair.basis, dual.basis, dual.basis,
-                 _lowered(field, table, den), field)
-    phi2 = Tensor((pair.basis,) * 3, {
-        tuple(pair.join(uv) for uv in zip(X, x)): c1 * c2
-        for X, c1 in H.phi.data.items() for x, c2 in H.phi_inv.data.items()},
-        field)
+    act = dual.hits
+    phi2 = _paired_legs(flat_pairing(H.basis, H.basis, act.left, field),
+                        H.phi, H.phi_inv)
     conv = dual.conv.as_leg()
     rep.check_same("mbia1", *quasi_associative(conv, conv, act, act, phi2))
 
     # mbia2 on every input (i, a, b) at once: its left sides over the
     # sum of e_i (x) e^a (x) e^b, its right sides over the sum of
     # e_i (x) h1 (x) e^a (x) h2 (x) e^b with h1 (x) h2 = Delta(e_i)
-    ones_h, ones = (Tensor((b,), {(a,): field.one() for a in range(n)},
-                           field) for b in (H.basis, dual.basis))
-    grid = ones_h.tensor(ones).tensor(ones)
-    source = H.comul.graph().tensor(ones).tensor(ones).permute(
-        (0, 1, 3, 2, 4))
+    grid = _grid(field, H.basis, dual.basis, dual.basis)
+    source = H.comul.graph().tensor(_grid(field, dual.basis, dual.basis)
+                                    ).permute((0, 1, 3, 2, 4))
     hl, hr = dual.hit_l_leg, dual.hit_r_leg
     rep.check_same("mbia2", *_both(*(as_table(t, 3) for t in (
         sweedler(grid, (0, 1, 2, (hl, 0, (conv, 1, 2)))),

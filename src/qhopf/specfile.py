@@ -24,7 +24,7 @@ from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     LeftModuleAlgebra, RightComoduleAlgebra,
                     RightModuleCoalgebra)
 from .fields import Field, parse_field
-from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
+from .quasihopf import NotInvertibleError, QuasiBialgebra, QuasiHopfAlgebra
 from .tensor import Basis, LinearMap, Tensor
 
 FORMAT_VERSION = 1
@@ -266,6 +266,8 @@ def doc_to_quasihopf(doc: dict) -> QuasiBialgebra:
         return QuasiHopfAlgebra(algebra, comul, counit, phi, antipode,
                                 alpha, beta, phi_inv,
                                 name=str(doc.get("name", "")))
+    except NotInvertibleError:
+        raise
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
 
@@ -372,6 +374,8 @@ def doc_to_comodule_algebra(doc: dict):
                    if inv_rows is not None else None)
             return LeftComoduleAlgebra(H, algebra, coaction, phi, inv,
                                        name=str(doc.get("name", "")))
+    except NotInvertibleError:
+        raise
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     raise SpecError("comodule-algebra side must be 'left' or 'right'")
@@ -445,6 +449,8 @@ def doc_to_bicomodule_algebra(doc: dict) -> BicomoduleAlgebra:
         right = RightComoduleAlgebra(H, algebra, rco, phi_rho)
         return BicomoduleAlgebra(left, right, phi_mid, phi_mid_inv,
                                  name=str(doc.get("name", "")))
+    except NotInvertibleError:
+        raise
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
 

@@ -82,6 +82,15 @@ relative_from_smash_module, X of two_sided_from_smash_module and
 stage_one of crossed_smash_direct made the same move; their references
 above keep the assemble sums. tests/test_flat_sums.py checks the
 package against them.
+
+Hand-indexed two-sided hits: _two_sided_hits (algebra.py) and its
+regroupings, the H-action loop of QuasiSmash (here
+quasi_smash_hit_action) and the action and reassociator of mbia1 in
+check_dual_bimodule_algebra (here mbia1_tables), as they were before
+each of their tables became one algebra.sweedler over graphs, the flat
+index of u (x) v written by algebra.flat_pairing. DualView.hits is the
+one table of H's two-sided hits now. tests/test_lifted_builders.py
+checks the package against them.
 """
 
 from __future__ import annotations
@@ -91,8 +100,8 @@ import time
 from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
-from qhopf.algebra import (FinAlgebra, LegMul, _clean_table, _transpose,
-                          mul_legs, sandwich, sweedler)
+from qhopf.algebra import (FinAlgebra, LegMul, _clean_table, _lowered,
+                          _times, _transpose, mul_legs, sandwich, sweedler)
 from qhopf.coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                          LeftModuleAlgebra, RightComoduleAlgebra,
                          RightModuleCoalgebra)
@@ -1857,3 +1866,55 @@ def tensor_with(self, other: "QuasiBialgebra") -> "QuasiBialgebra":
     phi_inv = pair_up(self.phi_inv, other.phi_inv)
     return QuasiBialgebra(alg, comul, counit, phi, phi_inv,
                           name="%s(x)%s" % (self.name, other.name))
+
+
+# ----------------------------------------------------------------------
+# hand-indexed two-sided hits
+
+
+def two_sided_hits(left: LegMul, right: LegMul):
+    """(hits, den) for a left action `left` and a right action `right`
+    on one space: hits[(u, s, v)] holds the (w, numerator) pairs, over
+    den, of the coefficient of e_s in v . e_w . u. Read over w, it is
+    the functional u -> e^s <- v on that space."""
+    (L, dl), (R, dr) = left.lifted(), right.lifted()
+    hits: Dict[Tuple[int, int, int], list] = {}
+    for (w, u), row in R.items():
+        for v in range(left.left.dim):
+            for s, n in _times(L, row, v, left=True).items():
+                if n:
+                    hits.setdefault((u, s, v), []).append((w, n))
+    return {key: tuple(vec) for key, vec in hits.items()}, dl * dr
+
+
+def quasi_smash_hit_action(qs: QuasiSmash) -> Dict:
+    """The table of the left H-action of QuasiSmash as its constructor
+    regrouped the table of h -> phi, by hand through FlatSpace.join."""
+    ca, dual = qs.ca, qs.H.dual
+    table = {}
+    for (i, p), hit in dual.hit_l_leg.table.items():
+        for pp, c in hit.items():
+            for a in range(ca.dim):
+                f = qs.prod.join((a, p))
+                table.setdefault((i, f), {})[qs.prod.join((a, pp))] = c
+    return table
+
+
+def mbia1_tables(dual: DualView) -> Tuple[LegMul, Tensor]:
+    """The action of H (x) H^op on H^* and the paired reassociator
+    sum (X1 (x) x1) (x) (X2 (x) x2) (x) (X3 (x) x3) that mbia1 compared
+    through quasi_associative, built as check_dual_bimodule_algebra
+    built them: the hits of two_sided_hits regrouped by the flat pair."""
+    H = dual.H
+    field = H.field
+    pair = FlatSpace((H.basis, H.basis), field)
+    hits, den = two_sided_hits(H.leg(), H.leg())
+    table = {(pair.join((u, v)), s): dict(vec)
+             for (u, s, v), vec in hits.items()}
+    act = LegMul(pair.basis, dual.basis, dual.basis,
+                 _lowered(field, table, den), field)
+    phi2 = Tensor((pair.basis,) * 3, {
+        tuple(pair.join(uv) for uv in zip(X, x)): c1 * c2
+        for X, c1 in H.phi.data.items() for x, c2 in H.phi_inv.data.items()},
+        field)
+    return act, phi2

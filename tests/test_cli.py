@@ -93,6 +93,29 @@ def test_check_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", (("check",), ("verify", "axioms")))
+def test_singular_reassociator_exits_1(corpus_dir, tmp_path, capsys, suite):
+    # k[Z/2] with Phi = (1 (x) 1 (x) 1 + g (x) g (x) g) / 2 and no
+    # phi-inv: well formed, but Phi is singular (it is an idempotent),
+    # so the input is not a quasi-bialgebra rather than malformed
+    doc = json.loads((corpus_dir / "z2.json").read_text())
+    doc["data"]["phi"] = [[0, 0, 0, 1, 2], [1, 1, 1, 1, 2]]
+    del doc["data"]["phi-inv"]
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *suite, str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: reassociator is not invertible\n"
+
+    # a supplied inverse that fails its check is refused as malformed
+    doc["data"]["phi-inv"] = doc["data"]["phi"]
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *suite, str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: supplied reassociator inverse fails the " \
+        "two-sided check\n"
+
+
 def test_identity_twist_is_fixpoint(corpus_dir, tmp_path, capsys):
     src = corpus_dir / "z3.json"
     doc = sf.parse(src.read_text())

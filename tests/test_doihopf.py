@@ -65,10 +65,10 @@ def test_crossed_smash_direct_table_unchanged(field):
     HHop = H.tensor_with(H.opposite())
     qs = quasi_smash(ba.right)
     sm = smash_product(qs)
-    final = generalized_smash(
-        dual_module_algebra(hhop_module_coalgebra(C, HHop)),
-        crossed_comodule_algebra(ba, HHop, qs, sm))
-    table = crossed_smash_direct(ba, C, qs, sm, final).table
+    cstar = dual_module_algebra(hhop_module_coalgebra(C, HHop))
+    final = generalized_smash(cstar,
+                              crossed_comodule_algebra(ba, HHop, qs, sm))
+    table = crossed_smash_direct(ba, cstar, qs, sm, final).table
     text = repr(sorted((k, sorted(v.items())) for k, v in table.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         CROSSED_DIRECT_SHA256[field.name]

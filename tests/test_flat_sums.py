@@ -23,7 +23,7 @@ from qhopf import (LinearMap, PrimeField, QQ, RightComoduleAlgebra,
                    canonical_bicomodule, canonical_first_module,
                    canonical_right_comodule, canonical_second_module, corpus,
                    crossed_comodule_algebra, crossed_smash_direct,
-                   cyclic_right_submodule, doihopf,
+                   cyclic_right_submodule, doihopf, dual_module_algebra,
                    module_isomorphism, nested_smash_direct, quasi_smash,
                    relative_from_smash_module, relative_from_two_sided,
                    smash_product, twist, two_sided_from_relative,
@@ -31,7 +31,7 @@ from qhopf import (LinearMap, PrimeField, QQ, RightComoduleAlgebra,
 from qhopf.products import HomSmash
 
 from test_cli import fixed_twist
-from test_lifted_builders import _crossed_chain
+from test_lifted_builders import _copy, _crossed_chain
 from test_tables import _function_algebra
 
 FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
@@ -59,15 +59,6 @@ def _skewed_tensor(t, rng, count: int):
     """t with count seeded terms added (_skewed on t read as the graph
     of a map from its leg 0)."""
     return _skewed(LinearMap.from_graph(t), rng, count).graph()
-
-
-def _copy(obj, **attrs):
-    """obj with some attributes replaced, made without the constructor,
-    whose inverse checks a mutant of a reassociator would fail."""
-    cp = object.__new__(type(obj))
-    cp.__dict__ = dict(obj.__dict__)
-    cp.__dict__.update(attrs)
-    return cp
 
 
 def _algebras(field):
@@ -275,7 +266,8 @@ def test_stage_one_on_skewed_coproduct(field):
     which the crossed comodule algebra's reassociator stays invertible;
     for most such mutants its constructor refuses it."""
     H = corpus(field)["z2"]
-    ba, C, qs, sm, _, _, final = _crossed_chain(
+    ba, C, qs, sm, mc, _, final = _crossed_chain(
         _copy(H, comul=_skewed(H.comul, random.Random(0), 2)))
-    assert crossed_smash_direct(ba, C, qs, sm, final).table == \
+    assert crossed_smash_direct(ba, dual_module_algebra(mc), qs, sm,
+                                final).table == \
         ref.crossed_smash_direct(ba, C, qs, sm, final).table

@@ -429,6 +429,61 @@ def test_assemble_call_is_counted():
     assert retired_sites(source, "assemble") == 3
 
 
+# _two_sided_hits (algebra.py), the table of the functionals
+# u -> e^s <- v of a left and a right action on one space, was
+# regrouped by hand through FlatSpace.join in three ways: by the flat
+# pair (u, v) for mbia1 and hhop_module_coalgebra, and by (u, s, v) for
+# two_sided_crossed and crossed_smash_direct. It went when H's
+# two-sided hits became one table (DualView.hits) and C's the action of
+# H (x) H^op on C* (dual_module_algebra of hhop_module_coalgebra), each
+# one sweedler sum that writes the flat index of u (x) v through
+# flat_pairing. Its body is the test-side helper of the references
+# (reference_builders.two_sided_hits).
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_two_sided_hits_retired(path):
+    assert retired_sites(path.read_text(encoding="utf-8"),
+                         "_two_sided_hits") == 0
+
+
+def private_unreferenced(definers):
+    """(file name, line, name) for each module-level def or class of
+    the definer sources whose name starts with an underscore (and is not
+    a dunder) and that no definer source references (_references) but
+    in its own body: a private helper that only tests or no code call."""
+    used = set()
+    for _, source in definers:
+        _references(ast.parse(source), used)
+    return sorted((fname, node.lineno, node.name)
+                  for fname, source in definers
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and
+                  node.name.startswith("_") and
+                  not node.name.endswith("__") and node.name not in used)
+
+
+def test_private_definitions_have_callers():
+    definers = [(p.name, p.read_text(encoding="utf-8"))
+                for p in sorted(SRC.glob("*.py"))]
+    assert private_unreferenced(definers) == []
+
+
+def test_private_unreferenced_is_caught():
+    definers = [("a.py", "def _used():\n"
+                         "    return 1\n"
+                         "def _only_self(n):\n"
+                         "    return _only_self(n - 1)\n"
+                         "def _dead():\n"
+                         "    return 2\n"
+                         "class _Gone:\n"
+                         "    def _method(self):\n"
+                         "        return 3\n"
+                         "def public():\n"
+                         "    return 4\n"),
+                ("b.py", "from .a import _used\n_used()\n")]
+    assert private_unreferenced(definers) == [
+        ("a.py", 3, "_only_self"), ("a.py", 5, "_dead"), ("a.py", 7, "_Gone")]
+
+
 def field_zero_calls(source: str):
     """Line of each call of a method named zero, other than Tensor.zero.
     The product builders of products.py sum lifted int numerators; a

@@ -3,11 +3,16 @@ integers, the module functors that restrict whole action tables, and
 H*'s derived tables against their references (reference_builders.py),
 entry for entry, over Q and GF(7)."""
 
+import random
+
 import pytest
 
 import reference_builders as ref
-from qhopf import (BimoduleCoalgebra, DoiHopfModule, LegMul, LinearMap,
+from qhopf import (BimoduleCoalgebra, DoiHopfModule, FinAlgebra, LegMul,
+                   LinearMap,
                    PrimeField, QQ, RelativeHopfModule, TwoSidedHopfModule,
+                   VerificationReport, check_dual_bimodule_algebra,
+                   flat_pairing, quasihopf,
                    algebra_action_from_doi, canonical_bicomodule,
                    canonical_bimodule_coalgebra, canonical_first_module,
                    canonical_right_comodule, canonical_second_module, corpus,
@@ -20,6 +25,8 @@ from qhopf import (BimoduleCoalgebra, DoiHopfModule, LegMul, LinearMap,
                    relative_from_two_sided, smash_action_from_two_sided,
                    smash_product, transport_module,
                    two_sided_from_relative, two_sided_from_smash_module)
+from qhopf.algebra import quasi_associative
+from test_quasihopf import CORPUS_KEYS
 
 FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
                                  ids=("Q", "GF7"))
@@ -47,6 +54,15 @@ def _bumped_leg(f: LegMul, key, idx) -> LegMul:
         del row[idx]
     return LegMul(f.left, f.right, f.out,
                   {k: v for k, v in table.items() if v}, field)
+
+
+def _copy(obj, **attrs):
+    """obj with some attributes replaced, made without the constructor,
+    whose inverse checks a mutant of a reassociator would fail."""
+    cp = object.__new__(type(obj))
+    cp.__dict__ = dict(obj.__dict__)
+    cp.__dict__.update(attrs)
+    return cp
 
 
 def _is_clean(table) -> bool:
@@ -122,11 +138,12 @@ def test_crossed_smash_direct_matches_reference(key, field):
     raised, Delta(c_0) at (c_0, c_1). On z2_quasi, with that change,
     sums of nonzero terms cancel to zero at some entries and at every
     entry of 32 pairs, so a stored zero or an empty row would show."""
-    ba, C, qs, sm, _, _, final = _crossed_chain(corpus(field)[key])
+    ba, C, qs, sm, mc, _, final = _crossed_chain(corpus(field)[key])
     bumped = BimoduleCoalgebra(C.H, C.basis, _bumped(C.comul, 0, (0, 1)),
                                C.counit, C.left_action, C.right_action)
     for coalg in (C, bumped):
-        new = crossed_smash_direct(ba, coalg, qs, sm, final)
+        cstar = dual_module_algebra(hhop_module_coalgebra(coalg, mc.H))
+        new = crossed_smash_direct(ba, cstar, qs, sm, final)
         assert new.table == ref.crossed_smash_direct(
             ba, coalg, qs, sm, final).table
         assert _is_clean(new.table)
@@ -271,3 +288,62 @@ def test_dual_tables_match_reference(key, field, subgroup_comodule):
         new_star, old_star = dual_module_algebra(mc), ref.dual_module_algebra(mc)
         assert new_star.algebra == old_star.algebra
         _same_maps(new_star, old_star, ("action",))
+
+
+# ----------------------------------------------------------------------
+# the two-sided hits are one table, DualView.hits
+
+
+def _nonassociative(H):
+    """H with the coefficient of e_2 in e_1 e_2 raised by one, copied
+    past the constructor (whose check of the supplied Phi^{-1} it may
+    fail), so that v (w u) and (v w) u differ for some basis vectors."""
+    field = H.field
+    mult = dict(H.algebra.mult)
+    row = mult[(1, 2)] = dict(mult.get((1, 2), {}))
+    row[2] = row.get(2, field.zero()) + field.one()
+    Hm = _copy(H, algebra=FinAlgebra(H.basis, mult, H.algebra.unit, field))
+    assert Hm.algebra.is_associative() is not None
+    return Hm
+
+
+@FIELDS
+@pytest.mark.parametrize("key", CORPUS_KEYS + ("nongroup", "nonassoc"))
+def test_two_sided_hits_match_reference(key, field, nongroup):
+    """DualView.hits, the reassociator of H (x) H^op that mbia1 pairs
+    from Phi and Phi^{-1}, QuasiSmash's H-action and, off the corpus,
+    hhop_module_coalgebra against the hand-indexed loops they replaced
+    (reference_builders.two_sided_hits and its regroupings), entry for
+    entry; and mbia1 against quasi_associative over the reference
+    tables, record for record. On the non-associative mutant the hits
+    must keep their association v (w u) for the counterexample to stay
+    the same."""
+    base = nongroup(field) if key == "nongroup" else \
+        corpus(field)["z2z2_twisted" if key == "nonassoc" else key]
+    H = _nonassociative(base) if key == "nonassoc" else base
+    dual = H.dual
+    act, phi2 = ref.mbia1_tables(dual)
+    assert (dual.hits.left, dual.hits.right, dual.hits.out) == \
+        (act.left, act.right, act.out)
+    assert dual.hits.table == act.table and _is_clean(act.table)
+    hh = flat_pairing(H.basis, H.basis, act.left, field)
+    assert quasihopf._paired_legs(hh, H.phi, H.phi_inv) == phi2
+
+    conv = dual.conv.as_leg()
+    want = VerificationReport("mbia1", {})
+    want.check_same("mbia1", *quasi_associative(conv, conv, act, act, phi2))
+    got = [r for r in check_dual_bimodule_algebra(dual).records
+           if r.tag == "mbia1"]
+    assert [r.as_dict() for r in got] == [want.records[0].as_dict()]
+    assert got[0].passed == (key != "nonassoc")
+
+    ca = canonical_right_comodule(base)
+    if key == "nonassoc":
+        ca = _copy(ca, H=H, algebra=H.algebra)
+    qs = quasi_smash(ca)
+    assert qs.action.table == ref.quasi_smash_hit_action(qs)
+    if key in ("nongroup", "nonassoc"):
+        C = canonical_bimodule_coalgebra(H)
+        HHop = base.tensor_with(base.opposite())
+        _same_maps(hhop_module_coalgebra(C, HHop),
+                   ref.hhop_module_coalgebra(C, HHop), ("action",))
