@@ -6,7 +6,7 @@ check is an exact equality of sparse tensors with no tolerance.
 """
 
 from .fields import Field, Fp, PrimeField, QQ, RationalField, parse_field
-from .tensor import Basis, FlatSpace, LinearMap, Tensor, product_basis
+from .tensor import Basis, LinearMap, Tensor, product_basis
 from .linalg import RowSpan, solve_linear
 from .algebra import (FinAlgebra, LegMul, flat_pairing,
                       invert_in_tensor_algebra, invert_linear_map, mul_legs,
@@ -37,7 +37,7 @@ from .hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
                       module_isomorphism, relative_from_smash_module,
                       relative_from_two_sided,
                       seeded_cyclic_module, smash_action_from_two_sided,
-                      smash_index, transport_module,
+                      transport_module,
                       two_sided_from_relative, two_sided_from_smash_module,
                       verify_canonical_modules,
                       verify_module_correspondence)

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .fields import Field, QQ
 from .linalg import invert_matrix_map, solve_linear
-from .tensor import Basis, FlatSpace, LinearMap, Tensor
+from .tensor import Basis, LinearMap, Tensor
 
 
 def _clean_table(table):
@@ -72,22 +72,30 @@ class LegMul:
         return self._lifted
 
 
+def _flat_keys(*dims: int) -> list:
+    """Every index tuple of a tensor product of spaces of these
+    dimensions, in itertools.product order, the order product_basis
+    lists labels in: the flat index of a tuple is its position here.
+    This is the one flattening rule; flat_pairing and ProductAlgebra's
+    keys are built from it."""
+    return list(itertools.product(*map(range, dims)))
+
+
 @cache
 def flat_pairing(left: Basis, right: Basis, out: Basis,
                  field: Field = QQ) -> LegMul:
-    """The row-major pairing e_i (x) e_j -> e_{i dim(right) + j} of out,
-    the flattened basis of left (x) right: a FlatSpace's own basis, or
-    that of H (x) H^op paired from two legs of H. As a sweedler term
-    (pairing, t1, t2) it writes two terms into one flat leg. Built on
-    first use and kept; ValueError unless dim(out) = dim(left)
-    dim(right)."""
-    n = right.dim
-    if out.dim != left.dim * n:
+    """The pairing e_i (x) e_j -> e_k of out, k the flat index of (i, j)
+    (_flat_keys): out is the flattened basis of left (x) right, a
+    ProductAlgebra's own basis, or that of H (x) H^op paired from two
+    legs of H. As a sweedler term (pairing, t1, t2) it writes two terms
+    into one flat leg. Built on first use and kept; ValueError unless
+    dim(out) = dim(left) dim(right)."""
+    keys = _flat_keys(left.dim, right.dim)
+    if out.dim != len(keys):
         raise ValueError("the flat basis is not the size of its factors")
     one = field.one()
-    return LegMul(left, right, out, {(i, j): {i * n + j: one}
-                                     for i in range(left.dim)
-                                     for j in range(n)}, field)
+    return LegMul(left, right, out, {key: {k: one}
+                                     for k, key in enumerate(keys)}, field)
 
 
 def _lift_rows(field: Field, table):
@@ -351,8 +359,8 @@ def _grid(field: Field, *bases: Basis) -> Tensor:
     bases: as a sweedler source, one term per tuple of basis inputs,
     each read through its legs as often as a formula needs it."""
     one = field.one()
-    return Tensor(bases, {idx: one for idx in itertools.product(
-        *(range(b.dim) for b in bases))}, field)
+    return Tensor(bases, {idx: one for idx in _flat_keys(
+        *(b.dim for b in bases))}, field)
 
 
 class FinAlgebra:
@@ -822,24 +830,25 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
     """
     legs = tuple(a.as_leg() for a in algebras)
     field = x.field
-    flat = FlatSpace(tuple(a.basis for a in algebras), field)
-    spaces, total = flat.factors, flat.dim
+    spaces = tuple(a.basis for a in algebras)
+    keys = _flat_keys(*(b.dim for b in spaces))
+    flat = {key: k for k, key in enumerate(keys)}
     unit = tensor_unit(algebras)
-    # rows of the system:  sum_b M[a, b] y_b = unit_a, M[:, b] = x * e_b
-    rows = [dict() for _ in range(total)]
-    for b in range(total):
-        eb = Tensor(spaces, {flat.split(b): field.one()}, field)
-        col = mul_legs(legs, x, eb)
+    # rows of the system:  sum_b M[a, b] y_b = unit_a, M[:, b] = x * e_b,
+    # a and b flat indices
+    rows = [dict() for _ in keys]
+    for b, key in enumerate(keys):
+        col = mul_legs(legs, x, Tensor(spaces, {key: field.one()}, field))
         for idx, c in col.data.items():
-            rows[flat.join(idx)][b] = c
-    rhs = [unit.data.get(flat.split(a), field.zero()) for a in range(total)]
+            rows[flat[idx]][b] = c
+    rhs = [unit.data.get(key, field.zero()) for key in keys]
     try:
         sol = solve_linear(rows, rhs, field)
     except ArithmeticError:
         return None
     if sol is None:
         return None
-    y = Tensor(spaces, {flat.split(b): c for b, c in sol.items()}, field)
+    y = Tensor(spaces, {keys[b]: c for b, c in sol.items()}, field)
     if mul_legs(legs, x, y) != unit or mul_legs(legs, y, x) != unit:
         return None
     return y

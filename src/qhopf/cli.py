@@ -38,7 +38,16 @@ SUITES = ("axioms", "identities", "tilde", "dual-algebra", "heisenberg",
           "crossed-product", "hom-smash", "modules", "crossed-modules",
           "classical")
 
-PRODUCT_KINDS = ("smash", "quasi-smash", "generalized-smash", "two-sided")
+# the files each product kind reads, in order
+PRODUCT_FILES = {
+    "smash": ("a module-algebra file",),
+    "quasi-smash": ("a right comodule-algebra file",),
+    "generalized-smash": ("a module-algebra file",
+                          "a left comodule-algebra file"),
+    "two-sided": ("a right comodule-algebra file",
+                  "a left comodule-algebra file"),
+}
+PRODUCT_KINDS = tuple(PRODUCT_FILES)
 
 
 def _read(path: str) -> str:
@@ -61,8 +70,11 @@ def _load_hopf(path: str) -> QuasiHopfAlgebra:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise sf.SpecError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _emit(rep: VerificationReport, args) -> int:
@@ -155,39 +167,38 @@ def cmd_derive(args) -> int:
 
 def cmd_product(args) -> int:
     kind = args.product_kind
+    needs = "%s needs %s" % (kind, " and ".join(PRODUCT_FILES[kind]))
+    if len(args.files) != len(PRODUCT_FILES[kind]):
+        raise sf.SpecError("%s, got %d file%s" % (
+            needs, len(args.files), "" if len(args.files) == 1 else "s"))
     texts = {p: _read(p) for p in args.files}
     objs = [sf.from_doc(sf.parse(texts[p])) for p in args.files]
     if kind == "smash":
         (ma,) = objs
         if not isinstance(ma, LeftModuleAlgebra):
-            raise sf.SpecError("smash needs a module-algebra file")
+            raise sf.SpecError(needs)
         prod = smash_product(ma)
         out_doc = sf.algebra_to_doc(prod.alg, name=prod.name)
     elif kind == "quasi-smash":
         (ca,) = objs
         if not isinstance(ca, RightComoduleAlgebra):
-            raise sf.SpecError("quasi-smash needs a right comodule-algebra "
-                               "file")
+            raise sf.SpecError(needs)
         qs = quasi_smash(ca)
         out_doc = sf.module_algebra_to_doc(qs)
     elif kind == "generalized-smash":
         ma, cb = objs
         if not isinstance(ma, LeftModuleAlgebra) or \
                 not isinstance(cb, LeftComoduleAlgebra):
-            raise sf.SpecError("generalized-smash needs a module-algebra "
-                               "file and a left comodule-algebra file")
+            raise sf.SpecError(needs)
         prod = generalized_smash(ma, cb)
         out_doc = sf.algebra_to_doc(prod.alg, name=prod.name)
-    elif kind == "two-sided":
+    else:
         rca, lcb = objs
         if not isinstance(rca, RightComoduleAlgebra) or \
                 not isinstance(lcb, LeftComoduleAlgebra):
-            raise sf.SpecError("two-sided needs a right and a left "
-                               "comodule-algebra file")
+            raise sf.SpecError(needs)
         prod = two_sided_crossed(rca, lcb)
         out_doc = sf.algebra_to_doc(prod.alg, name=prod.name)
-    else:
-        raise sf.SpecError("unknown product kind %r" % kind)
     out_doc["provenance"] = sf.provenance("product:" + kind, texts)
     _write(args.out, sf.serialize(out_doc))
     return 0
@@ -225,8 +236,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    entries = corpus(parse_field(args.field))
-    os.makedirs(args.out, exist_ok=True)
+    entries = corpus(args.field)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise sf.SpecError("cannot write %s: %s" % (args.out, exc)) from exc
     for key, H in entries.items():
         prov = sf.provenance("corpus:" + key)
         path = os.path.join(args.out, key + ".json")
@@ -246,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized instances")
     parser.add_argument("--field", default="Q",
-                        help="scalar field: Q or GF(p)")
+                        help="scalar field of the corpus: Q or GF(p); a "
+                             "spec file carries its own")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True,
                      help="JSON report output (default)")
@@ -291,6 +306,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.field = parse_field(args.field)
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)

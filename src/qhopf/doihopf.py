@@ -21,7 +21,8 @@ of H (x) H^op on a bimodule coalgebra, the C* >< B action read back
 from a Doi-Hopf module, the crossed coaction, its reassociator and the
 nested smash product's table are each one Sweedler sum (sweedler in
 algebra.py) over graphs of structure maps, the legs of H (x) H^op,
-C* >< B and (A (x) H*) # H written by flat_pairing.
+C* >< B and (A (x) H*) # H written by flat_pairing; any other flat
+index is read from the keys of the product algebra that owns it.
 Every axiom check compares two whole tables (check_same); bmc1,
 dhm1, tstc1 and tstc2 state each side of a coassociativity up to
 the reassociators as one map (sandwich in algebra.py), and the two
@@ -44,7 +45,7 @@ from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                     canonical_bicomodule, check_left_comodule_algebra)
 from .hopfmod import (TwoSidedHopfModule, check_two_sided_hopf_module,
                       cyclic_right_submodule,
-                      smash_action_from_two_sided, smash_index,
+                      smash_action_from_two_sided,
                       two_sided_from_smash_module)
 from .products import (ProductAlgebra, QuasiSmash, generalized_smash,
                        quasi_smash, smash_product)
@@ -219,14 +220,15 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
     (_restrict), whose leg c_i is moved in front."""
     field = cb.field
     basis = action.left
+    flat = gsm.flat
     # eps, the unit of C*, is the counit read over the dual basis
     r_action = LegMul(basis, cb.basis, basis, _restrict(action, [
-        Tensor.from_sparse(gsm.basis, {gsm.join((u, b)): col[()]
+        Tensor.from_sparse(gsm.basis, {flat[u, b]: col[()]
                                        for u, col in mc.counit.cols.items()},
                            field) for b in range(cb.dim)]), field)
 
     units = Tensor((gsm.basis, mc.basis), {
-        (gsm.join((i, b)), i): c for i in range(mc.dim)
+        (flat[i, b], i): c for i in range(mc.dim)
         for (b,), c in cb.unit().data.items()}, field)
     coaction = LinearMap(basis, (mc.basis, basis), {
         m: {(i, k): c for (k, i), c in vec.items()}
@@ -455,7 +457,6 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, cstar: LeftModuleAlgebra,
     H = qs.H
     field = H.field
     A = ba.algebra
-    nest = smash_index(qs, sm)
     hmult, dh = H.leg().lifted()
     amult, da = A.as_leg().lifted()
     # products of two hits u -> e^s <- v on C (C*'s action) and on H
@@ -520,11 +521,20 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, cstar: LeftModuleAlgebra,
         return tuple((key, avs) for key, avs in
                      ((key, _pairs(vec)) for key, vec in merged.items()) if avs)
 
+    # the (a, p, h) of each basis vector (a # e^p) # e_h of sm, read
+    # through the keys of sm and of A # H*, and the flat index in final
+    # of c* >< ((a # e^p) # e_h), by (c*, p, h) and then by a
+    nest = [qs.prod.keys[u] + (h,) for u, h in sm.keys]
+    place: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+    for k, (c, g) in enumerate(final.keys):
+        a, p, h = nest[g]
+        place.setdefault((c, p, h), {})[a] = k
+
     def evaluate(i: int, j: int) -> Dict[int, int]:
-        s, g = final.split(i)
-        t, g2 = final.split(j)
-        a, p, h = nest.split(g)
-        a2, q, h2 = nest.split(g2)
+        s, g = final.keys[i]
+        t, g2 = final.keys[j]
+        a, p, h = nest[g]
+        a2, q, h2 = nest[g2]
         out: Dict[int, int] = {}
         for (l1, L1, dl, L2, L3, pl, L4, r3, L5), avs in stage_two(h, a, a2):
             cd = cprod(l1, s, L1, dl, t, L2)
@@ -541,8 +551,9 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, cstar: LeftModuleAlgebra,
                     c1 = cc * fc
                     for tw, tc in tvec:
                         c2 = c1 * tc
+                        at = place[cw, fw, tw]
                         for av, base in avs:
-                            k = final.join((cw, nest.join((av, fw, tw))))
+                            k = at[av]
                             out[k] = out.get(k, 0) + base * c2
         return out
 

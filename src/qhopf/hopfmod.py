@@ -29,8 +29,8 @@ import random
 from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (LegMul, _chain, _clean_table, _contract, _grid,
-                      _lift_map, _lift_rows, _mul, _pairs, _restrict,
+from .algebra import (LegMul, _chain, _clean_table, _contract, _flat_keys,
+                      _grid, _lift_map, _lift_rows, _mul, _pairs, _restrict,
                       actions_commute, counit_identity, equivariant_action,
                       flat_pairing, left_action_assoc, left_action_unit,
                       mul_legs, multiplicative, quasi_associative,
@@ -41,7 +41,7 @@ from .linalg import RowSpan
 from .products import ProductAlgebra, QuasiSmash, quasi_smash, smash_product
 from .quasihopf import QuasiHopfAlgebra
 from .report import VerificationReport
-from .tensor import Basis, FlatSpace, LinearMap, Tensor, product_basis
+from .tensor import Basis, LinearMap, Tensor, product_basis
 
 
 # ----------------------------------------------------------------------
@@ -291,13 +291,15 @@ def verify_canonical_modules(ca: RightComoduleAlgebra) -> VerificationReport:
 
 
 def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
-                    right: Basis, join) -> LegMul:
+                    right: Basis) -> LegMul:
     """The table of the right action shared by both forward functors:
 
         m (a # e^p) [h] = sum e^p(S^{-1}(F2 m_(1) a_(1) p~2))
                               (lead m_(0))(a_(0) p~1),   lead = leads[h][F1],
 
-    stored at (m, join(a, p, h)). The sum is staged over lifted tables
+    stored at m and the flat index of (a, p, h) (_flat_keys), which is
+    that of (a # e^p) # e_h in (A # H*) # H, and of a # e^p in A # H*
+    when there is one lead. The sum is staged over lifted tables
     (fields.py): S^{-1}(F2 m_(1) a_(1) p~2) is formed once per (F2,
     m_(1), a_(1), p~2) from the structure constants of H and S^{-1}, and
     e^p reads its p-th coordinate; (lead m_(0))(a_(0) p~1) is formed once
@@ -330,6 +332,8 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
         return _pairs(_mul(ract, moved, am.get((a0, p1), ())))
 
     den = dF * dm * dac * dp * dh ** 3 * dsi * dlead * dl * da * dr
+    flat = {key: k for k, key in enumerate(_flat_keys(A.dim, H.dim,
+                                                      len(leads)))}
     table = {}
     for m in range(M.dim):
         m_terms = m_cols.get(m, ())
@@ -358,7 +362,7 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
                 for p, row in rows.items():
                     vec = field.lower(row, den)
                     if vec:
-                        table[(m, join(a, p, h))] = vec
+                        table[(m, flat[a, p, h])] = vec
     return LegMul(M.basis, right, M.basis, table, field)
 
 
@@ -385,8 +389,7 @@ def relative_from_two_sided(M: TwoSidedHopfModule,
         M.left_action, [H.S(H.S(H.e(i))) for i in range(H.dim)], left=True),
         field)
     r_action = _forward_action(
-        M, K, [{k1: H.e(k1) for k1 in range(H.dim)}], qs.basis,
-        lambda a, p, h: qs.prod.join((a, p)))
+        M, K, [{k1: H.e(k1) for k1 in range(H.dim)}], qs.basis)
     return RelativeHopfModule(qs, M.basis, h_action, r_action, name=M.name)
 
 
@@ -441,13 +444,6 @@ def two_sided_from_relative(N: RelativeHopfModule,
 
 # ----------------------------------------------------------------------
 # transport of right modules over (A # H*) # H
-
-
-def smash_index(qs: QuasiSmash, sm: ProductAlgebra) -> FlatSpace:
-    """The basis of sm = (A # H*) # H read as the row-major product of A,
-    H* and H: split(g) is the (a, p, h) of the g-th basis vector
-    (a # e^p) # e_h, and join inverts it."""
-    return FlatSpace(qs.prod.factors + sm.factors[1:], sm.field)
 
 
 def relative_from_smash_module(qs: QuasiSmash, sm: ProductAlgebra,
@@ -532,13 +528,14 @@ def smash_action_from_two_sided(M: TwoSidedHopfModule, qs: QuasiSmash,
     built by _forward_action with F = f and lead = S(h) f1 (S(h) formed
     before f1 multiplies it): S^{-1}(f2 m_(1) a_(1) p~2) is formed once
     per (f2, m_(1), a_(1), p~2) and (S(h) f1 m_(0))(a_(0) p~1) once per
-    (h, f1, m_(0), a_(0), p~1)."""
+    (h, f1, m_(0), a_(0), p~1). The table is keyed by the flat index of
+    (a, p, h), so sm must be the smash product of qs with H."""
     H = M.H
-    nest = smash_index(qs, sm)
+    if sm.factors != (qs.basis, H.basis):
+        raise ValueError("sm is not the smash product of qs with H")
     leads = [{f1: H.mul(H.S(H.e(h)), H.e(f1)) for f1 in range(H.dim)}
              for h in range(H.dim)]
-    return _forward_action(M, H.derived.f, leads, sm.basis,
-                           lambda a, p, h: nest.join((a, p, h)))
+    return _forward_action(M, H.derived.f, leads, sm.basis)
 
 
 # ----------------------------------------------------------------------

@@ -16,21 +16,23 @@ from __future__ import annotations
 from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (FinAlgebra, LegMul, _chain, _contract, _grid,
-                      _hit_products, _lift_map, _lift_rows, _lift_vector, _mul,
-                      _pairs, _side, _times, as_table, flat_pairing, sweedler)
+from .algebra import (FinAlgebra, LegMul, _chain, _contract, _flat_keys,
+                      _grid, _hit_products, _lift_map, _lift_rows,
+                      _lift_vector, _mul, _pairs, _side, _times, as_table, flat_pairing, sweedler)
 from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
                     RightComoduleAlgebra, canonical_left_comodule,
                     canonical_right_comodule)
 from .fields import Field
 from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 from .report import VerificationReport
-from .tensor import Basis, FlatSpace, LinearMap, Tensor
+from .tensor import Basis, LinearMap, Tensor, product_basis
 
 
-class ProductAlgebra(FlatSpace):
+class ProductAlgebra:
     """An algebra whose basis is the flattened tensor product of factor
-    bases.
+    bases. keys lists the per-factor index tuples in basis order
+    (algebra._flat_keys), so the g-th basis vector is the tensor product
+    of the basis vectors keys[g], and flat inverts it.
 
     The evaluator is called once per row of the multiplication table:
     evaluator(key1) receives the per-factor index tuple of the left basis
@@ -47,11 +49,14 @@ class ProductAlgebra(FlatSpace):
 
     def __init__(self, factors: Tuple[Basis, ...], evaluator, den: int,
                  unit: Tensor, field, name: str = ""):
-        super().__init__(factors, field)
+        self.factors = tuple(factors)
+        self.basis = product_basis(*self.factors)
+        self.field = field
         self.name = name or self.basis.name
+        self.keys = keys = _flat_keys(*(b.dim for b in self.factors))
+        self.flat = flat = {key: i for i, key in enumerate(keys)}
+        self.dim = len(keys)
         lower = field.lower
-        keys = [self.split(i) for i in range(self.dim)]
-        flat = {key: i for i, key in enumerate(keys)}
         mult = {}
         for i, key1 in enumerate(keys):
             col = evaluator(key1)
@@ -64,20 +69,21 @@ class ProductAlgebra(FlatSpace):
         self.alg = FinAlgebra(self.basis, mult, self.flatten(unit), field)
 
     def flatten(self, t: Tensor) -> Tensor:
-        """pack for a tensor with exactly the factor legs."""
+        """A tensor with exactly the factor legs as a vector of the flat
+        basis."""
         if t.spaces != self.factors:
             raise ValueError("factor legs do not match")
-        return self.pack(t)
+        return Tensor((self.basis,), {(self.flat[idx],): c for idx, c in
+                                      t.data.items()}, self.field)
 
     def unflatten(self, t: Tensor) -> Tensor:
-        return self.unpack(t)
-
-    def e(self, *idx: int) -> Tensor:
-        return Tensor((self.basis,), {(self.join(idx),): self.field.one()},
-                      self.field)
-
-    def unit_tensor(self) -> Tensor:
-        return self.alg.unit_tensor()
+        """Leg 0 of t, on the flat basis, split back into the factor
+        legs; the other legs are carried."""
+        if t.spaces[0] != self.basis:
+            raise ValueError("leg 0 is not the flattened basis")
+        return Tensor(self.factors + t.spaces[1:], {
+            self.keys[idx[0]] + idx[1:]: c for idx, c in t.data.items()},
+            self.field)
 
 
 # ----------------------------------------------------------------------
@@ -172,9 +178,11 @@ class QuasiSmash(LeftModuleAlgebra):
         super().__init__(H, self.prod.alg, action, name=self.prod.name)
 
     def element(self, a: Tensor, phi: Tensor) -> Tensor:
+        """a # phi as a vector of the flat basis (flatten)."""
         return self.prod.flatten(a.tensor(phi))
 
     def parts(self, t: Tensor) -> Tensor:
+        """A vector of the flat basis on the legs A and H* (unflatten)."""
         return self.prod.unflatten(t)
 
 
@@ -441,7 +449,7 @@ def _same_table(rep: VerificationReport, tag: str, p1: ProductAlgebra,
         return
     rep.check_same(tag, p1.alg.as_leg(), p2.alg.as_leg())
     rep.check_bool(tag + "-unit",
-                   p1.unit_tensor().data == p2.unit_tensor().data)
+                   p1.alg.unit_tensor().data == p2.alg.unit_tensor().data)
 
 
 def verify_crossed_decomposition(H: QuasiBialgebra) -> VerificationReport:
@@ -728,7 +736,7 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
 
     # the sides as tables on the inputs, keyed inputs + (image, argument)
     # as _map_tensor lays out an endomorphism
-    join, split = qs.prod.join, qs.prod.split
+    flat, keys = qs.prod.flat, qs.prod.keys
     mus, dmu = hd._mu, hd._dmu
     W = {ia: hd._right_stage(cols) for ia, cols in mus.items()}
     G = {ia: hd._left_stage(cols) for ia, cols in mus.items()}
@@ -737,7 +745,7 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
     def add_mu(acc, inputs, vec):
         # sum of c mu(e_f) over the (flat index f, c) pairs of vec
         for f, c in vec:
-            for k, col in mus[split(f)].items():
+            for k, col in mus[keys[f]].items():
                 for r, cr in col:
                     key = inputs + (r, k)
                     acc[key] = acc.get(key, 0) + c * cr
@@ -752,7 +760,7 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
     rep.check_same("mu-multiplicative", _side(
         (n,) * 4, spaces, field, dprod * dmu,
         lambda acc, i, a, j, b: add_mu(
-            acc, (i, a, j, b), prod.get((join((i, a)), join((j, b))), ()))),
+            acc, (i, a, j, b), prod.get((flat[i, a], flat[j, b]), ()))),
         _side((n,) * 4, spaces, field, dmu * dmu * hd._dW * hd._dh,
               lambda acc, i, a, j, b: add_staged(
                   acc, (i, a, j, b), W[(j, b)], G[(i, a)])))
@@ -766,7 +774,7 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
     rep.check_same("mu-equivariant", _side(
         (n,) * 3, spaces, field, dact * dmu,
         lambda acc, h, i, a: add_mu(acc, (h, i, a),
-                                    act.get((h, join((i, a))), ()))),
+                                    act.get((h, flat[i, a]), ()))),
         _side((n,) * 3, spaces, field, dd * hd._dA * dmu * hd._dh,
               lambda acc, h, i, a: add_staged(acc, (h, i, a), A[h],
                                               G[(i, a)])))
@@ -782,7 +790,7 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
         (n, n), spaces, field, hd._dunit * dmu * hd._dW * hd._dh,
         both_sides),
         _side((n, n), spaces, field, dmu, lambda acc, i, a: add_mu(
-            acc, (i, a), ((join((i, a)), 2),))))
+            acc, (i, a), ((flat[i, a], 2),))))
     return rep
 
 
@@ -872,7 +880,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
     dual = H.dual
     hs = HomSmash(ca)
     qs = quasi_smash(ca)
-    factors, split = qs.prod.factors, qs.prod.split
+    factors, keys = qs.prod.factors, qs.prod.keys
 
     # every e_a # e^p, inputs (a, p), and every map e_k -> e_i, inputs
     # (i, k), each as its family
@@ -884,7 +892,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
         _family(maps)))), 2), as_table(maps, 2))
 
     prods = Tensor(factors * 3, {
-        split(f) + split(g) + split(k): c
+        keys[f] + keys[g] + keys[k]: c
         for (f, g), vec in qs.algebra.mult.items() for k, c in vec.items()},
         field)
     rep.check_same("nu-multiplicative", as_table(_map_tensor(hs.nu(prods)), 4),
@@ -894,7 +902,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
                    _map_tensor(hs.unit()))
 
     acted = Tensor((H.basis,) + factors * 2, {
-        (h,) + split(f) + split(k): c
+        (h,) + keys[f] + keys[k]: c
         for (h, f), vec in qs.action.table.items() for k, c in vec.items()},
         field)
     rep.check_same("nu-equivariant", as_table(_map_tensor(hs.nu(acted)), 3),

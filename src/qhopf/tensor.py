@@ -62,51 +62,6 @@ def product_basis(*bases: Basis) -> Basis:
     return Basis(labels, name)
 
 
-class FlatSpace:
-    """A tensor product of factor bases flattened row-major into one
-    basis (product_basis), with the index maps between the two forms."""
-
-    def __init__(self, factors: Sequence[Basis], field: Field = QQ):
-        self.factors = tuple(factors)
-        self.dims = tuple(b.dim for b in self.factors)
-        self.basis = product_basis(*self.factors)
-        self.field = field
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def split(self, i: int) -> tuple:
-        out = []
-        for d in reversed(self.dims):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
-
-    def join(self, idx: Sequence[int]) -> int:
-        f = 0
-        for i, d in zip(idx, self.dims):
-            f = f * d + i
-        return f
-
-    def pack(self, t: "Tensor") -> "Tensor":
-        """Flatten the first len(factors) legs of t into one leg."""
-        k = len(self.factors)
-        if t.spaces[:k] != self.factors:
-            raise ValueError("leading legs do not match the factors")
-        return Tensor((self.basis,) + t.spaces[k:],
-                      {(self.join(idx[:k]),) + idx[k:]: c
-                       for idx, c in t.data.items()}, self.field)
-
-    def unpack(self, t: "Tensor") -> "Tensor":
-        """Split leg 0 back into the factors."""
-        if t.spaces[0] != self.basis:
-            raise ValueError("leg 0 is not the flattened basis")
-        return Tensor(self.factors + t.spaces[1:],
-                      {self.split(idx[0]) + idx[1:]: c
-                       for idx, c in t.data.items()}, self.field)
-
-
 class Tensor:
     """Sparse element of a tensor product of based spaces."""
 

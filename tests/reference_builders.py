@@ -16,6 +16,16 @@ compared tables on every basis input at once, and transport_module as
 it was before each action became one sweedler sum over graphs.
 tests/test_products.py checks the package against them, on mutants.
 
+Row-major index arithmetic: FlatSpace (tensor.py) and smash_index
+(hopfmod.py) as they were before every flat index of the package came
+to be read from a ProductAlgebra's keys or written by flat_pairing, and
+invert_in_tensor_algebra (algebra.py) as it was then. The references
+index through them, ProductAlgebra's split and join written as a
+FlatSpace of its factors; tests/test_products.py and
+tests/test_staged_kernels.py use them as a second form of the
+flattening rule, and tests/test_algebra.py checks the package's
+invert_in_tensor_algebra against the copy.
+
 The per-term sum they share: assemble, the body of
 QuasiBialgebra.assemble as it was before the package dropped the method
 (every Sweedler sum there is one algebra.sweedler). It adds each
@@ -98,22 +108,110 @@ from __future__ import annotations
 import itertools
 import time
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from qhopf.algebra import (FinAlgebra, LegMul, _clean_table, _lowered,
-                          _times, _transpose, mul_legs, sandwich, sweedler)
+                          _times, _transpose, mul_legs, sandwich, sweedler,
+                          tensor_unit)
 from qhopf.coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
                          LeftModuleAlgebra, RightComoduleAlgebra,
                          RightModuleCoalgebra)
 from qhopf.doihopf import (BimoduleCoalgebra, CrossedHopfModule,
                            DoiHopfModule)
 from qhopf.hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
-                           smash_action_from_two_sided, smash_index)
+                           smash_action_from_two_sided)
 from qhopf.fields import Field, QQ
+from qhopf.linalg import solve_linear
 from qhopf.products import ProductAlgebra, QuasiSmash, quasi_smash
 from qhopf.quasihopf import DualView, QuasiBialgebra, QuasiHopfAlgebra
 from qhopf.report import CheckRecord, VerificationReport, scalar_str
-from qhopf.tensor import Basis, FlatSpace, LinearMap, Tensor
+from qhopf.tensor import Basis, LinearMap, Tensor, product_basis
+
+
+class FlatSpace:
+    """A tensor product of factor bases flattened row-major into one
+    basis (product_basis), with the index maps between the two forms.
+    The package's tensor.FlatSpace before flat indices came to be read
+    from a ProductAlgebra's keys or written by flat_pairing: the
+    row-major arithmetic the references below index through."""
+
+    def __init__(self, factors, field: Field = QQ):
+        self.factors = tuple(factors)
+        self.dims = tuple(b.dim for b in self.factors)
+        self.basis = product_basis(*self.factors)
+        self.field = field
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    def split(self, i: int) -> tuple:
+        out = []
+        for d in reversed(self.dims):
+            out.append(i % d)
+            i //= d
+        return tuple(reversed(out))
+
+    def join(self, idx) -> int:
+        f = 0
+        for i, d in zip(idx, self.dims):
+            f = f * d + i
+        return f
+
+    def pack(self, t: Tensor) -> Tensor:
+        """Flatten the first len(factors) legs of t into one leg."""
+        k = len(self.factors)
+        if t.spaces[:k] != self.factors:
+            raise ValueError("leading legs do not match the factors")
+        return Tensor((self.basis,) + t.spaces[k:],
+                      {(self.join(idx[:k]),) + idx[k:]: c
+                       for idx, c in t.data.items()}, self.field)
+
+    def unpack(self, t: Tensor) -> Tensor:
+        """Split leg 0 back into the factors."""
+        if t.spaces[0] != self.basis:
+            raise ValueError("leg 0 is not the flattened basis")
+        return Tensor(self.factors + t.spaces[1:],
+                      {self.split(idx[0]) + idx[1:]: c
+                       for idx, c in t.data.items()}, self.field)
+
+
+def smash_index(qs: QuasiSmash, sm: ProductAlgebra) -> FlatSpace:
+    """The basis of sm = (A # H*) # H read as the row-major product of A,
+    H* and H: split(g) is the (a, p, h) of the g-th basis vector
+    (a # e^p) # e_h, and join inverts it."""
+    return FlatSpace(qs.prod.factors + sm.factors[1:], sm.field)
+
+
+def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optional[Tensor]:
+    """Two-sided inverse of x in the tensor product algebra, or None.
+
+    Solves the left-multiplication system exactly, then verifies both
+    x * y = 1 and y * x = 1 before returning y.
+    """
+    legs = tuple(a.as_leg() for a in algebras)
+    field = x.field
+    flat = FlatSpace(tuple(a.basis for a in algebras), field)
+    spaces, total = flat.factors, flat.dim
+    unit = tensor_unit(algebras)
+    # rows of the system:  sum_b M[a, b] y_b = unit_a, M[:, b] = x * e_b
+    rows = [dict() for _ in range(total)]
+    for b in range(total):
+        eb = Tensor(spaces, {flat.split(b): field.one()}, field)
+        col = mul_legs(legs, x, eb)
+        for idx, c in col.data.items():
+            rows[flat.join(idx)][b] = c
+    rhs = [unit.data.get(flat.split(a), field.zero()) for a in range(total)]
+    try:
+        sol = solve_linear(rows, rhs, field)
+    except ArithmeticError:
+        return None
+    if sol is None:
+        return None
+    y = Tensor(spaces, {flat.split(b): c for b, c in sol.items()}, field)
+    if mul_legs(legs, x, y) != unit or mul_legs(legs, y, x) != unit:
+        return None
+    return y
 
 
 def assemble(source: Tensor, builder: Callable[..., Tensor]) -> Tensor:
@@ -271,7 +369,7 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
 
 
 def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
-                    right: Basis, join) -> LegMul:
+                    right: Basis, join=None) -> LegMul:
     """The table of the right action shared by both forward functors:
 
         m (a # e^p) [h] = sum e^p(S^{-1}(F2 m_(1) a_(1) p~2))
@@ -281,8 +379,18 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
     a_(1) p~2) is formed once per (F2, m_(1), a_(1), p~2) and e^p reads
     its p-th coordinate; (lead m_(0))(a_(0) p~1) is formed once per
     (h, F1, m_(0), a_(0), p~1); and one pass over the terms fills the
-    entries of every p for a given (m, a, h)."""
+    entries of every p for a given (m, a, h).
+
+    Without join, (a, p, h) is stored at its row-major index over A, H*
+    and the leads, where hopfmod._forward_action, which takes no join,
+    stores it; so this copy stands in for it under either signature."""
     ca, H = M.ca, M.H
+    if join is None:
+        flat = FlatSpace((ca.basis, H.dual.basis, Basis(tuple(
+            "h%d" % h for h in range(len(leads))))), M.field)
+
+        def join(a, p, h):
+            return flat.join((a, p, h))
     field = M.field
     zero = field.zero()
     A = ca.algebra
@@ -341,11 +449,12 @@ def algebra_action_from_doi(N: DoiHopfModule, gsm: ProductAlgebra) -> LegMul:
     """Reconstruct the table of the right C* >< B action from the
     Doi-Hopf structure: n (c* >< b) = sum c*(n_(-1)) n_(0) b."""
     field = N.field
+    flat = FlatSpace(gsm.factors, field)
     table = {}
     for m in range(N.dim):
         col = N.coaction.cols.get(m, {})
         for g in range(gsm.dim):
-            u, b = gsm.split(g)
+            u, b = flat.split(g)
             acc: Dict[int, object] = {}
             for (cm, m0), c in col.items():
                 if cm != u:
@@ -385,6 +494,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     hmult = H.algebra.mult
     amult = A.mult
     nest = smash_index(qs, sm)
+    flat = FlatSpace(final.factors, field)
 
     # (u -> e^s <- v) on the coalgebra: coefficient at c_w is the s-th
     # coordinate of v . c_w . u
@@ -519,8 +629,8 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
         return merged
 
     def evaluate(i: int, j: int) -> Dict[int, object]:
-        s, g = final.split(i)
-        t, g2 = final.split(j)
+        s, g = flat.split(i)
+        t, g2 = flat.split(j)
         a, p, h = nest.split(g)
         a2, q, h2 = nest.split(g2)
         out: Dict[int, object] = {}
@@ -552,7 +662,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
                 for fw, fc in fv.items():
                     c2 = c1 * fc
                     for tw, tc in tvec.items():
-                        k = final.join((cw, nest.join((av, fw, tw))))
+                        k = flat.join((cw, nest.join((av, fw, tw))))
                         sacc = out.get(k, zero) + c2 * tc
                         if sacc:
                             out[k] = sacc
@@ -598,9 +708,10 @@ def relative_from_two_sided(M: TwoSidedHopfModule,
     h_action = legmul_from_function(
         H.basis, M.basis, M.basis,
         lambda i, m: M.lact(H.S(H.S(H.e(i))), M.e(m)), field)
+    prod = FlatSpace(qs.prod.factors, field)
     r_action = _forward_action(
         M, K, [{k1: H.e(k1) for k1 in range(H.dim)}], qs.basis,
-        lambda a, p, h: qs.prod.join((a, p)))
+        lambda a, p, h: prod.join((a, p)))
     return RelativeHopfModule(qs, M.basis, h_action, r_action, name=M.name)
 
 
@@ -803,6 +914,7 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
     rho(n) = sum_i c_i (x) n (c^i >< 1_B)."""
     field = cb.field
     basis = action.left
+    flat = FlatSpace(gsm.factors, field)
     # unit of C* as a sparse vector over the dual basis
     eps_vec = {}
     for w in range(mc.dim):
@@ -813,7 +925,7 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
     r_action = legmul_from_function(
         basis, cb.basis, basis,
         lambda m, b: _act_on(action, m, Tensor.from_sparse(
-            gsm.basis, {gsm.join((u, b)): c for u, c in eps_vec.items()},
+            gsm.basis, {flat.join((u, b)): c for u, c in eps_vec.items()},
             field)),
         field)
 
@@ -823,7 +935,7 @@ def doi_from_algebra_module(gsm: ProductAlgebra, cb: LeftComoduleAlgebra,
         acc = Tensor.zero((mc.basis, basis), field)
         for i in range(mc.dim):
             vec = _act_on(action, m, Tensor.from_sparse(
-                gsm.basis, {gsm.join((i, b)): c for b, c in one_b.items()},
+                gsm.basis, {flat.join((i, b)): c for b, c in one_b.items()},
                 field))
             acc = acc + mc.e(i).tensor(vec)
         return acc
@@ -902,14 +1014,15 @@ def quasi_smash_action(qs: QuasiSmash) -> Dict:
     constructor built it, with one hit_l product per (i, p)."""
     H, ca = qs.H, qs.ca
     dual = H.dual
+    prod = FlatSpace(qs.prod.factors, H.field)
     table = {}
     for i in range(H.dim):
         for p in range(H.dim):
             hit = dual.hit_l(H.e(i), dual.e(p))
             for (pp,), c in hit.data.items():
                 for a in range(ca.dim):
-                    f = qs.prod.join((a, p))
-                    table.setdefault((i, f), {})[qs.prod.join((a, pp))] = c
+                    f = prod.join((a, p))
+                    table.setdefault((i, f), {})[prod.join((a, pp))] = c
     return table
 
 
@@ -1718,6 +1831,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
     dual = H.dual
     hs = SweedlerHomSmash(ca)
     qs = quasi_smash(ca)
+    flat = FlatSpace(qs.prod.factors, H.field)
     nA, nH = ca.dim, H.dim
 
     nu_table = {(a, p): hs.nu(ca.e(a).tensor(dual.e(p)))
@@ -1742,7 +1856,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
 
     def mult_probe(a, p, b, q):
         qa = qs.algebra
-        prod = qa.mul(qa.e(qs.prod.join((a, p))), qa.e(qs.prod.join((b, q))))
+        prod = qa.mul(qa.e(flat.join((a, p))), qa.e(flat.join((b, q))))
         return (_map_tensor(nu_of(prod)),
                 _map_tensor(hs.star(nu_table[(a, p)], nu_table[(b, q)])))
 
@@ -1891,12 +2005,13 @@ def quasi_smash_hit_action(qs: QuasiSmash) -> Dict:
     """The table of the left H-action of QuasiSmash as its constructor
     regrouped the table of h -> phi, by hand through FlatSpace.join."""
     ca, dual = qs.ca, qs.H.dual
+    prod = FlatSpace(qs.prod.factors, qs.H.field)
     table = {}
     for (i, p), hit in dual.hit_l_leg.table.items():
         for pp, c in hit.items():
             for a in range(ca.dim):
-                f = qs.prod.join((a, p))
-                table.setdefault((i, f), {})[qs.prod.join((a, pp))] = c
+                f = prod.join((a, p))
+                table.setdefault((i, f), {})[prod.join((a, pp))] = c
     return table
 
 

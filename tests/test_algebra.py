@@ -11,6 +11,8 @@ from qhopf import (Basis, FinAlgebra, Fp, LegMul, LinearMap, PrimeField, QQ,
                    invert_linear_map, mul_legs, specfile as sf)
 from qhopf.algebra import _clean_table
 
+import reference_builders as ref
+
 F = Fraction
 
 
@@ -324,6 +326,27 @@ def test_invert_in_tensor_algebra():
     # a zero divisor has no inverse
     z = A.e(0) + A.e(1)
     assert invert_in_tensor_algebra((A,), z) is None
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_invert_in_tensor_algebra_matches_reference(field, nongroup):
+    """invert_in_tensor_algebra, its flat indices read from _flat_keys,
+    against the copy that indexed through FlatSpace's split and join:
+    Phi of z2_quasi and of z2z2_twisted, the paired Phi (x) Phi^{-1} of
+    the non-group basis of k[Z/3] (the reassociator of H (x) H^op), and
+    a zero divisor, which neither inverts."""
+    entries = corpus(field)
+    K = nongroup(field)
+    KK = K.tensor_with(K.opposite())
+    z2 = entries["z2"]
+    singular = (z2.e(0) + z2.e(1)).tensor(z2.unit()).tensor(z2.unit())
+    cases = [((H.algebra,) * 3, H.phi, H.phi_inv) for H in (
+        entries["z2_quasi"], entries["z2z2_twisted"], KK)]
+    cases.append(((z2.algebra,) * 3, singular, None))
+    for algebras, x, inverse in cases:
+        got = invert_in_tensor_algebra(algebras, x)
+        want = ref.invert_in_tensor_algebra(algebras, x)
+        assert got == want == inverse
 
 
 def test_invert_linear_map():

@@ -509,3 +509,77 @@ def test_identities_on_fixed_twists_exit_0(m, field, tmp_path, capsys):
     code, out, err = run(capsys, "verify", "identities", str(src))
     assert (code, err) == (0, "")
     assert json.loads(out)["passed"] is True
+
+
+def _comodule_files(corpus_dir, tmp_path):
+    """The canonical right and left comodule algebras of z2 as spec
+    files, and the quasi-smash product of the right one."""
+    from qhopf import canonical_left_comodule, canonical_right_comodule
+    H = sf.doc_to_quasihopf(sf.parse((corpus_dir / "z2.json").read_text()))
+    ca, lcb, qs = (tmp_path / name for name in ("ca.json", "lcb.json",
+                                                "qs.json"))
+    ca.write_text(sf.serialize(sf.to_doc(canonical_right_comodule(H))))
+    lcb.write_text(sf.serialize(sf.to_doc(canonical_left_comodule(H))))
+    assert cli.main(["product", "quasi-smash", str(ca), "--out",
+                     str(qs)]) == 0
+    return ca, lcb, qs
+
+
+@pytest.mark.parametrize("command", ("derive", "product", "twist",
+                                     "corpus"))
+def test_unwritable_output_exits_2(corpus_dir, tmp_path, capsys, command):
+    # an --out in a directory that does not exist, and corpus --out on an
+    # existing file, are refused as bad input, with no traceback
+    src = corpus_dir / "z2.json"
+    missing = str(tmp_path / "no" / "such" / "out.json")
+    if command == "derive":
+        argv = ("derive", str(src), "--out", missing)
+    elif command == "product":
+        ca, _, _ = _comodule_files(corpus_dir, tmp_path)
+        argv = ("product", "quasi-smash", str(ca), "--out", missing)
+    elif command == "twist":
+        H = sf.doc_to_quasihopf(sf.parse(src.read_text()))
+        tw = tmp_path / "identity-twist.json"
+        tw.write_text(sf.serialize(sf.twist_to_doc(
+            H, H.unit().tensor(H.unit()))))
+        argv = ("twist", str(src), str(tw), "--out", missing)
+    else:
+        argv = ("corpus", "--out", str(src))
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    target = str(src) if command == "corpus" else missing
+    assert err.startswith("error: cannot write %s: " % target)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, count, needs", [
+    ("smash", 2, "smash needs a module-algebra file, got 2 files"),
+    ("quasi-smash", 3, "quasi-smash needs a right comodule-algebra file, "
+                       "got 3 files"),
+    ("generalized-smash", 1, "generalized-smash needs a module-algebra file "
+                             "and a left comodule-algebra file, got 1 file"),
+    ("two-sided", 1, "two-sided needs a right comodule-algebra file and a "
+                     "left comodule-algebra file, got 1 file"),
+])
+def test_product_with_wrong_file_count_exits_2(corpus_dir, tmp_path, capsys,
+                                               kind, count, needs):
+    files = _comodule_files(corpus_dir, tmp_path)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    code, text, err = run(capsys, "product", kind,
+                          *(str(p) for p in files[:count]), "--out", str(out))
+    assert (code, text) == (2, "")
+    assert err == "error: %s\n" % needs
+    assert not out.exists()
+
+
+def test_unknown_field_exits_2_for_every_command(corpus_dir, capsys):
+    # --field picks the corpus's field; it is parsed for every command,
+    # so a bad one is refused even where a spec file carries the field
+    src = str(corpus_dir / "z2.json")
+    for argv in (("verify", "identities", src), ("check", src)):
+        code, out, err = run(capsys, "--field", "bogus", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown field 'bogus' (expected 'Q' or "
+                       "'GF(p)')\n")

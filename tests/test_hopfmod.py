@@ -8,13 +8,13 @@ from qhopf import (LegMul, LinearMap, PrimeField, QQ, RelativeHopfModule,
                    check_relative_hopf_module, corpus, cyclic_right_submodule,
                    module_isomorphism, quasi_smash, relative_from_smash_module,
                    relative_from_two_sided, seeded_cyclic_module,
-                   smash_action_from_two_sided, smash_index, smash_product,
+                   smash_action_from_two_sided, smash_product,
                    transport_module, two_sided_from_relative,
                    verify_canonical_modules, verify_module_correspondence)
 from qhopf.algebra import _clean_table
 
 from reference_builders import (assemble, legmul_from_function,
-                                map_from_function, precompose)
+                                map_from_function, precompose, smash_index)
 
 
 @pytest.mark.parametrize("key", ("z2", "z3", "z2_quasi"))
@@ -118,7 +118,7 @@ def _relative_action_by_terms(M, qs):
         H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
 
     def r_col(m, u):
-        a, p = qs.prod.split(u)
+        a, p = qs.prod.keys[u]
         src = K.tensor(M.e(m).map_leg(0, M.coaction)).tensor(
             ca.coact(ca.e(a))).tensor(pt)
 

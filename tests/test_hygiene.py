@@ -332,11 +332,18 @@ def named_calls(source: str, name: str) -> int:
 
 
 def retired_sites(source: str, name: str) -> int:
-    """The calls of name (named_calls) and the defs named name in
-    source."""
+    """The calls of name (named_calls) in source, and the defs and
+    classes named name, the imports of name and the classes derived from
+    it."""
+    tree = ast.parse(source)
     return named_calls(source, name) + sum(
-        isinstance(node, ast.FunctionDef) and node.name == name
-        for node in ast.walk(ast.parse(source)))
+        isinstance(node, (ast.FunctionDef, ast.ClassDef)) and
+        node.name == name or
+        isinstance(node, ast.alias) and node.name == name
+        for node in ast.walk(tree)) + sum(
+        getattr(base, "id", getattr(base, "attr", None)) == name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for base in node.bases)
 
 
 # check_quantified, a per-input callback of VerificationReport, fell
@@ -443,6 +450,46 @@ def test_assemble_call_is_counted():
 def test_two_sided_hits_retired(path):
     assert retired_sites(path.read_text(encoding="utf-8"),
                          "_two_sided_hits") == 0
+
+
+# FlatSpace (tensor.py) wrote the row-major rule a second time, as
+# split and join arithmetic next to flat_pairing's table, and
+# smash_index read (A # H*) # H through it. Five modules called them by
+# hand: invert_in_tensor_algebra, doi_from_algebra_module,
+# crossed_smash_direct, the join lambdas of the forward functors and
+# verify_heisenberg_double and verify_hom_smash. They went when every
+# flat index came to be written by flat_pairing or read from a
+# ProductAlgebra's keys, both built from algebra._flat_keys, and
+# ProductAlgebra stopped deriving from FlatSpace. Their bodies are the
+# test-side helpers of the references (reference_builders.FlatSpace and
+# smash_index). No module of the package, __init__.py included, defines,
+# imports, derives from or calls either.
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_flat_space_retired(path):
+    source = path.read_text(encoding="utf-8")
+    assert {name: retired_sites(source, name)
+            for name in ("FlatSpace", "smash_index")} == {
+        "FlatSpace": 0, "smash_index": 0}
+
+
+def test_flat_space_site_is_caught():
+    source = ("from .tensor import Basis, FlatSpace\n"
+              "class FlatSpace:\n"
+              "    def join(self, idx):\n"
+              "        return 0\n"
+              "class ProductAlgebra(FlatSpace):\n"
+              "    pass\n"
+              "class Nested(tensor.FlatSpace):\n"
+              "    pass\n"
+              "def smash_index(qs, sm):\n"
+              "    return FlatSpace(qs.prod.factors, sm.field)\n"
+              "def build(qs, sm):\n"
+              "    nest = smash_index(qs, sm)\n"
+              "    return nest.join((0, 1, 0)), FlatSpace\n")
+    assert retired_sites(source, "FlatSpace") == 5
+    assert retired_sites(source, "smash_index") == 2
+    assert retired_sites(source, "join") == 2
 
 
 def private_unreferenced(definers):

@@ -7,7 +7,7 @@ from typing import Dict
 
 import pytest
 
-from qhopf import (Basis, FinAlgebra, FlatSpace, Fp, HeisenbergDouble,
+from qhopf import (Basis, FinAlgebra, Fp, HeisenbergDouble,
                    LeftComoduleAlgebra, LinearMap, PrimeField, QQ,
                    QuasiHopfAlgebra, RightComoduleAlgebra, Tensor,
                    VerificationReport, canonical_first_module,
@@ -15,7 +15,7 @@ from qhopf import (Basis, FinAlgebra, FlatSpace, Fp, HeisenbergDouble,
                    check_left_module_algebra, cli, corpus,
                    cyclic_group_algebra, generalized_smash, is_gauge,
                    module_isomorphism,
-                   quasi_smash, smash_index, smash_product,
+                   quasi_smash, smash_product,
                    specfile as sf, twist, two_sided_crossed,
                    transport_module, verify_crossed_decomposition,
                    verify_heisenberg_double, verify_hom_smash)
@@ -25,9 +25,9 @@ from qhopf.products import _same_table
 from qhopf.report import scalar_str
 
 import reference_builders as ref
-from reference_builders import (assemble, check_equal, check_quantified,
-                                left_hit, map_from_function, pair_legs,
-                                right_hit)
+from reference_builders import (FlatSpace, assemble, check_equal,
+                                check_quantified, left_hit, map_from_function,
+                                pair_legs, right_hit, smash_index)
 from test_flat_sums import _skewed
 from test_report import _mutant as _table_mutant
 
@@ -89,30 +89,38 @@ def test_two_sided_crossed_is_algebra(all_corpus, key):
 
 def test_product_algebra_flatten_round_trip(all_corpus):
     H = all_corpus["z2_quasi"]
+    field = H.field
     prod = two_sided_crossed(canonical_right_comodule(H),
                              canonical_left_comodule(H))
-    for flat in range(prod.dim):
-        idx = prod.split(flat)
-        assert prod.join(idx) == flat
-    t = prod.e(1, 0, 1)
-    assert prod.flatten(prod.unflatten(t)) == t
-    # pack/unpack carry a trailing leg through unchanged
-    trailing = prod.e(1, 1, 0).tensor(H.e(1)) + prod.e(0, 1, 1).tensor(
-        H.e(0)).scale(H.field.from_int(3))
-    parts = prod.unpack(trailing)
+    # keys list the factor index tuples in basis order, flat inverts
+    # them, and both agree with the row-major arithmetic of FlatSpace
+    rows = FlatSpace(prod.factors, field)
+    assert rows.basis == prod.basis
+    assert prod.keys == [rows.split(i) for i in range(prod.dim)]
+    assert prod.flat == {key: i for i, key in enumerate(prod.keys)}
+    e = Tensor.basis_vector(prod.basis, rows.join((1, 0, 1)), field)
+    assert prod.flatten(prod.unflatten(e)) == e
+    # unflatten carries a trailing leg through unchanged
+    trailing = e.tensor(H.e(1)) + Tensor.basis_vector(
+        prod.basis, rows.join((0, 1, 1)), field).tensor(H.e(0)).scale(
+        field.from_int(3))
+    parts = prod.unflatten(trailing)
     assert parts.spaces == prod.factors + (H.basis,)
-    assert prod.pack(parts) == trailing
+    assert rows.pack(parts) == trailing
     with pytest.raises(ValueError):
         prod.flatten(parts)
-    # the (a, p, h) split of (A # H*) # H inverts the nested join
+    with pytest.raises(ValueError):
+        prod.unflatten(parts)
+    # the (a, p, h) of (A # H*) # H, read through the keys of sm and of
+    # A # H*, is smash_index's row-major split, label by label
     qs = quasi_smash(canonical_right_comodule(H))
     sm = smash_product(qs)
     idx = smash_index(qs, sm)
     assert idx.basis.labels == sm.basis.labels
-    for g in range(sm.dim):
-        a, p, h = idx.split(g)
-        assert sm.join((qs.prod.join((a, p)), h)) == g
-        assert idx.join((a, p, h)) == g
+    for g, (u, h) in enumerate(sm.keys):
+        a, p, h2 = idx.split(g)
+        assert qs.prod.keys[u] + (h,) == (a, p, h2)
+        assert sm.flat[qs.prod.flat[a, p], h2] == g
 
 
 @pytest.mark.parametrize("key", ("z2", "z2_quasi", "z2z2_twisted"))
@@ -348,6 +356,7 @@ def _reference_verify(H: QuasiHopfAlgebra) -> VerificationReport:
     dual = H.dual
     hd = _ReferenceDouble(H)
     qs = quasi_smash(canonical_right_comodule(H))
+    flat = FlatSpace(qs.prod.factors, H.field)
     n = H.dim
 
     def basis_elt(i, a):
@@ -373,8 +382,8 @@ def _reference_verify(H: QuasiHopfAlgebra) -> VerificationReport:
         return hd.mu(qs.parts(t))
 
     def mult_probe(i, a, j, b):
-        prod = qs.algebra.mul(qs.algebra.e(qs.prod.join((i, a))),
-                              qs.algebra.e(qs.prod.join((j, b))))
+        prod = qs.algebra.mul(qs.algebra.e(flat.join((i, a))),
+                              qs.algebra.e(flat.join((j, b))))
         return (_map_tensor(mu_of(prod)),
                 _map_tensor(hd.compose(mu_table[(i, a)],
                                            mu_table[(j, b)])))

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 import reference_builders as ref
-from qhopf import (Basis, FlatSpace, LegMul, LinearMap, PrimeField, QQ,
+from reference_builders import FlatSpace
+from qhopf import (Basis, LegMul, LinearMap, PrimeField, QQ,
                    Tensor, canonical_right_comodule, corpus,
                    invert_in_tensor_algebra, is_gauge, mul_legs, sandwich,
                    sweedler, twist)
