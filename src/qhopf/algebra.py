@@ -708,19 +708,26 @@ def quasi_associative(act: LegMul, mult: LegMul, lact: LegMul,
     """(m.a).b and sum (X1.m)((X2.a)(X3.b)) on inputs (m, a, b), with
     Phi = sum X1 (x) X2 (x) X3: the right action act of the algebra that
     mult multiplies is associative up to Phi, which acts on the module by
-    lact and on the algebra by qact. Each (X2.a)(X3.b) is formed once."""
+    lact and on the algebra by qact. W[X1](a, b), the sum of c (X2.a)(X3.b)
+    over the terms c X1 (x) X2 (x) X3 of Phi with one X1, is formed once
+    per (a, b) and paired with X1.m."""
     (A, da), (P, dp), (L, dl), (Q, dq) = (
         f.lifted() for f in (act, mult, lact, qact))
     X, dx = phi.field.lift(phi.data)
 
     @cache
-    def factor(x2, x3, a, b):
-        return _pairs(_mul(P, Q.get((x2, a), ()), Q.get((x3, b), ())))
+    def weights(a, b):
+        w: Dict = {}
+        for (x1, x2, x3), c in X.items():
+            wx = w.setdefault(x1, {})
+            xy = _mul(P, Q.get((x2, a), ()), Q.get((x3, b), ()))
+            for j, n in xy.items():
+                wx[j] = wx.get(j, 0) + c * n
+        return [(x1, _pairs(wx)) for x1, wx in w.items()]
 
     def rhs(acc, m, a, b):
-        for (x1, x2, x3), c in X.items():
-            moved = [(k, c * s) for k, s in L.get((x1, m), ())]
-            _pair(acc, (m, a, b), A.get, moved, factor(x2, x3, a, b))
+        for x1, w in weights(a, b):
+            _pair(acc, (m, a, b), A.get, L.get((x1, m), ()), w)
 
     dims = (act.left.dim, mult.left.dim, mult.right.dim)
     return (right_action_assoc(act, mult)[1],
@@ -842,10 +849,7 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
         for idx, c in col.data.items():
             rows[flat[idx]][b] = c
     rhs = [unit.data.get(key, field.zero()) for key in keys]
-    try:
-        sol = solve_linear(rows, rhs, field)
-    except ArithmeticError:
-        return None
+    sol = solve_linear(rows, rhs, field)
     if sol is None:
         return None
     y = Tensor(spaces, {keys[b]: c for b, c in sol.items()}, field)

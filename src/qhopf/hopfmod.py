@@ -29,8 +29,8 @@ import random
 from functools import cache
 from typing import Dict, Tuple
 
-from .algebra import (LegMul, _chain, _clean_table, _contract, _flat_keys,
-                      _grid, _lift_map, _lift_rows, _mul, _pairs, _restrict,
+from .algebra import (LegMul, _chain, _contract, _flat_keys, _grid,
+                      _lift_map, _lift_rows, _mul, _pairs, _restrict,
                       actions_commute, counit_identity, equivariant_action,
                       flat_pairing, left_action_assoc, left_action_unit,
                       mul_legs, multiplicative, quasi_associative,
@@ -564,32 +564,32 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
         acc: Dict[int, object] = {}
         for i, c in w.items():
             for t, ct in prod.alg.mult.get((i, g), {}).items():
-                s = acc.get(t, field.zero()) + c * ct
+                s = acc.get(t)
+                s = c * ct if s is None else s + c * ct
                 if s:
                     acc[t] = s
                 elif t in acc:
                     del acc[t]
         return acc
 
+    # a pass that adds no row has read the table of the closure
     changed = True
     while changed:
         changed = False
-        for row in [dict(r) for r in span.rows]:
+        table = {}
+        for m, row in enumerate([dict(r) for r in span.rows]):
             for g in range(dim):
                 prod_vec = right_mul(row, g)
-                if prod_vec and span.add(prod_vec):
+                coords = span.coordinates(prod_vec)
+                if coords is None:
+                    span.add(prod_vec)
                     changed = True
+                elif coords:
+                    table[(m, g)] = coords
 
     basis = Basis(tuple("m%d" % i for i in range(span.rank)),
                   "cyclic(seed=%d)" % seed)
-    table = {}
-    for m, row in enumerate(span.rows):
-        for g in range(dim):
-            coords = span.coordinates(right_mul(row, g))
-            if coords is None:
-                raise ArithmeticError("cyclic module is not closed")
-            table[(m, g)] = {j: c for j, c in enumerate(coords) if c}
-    return LegMul(basis, prod.basis, basis, _clean_table(table), field)
+    return LegMul(basis, prod.basis, basis, table, field)
 
 
 def seeded_cyclic_module(qs: QuasiSmash, sm: ProductAlgebra,

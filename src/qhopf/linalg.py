@@ -1,7 +1,8 @@
 """Exact sparse linear algebra: Gaussian elimination over a Field.
 
-Vectors and matrix rows are dicts mapping column index to a nonzero
-scalar. Everything is exact; a solve is only reported as a solution
+Vectors and matrix rows are dicts mapping column index to a scalar; a
+zero entry is dropped where a vector enters, so it is never read as a
+pivot. Everything is exact; a solve is only reported as a solution
 after it has been substituted back into the system.
 """
 
@@ -28,45 +29,38 @@ def vec_sub_scaled(target: Vec, src: Vec, c) -> None:
 
 
 class RowSpan:
-    """An incrementally built reduced row echelon span.
-
-    Rows are kept fully reduced with unit pivots, so membership testing
-    and coordinate extraction are exact and canonical.
-    """
+    """An incrementally built reduced row echelon span. Its rows are kept
+    fully reduced with unit pivots, so membership testing is exact and a
+    vector's coefficient on row j is its entry at row j's pivot."""
 
     def __init__(self, field: Field = QQ):
         self.field = field
         self.rows: List[Vec] = []
-        self.pivots: List[int] = []
+        self.position: Dict[int, int] = {}  # pivot -> index of its row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def _read(self, vec: Vec):
+        """({row index: vec's nonzero entry at the row's pivot}, vec less
+        those multiples of the rows); no row moves another's pivot entry."""
+        residual = {col: c for col, c in vec.items() if c}
+        coords = {self.position[col]: c for col, c in residual.items()
+                  if col in self.position}
+        for j, c in coords.items():
+            vec_sub_scaled(residual, self.rows[j], c)
+        return coords, residual
+
     def reduce(self, vec: Vec) -> Vec:
         """Residual of vec modulo the span (vec is not modified)."""
-        residual = dict(vec)
-        for piv, row in zip(self.pivots, self.rows):
-            c = residual.get(piv)
-            if c:
-                vec_sub_scaled(residual, row, c)
-        return residual
+        return self._read(vec)[1]
 
-    def coordinates(self, vec: Vec) -> Optional[List[object]]:
-        """Coefficients of vec against the span rows, or None if vec is
-        not in the span. A pivot that vec lacks gets the one zero made
-        per call."""
-        residual = dict(vec)
-        coords = []
-        zero = self.field.zero()
-        for piv, row in zip(self.pivots, self.rows):
-            c = residual.get(piv, zero)
-            coords.append(c)
-            if c:
-                vec_sub_scaled(residual, row, c)
-        if residual:
-            return None
-        return coords
+    def coordinates(self, vec: Vec) -> Optional[Vec]:
+        """{row index: nonzero coefficient} of vec against the span rows,
+        or None if vec is not in the span."""
+        coords, residual = self._read(vec)
+        return None if residual else coords
 
     def add(self, vec: Vec) -> bool:
         """Add a vector to the span. Returns True if the rank grew."""
@@ -81,8 +75,8 @@ class RowSpan:
             c = other.get(piv)
             if c:
                 vec_sub_scaled(other, row, c)
+        self.position[piv] = len(self.rows)
         self.rows.append(row)
-        self.pivots.append(piv)
         return True
 
 
@@ -93,7 +87,7 @@ def solve_linear(rows: List[Vec], rhs: List[object], field: Field = QQ) -> Optio
     system is inconsistent. The returned solution has been verified by
     substitution into every equation.
     """
-    work = [dict(r) for r in rows]
+    work = [{col: c for col, c in r.items() if c} for r in rows]
     aug = list(rhs)
     pivot_of_row: List[int] = []
     used_rows: List[int] = []

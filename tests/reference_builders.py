@@ -101,14 +101,23 @@ each of their tables became one algebra.sweedler over graphs, the flat
 index of u (x) v written by algebra.flat_pairing. DualView.hits is the
 one table of H's two-sided hits now. tests/test_lifted_builders.py
 checks the package against them.
+
+Seeded cyclic modules: RowSpan (linalg.py) and cyclic_right_submodule
+(hopfmod.py) as they were before coordinates read a vector's entries
+at the pivots and returned them sparse, and before the table was
+written in the pass that closes the span: one closure loop and then a
+second pass over the final rows for the table, coordinates as a dense
+list over every pivot. tests/test_hopfmod.py and tests/test_linalg.py
+check the package against them.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from qhopf.algebra import (FinAlgebra, LegMul, _clean_table, _lowered,
                           _times, _transpose, mul_legs, sandwich, sweedler,
@@ -121,7 +130,7 @@ from qhopf.doihopf import (BimoduleCoalgebra, CrossedHopfModule,
 from qhopf.hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
                            smash_action_from_two_sided)
 from qhopf.fields import Field, QQ
-from qhopf.linalg import solve_linear
+from qhopf.linalg import solve_linear, vec_sub_scaled
 from qhopf.products import ProductAlgebra, QuasiSmash, quasi_smash
 from qhopf.quasihopf import DualView, QuasiBialgebra, QuasiHopfAlgebra
 from qhopf.report import CheckRecord, VerificationReport, scalar_str
@@ -2033,3 +2042,112 @@ def mbia1_tables(dual: DualView) -> Tuple[LegMul, Tensor]:
         for X, c1 in H.phi.data.items() for x, c2 in H.phi_inv.data.items()},
         field)
     return act, phi2
+
+
+class RowSpan:
+    """An incrementally built reduced row echelon span.
+
+    Rows are kept fully reduced with unit pivots, so membership testing
+    and coordinate extraction are exact and canonical.
+    """
+
+    def __init__(self, field: Field = QQ):
+        self.field = field
+        self.rows: List[Dict[int, object]] = []
+        self.pivots: List[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: Dict[int, object]) -> Dict[int, object]:
+        """Residual of vec modulo the span (vec is not modified)."""
+        residual = dict(vec)
+        for piv, row in zip(self.pivots, self.rows):
+            c = residual.get(piv)
+            if c:
+                vec_sub_scaled(residual, row, c)
+        return residual
+
+    def coordinates(self, vec: Dict[int, object]) -> Optional[List[object]]:
+        """Coefficients of vec against the span rows, or None if vec is
+        not in the span. A pivot that vec lacks gets the one zero made
+        per call."""
+        residual = dict(vec)
+        coords = []
+        zero = self.field.zero()
+        for piv, row in zip(self.pivots, self.rows):
+            c = residual.get(piv, zero)
+            coords.append(c)
+            if c:
+                vec_sub_scaled(residual, row, c)
+        if residual:
+            return None
+        return coords
+
+    def add(self, vec: Dict[int, object]) -> bool:
+        """Add a vector to the span. Returns True if the rank grew."""
+        residual = self.reduce(vec)
+        if not residual:
+            return False
+        piv = min(residual)
+        inv = self.field.one() / residual[piv]
+        row = {col: v * inv for col, v in residual.items()}
+        # back-substitute into existing rows to stay fully reduced
+        for other in self.rows:
+            c = other.get(piv)
+            if c:
+                vec_sub_scaled(other, row, c)
+        self.rows.append(row)
+        self.pivots.append(piv)
+        return True
+
+
+def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
+    """The cyclic right submodule of the regular module of prod generated
+    by a seeded random vector with small integer entries: the table of
+    the right action in the coordinates of a basis of the closure, which
+    is its left basis."""
+    field = prod.field
+    rng = random.Random(seed)
+    dim = prod.dim
+    vec: Dict[int, object] = {}
+    while not vec:
+        vec = {}
+        for i in range(dim):
+            c = rng.randint(-2, 2)
+            if c:
+                vec[i] = field.from_int(c)
+    span = RowSpan(field)
+    span.add(vec)
+
+    def right_mul(w: Dict[int, object], g: int) -> Dict[int, object]:
+        acc: Dict[int, object] = {}
+        for i, c in w.items():
+            for t, ct in prod.alg.mult.get((i, g), {}).items():
+                s = acc.get(t, field.zero()) + c * ct
+                if s:
+                    acc[t] = s
+                elif t in acc:
+                    del acc[t]
+        return acc
+
+    changed = True
+    while changed:
+        changed = False
+        for row in [dict(r) for r in span.rows]:
+            for g in range(dim):
+                prod_vec = right_mul(row, g)
+                if prod_vec and span.add(prod_vec):
+                    changed = True
+
+    basis = Basis(tuple("m%d" % i for i in range(span.rank)),
+                  "cyclic(seed=%d)" % seed)
+    table = {}
+    for m, row in enumerate(span.rows):
+        for g in range(dim):
+            coords = span.coordinates(right_mul(row, g))
+            if coords is None:
+                raise ArithmeticError("cyclic module is not closed")
+            table[(m, g)] = {j: c for j, c in enumerate(coords) if c}
+    return LegMul(basis, prod.basis, basis, _clean_table(table), field)

@@ -349,6 +349,26 @@ def test_invert_in_tensor_algebra_matches_reference(field, nongroup):
         assert got == want == inverse
 
 
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_invert_in_tensor_algebra_raises_internal_failures(field,
+                                                           monkeypatch):
+    """solve_linear raises ArithmeticError only when its own substitution
+    check fails, an internal invariant: invert_in_tensor_algebra lets it
+    out, so a bug is never reported as "no inverse", while a zero
+    divisor still has none."""
+    import qhopf.algebra as algebra
+    z2 = corpus(field)["z2"]
+    singular = (z2.e(0) + z2.e(1)).tensor(z2.unit())
+    assert invert_in_tensor_algebra((z2.algebra,) * 2, singular) is None
+
+    def failing(*args):
+        raise ArithmeticError("substitution check failed after elimination")
+
+    monkeypatch.setattr(algebra, "solve_linear", failing)
+    with pytest.raises(ArithmeticError, match="substitution check"):
+        invert_in_tensor_algebra((z2.algebra,) * 3, z2.phi)
+
+
 def test_invert_linear_map():
     A = cyclic_algebra(3)
     # the permutation g -> g^2 is invertible

@@ -2,19 +2,23 @@ import random
 
 import pytest
 
+import qhopf.hopfmod as hopfmod
 from qhopf import (LegMul, LinearMap, PrimeField, QQ, RelativeHopfModule,
-                   RowSpan, Tensor, TwoSidedHopfModule, canonical_first_module,
+                   Tensor, TwoSidedHopfModule, canonical_first_module,
                    canonical_right_comodule, canonical_second_module,
                    check_relative_hopf_module, corpus, cyclic_right_submodule,
                    module_isomorphism, quasi_smash, relative_from_smash_module,
                    relative_from_two_sided, seeded_cyclic_module,
                    smash_action_from_two_sided, smash_product,
-                   transport_module, two_sided_from_relative,
+                   transport_module, twist, two_sided_from_relative,
                    verify_canonical_modules, verify_module_correspondence)
 from qhopf.algebra import _clean_table
 
-from reference_builders import (assemble, legmul_from_function,
+import reference_builders as ref
+from reference_builders import (RowSpan, assemble, legmul_from_function,
                                 map_from_function, precompose, smash_index)
+from test_cli import fixed_twist
+from test_lifted_builders import _crossed_chain
 
 
 @pytest.mark.parametrize("key", ("z2", "z3", "z2_quasi"))
@@ -48,8 +52,9 @@ def test_seeded_cyclic_module_deterministic(hq):
 
 def _cyclic_action_by_calls(prod, seed):
     """The cyclic submodule as a closure that solves for coordinates on
-    every call: the reference for the table cyclic_right_submodule
-    builds. Returns the basis labels and act(m, g)."""
+    every call, through the reference RowSpan: the reference for the
+    table cyclic_right_submodule builds. Returns the basis labels and
+    act(m, g)."""
     field = prod.field
     rng = random.Random(seed)
     vec = {}
@@ -100,6 +105,61 @@ def test_cyclic_table_matches_per_call_coordinates(all_corpus, key):
         assert action.table == {(m, g): act(m, g)
                                 for m in range(len(labels))
                                 for g in range(sm.dim) if act(m, g)}
+
+
+def _cyclic_inputs(field, nongroup):
+    """Smash products (A # H*) # H of the canonical comodule algebra over
+    z2_quasi, z3, the non-group basis of k[Z/3] and a gauge twist of
+    k[Z/3] with a dense Phi, and the final algebra of the crossed-module
+    chain over z2."""
+    entries = corpus(field)
+    algebras = (entries["z2_quasi"], entries["z3"], nongroup(field),
+                twist(*fixed_twist(3, field)))
+    prods = {H.name: smash_product(quasi_smash(canonical_right_comodule(H)))
+             for H in algebras}
+    prods["z2-final"] = _crossed_chain(entries["z2"])[-1]
+    return prods
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_cyclic_module_matches_two_pass_reference(field, nongroup):
+    """One closing pass gives the basis labels and the whole table of the
+    two-pass reference (closure, then a table pass over the final rows),
+    on every input and seeds 0 to 4."""
+    for name, prod in _cyclic_inputs(field, nongroup).items():
+        for seed in range(5):
+            got = cyclic_right_submodule(prod, seed)
+            want = ref.cyclic_right_submodule(prod, seed)
+            assert (got.left, got.right, got.out) == (
+                want.left, want.right, want.out), (name, seed)
+            assert got.left.labels == want.left.labels, (name, seed)
+            assert got.table == want.table, (name, seed)
+
+
+def test_cyclic_module_reads_each_product_once(monkeypatch):
+    """Over GF(7), the cyclic module of z3 at seed 0 calls coordinates
+    rank * dim times in the pass that closes the span, every one of them
+    in it, and at most dim * (1 + rank) times in all; a second full pass
+    over the final rows would exceed it. Only a vector that grows the
+    span is added: rank adds in all, the seed's included."""
+    sm = smash_product(quasi_smash(canonical_right_comodule(
+        corpus(PrimeField(7))["z3"])))
+    calls = {"coordinates": [], "add": []}
+    for name in calls:
+        def counted(span, vec, name=name,
+                    method=getattr(hopfmod.RowSpan, name)):
+            out = method(span, vec)
+            calls[name].append(out)
+            return out
+
+        monkeypatch.setattr(hopfmod.RowSpan, name, counted)
+    action = cyclic_right_submodule(sm, 0)
+    rank, dim = action.left.dim, sm.dim
+    coords = calls["coordinates"]
+    assert 1 < rank
+    assert len(coords) <= dim * (1 + rank)
+    assert all(c is not None for c in coords[-rank * dim:])
+    assert calls["add"] == [True] * rank
 
 
 # ----------------------------------------------------------------------

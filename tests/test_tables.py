@@ -11,6 +11,7 @@ same records as its scan: the same tags, verdicts and counterexample
 bytes."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -729,6 +730,28 @@ def test_two_sided_and_relative_modules(field, subgroup_comodule):
             failures += _assert_matches(check_relative_hopf_module(Nm),
                                         _ref_relative, Nm)
     assert failures >= 160
+
+
+@FIELDS
+def test_relative_module_over_dense_twist(field):
+    """The five checks of a relative Hopf module, on a seeded cyclic
+    module over a gauge twist of k[Z/3], whose Phi has eight or nine
+    (X2, X3) for each X1, and on mutants of both its actions: quasi-assoc sums
+    (X2.u)(X3.v) by X1 before X1 acts on m, and each record and
+    counterexample is the term-by-term reference's."""
+    qs = quasi_smash(canonical_right_comodule(twist(*fixed_twist(3, field))))
+    assert len({x[0] for x in qs.H.phi.data}) < len(qs.H.phi.data)
+    N = seeded_cyclic_module(qs, smash_product(qs), 0)
+    modules = [N]
+    for name in ("h", "r"):
+        f = N.h_action if name == "h" else N.r_action
+        for g in itertools.islice(_mutants(f, ord(name), trials=1), 1, None):
+            modules.append(RelativeHopfModule(
+                qs, N.basis, g if name == "h" else N.h_action,
+                g if name == "r" else N.r_action, name=N.name))
+    failures = sum(_assert_matches(check_relative_hopf_module(Nm),
+                                   _ref_relative, Nm) for Nm in modules)
+    assert failures >= 2
 
 
 @FIELDS
