@@ -14,7 +14,7 @@ from functools import cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .fields import Field, QQ
-from .linalg import invert_matrix_map, solve_linear
+from .linalg import RowSpan, solve_linear
 from .tensor import Basis, LinearMap, Tensor
 
 
@@ -853,26 +853,38 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
     if sol is None:
         return None
     y = Tensor(spaces, {keys[b]: c for b, c in sol.items()}, field)
-    if mul_legs(legs, x, y) != unit or mul_legs(legs, y, x) != unit:
-        return None
-    return y
+    return y if is_inverse(algebras, x, y) else None
+
+
+def is_inverse(algebras: Sequence[FinAlgebra], x: Tensor, y: Tensor) -> bool:
+    """x * y = 1 = y * x in the tensor product algebra."""
+    legs = tuple(a.as_leg() for a in algebras)
+    unit = tensor_unit(algebras)
+    return mul_legs(legs, x, y) == unit and mul_legs(legs, y, x) == unit
 
 
 def invert_linear_map(f: LinearMap) -> Optional[LinearMap]:
-    """Inverse of an endomorphism with a single codomain leg."""
+    """Inverse of an endomorphism with a single codomain leg, or None.
+
+    The rows of [M | I] enter one RowSpan. M is singular exactly when a
+    pivot falls in the I block; otherwise the reduced rows are
+    [I | M^{-1}].
+    """
     if f.codomain != (f.domain,):
         raise ValueError("only endomorphisms can be inverted")
-    dim = f.domain.dim
-
-    def apply_fn(j):
-        return {k[0]: c for k, c in f.cols.get(j, {}).items()}
-
-    cols = invert_matrix_map(apply_fn, dim, f.field)
-    if cols is None:
+    dim, field = f.domain.dim, f.field
+    rows = [{dim + a: field.one()} for a in range(dim)]
+    for b, col in f.cols.items():
+        for (a,), c in col.items():
+            rows[a][b] = c
+    span = RowSpan(field)
+    for row in rows:
+        span.add(row)
+    if max(span.position, default=-1) >= dim:
         return None
-    return LinearMap(
-        f.domain,
-        (f.domain,),
-        {j: {(k,): c for k, c in col.items()} for j, col in enumerate(cols)},
-        f.field,
-    )
+    cols = {j: {} for j in range(dim)}
+    for a in reversed(span.position):
+        for col, c in span.rows[span.position[a]].items():
+            if col >= dim:
+                cols[col - dim][(a,)] = c
+    return LinearMap(f.domain, (f.domain,), cols, field)

@@ -22,8 +22,9 @@ Mult = Dict[Tuple[int, int], Vec]
 
 
 class NotApplicableError(ValueError):
-    """The input is valid, but the classical oracle does not cover it:
-    its reassociator is not trivial, or alpha and beta are not 1."""
+    """The input is valid, but the requested suite does not apply to it:
+    the classical oracle needs a trivial reassociator and alpha = beta =
+    1, and the verify suites and derive need antipode data."""
 
 
 class ClassicalHopf:

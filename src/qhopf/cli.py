@@ -63,10 +63,17 @@ def _load(path: str):
 
 
 def _load_hopf(path: str) -> QuasiHopfAlgebra:
+    """The quasi-Hopf algebra of a spec file. A valid quasi-bialgebra
+    has no antipode data for the command to use (NotApplicableError,
+    exit 3); any other kind is malformed input here (exit 2)."""
     obj = _load(path)
-    if not isinstance(obj, QuasiHopfAlgebra):
-        raise sf.SpecError("%s: expected a quasi-hopf spec file" % path)
-    return obj
+    if isinstance(obj, QuasiHopfAlgebra):
+        return obj
+    if isinstance(obj, QuasiBialgebra):
+        raise NotApplicableError("%s: a quasi-bialgebra spec file has no "
+                                 "antipode data; this command needs a "
+                                 "quasi-hopf one" % path)
+    raise sf.SpecError("%s: expected a quasi-hopf spec file" % path)
 
 
 def _write(path: str, text: str) -> None:

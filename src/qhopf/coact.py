@@ -15,28 +15,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import (FinAlgebra, LegMul, _per_input, counit_identity,
-                      equivariant_action, invert_in_tensor_algebra,
-                      left_action_assoc, left_action_unit, mul_legs,
-                      multiplicative, quasi_associative, right_action_assoc,
-                      right_action_unit, sandwich, sweedler, tensor_unit)
-from .quasihopf import (NotInvertibleError, QuasiBialgebra, QuasiHopfAlgebra,
+                      equivariant_action, left_action_assoc, left_action_unit,
+                      mul_legs, multiplicative, quasi_associative,
+                      right_action_assoc, right_action_unit, sandwich,
+                      sweedler)
+from .quasihopf import (QuasiBialgebra, QuasiHopfAlgebra, checked_inverse,
                         p_right, q_right)
 from .report import VerificationReport
 from .tensor import Basis, LinearMap, Tensor
-
-
-def _check_inverse(algebras, x: Tensor, x_inv: Optional[Tensor],
-                   what: str) -> Tensor:
-    if x_inv is None:
-        x_inv = invert_in_tensor_algebra(algebras, x)
-        if x_inv is None:
-            raise NotInvertibleError("%s is not invertible" % what)
-        return x_inv
-    legs = tuple(a.as_leg() for a in algebras)
-    unit = tensor_unit(algebras)
-    if mul_legs(legs, x, x_inv) != unit or mul_legs(legs, x_inv, x) != unit:
-        raise ValueError("supplied inverse of %s fails the two-sided check" % what)
-    return x_inv
 
 
 class OverH:
@@ -110,7 +96,7 @@ class RightComoduleAlgebra(_ComoduleAlgebraBase):
             raise ValueError("right reassociator must live in A (x) H (x) H")
         self.coaction = coaction
         self.phi_rho = phi_rho
-        self.phi_rho_inv = _check_inverse(
+        self.phi_rho_inv = checked_inverse(
             (algebra, H.algebra, H.algebra), phi_rho, phi_rho_inv,
             "right reassociator")
 
@@ -138,7 +124,7 @@ class LeftComoduleAlgebra(_ComoduleAlgebraBase):
             raise ValueError("left reassociator must live in H (x) H (x) B")
         self.coaction = coaction
         self.phi_lam = phi_lam
-        self.phi_lam_inv = _check_inverse(
+        self.phi_lam_inv = checked_inverse(
             (H.algebra, H.algebra, algebra), phi_lam, phi_lam_inv,
             "left reassociator")
 
@@ -161,7 +147,7 @@ class BicomoduleAlgebra(AlgebraOverH):
         if phi_mid.spaces != (self.H.basis, self.algebra.basis, self.H.basis):
             raise ValueError("middle reassociator must live in H (x) A (x) H")
         self.phi_mid = phi_mid
-        self.phi_mid_inv = _check_inverse(
+        self.phi_mid_inv = checked_inverse(
             (self.H.algebra, self.algebra, self.H.algebra), phi_mid,
             phi_mid_inv, "middle reassociator")
 

@@ -38,7 +38,7 @@ No other module builds a Fraction or an Fp.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 
 class Fp:
@@ -165,8 +165,10 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError("GF(p) needs a prime p, got %r" % (p,))
+        # the bound keeps trial division below 46,341 divisors
+        if not 2 <= p < 2 ** 31 or any(p % d == 0
+                                       for d in range(2, isqrt(p) + 1)):
+            raise ValueError("GF(p) needs a prime p < 2^31, got %r" % (p,))
         self.p = p
         self.name = "GF(%d)" % p
 

@@ -1,4 +1,10 @@
-"""Exact sparse linear algebra: Gaussian elimination over a Field.
+"""Exact sparse linear algebra over a Field, with one eliminator.
+
+RowSpan is the package's only elimination: an incrementally built
+reduced row echelon span. Everything exact that eliminates reads its
+answer off one: solve_linear adds each equation with its right side in
+a last column, algebra.invert_linear_map adds the rows of [M | I], and
+hopfmod.cyclic_right_submodule spans a seeded cyclic module.
 
 Vectors and matrix rows are dicts mapping column index to a scalar; a
 zero entry is dropped where a vector enters, so it is never read as a
@@ -83,38 +89,22 @@ class RowSpan:
 def solve_linear(rows: List[Vec], rhs: List[object], field: Field = QQ) -> Optional[Vec]:
     """Solve the sparse system rows[i] . y = rhs[i].
 
-    Returns a solution vector (free variables set to zero) or None if the
-    system is inconsistent. The returned solution has been verified by
-    substitution into every equation.
+    Each row enters one RowSpan with its right side in a column after
+    every unknown, so that column is a pivot only when the system is
+    inconsistent (None, at the first such row). Otherwise each pivot
+    unknown is its row's entry in that column and free unknowns are
+    zero. The returned solution has been verified by substitution into
+    every equation.
     """
-    work = [{col: c for col, c in r.items() if c} for r in rows]
-    aug = list(rhs)
-    pivot_of_row: List[int] = []
-    used_rows: List[int] = []
-    for i in range(len(work)):
-        row, b = work[i], aug[i]
-        for j, piv in zip(used_rows, pivot_of_row):
-            c = row.get(piv)
-            if c:
-                vec_sub_scaled(row, work[j], c)
-                b = b - c * aug[j]
-        if not row:
-            if b:
-                return None
-            continue
-        piv = min(row)
-        inv = field.one() / row[piv]
-        work[i] = {col: v * inv for col, v in row.items()}
-        aug[i] = b * inv
-        used_rows.append(i)
-        pivot_of_row.append(piv)
-    # back substitution: read off pivot variables, free variables are zero
+    b_col = 1 + max((col for row in rows for col in row), default=-1)
+    span = RowSpan(field)
+    for row, b in zip(rows, rhs):
+        if span.add({**row, b_col: b}) and b_col in span.position:
+            return None
+    # pivot unknowns, last pivot first (the order of back substitution)
     solution: Vec = {}
-    for j, piv in reversed(list(zip(used_rows, pivot_of_row))):
-        val = aug[j]
-        for col, c in work[j].items():
-            if col != piv and col in solution:
-                val = val - c * solution[col]
+    for piv in reversed(span.position):
+        val = span.rows[span.position[piv]].get(b_col)
         if val:
             solution[piv] = val
     # substitution check against the original system
@@ -127,24 +117,3 @@ def solve_linear(rows: List[Vec], rhs: List[object], field: Field = QQ) -> Optio
         if acc != b:
             raise ArithmeticError("substitution check failed after elimination")
     return solution
-
-
-def invert_matrix_map(apply_fn, dim: int, field: Field = QQ):
-    """Invert a linear endomorphism given by apply_fn(j) -> column Vec.
-
-    Returns a list of columns of the inverse (each a Vec), or None if the
-    map is singular.
-    """
-    # rows[a][b] = coefficient a of image of basis vector b
-    rows: List[Vec] = [{} for _ in range(dim)]
-    for b in range(dim):
-        for a, c in apply_fn(b).items():
-            rows[a][b] = c
-    columns = []
-    for target in range(dim):
-        rhs = [field.one() if a == target else field.zero() for a in range(dim)]
-        sol = solve_linear(rows, rhs, field)
-        if sol is None:
-            return None
-        columns.append(sol)
-    return columns

@@ -12,13 +12,13 @@ algebra.sweedler over the terms of Phi, Phi^{-1}, Delta(h) or others.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import (FinAlgebra, InputTable, LegMul, _grid, _per_input,
                       _transpose, as_table, flat_pairing,
-                      invert_in_tensor_algebra, invert_linear_map, mul_legs,
-                      multiplicative, quasi_associative, sandwich, sweedler,
-                      tensor_unit)
+                      invert_in_tensor_algebra, invert_linear_map,
+                      is_inverse, mul_legs, multiplicative, quasi_associative,
+                      sandwich, sweedler, tensor_unit)
 from .fields import Field
 from .report import VerificationReport
 from .tensor import Basis, LinearMap, Tensor, product_basis
@@ -27,6 +27,22 @@ from .tensor import Basis, LinearMap, Tensor, product_basis
 class NotInvertibleError(ValueError):
     """A reassociator given without its inverse has none: well-formed
     input that is not a quasi-bialgebra or comodule algebra."""
+
+
+def checked_inverse(algebras: Sequence[FinAlgebra], x: Tensor,
+                    x_inv: Optional[Tensor], what: str) -> Tensor:
+    """x's inverse in the tensor product of algebras. A missing x_inv
+    is solved for (NotInvertibleError if x has none); a supplied one
+    must pass the two-sided check (ValueError if not). what names x in
+    both messages."""
+    if x_inv is None:
+        x_inv = invert_in_tensor_algebra(algebras, x)
+        if x_inv is None:
+            raise NotInvertibleError("%s is not invertible" % what)
+    elif not is_inverse(algebras, x, x_inv):
+        raise ValueError("supplied %s inverse fails the two-sided check"
+                         % what)
+    return x_inv
 
 
 class QuasiBialgebra:
@@ -47,16 +63,8 @@ class QuasiBialgebra:
         self.counit = counit
         self.phi = phi
         self.name = name or algebra.basis.name
-        if phi_inv is None:
-            phi_inv = invert_in_tensor_algebra((algebra,) * 3, phi)
-            if phi_inv is None:
-                raise NotInvertibleError("reassociator is not invertible")
-        else:
-            legs = (algebra.as_leg(),) * 3
-            unit3 = tensor_unit((algebra,) * 3)
-            if mul_legs(legs, phi, phi_inv) != unit3 or mul_legs(legs, phi_inv, phi) != unit3:
-                raise ValueError("supplied reassociator inverse fails the two-sided check")
-        self.phi_inv = phi_inv
+        self.phi_inv = checked_inverse((algebra,) * 3, phi, phi_inv,
+                                       "reassociator")
         self._dual: Optional[DualView] = None
 
     @property

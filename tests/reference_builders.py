@@ -102,6 +102,14 @@ index of u (x) v written by algebra.flat_pairing. DualView.hits is the
 one table of H's two-sided hits now. tests/test_lifted_builders.py
 checks the package against them.
 
+Per-column elimination: solve_linear (linalg.py) as it was before it
+read its answer off one RowSpan, a second Gaussian elimination with its
+own pivot bookkeeping, and invert_matrix_map (linalg.py) and
+invert_linear_map (algebra.py) as they were before a map was inverted
+in one elimination of [M | I]: one solve_linear per column of the
+inverse. invert_in_tensor_algebra above solves through this copy.
+tests/test_linalg.py checks the package against them.
+
 Seeded cyclic modules: RowSpan (linalg.py) and cyclic_right_submodule
 (hopfmod.py) as they were before coordinates read a vector's entries
 at the pivots and returned them sparse, and before the table was
@@ -130,7 +138,7 @@ from qhopf.doihopf import (BimoduleCoalgebra, CrossedHopfModule,
 from qhopf.hopfmod import (RelativeHopfModule, TwoSidedHopfModule,
                            smash_action_from_two_sided)
 from qhopf.fields import Field, QQ
-from qhopf.linalg import solve_linear, vec_sub_scaled
+from qhopf.linalg import vec_sub_scaled
 from qhopf.products import ProductAlgebra, QuasiSmash, quasi_smash
 from qhopf.quasihopf import DualView, QuasiBialgebra, QuasiHopfAlgebra
 from qhopf.report import CheckRecord, VerificationReport, scalar_str
@@ -2151,3 +2159,98 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
                 raise ArithmeticError("cyclic module is not closed")
             table[(m, g)] = {j: c for j, c in enumerate(coords) if c}
     return LegMul(basis, prod.basis, basis, _clean_table(table), field)
+
+
+# ----------------------------------------------------------------------
+# per-column elimination
+
+
+def solve_linear(rows: List[Vec], rhs: List[object], field: Field = QQ) -> Optional[Vec]:
+    """Solve the sparse system rows[i] . y = rhs[i].
+
+    Returns a solution vector (free variables set to zero) or None if the
+    system is inconsistent. The returned solution has been verified by
+    substitution into every equation.
+    """
+    work = [{col: c for col, c in r.items() if c} for r in rows]
+    aug = list(rhs)
+    pivot_of_row: List[int] = []
+    used_rows: List[int] = []
+    for i in range(len(work)):
+        row, b = work[i], aug[i]
+        for j, piv in zip(used_rows, pivot_of_row):
+            c = row.get(piv)
+            if c:
+                vec_sub_scaled(row, work[j], c)
+                b = b - c * aug[j]
+        if not row:
+            if b:
+                return None
+            continue
+        piv = min(row)
+        inv = field.one() / row[piv]
+        work[i] = {col: v * inv for col, v in row.items()}
+        aug[i] = b * inv
+        used_rows.append(i)
+        pivot_of_row.append(piv)
+    # back substitution: read off pivot variables, free variables are zero
+    solution: Vec = {}
+    for j, piv in reversed(list(zip(used_rows, pivot_of_row))):
+        val = aug[j]
+        for col, c in work[j].items():
+            if col != piv and col in solution:
+                val = val - c * solution[col]
+        if val:
+            solution[piv] = val
+    # substitution check against the original system
+    for row, b in zip(rows, rhs):
+        acc = field.zero()
+        for col, c in row.items():
+            y = solution.get(col)
+            if y:
+                acc = acc + c * y
+        if acc != b:
+            raise ArithmeticError("substitution check failed after elimination")
+    return solution
+
+
+
+def invert_matrix_map(apply_fn, dim: int, field: Field = QQ):
+    """Invert a linear endomorphism given by apply_fn(j) -> column Vec.
+
+    Returns a list of columns of the inverse (each a Vec), or None if the
+    map is singular.
+    """
+    # rows[a][b] = coefficient a of image of basis vector b
+    rows: List[Vec] = [{} for _ in range(dim)]
+    for b in range(dim):
+        for a, c in apply_fn(b).items():
+            rows[a][b] = c
+    columns = []
+    for target in range(dim):
+        rhs = [field.one() if a == target else field.zero() for a in range(dim)]
+        sol = solve_linear(rows, rhs, field)
+        if sol is None:
+            return None
+        columns.append(sol)
+    return columns
+
+
+def invert_linear_map(f: LinearMap) -> Optional[LinearMap]:
+    """Inverse of an endomorphism with a single codomain leg."""
+    if f.codomain != (f.domain,):
+        raise ValueError("only endomorphisms can be inverted")
+    dim = f.domain.dim
+
+    def apply_fn(j):
+        return {k[0]: c for k, c in f.cols.get(j, {}).items()}
+
+    cols = invert_matrix_map(apply_fn, dim, f.field)
+    if cols is None:
+        return None
+    return LinearMap(
+        f.domain,
+        (f.domain,),
+        {j: {(k,): c for k, c in col.items()} for j, col in enumerate(cols)},
+        f.field,
+    )

@@ -583,3 +583,42 @@ def test_unknown_field_exits_2_for_every_command(corpus_dir, capsys):
         assert (code, out) == (2, "")
         assert err == ("error: unknown field 'bogus' (expected 'Q' or "
                        "'GF(p)')\n")
+
+
+def test_large_field_exits_2(corpus_dir, capsys):
+    """A prime p >= 2^31 is refused as malformed input, from --field and
+    from a spec file's field entry alike, without a primality test."""
+    code, out, err = run(capsys, "--field", "GF(1000000000000000003)",
+                         "check", str(corpus_dir / "z2.json"))
+    assert (code, out) == (2, "")
+    assert err == ("error: GF(p) needs a prime p < 2^31, got "
+                   "1000000000000000003\n")
+
+
+def test_quasi_bialgebra_file_is_not_applicable(corpus_dir, tmp_path,
+                                                capsys):
+    """A quasi-bialgebra spec (a corpus entry saved without antipode
+    data) is valid: check passes it, and every verify suite and derive,
+    which need the antipode, exit 3 rather than 2. A file of another
+    kind is still malformed input for them."""
+    doc = json.loads((corpus_dir / "z2_quasi.json").read_text())
+    doc["kind"] = "quasi-bialgebra"
+    for key in ("antipode", "alpha", "beta"):
+        del doc["data"][key]
+    qb = tmp_path / "qb.json"
+    qb.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(qb))
+    assert (code, err) == (0, "")
+    want = ("error: %s: a quasi-bialgebra spec file has no antipode data; "
+            "this command needs a quasi-hopf one\n" % qb)
+    for argv in (("verify", "axioms", str(qb)),
+                 ("verify", "identities", str(qb)),
+                 ("derive", str(qb), "--out", str(tmp_path / "d.json"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", want), argv
+    H = sf.doc_to_quasihopf(sf.parse((corpus_dir / "z2.json").read_text()))
+    alg = tmp_path / "alg.json"
+    alg.write_text(sf.serialize(sf.algebra_to_doc(H.algebra)))
+    code, out, err = run(capsys, "verify", "axioms", str(alg))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: expected a quasi-hopf spec file\n" % alg

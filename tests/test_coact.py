@@ -1,6 +1,7 @@
 import pytest
 
-from qhopf import (LinearMap, PrimeField, QQ, RightComoduleAlgebra, Tensor,
+from qhopf import (LeftComoduleAlgebra, LinearMap, NotInvertibleError,
+                   PrimeField, QQ, RightComoduleAlgebra, Tensor,
                    canonical_bicomodule, canonical_left_comodule,
                    canonical_module_coalgebra, canonical_right_comodule,
                    check_bicomodule_algebra, check_left_comodule_algebra,
@@ -65,6 +66,28 @@ def test_corrupted_reassociator_rejected(hq):
         # stale inverse no longer matches the perturbed reassociator
         RightComoduleAlgebra(hq, hq.algebra, hq.comul, hq.phi + bump,
                              hq.phi_inv)
+
+
+def test_comodule_reassociator_inverse_messages(hq):
+    """The comodule algebras check a supplied inverse, or solve for a
+    missing one, through H's function and in H's words."""
+    field, one = hq.field, hq.field.one()
+    spaces = (hq.basis,) * 3
+    bump = Tensor(spaces, {(0, 0, 0): one}, field)
+    with pytest.raises(ValueError) as exc:
+        RightComoduleAlgebra(hq, hq.algebra, hq.comul, hq.phi + bump,
+                             hq.phi_inv)
+    assert str(exc.value) == ("supplied right reassociator inverse fails "
+                              "the two-sided check")
+    # (1 (x) 1 (x) 1 + g (x) g (x) g) / 2 is an idempotent: singular
+    half = one / field.from_int(2)
+    singular = Tensor(spaces, {(0, 0, 0): half, (1, 1, 1): half}, field)
+    with pytest.raises(NotInvertibleError) as exc:
+        RightComoduleAlgebra(hq, hq.algebra, hq.comul, singular)
+    assert str(exc.value) == "right reassociator is not invertible"
+    with pytest.raises(NotInvertibleError) as exc:
+        LeftComoduleAlgebra(hq, hq.algebra, hq.comul, singular)
+    assert str(exc.value) == "left reassociator is not invertible"
 
 
 def test_hit_is_counit_normalized(hq):

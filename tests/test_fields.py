@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,20 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_prime_field_bound_refuses_large_p_at_once():
+    """p < 2^31 keeps the primality test to trial division by at most
+    46,341 divisors; a larger prime is refused before any division."""
+    start = time.perf_counter()
+    assert parse_field("GF(2147483647)").p == 2 ** 31 - 1
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        parse_field("GF(1000000000000000003)")
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == ("GF(p) needs a prime p < 2^31, got "
+                              "1000000000000000003")
 
 
 def test_prime_field_division_by_zero():

@@ -473,6 +473,36 @@ def test_flat_space_retired(path):
         "FlatSpace": 0, "smash_index": 0}
 
 
+# solve_linear eliminated a second time, with its own pivot bookkeeping,
+# and invert_matrix_map (linalg.py) ran it once per column of an
+# inverse. Both now read their answers off one RowSpan, the package's
+# only elimination (invert_linear_map adds the rows of [M | I]). The
+# two-sided inverse check was written three times: in
+# QuasiBialgebra.__init__, in coact._check_inverse and at the end of
+# invert_in_tensor_algebra. H and every comodule algebra now call
+# quasihopf.checked_inverse, and it and invert_in_tensor_algebra share
+# algebra.is_inverse. No module defines, imports or calls
+# invert_matrix_map or _check_inverse, and the refusal of a supplied
+# inverse is worded in one place. The bodies of the per-column
+# elimination are the references of tests/test_linalg.py
+# (reference_builders.solve_linear, invert_matrix_map and
+# invert_linear_map).
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_per_column_elimination_retired(path):
+    source = path.read_text(encoding="utf-8")
+    assert {name: retired_sites(source, name)
+            for name in ("invert_matrix_map", "_check_inverse")} == {
+        "invert_matrix_map": 0, "_check_inverse": 0}
+
+
+def test_two_sided_check_is_worded_once():
+    counts = {p.name: p.read_text(encoding="utf-8").count(
+        "fails the two-sided check") for p in MODULES}
+    assert {name: n for name, n in counts.items() if n} == {
+        "quasihopf.py": 1}
+
+
 def test_flat_space_site_is_caught():
     source = ("from .tensor import Basis, FlatSpace\n"
               "class FlatSpace:\n"

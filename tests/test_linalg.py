@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qhopf import PrimeField, QQ, RowSpan, solve_linear
-from qhopf.linalg import invert_matrix_map
+from qhopf import (Basis, LinearMap, PrimeField, QQ, RowSpan, algebra,
+                   canonical_bicomodule, corpus, crossed_comodule_algebra,
+                   invert_in_tensor_algebra, invert_linear_map, linalg,
+                   quasi_smash, smash_product, solve_linear)
 
 import reference_builders as ref
+from test_cli import fixed_twist
 
 F = Fraction
 
@@ -97,23 +100,156 @@ def test_solve_linear():
     assert sum(sol.values()) == F(4)
 
 
-def test_invert_matrix_map():
+def test_invert_linear_map_of_matrix():
     mat = [[F(1), F(2)], [F(1), F(3)]]
-
-    def apply_fn(j):
-        return {i: mat[i][j] for i in range(2) if mat[i][j]}
-
-    cols = invert_matrix_map(apply_fn, 2, QQ)
-    assert cols is not None
+    V = Basis(("v0", "v1"))
+    f = LinearMap(V, (V,), {j: {(i,): mat[i][j] for i in range(2)}
+                            for j in range(2)}, QQ)
+    g = invert_linear_map(f)
+    assert g is not None
     # mat composed with its inverse columns is the identity
     for j in range(2):
         out = {}
-        for k, c in cols[j].items():
-            for i, d in apply_fn(k).items():
+        for (k,), c in g.cols[j].items():
+            for (i,), d in f.cols[k].items():
                 out[i] = out.get(i, F(0)) + d * c
         assert {i: c for i, c in out.items() if c} == {j: F(1)}
     # singular map has no inverse
-    assert invert_matrix_map(lambda j: {0: F(1)}, 2, QQ) is None
+    p = LinearMap(V, (V,), {j: {(0,): F(1)} for j in range(2)}, QQ)
+    assert invert_linear_map(p) is None
+
+
+FIELDS = pytest.mark.parametrize("field", (QQ, PrimeField(7)),
+                                 ids=("Q", "GF7"))
+
+
+def _draw_rows(field, data, count, width):
+    """count sparse rows over columns 0..width-1 with entries in -2..2,
+    explicit zero entries among them."""
+    entry = st.one_of(st.none(), st.integers(-2, 2))
+    return [{col: field.from_int(v)
+             for col, v in enumerate(data.draw(st.lists(
+                 entry, min_size=width, max_size=width))) if v is not None}
+            for _ in range(count)]
+
+
+def _same_solution(got, want):
+    """Equal dicts in the same order, or both None."""
+    return got == want and (got is None or list(got) == list(want))
+
+
+@FIELDS
+@given(data=st.data())
+def test_solve_linear_matches_reference(field, data):
+    """The solve read off one RowSpan gives the per-row elimination's
+    solution dict, in its order, or None with it: on random systems
+    with zero entries, singular and underdetermined ones among them,
+    and with a row added that contradicts the first two."""
+    width = data.draw(st.integers(1, 5))
+    rows = _draw_rows(field, data, data.draw(st.integers(1, 5)), width)
+    rhs = [field.from_int(data.draw(st.integers(-2, 2))) for _ in rows]
+    if len(rows) > 1 and data.draw(st.booleans()):
+        clash = dict(rows[0])
+        for col, c in rows[1].items():
+            clash[col] = clash.get(col, field.zero()) + c
+        rows.append(clash)
+        rhs.append(rhs[0] + rhs[1] + field.one())
+        assert solve_linear(rows, rhs, field) is None
+    assert _same_solution(solve_linear(rows, rhs, field),
+                          ref.solve_linear(rows, rhs, field))
+
+
+@FIELDS
+@given(data=st.data())
+def test_invert_linear_map_matches_reference(field, data):
+    """One elimination of [M | I] gives the per-column inverse, with
+    its columns' entries in the same order, or None with it; a copied
+    column makes M singular."""
+    dim = data.draw(st.integers(1, 4))
+    cols = _draw_rows(field, data, dim, dim)
+    if dim > 1 and data.draw(st.booleans()):
+        cols[-1] = dict(cols[0])
+    V = Basis(tuple("v%d" % i for i in range(dim)))
+    f = LinearMap(V, (V,), {j: {(i,): c for i, c in col.items()}
+                            for j, col in enumerate(cols)}, field)
+    got, want = invert_linear_map(f), ref.invert_linear_map(f)
+    assert got == want
+    if got is not None:
+        assert [list(col) for col in got.cols.values()] == \
+            [list(col) for col in want.cols.values()]
+
+
+@FIELDS
+def test_exact_inverses_match_reference(field):
+    """F^{-1} of the fixed gauge twist of k[Z/4] and Phi^{-1} of
+    z2z2_twisted, solved through the package's solve_linear and through
+    the reference copy: the same tensors, entries in the same order."""
+    H, F4 = fixed_twist(4, field)
+    Hq = corpus(field)["z2z2_twisted"]
+    for algebras, x in (((H.algebra,) * 2, F4),
+                        ((Hq.algebra,) * 3, Hq.phi)):
+        got = invert_in_tensor_algebra(algebras, x)
+        want = ref.invert_in_tensor_algebra(algebras, x)
+        assert got is not None
+        assert list(got.data.items()) == list(want.data.items())
+
+
+def test_crossed_left_reassociator_solve_matches_reference(monkeypatch):
+    """The system that inverts the left reassociator of
+    crossed_comodule_algebra on z3 over GF(7) (2,187 unknowns): the
+    package's solve and the reference copy give the same dict."""
+    field = PrimeField(7)
+    H = corpus(field)["z3"]
+    systems = []
+
+    def captured(rows, rhs, field):
+        systems.append((rows, rhs))
+        return solve_linear(rows, rhs, field)
+
+    ba = canonical_bicomodule(H)
+    HHop = H.tensor_with(H.opposite())
+    qs = quasi_smash(ba.right)
+    sm = smash_product(qs)
+    monkeypatch.setattr(algebra, "solve_linear", captured)
+    crossed_comodule_algebra(ba, HHop, qs, sm)
+    ((rows, rhs),) = systems
+    assert len({col for row in rows for col in row}) == 2187
+    got = solve_linear(rows, rhs, field)
+    assert got is not None
+    assert _same_solution(got, ref.solve_linear(rows, rhs, field))
+
+
+def _count_adds(monkeypatch):
+    calls = []
+    add = linalg.RowSpan.add
+
+    def counted(self, vec):
+        calls.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(linalg.RowSpan, "add", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", (1, 3, 6))
+def test_inverse_is_one_elimination(dim, monkeypatch):
+    """Inverting a d-dimensional map adds exactly its d rows of
+    [M | I] to one span (not one elimination per column)."""
+    V = Basis(tuple("v%d" % i for i in range(dim)))
+    f = LinearMap(V, (V,), {j: {(j,): F(1), ((j + 1) % dim,): F(j + 2)}
+                            for j in range(dim)}, QQ)
+    calls = _count_adds(monkeypatch)
+    assert invert_linear_map(f) is not None
+    assert len(calls) == dim
+
+
+def test_inconsistent_solve_stops_at_first_clash(monkeypatch):
+    """y0 = 1 and then y0 = 2: the solve stops at the second row and
+    never adds the rows after it."""
+    rows = [vec(1), vec(1), vec(0, 1), vec(0, 0, 1)]
+    calls = _count_adds(monkeypatch)
+    assert solve_linear(rows, [F(1), F(2), F(1), F(1)], QQ) is None
+    assert len(calls) == 2
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
