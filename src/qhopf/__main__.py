@@ -1,0 +1,8 @@
+"""Run the qhopf command line as `python -m qhopf`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

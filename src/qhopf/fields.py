@@ -32,6 +32,12 @@ algebra.py. They go through two methods of the field:
   denominators; over GF(p) the numerators may be any ints, since lower
   reduces them.
 
+lower returns one shared object per value, from a per-field map of at
+most SHARED_LIMIT entries that is cleared when full. Scalars are
+immutable, so sharing never changes a value, and equal lowered tables
+compare by identity. Compare scalars with ==, never with `is`: equal
+values from arithmetic or from both sides of a clear are distinct.
+
 No other module builds a Fraction or an Fp.
 """
 
@@ -39,6 +45,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+
+# entries of one field's map of shared lowered scalars
+SHARED_LIMIT = 4096
 
 
 class Fp:
@@ -97,6 +106,10 @@ class Field:
 
     name = "?"
 
+    def __init__(self):
+        # what lower was given -> the scalar it returned for it
+        self._shared: dict = {}
+
     def zero(self):
         raise NotImplementedError
 
@@ -119,7 +132,8 @@ class Field:
         raise NotImplementedError
 
     def lower(self, num: dict, den: int) -> dict:
-        """Scalars num[k] / den, without the zero ones."""
+        """Scalars num[k] / den, without the zero ones; equal values are
+        one shared object (compare them with ==, never with `is`)."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -158,9 +172,21 @@ class RationalField(Field):
                 for k, c in data.items()}, den
 
     def lower(self, num, den):
-        if den == 1:
-            return {k: Fraction(n) for k, n in num.items() if n}
-        return {k: Fraction(n, den) for k, n in num.items() if n}
+        # (n, den) and the reduced (numerator, denominator) both map to
+        # the one Fraction, so 1/2 and 3/6 come back as one object; a
+        # miss adds up to two entries
+        shared, out = self._shared, {}
+        for k, n in num.items():
+            if n:
+                c = shared.get((n, den))
+                if c is None:
+                    if len(shared) >= SHARED_LIMIT - 1:
+                        shared.clear()
+                    c = Fraction(n, den)
+                    c = shared[n, den] = shared.setdefault(
+                        (c.numerator, c.denominator), c)
+                out[k] = c
+        return out
 
 
 class PrimeField(Field):
@@ -169,6 +195,7 @@ class PrimeField(Field):
         if not 2 <= p < 2 ** 31 or any(p % d == 0
                                        for d in range(2, isqrt(p) + 1)):
             raise ValueError("GF(p) needs a prime p < 2^31, got %r" % (p,))
+        super().__init__()
         self.p = p
         self.name = "GF(%d)" % p
 
@@ -191,12 +218,16 @@ class PrimeField(Field):
         return {k: c.v for k, c in data.items()}, 1
 
     def lower(self, num, den):
-        p = self.p
+        p, shared, out = self.p, self._shared, {}
         inv = pow(den, -1, p)
-        out = {}
         for k, n in num.items():
-            c = Fp(n * inv, p)
-            if c.v:
+            r = n * inv % p
+            if r:
+                c = shared.get(r)
+                if c is None:
+                    if len(shared) >= SHARED_LIMIT:
+                        shared.clear()
+                    c = shared[r] = Fp(r, p)
                 out[k] = c
         return out
 

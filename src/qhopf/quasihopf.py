@@ -25,8 +25,10 @@ from .tensor import Basis, LinearMap, Tensor, product_basis
 
 
 class NotInvertibleError(ValueError):
-    """A reassociator given without its inverse has none: well-formed
-    input that is not a quasi-bialgebra or comodule algebra."""
+    """Well-formed input whose structure has no inverse where one is
+    needed: a reassociator given without its inverse has none (not a
+    quasi-bialgebra or comodule algebra), or the antipode is not
+    bijective (S^{-1} is needed and does not exist)."""
 
 
 def checked_inverse(algebras: Sequence[FinAlgebra], x: Tensor,
@@ -193,7 +195,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         if self._antipode_inv is None:
             inv = invert_linear_map(self.antipode)
             if inv is None:
-                raise ValueError("antipode is not bijective")
+                raise NotInvertibleError("antipode is not bijective")
             self._antipode_inv = inv
         return self._antipode_inv
 

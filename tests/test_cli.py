@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,16 @@ def corpus_dir(tmp_path):
     code = cli.main(["corpus", "--out", str(d)])
     assert code == 0
     return d
+
+
+def test_python_m_qhopf_runs_from_a_checkout():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "qhopf", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: qhopf")
 
 
 def test_corpus_writes_six_deterministic_files(tmp_path, capsys):
@@ -415,6 +428,30 @@ def test_antipode_not_bijective_exits_1(field, suite, tmp_path, capsys):
     code, out, err = run(capsys, "verify", suite, str(bad))
     assert (code, err) == (1, "")
     assert json.loads(out)["checks"] == [record]
+
+
+@pytest.mark.parametrize("field", ("Q", "GF(7)"), ids=("Q", "GF7"))
+@pytest.mark.parametrize("command", (
+    ("verify", "modules"), ("verify", "heisenberg"),
+    ("verify", "crossed-modules"), ("verify", "classical"), ("derive",)),
+    ids=lambda command: command[-1])
+def test_antipode_not_bijective_refused_with_exit_1(field, command, tmp_path,
+                                                    capsys):
+    # k[Z/2] with S(g) = 0: valid input whose antipode is not bijective.
+    # The commands that need S^{-1} before they can report anything exit
+    # 1, as for a reassociator without an inverse, not 2 (malformed)
+    d = tmp_path / "corpus"
+    assert cli.main(["--field", field, "corpus", "--out", str(d)]) == 0
+    capsys.readouterr()
+    doc = json.loads((d / "z2.json").read_text())
+    doc["data"]["antipode"] = [[0, 0, 1, 1]]
+    bad = tmp_path / "singular-antipode.json"
+    bad.write_text(json.dumps(doc))
+    out_file = tmp_path / "derived.json"
+    argv = command + (str(bad),) + (("--out", str(out_file))
+                                    if command == ("derive",) else ())
+    assert run(capsys, *argv) == (1, "", "error: antipode is not bijective\n")
+    assert not out_file.exists()
 
 
 # Fixed counital gauge twists F = 1 (x) 1 + x (x) y of k[Z/m], as the

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qhopf import Fp, PrimeField, QQ, parse_field
+from qhopf import Fp, PrimeField, QQ, RationalField, parse_field
+from qhopf.fields import SHARED_LIMIT
 
 
 def test_rational_basics():
@@ -112,3 +113,66 @@ def test_lift_and_lower():
     assert F.lower({"a": 10, "b": 14, "c": -1}, 1) == \
         {"a": F.from_int(3), "c": F.from_int(6)}
     assert F.lower({"a": 1}, 2) == {"a": F.from_pair(1, 2)}
+
+
+# lifted numerators as the kernels produce them: zero, negative and
+# large sums over one positive denominator
+NUMERATORS = st.dictionaries(
+    st.integers(0, 40),
+    st.one_of(st.integers(-60, 60), st.integers(-2 ** 80, 2 ** 80)),
+    max_size=25)
+
+
+@given(NUMERATORS, st.integers(1, 2 ** 40))
+def test_lower_matches_scalars_built_one_by_one(num, den):
+    """lower over Q and GF(7) against Fraction(n, den) and
+    Fp(n * den^-1, p) key for key, the zero ones left out."""
+    assert QQ.lower(num, den) == {k: Fraction(n, den)
+                                  for k, n in num.items() if n}
+    F = PrimeField(7)
+    if den % 7:
+        inv = pow(den, -1, 7)
+        assert F.lower(num, den) == {k: Fp(n * inv, 7)
+                                     for k, n in num.items() if n * inv % 7}
+
+
+def test_lower_shares_one_object_per_value():
+    # a fresh field: QQ's map may be cleared between two calls here
+    Q = RationalField()
+    half = Q.lower({"a": 1}, 2)["a"]
+    assert Q.lower({"b": 3}, 6)["b"] is half
+    assert Q.lower({"a": 1, "b": 2, "c": 5}, 4) == {
+        "a": Fraction(1, 4), "b": half, "c": Fraction(5, 4)}
+    assert Q.lower({"b": 2}, 4)["b"] is half
+    twice = Q.lower({"a": -4, "b": -4}, 1)
+    assert twice["a"] is twice["b"] is Q.lower({"c": -8}, 2)["c"]
+    F = PrimeField(7)
+    # 1/2 = 4 in GF(7); 11 and -3 reduce to 4 as well
+    four = F.lower({"a": 1}, 2)["a"]
+    assert four == F.from_int(4)
+    got = F.lower({"a": 11, "b": -3, "c": 4}, 1)
+    assert list(got) == ["a", "b", "c"]
+    assert all(c is four for c in got.values())
+    assert F.lower({"a": 7, "b": 0}, 1) == {}
+
+
+@pytest.mark.parametrize("field", (RationalField(), PrimeField(8191)),
+                         ids=("Q", "GF8191"))
+def test_shared_map_stays_within_its_bound(field):
+    """More distinct values than SHARED_LIMIT: the map is cleared when
+    full, and every value lowered before, across and after a clear is
+    the right one."""
+    def expect(num, den):
+        if field == QQ:
+            return {k: Fraction(n, den) for k, n in num.items() if n}
+        inv = pow(den, -1, 8191)
+        return {k: Fp(n * inv, 8191) for k, n in num.items() if n % 8191}
+
+    sizes = []
+    for n in range(1, 2 * SHARED_LIMIT + 10, 3):
+        num = {0: n, 1: -n, 2: 2 * n}
+        assert field.lower(num, 3) == expect(num, 3)
+        sizes.append(len(field._shared))
+    assert max(sizes) <= SHARED_LIMIT
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert field.lower({0: 1, 1: 5}, 3) == expect({0: 1, 1: 5}, 3)

@@ -28,6 +28,7 @@ import reference_builders as ref
 from reference_builders import (FlatSpace, assemble, check_equal,
                                 check_quantified, left_hit, map_from_function,
                                 pair_legs, right_hit, smash_index)
+from test_cli import fixed_twist
 from test_flat_sums import _skewed
 from test_report import _mutant as _table_mutant
 
@@ -547,6 +548,24 @@ def test_hom_smash_matches_per_input_reference(field, subgroup_comodule,
 def test_crossed_decomposition(all_corpus):
     rep = verify_crossed_decomposition(all_corpus["z2_quasi"])
     assert rep.passed, [r.tag for r in rep.records if not r.passed]
+
+
+def test_crossed_decomposition_builds_few_fractions(monkeypatch):
+    """On the fixed twist of k[Z/3] each product table has 17,496
+    nonzero entries but 34 distinct values; lowering shares one Fraction
+    per value instead of building one per entry (35,791 when it did)."""
+    HF = twist(*fixed_twist(3, QQ))
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(QQ, "_shared", {})
+    monkeypatch.setattr("qhopf.fields.Fraction", Counting)
+    assert verify_crossed_decomposition(HF).passed
+    assert len(built) <= 64
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,15 @@ tensors against the comparison it replaced (first_difference)."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from qhopf import (Basis, LegMul, LinearMap, PrimeField, QQ, Tensor,
+from qhopf import (Basis, Fp, LegMul, LinearMap, PrimeField, QQ, Tensor,
                    VerificationReport, canonical_first_module,
                    canonical_right_comodule, corpus, cyclic_right_submodule,
                    mul_legs, quasi_smash, smash_product)
-from qhopf.algebra import _clean_table
+from qhopf.algebra import InputTable, _clean_table, as_table, first_mismatch
 
 from reference_builders import check_equal, check_quantified
 
@@ -87,6 +88,47 @@ def test_check_same_matches_reference_scan(field):
         assert got.to_json() == want.to_json(), name
         assert got.records[0].passed
         assert sum(not r.passed for r in got.records) >= 10, name
+
+
+def _fresh_copy(f):
+    """f with every scalar rebuilt as a new object of the same value."""
+    def fresh(c):
+        return (Fraction(c.numerator, c.denominator)
+                if isinstance(c, Fraction) else Fp(c.v, c.p))
+
+    if isinstance(f, LegMul):
+        return LegMul(f.left, f.right, f.out, {
+            k: {o: fresh(c) for o, c in v.items()}
+            for k, v in f.table.items()}, f.field)
+    return LinearMap(f.domain, f.codomain, {
+        k: {o: fresh(c) for o, c in v.items()}
+        for k, v in f.cols.items()}, f.field)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+def test_first_mismatch_compares_values_not_objects(field):
+    """Lowered scalars are shared objects, but a table whose equal values
+    are distinct objects still agrees, slice by slice too, and one
+    changed entry gives the record the reference scan gives."""
+    rng = random.Random(22)
+    for name, f in _structures(field):
+        g = _fresh_copy(f)
+        lhs, rhs = as_table(f), as_table(g)
+        scalars = [[c for _, row in sorted(t.source.items())
+                    for _, c in sorted(row.items())] for t in (lhs, rhs)]
+        assert scalars[0] == scalars[1]
+        assert not any(a is b for a, b in zip(*scalars))
+        assert first_mismatch(lhs, rhs) is None
+        slices = [InputTable(t.dims, t.spaces, t.field, t.part)
+                  for t in (lhs, rhs)]
+        assert first_mismatch(*slices) is None
+        got, want = VerificationReport(name), VerificationReport(name)
+        for trial in range(4):
+            bumped = _mutant(g, rng, 1)
+            got.check_same("%s-%d" % (name, trial), f, bumped)
+            _reference_same(want, "%s-%d" % (name, trial), f, bumped)
+        assert got.to_json() == want.to_json(), name
+        assert not any(r.passed for r in got.records), name
 
 
 def test_check_same_refuses_different_shapes():
