@@ -64,6 +64,13 @@ class LegMul:
             table.setdefault((i, j), {})[k] = c
         return cls(*t.spaces, table, t.field)
 
+    def graph(self) -> Tensor:
+        """The three-leg tensor of the structure constants, the sum of
+        e_i (x) e_j (x) (e_i e_j) over the inputs: from_graph inverted."""
+        return Tensor((self.left, self.right, self.out), {
+            (i, j, k): c for (i, j), vec in self.table.items()
+            for k, c in vec.items()}, self.field)
+
     def lifted(self):
         """(rows, den): the table lifted by _lift_rows, rows[(i, j)] a
         tuple of (k, numerator) pairs."""

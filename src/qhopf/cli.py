@@ -12,12 +12,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from typing import Optional
 
 from . import specfile as sf
 from .classical import NotApplicableError, verify_classical_agreement
-from .coact import (LeftComoduleAlgebra, LeftModuleAlgebra,
-                    RightComoduleAlgebra, canonical_right_comodule,
+from .algebra import FinAlgebra
+from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
+                    LeftModuleAlgebra, RightComoduleAlgebra,
+                    RightModuleCoalgebra, canonical_right_comodule,
                     check_bicomodule_algebra, check_left_comodule_algebra,
                     check_left_module_algebra, check_right_comodule_algebra,
                     check_right_module_coalgebra, verify_tilde_identities)
@@ -99,36 +102,34 @@ def _emit(rep: VerificationReport, args) -> int:
 # commands
 
 
+# the check of each object a spec file reads into, by type; a quasi-Hopf
+# algebra is also a quasi-bialgebra, so it comes first
+CHECKS = ((QuasiHopfAlgebra, check_quasihopf),
+          (QuasiBialgebra, check_quasibialgebra),
+          (RightComoduleAlgebra, check_right_comodule_algebra),
+          (LeftComoduleAlgebra, check_left_comodule_algebra),
+          (RightModuleCoalgebra, check_right_module_coalgebra),
+          (BicomoduleAlgebra, check_bicomodule_algebra),
+          (LeftModuleAlgebra, check_left_module_algebra))
+
+
 def cmd_check(args) -> int:
     doc = sf.parse(_read(args.file))
-    kind = doc["kind"]
-    if kind in ("bialgebra", "quasi-bialgebra"):
-        rep = check_quasibialgebra(sf.doc_to_quasihopf(doc))
-    elif kind == "quasi-hopf":
-        rep = check_quasihopf(sf.doc_to_quasihopf(doc))
-    elif kind == "comodule-algebra":
-        obj = sf.doc_to_comodule_algebra(doc)
-        rep = (check_right_comodule_algebra(obj)
-               if isinstance(obj, RightComoduleAlgebra)
-               else check_left_comodule_algebra(obj))
-    elif kind == "module-coalgebra":
-        rep = check_right_module_coalgebra(sf.doc_to_module_coalgebra(doc))
-    elif kind == "bicomodule-algebra":
-        rep = check_bicomodule_algebra(sf.doc_to_bicomodule_algebra(doc))
-    elif kind == "module-algebra":
-        rep = check_left_module_algebra(sf.doc_to_module_algebra(doc))
-    elif kind == "algebra":
-        alg = sf.doc_to_algebra(doc)
+    if doc["kind"] not in sf.READERS:
+        raise sf.SpecError("kind %r is not checkable" % doc["kind"])
+    obj = sf.from_doc(doc)
+    if isinstance(obj, FinAlgebra):
         rep = VerificationReport("algebra %s" % doc.get("name", ""),
-                                 {"dim": alg.dim, "field": alg.field.name})
-        bad = alg.is_associative()
+                                 {"dim": obj.dim, "field": obj.field.name})
+        bad = obj.is_associative()
         rep.check_bool("associative", bad is None,
                        None if bad is None else {"at": list(bad)})
-        bad = alg.unit_laws_hold()
+        bad = obj.unit_laws_hold()
         rep.check_bool("unit", bad is None,
                        None if bad is None else {"at": [bad]})
     else:
-        raise sf.SpecError("kind %r is not checkable" % kind)
+        rep = next(check(obj) for cls, check in CHECKS
+                   if isinstance(obj, cls))
     return _emit(rep, args)
 
 
@@ -260,7 +261,9 @@ def cmd_corpus(args) -> int:
 # argument parsing
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main reuses it."""
     parser = argparse.ArgumentParser(
         prog="qhopf",
         description="Exact verification toolkit for quasi-Hopf algebras.")

@@ -320,7 +320,14 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
             (x) (Xl3 # eps) # x1
 
     with Xl = the left reassociator of A, g = the inverse twist element
-    and x = Phi^{-1}."""
+    and x = Phi^{-1}. Its inverse is formed in the same way, as
+
+        sum (xl1 (x) S(X3) f1) (x) (xl2 (x) S(X2) f2)
+            (x) (xl3 # eps) # X1
+
+    with xl = the inverse left reassociator of A, f = the twist element
+    and X = Phi; it is solved for only where a failed axiom of H or ba
+    makes the comodule algebra's check refuse it."""
     H = ba.H
     if not isinstance(H, QuasiHopfAlgebra):
         raise ValueError("the crossed coaction needs antipode data")
@@ -345,11 +352,20 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
         (hh, (m, 1, 8), (S, (m, 13, 7))),
         (outer, (inner, (mA, 2, 9), (hr, (hl, 11, 4), 10)), (m, 12, 6)))))
 
+    eps = dual.eps_functional()
     src = ba.left.phi_lam.tensor(H.derived.f_inv).tensor(H.phi_inv)
     phi_w = sweedler(src, ((hh, 0, (m, 3, (S, 7))), (hh, 1, (m, 4, (S, 6))),
-                           (outer, (inner, 2, dual.eps_functional()), 5)))
-    return LeftComoduleAlgebra(HHop, sm.alg, coaction, phi_w,
-                               name=sm.alg.basis.name)
+                           (outer, (inner, 2, eps), 5)))
+    src = ba.left.phi_lam_inv.tensor(H.derived.f).tensor(H.phi)
+    phi_w_inv = sweedler(src, ((hh, 0, (m, (S, 7), 3)),
+                               (hh, 1, (m, (S, 6), 4)),
+                               (outer, (inner, 2, eps), 5)))
+    try:
+        return LeftComoduleAlgebra(HHop, sm.alg, coaction, phi_w, phi_w_inv,
+                                   name=sm.alg.basis.name)
+    except ValueError:  # H or ba fails an axiom the closed form rests on
+        return LeftComoduleAlgebra(HHop, sm.alg, coaction, phi_w,
+                                   name=sm.alg.basis.name)
 
 
 # ----------------------------------------------------------------------

@@ -236,10 +236,11 @@ QQ = RationalField()
 
 
 def parse_field(spec: str) -> Field:
-    """Parse a field name: "Q" or "GF(p)"."""
-    spec = spec.strip()
+    """Parse a field name: "Q" or "GF(p)"; ValueError for anything else,
+    a spec file's field that is not a string included."""
+    spec = spec.strip() if isinstance(spec, str) else spec
     if spec == "Q":
         return QQ
-    if spec.startswith("GF(") and spec.endswith(")"):
+    if isinstance(spec, str) and spec.startswith("GF(") and spec.endswith(")"):
         return PrimeField(int(spec[3:-1]))
-    raise ValueError("unknown field %r (expected 'Q' or 'GF(p)')" % spec)
+    raise ValueError("unknown field %r (expected 'Q' or 'GF(p)')" % (spec,))

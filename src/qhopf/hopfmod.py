@@ -642,16 +642,17 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
     modules = [("regular/", regular)]
     for seed in seeds:
         modules.append(("seed%d/" % seed, seeded_cyclic_module(qs, sm, seed)))
+    two_sided = {}
     for label, N in modules:
-        back = relative_from_two_sided(two_sided_from_relative(N, ca), qs)
+        two_sided[label] = two_sided_from_relative(N, ca)
+        back = relative_from_two_sided(two_sided[label], qs)
         _same_relative(rep, label, back, N)
 
     # the direct transport of the regular module agrees with the
     # backward functor applied to its relative form, and the right
     # smash action is reconstructed from the two-sided structure
     direct = two_sided_from_smash_module(qs, sm, sm.alg.as_leg(), ca)
-    via_functor = two_sided_from_relative(regular, ca)
-    _same_two_sided(rep, "smash-transport/", direct, via_functor)
+    _same_two_sided(rep, "smash-transport/", direct, two_sided["regular/"])
     rep.check_same("smash-reconstruction",
                    smash_action_from_two_sided(direct, qs, sm),
                    sm.alg.as_leg())

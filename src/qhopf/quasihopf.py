@@ -12,7 +12,7 @@ algebra.sweedler over the terms of Phi, Phi^{-1}, Delta(h) or others.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import (FinAlgebra, InputTable, LegMul, _grid, _per_input,
                       _transpose, as_table, flat_pairing,
@@ -145,20 +145,15 @@ class QuasiBialgebra:
         """Componentwise tensor product quasi-bialgebra on H (x) K: each
         structure tensor of H (x) K is that of H tensored with that of
         K, leg r of one paired with leg r of the other (flat_pairing).
-        The multiplication enters as the tensor of its structure
-        constants, Delta and eps as their graphs."""
+        The multiplication, Delta and eps enter as their graphs."""
         b = product_basis(self.basis, other.basis)
         pair = flat_pairing(self.basis, other.basis, b, self.field)
-        parts = [(Tensor((Q.basis,) * 3, {
-            (i, j, k): c for (i, j), vec in Q.algebra.mult.items()
-            for k, c in vec.items()}, Q.field), Q.unit(), Q.comul.graph(),
-            Q.counit.graph(), Q.phi, Q.phi_inv) for Q in (self, other)]
+        parts = [(Q.leg().graph(), Q.unit(), Q.comul.graph(),
+                  Q.counit.graph(), Q.phi, Q.phi_inv) for Q in (self, other)]
         mult, unit, comul, counit, phi, phi_inv = (
             _paired_legs(pair, x, y) for x, y in zip(*parts))
-        table: Dict[Tuple[int, int], Dict[int, object]] = {}
-        for (i, j, k), c in mult.data.items():
-            table.setdefault((i, j), {})[k] = c
-        return QuasiBialgebra(FinAlgebra(b, table, unit, self.field),
+        return QuasiBialgebra(FinAlgebra(b, LegMul.from_graph(mult).table,
+                                         unit, self.field),
                               LinearMap.from_graph(comul),
                               LinearMap.from_graph(counit), phi, phi_inv,
                               name="%s(x)%s" % (self.name, other.name))

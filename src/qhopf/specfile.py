@@ -4,7 +4,9 @@ A spec file carries a format version, a field descriptor ("Q" or
 "GF(p)"), a kind tag, basis labels, and sparse entry rows for each
 structure map or tensor. A row is a flat integer list: the multi-index
 followed by a numerator and a nonzero denominator, so exactness
-survives serialization and diffs stay reviewable. Serialization is
+survives serialization and diffs stay reviewable. A map or a pairing
+is stored as its graph, inputs first, so one tensor codec reads and
+writes every entry. Serialization is
 canonical (sorted keys, sorted rows, fixed layout): parsing a canonical
 file and re-serializing it is byte-identical.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .algebra import FinAlgebra, LegMul
 from .coact import (BicomoduleAlgebra, LeftComoduleAlgebra,
@@ -29,9 +31,8 @@ from .tensor import Basis, LinearMap, Tensor
 
 FORMAT_VERSION = 1
 
-KINDS = ("bialgebra", "quasi-bialgebra", "quasi-hopf", "algebra",
-         "module-algebra", "comodule-algebra", "module-coalgebra",
-         "bicomodule-algebra", "module-data", "twist", "datum-bundle")
+# the kinds of a quasi-bialgebra, the "h" document of a structure over H
+HOPF_KINDS = ("bialgebra", "quasi-bialgebra", "quasi-hopf")
 
 
 class SpecError(ValueError):
@@ -39,7 +40,8 @@ class SpecError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# rows <-> tensors and maps
+# rows <-> tensors; a map or a pairing is written and read as its graph
+# (LinearMap.graph and LegMul.graph, inverted by from_graph)
 
 
 def rows_from_tensor(t: Tensor) -> List[List[int]]:
@@ -52,20 +54,19 @@ def rows_from_tensor(t: Tensor) -> List[List[int]]:
     return rows
 
 
-def _entries(rows, dims: Sequence[int], field: Field, bad_row: str,
-             out_of_range, duplicate):
-    """(index, scalar) for each entry row of a reader: len(dims) indices
-    followed by a numerator and a denominator, all of them JSON integers
-    (not booleans), the denominator nonzero in field, index r in
-    range(dims[r]) and no index twice; zero scalars are left out.
-    bad_row is the reader's message for a malformed row, and
-    out_of_range(leg, row) and duplicate(index, row) give its other
-    messages."""
-    seen = set()
+def tensor_from_rows(spaces: Sequence[Basis], rows, field: Field) -> Tensor:
+    """The tensor on spaces whose entry rows are rows: each row is
+    len(spaces) indices followed by a numerator and a denominator, all
+    of them JSON integers (not booleans), the denominator nonzero in
+    field, index r in range(spaces[r].dim) and no index twice; zero
+    scalars are left out."""
+    dims = [b.dim for b in spaces]
+    data = {}
     for row in rows:
         if not isinstance(row, list) or len(row) != len(dims) + 2 or \
                 not all(type(v) is int for v in row):
-            raise SpecError(bad_row % (row,))
+            raise SpecError("bad entry row %r (need %d indices + num/den)"
+                            % (row, len(dims)))
         idx, num, den = tuple(row[:-2]), row[-2], row[-1]
         if den == 0:
             raise SpecError("zero denominator in row %r" % (row,))
@@ -74,73 +75,12 @@ def _entries(rows, dims: Sequence[int], field: Field, bad_row: str,
                             % (den, field.name, row))
         for leg, (i, d) in enumerate(zip(idx, dims)):
             if not 0 <= i < d:
-                raise SpecError(out_of_range(leg, row))
-        if idx in seen:
-            raise SpecError(duplicate(idx, row))
-        seen.add(idx)
-        c = field.from_pair(num, den)
-        if c:
-            yield idx, c
-
-
-def tensor_from_rows(spaces: Sequence[Basis], rows, field: Field) -> Tensor:
-    data = dict(_entries(
-        rows, [b.dim for b in spaces], field,
-        "bad entry row %%r (need %d indices + num/den)" % len(spaces),
-        lambda leg, row: "index %d out of range for leg %d in row %r"
-        % (row[leg], leg, row),
-        lambda idx, row: "duplicate index %r" % (idx,)))
+                raise SpecError("index %d out of range for leg %d in row %r"
+                                % (i, leg, row))
+        if idx in data:
+            raise SpecError("duplicate index %r" % (idx,))
+        data[idx] = field.from_pair(num, den)
     return Tensor(tuple(spaces), data, field)
-
-
-def rows_from_linmap(f: LinearMap) -> List[List[int]]:
-    field = f.field
-    rows = []
-    for i, col in f.cols.items():
-        for idx, c in col.items():
-            num, den = field.to_pair(c)
-            rows.append([i] + list(idx) + [int(num), int(den)])
-    rows.sort()
-    return rows
-
-
-def linmap_from_rows(domain: Basis, codomain: Tuple[Basis, ...], rows,
-                     field: Field) -> LinearMap:
-    def out_of_range(leg, row):
-        if leg == 0:
-            return "source index out of range in row %r" % (row,)
-        return "index %d out of range for leg %d in row %r" % (
-            row[leg], leg - 1, row)
-
-    cols: Dict[int, Dict[tuple, object]] = {}
-    for idx, c in _entries(
-            rows, [domain.dim] + [b.dim for b in codomain], field,
-            "bad map row %r", out_of_range,
-            lambda idx, row: "duplicate index %r" % (row,)):
-        cols.setdefault(idx[0], {})[idx[1:]] = c
-    return LinearMap(domain, tuple(codomain), cols, field)
-
-
-def rows_from_legmul(lm: LegMul) -> List[List[int]]:
-    field = lm.field
-    rows = []
-    for (i, j), col in lm.table.items():
-        for k, c in col.items():
-            num, den = field.to_pair(c)
-            rows.append([i, j, k, int(num), int(den)])
-    rows.sort()
-    return rows
-
-
-def legmul_from_rows(left: Basis, right: Basis, out: Basis, rows,
-                     field: Field) -> LegMul:
-    table: Dict[Tuple[int, int], Dict[int, object]] = {}
-    for (i, j, k), c in _entries(
-            rows, (left.dim, right.dim, out.dim), field, "bad product row %r",
-            lambda leg, row: "index out of range in row %r" % (row,),
-            lambda idx, row: "duplicate index %r" % (row,)):
-        table.setdefault((i, j), {})[k] = c
-    return LegMul(left, right, out, table, field)
 
 
 # ----------------------------------------------------------------------
@@ -189,25 +129,33 @@ def _base_doc(kind: str, name: str, field: Field,
     return doc
 
 
-def _parse_basis(doc: dict, key: str = "basis",
-                 name_key: str = "name") -> Basis:
-    labels = doc.get(key)
+def _build(make, *args, **kwargs):
+    """make(*args, **kwargs), the object a reader returns: the
+    constructor's refusal of the input (a ValueError) becomes a
+    SpecError here. A NotInvertibleError passes unchanged: the input is
+    well formed, but a structure it needs has no inverse."""
+    try:
+        return make(*args, **kwargs)
+    except NotInvertibleError:
+        raise
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+
+
+def _parse_basis(doc: dict) -> Basis:
+    labels = doc.get("basis")
     if not isinstance(labels, list) or not labels or \
             not all(isinstance(x, str) for x in labels):
-        raise SpecError("missing or malformed %r labels" % key)
+        raise SpecError("missing or malformed 'basis' labels")
     if len(set(labels)) != len(labels):
-        raise SpecError("duplicate %r labels" % key)
-    return Basis(tuple(labels), str(doc.get(name_key, "")))
+        raise SpecError("duplicate 'basis' labels")
+    return Basis(tuple(labels), str(doc.get("name", "")))
 
 
-def _algebra(doc: dict, b: Basis, field: Field) -> FinAlgebra:
-    """The algebra of a document: its "mult" and "unit" entries on b."""
-    mult = legmul_from_rows(b, b, b, _data(doc, "mult"), field)
-    unit = tensor_from_rows((b,), _data(doc, "unit"), field)
-    return FinAlgebra(b, mult.table, unit, field)
-
-
-def _data(doc: dict, key: str, required: bool = True):
+def _entry(doc: dict, key: str, spaces: Sequence[Basis], field: Field,
+           required: bool = True) -> Optional[Tensor]:
+    """The tensor on spaces of the data entry key, or None if the entry
+    is absent and not required."""
     data = doc.get("data")
     if not isinstance(data, dict):
         raise SpecError("missing data section")
@@ -218,7 +166,32 @@ def _data(doc: dict, key: str, required: bool = True):
         return None
     if not isinstance(rows, list):
         raise SpecError("data entry %r must be a list of rows" % key)
-    return rows
+    return tensor_from_rows(spaces, rows, field)
+
+
+def _algebra_rows(d: dict, alg: FinAlgebra) -> None:
+    """Write the "mult" and "unit" entries of alg into the data section
+    d, as _algebra reads them."""
+    d["mult"] = rows_from_tensor(alg.as_leg().graph())
+    d["unit"] = rows_from_tensor(alg.unit_tensor())
+
+
+def _algebra(doc: dict, b: Basis, field: Field) -> FinAlgebra:
+    """The algebra of a document: its "mult" and "unit" entries on b."""
+    mult = LegMul.from_graph(_entry(doc, "mult", (b, b, b), field))
+    return FinAlgebra(b, mult.table, _entry(doc, "unit", (b,), field), field)
+
+
+def _subdoc(doc: dict, key: str) -> dict:
+    sub = doc.get(key)
+    if not isinstance(sub, dict):
+        raise SpecError("missing embedded document %r" % key)
+    if sub.get("format-version") != FORMAT_VERSION:
+        raise SpecError("embedded document %r has bad format-version" % key)
+    if sub.get("kind") not in HOPF_KINDS:
+        raise SpecError("embedded document %r must be of kind %s"
+                        % (key, " or ".join(HOPF_KINDS)))
+    return sub
 
 
 # -- quasi-bialgebras and quasi-Hopf algebras ---------------------------
@@ -228,48 +201,39 @@ def quasihopf_to_doc(H: QuasiBialgebra,
                      prov: Optional[dict] = None) -> dict:
     doc = _base_doc(H.kind, H.name, H.field, H.basis, prov)
     d = doc["data"]
-    d["mult"] = rows_from_legmul(H.leg())
-    d["unit"] = rows_from_tensor(H.algebra.unit_tensor())
-    d["comul"] = rows_from_linmap(H.comul)
-    d["counit"] = rows_from_linmap(H.counit)
+    _algebra_rows(d, H.algebra)
+    d["comul"] = rows_from_tensor(H.comul.graph())
+    d["counit"] = rows_from_tensor(H.counit.graph())
     d["phi"] = rows_from_tensor(H.phi)
     d["phi-inv"] = rows_from_tensor(H.phi_inv)
     if isinstance(H, QuasiHopfAlgebra):
-        d["antipode"] = rows_from_linmap(H.antipode)
+        d["antipode"] = rows_from_tensor(H.antipode.graph())
         d["alpha"] = rows_from_tensor(H.alpha)
         d["beta"] = rows_from_tensor(H.beta)
     return doc
 
 
 def doc_to_quasihopf(doc: dict) -> QuasiBialgebra:
-    field = parse_field(doc.get("field", ""))
+    field = _build(parse_field, doc.get("field", ""))
     b = _parse_basis(doc)
     algebra = _algebra(doc, b, field)
-    comul = linmap_from_rows(b, (b, b), _data(doc, "comul"), field)
-    counit = linmap_from_rows(b, (), _data(doc, "counit"), field)
-    phi_rows = _data(doc, "phi", required=doc["kind"] != "bialgebra")
-    if phi_rows is None:
+    comul = LinearMap.from_graph(_entry(doc, "comul", (b, b, b), field))
+    counit = LinearMap.from_graph(_entry(doc, "counit", (b,), field))
+    phi = _entry(doc, "phi", (b, b, b), field,
+                 required=doc["kind"] != "bialgebra")
+    if phi is None:
         unit = algebra.unit
         phi = unit.tensor(unit).tensor(unit)
-    else:
-        phi = tensor_from_rows((b, b, b), phi_rows, field)
-    inv_rows = _data(doc, "phi-inv", required=False)
-    phi_inv = (tensor_from_rows((b, b, b), inv_rows, field)
-               if inv_rows is not None else None)
-    try:
-        if doc["kind"] in ("bialgebra", "quasi-bialgebra"):
-            return QuasiBialgebra(algebra, comul, counit, phi, phi_inv,
-                                  name=str(doc.get("name", "")))
-        antipode = linmap_from_rows(b, (b,), _data(doc, "antipode"), field)
-        alpha = tensor_from_rows((b,), _data(doc, "alpha"), field)
-        beta = tensor_from_rows((b,), _data(doc, "beta"), field)
-        return QuasiHopfAlgebra(algebra, comul, counit, phi, antipode,
-                                alpha, beta, phi_inv,
-                                name=str(doc.get("name", "")))
-    except NotInvertibleError:
-        raise
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    phi_inv = _entry(doc, "phi-inv", (b, b, b), field, required=False)
+    name = str(doc.get("name", ""))
+    if doc["kind"] != "quasi-hopf":
+        return _build(QuasiBialgebra, algebra, comul, counit, phi, phi_inv,
+                      name=name)
+    antipode = LinearMap.from_graph(_entry(doc, "antipode", (b, b), field))
+    alpha = _entry(doc, "alpha", (b,), field)
+    beta = _entry(doc, "beta", (b,), field)
+    return _build(QuasiHopfAlgebra, algebra, comul, counit, phi, antipode,
+                  alpha, beta, phi_inv, name=name)
 
 
 # -- plain algebras and module algebras ---------------------------------
@@ -279,15 +243,13 @@ def algebra_to_doc(alg: FinAlgebra, name: str = "",
                    prov: Optional[dict] = None) -> dict:
     doc = _base_doc("algebra", name or alg.basis.name, alg.field,
                     alg.basis, prov)
-    doc["data"]["mult"] = rows_from_legmul(alg.as_leg())
-    doc["data"]["unit"] = rows_from_tensor(alg.unit_tensor())
+    _algebra_rows(doc["data"], alg)
     return doc
 
 
 def doc_to_algebra(doc: dict) -> FinAlgebra:
-    field = parse_field(doc.get("field", ""))
-    b = _parse_basis(doc)
-    return _algebra(doc, b, field)
+    field = _build(parse_field, doc.get("field", ""))
+    return _algebra(doc, _parse_basis(doc), field)
 
 
 def module_algebra_to_doc(ma: LeftModuleAlgebra,
@@ -295,10 +257,8 @@ def module_algebra_to_doc(ma: LeftModuleAlgebra,
     doc = _base_doc("module-algebra", ma.name, ma.H.field,
                     ma.algebra.basis, prov)
     doc["h"] = quasihopf_to_doc(ma.H)
-    d = doc["data"]
-    d["mult"] = rows_from_legmul(ma.algebra.as_leg())
-    d["unit"] = rows_from_tensor(ma.algebra.unit_tensor())
-    d["action"] = rows_from_legmul(ma.action)
+    _algebra_rows(doc["data"], ma.algebra)
+    doc["data"]["action"] = rows_from_tensor(ma.action.graph())
     return doc
 
 
@@ -307,28 +267,28 @@ def doc_to_module_algebra(doc: dict) -> LeftModuleAlgebra:
     field = H.field
     b = _parse_basis(doc)
     algebra = _algebra(doc, b, field)
-    action = legmul_from_rows(H.basis, b, b, _data(doc, "action"), field)
-    return LeftModuleAlgebra(H, algebra, action,
-                             name=str(doc.get("name", "")))
-
-
-def _subdoc(doc: dict, key: str) -> dict:
-    sub = doc.get(key)
-    if not isinstance(sub, dict):
-        raise SpecError("missing embedded document %r" % key)
-    if sub.get("format-version") != FORMAT_VERSION:
-        raise SpecError("embedded document %r has bad format-version" % key)
-    return sub
+    action = LegMul.from_graph(_entry(doc, "action", (H.basis, b, b), field))
+    return _build(LeftModuleAlgebra, H, algebra, action,
+                  name=str(doc.get("name", "")))
 
 
 # -- comodule algebras ---------------------------------------------------
 
+# side -> the class of that side, the attribute of its reassociator, and
+# the spaces of the graph of its coaction and of its reassociator for the
+# carrier's basis a and H's basis h
+COMODULE_SIDES = {
+    "right": (RightComoduleAlgebra, "phi_rho",
+              lambda a, h: ((a, a, h), (a, h, h))),
+    "left": (LeftComoduleAlgebra, "phi_lam",
+             lambda a, h: ((a, h, a), (h, h, a))),
+}
+
 
 def comodule_algebra_to_doc(ca, prov: Optional[dict] = None) -> dict:
-    if isinstance(ca, RightComoduleAlgebra):
-        side = "right"
-    elif isinstance(ca, LeftComoduleAlgebra):
-        side = "left"
+    for side, (cls, phi, _) in COMODULE_SIDES.items():
+        if isinstance(ca, cls):
+            break
     else:
         raise SpecError("not a comodule algebra: %r" % (ca,))
     doc = _base_doc("comodule-algebra", ca.name, ca.field,
@@ -336,15 +296,10 @@ def comodule_algebra_to_doc(ca, prov: Optional[dict] = None) -> dict:
     doc["h"] = quasihopf_to_doc(ca.H)
     doc["side"] = side
     d = doc["data"]
-    d["mult"] = rows_from_legmul(ca.algebra.as_leg())
-    d["unit"] = rows_from_tensor(ca.algebra.unit_tensor())
-    d["coaction"] = rows_from_linmap(ca.coaction)
-    if side == "right":
-        d["reassociator"] = rows_from_tensor(ca.phi_rho)
-        d["reassociator-inv"] = rows_from_tensor(ca.phi_rho_inv)
-    else:
-        d["reassociator"] = rows_from_tensor(ca.phi_lam)
-        d["reassociator-inv"] = rows_from_tensor(ca.phi_lam_inv)
+    _algebra_rows(d, ca.algebra)
+    d["coaction"] = rows_from_tensor(ca.coaction.graph())
+    d["reassociator"] = rows_from_tensor(getattr(ca, phi))
+    d["reassociator-inv"] = rows_from_tensor(getattr(ca, phi + "_inv"))
     return doc
 
 
@@ -354,31 +309,15 @@ def doc_to_comodule_algebra(doc: dict):
     b = _parse_basis(doc)
     algebra = _algebra(doc, b, field)
     side = doc.get("side")
-    inv_rows = _data(doc, "reassociator-inv", required=False)
-    try:
-        if side == "right":
-            coaction = linmap_from_rows(b, (b, H.basis),
-                                        _data(doc, "coaction"), field)
-            spaces = (b, H.basis, H.basis)
-            phi = tensor_from_rows(spaces, _data(doc, "reassociator"), field)
-            inv = (tensor_from_rows(spaces, inv_rows, field)
-                   if inv_rows is not None else None)
-            return RightComoduleAlgebra(H, algebra, coaction, phi, inv,
-                                        name=str(doc.get("name", "")))
-        if side == "left":
-            coaction = linmap_from_rows(b, (H.basis, b),
-                                        _data(doc, "coaction"), field)
-            spaces = (H.basis, H.basis, b)
-            phi = tensor_from_rows(spaces, _data(doc, "reassociator"), field)
-            inv = (tensor_from_rows(spaces, inv_rows, field)
-                   if inv_rows is not None else None)
-            return LeftComoduleAlgebra(H, algebra, coaction, phi, inv,
-                                       name=str(doc.get("name", "")))
-    except NotInvertibleError:
-        raise
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    raise SpecError("comodule-algebra side must be 'left' or 'right'")
+    if side not in tuple(COMODULE_SIDES):
+        raise SpecError("comodule-algebra side must be 'left' or 'right'")
+    cls, _, shapes = COMODULE_SIDES[side]
+    co_spaces, phi_spaces = shapes(b, H.basis)
+    coaction = LinearMap.from_graph(_entry(doc, "coaction", co_spaces, field))
+    phi = _entry(doc, "reassociator", phi_spaces, field)
+    inv = _entry(doc, "reassociator-inv", phi_spaces, field, required=False)
+    return _build(cls, H, algebra, coaction, phi, inv,
+                  name=str(doc.get("name", "")))
 
 
 # -- module coalgebras ---------------------------------------------------
@@ -389,9 +328,9 @@ def module_coalgebra_to_doc(mc: RightModuleCoalgebra,
     doc = _base_doc("module-coalgebra", mc.name, mc.H.field, mc.basis, prov)
     doc["h"] = quasihopf_to_doc(mc.H)
     d = doc["data"]
-    d["comul"] = rows_from_linmap(mc.comul)
-    d["counit"] = rows_from_linmap(mc.counit)
-    d["action"] = rows_from_legmul(mc.action)
+    d["comul"] = rows_from_tensor(mc.comul.graph())
+    d["counit"] = rows_from_tensor(mc.counit.graph())
+    d["action"] = rows_from_tensor(mc.action.graph())
     return doc
 
 
@@ -399,11 +338,11 @@ def doc_to_module_coalgebra(doc: dict) -> RightModuleCoalgebra:
     H = doc_to_quasihopf(_subdoc(doc, "h"))
     field = H.field
     b = _parse_basis(doc)
-    comul = linmap_from_rows(b, (b, b), _data(doc, "comul"), field)
-    counit = linmap_from_rows(b, (), _data(doc, "counit"), field)
-    action = legmul_from_rows(b, H.basis, b, _data(doc, "action"), field)
-    return RightModuleCoalgebra(H, b, comul, counit, action,
-                                name=str(doc.get("name", "")))
+    comul = LinearMap.from_graph(_entry(doc, "comul", (b, b, b), field))
+    counit = LinearMap.from_graph(_entry(doc, "counit", (b,), field))
+    action = LegMul.from_graph(_entry(doc, "action", (b, H.basis, b), field))
+    return _build(RightModuleCoalgebra, H, b, comul, counit, action,
+                  name=str(doc.get("name", "")))
 
 
 # -- bicomodule algebras -------------------------------------------------
@@ -415,10 +354,9 @@ def bicomodule_algebra_to_doc(ba: BicomoduleAlgebra,
                     ba.algebra.basis, prov)
     doc["h"] = quasihopf_to_doc(ba.H)
     d = doc["data"]
-    d["mult"] = rows_from_legmul(ba.algebra.as_leg())
-    d["unit"] = rows_from_tensor(ba.algebra.unit_tensor())
-    d["left-coaction"] = rows_from_linmap(ba.left.coaction)
-    d["right-coaction"] = rows_from_linmap(ba.right.coaction)
+    _algebra_rows(d, ba.algebra)
+    d["left-coaction"] = rows_from_tensor(ba.left.coaction.graph())
+    d["right-coaction"] = rows_from_tensor(ba.right.coaction.graph())
     d["reassociator-left"] = rows_from_tensor(ba.left.phi_lam)
     d["reassociator-right"] = rows_from_tensor(ba.right.phi_rho)
     d["reassociator-mid"] = rows_from_tensor(ba.phi_mid)
@@ -429,33 +367,23 @@ def bicomodule_algebra_to_doc(ba: BicomoduleAlgebra,
 def doc_to_bicomodule_algebra(doc: dict) -> BicomoduleAlgebra:
     H = doc_to_quasihopf(_subdoc(doc, "h"))
     field = H.field
-    b = _parse_basis(doc)
+    b, h = _parse_basis(doc), H.basis
     algebra = _algebra(doc, b, field)
-    lco = linmap_from_rows(b, (H.basis, b), _data(doc, "left-coaction"),
-                           field)
-    rco = linmap_from_rows(b, (b, H.basis), _data(doc, "right-coaction"),
-                           field)
-    phi_lam = tensor_from_rows((H.basis, H.basis, b),
-                               _data(doc, "reassociator-left"), field)
-    phi_rho = tensor_from_rows((b, H.basis, H.basis),
-                               _data(doc, "reassociator-right"), field)
-    phi_mid = tensor_from_rows((H.basis, b, H.basis),
-                               _data(doc, "reassociator-mid"), field)
-    inv_rows = _data(doc, "reassociator-mid-inv", required=False)
-    phi_mid_inv = (tensor_from_rows((H.basis, b, H.basis), inv_rows, field)
-                   if inv_rows is not None else None)
-    try:
-        left = LeftComoduleAlgebra(H, algebra, lco, phi_lam)
-        right = RightComoduleAlgebra(H, algebra, rco, phi_rho)
-        return BicomoduleAlgebra(left, right, phi_mid, phi_mid_inv,
-                                 name=str(doc.get("name", "")))
-    except NotInvertibleError:
-        raise
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    lco = LinearMap.from_graph(_entry(doc, "left-coaction", (b, h, b), field))
+    rco = LinearMap.from_graph(_entry(doc, "right-coaction", (b, b, h),
+                                      field))
+    phi_lam = _entry(doc, "reassociator-left", (h, h, b), field)
+    phi_rho = _entry(doc, "reassociator-right", (b, h, h), field)
+    phi_mid = _entry(doc, "reassociator-mid", (h, b, h), field)
+    phi_mid_inv = _entry(doc, "reassociator-mid-inv", (h, b, h), field,
+                         required=False)
+    return _build(lambda: BicomoduleAlgebra(
+        LeftComoduleAlgebra(H, algebra, lco, phi_lam),
+        RightComoduleAlgebra(H, algebra, rco, phi_rho), phi_mid,
+        phi_mid_inv, name=str(doc.get("name", ""))))
 
 
-# -- twists and bundles --------------------------------------------------
+# -- twists and module data ---------------------------------------------
 
 
 def twist_to_doc(H: QuasiBialgebra, f: Tensor,
@@ -466,14 +394,14 @@ def twist_to_doc(H: QuasiBialgebra, f: Tensor,
 
 
 def doc_to_twist(doc: dict, H: QuasiBialgebra) -> Tensor:
-    field = parse_field(doc.get("field", ""))
+    field = _build(parse_field, doc.get("field", ""))
     if field != H.field:
         raise SpecError("twist field %s does not match algebra field %s"
                         % (field.name, H.field.name))
     b = _parse_basis(doc)
     if b.labels != H.basis.labels:
         raise SpecError("twist basis labels do not match the algebra")
-    return tensor_from_rows((H.basis, H.basis), _data(doc, "twist"), field)
+    return _entry(doc, "twist", (H.basis, H.basis), field)
 
 
 def module_data_to_doc(name: str, field: Field, basis: Basis,
@@ -507,18 +435,24 @@ def to_doc(obj, prov: Optional[dict] = None) -> dict:
     raise SpecError("cannot serialize %r" % type(obj).__name__)
 
 
+# kind -> the reader of its object form
+READERS = dict.fromkeys(HOPF_KINDS, doc_to_quasihopf)
+READERS.update({
+    "algebra": doc_to_algebra,
+    "module-algebra": doc_to_module_algebra,
+    "comodule-algebra": doc_to_comodule_algebra,
+    "module-coalgebra": doc_to_module_coalgebra,
+    "bicomodule-algebra": doc_to_bicomodule_algebra,
+})
+
+# twist files are read against an algebra (doc_to_twist) and module-data
+# files are only written, so neither has an object form
+KINDS = tuple(READERS) + ("module-data", "twist")
+
+
 def from_doc(doc: dict):
-    kind = doc.get("kind")
-    if kind in ("bialgebra", "quasi-bialgebra", "quasi-hopf"):
-        return doc_to_quasihopf(doc)
-    if kind == "algebra":
-        return doc_to_algebra(doc)
-    if kind == "module-algebra":
-        return doc_to_module_algebra(doc)
-    if kind == "comodule-algebra":
-        return doc_to_comodule_algebra(doc)
-    if kind == "module-coalgebra":
-        return doc_to_module_coalgebra(doc)
-    if kind == "bicomodule-algebra":
-        return doc_to_bicomodule_algebra(doc)
-    raise SpecError("kind %r has no direct object form" % (kind,))
+    reader = READERS.get(doc.get("kind"))
+    if reader is None:
+        raise SpecError("kind %r has no direct object form"
+                        % (doc.get("kind"),))
+    return reader(doc)

@@ -55,11 +55,34 @@ def test_tables_are_cleaned_where_zeros_can_arrive():
 
     rows = [[0, 0, 0, 1, 1], [0, 0, 1, 0, 1], [0, 1, 1, 1, 1],
             [1, 0, 1, 1, 1], [1, 1, 0, 0, 3]]
-    assert sf.legmul_from_rows(basis, basis, basis, rows, QQ).table == clean
+    assert LegMul.from_graph(sf.tensor_from_rows(
+        (basis,) * 3, rows, QQ)).table == clean
     # the algebra reader goes through the same rows
     doc = {"data": {"mult": rows, "unit": [[0, 1, 1]]}}
     A = sf._algebra(doc, basis, QQ)
     assert A.mult == clean and A.as_leg().table is A.mult
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+@pytest.mark.parametrize("key", ("z2_quasi", "s3"))
+def test_legmul_graph_round_trip(key, field):
+    # the graph holds the structure constants on legs (input, input,
+    # output); from_graph inverts it, and the graph of a mixed pairing
+    # keeps its three spaces
+    H = corpus(field)[key]
+    m = H.leg()
+    g = m.graph()
+    assert g.spaces == (H.basis,) * 3
+    assert g.data == {(i, j, k): c for (i, j), vec in m.table.items()
+                      for k, c in vec.items()}
+    back = LegMul.from_graph(g)
+    assert (back.left, back.right, back.out, back.table, back.field) == \
+        (m.left, m.right, m.out, m.table, m.field)
+    assert back.graph() == g
+    other = Basis(("p", "q"), "P")
+    mixed = LegMul(H.basis, other, other, {(1, 0): {1: field.one()}}, field)
+    assert LegMul.from_graph(mixed.graph()).table == mixed.table
+    assert mixed.graph().spaces == (H.basis, other, other)
 
 
 def test_nonassociative_detected():

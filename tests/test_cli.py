@@ -659,3 +659,38 @@ def test_quasi_bialgebra_file_is_not_applicable(corpus_dir, tmp_path,
     code, out, err = run(capsys, "verify", "axioms", str(alg))
     assert (code, out) == (2, "")
     assert err == "error: %s: expected a quasi-hopf spec file\n" % alg
+
+
+@pytest.mark.parametrize("where, message", [
+    ("field", "error: unknown field 5 (expected 'Q' or 'GF(p)')\n"),
+    ("embedded kind", "error: embedded document 'h' must be of kind "
+                      "bialgebra or quasi-bialgebra or quasi-hopf\n"),
+])
+def test_malformed_document_fields_exit_2(corpus_dir, tmp_path, capsys,
+                                          where, message):
+    # a field that is not a string, and an embedded H document with no
+    # kind, ended in a traceback (AttributeError, KeyError)
+    H = sf.doc_to_quasihopf(sf.parse((corpus_dir / "z2.json").read_text()))
+    if where == "field":
+        doc = sf.quasihopf_to_doc(H)
+        doc["field"] = 5
+    else:
+        from qhopf import canonical_right_comodule
+        doc = sf.to_doc(canonical_right_comodule(H))
+        del doc["h"]["kind"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, "check", str(bad)) == (2, "", message)
+
+
+@pytest.mark.parametrize("kind", ("twist", "module-data"))
+def test_kinds_without_object_form_are_not_checkable(corpus_dir, tmp_path,
+                                                     capsys, kind):
+    H = sf.doc_to_quasihopf(sf.parse((corpus_dir / "z2.json").read_text()))
+    doc = (sf.twist_to_doc(H, H.unit().tensor(H.unit())) if kind == "twist"
+           else sf.module_data_to_doc("data", H.field, H.basis,
+                                      {"gamma": H.derived.gamma}))
+    path = tmp_path / "doc.json"
+    path.write_text(sf.serialize(doc))
+    assert run(capsys, "check", str(path)) == (
+        2, "", "error: kind %r is not checkable\n" % kind)

@@ -7,8 +7,9 @@ from qhopf import (PrimeField, QQ, canonical_bicomodule,
                    check_left_module_algebra, check_right_module_coalgebra,
                    corpus, crossed_comodule_algebra, crossed_smash_direct,
                    cyclic_right_submodule, dual_module_algebra,
-                   generalized_smash, hhop_module_coalgebra, quasi_smash,
-                   smash_product, verify_crossed_module_description)
+                   generalized_smash, hhop_module_coalgebra,
+                   invert_in_tensor_algebra, quasi_smash, smash_product,
+                   verify_crossed_module_description)
 
 
 @pytest.mark.parametrize("key", ("z2", "z3", "z2_quasi", "z2z2_twisted"))
@@ -72,3 +73,20 @@ def test_crossed_smash_direct_table_unchanged(field):
     text = repr(sorted((k, sorted(v.items())) for k, v in table.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         CROSSED_DIRECT_SHA256[field.name]
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
+@pytest.mark.parametrize("key", ("z2", "z2_quasi", "z3"))
+def test_crossed_reassociator_inverse_matches_solve(key, field):
+    # crossed_comodule_algebra forms the inverse of its left reassociator
+    # in closed form; the solve of invert_in_tensor_algebra, which ran
+    # when no inverse was passed, must give the same tensor
+    H = corpus(field)[key]
+    ba = canonical_bicomodule(H)
+    HHop = H.tensor_with(H.opposite())
+    qs = quasi_smash(ba.right)
+    sm = smash_product(qs)
+    lcb = crossed_comodule_algebra(ba, HHop, qs, sm)
+    solved = invert_in_tensor_algebra(
+        (HHop.algebra, HHop.algebra, sm.alg), lcb.phi_lam)
+    assert solved is not None and solved == lcb.phi_lam_inv

@@ -182,9 +182,11 @@ def test_smash_transport_sums_match_assemble(field, subgroup_comodule):
 class _Parts:
     """What crossed_comodule_algebra hands to LeftComoduleAlgebra: the
     coaction and the reassociator, kept without the constructor's
-    inverse solve (on k^S3 a system of 36 * 36 * 216 unknowns)."""
+    inverse check (on k^S3 a product on 36 * 36 * 216 basis vectors;
+    without the inverse, a system of as many unknowns)."""
 
-    def __init__(self, H, algebra, coaction, phi_lam, name=""):
+    def __init__(self, H, algebra, coaction, phi_lam, phi_lam_inv=None,
+                 name=""):
         self.coaction, self.phi_lam = coaction, phi_lam
 
 

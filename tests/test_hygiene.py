@@ -640,3 +640,27 @@ def test_field_zero_call_is_caught():
               "    acc = Tensor.zero((basis,), field)\n"
               "    return zero, acc, H.field.zero()\n")
     assert field_zero_calls(source) == [2, 4]
+
+
+# A map or a pairing of a spec file was written by its own writer
+# (rows_from_linmap, rows_from_legmul) and read by its own reader over a
+# shared row check (_entries), each reader with its own messages, and
+# three readers each turned the constructor's ValueError into a
+# SpecError in a try block of their own. Maps and pairings are now
+# written and read as their graphs (LinearMap.graph, LegMul.graph and
+# from_graph) through rows_from_tensor and tensor_from_rows, and every
+# reader builds its object through specfile._build.
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_spec_row_codecs_retired(path):
+    source = path.read_text(encoding="utf-8")
+    assert {name: retired_sites(source, name)
+            for name in ("rows_from_linmap", "rows_from_legmul",
+                         "_entries")} == {
+        "rows_from_linmap": 0, "rows_from_legmul": 0, "_entries": 0}
+
+
+def test_spec_refusal_is_typed_once():
+    counts = {p.name: p.read_text(encoding="utf-8").count(
+        "SpecError(str(exc))") for p in MODULES}
+    assert {name: n for name, n in counts.items() if n} == {"specfile.py": 1}

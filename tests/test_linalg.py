@@ -197,7 +197,9 @@ def test_exact_inverses_match_reference(field):
 def test_crossed_left_reassociator_solve_matches_reference(monkeypatch):
     """The system that inverts the left reassociator of
     crossed_comodule_algebra on z3 over GF(7) (2,187 unknowns): the
-    package's solve and the reference copy give the same dict."""
+    package's solve and the reference copy give the same dict. The
+    constructor no longer solves it (the inverse is formed in closed
+    form), so the system is set up by invert_in_tensor_algebra here."""
     field = PrimeField(7)
     H = corpus(field)["z3"]
     systems = []
@@ -210,8 +212,10 @@ def test_crossed_left_reassociator_solve_matches_reference(monkeypatch):
     HHop = H.tensor_with(H.opposite())
     qs = quasi_smash(ba.right)
     sm = smash_product(qs)
+    lcb = crossed_comodule_algebra(ba, HHop, qs, sm)
     monkeypatch.setattr(algebra, "solve_linear", captured)
-    crossed_comodule_algebra(ba, HHop, qs, sm)
+    assert algebra.invert_in_tensor_algebra(
+        (HHop.algebra, HHop.algebra, sm.alg), lcb.phi_lam) == lcb.phi_lam_inv
     ((rows, rhs),) = systems
     assert len({col for row in rows for col in row}) == 2187
     got = solve_linear(rows, rhs, field)
