@@ -33,7 +33,7 @@ def main():
     prod = two_sided_crossed(canonical_right_comodule(hq),
                              canonical_left_comodule(hq))
     print("A >< H* >< B carrier dimension:", prod.dim)
-    print("associative:", prod.alg.is_associative() is None)
+    print("associative:", prod.is_associative() is None)
     rep = verify_crossed_decomposition(hq)
     print("iterated product equals the one-shot table:", verdict(rep))
     print()

@@ -2,9 +2,10 @@
 multiplication in tensor products, and exact inversion.
 
 A LegMul is any bilinear pairing L x R -> O given by sparse structure
-constants; algebras, left actions and right actions all expose one, so a
-single routine multiplies elements of mixed tensor products such as
-M (x) H (x) H where the first leg is acted on rather than multiplied.
+constants; an algebra is one (FinAlgebra), and so are left and right
+actions, so a single routine multiplies elements of mixed tensor
+products such as M (x) H (x) H where the first leg is acted on rather
+than multiplied.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .tensor import Basis, LinearMap, Tensor
 def _clean_table(table):
     """table without zero coefficients and empty rows. A row with
     neither is kept as it is, and so is table itself when every row is
-    clean, so a table built clean is never copied. LegMul and FinAlgebra
-    take their tables clean; a builder whose sums can cancel, or that
-    stores every pair, passes its table through here first."""
+    clean, so a table built clean is never copied. A LegMul, an algebra
+    included, takes its table clean; a builder whose sums can cancel, or
+    that stores every pair, passes its table through here first."""
     if all(vec and all(vec.values()) for vec in table.values()):
         return table
     out = {}
@@ -36,7 +37,9 @@ def _clean_table(table):
 
 
 class LegMul:
-    """A bilinear pairing of based spaces by structure constants.
+    """A bilinear pairing of based spaces by structure constants: an
+    action, a flat_pairing, or the multiplication of an algebra, which
+    is a FinAlgebra.
 
     table[(i, j)] is a sparse vector over the output basis; missing pairs
     multiply to zero. The table holds no zero coefficient and no empty
@@ -370,76 +373,61 @@ def _grid(field: Field, *bases: Basis) -> Tensor:
         *(b.dim for b in bases))}, field)
 
 
-class FinAlgebra:
-    """A finite dimensional unital algebra given by structure constants.
-
-    mult[(i, j)] is the sparse product of basis vectors i and j, with no
-    zero coefficient and no empty row (as in LegMul); unit is a one-leg
-    Tensor. Associativity and unit laws are checked by
+class FinAlgebra(LegMul):
+    """A finite dimensional unital algebra given by structure constants:
+    the LegMul that pairs basis with basis into basis, table its
+    multiplication, plus a unit, a one-leg Tensor. So an algebra goes
+    straight into mul_legs, sweedler, sandwich and check_same. Build one
+    with this constructor, never with the inherited from_graph.
+    Associativity and unit laws are checked by
     is_associative/unit_laws_hold rather than enforced, because some
     carriers built here (for instance the convolution algebra of a dual)
     are deliberately nonassociative.
-
-    basis, mult and field are fixed after construction: as_leg builds
-    its LegMul once, on first use, over mult itself, and every later
-    product reuses it.
     """
 
-    def __init__(self, basis: Basis, mult, unit: Tensor, field: Field = QQ):
-        self.basis = basis
-        self.field = field
-        self.mult = mult
+    def __init__(self, basis: Basis, table, unit: Tensor, field: Field = QQ):
         if unit.spaces != (basis,):
             raise ValueError("unit shape mismatch")
+        super().__init__(basis, basis, basis, table, field)
         self.unit = unit
-        self._leg: Optional[LegMul] = None
+
+    @property
+    def basis(self) -> Basis:
+        return self.out
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return self.out.dim
 
     def e(self, i: int) -> Tensor:
-        return Tensor.basis_vector(self.basis, i, self.field)
-
-    def unit_tensor(self) -> Tensor:
-        return self.unit
+        return Tensor.basis_vector(self.out, i, self.field)
 
     def mul(self, x: Tensor, y: Tensor) -> Tensor:
-        return mul_legs((self.as_leg(),), x, y)
+        return mul_legs((self,), x, y)
 
     def mulc(self, *xs: Tensor) -> Tensor:
         """Chained product of one-leg tensors, left to right."""
         acc = xs[0]
-        leg = (self.as_leg(),)
         for x in xs[1:]:
-            acc = mul_legs(leg, acc, x)
+            acc = mul_legs((self,), acc, x)
         return acc
-
-    def as_leg(self) -> LegMul:
-        if self._leg is None:
-            self._leg = LegMul(self.basis, self.basis, self.basis, self.mult, self.field)
-        return self._leg
 
     def opposite(self) -> "FinAlgebra":
         op_basis = Basis(self.basis.labels, self.basis.name + "^op")
-        mult = {}
-        for (i, j), vec in self.mult.items():
-            mult[(j, i)] = vec
-        unit = Tensor((op_basis,), {k: c for k, c in self.unit.data.items()}, self.field)
-        return FinAlgebra(op_basis, mult, unit, self.field)
+        table = {(j, i): vec for (i, j), vec in self.table.items()}
+        unit = Tensor((op_basis,), dict(self.unit.data), self.field)
+        return FinAlgebra(op_basis, table, unit, self.field)
 
     def is_associative(self) -> Optional[Tuple[int, int, int]]:
         """None if associative, else the first failing index triple."""
-        leg = self.as_leg()
-        bad = first_mismatch(*right_action_assoc(leg, leg))
+        bad = first_mismatch(*right_action_assoc(self, self))
         return None if bad is None else bad[0]
 
     def unit_laws_hold(self) -> Optional[int]:
         """None if the unit is two-sided, else the first failing index."""
-        leg = self.as_leg()
         bad = [b[0][0] for b in (
-            first_mismatch(*left_action_unit(leg, self.unit)),
-            first_mismatch(*right_action_unit(leg, self.unit)))
+            first_mismatch(*left_action_unit(self, self.unit)),
+            first_mismatch(*right_action_unit(self, self.unit)))
             if b is not None]
         return min(bad) if bad else None
 
@@ -448,7 +436,7 @@ class FinAlgebra:
             return NotImplemented
         return (
             self.basis == other.basis
-            and self.mult == other.mult
+            and self.table == other.table
             and self.unit == other.unit
         )
 
@@ -792,17 +780,18 @@ def counit_identity(f: LinearMap, counit: LinearMap, leg: int):
 
 
 def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
-                   anti: bool = False, left: Optional[LinearMap] = None,
+                   left: Optional[LinearMap] = None,
                    right: Optional[LinearMap] = None):
-    """f(x y) and left(x) right(y) (right(y) left(x) if anti) on inputs
-    (i, j), x = e_i and y = e_j: mult is the product or action x y on
-    the domain of f, legs[r] multiplies leg r of the codomain, and left
-    and right default to f (an identity is LinearMap.identity). So f is
-    an algebra map (counit-hom, comul-hom, coact-hom), an anti-algebra
-    map (antipode-antihom), a coaction or comultiplication that is a
-    module map (left-colinear, right-colinear, rmc2, bmc2-left,
-    bmc2-right, dhm3, tstc3, tstc3b), a counit that is one (rmc3, legs =
-    ()), or an H- or A-linear isomorphism (iso-h-linear, iso-a-linear)."""
+    """f(x y) and left(x) right(y) on inputs (i, j), x = e_i and y = e_j:
+    mult is the product or action x y on the domain of f, legs[r]
+    multiplies leg r of the codomain, and left and right default to f
+    (an identity is LinearMap.identity). So f is an algebra map
+    (counit-hom, comul-hom, coact-hom), an algebra map into the opposite
+    algebra (antipode-antihom, legs the opposite's multiplication), a
+    coaction or comultiplication that is a module map (left-colinear,
+    right-colinear, rmc2, bmc2-left, bmc2-right, dhm3, tstc3, tstc3b), a
+    counit that is one (rmc3, legs = ()), or an H- or A-linear
+    isomorphism (iso-h-linear, iso-a-linear)."""
     (F, df), (P, dp) = _lift_rows(f.field, f.cols), mult.lifted()
     (Lf, dlf), (Rf, drf) = (_lift_rows(f.field, (g or f).cols)
                             for g in (left, right))
@@ -820,7 +809,7 @@ def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
     def rhs(acc, i, j):
         x, y = Lf.get(i, {}), Rf.get(j, {})
         part = {}
-        _leg_sum(part, gets, *((y, x) if anti else (x, y)))
+        _leg_sum(part, gets, x, y)
         for idx, n in part.items():
             acc[(i, j) + idx] = n
 
@@ -832,7 +821,7 @@ def multiplicative(f: LinearMap, mult: LegMul, legs: Sequence[LegMul],
 def tensor_unit(algebras: Sequence[FinAlgebra]) -> Tensor:
     out = Tensor.scalar(algebras[0].field.one(), algebras[0].field)
     for a in algebras:
-        out = out.tensor(a.unit_tensor())
+        out = out.tensor(a.unit)
     return out
 
 
@@ -842,7 +831,6 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
     Solves the left-multiplication system exactly, then verifies both
     x * y = 1 and y * x = 1 before returning y.
     """
-    legs = tuple(a.as_leg() for a in algebras)
     field = x.field
     spaces = tuple(a.basis for a in algebras)
     keys = _flat_keys(*(b.dim for b in spaces))
@@ -852,7 +840,7 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
     # a and b flat indices
     rows = [dict() for _ in keys]
     for b, key in enumerate(keys):
-        col = mul_legs(legs, x, Tensor(spaces, {key: field.one()}, field))
+        col = mul_legs(algebras, x, Tensor(spaces, {key: field.one()}, field))
         for idx, c in col.data.items():
             rows[flat[idx]][b] = c
     rhs = [unit.data.get(key, field.zero()) for key in keys]
@@ -865,9 +853,9 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
 
 def is_inverse(algebras: Sequence[FinAlgebra], x: Tensor, y: Tensor) -> bool:
     """x * y = 1 = y * x in the tensor product algebra."""
-    legs = tuple(a.as_leg() for a in algebras)
     unit = tensor_unit(algebras)
-    return mul_legs(legs, x, y) == unit and mul_legs(legs, y, x) == unit
+    return (mul_legs(algebras, x, y) == unit
+            and mul_legs(algebras, y, x) == unit)
 
 
 def invert_linear_map(f: LinearMap) -> Optional[LinearMap]:

@@ -49,7 +49,7 @@ class AlgebraOverH(OverH):
         return self.algebra.basis
 
     def unit(self) -> Tensor:
-        return self.algebra.unit_tensor()
+        return self.algebra.unit
 
 
 class _ComoduleAlgebraBase(AlgebraOverH):
@@ -66,7 +66,7 @@ class _ComoduleAlgebraBase(AlgebraOverH):
 
     def leg_for(self, space: Basis) -> LegMul:
         if space == self.basis:
-            return self.algebra.as_leg()
+            return self.algebra
         if space == self.H.basis:
             return self.H.leg()
         raise ValueError("leg basis %r is neither the carrier nor H" % space)
@@ -248,7 +248,7 @@ def check_right_comodule_algebra(ca: RightComoduleAlgebra) -> VerificationReport
     rep.check_bool("assoc", ca.algebra.is_associative() is None)
     rep.check_bool("unit", ca.algebra.unit_laws_hold() is None)
     rep.check_same("coact-hom", *multiplicative(
-        ca.coaction, ca.algebra.as_leg(), (ca.algebra.as_leg(), H.leg())))
+        ca.coaction, ca.algebra, (ca.algebra, H.leg())))
     rep.check_same("coact-unit", ca.coact(ca.unit()),
                    ca.unit().tensor(H.unit()))
     rho, legs = ca.coaction, tuple(map(ca.leg_for, ca.phi_rho.spaces))
@@ -276,7 +276,7 @@ def check_left_comodule_algebra(ca: LeftComoduleAlgebra) -> VerificationReport:
     rep.check_bool("assoc", ca.algebra.is_associative() is None)
     rep.check_bool("unit", ca.algebra.unit_laws_hold() is None)
     rep.check_same("coact-hom", *multiplicative(
-        ca.coaction, ca.algebra.as_leg(), (H.leg(), ca.algebra.as_leg())))
+        ca.coaction, ca.algebra, (H.leg(), ca.algebra)))
     rep.check_same("coact-unit", ca.coact(ca.unit()),
                    H.unit().tensor(ca.unit()))
     lam, legs = ca.coaction, tuple(map(ca.leg_for, ca.phi_lam.spaces))
@@ -327,7 +327,7 @@ def check_bicomodule_algebra(ba: BicomoduleAlgebra) -> VerificationReport:
         "bca4",
         ba.phi_mid.map_leg(2, H.counit).permute((1, 0)) +
         ba.phi_mid.map_leg(0, H.counit),
-        ba.algebra.unit_tensor().tensor(one).scale(H.field.from_int(2)))
+        ba.algebra.unit.tensor(one).scale(H.field.from_int(2)))
     return rep
 
 
@@ -338,7 +338,7 @@ def check_left_module_algebra(ma: LeftModuleAlgebra) -> VerificationReport:
     rep.check_bool("carrier-unit", ma.algebra.unit_laws_hold() is None)
     rep.check_same("module-assoc", *left_action_assoc(ma.action, H.leg()))
     rep.check_same("module-unit", *left_action_unit(ma.action, H.unit()))
-    mult = ma.algebra.as_leg()
+    mult = ma.algebra
     rep.check_same("ma1", *quasi_associative(mult, mult, ma.action,
                                              ma.action, H.phi))
     rep.check_same("ma2", *equivariant_action(ma.action, mult, ma.action,
@@ -390,7 +390,7 @@ def verify_tilde_identities(ca: RightComoduleAlgebra) -> VerificationReport:
     one, one_a = H.unit(), ca.unit()
     unit_ah = one_a.tensor(one)
     pt, qt = ca.p_tilde(), ca.q_tilde()
-    m, mA, rho = H.leg(), ca.algebra.as_leg(), ca.coaction
+    m, mA, rho = H.leg(), ca.algebra, ca.coaction
     S, Si = H.antipode, H.antipode_inv
 
     # tpqr1 and tpqr1a compare two maps on A, each a Sweedler sum whose

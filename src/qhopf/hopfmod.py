@@ -120,7 +120,7 @@ def check_two_sided_hopf_module(M: TwoSidedHopfModule) -> VerificationReport:
     rep.check_same("lmod-assoc", *left_action_assoc(M.left_action, H.leg()))
     rep.check_same("lmod-unit", *left_action_unit(M.left_action, H.unit()))
     rep.check_same("rmod-assoc", *right_action_assoc(
-        M.right_action, ca.algebra.as_leg()))
+        M.right_action, ca.algebra))
     rep.check_same("rmod-unit", *right_action_unit(M.right_action, ca.unit()))
     rep.check_same("bimodule", *actions_commute(M.left_action,
                                                 M.right_action))
@@ -147,7 +147,7 @@ def check_relative_hopf_module(N: RelativeHopfModule) -> VerificationReport:
     rep.check_same("lmod-unit", *left_action_unit(N.h_action, H.unit()))
     rep.check_same("rmod-unit", *right_action_unit(N.r_action, qs.unit()))
     rep.check_same("quasi-assoc", *quasi_associative(
-        N.r_action, qs.algebra.as_leg(), N.h_action, qs.action, H.phi))
+        N.r_action, qs.algebra, N.h_action, qs.action, H.phi))
     rep.check_same("compat", *equivariant_action(
         N.h_action, N.r_action, qs.action, H.comul))
     return rep
@@ -170,13 +170,13 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
         (0, (pair, 2, 1), (pair, 2, (hleg, 0, 1)))))
     right_action = LegMul.from_graph(sweedler(
         _grid(field, A.basis, H.basis).tensor(ca.coaction.graph()),
-        ((pair, 0, 1), 2, (pair, (A.as_leg(), 0, 3), (hleg, 1, 4)))))
+        ((pair, 0, 1), 2, (pair, (A, 0, 3), (hleg, 1, 4)))))
 
     # one sum over every a, the graph of Delta and Phi_rho: legs 0 and
     # 1 pair into the input (a, k)
     src = _grid(field, A.basis).tensor(H.comul.graph()).tensor(ca.phi_rho)
     coaction = LinearMap.from_graph(sweedler(src, (
-        (pair, 0, 1), (pair, (A.as_leg(), 0, 4), (hleg, 2, 5)),
+        (pair, 0, 1), (pair, (A, 0, 4), (hleg, 2, 5)),
         (hleg, 3, 6))))
     return TwoSidedHopfModule(ca, flat, left_action, right_action,
                               coaction, name=ca.name + "(x)H")
@@ -194,13 +194,13 @@ def canonical_second_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     field = H.field
     flat = product_basis(H.basis, A.basis)
     pair = flat_pairing(H.basis, A.basis, flat, field)
-    hleg, mA = H.leg(), A.as_leg()
+    hleg = H.leg()
     left_action = LegMul.from_graph(sweedler(
         _grid(field, H.basis, H.basis, A.basis),
         (0, (pair, 1, 2), (pair, (hleg, 0, 1), 2))))
     right_action = LegMul.from_graph(sweedler(
         _grid(field, A.basis, A.basis, H.basis),
-        ((pair, 2, 0), 1, (pair, 2, (mA, 0, 1)))))
+        ((pair, 2, 0), 1, (pair, 2, (A, 0, 1)))))
 
     Si = H.antipode_inv
     W = sweedler(der.q_L.tensor(ca.phi_rho.map_leg(2, H.comul)).tensor(
@@ -211,7 +211,7 @@ def canonical_second_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     # pair into the input (k, a)
     src = H.comul.graph().tensor(ca.coaction.graph()).tensor(W)
     coaction = LinearMap.from_graph(sweedler(src, (
-        (pair, 0, 3), (pair, (hleg, 1, 6), (mA, 7, 4)), (hleg, 2, 8, 5))))
+        (pair, 0, 3), (pair, (hleg, 1, 6), (A, 7, 4)), (hleg, 2, 8, 5))))
     return TwoSidedHopfModule(ca, flat, left_action, right_action,
                               coaction, name="H(x)" + ca.name)
 
@@ -224,7 +224,7 @@ def module_isomorphism(ca: RightComoduleAlgebra
     H, A = ca.H, ca.algebra
     field = H.field
     pt, qt = ca.p_tilde(), ca.q_tilde()
-    m, mA, Si = H.leg(), A.as_leg(), H.antipode_inv
+    m, Si = H.leg(), H.antipode_inv
     V = flat_pairing(A.basis, H.basis, product_basis(A.basis, H.basis),
                      field)
     U = flat_pairing(H.basis, A.basis, product_basis(H.basis, A.basis),
@@ -234,10 +234,10 @@ def module_isomorphism(ca: RightComoduleAlgebra
     rho, ident = ca.coaction.graph(), LinearMap.identity(H.basis,
                                                          field).graph()
     theta = LinearMap.from_graph(sweedler(rho.tensor(ident).tensor(pt), (
-        (V, 0, 3), (U, (m, 4, (Si, (m, 2, 6))), (mA, 1, 5)))))
+        (V, 0, 3), (U, (m, 4, (Si, (m, 2, 6))), (A, 1, 5)))))
     theta_inv = LinearMap.from_graph(sweedler(
         ident.tensor(rho).tensor(qt), (
-            (U, 0, 2), (V, (mA, 5, 3), (m, 1, 6, 4)))))
+            (U, 0, 2), (V, (A, 5, 3), (m, 1, 6, 4)))))
     return theta, theta_inv
 
 
@@ -312,7 +312,7 @@ def _forward_action(M: TwoSidedHopfModule, F: Tensor, leads,
     A = ca.algebra
     hm, dh = H.leg().lifted()
     sinv, dsi = _lift_map(H.antipode_inv)
-    am, da = A.as_leg().lifted()
+    am, da = A.lifted()
     (lact, dl), (ract, dr) = M.left_action.lifted(), M.right_action.lifted()
     lead_rows, dlead = _lift_rows(field, {
         (h, f1): {x: c for (x,), c in t.data.items()}
@@ -563,7 +563,7 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
     def right_mul(w: Dict[int, object], g: int) -> Dict[int, object]:
         acc: Dict[int, object] = {}
         for i, c in w.items():
-            for t, ct in prod.alg.mult.get((i, g), {}).items():
+            for t, ct in prod.table.get((i, g), {}).items():
                 s = acc.get(t)
                 s = c * ct if s is None else s + c * ct
                 if s:
@@ -637,7 +637,7 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
         back = two_sided_from_relative(relative_from_two_sided(M, qs), ca)
         _same_two_sided(rep, label, back, M)
 
-    regular = relative_from_smash_module(qs, sm, sm.alg.as_leg())
+    regular = relative_from_smash_module(qs, sm, sm)
     rep.extend(check_relative_hopf_module(regular), prefix="regular/")
     modules = [("regular/", regular)]
     for seed in seeds:
@@ -651,9 +651,8 @@ def verify_module_correspondence(H: QuasiHopfAlgebra,
     # the direct transport of the regular module agrees with the
     # backward functor applied to its relative form, and the right
     # smash action is reconstructed from the two-sided structure
-    direct = two_sided_from_smash_module(qs, sm, sm.alg.as_leg(), ca)
+    direct = two_sided_from_smash_module(qs, sm, sm, ca)
     _same_two_sided(rep, "smash-transport/", direct, two_sided["regular/"])
     rep.check_same("smash-reconstruction",
-                   smash_action_from_two_sided(direct, qs, sm),
-                   sm.alg.as_leg())
+                   smash_action_from_two_sided(direct, qs, sm), sm)
     return rep

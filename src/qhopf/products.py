@@ -14,6 +14,7 @@ two-sided crossed product.
 from __future__ import annotations
 
 from functools import cache
+from types import SimpleNamespace
 from typing import Dict, Tuple
 
 from .algebra import (FinAlgebra, LegMul, _chain, _contract, _flat_keys,
@@ -28,7 +29,7 @@ from .report import VerificationReport
 from .tensor import Basis, LinearMap, Tensor, product_basis
 
 
-class ProductAlgebra:
+class ProductAlgebra(FinAlgebra):
     """An algebra whose basis is the flattened tensor product of factor
     bases. keys lists the per-factor index tuples in basis order
     (algebra._flat_keys), so the g-th basis vector is the tensor product
@@ -45,19 +46,18 @@ class ProductAlgebra:
     basis order and, within a row, col is called for every right basis
     vector in basis order, so partial sums that depend on key1 alone are
     formed once in the row closure and freed when the row ends. The whole
-    table is built at construction into the FinAlgebra alg."""
+    table is built at construction, and unit is given on the factor
+    legs."""
 
     def __init__(self, factors: Tuple[Basis, ...], evaluator, den: int,
                  unit: Tensor, field, name: str = ""):
         self.factors = tuple(factors)
-        self.basis = product_basis(*self.factors)
-        self.field = field
-        self.name = name or self.basis.name
+        basis = product_basis(*self.factors)
+        self.name = name or basis.name
         self.keys = keys = _flat_keys(*(b.dim for b in self.factors))
         self.flat = flat = {key: i for i, key in enumerate(keys)}
-        self.dim = len(keys)
         lower = field.lower
-        mult = {}
+        table = {}
         for i, key1 in enumerate(keys):
             col = evaluator(key1)
             for j, key2 in enumerate(keys):
@@ -65,8 +65,16 @@ class ProductAlgebra:
                 if num:
                     vec = lower({flat[k]: n for k, n in num.items()}, den)
                     if vec:
-                        mult[(i, j)] = vec
-        self.alg = FinAlgebra(self.basis, mult, self.flatten(unit), field)
+                        table[(i, j)] = vec
+        super().__init__(basis, table, Tensor((basis,), {
+            (flat[idx],): c for idx, c in unit.data.items()}, field), field)
+
+    @property
+    def alg(self) -> SimpleNamespace:
+        """The table as alg.mult, the one name bench/tracer.py's hook on
+        this constructor counts its entries by; the package reads
+        table."""
+        return SimpleNamespace(mult=self.table)
 
     def flatten(self, t: Tensor) -> Tensor:
         """A tensor with exactly the factor legs as a vector of the flat
@@ -98,22 +106,23 @@ class QuasiSmash(LeftModuleAlgebra):
 
     with x = the inverse right reassociator, unit 1_A # eps, and the
     left H-action h . (a # phi) = a # (h -> phi), which makes the
-    carrier a left H-module algebra. The action is one sweedler sum
-    over every input (h, a, phi), a and h -> phi written into one leg by
-    flat_pairing."""
+    carrier a left H-module algebra. Its algebra is the ProductAlgebra
+    on the factors A and H*, so its keys and flat read the factor
+    indices. The action is one sweedler sum over every input
+    (h, a, phi), a and h -> phi written into one leg by flat_pairing."""
 
     def __init__(self, ca: RightComoduleAlgebra):
         H = ca.H
         self.ca = ca
         dual = H.dual
         field = H.field
-        hmult, dh = H.algebra.as_leg().lifted()
-        amult, da = ca.algebra.as_leg().lifted()
+        hmult, dh = H.algebra.lifted()
+        amult, da = ca.algebra.lifted()
         rcols, dr = _lift_rows(field, ca.coaction.cols)
         phi, dx = field.lift(ca.phi_rho_inv.data)
         phi_data = list(phi.items())
         hit_r, dhit = dual.hit_r_leg.lifted()
-        conv, dc = dual.conv.as_leg().lifted()
+        conv, dc = dual.conv.lifted()
         factors = (ca.basis, dual.basis)
 
         @cache
@@ -167,23 +176,21 @@ class QuasiSmash(LeftModuleAlgebra):
 
         unit = ca.unit().tensor(dual.eps_functional())
         den = dr * dx * dh * dhit * dhit * dc * da * da
-        # the module algebra interface reads the table that ProductAlgebra
-        # builds at construction
-        self.prod = ProductAlgebra(factors, evaluator, den, unit, field,
-                                   name=ca.name + "#H*")
-        pair = flat_pairing(ca.basis, dual.basis, self.prod.basis, field)
+        prod = ProductAlgebra(factors, evaluator, den, unit, field,
+                              name=ca.name + "#H*")
+        pair = flat_pairing(ca.basis, dual.basis, prod.basis, field)
         action = LegMul.from_graph(sweedler(
             _grid(field, H.basis, dual.basis, ca.basis),
             (0, (pair, 2, 1), (pair, 2, (dual.hit_l_leg, 0, 1)))))
-        super().__init__(H, self.prod.alg, action, name=self.prod.name)
+        super().__init__(H, prod, action, name=prod.name)
 
     def element(self, a: Tensor, phi: Tensor) -> Tensor:
         """a # phi as a vector of the flat basis (flatten)."""
-        return self.prod.flatten(a.tensor(phi))
+        return self.algebra.flatten(a.tensor(phi))
 
     def parts(self, t: Tensor) -> Tensor:
         """A vector of the flat basis on the legs A and H* (unflatten)."""
-        return self.prod.unflatten(t)
+        return self.algebra.unflatten(t)
 
 
 def quasi_smash(ca: RightComoduleAlgebra) -> QuasiSmash:
@@ -236,9 +243,9 @@ def generalized_smash(ma: LeftModuleAlgebra,
     if not _same_h(H, cb.H):
         raise ValueError("module and comodule algebra must share H")
     field = H.field
-    hmult, dh = H.algebra.as_leg().lifted()
-    amult, da = ma.algebra.as_leg().lifted()
-    bmult, db = cb.algebra.as_leg().lifted()
+    hmult, dh = H.algebra.lifted()
+    amult, da = ma.algebra.lifted()
+    bmult, db = cb.algebra.lifted()
     act, dact = ma.action.lifted()
     ccols, dc = _lift_rows(field, cb.coaction.cols)
     phi, dy = field.lift(cb.phi_lam_inv.data)
@@ -335,13 +342,13 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
     nH = H.dim
     A, B = rca.algebra, lcb.algebra
     factors = (A.basis, dual.basis, B.basis)
-    amult, da = A.as_leg().lifted()
-    bmult, db = B.as_leg().lifted()
+    amult, da = A.lifted()
+    bmult, db = B.lifted()
     dcols, dd = _lift_rows(field, dual.comul.cols)
 
     # hit_pair(h, j, g, h', k, g') = (h -> e^j <- g)(h' -> e^k <- g'),
     # over dpair (DualView.hits)
-    hit_pair, dpair = _hit_products(dual.hits, dual.conv.as_leg(), H.basis)
+    hit_pair, dpair = _hit_products(dual.hits, dual.conv, H.basis)
 
     # core[(j, k)][(x1, y3)][m]: the sum over both inverse reassociators
     # of x1 (x) (y1 -> e^j <- x2_r)(y2 -> e^k <- x3_r) (x) y3
@@ -432,7 +439,7 @@ def two_sided_crossed(rca: RightComoduleAlgebra,
 
         return col
 
-    unit = A.unit_tensor().tensor(dual.eps_functional()).tensor(B.unit_tensor())
+    unit = A.unit.tensor(dual.eps_functional()).tensor(B.unit)
     den = dcore * (dd * drh * da * da) * (dd * dlh * db * db)
     return ProductAlgebra(factors, evaluator, den, unit, field,
                           name=rca.name + "><H*><" + lcb.name)
@@ -447,9 +454,8 @@ def _same_table(rep: VerificationReport, tag: str, p1: ProductAlgebra,
     if p1.dim != p2.dim:
         rep.check_bool(tag, False)
         return
-    rep.check_same(tag, p1.alg.as_leg(), p2.alg.as_leg())
-    rep.check_bool(tag + "-unit",
-                   p1.alg.unit_tensor().data == p2.alg.unit_tensor().data)
+    rep.check_same(tag, p1, p2)
+    rep.check_bool(tag + "-unit", p1.unit.data == p2.unit.data)
 
 
 def verify_crossed_decomposition(H: QuasiBialgebra) -> VerificationReport:
@@ -543,7 +549,7 @@ class HeisenbergDouble:
     def __init__(self, H: QuasiHopfAlgebra):
         self.H = H
         field, n, der = H.field, H.dim, H.derived
-        hm, dh = H.algebra.as_leg().lifted()
+        hm, dh = H.algebra.lifted()
         S, ds = _lift_map(H.antipode)
         sinv, dsi = _lift_map(H.antipode_inv)
         self._hm, self._sinv = hm, sinv
@@ -736,7 +742,7 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
 
     # the sides as tables on the inputs, keyed inputs + (image, argument)
     # as _map_tensor lays out an endomorphism
-    flat, keys = qs.prod.flat, qs.prod.keys
+    flat, keys = qs.algebra.flat, qs.algebra.keys
     mus, dmu = hd._mu, hd._dmu
     W = {ia: hd._right_stage(cols) for ia, cols in mus.items()}
     G = {ia: hd._left_stage(cols) for ia, cols in mus.items()}
@@ -756,7 +762,7 @@ def verify_heisenberg_double(H: QuasiHopfAlgebra) -> VerificationReport:
                 key = inputs + (r, k)
                 acc[key] = acc.get(key, 0) + c
 
-    prod, dprod = qs.algebra.as_leg().lifted()
+    prod, dprod = qs.algebra.lifted()
     rep.check_same("mu-multiplicative", _side(
         (n,) * 4, spaces, field, dprod * dmu,
         lambda acc, i, a, j, b: add_mu(
@@ -847,7 +853,7 @@ class HomSmash:
             ca.coaction.graph()).tensor(ones)
         m = H.leg()
         return sweedler(source, (9, (m, 8, 4, 1), 6, (m, 5, 2),
-                                 (ca.algebra.as_leg(), 9, 7, 3), 0))
+                                 (ca.algebra, 9, 7, 3), 0))
 
     def unit(self) -> LinearMap:
         """The graph of eps tensored with 1_A."""
@@ -880,7 +886,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
     dual = H.dual
     hs = HomSmash(ca)
     qs = quasi_smash(ca)
-    factors, keys = qs.prod.factors, qs.prod.keys
+    factors, keys = qs.algebra.factors, qs.algebra.keys
 
     # every e_a # e^p, inputs (a, p), and every map e_k -> e_i, inputs
     # (i, k), each as its family
@@ -893,7 +899,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
 
     prods = Tensor(factors * 3, {
         keys[f] + keys[g] + keys[k]: c
-        for (f, g), vec in qs.algebra.mult.items() for k, c in vec.items()},
+        for (f, g), vec in qs.algebra.table.items() for k, c in vec.items()},
         field)
     rep.check_same("nu-multiplicative", as_table(_map_tensor(hs.nu(prods)), 4),
                    as_table(hs.star_table(), 4))

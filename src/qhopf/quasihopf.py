@@ -94,13 +94,13 @@ class QuasiBialgebra:
         return self.algebra.e(i)
 
     def unit(self) -> Tensor:
-        return self.algebra.unit_tensor()
+        return self.algebra.unit
 
     def unit_pow(self, k: int) -> Tensor:
         return tensor_unit((self.algebra,) * k)
 
-    def leg(self) -> LegMul:
-        return self.algebra.as_leg()
+    def leg(self) -> FinAlgebra:
+        return self.algebra
 
     # -- structure map helpers -----------------------------------------
 
@@ -316,7 +316,7 @@ def check_quasihopf(H: QuasiHopfAlgebra) -> VerificationReport:
     one = H.unit()
 
     rep.check_same("antipode-antihom", *multiplicative(
-        H.antipode, H.leg(), (H.leg(),), anti=True))
+        H.antipode, H.leg(), (H.algebra.opposite(),)))
     rep.check_same("antipode-unit", H.S(one), one)
     try:
         H.antipode_inv
@@ -715,12 +715,12 @@ class DualView:
 
         # comultiplication of H^*: transpose of the multiplication of H
         self.comul = LinearMap(self.basis, (self.basis, self.basis),
-                               _transpose(H.algebra.mult), field)
+                               _transpose(H.algebra.table), field)
 
         # hit actions: <h -> phi, h'> = phi(h'h), <phi <- h, h'> = phi(hh')
         hit_l = {}
         hit_r = {}
-        for (i, j), vec in H.algebra.mult.items():
+        for (i, j), vec in H.algebra.table.items():
             for a, c in vec.items():
                 hit_l.setdefault((j, a), {})[i] = c
                 hit_r.setdefault((a, i), {})[j] = c
@@ -744,7 +744,7 @@ class DualView:
         return Tensor.basis_vector(self.basis, a, self.H.field)
 
     def eps_functional(self) -> Tensor:
-        return self.conv.unit_tensor()
+        return self.conv.unit
 
     def hit_l(self, h: Tensor, phi: Tensor) -> Tensor:
         """h -> phi."""
@@ -773,7 +773,7 @@ def check_dual_bimodule_algebra(dual: DualView) -> VerificationReport:
     act = dual.hits
     phi2 = _paired_legs(flat_pairing(H.basis, H.basis, act.left, field),
                         H.phi, H.phi_inv)
-    conv = dual.conv.as_leg()
+    conv = dual.conv
     rep.check_same("mbia1", *quasi_associative(conv, conv, act, act, phi2))
 
     # mbia2 on every input (i, a, b) at once: its left sides over the

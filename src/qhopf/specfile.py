@@ -172,8 +172,8 @@ def _entry(doc: dict, key: str, spaces: Sequence[Basis], field: Field,
 def _algebra_rows(d: dict, alg: FinAlgebra) -> None:
     """Write the "mult" and "unit" entries of alg into the data section
     d, as _algebra reads them."""
-    d["mult"] = rows_from_tensor(alg.as_leg().graph())
-    d["unit"] = rows_from_tensor(alg.unit_tensor())
+    d["mult"] = rows_from_tensor(alg.graph())
+    d["unit"] = rows_from_tensor(alg.unit)
 
 
 def _algebra(doc: dict, b: Basis, field: Field) -> FinAlgebra:

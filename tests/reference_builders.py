@@ -197,7 +197,7 @@ def smash_index(qs: QuasiSmash, sm: ProductAlgebra) -> FlatSpace:
     """The basis of sm = (A # H*) # H read as the row-major product of A,
     H* and H: split(g) is the (a, p, h) of the g-th basis vector
     (a # e^p) # e_h, and join inverts it."""
-    return FlatSpace(qs.prod.factors + sm.factors[1:], sm.field)
+    return FlatSpace(qs.algebra.factors + sm.factors[1:], sm.field)
 
 
 def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optional[Tensor]:
@@ -206,7 +206,7 @@ def invert_in_tensor_algebra(algebras: Sequence[FinAlgebra], x: Tensor) -> Optio
     Solves the left-multiplication system exactly, then verifies both
     x * y = 1 and y * x = 1 before returning y.
     """
-    legs = tuple(a.as_leg() for a in algebras)
+    legs = tuple(algebras)
     field = x.field
     flat = FlatSpace(tuple(a.basis for a in algebras), field)
     spaces, total = flat.factors, flat.dim
@@ -343,7 +343,7 @@ def canonical_first_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     field = H.field
     flat = FlatSpace((A.basis, H.basis), field)
     nA, nH = A.dim, H.dim
-    hmult, amult = H.algebra.mult, A.mult
+    hmult, amult = H.algebra.table, A.table
 
     left = {}
     for h in range(nH):
@@ -508,8 +508,8 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
     zero = field.zero()
     A = ba.algebra
     nH, nC = H.dim, C.dim
-    hmult = H.algebra.mult
-    amult = A.mult
+    hmult = H.algebra.table
+    amult = A.table
     nest = smash_index(qs, sm)
     flat = FlatSpace(final.factors, field)
 
@@ -546,7 +546,7 @@ def crossed_smash_direct(ba: BicomoduleAlgebra, C: BimoduleCoalgebra,
         return out
 
     cconv_t = conv_tab(C.comul.cols)
-    dconv_t = H.dual.conv.mult
+    dconv_t = H.dual.conv.table
 
     def convolve(x: Dict[int, object], y: Dict[int, object], tab):
         acc: Dict[int, object] = {}
@@ -725,7 +725,7 @@ def relative_from_two_sided(M: TwoSidedHopfModule,
     h_action = legmul_from_function(
         H.basis, M.basis, M.basis,
         lambda i, m: M.lact(H.S(H.S(H.e(i))), M.e(m)), field)
-    prod = FlatSpace(qs.prod.factors, field)
+    prod = FlatSpace(qs.algebra.factors, field)
     r_action = _forward_action(
         M, K, [{k1: H.e(k1) for k1 in range(H.dim)}], qs.basis,
         lambda a, p, h: prod.join((a, p)))
@@ -1019,7 +1019,7 @@ def dual_tables(dual: DualView) -> Tuple[Dict, LinearMap]:
 
     # comultiplication of H^*: transpose of the multiplication of H
     comul_cols = {}
-    for (i, j), vec in H.algebra.mult.items():
+    for (i, j), vec in H.algebra.table.items():
         for k, c in vec.items():
             comul_cols.setdefault(k, {})[(i, j)] = c
     return mult, LinearMap(dual.basis, (dual.basis, dual.basis),
@@ -1031,7 +1031,7 @@ def quasi_smash_action(qs: QuasiSmash) -> Dict:
     constructor built it, with one hit_l product per (i, p)."""
     H, ca = qs.H, qs.ca
     dual = H.dual
-    prod = FlatSpace(qs.prod.factors, H.field)
+    prod = FlatSpace(qs.algebra.factors, H.field)
     table = {}
     for i in range(H.dim):
         for p in range(H.dim):
@@ -1591,7 +1591,7 @@ def canonical_second_module(ca: RightComoduleAlgebra) -> TwoSidedHopfModule:
     field = H.field
     flat = FlatSpace((H.basis, A.basis), field)
     nA, nH = A.dim, H.dim
-    hmult, amult = H.algebra.mult, A.mult
+    hmult, amult = H.algebra.table, A.table
 
     left = {}
     for h in range(nH):
@@ -1733,8 +1733,8 @@ def crossed_comodule_algebra(ba: BicomoduleAlgebra, HHop: QuasiBialgebra,
                          H.mul(H.e(g2), H.S(H.e(x2)))))).tensor(
                      sm.flatten(qs.element(A.e(X3), eps).tensor(
                          H.e(x1)))))
-    return LeftComoduleAlgebra(HHop, sm.alg, coaction, phi_w,
-                               name=sm.alg.basis.name)
+    return LeftComoduleAlgebra(HHop, sm, coaction, phi_w,
+                               name=sm.basis.name)
 
 
 def nested_smash_direct(qs: QuasiSmash, sm: ProductAlgebra,
@@ -1813,7 +1813,7 @@ class SweedlerHomSmash:
                          (0, 1, 3, 4, (w, (m, 5, 2))))
         return LinearMap.from_graph(sweedler(
             inner.map_leg(4, ca.coaction),
-            (0, (ca.algebra.as_leg(), (v, (m, 5, 3, 1)), 4, 2))))
+            (0, (ca.algebra, (v, (m, 5, 3, 1)), 4, 2))))
 
     def unit(self) -> LinearMap:
         H, ca = self.H, self.ca
@@ -1848,7 +1848,7 @@ def verify_hom_smash(ca: RightComoduleAlgebra) -> VerificationReport:
     dual = H.dual
     hs = SweedlerHomSmash(ca)
     qs = quasi_smash(ca)
-    flat = FlatSpace(qs.prod.factors, H.field)
+    flat = FlatSpace(qs.algebra.factors, H.field)
     nA, nH = ca.dim, H.dim
 
     nu_table = {(a, p): hs.nu(ca.e(a).tensor(dual.e(p)))
@@ -1950,8 +1950,8 @@ def tensor_with(self, other: "QuasiBialgebra") -> "QuasiBialgebra":
         return pair.join((i, j))
 
     mult = {}
-    for (i1, j1), v1 in self.algebra.mult.items():
-        for (i2, j2), v2 in other.algebra.mult.items():
+    for (i1, j1), v1 in self.algebra.table.items():
+        for (i2, j2), v2 in other.algebra.table.items():
             key = (flat(i1, i2), flat(j1, j2))
             vec = {}
             for k1, c1 in v1.items():
@@ -2022,7 +2022,7 @@ def quasi_smash_hit_action(qs: QuasiSmash) -> Dict:
     """The table of the left H-action of QuasiSmash as its constructor
     regrouped the table of h -> phi, by hand through FlatSpace.join."""
     ca, dual = qs.ca, qs.H.dual
-    prod = FlatSpace(qs.prod.factors, qs.H.field)
+    prod = FlatSpace(qs.algebra.factors, qs.H.field)
     table = {}
     for (i, p), hit in dual.hit_l_leg.table.items():
         for pp, c in hit.items():
@@ -2132,7 +2132,7 @@ def cyclic_right_submodule(prod: ProductAlgebra, seed: int) -> LegMul:
     def right_mul(w: Dict[int, object], g: int) -> Dict[int, object]:
         acc: Dict[int, object] = {}
         for i, c in w.items():
-            for t, ct in prod.alg.mult.get((i, g), {}).items():
+            for t, ct in prod.table.get((i, g), {}).items():
                 s = acc.get(t, field.zero()) + c * ct
                 if s:
                     acc[t] = s

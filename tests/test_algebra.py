@@ -60,7 +60,7 @@ def test_tables_are_cleaned_where_zeros_can_arrive():
     # the algebra reader goes through the same rows
     doc = {"data": {"mult": rows, "unit": [[0, 1, 1]]}}
     A = sf._algebra(doc, basis, QQ)
-    assert A.mult == clean and A.as_leg().table is A.mult
+    assert A.table == clean
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
@@ -110,19 +110,30 @@ def test_broken_unit_detected():
     assert A.unit_laws_hold() is not None
 
 
+def test_algebra_is_its_multiplication():
+    """A FinAlgebra is the LegMul of its multiplication, with no second
+    name for its table or its unit."""
+    A = cyclic_algebra(3)
+    assert isinstance(A, LegMul)
+    assert (A.left, A.right, A.out) == (A.basis,) * 3
+    assert A.table == cyclic_mult(3)
+    assert not any(hasattr(A, name)
+                   for name in ("mult", "as_leg", "unit_tensor", "_leg"))
+
+
 def test_opposite():
     A = cyclic_algebra(3)
     op = A.opposite()
     assert op.basis.name.endswith("^op")
     for i in range(3):
         for j in range(3):
-            assert op.mult.get((i, j), {}) == A.mult.get((j, i), {})
+            assert op.table.get((i, j), {}) == A.table.get((j, i), {})
     assert op.is_associative() is None
 
 
 def test_legmul_and_mul_legs():
     A = cyclic_algebra(2)
-    leg = A.as_leg()
+    leg = A
     assert leg.table.get((1, 1), {}) == {0: F(1)}
     x = A.e(0) + A.e(1)
     y = A.e(1)
@@ -316,12 +327,11 @@ def test_mul_legs_refuses_mixed_fields():
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("Q", "GF7"))
 def test_cached_leg_matches_fresh_legmul(field):
+    """An algebra multiplies as a LegMul built afresh on its table."""
     rng = random.Random(0)
     for key, H in corpus(field).items():
         A = H.algebra
-        leg = A.as_leg()
-        assert A.as_leg() is leg, key
-        fresh = (LegMul(A.basis, A.basis, A.basis, A.mult, field),)
+        fresh = (LegMul(A.basis, A.basis, A.basis, A.table, field),)
 
         def rand_elt():
             return Tensor((A.basis,), {(i,): field.from_int(rng.randint(-3, 3))
@@ -332,16 +342,13 @@ def test_cached_leg_matches_fresh_legmul(field):
             assert A.mul(x, y) == mul_legs(fresh, x, y), key
             assert A.mulc(x, y, z) == mul_legs(
                 fresh, mul_legs(fresh, x, y), z), key
-        assert A.as_leg() is leg, key
-        assert leg.table == fresh[0].table, key
-        assert leg.table is A.mult, key
 
 
 def test_invert_in_tensor_algebra():
     A = cyclic_algebra(2)
-    unit2 = A.unit_tensor().tensor(A.unit_tensor())
+    unit2 = A.unit.tensor(A.unit)
     x = A.e(0).tensor(A.e(0)).scale(F(1, 2)) + A.e(1).tensor(A.e(1))
-    legs = (A.as_leg(), A.as_leg())
+    legs = (A, A)
     y = invert_in_tensor_algebra((A, A), x)
     assert y is not None
     assert mul_legs(legs, x, y) == unit2
@@ -416,5 +423,5 @@ def test_group_algebra_inverses(coeffs):
                QQ)
     y = invert_in_tensor_algebra((A,), x)
     if y is not None:
-        assert A.mul(x, y) == A.unit_tensor()
-        assert A.mul(y, x) == A.unit_tensor()
+        assert A.mul(x, y) == A.unit
+        assert A.mul(y, x) == A.unit

@@ -88,5 +88,5 @@ def test_crossed_reassociator_inverse_matches_solve(key, field):
     sm = smash_product(qs)
     lcb = crossed_comodule_algebra(ba, HHop, qs, sm)
     solved = invert_in_tensor_algebra(
-        (HHop.algebra, HHop.algebra, sm.alg), lcb.phi_lam)
+        (HHop.algebra, HHop.algebra, sm), lcb.phi_lam)
     assert solved is not None and solved == lcb.phi_lam_inv

@@ -67,7 +67,7 @@ def _cyclic_action_by_calls(prod, seed):
     def right_mul(w, g):
         acc = {}
         for i, c in w.items():
-            ig = prod.alg.mul(prod.alg.e(i), prod.alg.e(g))
+            ig = prod.mul(prod.e(i), prod.e(g))
             for (t,), ct in ig.data.items():
                 s = acc.get(t, field.zero()) + c * ct
                 if s:
@@ -178,7 +178,7 @@ def _relative_action_by_terms(M, qs):
         H.S(H.e(u2)), H.e(f1)).tensor(H.mul(H.S(H.e(u1)), H.e(f2))))
 
     def r_col(m, u):
-        a, p = qs.prod.keys[u]
+        a, p = qs.algebra.keys[u]
         src = K.tensor(M.e(m).map_leg(0, M.coaction)).tensor(
             ca.coact(ca.e(a))).tensor(pt)
 
@@ -294,7 +294,7 @@ def test_staged_functors_match_term_sums(key, field):
     sm = smash_product(qs)
     V = canonical_first_module(ca)
     theta, theta_inv = module_isomorphism(ca)
-    relatives = [relative_from_smash_module(qs, sm, sm.alg.as_leg())] + \
+    relatives = [relative_from_smash_module(qs, sm, sm)] + \
         [seeded_cyclic_module(qs, sm, seed) for seed in (0, 1, 2)]
     two_sided = [V, canonical_second_module(ca),
                  transport_module(V, theta, theta_inv)] + \

@@ -522,6 +522,65 @@ def test_flat_space_site_is_caught():
     assert retired_sites(source, "join") == 2
 
 
+def attribute_sites(source: str, name: str) -> int:
+    """The number of attributes called name that source reads or writes
+    (x.name), the calls of a method of that name included."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(ast.parse(source)))
+
+
+def keyword_sites(source: str, name: str) -> int:
+    """The keyword arguments called name in the calls of source, and the
+    parameters called name of its defs and lambdas."""
+    return sum(isinstance(node, (ast.keyword, ast.arg)) and
+               node.arg == name for node in ast.walk(ast.parse(source)))
+
+
+def algebra_layer_sites(source: str) -> dict:
+    return {"as_leg": retired_sites(source, "as_leg"),
+            "unit_tensor": retired_sites(source, "unit_tensor"),
+            "alg": attribute_sites(source, "alg"),
+            "prod": attribute_sites(source, "prod"),
+            "anti": keyword_sites(source, "anti")}
+
+
+# A kernel reached an algebra's table through layers: FinAlgebra.as_leg()
+# (a LegMul over the same table, cached, 53 calls), ProductAlgebra.alg
+# (the FinAlgebra of a product, 25 reads) and QuasiSmash.prod (9 reads);
+# FinAlgebra.unit_tensor() (8 calls) named the unit a second time, and
+# multiplicative's anti flag reversed, for antipode-antihom alone, the
+# product that H^op's multiplication states. A FinAlgebra is now the
+# LegMul of its multiplication, a ProductAlgebra is a FinAlgebra, the
+# algebra of a QuasiSmash is its ProductAlgebra, and antipode-antihom
+# pairs with H.algebra.opposite(). No module of the package and no demo
+# defines or calls as_leg or unit_tensor, reads or writes an attribute
+# alg or prod, or passes or takes anti. ProductAlgebra defines one
+# property alg, which only the benchmark's tracer reads (bench/).
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_algebra_layers_retired(path):
+    assert algebra_layer_sites(path.read_text(encoding="utf-8")) == {
+        "as_leg": 0, "unit_tensor": 0, "alg": 0, "prod": 0, "anti": 0}
+
+
+def test_algebra_layer_site_is_caught():
+    source = ("class FinAlgebra:\n"
+              "    def as_leg(self):\n"
+              "        return self._leg\n"
+              "    def unit_tensor(self):\n"
+              "        return self.unit\n"
+              "def multiplicative(f, mult, legs, anti=False):\n"
+              "    return f\n"
+              "def build(qs, sm, H):\n"
+              "    qs.prod = sm\n"
+              "    leg = sm.alg.as_leg()\n"
+              "    one = qs.prod.alg.unit_tensor()\n"
+              "    return multiplicative(H.antipode, leg, (leg,), anti=True)\n")
+    assert algebra_layer_sites(source) == {
+        "as_leg": 2, "unit_tensor": 2, "alg": 2, "prod": 2, "anti": 2}
+
+
 def private_unreferenced(definers):
     """(file name, line, name) for each module-level def or class of
     the definer sources whose name starts with an underscore (and is not

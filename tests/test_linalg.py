@@ -215,7 +215,7 @@ def test_crossed_left_reassociator_solve_matches_reference(monkeypatch):
     lcb = crossed_comodule_algebra(ba, HHop, qs, sm)
     monkeypatch.setattr(algebra, "solve_linear", captured)
     assert algebra.invert_in_tensor_algebra(
-        (HHop.algebra, HHop.algebra, sm.alg), lcb.phi_lam) == lcb.phi_lam_inv
+        (HHop.algebra, HHop.algebra, sm), lcb.phi_lam) == lcb.phi_lam_inv
     ((rows, rhs),) = systems
     assert len({col for row in rows for col in row}) == 2187
     got = solve_linear(rows, rhs, field)

@@ -34,9 +34,8 @@ from test_report import _mutant as _table_mutant
 
 
 def _materialized(prod) -> FinAlgebra:
-    alg = prod.alg
-    assert isinstance(alg, FinAlgebra)
-    return alg
+    assert isinstance(prod, FinAlgebra)
+    return prod
 
 
 @pytest.mark.parametrize("key", ("z2", "z3", "z2_quasi"))
@@ -120,8 +119,8 @@ def test_product_algebra_flatten_round_trip(all_corpus):
     assert idx.basis.labels == sm.basis.labels
     for g, (u, h) in enumerate(sm.keys):
         a, p, h2 = idx.split(g)
-        assert qs.prod.keys[u] + (h,) == (a, p, h2)
-        assert sm.flat[qs.prod.flat[a, p], h2] == g
+        assert qs.algebra.keys[u] + (h,) == (a, p, h2)
+        assert sm.flat[qs.algebra.flat[a, p], h2] == g
 
 
 @pytest.mark.parametrize("key", ("z2", "z2_quasi", "z2z2_twisted"))
@@ -357,7 +356,7 @@ def _reference_verify(H: QuasiHopfAlgebra) -> VerificationReport:
     dual = H.dual
     hd = _ReferenceDouble(H)
     qs = quasi_smash(canonical_right_comodule(H))
-    flat = FlatSpace(qs.prod.factors, H.field)
+    flat = FlatSpace(qs.algebra.factors, H.field)
     n = H.dim
 
     def basis_elt(i, a):
@@ -490,8 +489,11 @@ def _smash_mutant(qs, rng):
     out = copy.copy(qs)
     unit = qs.algebra.unit + Tensor(qs.algebra.unit.spaces, {
         (rng.randrange(qs.dim),): field.one()}, field)
-    out.algebra = FinAlgebra(qs.basis, _table_mutant(
-        qs.algebra.as_leg(), rng, 2).table, unit, field)
+    # a copy of the product algebra, keys and factors kept, built again
+    # on the changed table and unit
+    out.algebra = copy.copy(qs.algebra)
+    FinAlgebra.__init__(out.algebra, qs.basis, _table_mutant(
+        qs.algebra, rng, 2).table, unit, field)
     out.action = _table_mutant(qs.action, rng, 2)
     return out
 
@@ -609,8 +611,8 @@ def _smash_by_terms(ma):
     H = ma.H
     field = H.field
     zero = field.zero()
-    hmult = H.algebra.mult
-    amult = ma.algebra.mult
+    hmult = H.algebra.table
+    amult = ma.algebra.table
     act = ma.action.table
     dcols = H.comul.cols
     phi_data = list(H.phi_inv.data.items())
@@ -668,9 +670,9 @@ def _generalized_smash_by_terms(ma, cb):
     H = ma.H
     field = H.field
     zero = field.zero()
-    hmult = H.algebra.mult
-    amult = ma.algebra.mult
-    bmult = cb.algebra.mult
+    hmult = H.algebra.table
+    amult = ma.algebra.table
+    bmult = cb.algebra.table
     act = ma.action.table
     ccols = cb.coaction.cols
     phi_data = list(cb.phi_lam_inv.data.items())
@@ -751,7 +753,7 @@ def _two_sided_by_terms(rca, lcb, dual):
                                         dual.hit_l(H.e(y2), dual.hit_r(ek, H.e(x3))))
                                     ).tensor(lcb.e(y3)))
     factors = (A.basis, dual.basis, B.basis)
-    amult, bmult = A.mult, B.mult
+    amult, bmult = A.table, B.table
     zero = field.zero()
     dcols = dual.comul.cols
     rhit, lhit = {}, {}
@@ -800,7 +802,7 @@ def _two_sided_by_terms(rca, lcb, dual):
                                     out[key] = out.get(key, zero) + cba * cb_
         return Tensor(factors, out, field)
 
-    unit = A.unit_tensor().tensor(dual.eps_functional()).tensor(B.unit_tensor())
+    unit = A.unit.tensor(dual.eps_functional()).tensor(B.unit)
     return _pairwise(factors, evaluator, unit, field)
 
 
@@ -831,7 +833,7 @@ def test_staged_products_match_term_sums(all_corpus, field_name, key):
     rca, lcb = canonical_right_comodule(H), canonical_left_comodule(H)
     qs = quasi_smash(rca)
     pairs = (
-        (qs.prod, _quasi_smash_by_terms(rca, H.dual)),
+        (qs.algebra, _quasi_smash_by_terms(rca, H.dual)),
         (smash_product(qs), _smash_by_terms(qs)),
         (generalized_smash(qs, lcb), _generalized_smash_by_terms(qs, lcb)),
         (two_sided_crossed(rca, lcb), _two_sided_by_terms(rca, lcb, H.dual)),
@@ -840,9 +842,9 @@ def test_staged_products_match_term_sums(all_corpus, field_name, key):
     # scalar of the field's own type, as the references' are
     scalar = Fraction if field_name == "Q" else Fp
     for got, want in pairs:
-        assert got.alg.mult == want.mult, got.name
-        assert got.alg.unit == want.unit, got.name
-        assert all(type(c) is scalar for vec in got.alg.mult.values()
+        assert got.table == want.table, got.name
+        assert got.unit == want.unit, got.name
+        assert all(type(c) is scalar for vec in got.table.values()
                    for c in vec.values()), got.name
 
 
@@ -868,8 +870,8 @@ def test_two_sided_crossed_over_subalgebras_matches_term_sum(field):
         phi.permute((1, 2, 0)), name="k<b>")
     got = two_sided_crossed(rca, lcb)
     want = _two_sided_by_terms(rca, lcb, H.dual)
-    assert got.alg.mult == want.mult
-    assert got.alg.unit == want.unit
+    assert got.table == want.table
+    assert got.unit == want.unit
 
 
 def test_crossed_decomposition_reports_first_difference(all_corpus):
@@ -878,18 +880,17 @@ def test_crossed_decomposition_reports_first_difference(all_corpus):
     qs = quasi_smash(rca)
     gsm = generalized_smash(qs, lcb)
     sm = smash_product(qs)
-    assert gsm.alg.mult == sm.alg.mult
+    assert gsm.table == sm.table
     # bump one coefficient of a copy of the table, in the second of two
     # differing pairs, so the report must name the lexicographically
     # first one
-    mult = {key: dict(vec) for key, vec in gsm.alg.mult.items()}
+    mult = {key: dict(vec) for key, vec in gsm.table.items()}
     first, second = sorted(mult)[5], sorted(mult)[9]
     k1, k2 = sorted(mult[first])[0], sorted(mult[second])[-1]
     one = H.field.one()
     mult[second][k2] = mult[second][k2] + one
     mult[first][k1] = mult[first][k1] + one
-    bumped = copy.copy(gsm)
-    bumped.alg = FinAlgebra(gsm.basis, mult, gsm.alg.unit, H.field)
+    bumped = FinAlgebra(gsm.basis, mult, gsm.unit, H.field)
     rep = VerificationReport("bumped")
     _same_table(rep, "gsm-vs-crossed", bumped, sm)
     rec, unit_rec = rep.records
@@ -900,7 +901,7 @@ def test_crossed_decomposition_reports_first_difference(all_corpus):
     assert ce["index"] == [k1]
     f = H.field
     assert ce["lhs"] == scalar_str(f, mult[first][k1])
-    assert ce["rhs"] == scalar_str(f, sm.alg.mult[first][k1])
+    assert ce["rhs"] == scalar_str(f, sm.table[first][k1])
     assert ce["lhs"] != ce["rhs"]
     # the untouched products still coincide, with no pair scanned
     rep2 = VerificationReport("equal")

@@ -151,7 +151,7 @@ def test_identity_twist_is_fixpoint(all_corpus):
         assert HF.comul.cols == H.comul.cols
         assert HF.alpha.data == H.alpha.data
         assert HF.beta.data == H.beta.data
-        assert HF.algebra.mult == H.algebra.mult
+        assert HF.algebra.table == H.algebra.table
 
 
 def test_twist_round_trip(all_corpus):
@@ -285,7 +285,7 @@ def test_dual_and_derived_cached_per_object(field):
         fresh = DerivedElements(H)
         for name in DERIVED_FIELDS:
             assert getattr(H.derived, name) == getattr(fresh, name), (key, name)
-        assert H.dual.conv.mult == DualView(H).conv.mult
+        assert H.dual.conv.table == DualView(H).conv.table
     # a copy of the object dictionary with another Phi, made after the
     # derived elements were built, must not reuse them
     Hm = _mutate_phi(H)
@@ -476,7 +476,7 @@ def _mult_mutant(H, rng):
     for a group algebra with trivial Phi the unit and the supplied
     inverse of Phi still check."""
     field = H.field
-    mult = {k: dict(v) for k, v in H.algebra.mult.items()}
+    mult = {k: dict(v) for k, v in H.algebra.table.items()}
     row = mult.setdefault((rng.randrange(1, H.dim), rng.randrange(1, H.dim)),
                           {})
     k = rng.randrange(H.dim)

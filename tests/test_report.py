@@ -67,7 +67,7 @@ def _structures(field):
     ca = canonical_right_comodule(H)
     sm = smash_product(quasi_smash(ca))
     M = canonical_first_module(ca)
-    return (("product", sm.alg.as_leg()),
+    return (("product", sm),
             ("action", cyclic_right_submodule(sm, 1)),
             ("coaction", M.coaction))
 
@@ -135,7 +135,7 @@ def test_check_same_refuses_different_shapes():
     H = corpus()["z2_quasi"]
     sm = smash_product(quasi_smash(canonical_right_comodule(H)))
     rep = VerificationReport("shapes")
-    rep.check_same("legs", sm.alg.as_leg(), H.leg())
+    rep.check_same("legs", sm, H.leg())
     rep.check_same("maps", H.comul, LinearMap.identity(H.basis, H.field))
     assert [(r.passed, r.counterexample) for r in rep.records] == \
         [(False, {}), (False, {})]

@@ -116,7 +116,7 @@ def test_left_module_and_plain_algebra_round_trips(all_corpus):
     qs = quasi_smash(canonical_right_comodule(H))
     for obj, cls in ((canonical_left_comodule(H), LeftComoduleAlgebra),
                      (qs, LeftModuleAlgebra),
-                     (smash_product(qs).alg, FinAlgebra)):
+                     (smash_product(qs), FinAlgebra)):
         text = sf.serialize(sf.to_doc(obj))
         back = sf.from_doc(sf.parse(text))
         assert type(back) is cls
@@ -217,7 +217,7 @@ def test_writer_outputs_unchanged(fid, key, tmp_path, monkeypatch):
         "bicomodule-algebra": canonical_bicomodule(H),
         "module-coalgebra": canonical_module_coalgebra(H),
         "module-algebra": qs,
-        "algebra": smash_product(qs).alg,
+        "algebra": smash_product(qs),
     }
     texts = {kind: sf.serialize(sf.to_doc(obj)) for kind, obj in objs.items()}
     texts["twist"] = sf.serialize(sf.twist_to_doc(H, H.derived.f))

@@ -226,7 +226,7 @@ def _with_unit(obj, unit):
     alg = obj.algebra
     cp = object.__new__(type(obj))
     cp.__dict__ = dict(obj.__dict__)
-    cp.algebra = FinAlgebra(alg.basis, alg.mult, unit, alg.field)
+    cp.algebra = FinAlgebra(alg.basis, alg.table, unit, alg.field)
     return cp
 
 
